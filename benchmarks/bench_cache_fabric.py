@@ -1,7 +1,7 @@
-"""Cache-fabric benchmark: sharding, replication and pipelining, end to end.
+"""Cache-fabric benchmark: sharding, replication and elastic membership, end to end.
 
 ``bench_cache_server.py`` proves one cache server pools memo work across a
-fleet.  This benchmark measures what the PR-6 *fabric* adds on top:
+fleet.  This benchmark measures what the *fabric* adds on top:
 
 1. **topology never changes results** — the repeated-query workload (the
    streaming-audit chain re-audited hop by hop) runs against in-process
@@ -11,19 +11,9 @@ fleet.  This benchmark measures what the PR-6 *fabric* adds on top:
 2. **replication makes shard death cheap** — the post-kill arm reports its
    misses and ring failovers: with replication on, the dead shard's entries
    are served off successors instead of being recomputed;
-3. **pipelining ends the round-trip-at-a-time floor** — a client-level
-   microbenchmark resolves the same lookups two ways: a strictly
-   request/response GET loop on one socket (the PR-4 client's behaviour,
-   decode included) versus the fabric client's ``get_many`` (one pipelined
-   ``MGET`` per shard, fanned out before any is collected — the path the
-   search layer's round prefetch takes).  The report carries the speedup;
-   on loopback it is bounded by parse/decode overlap, on a real network it
-   grows with round-trip latency (K serial RTTs versus one overlapped one);
-4. **the asyncio transport carries concurrency** — 64 concurrent client
-   connections drive identical traffic against a threaded ``CacheServer``
-   and an ``AsyncCacheServer``; the event loop must match or beat the
-   thread-per-connection transport's throughput;
-5. **membership is elastic** — one engine arm runs against a fleet that
+3. **a warm fleet pays off** — a second engine against the same fleet runs
+   off the first one's entries (``fleet_warm_speedup``);
+4. **membership is elastic** — one engine arm runs against a fleet that
    *grows by one member and loses another mid-run* (``fleet_join`` then
    ``fleet_leave`` while the spawned engine is searching); its rankings
    must still be byte-identical to the serial reference.
@@ -31,20 +21,18 @@ fleet.  This benchmark measures what the PR-6 *fabric* adds on top:
 Engine arms run in freshly *spawned* interpreters (no shared memory), so
 every warm hit demonstrably travelled through TCP frames.
 
-Contract points, recorded in the JSON report (``BENCH_cache_fabric.json``):
+Contract points, recorded in the JSON report:
 
 * rankings identical across every topology — including the live
   join/leave arm (always enforced);
-* the pipelined client beats the serial-socket client (enforced outside
-  smoke mode; warns in smoke, where timings on shared runners are noisy);
-* the asyncio server matches or beats the threaded server at 64 concurrent
-  connections (same smoke-warns / full-enforces split);
 * with replication, the degraded arm's misses stay under 10 % of the cold
-  arm's (enforced outside smoke mode) and its failover count is non-zero.
+  arm's (enforced outside smoke mode; warns in smoke, where shared runners
+  are noisy) and its failover count is non-zero.
 
-Run it directly::
+Run it directly (smoke output must not overwrite the committed full-size
+``BENCH_cache_fabric.json``)::
 
-    PYTHONPATH=src python benchmarks/bench_cache_fabric.py --smoke --output BENCH_cache_fabric.json
+    PYTHONPATH=src python benchmarks/bench_cache_fabric.py --smoke --output bench_cache_fabric.json
 """
 
 from __future__ import annotations
@@ -52,26 +40,13 @@ from __future__ import annotations
 import argparse
 import json
 import multiprocessing
-import socket
 import sys
 import tempfile
-import threading
 import time
 from pathlib import Path
 
 from repro.core import CharlesConfig
-from repro.cachestore import MISSING
-from repro.cacheserver import (
-    AsyncCacheServer,
-    CacheServer,
-    RemoteBackend,
-    ShardedRemoteBackend,
-    fleet_join,
-    fleet_leave,
-    protocol,
-    server_topology,
-)
-from repro.cacheserver.client import decode_value, parse_url
+from repro.cacheserver import AsyncCacheServer, fleet_join, fleet_leave, server_topology
 from repro.timeline import EngineSession, TimelineStore
 from repro.workloads import streaming_employee_timeline
 
@@ -169,148 +144,6 @@ def _run_fabric_scenario(
     return report
 
 
-# -- the client microbenchmark: serial socket vs the pipelined fabric -----------
-
-
-def _client_microbench(shard_count: int, operations: int) -> dict:
-    """Resolve K warm lookups the PR-4 way and the fabric way, wall-clocked.
-
-    The PR-4 client was one socket, strictly request/response: K lookups cost
-    K sequential round trips (plus a decode each).  The fabric client fans
-    one pipelined ``MGET`` per shard out before collecting any, so the same
-    K lookups cost one overlapped round trip per shard.  Both arms run
-    against live servers seeded with identical entries and both decode every
-    value, so the wall-clock difference is purely how the wire is driven.
-    """
-    keys = [("bench", index) for index in range(operations)]
-    value = {"value": list(range(8))}
-
-    # PR-4 deployment: one server, one socket, wait for every response
-    with CacheServer() as single:
-        seeder = ShardedRemoteBackend(single.url)
-        for key in keys:
-            seeder.put(key, value)
-        digests = [seeder._digest(key) for key in keys]
-        len(seeder)  # write barrier: LEN answers behind the pipelined casts
-        with socket.create_connection(parse_url(single.url), timeout=30.0) as sock:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            serial_hits = 0
-            started = time.perf_counter()
-            for request_id, digest in enumerate(digests):
-                protocol.send_message(
-                    sock,
-                    request_id,
-                    protocol.encode_request(
-                        protocol.GET, protocol.REGION_FITS, digest=digest
-                    ),
-                )
-                _, body = protocol.recv_message(sock)
-                status, payload = protocol.decode_response(body)
-                if status == protocol.HIT and decode_value(payload) is not MISSING:
-                    serial_hits += 1
-            serial_seconds = time.perf_counter() - started
-        seeder.close()
-
-    # fabric deployment: N shards, one pipelined MGET per shard
-    shards = [CacheServer().start() for _ in range(shard_count)]
-    try:
-        fabric = ShardedRemoteBackend(",".join(shard.url for shard in shards))
-        for key in keys:
-            fabric.put(key, value)
-        len(fabric)  # same write barrier before timing the lookups
-        lookup_trips_before = fabric.round_trips
-        started = time.perf_counter()
-        values = fabric.get_many(keys)
-        fabric_seconds = time.perf_counter() - started
-        fabric_hits = sum(1 for entry in values if entry is not MISSING)
-        lookup_round_trips = fabric.round_trips - lookup_trips_before
-        fabric.close()
-    finally:
-        for shard in shards:
-            shard.shutdown()
-
-    return {
-        "operations": operations,
-        "serial_hits": serial_hits,
-        "fabric_hits": fabric_hits,
-        "serial_seconds": serial_seconds,
-        "fabric_seconds": fabric_seconds,
-        "fabric_lookup_round_trips": lookup_round_trips,
-        "pipelined_speedup": (
-            serial_seconds / fabric_seconds if fabric_seconds > 0 else None
-        ),
-        "pipelined_faster": fabric_seconds < serial_seconds,
-    }
-
-
-# -- the transport microbenchmark: thread-per-connection vs one event loop ------
-
-
-def _transport_microbench(connections: int, ops_per_connection: int) -> dict:
-    """The same concurrent traffic against both serving transports, wall-clocked.
-
-    ``connections`` clients connect at once (a barrier releases them together)
-    and each drives ``ops_per_connection`` put+get round trips on its own
-    socket.  The threaded server spends a thread per connection; the asyncio
-    server multiplexes every connection onto one loop.  The asyncio transport
-    earns its default-server status by matching or beating the threaded one
-    at this concurrency level.
-    """
-
-    def drive(server) -> float:
-        barrier = threading.Barrier(connections + 1)
-        errors: list[Exception] = []
-
-        def worker(worker_id: int) -> None:
-            try:
-                backend = RemoteBackend(server.url, namespace=b"c%d" % worker_id)
-                # connect (and prove liveness) before the clock starts: the
-                # arm times steady-state throughput, not the connect storm
-                if backend.get(("warm", worker_id)) is not MISSING:
-                    raise RuntimeError("unexpected hit on a cold server")
-                barrier.wait()
-                for index in range(ops_per_connection):
-                    backend.put((worker_id, index), index)
-                    if backend.get((worker_id, index)) is MISSING:
-                        raise RuntimeError("own write not visible")
-                backend.close()
-            except Exception as error:  # pragma: no cover - reporting
-                errors.append(error)
-
-        threads = [
-            threading.Thread(target=worker, args=(index,), daemon=True)
-            for index in range(connections)
-        ]
-        for thread in threads:
-            thread.start()
-        barrier.wait()
-        started = time.perf_counter()
-        for thread in threads:
-            thread.join(timeout=120)
-        seconds = time.perf_counter() - started
-        if errors:
-            raise RuntimeError(f"transport bench worker failed: {errors[0]!r}")
-        return seconds
-
-    with CacheServer() as threaded:
-        threaded_seconds = drive(threaded)
-    with AsyncCacheServer() as alooped:
-        async_seconds = drive(alooped)
-
-    total_ops = connections * ops_per_connection * 2
-    return {
-        "connections": connections,
-        "ops_per_connection": ops_per_connection,
-        "threaded_seconds": threaded_seconds,
-        "async_seconds": async_seconds,
-        "threaded_ops_per_second": total_ops / threaded_seconds,
-        "async_ops_per_second": total_ops / async_seconds,
-        "async_speedup": threaded_seconds / async_seconds if async_seconds > 0 else None,
-        # "matches or beats", with a 10 % grace band for scheduler noise
-        "async_matches_threaded": async_seconds <= 1.10 * threaded_seconds,
-    }
-
-
 # -- the benchmark --------------------------------------------------------------
 
 
@@ -320,28 +153,20 @@ def run_benchmark(
     seed: int,
     shard_count: int,
     replication: int,
-    operations: int,
-    connections: int,
-    ops_per_connection: int,
 ) -> dict:
     scenarios = [_run_scenario("serial", CharlesConfig(n_jobs=1), rows, versions, seed)]
 
-    with CacheServer() as single:
+    with AsyncCacheServer() as single:
         scenarios.append(
             _run_fabric_scenario(
                 "one-shard-cold", rows, versions, seed, single.url, 1
             )
         )
 
-    # the microbenches build their own servers and fleets, so they never
-    # contend with the engine arms' servers for the loopback
-    wire = _client_microbench(shard_count, operations)
-    transport = _transport_microbench(connections, ops_per_connection)
-
-    # a fleet that changes shape mid-run: a fresh (asyncio) member joins and
-    # warms from its ring predecessors, then an original member leaves —
+    # a fleet that changes shape mid-run: a fresh member joins and warms
+    # from its ring predecessors, then an original member leaves —
     # both while a spawned engine is searching against the fleet
-    elastic = [CacheServer().start() for _ in range(2)]
+    elastic = [AsyncCacheServer().start() for _ in range(2)]
     joiner = AsyncCacheServer().start()
     try:
         elastic_url = ",".join(member.url for member in elastic)
@@ -372,7 +197,7 @@ def run_benchmark(
         for member in elastic:
             member.shutdown()
 
-    shards = [CacheServer().start() for _ in range(shard_count)]
+    shards = [AsyncCacheServer().start() for _ in range(shard_count)]
     try:
         fleet_url = ",".join(shard.url for shard in shards)
         scenarios.append(
@@ -417,11 +242,6 @@ def run_benchmark(
             {key: value for key, value in scenario.items() if key != "rankings"}
             for scenario in scenarios
         ],
-        "wire": wire,
-        "transport": transport,
-        "pipelined_speedup": wire["pipelined_speedup"],
-        "pipelined_faster_than_serial_socket": wire["pipelined_faster"],
-        "async_matches_threaded_throughput": transport["async_matches_threaded"],
         "elastic_final_epoch": elastic_final_epoch,
         "elastic_misses": by_name["fleet-elastic"]["misses"],
         "elastic_failovers": by_name["fleet-elastic"]["failovers"],
@@ -444,7 +264,7 @@ def run_benchmark(
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="cache-fabric benchmark: sharded, replicated, pipelined fleet cache"
+        description="cache-fabric benchmark: sharded, replicated, elastic fleet cache"
     )
     parser.add_argument("--rows", type=int, default=1_500, help="entities per version")
     parser.add_argument("--versions", type=int, default=4, help="versions in the chain")
@@ -452,12 +272,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--shards", type=int, default=3, help="fleet size for the N-shard arms")
     parser.add_argument("--replication", type=int, default=2,
                         help="replica copies per entry (>= 2 makes shard death free)")
-    parser.add_argument("--operations", type=int, default=400,
-                        help="GET count for the wire microbenchmark")
-    parser.add_argument("--connections", type=int, default=64,
-                        help="concurrent connections for the transport microbenchmark")
-    parser.add_argument("--ops-per-connection", type=int, default=30,
-                        help="put+get cycles per connection in the transport microbenchmark")
     parser.add_argument("--smoke", action="store_true",
                         help="small fast run for CI (150 rows, 3 versions, 2 shards)")
     parser.add_argument("--output", type=Path, default=None, help="write the JSON report here")
@@ -465,16 +279,9 @@ def main(argv: list[str] | None = None) -> int:
     rows = 150 if args.smoke else args.rows
     versions = 3 if args.smoke else args.versions
     shard_count = 2 if args.smoke else args.shards
-    operations = 200 if args.smoke else args.operations
-    # the concurrency level is the point of the transport arm — smoke mode
-    # trims the per-connection work, never the connection count
-    ops_per_connection = 10 if args.smoke else args.ops_per_connection
     replication = min(args.replication, shard_count)
 
-    report = run_benchmark(
-        rows, versions, args.seed, shard_count, replication, operations,
-        args.connections, ops_per_connection,
-    )
+    report = run_benchmark(rows, versions, args.seed, shard_count, replication)
     report["smoke"] = args.smoke
     text = json.dumps(_stamp(report), indent=2)
     print(text)
@@ -482,28 +289,13 @@ def main(argv: list[str] | None = None) -> int:
         args.output.write_text(text + "\n", encoding="utf-8")
         print(f"report written to {args.output}", file=sys.stderr)
 
-    # the ranking invariant is deterministic and always enforced; timing and
-    # miss-recovery margins are statistical, so smoke mode (tiny inputs on
+    # the ranking invariant is deterministic and always enforced; the
+    # miss-recovery margin is statistical, so smoke mode (tiny inputs on
     # noisy shared runners) warns instead of failing the build
     failures = []
     warnings_ = []
     if not report["all_rankings_identical"]:
         failures.append("rankings diverged between cache topologies")
-    if not report["pipelined_faster_than_serial_socket"]:
-        message = (
-            "pipelined fabric client was not faster than the serial-socket client "
-            f"({report['wire']['fabric_seconds']:.3f}s vs "
-            f"{report['wire']['serial_seconds']:.3f}s over {operations} lookups)"
-        )
-        (warnings_ if args.smoke else failures).append(message)
-    if not report["async_matches_threaded_throughput"]:
-        message = (
-            "asyncio server fell behind the threaded server at "
-            f"{report['transport']['connections']} connections "
-            f"({report['transport']['async_seconds']:.3f}s vs "
-            f"{report['transport']['threaded_seconds']:.3f}s)"
-        )
-        (warnings_ if args.smoke else failures).append(message)
     if not report["degraded_served_off_replicas"]:
         message = (
             "shard death was not absorbed by replicas "

@@ -4,7 +4,7 @@ PR 3's backends pool memo work across processes on one machine (shared
 memory) and across restarts (disk).  The cache service
 (:mod:`repro.cacheserver`) extends the pool to a *fleet*: engine instances
 with no filesystem or memory in common, connected only by TCP, publishing
-into and serving off one :class:`~repro.cacheserver.server.CacheServer`.
+into and serving off one :class:`~repro.cacheserver.aserver.AsyncCacheServer`.
 
 This benchmark runs the repeated-query workload of ``bench_cache_backends.py``
 (the streaming-audit chain, re-audited hop by hop through a warm
@@ -49,7 +49,7 @@ import time
 from pathlib import Path
 
 from repro.core import CharlesConfig
-from repro.cacheserver import CacheServer, server_stats
+from repro.cacheserver import AsyncCacheServer, server_stats
 from repro.timeline import EngineSession, TimelineStore
 from repro.workloads import streaming_employee_timeline
 
@@ -122,7 +122,7 @@ def run_benchmark(rows: int, versions: int, seed: int) -> dict:
     scenarios = [
         _run_scenario("serial", CharlesConfig(n_jobs=1), rows, versions, seed)
     ]
-    with CacheServer() as server:
+    with AsyncCacheServer() as server:
         scenarios.append(
             _run_remote_scenario("remote-cold", rows, versions, seed, server.url)
         )

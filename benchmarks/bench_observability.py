@@ -39,7 +39,7 @@ import time
 from pathlib import Path
 
 from repro.core import Charles, CharlesConfig
-from repro.cacheserver import CacheServer, server_metrics
+from repro.cacheserver import AsyncCacheServer, server_metrics
 from repro.obs.analyze import load_trace, summarize_trace
 from repro.obs.metrics import parse_prometheus
 from repro.timeline import EngineSession
@@ -202,7 +202,7 @@ def run_benchmark(rows: int, versions: int, seed: int, repeats: int) -> dict:
         ]
 
     # arm 2: two spawned engines against a live 2-shard fleet, traced
-    shards = [CacheServer().start() for _ in range(2)]
+    shards = [AsyncCacheServer().start() for _ in range(2)]
     engines = []
     metrics_reports = []
     try:

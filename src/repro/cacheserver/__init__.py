@@ -3,42 +3,40 @@
 Cacheserver architecture
 ========================
 
-PR 3's shared and disk stores pool memo work across *processes on one
-machine*; PR 4 added a standalone cache service for a fleet of engines on
-different machines; PR 6 grew that service into a *fabric* — sharded,
-replicated and pipelined, so fleet cache capacity and throughput scale past
-one socket and one server:
+The shared and disk stores pool memo work across *processes on one
+machine*; this package pools it across a fleet of engines on different
+machines through a *fabric* of cache servers — sharded, replicated and
+pipelined, so fleet cache capacity and throughput scale past one socket and
+one server.  Each job has one mechanism: one server transport, one remote
+client, one server eviction order.
 
 * :mod:`~repro.cacheserver.protocol` — the wire format: length-prefixed
   binary frames carrying a request id, digested keys, opaque pickled values
   and a per-PUT recomputation-cost hint; batched ``MGET`` lookups; stdlib
   ``struct``/``json`` only.
 * :mod:`~repro.cacheserver.server` — :class:`~repro.cacheserver.server.
-  CacheServerCore` (regions, verbs, metrics, elastic fleet topology) and
-  :class:`~repro.cacheserver.server.CacheServer`, the threaded transport over
-  it, hosting the ``fits``/``partitions`` regions on
-  :class:`~repro.cachestore.memory.InProcessBackend` stores with a
-  cost-aware eviction policy, plus ``PING``/``STATS`` admin verbs and
-  graceful shutdown.  Run one per shard with ``charles cache-server``.
+  CacheServerCore` (regions, verbs, metrics, elastic fleet topology),
+  hosting the ``fits``/``partitions`` regions on
+  :class:`~repro.cachestore.memory.InProcessBackend` stores with cost-aware
+  eviction, plus ``PING``/``STATS``/``METRICS``/``TRACE`` admin verbs.
 * :mod:`~repro.cacheserver.aserver` — :class:`~repro.cacheserver.aserver.
-  AsyncCacheServer`, the ``asyncio`` transport over the same core (the
-  default under ``charles cache-server``): every connection multiplexed on
-  one event loop instead of one thread each, byte-identical on the wire.
+  AsyncCacheServer`, the core on the wire: every connection multiplexed on
+  one ``asyncio`` event loop, with graceful shutdown.  Run one per shard
+  with ``charles cache-server``.
 * :mod:`~repro.cacheserver.pipeline` — :class:`~repro.cacheserver.pipeline.
   PipelinedConnection`, one persistent socket with any number of requests in
-  flight (a reader thread pairs responses up by request id), ending the
-  one-round-trip-at-a-time latency floor of the PR-4 client.
+  flight (a reader thread pairs responses up by request id), so lookups do
+  not wait one round trip at a time.
 * :mod:`~repro.cacheserver.ring` — :class:`~repro.cacheserver.ring.HashRing`,
   consistent-hash placement of key digests over N endpoints with virtual
   nodes; owner plus replica/failover successors per key.
 * :mod:`~repro.cacheserver.client` — :class:`~repro.cacheserver.client.
   ShardClient` (one endpoint's pipelined connection + per-shard
-  degrade-to-miss backoff) and :class:`~repro.cacheserver.client.
-  RemoteBackend`, the single-endpoint :class:`~repro.cachestore.base.
-  CacheBackend` built on it.
+  degrade-to-miss backoff) and the ``charles cache`` admin helpers.
 * :mod:`~repro.cacheserver.fabric` — :class:`~repro.cacheserver.fabric.
-  ShardedRemoteBackend`, what ``cache_backend="remote"`` actually builds: a
-  comma-separated ``cache_url`` becomes a hash ring of shard clients, with
+  ShardedRemoteBackend`, the one remote :class:`~repro.cachestore.base.
+  CacheBackend` and what ``cache_backend="remote"`` builds, even for one
+  endpoint: a ``cache_url`` becomes a hash ring of shard clients, with
   optional replica-set writes (``cache_replication``), read failover around
   the ring, and round-synchronised ``MGET`` prefetching.
 
@@ -60,8 +58,6 @@ byte-identical to in-process runs, which ``tests/cacheserver/`` and
 
 from repro.cacheserver.aserver import AsyncCacheServer
 from repro.cacheserver.client import (
-    RemoteBackend,
-    RemoteHandle,
     ShardClient,
     fleet_join,
     fleet_leave,
@@ -76,11 +72,9 @@ from repro.cacheserver.client import (
 from repro.cacheserver.fabric import ShardedRemoteBackend, ShardedRemoteHandle
 from repro.cacheserver.pipeline import PipelinedConnection
 from repro.cacheserver.ring import HashRing, parse_endpoints
-from repro.cacheserver.server import DEFAULT_PORT, CacheServer, CacheServerCore
+from repro.cacheserver.server import DEFAULT_PORT, CacheServerCore
 
 __all__ = [
-    "RemoteBackend",
-    "RemoteHandle",
     "ShardClient",
     "ShardedRemoteBackend",
     "ShardedRemoteHandle",
@@ -96,7 +90,6 @@ __all__ = [
     "server_topology",
     "fleet_join",
     "fleet_leave",
-    "CacheServer",
     "CacheServerCore",
     "AsyncCacheServer",
     "DEFAULT_PORT",

@@ -1,22 +1,17 @@
-"""The asyncio cache server: every connection multiplexed on one event loop.
+"""The cache server: every connection multiplexed on one asyncio event loop.
 
-:class:`AsyncCacheServer` is the second transport over
-:class:`~repro.cacheserver.server.CacheServerCore` — same verbs, same
-coalesced response bursts, byte-identical frames — but instead of one OS
-thread per client (:class:`~repro.cacheserver.server.CacheServer`) it serves
-every connection from a single event loop.  A fleet of engines each holding
-a few pipelined connections per shard puts *connections*, not CPU, on the
-server: request handling is dict lookups, so the thread-per-connection model
-pays thread stacks and scheduler churn for sockets that are idle almost all
-the time.  Here an idle connection costs one reader coroutine parked on the
-loop, and a response burst is still one ``write`` of the joined frames.
+:class:`AsyncCacheServer` puts :class:`~repro.cacheserver.server.
+CacheServerCore` on the wire — the process ``charles cache-server`` runs.
+A fleet of engines each holding a few pipelined connections per shard puts
+*connections*, not CPU, on the server: request handling is dict lookups, so
+an idle connection costs one reader coroutine parked on the loop, and a
+burst of pipelined requests is answered with one ``write`` of the joined
+response frames.
 
-The public surface mirrors ``CacheServer`` exactly — ``start`` /
-``serve_forever`` / ``shutdown`` / context manager / ``address`` / ``url`` /
-``stats`` / ``metrics_text`` — so fixtures, the CLI and the benchmarks can
-parametrise over both transports.  The listening socket is created
-synchronously in ``__init__``, so :attr:`url` is valid before ``start``,
-exactly as with the threaded server.
+The listening socket is created synchronously in ``__init__``, so
+:attr:`url` is valid before ``start``.  Use the server as a context manager,
+or pair :meth:`~AsyncCacheServer.start` / :meth:`~AsyncCacheServer.
+serve_forever` with :meth:`~AsyncCacheServer.shutdown`.
 
 One asymmetry: ``JOIN``/``LEAVE`` handling can block (a joining server warms
 itself from its ring predecessors over plain sockets), so those two verbs
@@ -45,11 +40,9 @@ _BLOCKING_VERBS = frozenset({protocol.JOIN, protocol.LEAVE})
 class AsyncCacheServer(CacheServerCore):
     """A fleet-shared cache service, every connection on one event loop.
 
-    Drop-in for :class:`~repro.cacheserver.server.CacheServer` — construct
-    with the same arguments, use as a context manager or pair
-    :meth:`start`/:meth:`serve_forever` with :meth:`shutdown`.  Clients
-    cannot tell the transports apart: the wire protocol, response coalescing
-    and topology-epoch stamping all live in the shared core.
+    ``port=0`` binds an ephemeral port (read it back from :attr:`address` /
+    :attr:`url`); ``capacity`` bounds each region's entry count, evicting
+    the cheapest recomputation per byte first.
     """
 
     def __init__(
@@ -57,9 +50,8 @@ class AsyncCacheServer(CacheServerCore):
         host: str = "127.0.0.1",
         port: int = 0,
         capacity: int | None = None,
-        policy: str = "cost-aware",
     ) -> None:
-        super().__init__(capacity=capacity, policy=policy)
+        super().__init__(capacity=capacity)
         # bind synchronously so .address/.url work before the loop exists
         self._sock = socket.create_server((host, port))
         self._address = self._sock.getsockname()[:2]
@@ -88,7 +80,8 @@ class AsyncCacheServer(CacheServerCore):
         finally:
             server.close()
             # tear down live connections so a stopped server immediately
-            # looks *down* to its fleet, matching the threaded transport
+            # looks *down* to its fleet: clients degrade to misses and
+            # reconnect instead of staying parked on a dead conversation
             for task in list(self._conn_tasks):
                 task.cancel()
             if self._conn_tasks:
@@ -100,15 +93,16 @@ class AsyncCacheServer(CacheServerCore):
     ) -> None:
         """One client connection: request frames answered in arrival order.
 
-        The same coalescing contract as the threaded handler: every complete
-        frame buffered at wake time is dispatched, and all their responses go
-        out in one write — a pipelined client's burst of PUTs costs a handful
-        of syscalls, not two per entry.
+        A pipelined client may queue many frames before reading anything
+        back; answering them sequentially per connection (responses echo the
+        request id) gives that client read-your-writes on its own traffic.
+        Every complete frame buffered at wake time is dispatched, and all
+        their responses go out in one write — a pipelined client's burst of
+        PUTs costs a handful of syscalls, not two per entry.
         """
         task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        self._track(writer)
+        self._conn_tasks.add(task)
+        self._inflight.set(len(self._conn_tasks))
         buffer = bytearray()
         try:
             while True:
@@ -137,9 +131,8 @@ class AsyncCacheServer(CacheServerCore):
         except asyncio.CancelledError:
             return  # server shutdown: connections die with it
         finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
-            self._untrack(writer)
+            self._conn_tasks.discard(task)
+            self._inflight.set(len(self._conn_tasks))
             try:
                 writer.close()
             except Exception:  # pragma: no cover - best-effort teardown

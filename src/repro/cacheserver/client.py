@@ -1,17 +1,16 @@
-"""The remote backend: a :class:`CacheBackend` whose storage is a cache server.
+"""The client side of one cache server: shard connections and admin calls.
 
-A :class:`RemoteBackend` gives an engine process (or a parallel worker — the
-:class:`RemoteHandle` is picklable and each attached instance opens its own
-connection) a view over one region of a :class:`~repro.cacheserver.server.
-CacheServer`, so a whole fleet of engines on different machines pools its
-partition discoveries and per-mask fits through one store.  Since the fabric
-release the wire underneath is a :class:`~repro.cacheserver.pipeline.
-PipelinedConnection`: lookups still block for their answer, but publishes are
-fire-and-forget and any number of requests may be in flight on the one
-socket, so cache traffic no longer serialises a search on round-trip latency.
-The shard-facing half lives in :class:`ShardClient` — one endpoint's
-connection plus its degrade/backoff state — which the sharded fabric
-(:mod:`repro.cacheserver.fabric`) composes N times over a hash ring.
+A :class:`ShardClient` is one endpoint's :class:`~repro.cacheserver.pipeline.
+PipelinedConnection` plus its degrade/backoff state.  It is the unit the
+sharded fabric (:mod:`repro.cacheserver.fabric`) composes N times over a
+hash ring — and the fabric is the one remote client: ``cache_backend=
+"remote"`` builds a :class:`~repro.cacheserver.fabric.ShardedRemoteBackend`
+even for a single endpoint.  Lookups block for their answer, publishes are
+fire-and-forget, and any number of requests may be in flight on the one
+socket, so cache traffic does not serialise a search on round-trip latency.
+The module also carries the wire-value codec (:func:`encode_value` /
+:func:`decode_value`) and the admin helpers behind ``charles cache``
+(``server_stats``, ``fleet_join``, ...), which raise instead of degrading.
 
 The cardinal rule is *degrade, never abort* — stronger here than for the disk
 backend, because the failure domain includes another machine: a server that
@@ -24,17 +23,13 @@ paid once per batch of lookups, not once per lookup) and an exponentially
 growing wall-clock window (:data:`RETRY_BACKOFF_SECONDS` doubling up to
 :data:`MAX_RETRY_BACKOFF_SECONDS` — so a *blackholed* server, whose connect
 attempts block for the full timeout instead of failing fast, stalls a tight
-search loop at most once per window rather than every 64 lookups).  Unlike
-the disk backend, even construction never raises on an unreachable server —
-a fleet member must be able to boot while the cache service is still coming
-up.
+search loop at most once per window rather than every 64 lookups).  Even
+construction never contacts the server — a fleet member must be able to
+boot while the cache service is still coming up.
 
-Like the disk store, entries are namespaced: the client folds the config's
-``cache_fingerprint()`` into every key digest, so differently configured
-engines sharing one server read and write disjoint entries.  Values are
-pickled on the client and opaque to the server; whoever can write to the
-server can therefore execute code in every client that reads it back —
-``cache_url`` must point at a server on a trusted network, exactly like a
+Values are pickled on the client and opaque to the server; whoever can write
+to the server can therefore execute code in every client that reads it back
+— ``cache_url`` must point at a server on a trusted network, exactly like a
 shared ``cache_dir`` must be a trusted directory.
 """
 
@@ -45,27 +40,17 @@ import os
 import pickle
 import socket
 import time
-from dataclasses import dataclass
-from typing import Any, Hashable
+from typing import Any
 
-from repro.cachestore.base import (
-    MISSING,
-    BackendCounters,
-    BackendHandle,
-    CacheBackend,
-    key_digest,
-)
+from repro.cachestore.base import MISSING
 from repro.cachestore.disk import _UNPICKLE_ERRORS
 from repro.cacheserver import protocol
 from repro.cacheserver.pipeline import PipelinedConnection
 from repro.exceptions import CacheStoreError
 from repro.obs.metrics import get_registry
-from repro.obs.trace import wire_context
 
 __all__ = [
     "ShardClient",
-    "RemoteBackend",
-    "RemoteHandle",
     "parse_url",
     "server_stats",
     "server_clear",
@@ -303,163 +288,6 @@ class ShardClient:
 
     def close(self) -> None:
         self._drop_connection()
-
-
-@dataclass(frozen=True)
-class RemoteHandle(BackendHandle):
-    """Reconnects a worker to a cache server (each instance owns a socket)."""
-
-    url: str
-    region: int
-    capacity: int | None
-    namespace: bytes = b""
-    timeout: float = DEFAULT_TIMEOUT
-
-    def attach(self) -> "RemoteBackend":
-        return RemoteBackend(
-            self.url,
-            self.region,
-            capacity=self.capacity,
-            namespace=self.namespace,
-            timeout=self.timeout,
-        )
-
-
-class RemoteBackend(CacheBackend):
-    """One region of a fleet-shared cache server, spoken to over TCP."""
-
-    kind = "remote"
-
-    def __init__(
-        self,
-        url: str,
-        region: int = protocol.REGION_FITS,
-        capacity: int | None = None,
-        namespace: bytes = b"",
-        timeout: float = DEFAULT_TIMEOUT,
-    ) -> None:
-        super().__init__()
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"cache capacity must be >= 1 or None, got {capacity}")
-        self._client = ShardClient(url, timeout)
-        self._region = region
-        self._capacity = capacity
-        self._namespace = namespace
-        self._timeout = timeout
-
-    # -- degrade state (proxied so tests and tools see one client) ---------------
-
-    @property
-    def round_trips(self) -> int:
-        """Requests sent over the wire (pipelined sends count like round trips)."""
-        return self._client.round_trips
-
-    @property
-    def connection_failures(self) -> int:
-        return self._client.connection_failures
-
-    @property
-    def _retry_not_before(self) -> float:
-        return self._client._retry_not_before
-
-    @_retry_not_before.setter
-    def _retry_not_before(self, value: float) -> None:
-        self._client._retry_not_before = value
-
-    def _digest(self, key: Hashable) -> bytes:
-        if not self._namespace:
-            return key_digest(key)
-        return key_digest((self._namespace, key))
-
-    # -- the CacheBackend contract -----------------------------------------------
-
-    def get(self, key: Hashable) -> Any:
-        answer = self._client.call(
-            protocol.encode_request(
-                protocol.GET, self._region, digest=self._digest(key), trace=wire_context()
-            )
-        )
-        if answer is not None and answer[0] == protocol.HIT:
-            value = decode_value(answer[1])
-            if value is MISSING:
-                self.misses += 1
-                return MISSING
-            self.hits += 1
-            return value
-        self.misses += 1
-        return MISSING
-
-    def put(self, key: Hashable, value: Any, cost_hint: float | None = None) -> None:
-        payload = encode_value(value)
-        if payload is None:
-            return
-        # fire-and-forget: the publish rides the pipeline and nobody blocks on
-        # its acknowledgement; same-connection ordering still guarantees that
-        # our own next GET observes it
-        self._client.cast(
-            protocol.encode_request(
-                protocol.PUT,
-                self._region,
-                digest=self._digest(key),
-                cost=cost_hint or 0.0,
-                payload=payload,
-                trace=wire_context(),
-            )
-        )
-
-    def __len__(self) -> int:
-        # counts the whole region, across namespaces; 0 while degraded —
-        # mirroring how the disk backend degrades on an unreadable store
-        answer = self._client.call(protocol.encode_request(protocol.LEN, self._region))
-        if answer is None or answer[0] != protocol.OK:
-            return 0
-        try:
-            return protocol.unpack_count(answer[1])
-        except protocol.ProtocolError:
-            return 0
-
-    def clear(self) -> None:
-        self._client.call(protocol.encode_request(protocol.CLEAR, self._region))
-
-    # -- accounting, sharing, lifecycle --------------------------------------------
-
-    def counters(self) -> BackendCounters:
-        return BackendCounters(
-            hits=self.hits,
-            misses=self.misses,
-            evictions=self.evictions,  # always 0: eviction is the server's act
-            round_trips=self._client.round_trips,
-        )
-
-    @property
-    def capacity(self) -> int | None:
-        return self._capacity
-
-    @property
-    def namespace(self) -> bytes:
-        """Configuration fingerprint folded into every key (b"" = unnamespaced)."""
-        return self._namespace
-
-    @property
-    def url(self) -> str:
-        """The ``host:port`` of the server this backend talks to."""
-        return self._client.url
-
-    @property
-    def shareable(self) -> bool:
-        return True
-
-    def handle(self) -> RemoteHandle:
-        return RemoteHandle(
-            url=self._client.url,
-            region=self._region,
-            capacity=self._capacity,
-            namespace=self._namespace,
-            timeout=self._timeout,
-        )
-
-    def close(self) -> None:
-        self._client.close()
 
 
 # -- admin helpers (the ``charles cache`` command) ---------------------------------

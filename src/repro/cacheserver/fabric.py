@@ -1,7 +1,7 @@
 """The sharded cache fabric: N cache servers behind one ``CacheBackend``.
 
-A :class:`ShardedRemoteBackend` takes the PR-4 single-server client and
-scales it out: a comma-separated ``cache_url`` becomes a
+A :class:`ShardedRemoteBackend` is the one remote client: a ``cache_url``
+(one ``host:port`` or a comma-separated list) becomes a
 :class:`~repro.cacheserver.ring.HashRing` over N endpoints, each endpoint a
 :class:`~repro.cacheserver.client.ShardClient` with its own pipelined
 connection and its own degrade/backoff state.  To the search layer nothing

@@ -10,10 +10,10 @@ Since the fabric release the conversation is *pipelined*: a frame body is a
 the matching response.  A client may therefore have many requests in flight
 on one connection — it need not wait for a response before sending the next
 request (:class:`~repro.cacheserver.pipeline.PipelinedConnection` pairs the
-responses back up by id), which removes the one-round-trip-at-a-time latency
-floor the PR-4 client had.  Use :func:`send_message`/:func:`recv_message`
-for id-carrying traffic; :func:`send_frame`/:func:`recv_frame` remain the
-raw framing layer underneath.
+responses back up by id), so there is no one-round-trip-at-a-time latency
+floor.  :func:`frame_message`/:func:`send_message` write messages;
+:func:`recv_message` (blocking) and :func:`drain_frames` +
+:func:`parse_message` (incremental) read them back.
 
 Request messages start with a verb byte and a region byte:
 
@@ -115,7 +115,6 @@ __all__ = [
     "decode_response",
     "decode_response_full",
     "attach_epoch",
-    "send_frame",
     "recv_frame",
     "frame_message",
     "drain_frames",
@@ -479,13 +478,6 @@ def unpack_entries(payload: bytes) -> "list[tuple[bytes, float, bytes]]":
     return entries
 
 
-def send_frame(sock: socket.socket, body: bytes) -> None:
-    """Write one length-prefixed frame (raises :class:`ProtocolError` if oversized)."""
-    if len(body) > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame of {len(body)} bytes exceeds {MAX_FRAME_BYTES}")
-    sock.sendall(_LENGTH.pack(len(body)) + body)
-
-
 def _recv_exact(sock: socket.socket, count: int) -> bytes | None:
     """Exactly ``count`` bytes, or ``None`` on a clean EOF at a frame boundary."""
     chunks: list[bytes] = []
@@ -573,10 +565,7 @@ def recv_message(sock: socket.socket) -> tuple[int, bytes] | None:
     frame = recv_frame(sock)
     if frame is None:
         return None
-    if len(frame) < _REQUEST_ID.size:
-        raise ProtocolError(f"message frame too short ({len(frame)} bytes)")
-    (request_id,) = _REQUEST_ID.unpack_from(frame)
-    return request_id, frame[_REQUEST_ID.size :]
+    return parse_message(frame)
 
 
 def parse_message(frame: bytes) -> tuple[int, bytes]:

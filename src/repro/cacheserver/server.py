@@ -1,26 +1,19 @@
-"""The cache service: one process holding the memo regions for a whole fleet.
+"""The cache service core: one process holding the memo regions for a whole fleet.
 
-Two transports speak the same protocol over the same server core:
-
-* :class:`CacheServer` (this module) — the original thread-per-connection
-  TCP server, one handler thread per live client;
-* :class:`~repro.cacheserver.aserver.AsyncCacheServer` — one ``asyncio``
-  event loop multiplexing every connection (the default under
-  ``charles cache-server``), lifting the per-connection thread cost for
-  large fleets.
-
-Everything request-shaped lives in :class:`CacheServerCore`, which both
-transports share: the two memo regions every search carries (``fits`` and
-``partitions``), each an :class:`~repro.cachestore.memory.InProcessBackend`
-behind the same :class:`~repro.cachestore.base.CacheBackend` interface the
-rest of the cachestore uses — the server is just another place entries
-live, reached through :mod:`repro.cacheserver.protocol` frames instead of a
-function call.  Entries are opaque ``digest → bytes`` pairs: clients digest
-and pickle on their side, so the server never deserialises anything it is
-sent.
+:class:`CacheServerCore` holds everything request-shaped, and
+:class:`~repro.cacheserver.aserver.AsyncCacheServer` puts it on the wire
+(one ``asyncio`` event loop multiplexing every connection; what
+``charles cache-server`` runs).  The core hosts the two memo regions every
+search carries (``fits`` and ``partitions``), each an
+:class:`~repro.cachestore.memory.InProcessBackend` behind the same
+:class:`~repro.cachestore.base.CacheBackend` interface the rest of the
+cachestore uses — the server is just another place entries live, reached
+through :mod:`repro.cacheserver.protocol` frames instead of a function call.
+Entries are opaque ``digest → bytes`` pairs: clients digest and pickle on
+their side, so the server never deserialises anything it is sent.
 
 Because all regions live in one process, the server is also where eviction
-policy earns its keep: by default each region is bounded with a
+earns its keep: each region is bounded with a
 :class:`~repro.cachestore.policy.CostAwarePolicy`, ranking entries by the
 recomputation seconds the clients observed (shipped per ``PUT`` as the
 protocol's cost hint) per byte held — a small server retains the work that
@@ -33,8 +26,9 @@ Operational surface:
   ``charles cache {stats,clear} --cache-url`` and ``charles cache-server``;
 * ``METRICS``: a Prometheus text exposition (per-verb request counters and
   latency histograms, in-flight connections, region sizes and evictions,
-  uptime) rendered by a per-server :class:`~repro.obs.metrics.
-  MetricsRegistry` — ``charles cache stats --metrics`` scrapes it per shard;
+  HANDOFF warm-up failures, uptime) rendered by a per-server
+  :class:`~repro.obs.metrics.MetricsRegistry` — ``charles cache stats
+  --metrics`` scrapes it per shard;
 * ``TRACE``: requests whose verb byte carries the protocol's trace-context
   header are recorded as spans (name ``server.<verb>``, parented under the
   client-side span that issued them) into a bounded in-memory buffer, which
@@ -50,34 +44,29 @@ Operational surface:
   a grown fleet starts warm instead of cold.  A leaving member needs no
   transfer — its keys fail over around the ring exactly as a shard death
   does, and with replication ≥ 2 the old successors already hold them;
-* graceful shutdown: :meth:`CacheServer.shutdown` stops accepting, unblocks
-  :meth:`serve_forever`, closes the listening socket and tears down every
-  live client connection, so a stopped server immediately looks *down* to
-  its fleet (clients degrade to misses) instead of leaving them parked;
 * one lock per region: request handling serialises on the touched region
-  only, so ``fits`` traffic never waits on ``partitions`` traffic.
+  only, so ``fits`` traffic never waits on ``partitions`` traffic (or on a
+  membership warm-up running off the event loop).
 """
 
 from __future__ import annotations
 
 import json
 import socket
-import socketserver
 import threading
 import time
 from collections import deque
 
 from repro.cachestore.base import MISSING
 from repro.cachestore.memory import InProcessBackend
-from repro.cachestore.policy import make_policy
+from repro.cachestore.policy import CostAwarePolicy
 from repro.cacheserver import protocol
 from repro.cacheserver.ring import HashRing
-from repro.exceptions import ConfigurationError
+from repro.exceptions import CacheStoreError, ConfigurationError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import SPAN_ID_BYTES, TRACE_ID_BYTES, Span, new_span_id
 
 __all__ = [
-    "CacheServer",
     "CacheServerCore",
     "DEFAULT_PORT",
     "MAX_BUFFERED_SPANS",
@@ -103,13 +92,13 @@ class CacheServerCore:
 
     Hosts the regions, locks, metrics, span buffer and fleet-topology state;
     :meth:`dispatch` turns one decoded request body into one response body.
-    Subclasses provide the wire: accepting connections, draining frames,
-    calling :meth:`dispatch` per message and writing coalesced response
-    bursts — see :class:`CacheServer` (threads) and
-    :class:`~repro.cacheserver.aserver.AsyncCacheServer` (asyncio).
+    :class:`~repro.cacheserver.aserver.AsyncCacheServer` provides the wire:
+    accepting connections, draining frames, calling :meth:`dispatch` per
+    message and writing coalesced response bursts.  ``capacity`` bounds each
+    region's entry count (cost-aware eviction beyond it).
     """
 
-    def __init__(self, capacity: int | None = None, policy: str = "cost-aware") -> None:
+    def __init__(self, capacity: int | None = None) -> None:
         if capacity is not None and capacity < 1:
             # ConfigurationError, not ValueError: the CLI turns it into a
             # clean `error: ...` + exit 2 like every other bad flag
@@ -117,15 +106,14 @@ class CacheServerCore:
                 f"cache-server capacity must be >= 1 or unbounded, got {capacity}"
             )
         self._regions = {
-            protocol.REGION_FITS: InProcessBackend(capacity, policy=make_policy(policy)),
-            protocol.REGION_PARTITIONS: InProcessBackend(capacity, policy=make_policy(policy)),
+            protocol.REGION_FITS: InProcessBackend(capacity, policy=CostAwarePolicy()),
+            protocol.REGION_PARTITIONS: InProcessBackend(capacity, policy=CostAwarePolicy()),
         }
         self._locks = {region: threading.Lock() for region in self._regions}
         # observed recomputation cost per digest, for handing entries off to
         # a joining shard with their eviction ranking intact (pruned lazily:
         # eviction drops entries from the backend without telling us)
         self._costs: dict[int, dict[bytes, float]] = {region: {} for region in self._regions}
-        self._policy = policy
         self._capacity = capacity
         self._requests = 0
         self._requests_lock = threading.Lock()
@@ -150,6 +138,7 @@ class CacheServerCore:
         self._inflight = self._metrics.gauge(
             "cacheserver_connections_inflight", "Currently open client connections"
         )
+        self._inflight.set(0)  # the transport keeps it current
         self._region_entries = self._metrics.gauge(
             "cacheserver_region_entries", "Entries held per region", labels=("region",)
         )
@@ -168,8 +157,12 @@ class CacheServerCore:
         self._topology_epoch_gauge = self._metrics.gauge(
             "cacheserver_topology_epoch", "Fleet topology epoch (0 = none configured)"
         )
-        self._connections: set = set()
-        self._connections_lock = threading.Lock()
+        self._handoff_failures = self._metrics.counter(
+            "cacheserver_handoff_failures_total",
+            "Donor regions skipped during a JOIN warm-up (unparseable, unreachable, "
+            "refusing or corrupt donor)",
+        )
+        self._handoff_failures.inc(0)  # expose the series before the first failure
 
     # -- identity (provided by the transport) -----------------------------------
 
@@ -183,22 +176,10 @@ class CacheServerCore:
         host, port = self.address
         return f"{host}:{port}"
 
-    # -- connection tracking -----------------------------------------------------
-
-    def _track(self, connection) -> None:
-        with self._connections_lock:
-            self._connections.add(connection)
-            self._inflight.set(len(self._connections))
-
-    def _untrack(self, connection) -> None:
-        with self._connections_lock:
-            self._connections.discard(connection)
-            self._inflight.set(len(self._connections))
-
     # -- request handling --------------------------------------------------------
 
     def dispatch(self, body: bytes) -> bytes:
-        """The response body for one request body (used by the transports).
+        """The response body for one request body (called by the transport).
 
         All observability happens here, around :meth:`_handle`: the per-verb
         request counter and latency histogram always run (they are two dict
@@ -421,9 +402,11 @@ class CacheServerCore:
         With virtual nodes the joining server's arcs come from several prior
         owners, so "the ring predecessor" is a *set*: every donor filters its
         store through the new ring (``HANDOFF``) and returns exactly the
-        entries whose arcs moved here.  Any unreachable donor is skipped —
-        warm-up is an optimisation, and a missing transfer costs misses, not
-        correctness.
+        entries whose arcs moved here.  An unparseable, unreachable, refusing
+        or corrupt donor is skipped and counted in
+        ``cacheserver_handoff_failures_total`` (once per region it could not
+        hand over) — warm-up is an optimisation, and a missing transfer costs
+        misses, not correctness.
         """
         from repro.cacheserver.client import parse_url  # no cycle: client never imports server
 
@@ -431,29 +414,13 @@ class CacheServerCore:
         for donor in donors:
             try:
                 address = parse_url(donor)
-            except Exception:
+            except CacheStoreError:
+                self._handoff_failures.inc(len(self._regions))
                 continue
             for region in self._regions:
-                try:
-                    with socket.create_connection(address, timeout=5.0) as sock:
-                        protocol.send_message(
-                            sock,
-                            0,
-                            protocol.encode_request(
-                                protocol.HANDOFF, region, payload=self.url.encode("utf-8")
-                            ),
-                        )
-                        message = protocol.recv_message(sock)
-                except (OSError, protocol.ProtocolError):
-                    continue
-                if message is None:
-                    continue
-                try:
-                    status, payload = protocol.decode_response(message[1])
-                    if status != protocol.OK:
-                        continue
-                    entries = protocol.unpack_entries(payload)
-                except protocol.ProtocolError:
+                entries = self._handoff_entries(address, region)
+                if entries is None:
+                    self._handoff_failures.inc()
                     continue
                 backend = self._regions[region]
                 with self._locks[region]:
@@ -462,6 +429,26 @@ class CacheServerCore:
                         self._remember_cost(region, digest, cost)
                         warmed += 1
         return warmed
+
+    def _handoff_entries(
+        self, address: tuple[str, int], region: int
+    ) -> list[tuple[bytes, float, bytes]] | None:
+        """One donor region's ``HANDOFF`` answer, or ``None`` if it failed."""
+        request = protocol.encode_request(
+            protocol.HANDOFF, region, payload=self.url.encode("utf-8")
+        )
+        try:
+            with socket.create_connection(address, timeout=5.0) as sock:
+                protocol.send_message(sock, 0, request)
+                message = protocol.recv_message(sock)
+            if message is None:
+                return None
+            status, payload = protocol.decode_response(message[1])
+            if status != protocol.OK:
+                return None
+            return protocol.unpack_entries(payload)
+        except (OSError, protocol.ProtocolError):
+            return None
 
     def _remember_cost(self, region: int, digest: bytes, cost: float) -> None:
         """Track per-digest cost for handoff (lazily pruned after evictions)."""
@@ -560,7 +547,6 @@ class CacheServerCore:
         return {
             "server": {
                 "url": self.url,
-                "policy": self._policy,
                 "capacity": self._capacity,
                 "requests": requests,
                 "uptime_seconds": time.time() - self._started,
@@ -590,155 +576,3 @@ class CacheServerCore:
         self._uptime.set(time.time() - self._started)
         self._topology_epoch_gauge.set(self._topology_epoch)
         return self._metrics.render()
-
-
-class _Handler(socketserver.BaseRequestHandler):
-    """One client connection: request messages answered in arrival order.
-
-    A pipelined client may queue many frames before reading anything back;
-    handling them sequentially per connection (responses echo the request id)
-    is what gives that client read-your-writes on its own traffic.
-
-    Reads and writes are *coalesced*: every complete request buffered at wake
-    time is dispatched, and all their responses go out in one ``sendall``.
-    A burst of fire-and-forget PUTs from a pipelined client thus costs the
-    connection a handful of syscalls instead of two per entry — and on the
-    client side, the reader drains the burst's acknowledgements as one chunk
-    instead of being woken per frame.
-    """
-
-    def setup(self) -> None:
-        self.server.cache_server._track(self.request)  # type: ignore[attr-defined]
-
-    def finish(self) -> None:
-        self.server.cache_server._untrack(self.request)  # type: ignore[attr-defined]
-
-    def handle(self) -> None:
-        server: CacheServer = self.server.cache_server  # type: ignore[attr-defined]
-        sock = self.request
-        buffer = bytearray()
-        while True:
-            try:
-                chunk = sock.recv(1 << 16)
-            except OSError:
-                return
-            if not chunk:
-                return  # clean EOF (mid-frame leftovers are the peer's bug)
-            buffer += chunk
-            try:
-                frames = protocol.drain_frames(buffer)
-            except protocol.ProtocolError:
-                return  # corrupt length prefix: framing is lost, drop the peer
-            responses: list[bytes] = []
-            for frame in frames:
-                try:
-                    request_id, body = protocol.parse_message(frame)
-                except protocol.ProtocolError:
-                    return  # unframeable peer: drop the connection, not the server
-                try:
-                    response = server.dispatch(body)
-                except protocol.ProtocolError as error:
-                    response = protocol.encode_response(
-                        protocol.ERROR, str(error).encode("utf-8")
-                    )
-                # echo the id: a pipelined client pairs responses up by it
-                responses.append(protocol.frame_message(request_id, response))
-            if responses:
-                try:
-                    sock.sendall(b"".join(responses))
-                except OSError:
-                    return
-
-
-class _ThreadingServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-    # the socketserver default backlog of 5 refuses connections outright when
-    # a fleet's worth of clients connect at once; match the asyncio server's
-    # listen depth so a connect storm queues instead of degrading clients
-    request_queue_size = 128
-
-
-class CacheServer(CacheServerCore):
-    """A fleet-shared cache service, one handler thread per connection.
-
-    ``port=0`` binds an ephemeral port (read it back from :attr:`address` /
-    :attr:`url`); ``capacity`` bounds each region's entry count with the named
-    eviction ``policy`` (one of :data:`~repro.cachestore.policy.POLICY_CHOICES`,
-    cost-aware by default).  Use as a context manager, or pair
-    :meth:`start`/:meth:`serve_forever` with :meth:`shutdown`.
-
-    For fleets with many clients prefer
-    :class:`~repro.cacheserver.aserver.AsyncCacheServer`, which serves every
-    connection off one event loop (the same verbs, byte-identical on the
-    wire) instead of paying one OS thread per connection.
-    """
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        capacity: int | None = None,
-        policy: str = "cost-aware",
-    ) -> None:
-        super().__init__(capacity=capacity, policy=policy)
-        self._tcp = _ThreadingServer((host, port), _Handler)
-        self._tcp.cache_server = self  # type: ignore[attr-defined]
-        self._thread: threading.Thread | None = None
-        self._serve_requested = False
-
-    # -- lifecycle -------------------------------------------------------------
-
-    @property
-    def address(self) -> tuple[str, int]:
-        """The ``(host, port)`` the server is listening on."""
-        host, port = self._tcp.server_address[:2]
-        return host, port
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread until :meth:`shutdown` is called."""
-        self._serve_requested = True
-        self._tcp.serve_forever()
-
-    def start(self) -> "CacheServer":
-        """Serve on a background thread (returns self for chaining)."""
-        self._serve_requested = True
-        self._thread = threading.Thread(
-            target=self._tcp.serve_forever, name="charles-cache-server", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def shutdown(self) -> None:
-        """Stop accepting, unblock ``serve_forever`` and close the socket.
-
-        Idempotent; entries are process-local, so they die with the server —
-        clients degrade to misses and recompute, never to wrong results.
-        """
-        if self._serve_requested:
-            # BaseServer.shutdown blocks until a serve loop has run and
-            # exited, so it must only be called once one was requested
-            self._tcp.shutdown()
-        self._tcp.server_close()
-        with self._connections_lock:
-            open_connections = list(self._connections)
-        for connection in open_connections:
-            # unblock handler threads parked in recv: a down server must look
-            # down to its clients, which then degrade to misses and reconnect
-            try:
-                connection.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                connection.close()
-            except OSError:  # pragma: no cover - already torn down
-                pass
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-    def __enter__(self) -> "CacheServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()

@@ -24,14 +24,16 @@ small hierarchy behind one ABC:
   with transactional writes, so warm starts survive interpreter restarts.
 * :class:`~repro.cachestore.tiered.TieredBackend` — a private in-process L1
   composed over a shared/disk L2: local speed, shared truth.
-* :class:`~repro.cacheserver.client.RemoteBackend` (in the sibling
+* :class:`~repro.cacheserver.fabric.ShardedRemoteBackend` (in the sibling
   :mod:`repro.cacheserver` package) — one region of a fleet-shared cache
-  *service*, so engines on different machines pool their work.
+  *service* of one or more shards, so engines on different machines pool
+  their work.
 
-Eviction order is itself pluggable (:mod:`repro.cachestore.policy`): the
-in-process store takes any :class:`~repro.cachestore.policy.EvictionPolicy`
-— LRU by default, FIFO, or cost-aware retention ranking entries by the
-observed recomputation seconds each ``put`` ships as its ``cost_hint``.
+Eviction order (:mod:`repro.cachestore.policy`): the engine's private
+in-process stores evict least-recently-used first; everything shared —
+cache-server regions and the disk store — evicts cost-aware, ranking
+entries by the observed recomputation seconds each ``put`` ships as its
+``cost_hint`` per byte held.
 
 Selection is configuration-driven (``CharlesConfig.cache_backend`` /
 ``cache_dir`` / ``cache_url``, CLI ``--cache-backend`` / ``--cache-dir`` /
@@ -69,12 +71,9 @@ from repro.cachestore.disk import DiskBackend, DiskHandle
 from repro.cachestore.factory import BACKEND_CHOICES, build_search_backends
 from repro.cachestore.memory import InProcessBackend
 from repro.cachestore.policy import (
-    POLICY_CHOICES,
     CostAwarePolicy,
     EvictionPolicy,
-    FIFOPolicy,
     LRUPolicy,
-    make_policy,
 )
 from repro.cachestore.shared import SharedBackend, SharedHandle, create_shared_backends
 from repro.cachestore.tiered import TieredBackend, TieredHandle
@@ -87,10 +86,7 @@ __all__ = [
     "key_digest",
     "EvictionPolicy",
     "LRUPolicy",
-    "FIFOPolicy",
     "CostAwarePolicy",
-    "POLICY_CHOICES",
-    "make_policy",
     "InProcessBackend",
     "SharedBackend",
     "SharedHandle",

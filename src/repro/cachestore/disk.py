@@ -30,8 +30,8 @@ Storage details:
   re-opens its own connection on first use rather than sharing one unsafely;
 * an optional ``capacity`` bounds the entry count; since format v2 every
   entry persists the ``cost_hint`` recomputation-seconds its writer observed,
-  and the default cost-aware policy evicts the cheapest value per stored byte
-  first (``policy="fifo"`` restores the old oldest-``rowid``-first order) —
+  and eviction drops the cheapest value per stored byte first (ties, such as
+  the all-zero costs of a freshly migrated v1 store, in insertion order) —
   recency tracking on disk would cost a write per read, cost tracking costs
   nothing a ``put`` wasn't already writing;
 * a persistent cache must *degrade, never abort*: the store carries a format
@@ -69,10 +69,11 @@ __all__ = ["DiskBackend", "DiskHandle"]
 # cost column, defaulting every surviving entry to cost 0.0)
 _FORMAT_VERSION = 2
 
-#: the eviction orders a disk store supports: "cost-aware" ranks by persisted
-#: recomputation-seconds per byte (cheapest-densest evicted first, ties in
-#: insertion order), "fifo" is the pre-v2 oldest-rowid-first behaviour
-_DISK_POLICIES = ("cost-aware", "fifo")
+#: eviction victims, cheapest first: persisted recomputation seconds per
+#: stored byte — the density :class:`~repro.cachestore.policy.CostAwarePolicy`
+#: ranks by in memory — with ``rowid`` breaking ties, so a store of all-zero
+#: costs (e.g. freshly migrated from v1) evicts oldest-insert-first
+_EVICTION_ORDER = "cost / (length(value) + 1) ASC, rowid ASC"
 
 # everything pickle.loads can raise on a stale or damaged blob (missing
 # classes after an upgrade, truncated payloads, bogus opcodes)
@@ -94,14 +95,12 @@ class DiskHandle(BackendHandle):
     path: str
     capacity: int | None
     namespace: bytes = b""
-    policy: str = "cost-aware"
 
     def attach(self) -> "DiskBackend":
         return DiskBackend(
             self.path,
             capacity=self.capacity,
             namespace=self.namespace,
-            policy=self.policy,
         )
 
 
@@ -115,17 +114,13 @@ class DiskBackend(CacheBackend):
         path: str | Path,
         capacity: int | None = None,
         namespace: bytes = b"",
-        policy: str = "cost-aware",
     ) -> None:
         super().__init__()
         if capacity is not None and capacity < 1:
             raise ValueError(f"cache capacity must be >= 1 or None, got {capacity}")
-        if policy not in _DISK_POLICIES:
-            raise ValueError(f"disk cache policy must be one of {_DISK_POLICIES}, got {policy!r}")
         self._path = Path(path)
         self._capacity = capacity
         self._namespace = namespace
-        self._policy = policy
         self._conn: sqlite3.Connection | None = None
         self._pid: int | None = None
         self._connection()  # fail fast on an unusable location
@@ -242,7 +237,7 @@ class DiskBackend(CacheBackend):
                     if excess > 0:
                         conn.execute(
                             "DELETE FROM entries WHERE rowid IN ("
-                            f"SELECT rowid FROM entries ORDER BY {self._eviction_order}"
+                            f"SELECT rowid FROM entries ORDER BY {_EVICTION_ORDER}"
                             " LIMIT ?)",
                             (excess,),
                         )
@@ -251,19 +246,6 @@ class DiskBackend(CacheBackend):
             # a cache write is an optimisation; a full or locked disk must not
             # abort the search — the entry is simply recomputed next time
             pass
-
-    @property
-    def _eviction_order(self) -> str:
-        """The SQL ordering that ranks eviction victims, cheapest first.
-
-        Cost-aware ranks by recomputation seconds per stored byte — the same
-        density the in-memory :class:`~repro.cachestore.policy.CostAwarePolicy`
-        uses — with ``rowid`` breaking ties, so a store of all-zero costs
-        (e.g. freshly migrated from v1) degenerates to exactly the old FIFO.
-        """
-        if self._policy == "cost-aware":
-            return "cost / (length(value) + 1) ASC, rowid ASC"
-        return "rowid ASC"
 
     def __len__(self) -> int:
         # counts every entry in the file, across namespaces; degrades to 0
@@ -310,17 +292,11 @@ class DiskBackend(CacheBackend):
     def shareable(self) -> bool:
         return True
 
-    @property
-    def policy(self) -> str:
-        """The eviction order this store applies under its capacity bound."""
-        return self._policy
-
     def handle(self) -> DiskHandle:
         return DiskHandle(
             path=str(self._path),
             capacity=self._capacity,
             namespace=self._namespace,
-            policy=self._policy,
         )
 
     def close(self) -> None:

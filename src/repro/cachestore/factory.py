@@ -44,9 +44,10 @@ def build_search_backends(
     * ``remote`` — the two regions of a fleet-shared cache service at
       ``cache_url``, so engines on different machines pool their work.  A
       comma-separated ``cache_url`` shards the regions over every listed
-      :class:`~repro.cacheserver.server.CacheServer` with consistent-hash
-      routing, and ``cache_replication`` > 1 stores each entry on that many
-      ring-adjacent shards so one shard death costs failovers, not reuse.
+      :class:`~repro.cacheserver.aserver.AsyncCacheServer` with
+      consistent-hash routing, and ``cache_replication`` > 1 stores each
+      entry on that many ring-adjacent shards so one shard death costs
+      failovers, not reuse.
 
     ``capacity`` is applied to every constructed layer; the disk kinds
     require ``cache_dir``, the remote kind requires ``cache_url``, and both

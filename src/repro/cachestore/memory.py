@@ -37,10 +37,10 @@ class InProcessBackend(CacheBackend):
     their original tuple keys — no serialisation, no digesting — so hits cost
     one dict lookup.
 
-    Any :class:`~repro.cachestore.policy.EvictionPolicy` may replace the LRU
-    order; the cache server hosts its regions on this backend with a
-    cost-aware policy, so a bounded server retains the entries that are most
-    expensive to recompute rather than merely the most recently touched.
+    A :class:`~repro.cachestore.policy.CostAwarePolicy` may replace the LRU
+    order; the cache server hosts its regions on this backend that way, so a
+    bounded server retains the entries that are most expensive to recompute
+    rather than merely the most recently touched.
     """
 
     kind = "memory"

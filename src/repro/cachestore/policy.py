@@ -1,23 +1,20 @@
-"""Pluggable eviction policies: who leaves when a bounded store fills up.
+"""Eviction policies: who leaves when a bounded in-process store fills up.
 
-Until PR 4 every backend hard-coded its eviction order — least-recently-used
-in the in-process dict, oldest-insert-first on disk and in the shared store.
-Those orders are heuristics about *future* value, and for a cache of memoised
+Recency is a heuristic about *future* value, and for a cache of memoised
 search work there is a better signal available: the memo layer times every
 fit and partition discovery it computes, so each entry arrives with the cost
-of recomputing it.  An :class:`EvictionPolicy` turns that ordering into a
-small strategy object a backend consults instead of embedding its own:
+of recomputing it.  An :class:`EvictionPolicy` is the small strategy object
+:class:`~repro.cachestore.memory.InProcessBackend` consults to pick victims:
 
-* :class:`LRUPolicy` — evict the least-recently-used entry; exactly the
-  historical :class:`~repro.cachestore.memory.InProcessBackend` behaviour
-  (and its default).
-* :class:`FIFOPolicy` — evict the oldest insert, ignoring recency; the order
-  the shared and disk backends use, available in process for comparison.
+* :class:`LRUPolicy` — evict the least-recently-used entry; the engine's
+  private in-process stores use it (the backend's default).
 * :class:`CostAwarePolicy` — evict the entry that is cheapest to recompute
   *per byte held*.  A partition discovery that took 80 ms and pickles to 2 KB
   outranks a trivial fit that took 40 µs and holds the same space, no matter
   which was touched last — under pressure the store sheds cheap entries first
   and a small capacity retains most of the recomputation time it shields.
+  Every cache-server region uses it, and the disk store applies the same
+  density in SQL.
 
 A policy only tracks *order* (keys plus per-key metadata); the backend still
 owns the entries.  The contract is: ``record_put`` on every store (with the
@@ -35,25 +32,17 @@ from abc import ABC, abstractmethod
 from collections import OrderedDict
 from typing import Hashable
 
-from repro.exceptions import ConfigurationError
-
 __all__ = [
     "EvictionPolicy",
     "LRUPolicy",
-    "FIFOPolicy",
     "CostAwarePolicy",
-    "POLICY_CHOICES",
-    "make_policy",
 ]
-
-#: the eviction-policy names ``make_policy`` (and the cache server) accept
-POLICY_CHOICES = ("lru", "fifo", "cost-aware")
 
 
 class EvictionPolicy(ABC):
     """Chooses which entry a bounded store drops next."""
 
-    #: short identifier ("lru", "fifo", "cost-aware")
+    #: short identifier ("lru", "cost-aware")
     name: str = "policy"
 
     @abstractmethod
@@ -92,33 +81,6 @@ class LRUPolicy(EvictionPolicy):
     def record_get(self, key: Hashable) -> None:
         if key in self._order:
             self._order.move_to_end(key)
-
-    def record_remove(self, key: Hashable) -> None:
-        self._order.pop(key, None)
-
-    def pop_victim(self) -> Hashable:
-        return self._order.popitem(last=False)[0]
-
-    def clear(self) -> None:
-        self._order.clear()
-
-
-class FIFOPolicy(EvictionPolicy):
-    """First-in-first-out: the oldest insert goes first; hits change nothing.
-
-    Overwriting an existing key keeps its original queue position — the entry
-    is not "new", its value just changed — matching how the shared store's
-    manager dictionary preserves insertion order on overwrite.
-    """
-
-    name = "fifo"
-
-    def __init__(self) -> None:
-        self._order: OrderedDict[Hashable, None] = OrderedDict()
-
-    def record_put(self, key: Hashable, size: int, cost: float | None) -> None:
-        if key not in self._order:
-            self._order[key] = None
 
     def record_remove(self, key: Hashable) -> None:
         self._order.pop(key, None)
@@ -191,16 +153,3 @@ class CostAwarePolicy(EvictionPolicy):
     def clear(self) -> None:
         self._meta.clear()
         self._heap.clear()
-
-
-def make_policy(name: str) -> EvictionPolicy:
-    """A fresh policy instance for one of :data:`POLICY_CHOICES`."""
-    if name == "lru":
-        return LRUPolicy()
-    if name == "fifo":
-        return FIFOPolicy()
-    if name == "cost-aware":
-        return CostAwarePolicy()
-    raise ConfigurationError(
-        f"eviction policy must be one of {POLICY_CHOICES}, got {name!r}"
-    )

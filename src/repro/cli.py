@@ -46,7 +46,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.cachestore import BACKEND_CHOICES, POLICY_CHOICES, DiskBackend
+from repro.cachestore import BACKEND_CHOICES, DiskBackend
 from repro.core.charles import Charles
 from repro.core.config import CharlesConfig
 from repro.core.sql import summary_to_sql_update
@@ -176,27 +176,14 @@ def build_parser() -> argparse.ArgumentParser:
         "cache-server",
         help="host the fleet cache service engines reach with --cache-backend remote",
     )
-    transport = server.add_mutually_exclusive_group()
-    transport.add_argument("--async", dest="transport", action="store_const",
-                           const="async",
-                           help="serve every connection on one asyncio event loop "
-                                "(the default: large fleets cost coroutines, "
-                                "not threads)")
-    transport.add_argument("--threaded", dest="transport", action="store_const",
-                           const="threaded",
-                           help="serve with one thread per connection (the "
-                                "pre-elastic transport; byte-identical on the wire)")
-    server.set_defaults(transport="async")
     server.add_argument("--host", default="127.0.0.1",
                         help="interface to listen on (default 127.0.0.1; use 0.0.0.0 "
                              "only on a trusted network — values travel pickled)")
     server.add_argument("--port", type=int, default=None,
                         help="port to listen on (default 8737; 0 picks a free port)")
     server.add_argument("--capacity", type=int, default=None,
-                        help="max entries per region, evicting beyond it (default unbounded)")
-    server.add_argument("--policy", choices=POLICY_CHOICES, default="cost-aware",
-                        help="eviction order under the capacity bound (default cost-aware: "
-                             "keep the entries most expensive to recompute per byte)")
+                        help="max entries per region, evicting the cheapest to recompute "
+                             "per byte beyond it (default unbounded)")
     server.add_argument("--ready-file", type=Path, default=None,
                         help="write host:port here once listening (for scripts "
                              "that wait for the server to come up)")
@@ -617,13 +604,10 @@ def _command_generate(args: argparse.Namespace) -> int:
 
 def _command_cache_server(args: argparse.Namespace) -> int:
     # imported here so the paper-workflow commands never pay for the server
-    from repro.cacheserver import DEFAULT_PORT, AsyncCacheServer, CacheServer
+    from repro.cacheserver import DEFAULT_PORT, AsyncCacheServer
 
     port = DEFAULT_PORT if args.port is None else args.port
-    server_class = AsyncCacheServer if args.transport == "async" else CacheServer
-    server = server_class(
-        host=args.host, port=port, capacity=args.capacity, policy=args.policy
-    )
+    server = AsyncCacheServer(host=args.host, port=port, capacity=args.capacity)
     bound_host, bound_port = server.address
     if bound_host in ("0.0.0.0", "::"):
         # a wildcard bind is not a reachable address: other machines must
@@ -635,8 +619,7 @@ def _command_cache_server(args: argparse.Namespace) -> int:
         advertised = server.url
     print(
         f"cache server listening on {server.url} "
-        f"({args.transport}, policy={args.policy}, "
-        f"capacity={args.capacity or 'unbounded'}); "
+        f"(asyncio, cost-aware eviction, capacity={args.capacity or 'unbounded'}); "
         "point engines at it with --cache-backend remote --cache-url "
         f"{advertised}",
         flush=True,

@@ -185,8 +185,8 @@ class CharlesConfig:
         ``n_jobs > 1``; ``"disk"`` is a content-keyed SQLite store under
         ``cache_dir`` that survives interpreter restarts; ``"tiered-shared"``
         and ``"tiered-disk"`` front those with a private in-process L1;
-        ``"remote"`` is a fleet-shared :class:`~repro.cacheserver.server.
-        CacheServer` at ``cache_url``, pooling work across machines.
+        ``"remote"`` is a fleet-shared :class:`~repro.cacheserver.aserver.
+        AsyncCacheServer` fleet at ``cache_url``, pooling work across machines.
         Backends change where entries live, never what a search returns —
         rankings are byte-identical across all of them (a remote server
         outage degrades to cache misses, never to different results).

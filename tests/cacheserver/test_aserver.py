@@ -1,17 +1,16 @@
-"""Differential testing: the asyncio server is byte-identical to the threaded one.
+"""Differential testing: the asyncio server only frames what the core answers.
 
-Every client in the fleet was written against the threaded ``CacheServer``;
-``AsyncCacheServer`` may only replace it (and become the ``charles
-cache-server`` default) if no client can tell them apart.  The core of this
-file drives both transports with the same raw frames and compares responses
-*byte for byte* — not "equivalent", identical.  Payloads that legitimately
-differ per process (stats, metrics, topology urls) are compared structurally
-instead, and a concurrency test checks the one thing the threaded server
-made easy and the loop must not lose: many simultaneous connections making
-progress together.
+Everything request-shaped lives in :class:`CacheServerCore`; the
+``AsyncCacheServer`` transport may add framing, coalescing and connection
+handling, but no client may ever see a response the core would not have
+produced.  The core of this file therefore drives the served transport with
+raw frames and compares each response *byte for byte* against the same
+request dispatched in-process on an identically configured core.  Payloads
+that legitimately differ per process (stats, metrics, topology urls) are
+compared structurally instead, and a concurrency test checks that many
+simultaneous connections make progress together on the one event loop.
 """
 
-import pickle
 import socket
 import threading
 
@@ -20,8 +19,8 @@ import pytest
 from repro.cachestore import MISSING
 from repro.cacheserver import (
     AsyncCacheServer,
-    CacheServer,
-    RemoteBackend,
+    CacheServerCore,
+    ShardedRemoteBackend,
     server_metrics,
     server_ping,
     server_stats,
@@ -32,18 +31,33 @@ from repro.cacheserver import protocol
 _TIMEOUT = 5.0
 
 
+class _InProcessCore(CacheServerCore):
+    """The reference: the server core answering in-process, no transport."""
+
+    address = ("in-process", 0)
+
+
 @pytest.fixture()
 def transports():
-    """One server of each transport, identically configured."""
-    with CacheServer(capacity=64) as threaded, AsyncCacheServer(capacity=64) as alooped:
-        yield threaded, alooped
+    """The served transport and the in-process reference, identically configured."""
+    with AsyncCacheServer(capacity=64) as served:
+        yield served, _InProcessCore(capacity=64)
 
 
 def _roundtrip(server, body: bytes, request_id: int = 7) -> tuple[int, bytes]:
-    """One raw framed request against a server; returns (request_id, response)."""
+    """One raw framed request against a served server; returns (request_id, response)."""
     with socket.create_connection(server.address, timeout=_TIMEOUT) as sock:
         protocol.send_message(sock, request_id, body)
         return protocol.recv_message(sock)
+
+
+def _reference(core: CacheServerCore, body: bytes, request_id: int = 7) -> tuple[int, bytes]:
+    """The same request dispatched in-process, as the transport must frame it."""
+    try:
+        response = core.dispatch(body)
+    except protocol.ProtocolError as error:
+        response = protocol.encode_response(protocol.ERROR, str(error).encode("utf-8"))
+    return request_id, response
 
 
 def _digest(tag: bytes) -> bytes:
@@ -51,7 +65,7 @@ def _digest(tag: bytes) -> bytes:
 
 
 class TestByteIdenticalResponses:
-    """The same request frame must produce the same response frame."""
+    """The same request must produce the same response bytes served or in-process."""
 
     @pytest.mark.parametrize(
         "body",
@@ -74,10 +88,11 @@ class TestByteIdenticalResponses:
         ],
     )
     def test_same_frame_same_bytes(self, transports, body):
-        threaded, alooped = transports
-        assert _roundtrip(threaded, body) == _roundtrip(alooped, body)
+        served, core = transports
+        assert _roundtrip(served, body) == _reference(core, body)
 
     def test_put_then_get_and_mget_are_identical(self, transports):
+        served, core = transports
         digest = _digest(b"key-1")
         put = protocol.encode_request(
             protocol.PUT,
@@ -90,23 +105,18 @@ class TestByteIdenticalResponses:
         mget = protocol.encode_request(
             protocol.MGET, protocol.REGION_FITS, digests=(digest, _digest(b"miss"))
         )
-        answers = []
-        for server in transports:
-            answers.append(
-                (
-                    _roundtrip(server, put),
-                    _roundtrip(server, get),
-                    _roundtrip(server, mget),
-                    _roundtrip(server, protocol.encode_request(protocol.LEN, protocol.REGION_ALL)),
-                )
-            )
-        assert answers[0] == answers[1]
-        status, payload = protocol.decode_response(answers[0][1][1])
+        length = protocol.encode_request(protocol.LEN, protocol.REGION_ALL)
+        conversation = (put, get, mget, length)
+        served_answers = [_roundtrip(served, body) for body in conversation]
+        reference_answers = [_reference(core, body) for body in conversation]
+        assert served_answers == reference_answers
+        status, payload = protocol.decode_response(served_answers[1][1])
         assert (status, payload) == (protocol.HIT, b"stored-bytes")
 
     def test_pipelined_burst_is_answered_in_order_with_matching_ids(self, transports):
         # queue a burst of frames before reading anything back — the
-        # coalesced reply must echo every id, in order, on both transports
+        # coalesced reply must echo every id, in order
+        served, _ = transports
         frames = []
         for index in range(32):
             body = protocol.encode_request(
@@ -116,26 +126,35 @@ class TestByteIdenticalResponses:
                 payload=b"v",
             )
             frames.append(protocol.frame_message(index, body))
-        burst = b"".join(frames)
-        for server in transports:
-            with socket.create_connection(server.address, timeout=_TIMEOUT) as sock:
-                sock.sendall(burst)
-                seen = [protocol.recv_message(sock)[0] for _ in range(32)]
-            assert seen == list(range(32))
+        with socket.create_connection(served.address, timeout=_TIMEOUT) as sock:
+            sock.sendall(b"".join(frames))
+            seen = [protocol.recv_message(sock)[0] for _ in range(32)]
+        assert seen == list(range(32))
 
 
 class TestStructuralParity:
     """Payloads that carry per-process facts compare by structure."""
 
     def test_stats_shape_and_counters_match(self, transports):
+        served, core = transports
+        backend = ShardedRemoteBackend(served.url, namespace=b"parity")
+        backend.put("k", 41, cost_hint=0.5)
+        assert backend.get("k") == 41
+        assert backend.get("absent") is MISSING
+        digests = [backend._digest("k"), backend._digest("absent")]
+        backend.close()
+        _reference(
+            core,
+            protocol.encode_request(
+                protocol.PUT, protocol.REGION_FITS, digest=digests[0], cost=0.5, payload=b"v"
+            ),
+        )
+        for digest in digests:
+            _reference(
+                core, protocol.encode_request(protocol.GET, protocol.REGION_FITS, digest=digest)
+            )
         shapes = []
-        for server in transports:
-            backend = RemoteBackend(server.url, namespace=b"parity")
-            backend.put("k", 41, cost_hint=0.5)
-            assert backend.get("k") == 41
-            assert backend.get("absent") is MISSING
-            backend.close()
-            stats = server_stats(server.url)
+        for stats in (server_stats(served.url), core.stats()):
             regions = {
                 name: (region["entries"], region["hits"], region["misses"])
                 for name, region in stats["regions"].items()
@@ -144,10 +163,11 @@ class TestStructuralParity:
         assert shapes[0] == shapes[1]
 
     def test_metrics_expose_the_same_series(self, transports):
+        served, core = transports
+        server_ping(served.url)
+        _reference(core, protocol.encode_request(protocol.PING, protocol.REGION_ALL))
         names = []
-        for server in transports:
-            server_ping(server.url)
-            exposition = server_metrics(server.url)
+        for exposition in (server_metrics(served.url), core.metrics_text()):
             names.append(
                 sorted(
                     {
@@ -160,13 +180,15 @@ class TestStructuralParity:
         assert names[0] == names[1]
 
     def test_topology_views_match_before_any_membership(self, transports):
-        views = [server_topology(server.url) for server in transports]
+        served, core = transports
+        views = [server_topology(served.url), core.topology()]
         assert all(view["epoch"] == 0 and view["endpoints"] == [] for view in views)
 
     def test_trace_spans_record_identically(self, transports):
         from repro.cacheserver import server_trace
         from repro.obs.trace import TRACE_ID_BYTES, SPAN_ID_BYTES
 
+        served, core = transports
         trace_context = b"\x11" * TRACE_ID_BYTES + b"\x00" * SPAN_ID_BYTES
         body = protocol.encode_request(
             protocol.GET,
@@ -174,10 +196,13 @@ class TestStructuralParity:
             digest=_digest(b"traced"),
             trace=trace_context,
         )
+        _roundtrip(served, body)
+        _reference(core, body)
         recorded = []
-        for server in transports:
-            _roundtrip(server, body)
-            spans = server_trace(server.url, trace_id=("11" * TRACE_ID_BYTES))
+        for spans in (
+            server_trace(served.url, trace_id=("11" * TRACE_ID_BYTES)),
+            core._drain_spans("11" * TRACE_ID_BYTES),
+        ):
             recorded.append(
                 [(span["name"], span["outcome"], span["attributes"]["region"]) for span in spans]
             )
@@ -186,14 +211,14 @@ class TestStructuralParity:
 
 class TestAsyncServerUnderConcurrency:
     def test_many_connections_make_progress_together(self):
-        # the reason the asyncio transport exists: 64 concurrent client
-        # connections, each doing real read/write traffic, on one loop
+        # 64 concurrent client connections, each doing real read/write
+        # traffic, all on one event loop
         with AsyncCacheServer() as server:
             errors: list[Exception] = []
 
             def worker(worker_id: int) -> None:
                 try:
-                    backend = RemoteBackend(
+                    backend = ShardedRemoteBackend(
                         server.url, namespace=b"w%d" % worker_id
                     )
                     for index in range(25):
@@ -216,6 +241,21 @@ class TestAsyncServerUnderConcurrency:
             requests = server_stats(server.url)["server"]["requests"]
             assert requests >= 64 * 50
 
+    def test_inflight_gauge_follows_open_connections(self):
+        from repro.obs.metrics import parse_prometheus
+
+        def inflight(url: str) -> float:
+            # the scrape's own admin connection is open while it renders
+            return parse_prometheus(server_metrics(url))["cacheserver_connections_inflight"]
+
+        with AsyncCacheServer() as server:
+            assert inflight(server.url) == 1
+            backend = ShardedRemoteBackend(server.url, namespace=b"gauge")
+            backend.put("k", 1)
+            assert backend.get("k") == 1  # the pipelined connection is now open
+            assert inflight(server.url) == 2
+            backend.close()
+
     def test_context_manager_lifecycle_is_idempotent(self):
         server = AsyncCacheServer()
         with server:
@@ -232,11 +272,13 @@ class TestAsyncServerUnderConcurrency:
         server.shutdown()  # never started: just releases the socket
 
 
-class TestCliDefaultsToAsync:
-    def test_cache_server_parser_defaults_to_the_asyncio_transport(self):
+class TestCliServesAsyncio:
+    def test_no_transport_or_policy_flags(self):
         from repro.cli import build_parser
 
         parser = build_parser()
-        assert parser.parse_args(["cache-server"]).transport == "async"
-        assert parser.parse_args(["cache-server", "--threaded"]).transport == "threaded"
-        assert parser.parse_args(["cache-server", "--async"]).transport == "async"
+        args = parser.parse_args(["cache-server"])
+        assert not hasattr(args, "transport") and not hasattr(args, "policy")
+        for removed in ("--threaded", "--async", "--policy"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["cache-server", removed])

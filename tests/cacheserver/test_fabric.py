@@ -14,7 +14,7 @@ import pickle
 import pytest
 
 from repro.cachestore import MISSING
-from repro.cacheserver import CacheServer, ShardedRemoteBackend, ShardedRemoteHandle
+from repro.cacheserver import AsyncCacheServer, ShardedRemoteBackend, ShardedRemoteHandle
 from repro.cacheserver import protocol
 from repro.core import Charles, CharlesConfig
 
@@ -22,7 +22,7 @@ from repro.core import Charles, CharlesConfig
 @pytest.fixture()
 def fleet():
     """Three live cache servers and their comma-separated fabric URL."""
-    servers = [CacheServer().start() for _ in range(3)]
+    servers = [AsyncCacheServer().start() for _ in range(3)]
     try:
         yield servers
     finally:
@@ -280,7 +280,7 @@ class TestTopologyNeverChangesResults:
     def test_rankings_identical_across_every_topology(self, fig1_pair):
         memory = _ranking(_summarize(fig1_pair, CharlesConfig()))
 
-        servers = [CacheServer().start() for _ in range(3)]
+        servers = [AsyncCacheServer().start() for _ in range(3)]
         try:
             one_shard = CharlesConfig(
                 cache_backend="remote", cache_url=servers[0].url
@@ -306,7 +306,7 @@ class TestTopologyNeverChangesResults:
                 server.shutdown()
 
     def test_sharded_stats_expose_per_endpoint_layers(self, fig1_pair):
-        servers = [CacheServer().start() for _ in range(2)]
+        servers = [AsyncCacheServer().start() for _ in range(2)]
         try:
             config = CharlesConfig(
                 cache_backend="remote",
@@ -323,7 +323,7 @@ class TestTopologyNeverChangesResults:
                 server.shutdown()
 
     def test_second_engine_runs_fully_warm_off_the_fabric(self, fig1_pair):
-        servers = [CacheServer().start() for _ in range(3)]
+        servers = [AsyncCacheServer().start() for _ in range(3)]
         try:
             config = CharlesConfig(
                 cache_backend="remote",

@@ -11,7 +11,7 @@ import multiprocessing
 import pytest
 
 from repro.core import Charles, CharlesConfig
-from repro.cacheserver import CacheServer, server_stats
+from repro.cacheserver import AsyncCacheServer, server_stats
 from repro.timeline import EngineSession
 
 _FORK_AVAILABLE = "fork" in multiprocessing.get_all_start_methods()
@@ -42,7 +42,7 @@ def _summarize(pair, config):
 
 @pytest.fixture(scope="module")
 def server():
-    with CacheServer() as running:
+    with AsyncCacheServer() as running:
         yield running
 
 
@@ -134,7 +134,7 @@ class TestFleetProcesses:
         # separate *processes* (the acceptance shape): no Python state shared
         # with this test, every reused entry travelled through the server
         context = multiprocessing.get_context("fork")
-        with CacheServer() as private:
+        with AsyncCacheServer() as private:
             queue = context.Queue()
             barrier = context.Barrier(2)
             engines = [
@@ -152,7 +152,7 @@ class TestFleetProcesses:
 
     def test_second_fleet_member_starts_warm(self, memory_ranking):
         context = multiprocessing.get_context("fork")
-        with CacheServer() as private:
+        with AsyncCacheServer() as private:
             rankings = []
             for expected_cold in (True, False):
                 queue = context.Queue()
@@ -177,7 +177,7 @@ class TestServerOutage:
     def test_mid_session_server_kill_degrades_to_identical_results(
         self, fig1_pair, memory_ranking
     ):
-        private = CacheServer().start()
+        private = AsyncCacheServer().start()
         config = CharlesConfig(cache_backend="remote", cache_url=private.url)
         with EngineSession(config.replace(warm_start=False)) as session:
             kwargs = dict(

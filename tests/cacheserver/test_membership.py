@@ -19,17 +19,18 @@ import pytest
 from repro.cachestore import MISSING
 from repro.cacheserver import (
     AsyncCacheServer,
-    CacheServer,
     HashRing,
     ShardedRemoteBackend,
     fleet_join,
     fleet_leave,
+    server_metrics,
     server_stats,
     server_topology,
 )
 from repro.cacheserver import protocol
 from repro.core import Charles, CharlesConfig
 from repro.exceptions import CacheStoreError
+from repro.obs.metrics import parse_prometheus
 
 
 def _fabric(urls, **kwargs) -> ShardedRemoteBackend:
@@ -150,12 +151,12 @@ class TestEpochOnTheWire:
 
 @pytest.fixture()
 def pair():
-    with CacheServer() as first, AsyncCacheServer() as second:
+    with AsyncCacheServer() as first, AsyncCacheServer() as second:
         yield first, second
 
 
 class TestMembershipVerbs:
-    def test_join_broadcast_reaches_both_transports(self, pair):
+    def test_join_broadcast_reaches_every_member(self, pair):
         first, second = pair
         outcome = fleet_join([first.url], second.url)
         assert outcome["epoch"] == 1
@@ -217,7 +218,7 @@ class TestMembershipVerbs:
 
 class TestJoinWarmsFromPredecessors:
     def test_newcomer_holds_exactly_the_entries_it_now_owns(self):
-        with CacheServer() as a, CacheServer() as b, AsyncCacheServer() as c:
+        with AsyncCacheServer() as a, AsyncCacheServer() as b, AsyncCacheServer() as c:
             fabric = _fabric([a.url, b.url])
             for index in range(150):
                 fabric.put(("k", index), index, cost_hint=0.5)
@@ -237,7 +238,7 @@ class TestJoinWarmsFromPredecessors:
             fabric.close()
 
     def test_join_never_loses_an_entry(self):
-        with CacheServer() as a, CacheServer() as b, AsyncCacheServer() as c:
+        with AsyncCacheServer() as a, AsyncCacheServer() as b, AsyncCacheServer() as c:
             fabric = _fabric([a.url, b.url], replication=2)
             for index in range(100):
                 fabric.put(("k", index), index * 3, cost_hint=0.5)
@@ -251,7 +252,7 @@ class TestJoinWarmsFromPredecessors:
             fabric.close()
 
     def test_leave_fails_over_like_a_shard_death(self):
-        with CacheServer() as a, CacheServer() as b, CacheServer() as c:
+        with AsyncCacheServer() as a, AsyncCacheServer() as b, AsyncCacheServer() as c:
             urls = [a.url, b.url, c.url]
             fleet_join(urls[:2], c.url)  # establish an elastic 3-fleet
             fabric = _fabric(urls, replication=2)
@@ -267,10 +268,65 @@ class TestJoinWarmsFromPredecessors:
             fabric.close()
 
 
+def _propose(server, proposal: dict) -> dict:
+    """Send one JOIN proposal straight to ``server``; returns its JSON answer."""
+    import json as json_module
+    import socket as socket_module
+
+    body = protocol.encode_request(
+        protocol.JOIN, protocol.REGION_ALL, payload=json_module.dumps(proposal).encode("utf-8")
+    )
+    with socket_module.create_connection(server.address, timeout=10) as sock:
+        protocol.send_message(sock, 0, body)
+        _, response = protocol.recv_message(sock)
+    status, payload = protocol.decode_response(response)
+    assert status == protocol.OK, payload
+    return json_module.loads(payload.decode("utf-8"))
+
+
+class TestWarmUpFailuresAreCounted:
+    def test_join_with_a_dead_donor_warms_from_the_live_one(self):
+        dead = "127.0.0.1:9"  # the discard port: nothing listens there
+        with AsyncCacheServer() as live, AsyncCacheServer() as joiner:
+            fabric = _fabric([live.url])
+            for index in range(100):
+                fabric.put(("k", index), index, cost_hint=0.5)
+            len(fabric)  # write barrier: LEN answers behind the pipelined casts
+            fabric.close()
+            endpoints = [dead, live.url, joiner.url]
+            proposal = {"epoch": 1, "endpoints": endpoints, "subject": joiner.url}
+            # the live donor learns the new ring first, so it can answer HANDOFF;
+            # the dead one never hears anything (fleet_join would stop at it)
+            assert _propose(live, proposal)["adopted"]
+            outcome = _propose(joiner, proposal)
+            ring = HashRing(tuple(endpoints))
+            owned = sum(
+                1
+                for region in live._regions.values()
+                for digest in region._entries
+                if ring.owner(digest) == 2
+            )
+            assert outcome["adopted"] and outcome["warmed"] == owned > 0
+            samples = parse_prometheus(server_metrics(joiner.url))
+            assert samples["cacheserver_handoff_failures_total"] >= 1
+            # the donor that answered costs nothing on its own counter
+            assert parse_prometheus(server_metrics(live.url))[
+                "cacheserver_handoff_failures_total"
+            ] == 0
+
+    def test_unparseable_donor_is_counted_not_raised(self):
+        with AsyncCacheServer() as joiner:
+            proposal = {"epoch": 1, "endpoints": ["no-port", joiner.url], "subject": joiner.url}
+            outcome = _propose(joiner, proposal)
+            assert outcome["adopted"] and outcome["warmed"] == 0
+            samples = parse_prometheus(server_metrics(joiner.url))
+            assert samples["cacheserver_handoff_failures_total"] >= 1
+
+
 class TestTopologyChangesNeverChangeResults:
     def test_rankings_survive_live_join_and_leave_mid_search(self, fig1_pair):
         memory = _ranking(_summarize(fig1_pair, CharlesConfig()))
-        with CacheServer() as a, CacheServer() as b, AsyncCacheServer() as c:
+        with AsyncCacheServer() as a, AsyncCacheServer() as b, AsyncCacheServer() as c:
             config = CharlesConfig(
                 cache_backend="remote",
                 cache_url=f"{a.url},{b.url}",
@@ -310,22 +366,10 @@ class TestTopologyChangesNeverChangeResults:
             )
             assert _ranking(_summarize(fig1_pair, settled)) == memory
 
-    def test_rankings_identical_threaded_vs_asyncio_server(self, fig1_pair):
-        memory = _ranking(_summarize(fig1_pair, CharlesConfig()))
-        for server_class in (CacheServer, AsyncCacheServer):
-            with server_class() as server:
-                config = CharlesConfig(
-                    cache_backend="remote", cache_url=server.url
-                )
-                cold = _summarize(fig1_pair, config)
-                warm = _summarize(fig1_pair, config)
-                assert _ranking(cold) == memory
-                assert _ranking(warm) == memory
-
 
 class TestFabricFollowsEpochs:
     def test_clients_and_counters_survive_a_refresh(self):
-        with CacheServer() as a, CacheServer() as b, CacheServer() as c:
+        with AsyncCacheServer() as a, AsyncCacheServer() as b, AsyncCacheServer() as c:
             fabric = _fabric([a.url, b.url])
             for index in range(20):
                 fabric.put(("k", index), index)
@@ -344,7 +388,7 @@ class TestFabricFollowsEpochs:
             fabric.close()
 
     def test_replication_expands_with_the_fleet(self):
-        with CacheServer() as a, CacheServer() as b:
+        with AsyncCacheServer() as a, AsyncCacheServer() as b:
             fabric = _fabric([a.url], replication=2)
             assert fabric.replication == 1  # clamped to the fleet size
             fabric.put(("k", 1), 1)

@@ -5,8 +5,8 @@ import os
 import pytest
 
 from repro.cacheserver import (
-    CacheServer,
-    RemoteBackend,
+    AsyncCacheServer,
+    ShardedRemoteBackend,
     server_metrics,
     server_trace,
 )
@@ -30,13 +30,13 @@ def _clean_tracer():
 
 @pytest.fixture(scope="module")
 def server():
-    with CacheServer() as running:
+    with AsyncCacheServer() as running:
         yield running
 
 
 @pytest.fixture()
 def backend(server):
-    attached = RemoteBackend(server.url, protocol.REGION_FITS, namespace=os.urandom(8))
+    attached = ShardedRemoteBackend(server.url, protocol.REGION_FITS, namespace=os.urandom(8))
     yield attached
     attached.close()
 

@@ -3,7 +3,7 @@
 The cache server never unpickles what it stores, so a
 :class:`~repro.search.maintenance.PartitionPatchRecord` — numpy masks,
 conditions, certificate and all — must round-trip bit-faithfully through a
-:class:`~repro.cacheserver.client.RemoteBackend`, and the client-side
+:class:`~repro.cacheserver.fabric.ShardedRemoteBackend`, and the client-side
 fingerprint namespacing must isolate configurations from each other exactly
 as it does for ordinary fit/partition entries.
 """
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.cachestore import MISSING
-from repro.cacheserver import CacheServer, RemoteBackend
+from repro.cacheserver import AsyncCacheServer, ShardedRemoteBackend
 from repro.cacheserver import protocol
 from repro.core import CharlesConfig
 from repro.core.partitioning import discover_partitions
@@ -31,7 +31,7 @@ _PATCH_KEY = ("partition-patch", "bonus", ("edu",), ("bonus",), 2, 1.0, b"base",
 
 @pytest.fixture(scope="module")
 def server():
-    with CacheServer() as running:
+    with AsyncCacheServer() as running:
         yield running
 
 
@@ -61,10 +61,10 @@ def record() -> PartitionPatchRecord:
 class TestPatchEntriesOverTheWire:
     def test_record_roundtrips_between_clients(self, server, record):
         namespace = CharlesConfig().cache_fingerprint()
-        writer = RemoteBackend(server.url, protocol.REGION_PARTITIONS, namespace=namespace)
+        writer = ShardedRemoteBackend(server.url, protocol.REGION_PARTITIONS, namespace=namespace)
         writer.put(_PATCH_KEY, record, cost_hint=0.02)
         # a second fleet member with the same configuration sees the patch
-        reader = RemoteBackend(server.url, protocol.REGION_PARTITIONS, namespace=namespace)
+        reader = ShardedRemoteBackend(server.url, protocol.REGION_PARTITIONS, namespace=namespace)
         loaded = reader.get(_PATCH_KEY)
         assert isinstance(loaded, PartitionPatchRecord)
         assert loaded.base_digest == record.base_digest
@@ -82,15 +82,15 @@ class TestPatchEntriesOverTheWire:
         """Two configs sharing one server read disjoint patch namespaces."""
         config_a = CharlesConfig(seed=100)
         config_b = CharlesConfig(seed=101)
-        writer = RemoteBackend(
+        writer = ShardedRemoteBackend(
             server.url, protocol.REGION_PARTITIONS, namespace=config_a.cache_fingerprint()
         )
         writer.put(_PATCH_KEY, record)
-        stranger = RemoteBackend(
+        stranger = ShardedRemoteBackend(
             server.url, protocol.REGION_PARTITIONS, namespace=config_b.cache_fingerprint()
         )
         assert stranger.get(_PATCH_KEY) is MISSING
-        peer = RemoteBackend(
+        peer = ShardedRemoteBackend(
             server.url, protocol.REGION_PARTITIONS, namespace=config_a.cache_fingerprint()
         )
         assert isinstance(peer.get(_PATCH_KEY), PartitionPatchRecord)
@@ -99,10 +99,10 @@ class TestPatchEntriesOverTheWire:
 
     def test_regions_keep_patches_apart_from_fits(self, server, record):
         namespace = b"region-isolation"
-        partitions_side = RemoteBackend(
+        partitions_side = ShardedRemoteBackend(
             server.url, protocol.REGION_PARTITIONS, namespace=namespace
         )
-        fits_side = RemoteBackend(server.url, protocol.REGION_FITS, namespace=namespace)
+        fits_side = ShardedRemoteBackend(server.url, protocol.REGION_FITS, namespace=namespace)
         partitions_side.put(_PATCH_KEY, record)
         assert fits_side.get(_PATCH_KEY) is MISSING
         partitions_side.close()

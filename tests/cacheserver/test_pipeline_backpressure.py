@@ -181,9 +181,9 @@ class TestProgressBasedBackpressure:
     def test_epoch_high_water_mark_survives_reconnects(self):
         # the ShardClient keeps the newest epoch across connection loss —
         # a shard answering once with an epoch then dying must not reset it
-        from repro.cacheserver import CacheServer, ShardClient, fleet_join
+        from repro.cacheserver import AsyncCacheServer, ShardClient, fleet_join
 
-        with CacheServer() as first, CacheServer() as second:
+        with AsyncCacheServer() as first, AsyncCacheServer() as second:
             fleet_join([first.url], second.url)
             client = ShardClient(first.url)
             assert client.call(_PING) is not None

@@ -28,9 +28,10 @@ from repro.cacheserver.protocol import (
     decode_response,
     encode_request,
     encode_response,
+    frame_message,
     pack_count,
-    recv_frame,
-    send_frame,
+    recv_message,
+    send_message,
     unpack_count,
 )
 
@@ -116,30 +117,30 @@ class _SocketPair:
 class TestFraming:
     def test_frames_round_trip_in_order(self):
         with _SocketPair() as (left, right):
-            send_frame(left, b"first")
-            send_frame(left, b"")
-            send_frame(left, b"third" * 1000)
-            assert recv_frame(right) == b"first"
-            assert recv_frame(right) == b""
-            assert recv_frame(right) == b"third" * 1000
+            send_message(left, 1, b"first")
+            send_message(left, 2, b"")
+            left.sendall(frame_message(0xFFFFFFFF, b"third" * 1000))
+            assert recv_message(right) == (1, b"first")
+            assert recv_message(right) == (2, b"")
+            assert recv_message(right) == (0xFFFFFFFF, b"third" * 1000)
 
     def test_clean_eof_returns_none(self):
         with _SocketPair() as (left, right):
             left.close()
-            assert recv_frame(right) is None
+            assert recv_message(right) is None
 
     def test_eof_mid_frame_raises(self):
         with _SocketPair() as (left, right):
             left.sendall(struct.pack(">I", 100) + b"only a few bytes")
             left.close()
             with pytest.raises(ProtocolError):
-                recv_frame(right)
+                recv_message(right)
 
     def test_oversized_length_prefix_rejected_without_allocating(self):
         with _SocketPair() as (left, right):
             left.sendall(struct.pack(">I", protocol.MAX_FRAME_BYTES + 1))
             with pytest.raises(ProtocolError):
-                recv_frame(right)
+                recv_message(right)
 
     def test_oversized_send_rejected(self):
         class _NeverUsed:
@@ -147,13 +148,21 @@ class TestFraming:
                 raise AssertionError("oversized frame reached the socket")
 
         with pytest.raises(ProtocolError):
-            send_frame(_NeverUsed(), b"x" * (protocol.MAX_FRAME_BYTES + 1))
+            frame_message(0, b"x" * protocol.MAX_FRAME_BYTES)
+        with pytest.raises(ProtocolError):
+            send_message(_NeverUsed(), 0, b"x" * protocol.MAX_FRAME_BYTES)
+
+    def test_frame_too_short_for_a_request_id_raises(self):
+        with _SocketPair() as (left, right):
+            left.sendall(struct.pack(">I", 2) + b"ok")
+            with pytest.raises(ProtocolError):
+                recv_message(right)
 
     def test_large_frame_crosses_segment_boundaries(self):
         # big enough that recv() returns it in several chunks
         body = b"z" * (4 * 1024 * 1024)
         with _SocketPair() as (left, right):
-            writer = threading.Thread(target=send_frame, args=(left, body))
+            writer = threading.Thread(target=send_message, args=(left, 9, body))
             writer.start()
-            assert recv_frame(right) == body
+            assert recv_message(right) == (9, body)
             writer.join()

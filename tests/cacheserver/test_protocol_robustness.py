@@ -15,7 +15,7 @@ import threading
 import pytest
 
 from repro.cachestore import MISSING
-from repro.cacheserver import AsyncCacheServer, CacheServer, RemoteBackend, server_ping
+from repro.cacheserver import AsyncCacheServer, ShardedRemoteBackend, server_ping
 from repro.cacheserver import protocol
 from repro.cacheserver.pipeline import PipelinedConnection
 
@@ -23,13 +23,15 @@ from repro.cacheserver.pipeline import PipelinedConnection
 _TIMEOUT = 5.0
 
 
-# every hostile-client case runs against both transports: the asyncio server
-# must shrug off exactly the byte sequences the threaded one does
-@pytest.fixture(params=["threaded", "async"])
-def server(request):
-    server_class = CacheServer if request.param == "threaded" else AsyncCacheServer
-    with server_class() as running:
+@pytest.fixture()
+def server():
+    with AsyncCacheServer() as running:
         yield running
+
+
+def _raw_frame(body: bytes) -> bytes:
+    """A length-prefixed frame with no request id: framing-layer bytes only."""
+    return struct.pack(">I", len(body)) + body
 
 
 def _connect(server) -> socket.socket:
@@ -53,7 +55,7 @@ class TestServerAgainstHostileClients:
         # a 2-byte body cannot carry the 4-byte id; the server must treat the
         # frame as unparseable and close, not index past the buffer
         with _connect(server) as sock:
-            protocol.send_frame(sock, b"\x01\x00")
+            sock.sendall(_raw_frame(b"\x01\x00"))
             assert sock.recv(1024) == b""
         assert server_ping(server.url)
 
@@ -82,7 +84,7 @@ class TestServerAgainstHostileClients:
 
     def test_zero_length_frame_is_rejected_without_crash(self, server):
         with _connect(server) as sock:
-            protocol.send_frame(sock, b"")
+            sock.sendall(_raw_frame(b""))
             assert sock.recv(1024) == b""
         assert server_ping(server.url)
 
@@ -93,15 +95,9 @@ class TestServerAgainstHostileClients:
         for round_number in range(50):
             with _connect(server) as sock:
                 blob = bytes(rng.randrange(256) for _ in range(rng.randrange(1, 200)))
-                if rng.random() < 0.5:
-                    # half the rounds frame the garbage properly, exercising
-                    # the parser; half spray raw bytes at the framing layer
-                    try:
-                        protocol.send_frame(sock, blob)
-                    except protocol.ProtocolError:  # pragma: no cover
-                        continue
-                else:
-                    sock.sendall(blob)
+                # half the rounds frame the garbage properly, exercising the
+                # parser; half spray raw bytes at the framing layer
+                sock.sendall(_raw_frame(blob) if rng.random() < 0.5 else blob)
                 # a short drain window: the server either answers/closes fast
                 # or is (legitimately) waiting for the rest of a partial frame
                 sock.settimeout(0.2)
@@ -152,7 +148,7 @@ class TestServerAgainstHostileClients:
         attacker = threading.Thread(target=spray, daemon=True)
         attacker.start()
         try:
-            backend = RemoteBackend(server.url, namespace=b"fuzz-bystander")
+            backend = ShardedRemoteBackend(server.url, namespace=b"fuzz-bystander")
             for index in range(50):
                 backend.put(("k", index), index)
                 assert backend.get(("k", index)) == index
@@ -232,7 +228,7 @@ class TestClientAgainstHostileServers:
     def test_backend_degrades_to_miss_on_garbage_responses(self):
         evil = _EvilServer(b"\x00" * 16, close_after=False)
         try:
-            backend = RemoteBackend(evil.url)
+            backend = ShardedRemoteBackend(evil.url)
             assert backend.get("k") is MISSING  # garbage → degraded, not raised
             assert backend.connection_failures >= 1
             backend.close()

@@ -1,4 +1,10 @@
-"""The cache service itself: serving, admin verbs, eviction, degrade-to-miss."""
+"""The cache service itself: serving, admin verbs, eviction, degrade-to-miss.
+
+Every client here is a one-endpoint :class:`ShardedRemoteBackend` — the one
+remote client production builds — so the degrade and backoff cases reach the
+endpoint's :class:`~repro.cacheserver.client.ShardClient` through
+``backend._clients[0]``.
+"""
 
 import os
 import pickle
@@ -9,9 +15,9 @@ import pytest
 
 from repro.cachestore import MISSING
 from repro.cacheserver import (
-    CacheServer,
-    RemoteBackend,
-    RemoteHandle,
+    AsyncCacheServer,
+    ShardedRemoteBackend,
+    ShardedRemoteHandle,
     parse_url,
     server_clear,
     server_ping,
@@ -23,7 +29,7 @@ from repro.exceptions import CacheStoreError, CharlesError, ConfigurationError
 
 @pytest.fixture(scope="module")
 def server():
-    with CacheServer() as running:
+    with AsyncCacheServer() as running:
         yield running
 
 
@@ -31,7 +37,7 @@ def server():
 def backend(server):
     # a fresh namespace per test keeps tests invisible to each other while
     # sharing one server process, exactly like differently configured engines
-    attached = RemoteBackend(server.url, protocol.REGION_FITS, namespace=os.urandom(8))
+    attached = ShardedRemoteBackend(server.url, protocol.REGION_FITS, namespace=os.urandom(8))
     yield attached
     attached.close()
 
@@ -66,7 +72,7 @@ class TestServing:
         assert backend.get("k") == 2
 
     def test_regions_are_distinct(self, server, backend):
-        partitions = RemoteBackend(
+        partitions = ShardedRemoteBackend(
             server.url, protocol.REGION_PARTITIONS, namespace=backend.namespace
         )
         backend.put("k", "fits-value")
@@ -74,8 +80,8 @@ class TestServing:
         partitions.close()
 
     def test_namespaces_partition_the_server(self, server):
-        first = RemoteBackend(server.url, namespace=b"config-a")
-        second = RemoteBackend(server.url, namespace=b"config-b")
+        first = ShardedRemoteBackend(server.url, namespace=b"config-a")
+        second = ShardedRemoteBackend(server.url, namespace=b"config-b")
         first.put("k", 1)
         assert second.get("k") is MISSING
         second.put("k", 2)
@@ -85,7 +91,7 @@ class TestServing:
     def test_handle_attach_reaches_same_entries(self, server, backend):
         backend.put("shared-key", [1, 2, 3])
         handle = backend.handle()
-        assert isinstance(handle, RemoteHandle)
+        assert isinstance(handle, ShardedRemoteHandle)
         attached = pickle.loads(pickle.dumps(handle)).attach()
         assert attached.get("shared-key") == [1, 2, 3]
         # counters are per-instance, like every other attached backend
@@ -93,8 +99,8 @@ class TestServing:
         attached.close()
 
     def test_len_counts_region_entries(self, server):
-        with CacheServer() as private:
-            fits = RemoteBackend(private.url, protocol.REGION_FITS)
+        with AsyncCacheServer() as private:
+            fits = ShardedRemoteBackend(private.url, protocol.REGION_FITS)
             fits.put("a", 1)
             fits.put("b", 2)
             assert len(fits) == 2
@@ -108,7 +114,7 @@ class TestServing:
 
         def hammer(worker: int) -> None:
             try:
-                client = RemoteBackend(server.url, namespace=namespace)
+                client = ShardedRemoteBackend(server.url, namespace=namespace)
                 for index in range(40):
                     client.put(("k", worker, index), index, cost_hint=0.001)
                     assert client.get(("k", worker, index)) == index
@@ -122,7 +128,7 @@ class TestServing:
         for thread in threads:
             thread.join()
         assert not errors
-        check = RemoteBackend(server.url, namespace=namespace)
+        check = ShardedRemoteBackend(server.url, namespace=namespace)
         assert check.get(("k", 3, 39)) == 39
         check.close()
 
@@ -138,13 +144,12 @@ class TestAdminVerbs:
         assert set(stats["regions"]) == {"fits", "partitions"}
         fits = stats["regions"]["fits"]
         assert fits["entries"] >= 1 and fits["hits"] >= 1
-        assert stats["server"]["policy"] == "cost-aware"
         assert stats["server"]["requests"] > 0
 
     def test_clear_drops_every_region(self):
-        with CacheServer() as private:
-            fits = RemoteBackend(private.url, protocol.REGION_FITS)
-            partitions = RemoteBackend(private.url, protocol.REGION_PARTITIONS)
+        with AsyncCacheServer() as private:
+            fits = ShardedRemoteBackend(private.url, protocol.REGION_FITS)
+            partitions = ShardedRemoteBackend(private.url, protocol.REGION_PARTITIONS)
             fits.put("a", 1)
             partitions.put("b", 2)
             server_clear(private.url)
@@ -175,8 +180,8 @@ class TestAdminVerbs:
 
 class TestEvictionOnTheServer:
     def test_cost_aware_region_retains_expensive_entries(self):
-        with CacheServer(capacity=3, policy="cost-aware") as bounded:
-            client = RemoteBackend(bounded.url)
+        with AsyncCacheServer(capacity=3) as bounded:
+            client = ShardedRemoteBackend(bounded.url)
             client.put("expensive", list(range(8)), cost_hint=4.0)
             for index in range(10):
                 client.put(f"cheap{index}", list(range(8)), cost_hint=0.0001)
@@ -184,30 +189,16 @@ class TestEvictionOnTheServer:
             assert server_stats(bounded.url)["regions"]["fits"]["evictions"] == 8
             client.close()
 
-    def test_lru_policy_is_available_for_comparison(self):
-        with CacheServer(capacity=3, policy="lru") as bounded:
-            client = RemoteBackend(bounded.url)
-            client.put("expensive", list(range(8)), cost_hint=4.0)
-            for index in range(10):
-                client.put(f"cheap{index}", list(range(8)), cost_hint=0.0001)
-            # recency-only retention forgets the expensive entry
-            assert client.get("expensive") is MISSING
-            client.close()
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CacheServer(policy="random")
-
     def test_invalid_capacity_rejected_as_configuration_error(self):
         # ConfigurationError (not ValueError) so the CLI exits 2 cleanly
         with pytest.raises(ConfigurationError):
-            CacheServer(capacity=0)
+            AsyncCacheServer(capacity=0)
 
     def test_heap_eviction_scales_with_removals_and_overwrites(self):
         # exercise the lazy-deletion heap: overwrites orphan entries, clear
         # resets, and eviction order still follows density then insertion
-        with CacheServer(capacity=2, policy="cost-aware") as bounded:
-            client = RemoteBackend(bounded.url)
+        with AsyncCacheServer(capacity=2) as bounded:
+            client = ShardedRemoteBackend(bounded.url)
             client.put("a", b"x", cost_hint=0.1)
             client.put("a", b"x", cost_hint=3.0)  # upgrade orphans the 0.1 entry
             client.put("b", b"y", cost_hint=1.0)
@@ -219,7 +210,7 @@ class TestEvictionOnTheServer:
 
 class TestDegradeToMiss:
     def test_unreachable_server_degrades_instead_of_raising(self):
-        backend = RemoteBackend("127.0.0.1:9")  # the discard port: nothing there
+        backend = ShardedRemoteBackend("127.0.0.1:9")  # the discard port: nothing there
         assert backend.get("k") is MISSING
         backend.put("k", 1)  # a silent no-op
         assert len(backend) == 0
@@ -230,12 +221,12 @@ class TestDegradeToMiss:
 
     def test_construction_never_contacts_the_server(self):
         # a fleet engine must boot while the cache service is still down
-        backend = RemoteBackend("127.0.0.1:9")
+        backend = ShardedRemoteBackend("127.0.0.1:9")
         assert backend.round_trips == 0 and backend.connection_failures == 0
 
     def test_server_death_mid_conversation_degrades(self):
-        private = CacheServer().start()
-        backend = RemoteBackend(private.url)
+        private = AsyncCacheServer().start()
+        backend = ShardedRemoteBackend(private.url)
         backend.put("k", 1)
         assert backend.get("k") == 1
         private.shutdown()
@@ -246,18 +237,18 @@ class TestDegradeToMiss:
     def test_client_recovers_after_backoff_when_server_returns(self):
         from repro.cacheserver import client as client_module
 
-        private = CacheServer().start()
+        private = AsyncCacheServer().start()
         host, port = private.address
-        backend = RemoteBackend(private.url)
+        backend = ShardedRemoteBackend(private.url)
         backend.put("k", 1)
         private.shutdown()
         assert backend.get("k") is MISSING  # the failure that starts the backoff
         # a new server on the same port (the entries are gone with the old one)
-        revived = CacheServer(host=host, port=port).start()
+        revived = AsyncCacheServer(host=host, port=port).start()
         try:
             for _ in range(client_module.RETRY_AFTER_OPS):
                 backend.get("k")  # burn through the degraded op budget
-            backend._retry_not_before = 0.0  # and skip the wall-clock window
+            backend._clients[0]._retry_not_before = 0.0  # and skip the wall-clock window
             backend.put("k", 2)
             assert backend.get("k") == 2  # reconnected and serving again
         finally:
@@ -267,7 +258,7 @@ class TestDegradeToMiss:
     def test_backoff_window_blocks_reconnection_attempts(self):
         from repro.cacheserver import client as client_module
 
-        backend = RemoteBackend("127.0.0.1:9")
+        backend = ShardedRemoteBackend("127.0.0.1:9")
         assert backend.get("k") is MISSING  # first failure opens the window
         assert backend.connection_failures == 1
         for _ in range(client_module.RETRY_AFTER_OPS + 5):
@@ -276,13 +267,13 @@ class TestDegradeToMiss:
         # than this loop) must still hold the next connect attempt back — this
         # is what bounds the stalls a blackholed server can cause
         assert backend.connection_failures == 1
-        backend._retry_not_before = 0.0
+        backend._clients[0]._retry_not_before = 0.0
         backend.get("k")
         assert backend.connection_failures == 2  # window over: attempt made
         backend.close()
 
     def test_shutdown_is_idempotent(self):
-        private = CacheServer().start()
+        private = AsyncCacheServer().start()
         private.shutdown()
         private.shutdown()
 

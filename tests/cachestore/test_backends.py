@@ -1,6 +1,7 @@
 """Conformance tests every cache backend must pass, plus backend-specific ones."""
 
 import multiprocessing
+import pickle
 
 import pytest
 
@@ -169,10 +170,11 @@ class TestDiskBackend:
         assert second.counters().hits == 1
 
     def test_handle_attach_shares_the_file(self, tmp_path):
-        first = DiskBackend(tmp_path / "cache.sqlite")
+        first = DiskBackend(tmp_path / "cache.sqlite", capacity=5, namespace=b"ns")
         first.put("k", {"a": 1})
-        second = first.handle().attach()
+        second = pickle.loads(pickle.dumps(first.handle())).attach()
         assert second.get("k") == {"a": 1}
+        assert second.capacity == 5 and second.namespace == b"ns"
 
     def test_capacity_fifo_eviction(self, tmp_path):
         backend = DiskBackend(tmp_path / "cache.sqlite", capacity=2)

@@ -9,10 +9,8 @@ code has never heard of are dropped wholesale rather than misread.
 import pickle
 import sqlite3
 
-import pytest
-
 from repro.cachestore import MISSING
-from repro.cachestore.disk import DiskBackend, DiskHandle
+from repro.cachestore.disk import DiskBackend
 
 
 def _make_v1_store(path, entries: dict[bytes, object]) -> None:
@@ -121,21 +119,11 @@ class TestV1Migration:
 class TestCostAwareEvictionOnDisk:
     def test_expensive_entries_outlive_cheap_floods(self, tmp_path):
         backend = DiskBackend(tmp_path / "cache.sqlite", capacity=3)
-        assert backend.policy == "cost-aware"
         backend.put("expensive", list(range(8)), cost_hint=4.0)
         for index in range(10):
             backend.put(f"cheap{index}", list(range(8)), cost_hint=0.0001)
         assert backend.get("expensive") == list(range(8))
         assert backend.evictions == 8
-        backend.close()
-
-    def test_fifo_policy_restores_insertion_order_eviction(self, tmp_path):
-        backend = DiskBackend(tmp_path / "cache.sqlite", capacity=3, policy="fifo")
-        backend.put("expensive", list(range(8)), cost_hint=4.0)
-        for index in range(10):
-            backend.put(f"cheap{index}", list(range(8)), cost_hint=0.0001)
-        # recency/cost-blind retention forgets the expensive entry
-        assert backend.get("expensive") is MISSING
         backend.close()
 
     def test_all_zero_costs_degenerate_to_fifo(self, tmp_path):
@@ -162,15 +150,3 @@ class TestCostAwareEvictionOnDisk:
         assert later.get("expensive") == "x"
         assert later.get("cheap") is MISSING
         later.close()
-
-    def test_unknown_policy_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            DiskBackend(tmp_path / "cache.sqlite", policy="lru")
-
-    def test_handle_carries_the_policy(self, tmp_path):
-        backend = DiskBackend(tmp_path / "cache.sqlite", capacity=5, policy="fifo")
-        handle = backend.handle()
-        assert isinstance(handle, DiskHandle) and handle.policy == "fifo"
-        attached = pickle.loads(pickle.dumps(handle)).attach()
-        assert attached.policy == "fifo" and attached.capacity == 5
-        attached.close(), backend.close()

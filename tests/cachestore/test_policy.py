@@ -1,30 +1,6 @@
-"""Eviction policies: LRU/FIFO reproduce the old orders; cost-aware beats both."""
+"""Eviction policies: LRU keeps the old in-process order; cost-aware beats it."""
 
-import pytest
-
-from repro.cachestore import (
-    MISSING,
-    CostAwarePolicy,
-    FIFOPolicy,
-    InProcessBackend,
-    LRUPolicy,
-    POLICY_CHOICES,
-    make_policy,
-)
-from repro.exceptions import ConfigurationError
-
-
-class TestMakePolicy:
-    def test_every_choice_constructs(self):
-        names = {make_policy(name).name for name in POLICY_CHOICES}
-        assert names == set(POLICY_CHOICES)
-
-    def test_instances_are_fresh(self):
-        assert make_policy("lru") is not make_policy("lru")
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_policy("random")
+from repro.cachestore import MISSING, CostAwarePolicy, InProcessBackend, LRUPolicy
 
 
 class TestLRUPolicy:
@@ -39,26 +15,6 @@ class TestLRUPolicy:
         backend.put("c", 3)
         assert backend.get("b") is MISSING
         assert backend.get("a") == 1 and backend.get("c") == 3
-
-
-class TestFIFOPolicy:
-    def test_get_does_not_refresh(self):
-        backend = InProcessBackend(capacity=2, policy=FIFOPolicy())
-        backend.put("a", 1)
-        backend.put("b", 2)
-        backend.get("a")  # recency-blind: "a" is still the oldest insert
-        backend.put("c", 3)
-        assert backend.get("a") is MISSING
-        assert backend.get("b") == 2 and backend.get("c") == 3
-
-    def test_overwrite_keeps_queue_position(self):
-        backend = InProcessBackend(capacity=2, policy=FIFOPolicy())
-        backend.put("a", 1)
-        backend.put("b", 2)
-        backend.put("a", 10)  # a value update, not a new entry
-        backend.put("c", 3)
-        assert backend.get("a") is MISSING  # still first in, first out
-        assert backend.get("b") == 2
 
 
 class TestCostAwarePolicy:

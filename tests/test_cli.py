@@ -34,10 +34,10 @@ class TestParser:
 
     def test_cache_server_parser_registered(self):
         args = build_parser().parse_args(
-            ["cache-server", "--port", "0", "--capacity", "500", "--policy", "cost-aware"]
+            ["cache-server", "--port", "0", "--capacity", "500"]
         )
         assert args.command == "cache-server"
-        assert args.capacity == 500 and args.policy == "cost-aware"
+        assert args.capacity == 500 and args.port == 0
 
     def test_cache_admin_parser_registered(self):
         args = build_parser().parse_args(["cache", "stats", "--cache-url", "h:1"])
@@ -292,9 +292,9 @@ class TestTimelineCommand:
 class TestCacheCommands:
     @pytest.fixture()
     def server(self):
-        from repro.cacheserver import CacheServer
+        from repro.cacheserver import AsyncCacheServer
 
-        with CacheServer() as running:
+        with AsyncCacheServer() as running:
             yield running
 
     def test_summarize_against_cache_server_matches_memory(self, example_csvs, server, capsys):
@@ -322,7 +322,7 @@ class TestCacheCommands:
         assert main(["cache", "stats", "--cache-url", server.url]) == 0
         stats_output = capsys.readouterr().out
         assert '"fits"' in stats_output and '"partitions"' in stats_output
-        assert '"policy": "cost-aware"' in stats_output
+        assert '"capacity"' in stats_output
         assert main(["cache", "clear", "--cache-url", server.url]) == 0
         capsys.readouterr()
         assert main(["cache", "stats", "--cache-url", server.url]) == 0
@@ -333,13 +333,13 @@ class TestCacheCommands:
         assert cleared["regions"]["partitions"]["entries"] == 0
 
     def test_summarize_against_a_sharded_fleet_matches_memory(self, example_csvs, capsys):
-        from repro.cacheserver import CacheServer
+        from repro.cacheserver import AsyncCacheServer
 
         source, target = example_csvs
         argv = ["summarize", str(source), str(target), "--key", "name", "--target", "bonus"]
         assert main(argv) == 0
         memory_output = capsys.readouterr().out
-        shards = [CacheServer().start() for _ in range(2)]
+        shards = [AsyncCacheServer().start() for _ in range(2)]
         try:
             url = ",".join(shard.url for shard in shards)
             sharded_argv = argv + [
@@ -354,10 +354,10 @@ class TestCacheCommands:
                 shard.shutdown()
 
     def test_cache_stats_and_clear_fan_out_across_shards(self, example_csvs, capsys):
-        from repro.cacheserver import CacheServer
+        from repro.cacheserver import AsyncCacheServer
 
         source, target = example_csvs
-        shards = [CacheServer().start() for _ in range(2)]
+        shards = [AsyncCacheServer().start() for _ in range(2)]
         try:
             url = ",".join(shard.url for shard in shards)
             assert main([
@@ -513,9 +513,9 @@ class TestDeadShardStats:
         return f"127.0.0.1:{port}"
 
     def test_stats_fanout_survives_a_dead_shard(self, dead_endpoint, capsys):
-        from repro.cacheserver import CacheServer
+        from repro.cacheserver import AsyncCacheServer
 
-        with CacheServer() as live:
+        with AsyncCacheServer() as live:
             code = main([
                 "cache", "stats", "--cache-url", f"{live.url},{dead_endpoint}"
             ])
@@ -529,9 +529,9 @@ class TestDeadShardStats:
         assert "TOTAL (1 shard DOWN)" in output
 
     def test_metrics_fanout_notes_the_dead_shard(self, dead_endpoint, capsys):
-        from repro.cacheserver import CacheServer
+        from repro.cacheserver import AsyncCacheServer
 
-        with CacheServer() as live:
+        with AsyncCacheServer() as live:
             code = main([
                 "cache", "stats", "--metrics",
                 "--cache-url", f"{live.url},{dead_endpoint}",
