@@ -1,4 +1,4 @@
-"""Bound-planning benchmark: pre-discovery pruning and cost routing vs neither.
+"""Bound-planning benchmark: the default bound-pruned search vs exhaustive search.
 
 Models the serving pattern the bound layer (:mod:`repro.search.bounds`,
 :mod:`repro.search.costmodel`) exists for: a wide snapshot pair where the
@@ -23,11 +23,14 @@ rounds prune them all before discovery.
 
 Three arms summarise the identical pair from cold caches:
 
-* ``off`` — ``bound_pruning=False, cost_routing=False`` (PR 1-6 behaviour);
-* ``bounds`` — ``bound_pruning=True`` only;
-* ``routed`` — bounds plus the online cost model packing worker chunks
-  (``n_jobs=2``; its wall clock is recorded for information — process-pool
-  dispatch is too noisy for a CI-enforced ratio).
+* ``off`` — ``prune_search=False``: exhaustive search, the one configuration
+  that computes no pre-discovery bounds (bound pruning and cost routing have
+  no switch of their own, so this is the baseline left to measure against);
+* ``bounds`` — the default configuration (serial; bound pruning and the
+  online cost model both run);
+* ``routed`` — the default configuration with ``n_jobs=2``, so the cost
+  model packs worker chunks (its wall clock is recorded for information —
+  process-pool dispatch is too noisy for a CI-enforced ratio).
 
 The run enforces the layer's contract points and records them in a
 machine-readable JSON report (like ``bench_delta_maintenance.py``):
@@ -35,8 +38,8 @@ machine-readable JSON report (like ``bench_delta_maintenance.py``):
 * rankings are byte-identical across all three arms;
 * the bounds arm prunes specs before discovery
   (``candidates_pruned_spec_bounds > 0``) and those specs really never
-  invoked discovery: the off-arm's partition-cache lookups exceed the
-  bounds-arm's by at least the pruned-spec count;
+  invoked discovery: the exhaustive off-arm's partition-cache lookups exceed
+  the bounds-arm's by at least the pruned-spec count;
 * the bounds arm beats the off arm by at least 1.5x wall clock (enforced
   outside smoke mode; recorded always).
 
@@ -147,9 +150,9 @@ def _run_arm(pair: SnapshotPair, config: CharlesConfig) -> dict:
 def run_benchmark(rows: int, seed: int, config: CharlesConfig) -> dict:
     pair = _build_pair(rows, seed)
     arms = {
-        "off": config.replace(bound_pruning=False, cost_routing=False),
-        "bounds": config.replace(bound_pruning=True, cost_routing=False),
-        "routed": config.replace(bound_pruning=True, cost_routing=True, n_jobs=2),
+        "off": config.replace(prune_search=False),
+        "bounds": config,
+        "routed": config.replace(n_jobs=2),
     }
     report_arms = {name: _run_arm(pair, arm_config) for name, arm_config in arms.items()}
 
@@ -178,7 +181,7 @@ def run_benchmark(rows: int, seed: int, config: CharlesConfig) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="bound-pruned and cost-routed search vs the naive plan"
+        description="the default bound-pruned search vs exhaustive search"
     )
     parser.add_argument("--rows", type=int, default=4_000, help="entities in the snapshot")
     parser.add_argument("--seed", type=int, default=11)
@@ -205,7 +208,7 @@ def main(argv: list[str] | None = None) -> int:
     # where a noisy shared runner must not be able to redden a build
     failures = []
     if not report["rankings_identical"]:
-        failures.append("bound-pruned/cost-routed rankings diverged from the naive arm")
+        failures.append("bound-pruned/cost-routed rankings diverged from the exhaustive arm")
     if report["spec_bound_pruned"] <= 0:
         failures.append("bound pruning never skipped a spec before discovery")
     if report["partition_lookups_saved"] < report["spec_bound_pruned"]:

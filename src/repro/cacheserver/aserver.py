@@ -133,10 +133,7 @@ class AsyncCacheServer(CacheServerCore):
         finally:
             self._conn_tasks.discard(task)
             self._inflight.set(len(self._conn_tasks))
-            try:
-                writer.close()
-            except Exception:  # pragma: no cover - best-effort teardown
-                pass
+            writer.close()
 
     async def _dispatch_frame(self, body: bytes) -> bytes:
         verb = (body[0] & ~protocol.TRACE_FLAG) if body else None

@@ -22,8 +22,6 @@ small hierarchy behind one ABC:
   process.
 * :class:`~repro.cachestore.disk.DiskBackend` — a content-keyed SQLite store
   with transactional writes, so warm starts survive interpreter restarts.
-* :class:`~repro.cachestore.tiered.TieredBackend` — a private in-process L1
-  composed over a shared/disk L2: local speed, shared truth.
 * :class:`~repro.cacheserver.fabric.ShardedRemoteBackend` (in the sibling
   :mod:`repro.cacheserver` package) — one region of a fleet-shared cache
   *service* of one or more shards, so engines on different machines pool
@@ -76,7 +74,6 @@ from repro.cachestore.policy import (
     LRUPolicy,
 )
 from repro.cachestore.shared import SharedBackend, SharedHandle, create_shared_backends
-from repro.cachestore.tiered import TieredBackend, TieredHandle
 
 __all__ = [
     "MISSING",
@@ -93,8 +90,6 @@ __all__ = [
     "create_shared_backends",
     "DiskBackend",
     "DiskHandle",
-    "TieredBackend",
-    "TieredHandle",
     "BACKEND_CHOICES",
     "build_search_backends",
 ]

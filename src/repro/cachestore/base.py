@@ -214,7 +214,7 @@ class CacheBackend(ABC):
         return BackendCounters(hits=self.hits, misses=self.misses, evictions=self.evictions)
 
     def breakdown(self) -> dict[str, BackendCounters]:
-        """Counters per physical layer (tiered backends report each tier)."""
+        """Counters per physical layer (a sharded fabric adds one per endpoint)."""
         return {self.kind: self.counters()}
 
     # -- sharing & lifecycle -----------------------------------------------------

@@ -2,8 +2,8 @@
 
 The search layer carries two memo caches (per-mask fits and partition
 discoveries), so the factory always builds backends in pairs — one physical
-region per cache, sharing a manager process (shared kinds) or a cache
-directory (disk kinds) between them.
+region per cache, sharing a manager process (``shared``), a cache directory
+(``disk``) or a cache service (``remote``) between them.
 """
 
 from __future__ import annotations
@@ -14,13 +14,12 @@ from repro.cachestore.base import CacheBackend
 from repro.cachestore.disk import DiskBackend
 from repro.cachestore.memory import InProcessBackend
 from repro.cachestore.shared import create_shared_backends
-from repro.cachestore.tiered import TieredBackend
 from repro.exceptions import ConfigurationError
 
 __all__ = ["BACKEND_CHOICES", "build_search_backends"]
 
 #: the cache-backend kinds ``CharlesConfig.cache_backend`` accepts
-BACKEND_CHOICES = ("memory", "shared", "disk", "tiered-shared", "tiered-disk", "remote")
+BACKEND_CHOICES = ("memory", "shared", "disk", "remote")
 
 
 def build_search_backends(
@@ -39,8 +38,6 @@ def build_search_backends(
       parallel workers read and publish each other's entries.
     * ``disk`` — two SQLite files under ``cache_dir``, so entries survive
       interpreter restarts.
-    * ``tiered-shared`` / ``tiered-disk`` — the same, fronted by a private
-      in-process LRU (L1) per attached process.
     * ``remote`` — the two regions of a fleet-shared cache service at
       ``cache_url``, so engines on different machines pool their work.  A
       comma-separated ``cache_url`` shards the regions over every listed
@@ -49,8 +46,8 @@ def build_search_backends(
       entry on that many ring-adjacent shards so one shard death costs
       failovers, not reuse.
 
-    ``capacity`` is applied to every constructed layer; the disk kinds
-    require ``cache_dir``, the remote kind requires ``cache_url``, and both
+    ``capacity`` is applied to every constructed store; the disk kind
+    requires ``cache_dir``, the remote kind requires ``cache_url``, and both
     fold ``namespace`` — a fingerprint of the result-affecting configuration
     fields — into every key, so differently configured runs sharing a
     directory or a server never serve each other's entries (in-process and
@@ -91,26 +88,14 @@ def build_search_backends(
                 replication=cache_replication,
             ),
         )
-    if kind in ("shared", "tiered-shared"):
-        fits, partitions = create_shared_backends(2, capacity)
-        if kind == "shared":
-            return fits, partitions
-        return (
-            TieredBackend(InProcessBackend(capacity), fits),
-            TieredBackend(InProcessBackend(capacity), partitions),
-        )
+    if kind == "shared":
+        return create_shared_backends(2, capacity)
     if cache_dir is None:
         raise ConfigurationError(
             f"cache_backend {kind!r} needs a cache_dir to store its entries in"
         )
     directory = Path(cache_dir)
-    fits = DiskBackend(directory / "fits.sqlite", capacity, namespace=namespace)
-    partitions = DiskBackend(
-        directory / "partitions.sqlite", capacity, namespace=namespace
-    )
-    if kind == "disk":
-        return fits, partitions
     return (
-        TieredBackend(InProcessBackend(capacity), fits),
-        TieredBackend(InProcessBackend(capacity), partitions),
+        DiskBackend(directory / "fits.sqlite", capacity, namespace=namespace),
+        DiskBackend(directory / "partitions.sqlite", capacity, namespace=namespace),
     )

@@ -24,8 +24,8 @@ the manager process, so eviction works in batches (a tenth of capacity at a
 time): the fetch is paid once per batch, not once per put, and each pass also
 reclaims any overshoot racing writers left behind.  Concurrent evictors are
 tolerated — a key already removed by another worker is simply skipped (and
-not counted).  Use a :class:`~repro.cachestore.tiered.TieredBackend` with an
-LRU L1 when process-local recency matters.
+not counted).  When recency matters more than sharing, the private
+``memory`` backend is the LRU store.
 """
 
 from __future__ import annotations

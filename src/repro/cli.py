@@ -8,8 +8,7 @@ summaries (Fig. 4).  The ``charles`` command exposes the same workflow:
 * ``charles summarize`` — steps 1–10: ranked summaries, optionally with the
   model tree / treemap details or a full markdown report.
 * ``charles plan``      — the dry run: plan size, per-round spec counts and
-  score-bound histograms for a summarize run, without evaluating anything
-  (also available as ``charles summarize --plan-only``).
+  score-bound histograms for a summarize run, without evaluating anything.
 * ``charles diff``      — the syntactic view: cell diff, update distance and
   distribution drift.
 * ``charles timeline``  — the incremental view: summarize every hop of a chain
@@ -90,12 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="max entries per memo cache, evicting beyond it "
                                 "(default unbounded)")
     _add_cache_arguments(summarize)
-    _add_planning_arguments(summarize)
     summarize.add_argument("--condition-attributes", nargs="*", default=None)
     summarize.add_argument("--transformation-attributes", nargs="*", default=None)
-    summarize.add_argument("--plan-only", action="store_true",
-                           help="print the search plan (size, rounds, bound histograms) "
-                                "and exit without evaluating")
     summarize.add_argument("--details", action="store_true", help="show tree and treemap for the best summary")
     summarize.add_argument("--sql", action="store_true",
                            help="print the best summary as a SQL UPDATE statement")
@@ -117,7 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--max-condition-attributes", "-c", type=int, default=3)
     plan.add_argument("--max-transformation-attributes", "-t", type=int, default=2)
     plan.add_argument("--top", type=int, default=10, help="top-k the planned run would keep")
-    _add_planning_arguments(plan)
     plan.add_argument("--condition-attributes", nargs="*", default=None)
     plan.add_argument("--transformation-attributes", nargs="*", default=None)
 
@@ -145,7 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     timeline.add_argument("--cache-capacity", type=int, default=None,
                           help="LRU capacity of each session memo cache (default unbounded)")
     _add_cache_arguments(timeline)
-    _add_planning_arguments(timeline)
     timeline.add_argument("--cold", action="store_true",
                           help="run every hop with a fresh cold engine (baseline for comparison)")
     timeline.add_argument("--condition-attributes", nargs="*", default=None)
@@ -252,17 +245,6 @@ def _add_pair_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--key", default=None, help="entity-identifying column")
 
 
-def _add_planning_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--no-bound-pruning", action="store_true",
-                        help="disable pre-discovery score-bound pruning and "
-                             "bound-ordered scheduling (rankings are identical "
-                             "either way; this only changes speed)")
-    parser.add_argument("--no-cost-routing", action="store_true",
-                        help="disable the learned cost model that packs worker "
-                             "chunks and prefetch batches (rankings are "
-                             "identical either way)")
-
-
 def _add_observability_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trace", type=Path, default=None,
                         help="record a JSONL trace of the run here (spans for "
@@ -279,11 +261,10 @@ def _add_cache_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-backend", choices=BACKEND_CHOICES, default="memory",
                         help="where memo-cache entries live: 'memory' (private LRU), "
                              "'shared' (one store for all --jobs workers), 'disk' "
-                             "(persists under --cache-dir across runs), 'remote' "
-                             "(a fleet cache server at --cache-url), or the "
-                             "tiered-* combinations (default: memory)")
+                             "(persists under --cache-dir across runs) or 'remote' "
+                             "(a fleet cache server at --cache-url); default: memory")
     parser.add_argument("--cache-dir", type=Path, default=None,
-                        help="directory for the on-disk cache (required by the disk backends)")
+                        help="directory for the on-disk cache (required by the disk backend)")
     parser.add_argument("--cache-url", default=None,
                         help="host:port of a `charles cache-server`, or a comma-"
                              "separated list of them to shard the fleet cache "
@@ -365,7 +346,7 @@ def _render_plan(plan, index) -> str:
             histogram = bound_histogram(index.round_bounds(round_specs))
             lines.append(f"    round {round_number} ({label}): {histogram}")
     else:
-        lines.append("  (bound pruning disabled: no score bounds computed)")
+        lines.append("  (no score bounds computed: exhaustive search or empty plan)")
     return "\n".join(lines)
 
 
@@ -375,8 +356,6 @@ def _command_plan(args: argparse.Namespace) -> int:
         max_condition_attributes=args.max_condition_attributes,
         max_transformation_attributes=args.max_transformation_attributes,
         top_k=args.top,
-        bound_pruning=not args.no_bound_pruning,
-        cost_routing=not args.no_cost_routing,
     )
     pair = _load_pair(args)
     plan, index = Charles(config).plan_pair(
@@ -401,20 +380,9 @@ def _command_summarize(args: argparse.Namespace) -> int:
         cache_dir=str(args.cache_dir) if args.cache_dir is not None else None,
         cache_url=args.cache_url,
         cache_replication=args.cache_replication,
-        bound_pruning=not args.no_bound_pruning,
-        cost_routing=not args.no_cost_routing,
         trace_path=str(args.trace) if args.trace is not None else None,
     )
     pair = _load_pair(args)
-    if args.plan_only:
-        plan, index = Charles(config).plan_pair(
-            pair,
-            args.target,
-            condition_attributes=args.condition_attributes,
-            transformation_attributes=args.transformation_attributes,
-        )
-        print(_render_plan(plan, index))
-        return 0
     _begin_tracing(args)
     started = time.perf_counter()
     result = Charles(config).summarize_pair(
@@ -486,8 +454,6 @@ def _command_timeline(args: argparse.Namespace) -> int:
         cache_dir=str(args.cache_dir) if args.cache_dir is not None else None,
         cache_url=args.cache_url,
         cache_replication=args.cache_replication,
-        bound_pruning=not args.no_bound_pruning,
-        cost_routing=not args.no_cost_routing,
         warm_start=not args.cold,
         trace_path=str(args.trace) if args.trace is not None else None,
     )

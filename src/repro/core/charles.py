@@ -173,11 +173,11 @@ class Charles:
 
         Returns the fully enumerated :class:`~repro.search.planner.SearchPlan`
         the search would execute (same setup-assistant shortlists, same
-        rounds) plus — when ``bound_pruning`` is enabled — the
-        :class:`~repro.search.bounds.ScoreBoundIndex` over the pair, so
-        operators can see plan size, per-round spec counts and bound
-        histograms before paying for a run (``charles plan`` /
-        ``charles summarize --plan-only``).
+        rounds) plus the :class:`~repro.search.bounds.ScoreBoundIndex` over
+        the pair — ``None`` when ``prune_search`` is off or the plan is
+        empty, since no bound pruning would run — so operators can see plan
+        size, per-round spec counts and bound histograms before paying for a
+        run (``charles plan``).
         """
         suggestions = self._assistant.suggest(pair, target)
         if condition_attributes is None:
@@ -186,7 +186,7 @@ class Charles:
             transformation_attributes = suggestions.selected_transformation_attributes
         plan = build_search_plan(condition_attributes, transformation_attributes, self._config)
         index = None
-        if self._config.prune_search and self._config.bound_pruning and len(plan):
+        if self._config.prune_search and len(plan):
             index = ScoreBoundIndex(pair, target, self._config)
         return plan, index
 

@@ -31,8 +31,6 @@ _RESULT_NEUTRAL_FIELDS = frozenset(
         "n_jobs",
         "top_k",
         "prune_search",
-        "bound_pruning",
-        "cost_routing",
         "search_cache_capacity",
         "cache_backend",
         "cache_dir",
@@ -78,6 +76,14 @@ class InterpretabilityWeights:
 @dataclass(frozen=True)
 class CharlesConfig:
     """All tunable parameters of the ChARLES pipeline.
+
+    The paper's user-facing knobs are ``alpha``, ``c`` and ``t``; the rest
+    tune the reproduction's search, caching and serving.  An execution-only
+    field exists only where real workloads need different values, so
+    pre-discovery bound pruning and cost-routed scheduling have no switch of
+    their own: they always run, and exhaustive search
+    (``prune_search=False``) turns bound pruning off with the rest of
+    pruning.
 
     Parameters
     ----------
@@ -149,26 +155,12 @@ class CharlesConfig:
         produce identical rankings; only wall time and cache hit rates differ.
     prune_search:
         Whether the search may skip candidates that provably cannot enter the
-        ranked top-k (score upper bound below the current k-th best score).
-        Pruning never changes the top-k; disable it to rank the complete
-        candidate space, e.g. for exhaustive analyses.
-    bound_pruning:
-        Whether the executor computes pre-discovery admissible score bounds
-        (:class:`~repro.search.bounds.ScoreBoundIndex`) and skips specs whose
-        bound falls below the current top-k floor *before* partition
-        discovery runs — plus schedules each round's survivors in descending
-        bound order.  The bound is provable (see :mod:`repro.search.bounds`),
-        so rankings stay byte-identical with the knob on or off; it is
-        execution-only and does not rotate the cache fingerprint.
-    cost_routing:
-        Whether the executors route candidates by predicted evaluation cost:
-        an :class:`~repro.search.costmodel.OnlineCostModel` learns from the
-        recomputation seconds every evaluation already reports, the parallel
-        executor packs rounds into balanced worker chunks
-        (longest-predicted-first) and the serial executor splits prefetches
-        into cost-bounded batches.  Routing changes where and when specs are
-        evaluated, never which or how — rankings are byte-identical either
-        way, so the knob is execution-only like ``n_jobs``.
+        ranked top-k: after discovery when a candidate's score upper bound is
+        below the current k-th best score, and *before* discovery when the
+        admissible pre-discovery bound of
+        :class:`~repro.search.bounds.ScoreBoundIndex` already is.  Pruning
+        never changes the top-k; disable it to rank the complete candidate
+        space, e.g. for exhaustive analyses.
     search_cache_capacity:
         Maximum number of entries each memo cache (fits, partitions) keeps,
         with least-recently-used eviction beyond it.  ``None`` (the default)
@@ -183,16 +175,15 @@ class CharlesConfig:
         process-local LRU dict; ``"shared"`` is a cross-process store every
         parallel worker attaches to, recovering the serial hit rate at
         ``n_jobs > 1``; ``"disk"`` is a content-keyed SQLite store under
-        ``cache_dir`` that survives interpreter restarts; ``"tiered-shared"``
-        and ``"tiered-disk"`` front those with a private in-process L1;
-        ``"remote"`` is a fleet-shared :class:`~repro.cacheserver.aserver.
-        AsyncCacheServer` fleet at ``cache_url``, pooling work across machines.
+        ``cache_dir`` that survives interpreter restarts; ``"remote"`` is a
+        fleet-shared :class:`~repro.cacheserver.aserver.AsyncCacheServer`
+        fleet at ``cache_url``, pooling work across machines.
         Backends change where entries live, never what a search returns —
         rankings are byte-identical across all of them (a remote server
         outage degrades to cache misses, never to different results).
     cache_dir:
         Directory holding the on-disk cache files.  Required by the
-        ``"disk"``/``"tiered-disk"`` backends, ignored by the others.  Cached
+        ``"disk"`` backend, ignored by the others.  Cached
         values are deserialised with :mod:`pickle`, so the directory must be
         private to trusted users (files are created owner-only); different
         configurations may safely share one directory — entries are
@@ -273,8 +264,6 @@ class CharlesConfig:
     seed: int = 0
     n_jobs: int = 1
     prune_search: bool = True
-    bound_pruning: bool = True
-    cost_routing: bool = True
     search_cache_capacity: int | None = None
     cache_backend: str = "memory"
     cache_dir: str | None = None
@@ -350,7 +339,7 @@ class CharlesConfig:
             raise ConfigurationError(
                 f"cache_backend must be one of {BACKEND_CHOICES}, got {self.cache_backend!r}"
             )
-        if self.cache_backend in ("disk", "tiered-disk") and self.cache_dir is None:
+        if self.cache_backend == "disk" and self.cache_dir is None:
             raise ConfigurationError(
                 f"cache_backend {self.cache_backend!r} requires cache_dir"
             )
@@ -404,9 +393,10 @@ class CharlesConfig:
         configured differently, so :class:`~repro.cachestore.disk.DiskBackend`
         folds this fingerprint into every key: two configs sharing a
         ``cache_dir`` read and write disjoint namespaces.  Fields that only
-        pick the execution strategy (``n_jobs``, backend selection, pruning
-        and warm-start knobs) are excluded — they are documented never to
-        change results, so flipping them keeps the cache warm.
+        pick the execution strategy (``n_jobs``, backend selection,
+        ``prune_search``, warm-start and maintenance knobs, tracing) are
+        excluded — they are documented never to change results, so flipping
+        them keeps the cache warm.
         """
         relevant = tuple(
             (spec.name, repr(getattr(self, spec.name)))

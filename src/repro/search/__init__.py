@@ -54,11 +54,10 @@ Since the bound-planning layer (:mod:`repro.search.bounds`,
 before paying for it: a once-per-search :class:`~repro.search.bounds.
 ScoreBoundIndex` bounds every spec's achievable score from the pair state
 alone, specs provably below the top-k floor are skipped before partition
-discovery runs (``CharlesConfig.bound_pruning``), survivors are scheduled in
-descending bound order, and an online cost model trained on each outcome's
-observed seconds packs worker chunks and prefetch batches
-(``CharlesConfig.cost_routing``).  Both knobs are execution-only: rankings
-stay byte-identical with them on or off.
+discovery runs (whenever ``CharlesConfig.prune_search`` is on), survivors are
+scheduled in descending bound order, and an online cost model trained on each
+outcome's observed seconds packs worker chunks and prefetch batches.  Both are
+execution-only: rankings are byte-identical to exhaustive search.
 
 Adding a new backend
 --------------------

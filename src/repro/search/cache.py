@@ -180,9 +180,9 @@ class CacheCounters:
 
     The ``fit_*``/``partition_*`` fields count *logical* cache traffic (did a
     lookup avoid recomputation); ``backends`` breaks the same activity down
-    per physical layer — e.g. a tiered store reports its in-process L1 and its
-    shared or disk L2 separately — as a sorted ``(layer name, counters)``
-    mapping that survives the same ``+``/``-`` arithmetic.
+    per physical layer — e.g. a sharded ``remote`` store reports its
+    aggregate plus one component layer per endpoint — as a sorted ``(layer
+    name, counters)`` mapping that survives the same ``+``/``-`` arithmetic.
 
     The ``partitions_*`` fields classify how partition-cache *misses* were
     resolved under incremental maintenance (:mod:`repro.search.maintenance`):
@@ -332,7 +332,7 @@ class SearchCaches:
 
     @property
     def backend_kind(self) -> str:
-        """The physical-store kind of both caches (e.g. ``"tiered(memory+disk)"``)."""
+        """The physical-store kind of both caches (e.g. ``"disk"``)."""
         return self.fits.backend.kind
 
     @property

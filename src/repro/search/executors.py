@@ -98,27 +98,29 @@ def _top_k_floor(candidates: dict[tuple, ScoredSummary], top_k: int) -> float:
 class SearchExecutor:
     """Template for executors: the round loop and the deterministic reduce.
 
-    Since the bound-planning layer landed, the base class also owns two
-    execution-only optimisations that subclasses inherit for free:
+    The base class also owns two execution-only optimisations that subclasses
+    inherit for free:
 
-    * **pre-discovery bound pruning** (``config.bound_pruning``, gated on
-      ``prune_search``) — a :class:`~repro.search.bounds.ScoreBoundIndex` is
-      built once per search, and specs whose admissible score bound falls
-      below the round's frozen floor are answered with a synthesised
-      :data:`~repro.search.evaluator.PRUNED_SPEC_BOUND` outcome *here*, so
-      they never reach ``_run_round`` — no partition discovery, no fit, no
-      prefetch key.  Survivors are dispatched in descending bound order;
-      outcomes are slotted back into plan order before the reduce, so
+    * **pre-discovery bound pruning** (on whenever ``config.prune_search`` is
+      and the plan is non-empty) — a :class:`~repro.search.bounds.
+      ScoreBoundIndex` is built once per search, and specs whose admissible
+      score bound falls below the round's frozen floor are answered with a
+      synthesised :data:`~repro.search.evaluator.PRUNED_SPEC_BOUND` outcome
+      *here*, so they never reach ``_run_round`` — no partition discovery, no
+      fit, no prefetch key.  Survivors are dispatched in descending bound
+      order; outcomes are slotted back into plan order before the reduce, so
       tie-breaking (and therefore the ranking) is byte-identical to the
       unpruned, unordered path.
-    * **cost routing** (``config.cost_routing``) — every outcome reports its
-      observed evaluation seconds; an :class:`~repro.search.costmodel.
+    * **cost routing** (always on) — every outcome reports its observed
+      evaluation seconds; an :class:`~repro.search.costmodel.
       OnlineCostModel` folds them in between rounds and the subclasses use
       its predictions to pack worker chunks / prefetch batches.
     """
 
     n_jobs: int = 1
-    _cost_model: OnlineCostModel | None = None
+
+    def __init__(self) -> None:
+        self._cost_model = OnlineCostModel()
 
     def execute(
         self,
@@ -183,12 +185,11 @@ class SearchExecutor:
             # is identical across executors (serial/parallel prune the same specs)
             bound_index = (
                 ScoreBoundIndex(pair, target, config)
-                if config.prune_search and config.bound_pruning and len(plan)
+                if config.prune_search and len(plan)
                 else None
             )
-            self._cost_model = OnlineCostModel() if config.cost_routing else None
+            self._cost_model = OnlineCostModel()  # learns per search
             stats.bound_pruning = bound_index is not None
-            stats.cost_routing = self._cost_model is not None
             self._setup(pair, target, config, caches, maintenance)
             stats.cache_backend = self._cache_backend_kind()
             stats.cache_backend_requested = self._cache_backend_requested()
@@ -240,9 +241,8 @@ class SearchExecutor:
                                 )
                         else:
                             outcomes, delta = [], CacheCounters()
-                        if self._cost_model is not None:
-                            for outcome in outcomes:
-                                self._cost_model.observe(outcome.spec, outcome.seconds)
+                        for outcome in outcomes:
+                            self._cost_model.observe(outcome.spec, outcome.seconds)
                         if slotted is not None:
                             # restore plan order before the reduce: equal-score merges
                             # in add_candidate keep the first-seen summary, so the
@@ -367,7 +367,7 @@ class SerialExecutor(SearchExecutor):
         self._owned_caches: SearchCaches | None = None
         self._requested_backend: str | None = None
         if caches is None:
-            if config.cache_backend in ("disk", "tiered-disk", "remote"):
+            if config.cache_backend in ("disk", "remote"):
                 # honour a backend whose store outlives the run even one-shot:
                 # disk makes the *next* process's identical search warm, and a
                 # remote server serves the whole fleet what this run publishes
@@ -470,6 +470,7 @@ class ParallelExecutor(SearchExecutor):
     def __init__(self, n_jobs: int):
         if n_jobs < 2:
             raise ValueError(f"ParallelExecutor needs n_jobs >= 2, got {n_jobs}")
+        super().__init__()
         self.n_jobs = n_jobs
         self._pool: ProcessPoolExecutor | None = None
         self._fallback: CandidateEvaluator | None = None
@@ -586,12 +587,12 @@ class ParallelExecutor(SearchExecutor):
         With a trained cost model the chunks are packed longest-predicted-first
         into balanced loads (:func:`~repro.search.costmodel.pack_indices`), so
         an expensive corner of the round cannot straggle behind ``n_jobs - 1``
-        idle workers; cold (or disabled) models fall back to the historical
-        contiguous striding, which the balanced packing degenerates to under a
-        uniform cost vector anyway.
+        idle workers; a cold model falls back to the historical contiguous
+        striding, which the balanced packing degenerates to under a uniform
+        cost vector anyway.
         """
         model = self._cost_model
-        if model is not None and model.observations and len(specs) > 1:
+        if model.observations and len(specs) > 1:
             costs = [model.predict(spec) for spec in specs]
             return pack_indices(costs, 2 * self.n_jobs)
         return self._chunk_indices(len(specs))

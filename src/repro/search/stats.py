@@ -26,29 +26,29 @@ class SearchStats:
     fitted, summary scored — or found infeasible) or pruned — as a provable
     *duplicate* of an earlier spec's partition structure, because a built
     summary's score upper *bound* could not beat the current top-k floor, or
-    — with ``bound_pruning`` on — because the pre-discovery
-    :class:`~repro.search.bounds.SpecBound` already proved the spec could not
-    reach the floor (``candidates_pruned_spec_bounds``; these specs never
-    invoked partition discovery, fits or prefetches at all).
-    ``cost_routing`` records whether the executor packed rounds and prefetch
-    batches with the online cost model; neither knob ever changes rankings,
-    only wall time.  Cache counters come from the memo caches of
-    :mod:`repro.search.cache`; in parallel runs they are aggregated across
-    worker processes.  With the default in-process backend each worker has
-    private caches, so parallel hit rates are typically lower than serial
-    ones; a shared or disk ``cache_backend`` lets workers serve each other's
-    entries and recovers the serial rate.  ``backend_counters`` breaks the
-    same traffic down per physical layer (e.g. a tiered store's in-process L1
-    versus its shared L2; a ``remote`` layer additionally reports the network
-    round-trips it actually made — below its lookup count while the client is
-    degraded or while batched prefetches answer many lookups per request —
-    and, on a sharded fabric, per-endpoint ``remote[host:port]`` component
+    because the pre-discovery :class:`~repro.search.bounds.SpecBound` already
+    proved the spec could not reach the floor
+    (``candidates_pruned_spec_bounds``; these specs never invoked partition
+    discovery, fits or prefetches at all).  ``bound_pruning`` records whether
+    those pre-discovery bounds ran: they do unless ``prune_search`` is off or
+    the plan is empty.  Pruning never changes rankings, only wall time.
+    Cache counters come from the memo caches of :mod:`repro.search.cache`;
+    in parallel runs they are aggregated across worker processes.  With the
+    default in-process backend each worker has private caches, so parallel
+    hit rates are typically lower than serial ones; a shared or disk
+    ``cache_backend`` lets workers serve each other's entries and recovers
+    the serial rate.  ``backend_counters`` breaks the same traffic down per
+    physical layer: a ``remote`` layer additionally reports the network
+    round-trips it actually made — below its lookup count while the client
+    is degraded or while batched prefetches answer many lookups per request
+    — and, on a sharded fabric, per-endpoint ``remote[host:port]`` component
     layers plus the reads failed over around the ring when a replicated
-    shard was unreachable), and ``cache_backend`` records which store kind the
+    shard was unreachable.  ``cache_backend`` records which store kind the
     run used.  When that differs from what the configuration asked for — a
-    one-shot serial run quietly substitutes in-process caches for a ``shared``
-    backend that would have nothing to share — the configured kind is kept in
-    ``cache_backend_requested`` so the substitution is visible, not silent.
+    one-shot serial run quietly substitutes in-process caches for a
+    ``shared`` backend that would have nothing to share — the configured
+    kind is kept in ``cache_backend_requested`` so the substitution is
+    visible, not silent.
 
     Warm-started runs (see :class:`~repro.timeline.session.EngineSession`)
     record the seeded pruning floor in ``warm_start_floor``;
@@ -74,7 +74,6 @@ class SearchStats:
     candidates_pruned_bounds: int = 0
     candidates_pruned_spec_bounds: int = 0
     bound_pruning: bool = False
-    cost_routing: bool = False
     fit_cache_hits: int = 0
     fit_cache_misses: int = 0
     partition_cache_hits: int = 0
@@ -160,7 +159,6 @@ class SearchStats:
             "candidates_pruned_bounds": self.candidates_pruned_bounds,
             "candidates_pruned_spec_bounds": self.candidates_pruned_spec_bounds,
             "bound_pruning": self.bound_pruning,
-            "cost_routing": self.cost_routing,
             "fit_cache_hits": self.fit_cache_hits,
             "fit_cache_misses": self.fit_cache_misses,
             "partition_cache_hits": self.partition_cache_hits,
@@ -196,8 +194,6 @@ class SearchStats:
             text += (
                 f", {self.candidates_pruned_spec_bounds} bound-pruned before discovery"
             )
-        if self.cost_routing:
-            text += ", cost-routed"
         if self.cache_backend != "memory":
             text += f", cache={self.cache_backend}"
         if self.cache_backend_requested is not None:

@@ -12,7 +12,6 @@ from repro.cachestore import (
     DiskBackend,
     InProcessBackend,
     SharedBackend,
-    TieredBackend,
     build_search_backends,
     create_shared_backends,
     key_digest,
@@ -27,15 +26,13 @@ def manager():
 
 
 @pytest.fixture(
-    params=["memory", "disk", "tiered-disk", "shared"],
+    params=["memory", "disk", "shared"],
 )
 def backend(request, tmp_path, manager):
     if request.param == "memory":
         yield InProcessBackend()
     elif request.param == "disk":
         yield DiskBackend(tmp_path / "cache.sqlite")
-    elif request.param == "tiered-disk":
-        yield TieredBackend(InProcessBackend(), DiskBackend(tmp_path / "cache.sqlite"))
     else:
         yield SharedBackend(manager.dict())
 
@@ -61,7 +58,6 @@ class TestBackendConformance:
         backend.clear()
         assert len(backend) == 0
         assert backend.get("a") is MISSING
-        # a tiered store counts the miss once per layer, flat stores once
         assert backend.counters().misses > before.misses
 
     def test_overwrite_keeps_single_entry(self, backend):
@@ -262,66 +258,6 @@ class TestDiskBackend:
             backend.strict_clear()
 
 
-class TestTieredBackend:
-    def test_l2_hit_promotes_into_l1(self, tmp_path):
-        l2 = DiskBackend(tmp_path / "cache.sqlite")
-        l2.put("k", 7)
-        tiered = TieredBackend(InProcessBackend(), l2)
-        assert tiered.get("k") == 7  # L1 miss, L2 hit, promotion
-        assert tiered.get("k") == 7  # now served by L1
-        breakdown = tiered.breakdown()
-        assert breakdown["l1-memory"].hits == 1 and breakdown["l1-memory"].misses == 1
-        assert breakdown["l2-disk"].hits == 1 and breakdown["l2-disk"].misses == 0
-
-    def test_put_reaches_both_layers(self, tmp_path):
-        l2 = DiskBackend(tmp_path / "cache.sqlite")
-        tiered = TieredBackend(InProcessBackend(), l2)
-        tiered.put("k", 1)
-        assert l2.get("k") == 1
-        assert tiered.shareable
-
-    def test_handle_rebuilds_fresh_l1_over_same_l2(self, tmp_path):
-        tiered = TieredBackend(InProcessBackend(), DiskBackend(tmp_path / "cache.sqlite"))
-        tiered.put("k", 9)
-        attached = tiered.handle().attach()
-        assert len(attached.l1) == 0  # private, empty L1
-        assert attached.get("k") == 9  # served from the shared L2
-
-    def test_breakdown_aggregates_each_layer_separately(self, tmp_path):
-        """Every L1/L2 hit, miss and eviction lands in exactly one layer's row."""
-        l1 = InProcessBackend(capacity=1)
-        l2 = DiskBackend(tmp_path / "cache.sqlite", capacity=2)
-        tiered = TieredBackend(l1, l2)
-        tiered.put("a", 1)
-        tiered.put("b", 2)  # evicts "a" from the L1 (cap 1); L2 holds both
-        tiered.get("b")     # L1 hit
-        tiered.get("a")     # L1 miss, L2 hit, promotion (evicts "b" from L1)
-        tiered.get("gone")  # misses both layers
-        tiered.put("c", 3)  # L2 at cap 2: evicts its oldest ("a")
-        breakdown = tiered.breakdown()
-        assert breakdown["l1-memory"].hits == 1
-        assert breakdown["l1-memory"].misses == 2
-        assert breakdown["l1-memory"].evictions == 3
-        assert breakdown["l2-disk"].hits == 1
-        assert breakdown["l2-disk"].misses == 1
-        assert breakdown["l2-disk"].evictions == 1
-        # the flat counters are exactly the sum of the per-layer rows
-        total = BackendCounters()
-        for counters in breakdown.values():
-            total = total + counters
-        assert total == tiered.counters()
-
-    def test_counters_subtraction_round_trips(self, tmp_path):
-        tiered = TieredBackend(InProcessBackend(), DiskBackend(tmp_path / "cache.sqlite"))
-        tiered.put("a", 1)
-        before = tiered.counters()
-        tiered.get("a")
-        tiered.get("absent")
-        delta = tiered.counters() - before
-        assert delta.hits == 1 and delta.misses == 2  # the miss hit both layers
-        assert (before + delta) == tiered.counters()
-
-
 class TestKeyDigest:
     def test_stable_and_type_distinguishing(self):
         key = ("partition", "bonus", ("edu",), 3, 0.5, b"\x01\x02")
@@ -351,25 +287,15 @@ class TestFactory:
         fits_a.put("k", 1)
         fits_b, _ = build_search_backends("disk", cache_dir=tmp_path, namespace=b"b")
         assert fits_b.get("k") is MISSING
-        tiered, _ = build_search_backends(
-            "tiered-disk", cache_dir=tmp_path, namespace=b"a"
+        fits_a_again, _ = build_search_backends(
+            "disk", cache_dir=tmp_path, namespace=b"a"
         )
-        assert tiered.get("k") == 1  # same namespace, same entries
-
-    def test_tiered_disk_composes(self, tmp_path):
-        fits, _ = build_search_backends("tiered-disk", cache_dir=tmp_path)
-        assert isinstance(fits, TieredBackend)
-        assert fits.kind == "tiered(memory+disk)"
+        assert fits_a_again.get("k") == 1  # same namespace, same entries
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError) as excinfo:
             build_search_backends("redis")
         assert "cache_backend" in str(excinfo.value)
-
-    def test_tiered_disk_also_requires_cache_dir(self):
-        with pytest.raises(ConfigurationError) as excinfo:
-            build_search_backends("tiered-disk", capacity=8)
-        assert "cache_dir" in str(excinfo.value)
 
     def test_remote_requires_cache_url(self):
         with pytest.raises(ConfigurationError) as excinfo:
@@ -402,6 +328,4 @@ class TestFactory:
         assert fits.replication == 2 and fits.kind == "remote"
 
     def test_choices_cover_every_kind(self):
-        assert set(BACKEND_CHOICES) == {
-            "memory", "shared", "disk", "tiered-shared", "tiered-disk", "remote"
-        }
+        assert BACKEND_CHOICES == ("memory", "shared", "disk", "remote")

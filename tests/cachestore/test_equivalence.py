@@ -43,12 +43,6 @@ class TestRankingsAcrossBackends:
         assert result.search_stats.cache_backend == "disk"
         assert result.search_stats.cache_backend_requested is None
 
-    def test_tiered_disk_backend_identical(self, fig1_pair, memory_ranking, tmp_path):
-        config = CharlesConfig(cache_backend="tiered-disk", cache_dir=str(tmp_path))
-        result = _summarize(fig1_pair, config)
-        assert _ranking(result) == memory_ranking
-        assert result.search_stats.cache_backend == "tiered(memory+disk)"
-
     def test_shared_backend_identical(self, fig1_pair, memory_ranking):
         config = CharlesConfig(cache_backend="shared")
         with EngineSession(config) as session:
@@ -113,16 +107,16 @@ class TestDiskWarmStart:
         assert counters.hits > 0 and counters.misses == 0
 
     def test_per_backend_breakdown_travels_in_stats(self, fig1_pair, tmp_path):
-        config = CharlesConfig(cache_backend="tiered-disk", cache_dir=str(tmp_path))
+        config = CharlesConfig(cache_backend="disk", cache_dir=str(tmp_path))
         _summarize(fig1_pair, config)
         stats = _summarize(fig1_pair, config).search_stats
-        assert set(stats.backend_counters) == {"l1-memory", "l2-disk"}
-        # the second run's first lookups of each key come off the disk L2,
-        # later repeats off the promoted L1 copies
-        assert stats.backend_counters["l2-disk"].hits > 0
+        assert set(stats.backend_counters) == {"disk"}
+        # the second run finds every entry the first one persisted
+        assert stats.backend_counters["disk"].hits > 0
+        assert stats.backend_counters["disk"].misses == 0
         payload = stats.as_dict()
-        assert payload["cache_backend"] == "tiered(memory+disk)"
-        assert payload["backend_counters"]["l2-disk"]["hits"] > 0
+        assert payload["cache_backend"] == "disk"
+        assert payload["backend_counters"]["disk"]["hits"] > 0
 
 
 class TestConfigNamespacing:

@@ -1,12 +1,13 @@
 """Pre-discovery score bounds: admissibility, ranking invariance, no waste.
 
-Three contracts keep ``bound_pruning`` safe to leave on:
+Three contracts keep pre-discovery bound pruning safe to run by default:
 
 * **admissibility** — for every spec the executor could run, the true score of
   whatever summary it produces never exceeds :meth:`ScoreBoundIndex.bound`
   (property-tested over generated pair states);
-* **ranking invariance** — turning the knob off changes wall clock only, the
-  ranked output is byte-identical;
+* **ranking invariance** — the default search and an exhaustive one
+  (``prune_search=False``) differ in wall clock only, the ranked output is
+  byte-identical;
 * **no wasted work** — a spec pruned by its bound reaches neither partition
   discovery nor the prefetch batch, so a remote fabric sees no MGET keys for
   it.
@@ -156,20 +157,18 @@ class TestRankingInvariance:
         kwargs = dict(
             condition_attributes=["edu", "exp"], transformation_attributes=["bonus"]
         )
-        on = Charles(CharlesConfig(bound_pruning=True)).summarize_pair(
+        pruned = Charles(CharlesConfig()).summarize_pair(pair, "bonus", **kwargs)
+        exhaustive = Charles(CharlesConfig(prune_search=False)).summarize_pair(
             pair, "bonus", **kwargs
         )
-        off = Charles(CharlesConfig(bound_pruning=False)).summarize_pair(
-            pair, "bonus", **kwargs
-        )
-        assert _ranking(on) == _ranking(off)
-        assert on.search_stats.bound_pruning
-        assert not off.search_stats.bound_pruning
-        assert off.search_stats.candidates_pruned_spec_bounds == 0
+        assert _ranking(pruned) == _ranking(exhaustive)
+        assert pruned.search_stats.bound_pruning
+        assert not exhaustive.search_stats.bound_pruning
+        assert exhaustive.search_stats.candidates_pruned_spec_bounds == 0
 
     def test_exhaustive_mode_disables_bound_pruning(self):
-        # prune_search=False promises an exhaustive enumeration; bound_pruning
-        # must not undercut that even when left at its default
+        # prune_search=False promises an exhaustive enumeration; bound
+        # pruning must not undercut it
         pair = employee_pair(60, seed=2)
         result = Charles(CharlesConfig(prune_search=False)).summarize_pair(
             pair, "bonus",
@@ -195,7 +194,7 @@ class _RecordingPrefetchBackend(InProcessBackend):
 class TestNoWastedPrefetch:
     def _run(self, initial_floor: float):
         pair = employee_pair(100, seed=5)
-        config = CharlesConfig(bound_pruning=True, cost_routing=False)
+        config = CharlesConfig()
         backend = _RecordingPrefetchBackend()
         caches = SearchCaches(backends=(InProcessBackend(), backend))
         plan = build_search_plan(["edu", "exp"], ["bonus"], config)

@@ -115,12 +115,10 @@ class TestCostRoutedEquivalence:
         kwargs = dict(
             condition_attributes=["edu", "exp"], transformation_attributes=["bonus"]
         )
-        serial = Charles(CharlesConfig(n_jobs=1, cost_routing=False)).summarize_pair(
+        serial = Charles(CharlesConfig(n_jobs=1)).summarize_pair(
             pair, "bonus", **kwargs
         )
-        routed = Charles(CharlesConfig(n_jobs=2, cost_routing=True)).summarize_pair(
+        routed = Charles(CharlesConfig(n_jobs=2)).summarize_pair(
             pair, "bonus", **kwargs
         )
         assert self._ranking(serial) == self._ranking(routed)
-        assert routed.search_stats.cost_routing
-        assert not serial.search_stats.cost_routing

@@ -141,7 +141,6 @@ class TestSearchStats:
             candidates_pruned_spec_bounds=5,
             fit_cache_hits=30,
             fit_cache_misses=10,
-            cost_routing=True,
             cache_backend="remote",
             wall_time_seconds=1.234,
             n_jobs=4,
@@ -153,7 +152,7 @@ class TestSearchStats:
         assert stats.describe() == (
             "40 candidates planned (25 evaluated, 15 pruned), "
             "cache hit rate 75.0%, 1.23s, jobs=4, "
-            "5 bound-pruned before discovery, cost-routed, cache=remote, "
+            "5 bound-pruned before discovery, cache=remote, "
             "warm floor 0.875, "
             "partitions patched 7/recomputed 2 (1 patch fallbacks)"
         )

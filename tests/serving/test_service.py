@@ -301,14 +301,16 @@ class TestHttpContract:
         assert "tenant" in body["error"]
 
     def test_unknown_config_field_is_400(self, server):
-        status, _, body = request(
-            f"{server.url}/v1/sessions",
-            "POST",
-            {"config": {"no_such_knob": 1}},
-            tenant="acme",
-        )
-        assert status == 400
-        assert "no_such_knob" in body["error"]
+        # bound pruning and cost routing always run: they are not config fields
+        for field in ("no_such_knob", "bound_pruning", "cost_routing"):
+            status, _, body = request(
+                f"{server.url}/v1/sessions",
+                "POST",
+                {"config": {field: False}},
+                tenant="acme",
+            )
+            assert status == 400
+            assert field in body["error"]
 
     def test_infra_fields_are_server_owned(self, server):
         status, _, body = request(

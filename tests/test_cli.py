@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _render_plan, build_parser, main
+from repro.core import Charles, CharlesConfig
 from repro.relational.csv_io import write_csv
+from repro.relational.snapshot import SnapshotPair
 from repro.workloads import example_snapshots
 
 
@@ -64,6 +66,25 @@ class TestParser:
         )
         assert args.cache_url == "shard-a:8737,shard-b:8737,shard-c:8737"
         assert args.cache_replication == 2
+
+    @pytest.mark.parametrize(
+        "removed",
+        [
+            ["--no-bound-pruning"],
+            ["--no-cost-routing"],
+            ["--plan-only"],
+            ["--cache-backend", "tiered-disk"],
+        ],
+        ids=["no-bound-pruning", "no-cost-routing", "plan-only", "tiered-disk"],
+    )
+    def test_removed_switches_are_usage_errors(self, removed):
+        # bound pruning and cost routing always run, `charles plan` is the one
+        # dry run, and the store kinds are memory/shared/disk/remote
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                ["summarize", "a.csv", "b.csv", "--target", "x", *removed]
+            )
+        assert excinfo.value.code == 2
 
 
 class TestCommands:
@@ -448,36 +469,17 @@ class TestPlanCommand:
         assert "score-bound histogram" in output
         assert "round 0 (global)" in output
 
-    def test_plan_without_bound_pruning_skips_histograms(self, example_csvs, capsys):
-        source, target = example_csvs
-        code = main([
-            "plan", str(source), str(target), "--key", "name", "--target", "bonus",
-            "--no-bound-pruning",
-        ])
-        assert code == 0
-        output = capsys.readouterr().out
-        assert "bound pruning disabled" in output
-
-    def test_summarize_plan_only_short_circuits(self, example_csvs, capsys):
-        source, target = example_csvs
-        code = main([
-            "summarize", str(source), str(target), "--key", "name",
-            "--target", "bonus", "--plan-only",
-        ])
-        assert code == 0
-        output = capsys.readouterr().out
+    def test_plan_without_bound_pruning_skips_histograms(self):
+        # exhaustive search computes no score bounds, so the dry run has no
+        # histograms to print
+        source, target = example_snapshots()
+        pair = SnapshotPair.align(source, target, key="name")
+        plan, index = Charles(CharlesConfig(prune_search=False)).plan_pair(pair, "bonus")
+        assert index is None
+        output = _render_plan(plan, index)
         assert "search plan:" in output
-        # no summaries were ranked or printed
-        assert "#1" not in output
-
-    def test_summarize_accepts_planning_flags(self, example_csvs, capsys):
-        source, target = example_csvs
-        code = main([
-            "summarize", str(source), str(target), "--key", "name",
-            "--target", "bonus", "--no-bound-pruning", "--no-cost-routing",
-        ])
-        assert code == 0
-        assert "#1" in capsys.readouterr().out
+        assert "score-bound histogram" not in output
+        assert "exhaustive search or empty plan" in output
 
 
 class TestServeParser:
