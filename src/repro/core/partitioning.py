@@ -129,7 +129,7 @@ def cluster_changed_rows(
         return None
     source = pair.source
     changed_indices = np.nonzero(changed)[0]
-    changed_source = source.take(changed_indices.tolist())
+    changed_source = source.take(changed_indices)
     new_values = pair.target.numeric_column(target)[changed_indices]
 
     residuals = _global_residuals(changed_source, new_values, transformation_attributes, config)
@@ -333,27 +333,29 @@ def _categorical_descriptor(
     rest_mask: np.ndarray,
     config: CharlesConfig,
 ) -> Descriptor | None:
-    values = np.array(source.column(attribute), dtype=object)
-    member_values = [value for value in values[member_mask].tolist() if value is not None]
-    if not member_values:
+    codes, levels = source.categorical_codes(attribute)
+    member_codes = codes[member_mask]
+    member_codes = member_codes[member_codes >= 0]
+    if not member_codes.size:
         return None
-    counts: dict[object, int] = {}
-    for value in member_values:
-        counts[value] = counts.get(value, 0) + 1
-    dominant, dominant_count = max(counts.items(), key=lambda item: item[1])
-    purity = dominant_count / len(member_values)
+    # distinct member values in first-seen order, with their counts
+    distinct, first, tally = np.unique(member_codes, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    distinct, tally = distinct[order], tally[order]
+    dominant = int(np.argmax(tally))  # the first-seen value among equally common ones
+    purity = int(tally[dominant]) / int(member_codes.size)
+    rest_codes = codes[rest_mask]
     if purity >= config.purity_threshold:
         # only useful if the rest of the table is not equally dominated
-        rest_values = values[rest_mask]
         rest_share = (
-            float(np.mean(rest_values == dominant)) if rest_values.size else 0.0
+            float(np.mean(rest_codes == distinct[dominant])) if rest_codes.size else 0.0
         )
         if rest_share < 1.0:
-            return Descriptor.equals(attribute, dominant)
+            return Descriptor.equals(attribute, levels[distinct[dominant]])
         return None
     # a small set of values can still separate the cluster (e.g. edu IN {MS, PhD})
-    member_distinct = sorted(counts, key=lambda value: -counts[value])
-    rest_values = set(values[rest_mask].tolist()) - {None}
+    member_distinct = [levels[code] for code in distinct[np.argsort(-tally, kind="stable")]]
+    rest_values = {levels[code] for code in np.unique(rest_codes).tolist() if code >= 0}
     if 1 < len(member_distinct) <= 3:
         if rest_values and not rest_values.issubset(set(member_distinct)):
             return Descriptor.in_set(attribute, member_distinct)

@@ -57,6 +57,21 @@ class OneHotEncoder:
                 matrix[row, column] = 1.0
         return matrix
 
+    def transform_codes(self, codes: np.ndarray, levels: Sequence[Any]) -> np.ndarray:
+        """Encode dictionary ``codes`` indexing ``levels`` (``-1`` = missing).
+
+        The same matrix :meth:`transform` gives for the decoded values, but
+        each distinct level is looked up once.
+        """
+        if not self._fitted:
+            raise ModelFitError("transform called before fit")
+        matrix = np.zeros((len(codes), max(1, len(self.categories))), dtype=float)
+        lookup = np.array([self._index.get(level, -1) for level in levels] + [-1], dtype=np.intp)
+        columns = lookup[codes]
+        rows = np.flatnonzero(columns >= 0)
+        matrix[rows, columns[rows]] = 1.0
+        return matrix
+
     def fit_transform(self, values: Sequence[Any]) -> np.ndarray:
         """Fit and encode in one step."""
         return self.fit(values).transform(values)
@@ -145,9 +160,9 @@ class TableEncoder:
                 blocks.append(values.reshape(-1, 1))
                 self._feature_names.append(name)
             else:
-                encoder = OneHotEncoder().fit(table.column(name))
+                encoder = OneHotEncoder().fit(table.unique(name))
                 self._one_hot[name] = encoder
-                blocks.append(encoder.transform(table.column(name)))
+                blocks.append(encoder.transform_codes(*table.categorical_codes(name)))
                 self._feature_names.extend(encoder.feature_names(name))
         if extra_features is not None:
             extra = np.asarray(extra_features, dtype=float)

@@ -6,7 +6,7 @@ self-contained implementation:
 
 * :class:`~repro.relational.schema.Schema` / :class:`~repro.relational.schema.Column`
   — typed, validated relation schemas.
-* :class:`~repro.relational.table.Table` — immutable columnar tables with
+* :class:`~repro.relational.table.Table` — immutable, array-backed columnar tables with
   selection, projection, grouping, joins and numeric-matrix extraction.
 * :mod:`~repro.relational.expressions` — predicate AST plus a SQL-like parser.
 * :mod:`~repro.relational.csv_io` — CSV round-tripping with type inference.

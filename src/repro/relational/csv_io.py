@@ -34,7 +34,8 @@ def infer_column_dtype(values: Iterable[str], name: str | None = None) -> DType:
     could_be_int = True
     could_be_float = True
     could_be_bool = True
-    for raw in values:
+    # the verdict depends only on which strings occur, so test each once
+    for raw in set(values):
         text = raw.strip()
         if text.lower() in missing:
             continue
@@ -136,7 +137,18 @@ def _read(
         )
     elif primary_key is not None:
         schema = schema.with_primary_key(primary_key)
-    return Table.from_columns(raw_columns, schema=schema)
+    return Table(
+        schema,
+        {column.name: _coerce_text(column, raw_columns.get(column.name, [])) for column in schema},
+    )
+
+
+def _coerce_text(column: Column, raw_values: list[str]) -> list:
+    """``column.coerce_many(raw_values)``, coercing each distinct string once."""
+    # distinct strings in row order, so an invalid value is reported as it
+    # would be row by row
+    coerced = {raw: column.coerce(raw) for raw in dict.fromkeys(raw_values)}
+    return [coerced[raw] for raw in raw_values]
 
 
 def write_csv_text(table: Table, delimiter: str = ",") -> str:

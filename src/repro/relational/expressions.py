@@ -93,9 +93,14 @@ class Literal(Expression):
     value: Any
 
     def evaluate(self, table: Table) -> np.ndarray:
+        value = self.scalar()
+        return np.full(table.num_rows, value, dtype=float if isinstance(value, float) else object)
+
+    def scalar(self) -> Any:
+        """The value each row evaluates to: numbers (not bools) as ``float``."""
         if isinstance(self.value, bool) or not isinstance(self.value, (int, float)):
-            return np.full(table.num_rows, self.value, dtype=object)
-        return np.full(table.num_rows, float(self.value), dtype=float)
+            return self.value
+        return float(self.value)
 
     def __str__(self) -> str:
         if isinstance(self.value, str):
@@ -128,6 +133,10 @@ class Comparison(Expression):
             raise ExpressionError(f"unknown comparison operator {self.op!r}")
 
     def evaluate(self, table: Table) -> np.ndarray:
+        if self.op in ("=", "!="):
+            coded = self._over_codes(table)
+            if coded is not None:
+                return coded
         left = self.left.evaluate(table)
         right = self.right.evaluate(table)
         if left.dtype == object or right.dtype == object:
@@ -146,6 +155,29 @@ class Comparison(Expression):
         # missing numeric values never satisfy a comparison
         missing = np.isnan(left) | np.isnan(right)
         return np.asarray(result, dtype=bool) & ~missing
+
+    def _over_codes(self, table: Table) -> np.ndarray | None:
+        """``column = literal`` (or ``!=``, either side) on a categorical column.
+
+        Compares each distinct value once and gathers the answers by code;
+        returns ``None`` when the operands are not of that shape.
+        """
+        if isinstance(self.left, ColumnRef) and isinstance(self.right, Literal):
+            column, literal, flipped = self.left, self.right, False
+        elif isinstance(self.left, Literal) and isinstance(self.right, ColumnRef):
+            column, literal, flipped = self.right, self.left, True
+        else:
+            return None
+        if not table.schema.column(column.name).is_categorical:
+            return None
+        codes, levels = table.categorical_codes(column.name)
+        value = literal.scalar()
+        compare = _COMPARATORS[self.op]
+        answers = [
+            bool(compare(value, level) if flipped else compare(level, value))
+            for level in (*levels, None)
+        ]
+        return np.array(answers, dtype=bool)[codes]
 
     def columns(self) -> set[str]:
         return self.left.columns() | self.right.columns()
@@ -183,8 +215,14 @@ class IsIn(Expression):
     values: tuple[Any, ...]
 
     def evaluate(self, table: Table) -> np.ndarray:
-        values = self.operand.evaluate(table)
         allowed = set(self.values)
+        operand = self.operand
+        if isinstance(operand, ColumnRef) and table.schema.column(operand.name).is_categorical:
+            # test each distinct value once, gather the answers by code
+            codes, levels = table.categorical_codes(operand.name)
+            answers = [level in allowed for level in (*levels, None)]
+            return np.array(answers, dtype=bool)[codes]
+        values = operand.evaluate(table)
         return np.array([value in allowed for value in values.tolist()], dtype=bool)
 
     def columns(self) -> set[str]:

@@ -12,6 +12,7 @@ baselines all consume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Any, Sequence
 
 import numpy as np
@@ -94,8 +95,12 @@ class SnapshotPair:
                 "ChARLES requires update-only evolution"
             )
         target_position = {value: index for index, value in enumerate(target_keys)}
-        reordered_target = target.take(target_position[value] for value in source_keys)
-        return cls(source, reordered_target, key, tuple(source_keys))
+        order = np.fromiter(
+            (target_position[value] for value in source_keys),
+            dtype=np.intp,
+            count=len(source_keys),
+        )
+        return cls(source, target.take(order), key, tuple(source_keys))
 
     @staticmethod
     def _check_unique(values: Sequence[Any], which: str, key: str) -> None:
@@ -145,9 +150,9 @@ class SnapshotPair:
             # above are False, so mark one-sided missingness explicitly
             changed = np.asarray(changed, dtype=bool) | (old_missing ^ new_missing)
             return changed & ~(old_missing & new_missing)
-        old_values = self.source.column(attribute)
-        new_values = self.target.column(attribute)
-        return np.array([o != n for o, n in zip(old_values, new_values)], dtype=bool)
+        old_codes, levels = self.source.categorical_codes(attribute)
+        new_codes, _ = self.target.categorical_codes(attribute, levels)
+        return old_codes != new_codes
 
     def changed_attributes(self, tolerance: float = 1e-9) -> list[str]:
         """Names of all non-key attributes with at least one changed cell."""
@@ -182,7 +187,11 @@ class SnapshotPair:
         mask_array = np.asarray(mask, dtype=bool)
         source = self.source.mask(mask_array)
         target = self.target.mask(mask_array)
-        keys = tuple(value for value, keep in zip(self._key_values, mask_array) if keep)
+        if self.key is None:
+            keys = tuple(compress(self._key_values, mask_array.tolist()))
+        else:
+            # aligned rows: the key column of the source side is the key values
+            keys = tuple(source.column(self.key))
         return SnapshotPair(source, target, self.key, keys)
 
     def combined(self, target_attribute: str, suffix_old: str = "_old",

@@ -4,17 +4,34 @@ The reproduction needs a relational substrate that can hold two snapshots of a
 dataset, slice them by predicates, extract numeric matrices for regression and
 clustering, and group rows by categorical attributes.  ``pandas`` is not
 available in this environment, so :class:`Table` provides exactly that surface
-on top of plain Python lists and numpy arrays, validated against a
+on top of numpy arrays, validated against a
 :class:`~repro.relational.schema.Schema`.
 
-Tables are immutable in spirit: every operation returns a new table and never
-mutates the receiver, which keeps snapshot comparison honest.
+Every column is converted once, when the table is built, and never again:
+
+* a numeric column (INT, FLOAT) is one read-only float64 array with NaN for
+  missing values; an INT column holding a value beyond ±2**53, which float64
+  cannot represent exactly, also keeps its exact ints beside the floats;
+* a categorical column (STRING, BOOL) is dictionary-encoded: an int code per
+  row indexing a tuple of distinct values (first-seen order when built), with
+  ``-1`` for missing.
+
+Row subsets (:meth:`Table.take`, :meth:`Table.mask`) are fancy indexing over
+those arrays, and projections, renames and added columns reuse them, so
+slicing a table never re-converts a value.  The accessors that hand out Python
+values (:meth:`Table.column`, :meth:`Table.row`, :meth:`Table.to_rows`, ...)
+decode on demand and return ``int`` for INT, ``float`` for FLOAT, ``bool`` for
+BOOL, ``str`` for STRING and ``None`` for missing.
+
+Tables are immutable: every operation returns a new table, and the arrays
+behind a table are read-only (also after pickling), which keeps snapshot
+comparison honest.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -25,6 +42,9 @@ from repro.relational.schema import Column, DType, Schema
 __all__ = ["Table"]
 
 Row = dict[str, Any]
+
+#: the largest magnitude below which every int is exactly a float64
+_EXACT_FLOAT_INT = 2**53
 
 
 def _infer_dtype(values: Sequence[Any], name: str | None = None) -> DType:
@@ -71,25 +91,195 @@ def _infer_dtype(values: Sequence[Any], name: str | None = None) -> DType:
     return DType.STRING
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class _NumericData:
+    """An INT or FLOAT column: read-only float64 values, NaN for missing.
+
+    ``exact`` is ``None`` unless an INT column holds a value beyond ±2**53;
+    it then holds every value (ints and ``None``) in a read-only object array.
+    """
+
+    __slots__ = ("floats", "exact", "is_int")
+
+    def __init__(self, floats: np.ndarray, exact: np.ndarray | None, is_int: bool) -> None:
+        self.floats = _frozen(floats)
+        self.exact = None if exact is None else _frozen(exact)
+        self.is_int = is_int
+
+    @classmethod
+    def encode(cls, values: Sequence[Any], is_int: bool) -> "_NumericData":
+        exact = None
+        if is_int and any(
+            value is not None and not -_EXACT_FLOAT_INT <= value <= _EXACT_FLOAT_INT
+            for value in values
+        ):
+            exact = np.empty(len(values), dtype=object)
+            exact[:] = values
+            floats = np.array(
+                [np.nan if v is None else _int_to_float(v) for v in values], dtype=float
+            )
+        else:
+            # numpy converts None to NaN, and every int within ±2**53 exactly
+            floats = np.array(values, dtype=float)
+        return cls(floats, exact, is_int)
+
+    def __reduce__(self):
+        # numpy unpickles read-only arrays as writable; the constructor
+        # freezes them again
+        return (_NumericData, (self.floats, self.exact, self.is_int))
+
+    def __len__(self) -> int:
+        return len(self.floats)
+
+    def take(self, index: np.ndarray) -> "_NumericData":
+        exact = None if self.exact is None else self.exact[index]
+        return _NumericData(self.floats[index], exact, self.is_int)
+
+    def concat(self, other: "_NumericData") -> "_NumericData":
+        floats = np.concatenate([self.floats, other.floats])
+        exact = None
+        if self.exact is not None or other.exact is not None:
+            exact = np.empty(len(floats), dtype=object)
+            exact[:] = self.tolist() + other.tolist()
+        return _NumericData(floats, exact, self.is_int)
+
+    def tolist(self) -> list[Any]:
+        if self.exact is not None:
+            return self.exact.tolist()
+        if self.is_int:
+            return [None if value != value else int(value) for value in self.floats.tolist()]
+        return [None if value != value else value for value in self.floats.tolist()]
+
+    def item(self, index: int) -> Any:
+        if self.exact is not None:
+            return self.exact[index]
+        value = float(self.floats[index])
+        if value != value:
+            return None
+        return int(value) if self.is_int else value
+
+
+def _int_to_float(value: int) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        return float("inf") if value > 0 else float("-inf")
+
+
+class _CategoricalData:
+    """A STRING or BOOL column: read-only int codes indexing ``levels``.
+
+    ``levels`` holds each distinct value once; ``-1`` codes a missing value.
+    A slice shares its parent's levels, so a level need not occur in it.
+    """
+
+    __slots__ = ("codes", "levels", "decoder")
+
+    def __init__(self, codes: np.ndarray, levels: tuple[Any, ...],
+                 decoder: np.ndarray | None = None) -> None:
+        self.codes = _frozen(codes)
+        self.levels = levels
+        if decoder is None:
+            # levels plus a trailing None, so code -1 decodes to missing
+            decoder = np.empty(len(levels) + 1, dtype=object)
+            decoder[:-1] = levels
+            decoder = _frozen(decoder)
+        self.decoder = decoder
+
+    @classmethod
+    def encode(cls, values: Sequence[Any]) -> "_CategoricalData":
+        index: dict[Any, int] = {}
+        codes = np.fromiter(
+            (-1 if value is None else index.setdefault(value, len(index)) for value in values),
+            dtype=np.intp,
+            count=len(values),
+        )
+        return cls(codes, tuple(index))
+
+    def __reduce__(self):
+        return (_CategoricalData, (self.codes, self.levels))
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def take(self, index: np.ndarray) -> "_CategoricalData":
+        return _CategoricalData(self.codes[index], self.levels, self.decoder)
+
+    def codes_onto(self, levels: tuple[Any, ...]) -> np.ndarray:
+        """These codes translated to index ``levels``; absent values get ``-2``."""
+        if levels is self.levels or levels == self.levels:
+            return self.codes
+        position = {value: code for code, value in enumerate(levels)}
+        lookup = np.array([position.get(value, -2) for value in self.levels] + [-1], dtype=np.intp)
+        return lookup[self.codes]
+
+    def concat(self, other: "_CategoricalData") -> "_CategoricalData":
+        levels = self.levels
+        if other.levels is not levels and other.levels != levels:
+            known = set(levels)
+            levels = levels + tuple(value for value in other.levels if value not in known)
+        codes = np.concatenate([self.codes, other.codes_onto(levels)])
+        return _CategoricalData(codes, levels)
+
+    def tolist(self) -> list[Any]:
+        return self.decoder[self.codes].tolist()
+
+    def item(self, index: int) -> Any:
+        return self.decoder[self.codes[index]]
+
+
+_ColumnData = _NumericData | _CategoricalData
+
+
+def _encode(column: Column, values: Sequence[Any]) -> _ColumnData:
+    """Convert already-coerced Python values of ``column`` to array storage."""
+    if column.is_numeric:
+        return _NumericData.encode(values, column.dtype is DType.INT)
+    return _CategoricalData.encode(values)
+
+
 @dataclass(frozen=True)
 class Table:
     """An immutable, schema-validated columnar table.
 
     Construct tables with :meth:`from_rows` or :meth:`from_columns`; the raw
-    constructor expects already-coerced column data.
+    constructor expects already-coerced column data (Python sequences, which
+    it converts to array storage).
     """
 
     schema: Schema
-    _columns: dict[str, list[Any]]
+    _columns: dict[str, _ColumnData]
+    _num_rows: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        lengths = {name: len(values) for name, values in self._columns.items()}
-        if set(lengths) != set(self.schema.names):
+        if set(self._columns) != set(self.schema.names):
             raise SchemaError(
-                f"column data {sorted(lengths)} does not match schema {self.schema.names}"
+                f"column data {sorted(self._columns)} does not match schema {self.schema.names}"
             )
+        data: dict[str, _ColumnData] = {}
+        for column in self.schema:
+            values = self._columns[column.name]
+            if not isinstance(values, _ColumnData):
+                values = _encode(column, values)
+            data[column.name] = values
+        lengths = {name: len(values) for name, values in data.items()}
         if len(set(lengths.values())) > 1:
             raise SchemaError(f"ragged columns: {lengths}")
+        object.__setattr__(self, "_columns", data)
+        object.__setattr__(self, "_num_rows", lengths[self.schema.columns[0].name])
+
+    @classmethod
+    def _assemble(cls, schema: Schema, data: dict[str, _ColumnData]) -> "Table":
+        """A table over array storage already known to fit ``schema`` (no checks)."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "schema", schema)
+        object.__setattr__(table, "_columns", data)
+        object.__setattr__(table, "_num_rows", len(next(iter(data.values()))))
+        return table
 
     # -- construction ---------------------------------------------------------
 
@@ -160,8 +350,7 @@ class Table:
     @property
     def num_rows(self) -> int:
         """Number of rows."""
-        first = next(iter(self._columns.values()), [])
-        return len(first)
+        return self._num_rows
 
     @property
     def num_columns(self) -> int:
@@ -185,7 +374,7 @@ class Table:
         if not isinstance(other, Table):
             return NotImplemented
         return self.schema.names == other.schema.names and all(
-            self._columns[name] == other._columns[name] for name in self.schema.names
+            self.column(name) == other.column(name) for name in self.schema.names
         )
 
     def __hash__(self) -> int:  # frozen dataclass requires it; identity is fine
@@ -199,32 +388,56 @@ class Table:
     def column(self, name: str) -> list[Any]:
         """The values of column ``name`` as a new list."""
         self.schema.column(name)
-        return list(self._columns[name])
+        return self._columns[name].tolist()
 
     def numeric_column(self, name: str) -> np.ndarray:
-        """Column ``name`` as a float numpy array (missing values become NaN)."""
+        """Column ``name`` as a read-only float array (missing values are NaN).
+
+        The array is the table's own storage, returned without copying.
+        """
+        data = self._columns.get(name)
+        if isinstance(data, _NumericData):
+            return data.floats
         column = self.schema.column(name)
-        if not column.is_numeric:
-            raise SchemaError(f"column {name!r} is {column.dtype.value}, not numeric")
-        values = self._columns[name]
-        return np.array([np.nan if v is None else float(v) for v in values], dtype=float)
+        raise SchemaError(f"column {name!r} is {column.dtype.value}, not numeric")
 
     def numeric_matrix(self, names: Sequence[str]) -> np.ndarray:
         """A ``(num_rows, len(names))`` float matrix of the given numeric columns."""
-        if not names:
-            return np.empty((self.num_rows, 0), dtype=float)
-        return np.column_stack([self.numeric_column(name) for name in names])
+        matrix = np.empty((self.num_rows, len(names)), dtype=float)
+        for position, name in enumerate(names):
+            matrix[:, position] = self.numeric_column(name)
+        return matrix
+
+    def categorical_codes(
+        self, name: str, levels: tuple[Any, ...] | None = None
+    ) -> tuple[np.ndarray, tuple[Any, ...]]:
+        """Dictionary codes of STRING/BOOL column ``name`` and the levels they index.
+
+        Code ``-1`` marks a missing value; the codes array is read-only and
+        may include levels absent from this table.  With ``levels`` given, the
+        codes are translated to index that tuple instead, and values absent
+        from it get code ``-2``.
+        """
+        column = self.schema.column(name)
+        if not column.is_categorical:
+            raise SchemaError(f"column {name!r} is {column.dtype.value}, not categorical")
+        data = self._columns[name]
+        if levels is None:
+            return data.codes, data.levels
+        return data.codes_onto(levels), levels
 
     def row(self, index: int) -> Row:
         """Row ``index`` as a ``{column: value}`` dict."""
         if not 0 <= index < self.num_rows:
             raise IndexError(f"row index {index} out of range [0, {self.num_rows})")
-        return {name: self._columns[name][index] for name in self.schema.names}
+        return {name: self._columns[name].item(index) for name in self.schema.names}
 
     def rows(self) -> Iterator[Row]:
         """Iterate over rows as dicts."""
-        for index in range(self.num_rows):
-            yield self.row(index)
+        names = self.schema.names
+        columns = [self._columns[name].tolist() for name in names]
+        for values in zip(*columns):
+            yield dict(zip(names, values))
 
     def to_rows(self) -> list[Row]:
         """All rows as a list of dicts."""
@@ -242,21 +455,26 @@ class Table:
 
     def unique(self, name: str) -> list[Any]:
         """Distinct non-missing values of column ``name`` in first-seen order."""
+        data = self._columns[self.schema.column(name).name]
+        if isinstance(data, _CategoricalData):
+            distinct, first = np.unique(data.codes, return_index=True)
+            return [data.levels[code] for code in distinct[np.argsort(first)].tolist() if code >= 0]
         seen: dict[Any, None] = {}
-        for value in self._columns[self.schema.column(name).name]:
+        for value in data.tolist():
             if value is not None and value not in seen:
                 seen[value] = None
         return list(seen)
 
     # -- transformation -------------------------------------------------------
 
-    def take(self, indices: Iterable[int]) -> "Table":
+    def take(self, indices: Iterable[int] | np.ndarray) -> "Table":
         """A new table containing the rows at ``indices`` (in that order)."""
-        index_list = list(indices)
-        data = {
-            name: [self._columns[name][i] for i in index_list] for name in self.schema.names
-        }
-        return Table(self.schema, data)
+        if isinstance(indices, np.ndarray):
+            index = indices.astype(np.intp, copy=False)
+        else:
+            index = np.fromiter(indices, dtype=np.intp)
+        data = {name: values.take(index) for name, values in self._columns.items()}
+        return Table._assemble(self.schema, data)
 
     def mask(self, mask: Sequence[bool] | np.ndarray) -> "Table":
         """A new table with the rows where ``mask`` is true."""
@@ -265,7 +483,7 @@ class Table:
             raise SchemaError(
                 f"mask length {mask_array.shape} does not match {self.num_rows} rows"
             )
-        return self.take(np.nonzero(mask_array)[0].tolist())
+        return self.take(np.flatnonzero(mask_array))
 
     def filter(self, predicate: Callable[[Row], bool]) -> "Table":
         """Rows for which ``predicate(row)`` is true."""
@@ -274,7 +492,7 @@ class Table:
     def project(self, names: Sequence[str]) -> "Table":
         """Keep only the given columns, in the given order."""
         schema = self.schema.project(names)
-        return Table(schema, {name: list(self._columns[name]) for name in schema.names})
+        return Table._assemble(schema, {name: self._columns[name] for name in schema.names})
 
     def drop(self, names: Sequence[str]) -> "Table":
         """Remove the given columns."""
@@ -288,10 +506,8 @@ class Table:
         )
         key = self.schema.primary_key
         schema = Schema(columns, primary_key=mapping.get(key, key) if key else None)
-        data = {
-            mapping.get(name, name): list(self._columns[name]) for name in self.schema.names
-        }
-        return Table(schema, data)
+        data = {mapping.get(name, name): values for name, values in self._columns.items()}
+        return Table._assemble(schema, data)
 
     def with_column(
         self, name: str, values: Sequence[Any], dtype: DType | None = None
@@ -303,67 +519,69 @@ class Table:
                 f"new column {name!r} has {len(values)} values for {self.num_rows} rows"
             )
         column = Column(name, dtype if dtype is not None else _infer_dtype(values, name))
-        schema = self.schema.with_column(column)
-        data = {n: list(self._columns[n]) for n in self.schema.names if n in schema.names}
+        data: dict[str, Any] = dict(self._columns)
         data[name] = column.coerce_many(values)
-        return Table(schema, data)
+        return Table(self.schema.with_column(column), data)
 
     def sort_by(self, name: str, descending: bool = False) -> "Table":
-        """Rows sorted by column ``name`` (missing values last)."""
+        """Rows sorted by column ``name`` (missing values last, either direction).
+
+        The sort is stable: rows with equal values, and the missing rows, keep
+        their relative order.
+        """
         values = self.column(name)
-        order = sorted(
-            range(self.num_rows),
-            key=lambda i: (values[i] is None, values[i]),
-            reverse=descending,
-        )
-        return self.take(order)
+        present = [i for i, value in enumerate(values) if value is not None]
+        missing = [i for i, value in enumerate(values) if value is None]
+        order = sorted(present, key=values.__getitem__, reverse=descending)
+        return self.take(order + missing)
 
     def concat(self, other: "Table") -> "Table":
         """Rows of ``self`` followed by rows of ``other`` (schemas must match)."""
         if not self.schema.equivalent_to(other.schema):
             raise SchemaError("cannot concatenate tables with different schemas")
         data = {
-            name: list(self._columns[name]) + list(other._columns[name])
-            for name in self.schema.names
+            name: values.concat(other._columns[name]) for name, values in self._columns.items()
         }
-        return Table(self.schema, data)
+        return Table._assemble(self.schema, data)
 
     def group_by(self, names: Sequence[str]) -> dict[tuple[Any, ...], "Table"]:
         """Group rows by the values of ``names``; returns ``{key tuple: sub-table}``."""
         for name in names:
             self.schema.column(name)
         groups: dict[tuple[Any, ...], list[int]] = OrderedDict()
-        columns = [self._columns[name] for name in names]
-        for index in range(self.num_rows):
-            key = tuple(column[index] for column in columns)
+        columns = [self._columns[name].tolist() for name in names]
+        for index, key in enumerate(zip(*columns) if columns else [()] * self.num_rows):
             groups.setdefault(key, []).append(index)
         return {key: self.take(indices) for key, indices in groups.items()}
 
     def join(self, other: "Table", on: str, suffix: str = "_right") -> "Table":
-        """Inner equi-join on column ``on``; clashing right columns get ``suffix``."""
+        """Inner equi-join on column ``on``; clashing right columns get ``suffix``.
+
+        The result keeps every column's dtype and the left table's primary
+        key, whether or not any row matched.
+        """
         self.schema.column(on)
         other.schema.column(on)
         right_index: dict[Any, list[int]] = {}
-        for i, value in enumerate(other._columns[on]):
-            right_index.setdefault(value, []).append(i)
-        out_rows: list[Row] = []
-        for row in self.rows():
-            for j in right_index.get(row[on], []):
-                other_row = other.row(j)
-                merged = dict(row)
-                for name, value in other_row.items():
-                    if name == on:
-                        continue
-                    merged[name + suffix if name in row else name] = value
-                out_rows.append(merged)
-        if not out_rows:
-            names = list(self.column_names)
-            for name in other.column_names:
-                if name == on:
-                    continue
-                names.append(name + suffix if name in names else name)
-            return Table.empty(Schema.of({name: DType.STRING for name in names}))
-        return Table.from_rows(out_rows, primary_key=self.primary_key)
+        for j, value in enumerate(other.column(on)):
+            right_index.setdefault(value, []).append(j)
+        left_rows: list[int] = []
+        right_rows: list[int] = []
+        for i, value in enumerate(self.column(on)):
+            for j in right_index.get(value, ()):
+                left_rows.append(i)
+                right_rows.append(j)
+        left = self.take(left_rows)
+        right = other.take(right_rows)
+        columns = list(self.schema.columns)
+        data = dict(left._columns)
+        for column in other.schema:
+            if column.name == on:
+                continue
+            name = column.name + suffix if column.name in self.schema else column.name
+            columns.append(Column(name, column.dtype, column.nullable))
+            data[name] = right._columns[column.name]
+        return Table._assemble(Schema(tuple(columns), primary_key=self.primary_key), data)
 
     # -- summaries ------------------------------------------------------------
 
@@ -384,7 +602,13 @@ class Table:
 
     def value_counts(self, name: str) -> dict[Any, int]:
         """Occurrence counts of each distinct value of column ``name``."""
+        data = self._columns[self.schema.column(name).name]
         counts: dict[Any, int] = OrderedDict()
-        for value in self._columns[self.schema.column(name).name]:
+        if isinstance(data, _CategoricalData):
+            distinct, first, tally = np.unique(data.codes, return_index=True, return_counts=True)
+            for position in np.argsort(first).tolist():
+                counts[data.decoder[distinct[position]]] = int(tally[position])
+            return counts
+        for value in data.tolist():
             counts[value] = counts.get(value, 0) + 1
         return counts

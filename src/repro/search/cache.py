@@ -402,19 +402,17 @@ class PairFingerprints:
         column = table.schema.column(name)
         if column.is_numeric:
             return np.ascontiguousarray(table.numeric_column(name)).view(np.uint64)
-        values = table.column(name)
-        codes: dict[Any, int] = {}
-        out = np.empty(len(values), dtype=np.uint64)
-        for index, value in enumerate(values):
-            code = codes.get(value)
-            if code is None:
-                token = b"\x00" if value is None else repr(value).encode("utf-8")
-                code = int.from_bytes(
-                    hashlib.blake2b(token, digest_size=8).digest(), "little"
-                )
-                codes[value] = code
-            out[index] = code
-        return out
+        codes, levels = table.categorical_codes(name)
+        # one digest per distinct value, plus the missing marker for code -1
+        tokens = [repr(value).encode("utf-8") for value in levels] + [b"\x00"]
+        digests = np.array(
+            [
+                int.from_bytes(hashlib.blake2b(token, digest_size=8).digest(), "little")
+                for token in tokens
+            ],
+            dtype=np.uint64,
+        )
+        return digests[codes]
 
     def _source(self, name: str) -> np.ndarray:
         print_ = self._source_prints.get(name)

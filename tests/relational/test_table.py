@@ -161,6 +161,18 @@ class TestTransformation:
         ordered = small_table.sort_by("age", descending=True)
         assert ordered.column("age")[0] == 58
 
+    def test_sort_descending_puts_missing_last(self):
+        table = Table.from_rows([{"a": 3}, {"a": None}, {"a": 1}, {"a": None}, {"a": 3}])
+        assert table.sort_by("a", descending=True).column("a") == [3, 3, 1, None, None]
+        assert table.sort_by("a").column("a") == [1, 3, 3, None, None]
+
+    def test_sort_is_stable_both_ways(self):
+        table = Table.from_rows(
+            [{"k": "x", "a": 2}, {"k": "y", "a": None}, {"k": "z", "a": 2}, {"k": "w", "a": 1}]
+        )
+        assert table.sort_by("a", descending=True).column("k") == ["x", "z", "w", "y"]
+        assert table.sort_by("a").column("k") == ["w", "x", "z", "y"]
+
     def test_concat(self, small_table):
         doubled = small_table.concat(small_table)
         assert doubled.num_rows == 10
@@ -186,6 +198,30 @@ class TestTransformation:
         left = Table.from_rows([{"k": 1, "a": "x"}])
         right = Table.from_rows([{"k": 2, "b": 10}])
         assert left.join(right, on="k").num_rows == 0
+
+    def test_empty_join_keeps_dtypes_and_primary_key(self):
+        left = Table.from_rows([{"k": 1, "a": "x", "v": 1.5}], primary_key="k")
+        right = Table.from_rows([{"k": 2, "v": 10, "ok": True}])
+        joined = left.join(right, on="k")
+        assert joined.num_rows == 0
+        assert joined.column_names == ["k", "a", "v", "v_right", "ok"]
+        dtypes = {column.name: column.dtype for column in joined.schema}
+        assert dtypes == {
+            "k": DType.INT, "a": DType.STRING, "v": DType.FLOAT,
+            "v_right": DType.INT, "ok": DType.BOOL,
+        }
+        assert joined.primary_key == "k"
+
+    def test_join_schema_is_the_same_with_or_without_matches(self):
+        left = Table.from_rows([{"k": 1, "a": "x"}, {"k": 2, "a": None}], primary_key="k")
+        right = Table.from_rows([{"k": 2, "a": 0.5}, {"k": 2, "a": None}])
+        matched = left.join(right, on="k")
+        unmatched = left.join(right.mask([False, False]), on="k")
+        assert matched.schema == unmatched.schema
+        assert matched.to_rows() == [
+            {"k": 2, "a": None, "a_right": 0.5},
+            {"k": 2, "a": None, "a_right": None},
+        ]
 
 
 class TestSummaries:

@@ -171,6 +171,52 @@ class TestPairFingerprints:
         )
 
 
+class TestPairFingerprintGolden:
+    """Tokens pinned to fixed hex values, so cache keys cannot drift.
+
+    Disk and remote caches key entries by these tokens; a change to how a
+    table stores its columns must leave every token byte-identical, or
+    caches written before the change would silently go cold.  The pair mixes
+    every dtype with missing values, an INT beyond 2**53, ``-0.0``, a target
+    in a different row order and a restricted sub-pair.
+    """
+
+    @staticmethod
+    def _pair():
+        rows = [
+            {"id": 1, "edu": "PhD", "active": True, "exp": 3, "salary": 100.5, "bonus": 10},
+            {"id": 2, "edu": None, "active": False, "exp": 2**60, "salary": None, "bonus": 20},
+            {"id": 3, "edu": "MS", "active": None, "exp": None, "salary": -0.0, "bonus": None},
+            {"id": 4, "edu": "PhD", "active": True, "exp": -7, "salary": 1e300, "bonus": 40},
+            {"id": 5, "edu": "BS", "active": False, "exp": 0, "salary": 2.5, "bonus": 50},
+        ]
+        new_bonus = {1: 11, 2: 22, 3: 33, 4: 44, 5: None}
+        target_rows = [dict(rows[i], bonus=new_bonus[rows[i]["id"]]) for i in (2, 0, 4, 1, 3)]
+        source = Table.from_rows(rows, primary_key="id")
+        target = Table.from_rows(target_rows, primary_key="id")
+        return SnapshotPair.align(source, target)
+
+    def test_tokens_match_the_pinned_values(self):
+        pair = self._pair()
+        prints = PairFingerprints(pair, "bonus")
+        every_row = np.ones(5, dtype=bool)
+        some_rows = np.array([True, False, True, True, False])
+        assert prints.token(["edu", "active", "exp", "salary"], every_row).hex() == (
+            "1830506170ca51afbceb9a39950a0a84"
+        )
+        assert prints.token(["edu", "active"], some_rows).hex() == (
+            "824dcf7ca243b0058e149d376d76aecb"
+        )
+        assert prints.token(["exp"], pair.changed_mask("bonus")).hex() == (
+            "f4057fc237b71cf1b0fba6befb90b73e"
+        )
+
+    def test_restricted_pair_tokens_match_the_pinned_value(self):
+        sub = self._pair().restricted(np.array([False, True, True, True, False]))
+        token = PairFingerprints(sub, "bonus").token(["edu", "active", "exp"], np.ones(3, dtype=bool))
+        assert token.hex() == "390a6bcde44e2d5e0bc5b771c0b174d2"
+
+
 class TestMaskDigest:
     def test_distinct_masks_distinct_digests(self):
         a = np.array([True, False, True])
