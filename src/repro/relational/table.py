@@ -272,15 +272,6 @@ class Table:
         object.__setattr__(self, "_columns", data)
         object.__setattr__(self, "_num_rows", lengths[self.schema.columns[0].name])
 
-    @classmethod
-    def _assemble(cls, schema: Schema, data: dict[str, _ColumnData]) -> "Table":
-        """A table over array storage already known to fit ``schema`` (no checks)."""
-        table = object.__new__(cls)
-        object.__setattr__(table, "schema", schema)
-        object.__setattr__(table, "_columns", data)
-        object.__setattr__(table, "_num_rows", len(next(iter(data.values()))))
-        return table
-
     # -- construction ---------------------------------------------------------
 
     @classmethod
@@ -474,7 +465,7 @@ class Table:
         else:
             index = np.fromiter(indices, dtype=np.intp)
         data = {name: values.take(index) for name, values in self._columns.items()}
-        return Table._assemble(self.schema, data)
+        return Table(self.schema, data)
 
     def mask(self, mask: Sequence[bool] | np.ndarray) -> "Table":
         """A new table with the rows where ``mask`` is true."""
@@ -492,7 +483,7 @@ class Table:
     def project(self, names: Sequence[str]) -> "Table":
         """Keep only the given columns, in the given order."""
         schema = self.schema.project(names)
-        return Table._assemble(schema, {name: self._columns[name] for name in schema.names})
+        return Table(schema, {name: self._columns[name] for name in schema.names})
 
     def drop(self, names: Sequence[str]) -> "Table":
         """Remove the given columns."""
@@ -507,7 +498,7 @@ class Table:
         key = self.schema.primary_key
         schema = Schema(columns, primary_key=mapping.get(key, key) if key else None)
         data = {mapping.get(name, name): values for name, values in self._columns.items()}
-        return Table._assemble(schema, data)
+        return Table(schema, data)
 
     def with_column(
         self, name: str, values: Sequence[Any], dtype: DType | None = None
@@ -542,7 +533,7 @@ class Table:
         data = {
             name: values.concat(other._columns[name]) for name, values in self._columns.items()
         }
-        return Table._assemble(self.schema, data)
+        return Table(self.schema, data)
 
     def group_by(self, names: Sequence[str]) -> dict[tuple[Any, ...], "Table"]:
         """Group rows by the values of ``names``; returns ``{key tuple: sub-table}``."""
@@ -581,7 +572,7 @@ class Table:
             name = column.name + suffix if column.name in self.schema else column.name
             columns.append(Column(name, column.dtype, column.nullable))
             data[name] = right._columns[column.name]
-        return Table._assemble(Schema(tuple(columns), primary_key=self.primary_key), data)
+        return Table(Schema(tuple(columns), primary_key=self.primary_key), data)
 
     # -- summaries ------------------------------------------------------------
 
@@ -604,11 +595,6 @@ class Table:
         """Occurrence counts of each distinct value of column ``name``."""
         data = self._columns[self.schema.column(name).name]
         counts: dict[Any, int] = OrderedDict()
-        if isinstance(data, _CategoricalData):
-            distinct, first, tally = np.unique(data.codes, return_index=True, return_counts=True)
-            for position in np.argsort(first).tolist():
-                counts[data.decoder[distinct[position]]] = int(tally[position])
-            return counts
         for value in data.tolist():
             counts[value] = counts.get(value, 0) + 1
         return counts
