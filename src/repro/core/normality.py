@@ -10,7 +10,7 @@ on decimal roundness:
   (25, 1000, 0.05, ...);
 * normality decays with the number of significant decimal digits needed to
   write the value exactly;
-* :func:`snap_value` proposes the nearest rounder values so that fitted
+* :func:`snap_candidates` proposes the nearest rounder values so that fitted
   coefficients can be nudged onto normal constants when doing so does not hurt
   accuracy (handled by the discovery engine).
 """
@@ -79,9 +79,9 @@ def snap_candidates(value: float, max_candidates: int = 6) -> list[float]:
     """Nearby "rounder" values for ``value``, ordered from roundest to least round.
 
     Candidates are produced by rounding to 1..4 significant digits and to the
-    nearest integer; duplicates and the original value are removed.  The
-    discovery engine tries them in order and keeps the first one that does not
-    degrade accuracy beyond the configured tolerance.
+    nearest integer; duplicates and the original value are removed.
+    :meth:`~repro.core.transformation.LinearTransformation.snapped` weighs them
+    against the accuracy they cost.
     """
     if value is None or math.isnan(value) or math.isinf(value) or value == 0:
         return []

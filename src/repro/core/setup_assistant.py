@@ -99,6 +99,10 @@ class SetupAssistant:
                 values = source.numeric_column(name)
                 with_new = abs(_nan_to_zero(pearson(values, new_values)))
                 with_delta = abs(_nan_to_zero(pearson(values, delta)))
+            elif _all_distinct(source, name):
+                # a row identifier: one row per group makes the correlation
+                # ratio trivially 1 while the column explains nothing
+                with_new = with_delta = 0.0
             else:
                 values = source.column(name)
                 with_new = _nan_to_zero(correlation_ratio(values, new_values))
@@ -157,3 +161,10 @@ class SetupAssistant:
 
 def _nan_to_zero(value: float) -> float:
     return 0.0 if value is None or np.isnan(value) else float(value)
+
+
+def _all_distinct(table, name: str) -> bool:
+    """Whether every non-missing value of categorical column ``name`` is distinct."""
+    codes, _ = table.categorical_codes(name)
+    present = codes[codes >= 0]
+    return np.unique(present).size == present.size

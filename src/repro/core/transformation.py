@@ -10,9 +10,9 @@ scoring, snapping coefficients to rounder values, and rendering the equation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import product
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,9 +22,81 @@ from repro.ml.linreg import LinearRegression
 from repro.ml.model_tree import LeafModel
 from repro.relational.table import Table
 
-__all__ = ["LinearTransformation"]
+__all__ = ["LinearTransformation", "partition_errors"]
 
 _ZERO_EPSILON = 1e-10
+
+
+def partition_errors(
+    matrix: np.ndarray,
+    coefficients: np.ndarray,
+    intercepts: np.ndarray,
+    actual: np.ndarray,
+) -> np.ndarray:
+    """L1 errors of ``m`` linear candidates on one partition, in one pass.
+
+    ``matrix`` is the partition's ``(n, d)`` feature matrix, ``coefficients``
+    an ``(m, d)`` array with one candidate per row, ``intercepts`` the ``m``
+    intercepts and ``actual`` the ``n`` actual new values.  A candidate's
+    error is the sum of ``|prediction - actual|`` over the rows where both
+    are known, or ``inf`` when there is no such row.
+
+    Each error is bit-identical to summing the errors of that candidate's
+    :meth:`LinearTransformation.apply` with a 1-D ``np.sum``: a run of equal
+    coefficient rows costs one ``matrix @ c`` (one ``matrix @ C`` product
+    would round differently; in the snapping grid the intercept varies
+    fastest, so each distinct row is one run), intercepts are added by
+    broadcasting, and each candidate's errors are summed along one row of a
+    C-contiguous buffer.
+    """
+    intercepts = np.asarray(intercepts, dtype=float)
+    coefficients = np.ascontiguousarray(coefficients, dtype=float)
+    actual = np.asarray(actual, dtype=float)
+    starts = np.flatnonzero(np.r_[True, (coefficients[1:] != coefficients[:-1]).any(axis=1)])
+    predictions = np.empty((intercepts.size, actual.size))
+    for start, end in zip(starts, np.r_[starts[1:], intercepts.size]):
+        predictions[start:end] = matrix @ coefficients[start]
+    # with no features the product is 0.0, and 0.0 + intercept errs exactly
+    # as apply's constant prediction does
+    predictions += intercepts[:, None]
+    missing = np.isnan(predictions)
+    missing |= np.isnan(actual)
+    predictions -= actual
+    np.abs(predictions, out=predictions)
+    missing_rows = missing.any(axis=0)
+    if not np.array_equal(missing_rows, missing.all(axis=0)):
+        # the usable rows differ between candidates only through infinite
+        # values (inf * 0 and inf - inf are NaN): sum each on its own rows
+        return np.array(
+            [np.sum(error[~mask]) if not mask.all() else np.inf
+             for error, mask in zip(predictions, missing)]
+        )
+    if missing_rows.all():
+        return np.full(intercepts.size, np.inf)
+    if missing_rows.any():
+        predictions = predictions.compress(~missing_rows, axis=1)
+    return predictions.sum(axis=1)
+
+
+def _snap_options(constant: float) -> tuple[list[float], list[float]]:
+    """The values ``constant`` may snap to, and the normality of each.
+
+    The constant itself comes first, then 0 (for a non-zero constant), then
+    its :func:`~repro.core.normality.snap_candidates` that are rounder than
+    it, roundest first.
+    """
+    own = value_normality(constant)
+    values, normalities = [constant], [own]
+    if constant != 0.0:
+        # dropping a negligible term entirely is the most interpretable snap
+        values.append(0.0)
+        normalities.append(value_normality(0.0))
+    for candidate in snap_candidates(constant):
+        normality = value_normality(candidate)
+        if normality > own:
+            values.append(candidate)
+            normalities.append(normality)
+    return values, normalities
 
 
 @dataclass(frozen=True)
@@ -166,81 +238,100 @@ class LinearTransformation:
 
     def snapped(
         self,
-        accuracy_loss: Callable[["LinearTransformation"], float],
+        source: Table,
+        actual: np.ndarray,
         tolerance: float,
         max_combinations: int = 256,
     ) -> "LinearTransformation":
-        """Round coefficients to "normal" values when accuracy allows it.
+        """Round constants to "normal" values when accuracy allows it.
 
-        ``accuracy_loss`` maps a candidate transformation to a non-negative
-        penalty (e.g. relative L1 error increase on the partition); candidates
-        whose penalty exceeds ``tolerance`` are rejected.  Each constant is
-        snapped greedily, most-normal candidate first, and the best combination
-        found within ``max_combinations`` trials is returned.
+        A candidate's accuracy loss is its L1 error on the partition rows
+        ``source`` against their ``actual`` new values, minus this
+        transformation's error, relative to the summed magnitude of the known
+        actual values.  A candidate whose loss exceeds ``tolerance``, or is
+        unknown (NaN), is rejected.
+
+        Each constant may keep its value, drop to 0, or move to one of its
+        rounder :func:`~repro.core.normality.snap_candidates`.  When the
+        options (at most 6 per constant) combine to at most
+        ``max_combinations`` candidates, every combination is scored in one
+        :func:`partition_errors` call, and the winner has the fewest terms,
+        then the roundest constants, then the smallest loss; ties go to the
+        first combination in ``itertools.product`` order, and this
+        transformation is kept unless a candidate strictly beats it.  Beyond
+        that many combinations the constants are snapped greedily, one at a
+        time in order: each takes the first of 0 and its rounder values that
+        stays within ``tolerance``, given the constants snapped before it.
         """
-        constants = list(self.coefficients) + [self.intercept]
-        options: list[list[float]] = []
-        for constant in constants:
-            candidates = [constant]
-            if constant != 0.0:
-                # dropping a negligible term entirely is the most interpretable snap
-                candidates.append(0.0)
-            candidates.extend(
-                candidate for candidate in snap_candidates(constant)
-                if value_normality(candidate) > value_normality(constant)
-            )
-            options.append(candidates[:6])
-        total = 1
-        for candidates in options:
-            total *= len(candidates)
-        if total > max_combinations:
-            # too many combinations to enumerate: snap one constant at a time
-            return self._greedy_snap(accuracy_loss, tolerance)
-        best = self
-        best_key = (-self.complexity, self.normality(), 0.0)
-        for combination in product(*options):
-            candidate = LinearTransformation(
-                self.target,
-                self.feature_names,
-                tuple(combination[:-1]),
-                combination[-1],
-            )
-            loss = accuracy_loss(candidate)
-            if loss > tolerance:
-                continue
-            # prefer fewer terms, then rounder constants, then smaller accuracy loss
-            key = (-candidate.complexity, candidate.normality(), -loss)
-            if key > best_key:
-                best = candidate
-                best_key = key
-        return best
+        matrix = source.numeric_matrix(list(self.feature_names))
+        actual = np.asarray(actual, dtype=float)
+        scale = float(np.nansum(np.abs(actual))) or 1.0
+        options = [_snap_options(constant) for constant in (*self.coefficients, self.intercept)]
+        if math.prod(min(len(values), 6) for values, _ in options) > max_combinations:
+            return self._greedy_snap(matrix, actual, scale, tolerance, options)
+        options = [(values[:6], normalities[:6]) for values, normalities in options]
+        # one column per combination, in product order (the intercept varies
+        # fastest); combination 0 keeps every constant, so it is ``self``
+        grid = np.indices([len(values) for values, _ in options]).reshape(len(options), -1)
+        size = grid.shape[1]
+        columns = []
+        complexity = np.zeros(size, dtype=int)
+        normality_sum = np.zeros(size)
+        counted = np.zeros(size, dtype=int)
+        for position, ((values, normalities), indices) in enumerate(zip(options, grid)):
+            values = np.asarray(values, dtype=float)
+            is_term = np.abs(values) > _ZERO_EPSILON
+            # the constants normality() averages: a coefficient of 1 is not one
+            is_scored = is_term
+            if position < len(self.coefficients):
+                is_scored = is_term & (np.abs(values - 1.0) > _ZERO_EPSILON)
+            columns.append(values[indices])
+            complexity += is_term[indices]
+            normality_sum += np.where(is_scored, normalities, 0.0)[indices]
+            counted += is_scored[indices]
+        normality = np.where(counted > 0, normality_sum / np.maximum(counted, 1), 1.0)
+        coefficients = np.column_stack(columns[:-1]) if columns[:-1] else np.empty((size, 0))
+        errors = partition_errors(matrix, coefficients, columns[-1], actual)
+        with np.errstate(invalid="ignore"):  # inf - inf: no usable row
+            losses = (errors - errors[0]) / scale
+        # prefer fewer terms, then rounder constants, then smaller accuracy
+        # loss; the first combination reaching the best key wins
+        best = np.flatnonzero(losses <= tolerance)
+        if not best.size:
+            return self
+        for key in (complexity, -normality, losses):
+            best = best[key[best] == key[best].min()]
+        best = best[0]
+        best_key = (-int(complexity[best]), float(normality[best]), -float(losses[best]))
+        if best_key <= (-int(complexity[0]), float(normality[0]), 0.0):
+            return self
+        chosen = [values[index] for (values, _), index in zip(options, grid[:, best])]
+        return LinearTransformation(self.target, self.feature_names, tuple(chosen[:-1]), chosen[-1])
 
     def _greedy_snap(
         self,
-        accuracy_loss: Callable[["LinearTransformation"], float],
+        matrix: np.ndarray,
+        actual: np.ndarray,
+        scale: float,
         tolerance: float,
+        options: list[tuple[list[float], list[float]]],
     ) -> "LinearTransformation":
-        current = self
-        constants = list(self.coefficients) + [self.intercept]
-        for index, constant in enumerate(constants):
-            candidates = [0.0] if constant != 0.0 else []
-            candidates += [
-                candidate for candidate in snap_candidates(constant)
-                if value_normality(candidate) > value_normality(constant)
-            ]
-            for candidate_value in candidates:
-                new_constants = list(current.coefficients) + [current.intercept]
-                new_constants[index] = candidate_value
-                candidate = LinearTransformation(
-                    current.target,
-                    current.feature_names,
-                    tuple(new_constants[:-1]),
-                    new_constants[-1],
-                )
-                if accuracy_loss(candidate) <= tolerance:
-                    current = candidate
-                    break
-        return current
+        constants = [*self.coefficients, self.intercept]
+        baseline = partition_errors(matrix, [self.coefficients], [self.intercept], actual)[0]
+        for position, (values, _) in enumerate(options):
+            trials = values[1:]
+            if not trials:
+                continue
+            candidates = np.tile(np.asarray(constants, dtype=float), (len(trials), 1))
+            candidates[:, position] = trials
+            errors = partition_errors(matrix, candidates[:, :-1], candidates[:, -1], actual)
+            with np.errstate(invalid="ignore"):
+                passing = np.flatnonzero((errors - baseline) / scale <= tolerance)
+            if passing.size:
+                constants[position] = trials[passing[0]]
+        return LinearTransformation(
+            self.target, self.feature_names, tuple(constants[:-1]), constants[-1]
+        )
 
     # -- conversion / rendering --------------------------------------------------
 

@@ -43,7 +43,7 @@ from repro.core.partitioning import (
 )
 from repro.core.scoring import ScoreBreakdown, accuracy, interpretability, score_summary
 from repro.core.summary import ChangeSummary, ConditionalTransformation
-from repro.core.transformation import LinearTransformation
+from repro.core.transformation import LinearTransformation, partition_errors
 from repro.exceptions import ModelFitError
 from repro.ml.linreg import LinearRegression
 from repro.obs.metrics import get_registry
@@ -753,13 +753,7 @@ class CandidateEvaluator:
         if not transformation.feature_names and transformation.intercept == 0.0:
             return None
         baseline_error = self._partition_error(transformation, source_rows, actual_new)
-        scale = float(np.sum(np.abs(actual_new))) or 1.0
-
-        def accuracy_loss(candidate: LinearTransformation) -> float:
-            candidate_error = self._partition_error(candidate, source_rows, actual_new)
-            return (candidate_error - baseline_error) / scale
-
-        snapped = transformation.snapped(accuracy_loss, self._config.snapping_tolerance)
+        snapped = transformation.snapped(source_rows, actual_new, self._config.snapping_tolerance)
         # if the partition turns out to be unchanged, prefer the explicit identity
         identity = LinearTransformation.identity(self._target)
         if self._partition_error(identity, source_rows, actual_new) <= baseline_error + 1e-9:
@@ -798,8 +792,8 @@ class CandidateEvaluator:
     def _partition_error(
         transformation: LinearTransformation, source_rows: Table, actual_new: np.ndarray
     ) -> float:
-        predictions = transformation.apply(source_rows)
-        usable = ~np.isnan(predictions) & ~np.isnan(actual_new)
-        if not usable.any():
-            return float("inf")
-        return float(np.sum(np.abs(predictions[usable] - actual_new[usable])))
+        matrix = source_rows.numeric_matrix(list(transformation.feature_names))
+        errors = partition_errors(
+            matrix, [transformation.coefficients], [transformation.intercept], actual_new
+        )
+        return float(errors[0])

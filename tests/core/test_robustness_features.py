@@ -99,3 +99,24 @@ class TestRefinementAndTrimming:
         )
         assert result.summaries
         assert 0.0 <= result.best.score <= 1.0
+
+
+class TestMissingTargetValues:
+    def test_one_missing_new_value_does_not_disable_snapping_accuracy(self):
+        """A blank new value used to make every snapping loss NaN and accept any constant."""
+        pair = employee_pair(300, seed=7)
+        shortlists = {"condition_attributes": ["edu", "exp"],
+                      "transformation_attributes": ["bonus", "salary"]}
+        complete = Charles().summarize_pair(pair, "bonus", **shortlists)
+        edu = pair.source.column("edu")
+        old, new = pair.source.column("bonus"), pair.target.column("bonus")
+        row = next(
+            index for index in range(pair.num_rows)
+            if edu[index] == "PhD" and old[index] != new[index]
+        )
+        new[row] = None
+        target = pair.target.with_column("bonus", new, dtype=pair.schema.column("bonus").dtype)
+        result = Charles().summarize(pair.source, target, "bonus", key="name", **shortlists)
+        assert result.best.summary.describe() == complete.best.summary.describe()
+        assert "1.05 x bonus + 1000" in result.best.summary.describe()
+        assert result.best.score > 0.9

@@ -5,6 +5,9 @@ import pytest
 from repro.core.config import CharlesConfig
 from repro.core.setup_assistant import SetupAssistant
 from repro.exceptions import DiscoveryError
+from repro.relational.csv_io import read_csv_text, write_csv_text
+from repro.relational.snapshot import SnapshotPair
+from repro.workloads import employee_pair
 
 
 class TestSetupAssistant:
@@ -65,3 +68,21 @@ class TestSetupAssistant:
     def test_industry_detected_for_billionaires(self, billionaires_300):
         suggestions = SetupAssistant().suggest(billionaires_300, "net_worth")
         assert "industry" in suggestions.selected_condition_attributes
+
+
+class TestRowIdentifiers:
+    def test_identifier_column_scores_zero_without_a_key(self):
+        """Aligned by row order, ``name`` is an ordinary column with one row per value."""
+        pair = employee_pair(200, seed=7)
+        names = pair.source.column("name")
+        names[3] = None  # a missing value does not make the column less of an identifier
+        source = read_csv_text(write_csv_text(pair.source.with_column("name", names)))
+        target = read_csv_text(write_csv_text(pair.target))
+        unkeyed = SnapshotPair.align(source, target)
+        assert unkeyed.key is None
+        suggestions = SetupAssistant().suggest(unkeyed, "bonus")
+        scores = {s.attribute: s.association for s in suggestions.condition_candidates}
+        assert scores["name"] == 0.0
+        assert "name" not in suggestions.selected_condition_attributes
+        keyed = SetupAssistant().suggest(pair, "bonus")
+        assert suggestions.selected_condition_attributes == keyed.selected_condition_attributes

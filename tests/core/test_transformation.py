@@ -66,20 +66,12 @@ class TestComplexityAndNormality:
 
 
 class TestSnapping:
-    def _loss_for(self, source, actual):
-        def loss(candidate: LinearTransformation) -> float:
-            predictions = candidate.apply(source)
-            baseline = float(np.sum(np.abs(actual)))
-            return float(np.sum(np.abs(predictions - actual))) / baseline
-
-        return loss
-
     def test_snaps_near_round_coefficients(self, fig1_tables):
         source, _ = fig1_tables
         truth = LinearTransformation("bonus", ("bonus",), (1.05,), 1000.0)
         actual = truth.apply(source)
         fitted = LinearTransformation("bonus", ("bonus",), (1.0500000231,), 999.99992)
-        snapped = fitted.snapped(self._loss_for(source, actual), tolerance=0.001)
+        snapped = fitted.snapped(source, actual, tolerance=0.001)
         assert snapped.coefficients[0] == pytest.approx(1.05)
         assert snapped.intercept == pytest.approx(1000.0)
 
@@ -87,7 +79,7 @@ class TestSnapping:
         source, _ = fig1_tables
         actual = 1.05 * source.numeric_column("bonus")
         fitted = LinearTransformation("bonus", ("bonus",), (1.05,), 0.00042)
-        snapped = fitted.snapped(self._loss_for(source, actual), tolerance=0.001)
+        snapped = fitted.snapped(source, actual, tolerance=0.001)
         assert snapped.intercept == 0.0
         assert snapped.complexity == 1
 
@@ -95,14 +87,14 @@ class TestSnapping:
         source, _ = fig1_tables
         truth = LinearTransformation("bonus", ("bonus",), (1.0487,), 0.0)
         actual = truth.apply(source)
-        snapped = truth.snapped(self._loss_for(source, actual), tolerance=1e-6)
+        snapped = truth.snapped(source, actual, tolerance=1e-6)
         assert snapped.coefficients[0] == pytest.approx(1.0487)
 
     def test_zero_tolerance_keeps_exact_equivalents_only(self, fig1_tables):
         source, _ = fig1_tables
         truth = LinearTransformation("bonus", ("bonus",), (1.05,), 1000.0)
         actual = truth.apply(source)
-        snapped = truth.snapped(self._loss_for(source, actual), tolerance=0.0)
+        snapped = truth.snapped(source, actual, tolerance=0.0)
         assert snapped.coefficients[0] == pytest.approx(1.05)
         assert snapped.intercept == pytest.approx(1000.0)
 
