@@ -29,8 +29,7 @@ Contract points, recorded in the JSON report:
   arm's (enforced outside smoke mode; warns in smoke, where shared runners
   are noisy) and its failover count is non-zero.
 
-Run it directly (smoke output must not overwrite the committed full-size
-``BENCH_cache_fabric.json``)::
+Run it directly::
 
     PYTHONPATH=src python benchmarks/bench_cache_fabric.py --smoke --output bench_cache_fabric.json
 """

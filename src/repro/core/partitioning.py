@@ -19,7 +19,7 @@ the partition, which keeps every reported summary faithful to what it claims.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -37,9 +37,13 @@ __all__ = [
     "Partition",
     "discover_partitions",
     "cluster_changed_rows",
+    "clustering_matrix",
     "partitions_from_labels",
     "induce_condition",
 ]
+
+#: residual-derived features appended to the encoded condition attributes
+_N_RESIDUAL_FEATURES = 2
 
 
 @dataclass(frozen=True)
@@ -108,12 +112,13 @@ def cluster_changed_rows(
     n_partitions: int,
     config: CharlesConfig | None = None,
     residual_weight: float = 1.0,
+    clustering_input: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """The clustering stage of partition discovery: changed rows and their labels.
 
-    This is the expensive half of :func:`discover_partitions` (global
-    regression, residual features, k-means with restarts) and — crucially for
-    incremental maintenance (:mod:`repro.search.maintenance`) — it reads
+    Runs k-means over :func:`clustering_matrix` of the changed rows, with the
+    residual features weighted by ``residual_weight``.  Crucially for
+    incremental maintenance (:mod:`repro.search.maintenance`) it reads
     *only* the changed rows: the source-side values of the condition,
     transformation and target attributes plus the target-side values of the
     target attribute, restricted to ``pair.changed_mask(target)``.  Two pairs
@@ -121,17 +126,51 @@ def cluster_changed_rows(
     labels)``, which is what lets a cached clustering be transported across a
     delta that only touches other rows or attributes.
 
+    ``clustering_input``, when given, is called with the changed row indices
+    and must return what :func:`clustering_matrix` returns for these
+    arguments; a caller that clusters one input at several partition counts
+    and weights passes a memoised one.  It is not called for
+    ``n_partitions <= 1`` or a single changed row, which need no clustering.
+
     Returns ``None`` when no row changed (discovery yields no partitions).
     """
     config = config or CharlesConfig()
     changed = pair.changed_mask(target)
     if not changed.any():
         return None
-    source = pair.source
     changed_indices = np.nonzero(changed)[0]
-    changed_source = source.take(changed_indices)
-    new_values = pair.target.numeric_column(target)[changed_indices]
+    if n_partitions <= 1 or changed_indices.size <= 1:
+        return changed_indices, np.zeros(changed_indices.size, dtype=int)
+    if clustering_input is None:
+        matrix = clustering_matrix(
+            pair, target, changed_indices, condition_attributes, transformation_attributes, config
+        )
+    else:
+        matrix = clustering_input(changed_indices)
+    # weighting the distance-from-the-regression-line features up makes clusters
+    # group rows by change pattern first and by attribute geometry second
+    weighted = matrix.copy()
+    weighted[:, -_N_RESIDUAL_FEATURES:] *= residual_weight
+    k = min(n_partitions, changed_indices.size)
+    return changed_indices, KMeans(k, seed=config.seed).fit(weighted).labels
 
+
+def clustering_matrix(
+    pair: SnapshotPair,
+    target: str,
+    changed_indices: np.ndarray,
+    condition_attributes: Sequence[str],
+    transformation_attributes: Sequence[str],
+    config: CharlesConfig,
+) -> np.ndarray:
+    """The unweighted, scaled k-means input of the changed rows.
+
+    One row per entry of ``changed_indices``: the encoded condition
+    attributes followed by the two residual features (absolute and relative
+    distance from the global regression line), min-max scaled together.
+    """
+    changed_source = pair.source.take(changed_indices)
+    new_values = pair.target.numeric_column(target)[changed_indices]
     residuals = _global_residuals(changed_source, new_values, transformation_attributes, config)
     # the *relative* residual (residual as a share of the old value) separates
     # multiplicative policies whose absolute effect scales with the value itself
@@ -143,11 +182,12 @@ def cluster_changed_rows(
     residual_features = np.column_stack(
         [_winsorise(residuals), _winsorise(relative_residuals)]
     )
-    labels = _cluster(
-        changed_source, condition_attributes, residual_features,
-        n_partitions, config, residual_weight,
+    encoder = TableEncoder(list(condition_attributes))
+    return encoder.fit_transform(
+        changed_source,
+        extra_features=residual_features,
+        extra_names=tuple(f"__residual_{i}__" for i in range(_N_RESIDUAL_FEATURES)),
     )
-    return changed_indices, labels
 
 
 def partitions_from_labels(
@@ -246,41 +286,7 @@ def _global_residuals(
 
 
 # ---------------------------------------------------------------------------
-# Step 2: k-means over condition attributes + residual
-# ---------------------------------------------------------------------------
-
-
-def _cluster(
-    changed_source: Table,
-    condition_attributes: Sequence[str],
-    residuals: np.ndarray,
-    n_partitions: int,
-    config: CharlesConfig,
-    residual_weight: float,
-) -> np.ndarray:
-    """Cluster the changed rows; ``residuals`` may hold several residual-derived columns."""
-    if n_partitions <= 1 or changed_source.num_rows <= 1:
-        return np.zeros(changed_source.num_rows, dtype=int)
-    residual_matrix = np.asarray(residuals, dtype=float)
-    if residual_matrix.ndim == 1:
-        residual_matrix = residual_matrix.reshape(-1, 1)
-    n_residual_features = residual_matrix.shape[1]
-    encoder = TableEncoder(list(condition_attributes))
-    matrix = encoder.fit_transform(
-        changed_source,
-        extra_features=residual_matrix,
-        extra_names=tuple(f"__residual_{i}__" for i in range(n_residual_features)),
-    )
-    # weighting the distance-from-the-regression-line features up makes clusters
-    # group rows by change pattern first and by attribute geometry second
-    matrix[:, -n_residual_features:] *= residual_weight
-    k = min(n_partitions, changed_source.num_rows)
-    result = KMeans(k, seed=config.seed).fit(matrix)
-    return result.labels
-
-
-# ---------------------------------------------------------------------------
-# Step 3: translating clusters into readable conditions
+# Step 2: translating clusters into readable conditions
 # ---------------------------------------------------------------------------
 
 

@@ -84,8 +84,8 @@ def accuracy(summary: ChangeSummary, pair: SnapshotPair, sharpness: float = 1.0)
     actual = pair.target.numeric_column(summary.target)
     original = pair.source.numeric_column(summary.target)
     predictions = summary.apply(pair.source)
-    predictions = np.where(np.isnan(predictions), original, predictions)
-    usable = ~np.isnan(actual) & ~np.isnan(original)
+    predictions = np.where(np.isfinite(predictions), predictions, original)
+    usable = np.isfinite(actual) & np.isfinite(original)
     if not usable.any():
         return 1.0
     error = float(np.sum(np.abs(predictions[usable] - actual[usable])))

@@ -42,6 +42,21 @@ class KMeansResult:
 class KMeans:
     """Lloyd's algorithm with k-means++ initialisation.
 
+    Each update computes every centroid at once: one ``np.bincount`` sums the
+    members' coordinates per (label, column) and one counts the members.
+    ``bincount`` adds the rows in row order starting from 0.0, exactly as an
+    axis-0 ``mean`` of a cluster's members does for two or more columns, so
+    the centroids are bit-identical to the per-cluster means (an all-zero sum
+    may differ in sign only, which no distance sees).  For a single column
+    ``mean`` sums pairwise, and centroids can then differ in the last bit.
+    Every empty cluster is re-seeded at the point farthest from its centroid.
+
+    A run stops early, exactly, when an iteration assigns the same labels
+    whose means are the current centroids (and no cluster was re-seeded):
+    the next update would reproduce those centroids bit for bit, so the
+    movement is 0 and the current distances are final.  This only applies
+    when ``tolerance >= 0``.
+
     Parameters
     ----------
     n_clusters:
@@ -103,27 +118,43 @@ class KMeans:
     # -- internals ------------------------------------------------------------
 
     def _single_run(self, matrix: np.ndarray, k: int, rng: np.random.Generator) -> KMeansResult:
+        width = matrix.shape[1]
+        values = matrix.ravel()
+        # bin of every matrix entry in the flattened (k, width) centroid sums
+        columns = np.arange(width)
         centroids = _kmeans_plus_plus_init(matrix, k, rng)
-        labels = np.zeros(matrix.shape[0], dtype=int)
+        # labels whose exact means are `centroids` (no cluster was re-seeded)
+        settled: np.ndarray | None = None
+        distances: np.ndarray | None = None
         iterations = 0
         for iterations in range(1, self.max_iterations + 1):
             distances = _pairwise_squared_distances(matrix, centroids)
             labels = np.argmin(distances, axis=1)
-            new_centroids = centroids.copy()
-            for label in range(k):
-                members = matrix[labels == label]
-                if members.shape[0] == 0:
-                    # empty cluster: re-seed it at the point farthest from its centroid
-                    farthest = int(np.argmax(np.min(distances, axis=1)))
-                    new_centroids[label] = matrix[farthest]
-                else:
-                    new_centroids[label] = members.mean(axis=0)
+            if settled is not None and np.array_equal(labels, settled):
+                # the update would return `centroids` bit for bit (movement 0)
+                # and the final pass would recompute these distances
+                break
+            counts = np.bincount(labels, minlength=k)
+            sums = np.bincount(
+                (labels[:, None] * width + columns).ravel(), weights=values, minlength=k * width
+            ).reshape(k, width)
+            new_centroids = sums / np.maximum(counts, 1)[:, None]
+            empty = counts == 0
+            if empty.any():
+                # re-seed every empty cluster at the point farthest from its centroid
+                farthest = int(np.argmax(np.min(distances, axis=1)))
+                new_centroids[empty] = matrix[farthest]
+                settled = None
+            else:
+                settled = labels if self.tolerance >= 0 else None
             movement = float(np.linalg.norm(new_centroids - centroids))
             centroids = new_centroids
+            distances = None
             if movement <= self.tolerance:
                 break
-        distances = _pairwise_squared_distances(matrix, centroids)
-        labels = np.argmin(distances, axis=1)
+        if distances is None:
+            distances = _pairwise_squared_distances(matrix, centroids)
+            labels = np.argmin(distances, axis=1)
         inertia = float(np.sum(np.min(distances, axis=1)))
         return KMeansResult(centroids=centroids, labels=labels, inertia=inertia,
                             iterations=iterations)
@@ -132,7 +163,8 @@ class KMeans:
 def _pairwise_squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Squared Euclidean distance between every point and every centroid."""
     diff = points[:, None, :] - centroids[None, :, :]
-    return np.sum(diff * diff, axis=2)
+    diff *= diff
+    return np.add.reduce(diff, axis=2)
 
 
 def _kmeans_plus_plus_init(matrix: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

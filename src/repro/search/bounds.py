@@ -119,7 +119,7 @@ class ScoreBoundIndex:
             self._config = config
             actual = pair.target.numeric_column(target)
             original = pair.source.numeric_column(target)
-            self._usable = ~np.isnan(actual) & ~np.isnan(original)
+            self._usable = np.isfinite(actual) & np.isfinite(original)
             self._actual = actual[self._usable]
             self._baseline = float(
                 np.sum(np.abs(original[self._usable] - actual[self._usable]))

@@ -38,6 +38,7 @@ from repro.core.config import CharlesConfig
 from repro.core.partitioning import (
     Partition,
     cluster_changed_rows,
+    clustering_matrix,
     induce_condition,
     partitions_from_labels,
 )
@@ -147,6 +148,10 @@ class CandidateEvaluator:
         self._prints = PairFingerprints(pair, target)
         self._maintenance = maintenance
         self._changed_cache: np.ndarray | None = None
+        # unweighted clustering inputs by (C, T, scope content token): every
+        # partition count and residual weight of one scope clusters the same
+        # matrix.  Lives as long as the evaluator, like the fingerprints.
+        self._clustering_inputs: dict[tuple, np.ndarray] = {}
         self.caches = caches or SearchCaches(config.search_cache_capacity)
         # the process-wide tracer singleton; its `.enabled` flag is the only
         # overhead evaluation pays when tracing is off
@@ -328,6 +333,7 @@ class CandidateEvaluator:
                     outcome = "recomputed"
                 entry = self._discover_entry(
                     scope_pair,
+                    key[-1],
                     condition_subset,
                     transformation_subset,
                     n_partitions,
@@ -352,9 +358,34 @@ class CandidateEvaluator:
             self._changed_cache = self._pair.changed_mask(self._target)
         return self._changed_cache
 
+    def _clustering_input(
+        self,
+        scope_pair: SnapshotPair,
+        scope_token: bytes,
+        condition_subset: tuple[str, ...],
+        transformation_subset: tuple[str, ...],
+        changed_indices: np.ndarray,
+    ) -> np.ndarray:
+        """The scope's unweighted clustering matrix, built once per (C, T, scope)."""
+        key = (condition_subset, transformation_subset, scope_token)
+        matrix = self._clustering_inputs.get(key)
+        if matrix is None:
+            matrix = clustering_matrix(
+                scope_pair,
+                self._target,
+                changed_indices,
+                condition_subset,
+                transformation_subset,
+                self._config,
+            )
+            matrix.setflags(write=False)
+            self._clustering_inputs[key] = matrix
+        return matrix
+
     def _discover_entry(
         self,
         scope_pair: SnapshotPair,
+        scope_token: bytes,
         condition_subset: tuple[str, ...],
         transformation_subset: tuple[str, ...],
         n_partitions: int,
@@ -379,6 +410,9 @@ class CandidateEvaluator:
             n_partitions,
             self._config,
             residual_weight=residual_weight,
+            clustering_input=lambda changed_indices: self._clustering_input(
+                scope_pair, scope_token, condition_subset, transformation_subset, changed_indices
+            ),
         )
         if clustered is None:
             changed_indices = np.empty(0, dtype=np.intp)
@@ -753,12 +787,11 @@ class CandidateEvaluator:
         if not transformation.feature_names and transformation.intercept == 0.0:
             return None
         baseline_error = self._partition_error(transformation, source_rows, actual_new)
-        snapped = transformation.snapped(source_rows, actual_new, self._config.snapping_tolerance)
         # if the partition turns out to be unchanged, prefer the explicit identity
         identity = LinearTransformation.identity(self._target)
         if self._partition_error(identity, source_rows, actual_new) <= baseline_error + 1e-9:
             return identity
-        return snapped
+        return transformation.snapped(source_rows, actual_new, self._config.snapping_tolerance)
 
     def _trimmed_refit(
         self,

@@ -9,8 +9,14 @@ import numpy as np
 import pytest
 
 from repro.core import Charles, CharlesConfig
+from repro.core.condition import Condition
 from repro.core.partitioning import _tolerant_threshold_descriptor, induce_condition
+from repro.core.scoring import accuracy
+from repro.core.summary import ChangeSummary, ConditionalTransformation
+from repro.core.transformation import LinearTransformation
 from repro.evaluation.metrics import rule_recovery
+from repro.relational.snapshot import SnapshotPair
+from repro.relational.table import Table
 from repro.workloads import bonus_policy, employee_pair
 
 
@@ -120,3 +126,70 @@ class TestMissingTargetValues:
         assert result.best.summary.describe() == complete.best.summary.describe()
         assert "1.05 x bonus + 1000" in result.best.summary.describe()
         assert result.best.score > 0.9
+
+
+class TestNonFiniteTargetValues:
+    """An infinite value is unusable for scoring, exactly like a missing one.
+
+    Accuracy used to keep rows by ``~np.isnan``, so one infinite new value
+    made the error and the baseline infinite, the ratio ``min(1, nan)`` = 1,
+    and every summary's accuracy 0: the trivial "unchanged" summary ranked
+    first.
+    """
+
+    SHORTLISTS = {"condition_attributes": ["edu", "exp"],
+                  "transformation_attributes": ["bonus", "salary"]}
+
+    @staticmethod
+    def _with_new_bonus(pair, row, value):
+        new = pair.target.column("bonus")
+        new[row] = value
+        target = pair.target.with_column("bonus", new, dtype=pair.schema.column("bonus").dtype)
+        return SnapshotPair.align(pair.source, target, key="name")
+
+    @staticmethod
+    def _first_changed_row(pair):
+        return int(np.nonzero(pair.changed_mask("bonus"))[0][0])
+
+    def test_infinite_new_value_scores_like_a_missing_one(self):
+        pair = employee_pair(300, seed=7)
+        summary = Charles().summarize_pair(pair, "bonus", **self.SHORTLISTS).best.summary
+        row = self._first_changed_row(pair)
+        infinite = accuracy(summary, self._with_new_bonus(pair, row, float("inf")))
+        missing = accuracy(summary, self._with_new_bonus(pair, row, None))
+        assert infinite == missing > 0.99
+
+    def test_infinite_prediction_falls_back_to_the_old_value(self):
+        # new bonus = bonus + x everywhere except row 0, whose bonus stays put
+        # and whose x is infinite or missing: its prediction is unusable both
+        # ways, and "unchanged" is what the summary is then held to
+        rows = [{"name": f"e{i}", "x": float(10 * i), "bonus": 1000.0 + i} for i in range(8)]
+        new_bonus = [row["bonus"] + row["x"] for row in rows]
+        new_bonus[0] = rows[0]["bonus"]
+        summary = ChangeSummary(
+            "bonus",
+            (ConditionalTransformation(
+                Condition.always(),
+                LinearTransformation("bonus", ("bonus", "x"), (1.0, 1.0), 0.0),
+            ),),
+        )
+        scores = []
+        for value in (float("inf"), None):
+            source = Table.from_rows(
+                [dict(rows[0], x=value)] + rows[1:], primary_key="name"
+            )
+            target = Table.from_rows(
+                [dict(row, bonus=bonus) for row, bonus in zip(rows, new_bonus)],
+                primary_key="name",
+            )
+            scores.append(accuracy(summary, SnapshotPair.align(source, target, key="name")))
+        assert scores[0] == scores[1] == 1.0
+
+    def test_one_infinite_new_value_keeps_the_policy_ranked_first(self):
+        pair = employee_pair(300, seed=7)
+        row = self._first_changed_row(pair)
+        result = Charles().summarize_pair(
+            self._with_new_bonus(pair, row, float("inf")), "bonus", **self.SHORTLISTS
+        )
+        assert result.best.breakdown.accuracy > 0.0
+        assert "1.05 x bonus + 1000" in result.best.summary.describe()

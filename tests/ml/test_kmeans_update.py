@@ -1,0 +1,137 @@
+"""The one-pass Lloyd update against the per-cluster loop it replaced.
+
+``KMeans`` computes all centroids of an iteration with two ``np.bincount``
+calls and stops early once an iteration reproduces the labels that produced
+the current centroids.  Both must leave every fit bit-identical to the loop
+kept below as the oracle (one ``mean`` per cluster, one more distance pass
+after convergence): labels, centroid bytes, inertia and iteration count, for
+two or more columns.  With one column numpy's ``mean`` sums pairwise, so
+there only the labels are compared.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.ml import kmeans
+from repro.ml.kmeans import KMeans, KMeansResult
+
+
+def _reference_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    diff = points[:, None, :] - centroids[None, :, :]
+    return np.sum(diff * diff, axis=2)
+
+
+class ReferenceKMeans(KMeans):
+    """``KMeans`` with the per-cluster centroid loop and no early exit."""
+
+    def _single_run(self, matrix: np.ndarray, k: int, rng: np.random.Generator) -> KMeansResult:
+        centroids = kmeans._kmeans_plus_plus_init(matrix, k, rng)
+        iterations = 0
+        for iterations in range(1, self.max_iterations + 1):
+            distances = _reference_distances(matrix, centroids)
+            labels = np.argmin(distances, axis=1)
+            new_centroids = centroids.copy()
+            for label in range(k):
+                members = matrix[labels == label]
+                if members.shape[0] == 0:
+                    farthest = int(np.argmax(np.min(distances, axis=1)))
+                    new_centroids[label] = matrix[farthest]
+                else:
+                    new_centroids[label] = members.mean(axis=0)
+            movement = float(np.linalg.norm(new_centroids - centroids))
+            centroids = new_centroids
+            if movement <= self.tolerance:
+                break
+        distances = _reference_distances(matrix, centroids)
+        labels = np.argmin(distances, axis=1)
+        inertia = float(np.sum(np.min(distances, axis=1)))
+        return KMeansResult(centroids=centroids, labels=labels, inertia=inertia,
+                            iterations=iterations)
+
+
+@st.composite
+def clustering_problems(draw, widths=st.integers(2, 10)):
+    """A point matrix plus KMeans settings.
+
+    Values are rounded to a drawn number of decimals, so ties between
+    distances occur, and a drawn share of the rows repeat earlier rows, so
+    k can exceed the number of distinct points (empty clusters).
+    """
+    n = draw(st.integers(1, 2000))
+    width = draw(widths)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = np.round(rng.normal(size=(n, width)) * draw(st.sampled_from([0.5, 1.0, 20.0])),
+                      draw(st.integers(0, 3)))
+    duplicated = rng.random(n) < draw(st.sampled_from([0.0, 0.5, 0.95]))
+    duplicated[0] = False
+    sources = rng.integers(0, np.arange(n) + 1)
+    matrix[duplicated] = matrix[sources[duplicated]]
+    settings_ = {
+        "n_clusters": draw(st.integers(1, 8)),
+        "max_iterations": draw(st.sampled_from([1, 2, 100])),
+        "tolerance": draw(st.sampled_from([1e-6, 0.0, -1.0, 0.5])),
+        "n_init": draw(st.integers(1, 4)),
+        "seed": draw(st.integers(0, 1000)),
+    }
+    return matrix, settings_
+
+
+def _both(matrix: np.ndarray, settings_: dict) -> tuple[KMeansResult, KMeansResult]:
+    return KMeans(**settings_).fit(matrix), ReferenceKMeans(**settings_).fit(matrix)
+
+
+class TestOnePassUpdate:
+    @settings(max_examples=120, deadline=None)
+    @given(problem=clustering_problems())
+    def test_bit_identical_to_the_per_cluster_loop(self, problem):
+        matrix, settings_ = problem
+        got, want = _both(matrix, settings_)
+        assert np.array_equal(got.labels, want.labels)
+        assert got.centroids.tobytes() == want.centroids.tobytes()
+        assert got.inertia == want.inertia
+        assert got.iterations == want.iterations
+
+    @settings(max_examples=40, deadline=None)
+    @given(problem=clustering_problems(widths=st.just(1)))
+    def test_one_column_keeps_the_labels(self, problem):
+        matrix, settings_ = problem
+        got, want = _both(matrix, settings_)
+        assert np.array_equal(got.labels, want.labels)
+
+    def test_more_clusters_than_distinct_points(self):
+        matrix = np.repeat(np.array([[0.0, 1.0], [3.0, 2.0], [5.0, 5.0]]), 10, axis=0)
+        got, want = _both(matrix, {"n_clusters": 6, "seed": 1})
+        assert got.centroids.tobytes() == want.centroids.tobytes()
+        assert np.array_equal(got.labels, want.labels)
+        assert len(set(got.labels.tolist())) <= 3
+
+    def test_early_exit_skips_the_confirming_iteration_only(self):
+        # well separated blobs converge; the early exit must report the same
+        # iteration count as the loop that ran the zero-movement update
+        rng = np.random.default_rng(5)
+        matrix = np.vstack([rng.normal(c, 0.1, size=(50, 3)) for c in (0.0, 4.0, 9.0)])
+        got, want = _both(matrix, {"n_clusters": 3, "seed": 2})
+        assert got.iterations == want.iterations > 1
+        assert got.inertia == want.inertia
+
+    def test_negative_tolerance_runs_every_iteration(self):
+        matrix = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0], [5.1, 5.0]])
+        got, want = _both(matrix, {"n_clusters": 2, "tolerance": -1.0, "max_iterations": 7})
+        assert got.iterations == want.iterations == 7
+        assert got.centroids.tobytes() == want.centroids.tobytes()
+
+    def test_no_early_exit_after_a_reseeded_cluster(self, monkeypatch):
+        # iteration 1 leaves cluster 2 empty and re-seeds it on the farthest
+        # point (10, 0), which is also the mean of cluster 0; iteration 2
+        # repeats the labels, but the re-seed there picks (0, 0) instead, so
+        # the centroids still move and stopping would be wrong
+        matrix = np.array([[0.0, 0.0], [2.0, 0.0], [10.0, 0.0]])
+        start = np.array([[7.0, 0.0], [1.0, 0.0], [100.0, 0.0]])
+        monkeypatch.setattr(kmeans, "_kmeans_plus_plus_init", lambda m, k, rng: start.copy())
+        got, want = _both(matrix, {"n_clusters": 3, "n_init": 1})
+        assert got.iterations == want.iterations > 2
+        assert got.centroids.tobytes() == want.centroids.tobytes()
+        assert np.array_equal(got.labels, want.labels)

@@ -231,3 +231,48 @@ class TestHistogram:
         counted = sum(int(part.split(":")[1]) for part in text.split())
         assert counted == 6
         assert "0.0-0.1:3" in text  # -0.1 clips into the first bucket
+
+
+@st.composite
+def pairs_with_an_infinite_cell(draw) -> SnapshotPair:
+    """:func:`perturbed_pairs` with one ``bonus`` cell, old or new, set to ±inf."""
+    pair = draw(perturbed_pairs())
+    side = draw(st.sampled_from(["source", "target"]))
+    row = draw(st.integers(0, pair.num_rows - 1))
+    table = getattr(pair, side)
+    bonus = table.column("bonus")
+    bonus[row] = draw(st.sampled_from([float("inf"), float("-inf")]))
+    table = table.with_column("bonus", bonus, dtype=pair.schema.column("bonus").dtype)
+    source, target = (table, pair.target) if side == "source" else (pair.source, table)
+    return SnapshotPair.align(source, target, key="id")
+
+
+class TestNonFiniteValues:
+    @settings(max_examples=20, deadline=None)
+    @given(pair=pairs_with_an_infinite_cell())
+    def test_no_achievable_score_exceeds_the_bound(self, pair):
+        config = CharlesConfig(max_partitions=2, prune_search=False)
+        index = ScoreBoundIndex(pair, "bonus", config)
+        evaluator = CandidateEvaluator(pair, "bonus", config)
+        for spec in build_search_plan(["edu", "exp"], ["bonus"], config).specs:
+            outcome = evaluator.evaluate(spec)
+            if outcome.scored is not None:
+                assert outcome.scored.score <= index.bound(spec), spec.describe()
+
+    def test_infinite_cell_bounds_like_a_missing_one(self):
+        pair = employee_pair(80, seed=3)
+        plan = build_search_plan(["edu", "exp"], ["bonus"], CharlesConfig())
+        row = int(np.nonzero(pair.changed_mask("bonus"))[0][0])
+        records = []
+        for value in (float("inf"), None):
+            bonus = pair.target.column("bonus")
+            bonus[row] = value
+            target = pair.target.with_column(
+                "bonus", bonus, dtype=pair.schema.column("bonus").dtype
+            )
+            index = ScoreBoundIndex(
+                SnapshotPair.align(pair.source, target, key="name"), "bonus", CharlesConfig()
+            )
+            records.append([index.spec_bound(spec) for spec in plan.specs])
+        assert records[0] == records[1]
+        assert all(np.isfinite(record.baseline) for record in records[0])
