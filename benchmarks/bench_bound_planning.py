@@ -33,7 +33,7 @@ Three arms summarise the identical pair from cold caches:
   process-pool dispatch is too noisy for a CI-enforced ratio).
 
 The run enforces the layer's contract points and records them in a
-machine-readable JSON report (like ``bench_delta_maintenance.py``):
+machine-readable JSON report (like ``bench_incremental.py``):
 
 * rankings are byte-identical across all three arms;
 * the bounds arm prunes specs before discovery

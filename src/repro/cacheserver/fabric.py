@@ -50,6 +50,7 @@ from typing import Any, Hashable, Iterable
 
 from repro.cachestore.base import (
     MISSING,
+    STORE_ERRORS,
     BackendCounters,
     BackendHandle,
     CacheBackend,
@@ -264,7 +265,7 @@ class ShardedRemoteBackend(CacheBackend):
             try:
                 total += protocol.unpack_count(answer[1])
             except protocol.ProtocolError:
-                continue
+                STORE_ERRORS.inc(backend=self.kind, op="len")
         return total
 
     def clear(self) -> None:

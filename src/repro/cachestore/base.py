@@ -42,14 +42,24 @@ from dataclasses import dataclass
 from typing import Any, Hashable
 
 from repro.exceptions import CacheStoreError
+from repro.obs.metrics import get_registry
 
 __all__ = [
     "MISSING",
+    "STORE_ERRORS",
     "BackendCounters",
     "CacheBackend",
     "BackendHandle",
     "key_digest",
 ]
+
+# store failures a backend degraded (to a miss, a dropped write or 0) instead
+# of raising, across every backend in the process; one dict update each
+STORE_ERRORS = get_registry().counter(
+    "charles_cache_store_errors_total",
+    "Cache-store failures degraded instead of raised, by backend and operation",
+    labels=("backend", "op"),
+)
 
 
 class _Missing:

@@ -58,7 +58,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Hashable
 
-from repro.cachestore.base import MISSING, BackendHandle, CacheBackend, key_digest
+from repro.cachestore.base import (
+    MISSING,
+    STORE_ERRORS,
+    BackendHandle,
+    CacheBackend,
+    key_digest,
+)
 from repro.exceptions import CacheStoreError
 
 __all__ = ["DiskBackend", "DiskHandle"]
@@ -203,8 +209,9 @@ class DiskBackend(CacheBackend):
                 self.hits += 1
                 return value
         except (sqlite3.Error, CacheStoreError):
-            pass
+            STORE_ERRORS.inc(backend=self.kind, op="get")
         except _UNPICKLE_ERRORS:
+            STORE_ERRORS.inc(backend=self.kind, op="get")
             self._discard(digest)
         self.misses += 1
         return MISSING
@@ -216,7 +223,7 @@ class DiskBackend(CacheBackend):
             with conn:
                 conn.execute("DELETE FROM entries WHERE key = ?", (digest,))
         except (sqlite3.Error, CacheStoreError):
-            pass
+            STORE_ERRORS.inc(backend=self.kind, op="discard")
 
     def put(self, key: Hashable, value: Any, cost_hint: float | None = None) -> None:
         # the v2 format persists cost_hint (observed recomputation seconds),
@@ -245,7 +252,7 @@ class DiskBackend(CacheBackend):
         except (sqlite3.Error, CacheStoreError):
             # a cache write is an optimisation; a full or locked disk must not
             # abort the search — the entry is simply recomputed next time
-            pass
+            STORE_ERRORS.inc(backend=self.kind, op="put")
 
     def __len__(self) -> int:
         # counts every entry in the file, across namespaces; degrades to 0
@@ -253,6 +260,7 @@ class DiskBackend(CacheBackend):
         try:
             return self.strict_len()
         except CacheStoreError:
+            STORE_ERRORS.inc(backend=self.kind, op="len")
             return 0
 
     def strict_len(self) -> int:
@@ -275,7 +283,7 @@ class DiskBackend(CacheBackend):
         try:
             self.strict_clear()
         except CacheStoreError:
-            pass
+            STORE_ERRORS.inc(backend=self.kind, op="clear")
 
     def strict_clear(self) -> None:
         """Drop every entry, *raising* on a locked/corrupt store (admin path)."""

@@ -30,7 +30,6 @@ from repro.relational.snapshot import SnapshotPair
 from repro.relational.table import Table
 from repro.search.bounds import ScoreBoundIndex
 from repro.search.cache import SearchCaches
-from repro.search.maintenance import MaintenanceContext
 from repro.search.planner import SearchPlan, build_search_plan
 from repro.search.stats import SearchStats
 
@@ -261,17 +260,14 @@ class Charles:
         *,
         caches: SearchCaches | None = None,
         initial_floor: float = float("-inf"),
-        maintenance: "MaintenanceContext | None" = None,
     ) -> CharlesResult:
         """Same as :meth:`summarize` but starting from an already-aligned pair.
 
-        ``caches``, ``initial_floor`` and ``maintenance`` are the session
-        hooks: an :class:`~repro.timeline.session.EngineSession` passes its
-        persistent memo caches, warm-start pruning floor and the
-        :class:`~repro.search.maintenance.MaintenanceContext` linking this
-        pair to the previous run's pair state through here so warm and cold
-        runs share one code path (which is what makes their rankings provably
-        identical).  One-shot callers leave all three at their defaults.
+        ``caches`` and ``initial_floor`` are the session hooks: an
+        :class:`~repro.timeline.session.EngineSession` passes its persistent
+        memo caches and warm-start pruning floor through here so warm and
+        cold runs share one code path (which is what makes their rankings
+        provably identical).  One-shot callers leave both at their defaults.
         """
         suggestions = self._assistant.suggest(pair, target)
         if condition_attributes is None:
@@ -285,7 +281,6 @@ class Charles:
             transformation_attributes,
             caches=caches,
             initial_floor=initial_floor,
-            maintenance=maintenance,
         )
         top = tuple(ranked[: self._config.top_k])
         return CharlesResult(

@@ -221,15 +221,11 @@ class CharlesConfig:
         the default leaves room for that; a smaller margin prunes more but
         triggers verification fallbacks more often.
     partition_maintenance:
-        Whether an :class:`~repro.timeline.session.EngineSession` may patch
-        cached partition discoveries across sparse deltas instead of
-        re-running them from scratch (see :mod:`repro.search.maintenance`).
-        A patch is applied only after a certificate proves the expensive
-        clustering stage would read byte-identical inputs, and falls back to
-        full discovery otherwise, so results never change — this knob is
-        execution-only (like ``n_jobs``) and does not rotate the cache
-        fingerprint.  One-shot ``Charles`` calls are unaffected (they have no
-        previous pair state to patch from).
+        Retired and ignored.  It once let a session patch cached partition
+        discoveries across deltas; every partition-cache miss now runs the
+        full discovery.  The field is still accepted so existing
+        configurations keep loading, and it does not rotate the cache
+        fingerprint.
     trace_path:
         When set, the engine enables the process-wide tracer
         (:mod:`repro.obs.trace`) and appends one JSON span record per line to
@@ -394,9 +390,10 @@ class CharlesConfig:
         folds this fingerprint into every key: two configs sharing a
         ``cache_dir`` read and write disjoint namespaces.  Fields that only
         pick the execution strategy (``n_jobs``, backend selection,
-        ``prune_search``, warm-start and maintenance knobs, tracing) are
-        excluded — they are documented never to change results, so flipping
-        them keeps the cache warm.
+        ``prune_search``, warm-start knobs, the retired
+        ``partition_maintenance``, tracing) are excluded — they are
+        documented never to change results, so flipping them keeps the cache
+        warm.
         """
         relevant = tuple(
             (spec.name, repr(getattr(self, spec.name)))

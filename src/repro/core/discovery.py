@@ -33,7 +33,6 @@ from repro.relational.snapshot import SnapshotPair
 from repro.search.cache import SearchCaches
 from repro.search.evaluator import CandidateEvaluator, ScoredSummary
 from repro.search.executors import select_executor
-from repro.search.maintenance import MaintenanceContext
 from repro.search.planner import build_search_plan
 from repro.search.stats import SearchStats
 
@@ -81,15 +80,13 @@ class DiffDiscoveryEngine:
         transformation_attributes: Sequence[str],
         caches: SearchCaches | None = None,
         initial_floor: float = float("-inf"),
-        maintenance: MaintenanceContext | None = None,
     ) -> tuple[list[ScoredSummary], SearchStats]:
         """Like :meth:`discover`, additionally returning the search statistics.
 
-        ``caches``, ``initial_floor`` and ``maintenance`` exist for
-        session-style callers (:class:`~repro.timeline.session.EngineSession`)
-        that keep memo caches, pruning floors and the previous pair state
-        alive across runs; one-shot calls leave them at their defaults and
-        behave exactly as before.
+        ``caches`` and ``initial_floor`` exist for session-style callers
+        (:class:`~repro.timeline.session.EngineSession`) that keep memo caches
+        and pruning floors alive across runs; one-shot calls leave them at
+        their defaults and behave exactly as before.
         """
         column = pair.schema.column(target)
         if not column.is_numeric:
@@ -118,7 +115,6 @@ class DiffDiscoveryEngine:
             self._config,
             caches=caches,
             initial_floor=initial_floor,
-            maintenance=maintenance,
         )
         if not ranked:
             raise DiscoveryError("no candidate summaries could be generated")

@@ -117,14 +117,11 @@ def cluster_changed_rows(
     """The clustering stage of partition discovery: changed rows and their labels.
 
     Runs k-means over :func:`clustering_matrix` of the changed rows, with the
-    residual features weighted by ``residual_weight``.  Crucially for
-    incremental maintenance (:mod:`repro.search.maintenance`) it reads
-    *only* the changed rows: the source-side values of the condition,
-    transformation and target attributes plus the target-side values of the
-    target attribute, restricted to ``pair.changed_mask(target)``.  Two pairs
-    that agree on exactly those inputs produce identical ``(changed_indices,
-    labels)``, which is what lets a cached clustering be transported across a
-    delta that only touches other rows or attributes.
+    residual features weighted by ``residual_weight``.  It reads *only* the
+    changed rows: the source-side values of the condition, transformation and
+    target attributes plus the target-side values of the target attribute,
+    restricted to ``pair.changed_mask(target)``.  It is split from
+    :func:`partitions_from_labels` so each stage can be timed on its own.
 
     ``clustering_input``, when given, is called with the changed row indices
     and must return what :func:`clustering_matrix` returns for these
@@ -203,11 +200,8 @@ def partitions_from_labels(
 
     Translates the clustering of :func:`cluster_changed_rows` into readable,
     first-match partitions.  Unlike the clustering stage this reads the
-    condition attributes over the *whole* source table (conditions must
-    separate members from everything else), so incremental maintenance replays
-    this stage on the new table even when the clustering itself is inherited —
-    membership of rows a delta touched is thereby re-derived exactly as a
-    from-scratch discovery would derive it.
+    condition attributes over the *whole* source table: conditions must
+    separate members from everything else.
     """
     config = config or CharlesConfig()
     source = pair.source

@@ -37,13 +37,12 @@ it is computed, in three layers:
    :class:`~repro.cachestore.base.CacheBackend` selected by
    ``CharlesConfig.cache_backend`` — in process (default), in a cross-process
    shared store that parallel workers attach to, or on disk so entries
-   survive interpreter restarts (see :mod:`repro.cachestore`).  Under a
-   session, cached partition discoveries are additionally *delta-patchable*:
-   :mod:`repro.search.maintenance` transports a discovery's clustering
-   across a sparse update under a verified certificate and replays only
-   condition induction, with fallback to full discovery on any mismatch.
-   Pruning is exact, never heuristic: specs whose discovered partition
-   structure duplicates an earlier round's spec are skipped (the downstream
+   survive interpreter restarts (see :mod:`repro.cachestore`).  A
+   partition-cache miss always runs the full discovery (cluster the changed
+   rows, then induce conditions); content keys already reuse every discovery
+   whose inputs a delta left untouched.  Pruning is exact, never heuristic:
+   specs whose discovered partition structure duplicates an earlier round's
+   spec are skipped (the downstream
    pipeline is deterministic, so the summary would be identical), and built
    summaries whose score upper bound ``alpha + (1 - alpha) *
    interpretability`` cannot beat the current top-k floor are dropped without
@@ -79,40 +78,6 @@ handle if other processes may attach) and register the kind in
 :func:`~repro.cachestore.factory.build_search_backends` — see the
 :mod:`repro.cachestore` package docstring for the full recipe.  Execution and
 cache backends compose freely: any executor works against any store.
-
-Extending incremental maintenance
----------------------------------
-
-:mod:`repro.search.maintenance` patches cached *partition discoveries*
-across sparse deltas instead of recomputing them.  The pattern generalises
-to any memoised stage, and every instance has the same three ingredients:
-
-1. **Factor the computation** so the expensive part reads a small,
-   fingerprintable slice of the input (partition discovery splits into
-   :func:`~repro.core.partitioning.cluster_changed_rows`, which reads only
-   the changed rows, and :func:`~repro.core.partitioning.
-   partitions_from_labels`, which replays cheaply on the full table).
-2. **Certify the slice**: store, next to the cached result, a digest of the
-   row set and a :class:`~repro.search.cache.PairFingerprints` token of
-   exactly the values the expensive part read
-   (:class:`~repro.search.maintenance.PartitionCertificate`), plus whatever
-   intermediate state the replay needs (the cluster labels).
-3. **Verify, then patch or fall back**: on the new pair state, recompute the
-   two digests (cheap — no model is fitted) and compare.  A match *proves*
-   the expensive stage would be byte-identical, so replay the cheap stage;
-   any mismatch falls back to the full computation.  Never patch on a
-   heuristic: the byte-identical-rankings invariant is only as strong as
-   this proof, and the differential suite
-   (``tests/search/test_partition_maintenance.py``) will catch a patch that
-   can diverge from scratch.
-
-Memoise patch outcomes as ordinary cache values keyed by ``(base key digest,
-delta digest)`` (:class:`~repro.search.maintenance.PartitionPatchRecord`):
-backends treat them as opaque entries, so persistence and fingerprint
-namespacing come for free.  Count how misses were resolved (patched /
-fallback / recomputed) through :class:`~repro.search.cache.SearchCaches`
-into :class:`~repro.search.stats.SearchStats`, so a workload that keeps
-falling back is visible in ``describe()`` rather than silently slow.
 """
 
 from repro.search.bounds import ScoreBoundIndex, SpecBound, bound_histogram
@@ -138,12 +103,6 @@ from repro.search.planner import (
     SearchPlan,
     attribute_subsets,
     build_search_plan,
-)
-from repro.search.maintenance import (
-    MaintenanceContext,
-    PartitionCertificate,
-    PartitionIndexEntry,
-    PartitionPatchRecord,
 )
 from repro.search.stats import SearchStats
 
@@ -172,9 +131,5 @@ __all__ = [
     "SerialExecutor",
     "ParallelExecutor",
     "select_executor",
-    "MaintenanceContext",
-    "PartitionCertificate",
-    "PartitionIndexEntry",
-    "PartitionPatchRecord",
     "SearchStats",
 ]

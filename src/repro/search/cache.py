@@ -127,7 +127,7 @@ class MemoCache:
         """The cached value for ``key`` or :data:`~repro.cachestore.MISSING`.
 
         Counts a logical hit or miss; callers that resolve the miss themselves
-        (the evaluator's patch-or-discover path) pair this with :meth:`store`.
+        (the evaluator's traced partition discovery) pair this with :meth:`store`.
         """
         value = self._backend.get(key)
         if value is MISSING:
@@ -136,17 +136,8 @@ class MemoCache:
             self.hits += 1
         return value
 
-    def peek(self, key: Hashable) -> Any:
-        """Like :meth:`lookup` but without logical hit/miss accounting.
-
-        Used for auxiliary records (patch records, base-entry probes) whose
-        presence or absence says nothing about whether a *partition request*
-        avoided recomputation; the backend still counts the physical lookup.
-        """
-        return self._backend.get(key)
-
     def store(self, key: Hashable, value: Any, cost_seconds: float | None = None) -> None:
-        """Store a value computed (or patched together) outside the cache."""
+        """Store a value computed outside the cache."""
         self._backend.put(key, value, cost_hint=cost_seconds)
 
     def __len__(self) -> int:
@@ -183,13 +174,6 @@ class CacheCounters:
     per physical layer — e.g. a sharded ``remote`` store reports its
     aggregate plus one component layer per endpoint — as a sorted ``(layer
     name, counters)`` mapping that survives the same ``+``/``-`` arithmetic.
-
-    The ``partitions_*`` fields classify how partition-cache *misses* were
-    resolved under incremental maintenance (:mod:`repro.search.maintenance`):
-    ``patched`` (base clustering transported, induction replayed),
-    ``patch_fallbacks`` (a base certificate existed but verification
-    mismatched — full discovery ran) and ``recomputed`` (no usable base —
-    full discovery ran; refinement-scope discoveries always land here).
     """
 
     fit_hits: int = 0
@@ -198,9 +182,6 @@ class CacheCounters:
     partition_misses: int = 0
     fit_evictions: int = 0
     partition_evictions: int = 0
-    partitions_patched: int = 0
-    partition_patch_fallbacks: int = 0
-    partitions_recomputed: int = 0
     backends: tuple[tuple[str, BackendCounters], ...] = ()
 
     @property
@@ -239,11 +220,6 @@ class CacheCounters:
             partition_misses=self.partition_misses - other.partition_misses,
             fit_evictions=self.fit_evictions - other.fit_evictions,
             partition_evictions=self.partition_evictions - other.partition_evictions,
-            partitions_patched=self.partitions_patched - other.partitions_patched,
-            partition_patch_fallbacks=(
-                self.partition_patch_fallbacks - other.partition_patch_fallbacks
-            ),
-            partitions_recomputed=self.partitions_recomputed - other.partitions_recomputed,
             backends=_merge_backend_counters(self.backends, other.backends, -1),
         )
 
@@ -255,11 +231,6 @@ class CacheCounters:
             partition_misses=self.partition_misses + other.partition_misses,
             fit_evictions=self.fit_evictions + other.fit_evictions,
             partition_evictions=self.partition_evictions + other.partition_evictions,
-            partitions_patched=self.partitions_patched + other.partitions_patched,
-            partition_patch_fallbacks=(
-                self.partition_patch_fallbacks + other.partition_patch_fallbacks
-            ),
-            partitions_recomputed=self.partitions_recomputed + other.partitions_recomputed,
             backends=_merge_backend_counters(self.backends, other.backends, +1),
         )
 
@@ -301,11 +272,6 @@ class SearchCaches:
         fit_backend, partition_backend = backends
         self.fits = MemoCache(backend=fit_backend)
         self.partitions = MemoCache(backend=partition_backend)
-        # how partition-cache misses were resolved under incremental
-        # maintenance; incremented by the evaluator, snapshot in counters()
-        self.partitions_patched = 0
-        self.partition_patch_fallbacks = 0
-        self.partitions_recomputed = 0
 
     @classmethod
     def from_config(cls, config) -> "SearchCaches":
@@ -359,9 +325,6 @@ class SearchCaches:
             partition_misses=self.partitions.misses,
             fit_evictions=self.fits.evictions,
             partition_evictions=self.partitions.evictions,
-            partitions_patched=self.partitions_patched,
-            partition_patch_fallbacks=self.partition_patch_fallbacks,
-            partitions_recomputed=self.partitions_recomputed,
             backends=_merge_backend_counters(
                 tuple(sorted(self.fits.backend.breakdown().items())),
                 tuple(sorted(self.partitions.backend.breakdown().items())),

@@ -32,7 +32,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.cachestore import MISSING
-from repro.cachestore.base import key_digest
 from repro.core.condition import Condition
 from repro.core.config import CharlesConfig
 from repro.core.partitioning import (
@@ -52,22 +51,16 @@ from repro.obs.trace import get_tracer
 from repro.relational.snapshot import SnapshotPair
 from repro.relational.table import Table
 from repro.search.cache import PairFingerprints, SearchCaches, mask_digest
-from repro.search.maintenance import (
-    MaintenanceContext,
-    PartitionCertificate,
-    PartitionIndexEntry,
-    PartitionPatchRecord,
-    as_entry,
-)
 from repro.search.planner import GLOBAL, CandidateSpec
 
 __all__ = ["ScoredSummary", "EvaluationOutcome", "CandidateEvaluator"]
 
-# how top-level partition lookups were satisfied, across every evaluator in
-# the process; cheap enough (one dict update) to stay on without tracing
+# how partition lookups were satisfied (cached or recomputed), across every
+# evaluator in the process; cheap enough (one dict update) to stay on without
+# tracing
 _PARTITION_RESOLUTION = get_registry().counter(
     "charles_partition_resolution_total",
-    "Top-level partition lookups by how they were satisfied",
+    "Partition lookups by how they were satisfied",
     labels=("outcome",),
 )
 
@@ -139,15 +132,12 @@ class CandidateEvaluator:
         target: str,
         config: CharlesConfig,
         caches: SearchCaches | None = None,
-        maintenance: MaintenanceContext | None = None,
     ):
         self._pair = pair
         self._target = target
         self._config = config
         self._full_mask = np.ones(pair.num_rows, dtype=bool)
         self._prints = PairFingerprints(pair, target)
-        self._maintenance = maintenance
-        self._changed_cache: np.ndarray | None = None
         # unweighted clustering inputs by (C, T, scope content token): every
         # partition count and residual weight of one scope clusters the same
         # matrix.  Lives as long as the evaluator, like the fingerprints.
@@ -261,13 +251,12 @@ class CandidateEvaluator:
         residual_weight: float,
         scope_mask: np.ndarray,
     ) -> tuple:
-        # the "/2" is a value-format version: entries are PartitionIndexEntry
-        # records since the maintenance layer landed, and pre-maintenance code
-        # sharing a persistent or remote store must not hit them (its
-        # unwrapping would crash on the new shape); the disjoint key prefix
-        # keeps both versions safe in one store at the cost of a cold start
+        # the "/3" is a value-format version: entries are bare partition
+        # tuples, and older formats left in a persistent or remote store hold
+        # pickles this code cannot load; the disjoint key prefix keeps every
+        # version safe in one store at the cost of a cold start
         return (
-            "partition/2",
+            "partition/3",
             self._target,
             condition_subset,
             transformation_subset,
@@ -291,15 +280,8 @@ class CandidateEvaluator:
         mask for top-level discovery, the parent partition's mask during
         refinement); the cache key hashes the values of every involved column
         under that mask, so the entry stays valid for exactly as long as those
-        values do — including across runs of a long-lived session.
-
-        On a miss, a top-level discovery with a
-        :class:`~repro.search.maintenance.MaintenanceContext` first tries to
-        *patch* the previous pair state's entry across the delta
-        (verify-or-fallback; see :mod:`repro.search.maintenance`) before
-        paying for a full from-scratch discovery.  Either way the partitions
-        returned — and cached — are exactly what ``discover_partitions``
-        would produce on this pair.
+        values do — including across runs of a long-lived session.  A miss
+        runs the full discovery: clustering, then condition induction.
         """
         key = self._partition_key(
             condition_subset,
@@ -311,52 +293,25 @@ class CandidateEvaluator:
         cached = self.caches.partitions.lookup(key)
         if cached is not MISSING:
             _PARTITION_RESOLUTION.inc(outcome="cached")
-            return list(as_entry(cached).partitions)
-        top_level = scope_mask is self._full_mask
+            return list(cached)
         started = time.perf_counter()
-        with self._tracer.span("partitions.resolve", top_level=top_level) as span:
-            entry: PartitionIndexEntry | None = None
-            status = "absent"
-            if top_level and self._maintenance is not None:
-                status, entry = self._try_patch(
-                    key, condition_subset, transformation_subset, n_partitions, residual_weight
-                )
-            if status == "patched":
-                self.caches.partitions_patched += 1
-                outcome = "patched"
-            else:
-                if status == "fallback":
-                    self.caches.partition_patch_fallbacks += 1
-                    outcome = "fallback"
-                else:
-                    self.caches.partitions_recomputed += 1
-                    outcome = "recomputed"
-                entry = self._discover_entry(
-                    scope_pair,
-                    key[-1],
-                    condition_subset,
-                    transformation_subset,
-                    n_partitions,
-                    residual_weight,
-                    with_certificate=top_level,
-                )
-            assert entry is not None
-            _PARTITION_RESOLUTION.inc(outcome=outcome)
-            span.set(status=outcome, partitions=len(entry.partitions))
-        # cost-aware stores should value the entry at what a true recompute
-        # costs, which for a patched entry is the certified discovery time,
-        # not the milliseconds the patch took
-        cost = time.perf_counter() - started
-        if entry.certificate is not None:
-            cost = max(cost, entry.certificate.discover_seconds)
-        self.caches.partitions.store(key, entry, cost_seconds=cost)
-        return list(entry.partitions)
-
-    def _changed_mask(self) -> np.ndarray:
-        """The pair's target-changed row mask (computed once per evaluator)."""
-        if self._changed_cache is None:
-            self._changed_cache = self._pair.changed_mask(self._target)
-        return self._changed_cache
+        with self._tracer.span(
+            "partitions.resolve", top_level=scope_mask is self._full_mask
+        ) as span:
+            partitions = self._discover_partitions(
+                scope_pair,
+                key[-1],
+                condition_subset,
+                transformation_subset,
+                n_partitions,
+                residual_weight,
+            )
+            span.set(partitions=len(partitions))
+        _PARTITION_RESOLUTION.inc(outcome="recomputed")
+        self.caches.partitions.store(
+            key, partitions, cost_seconds=time.perf_counter() - started
+        )
+        return list(partitions)
 
     def _clustering_input(
         self,
@@ -382,7 +337,7 @@ class CandidateEvaluator:
             self._clustering_inputs[key] = matrix
         return matrix
 
-    def _discover_entry(
+    def _discover_partitions(
         self,
         scope_pair: SnapshotPair,
         scope_token: bytes,
@@ -390,18 +345,8 @@ class CandidateEvaluator:
         transformation_subset: tuple[str, ...],
         n_partitions: int,
         residual_weight: float,
-        with_certificate: bool,
-    ) -> PartitionIndexEntry:
-        """Full partition discovery, wrapped as a cacheable entry.
-
-        Top-level discoveries (``with_certificate``) additionally record the
-        :class:`~repro.search.maintenance.PartitionCertificate` — the digest
-        of the changed-row set, the content token of the clustering stage's
-        inputs and the cluster labels — so a later pair state can patch this
-        entry instead of re-clustering.  Refinement-scope discoveries carry no
-        certificate: their scope masks are themselves derived values.
-        """
-        started = time.perf_counter()
+    ) -> tuple[Partition, ...]:
+        """Full partition discovery: cluster the changed rows, induce conditions."""
         clustered = cluster_changed_rows(
             scope_pair,
             self._target,
@@ -415,123 +360,19 @@ class CandidateEvaluator:
             ),
         )
         if clustered is None:
-            changed_indices = np.empty(0, dtype=np.intp)
-            labels = np.empty(0, dtype=np.intp)
-            partitions: tuple[Partition, ...] = ()
-        else:
-            changed_indices, labels = clustered
-            partitions = tuple(
-                partitions_from_labels(
-                    scope_pair,
-                    self._target,
-                    condition_subset,
-                    changed_indices,
-                    labels,
-                    n_partitions,
-                    self._config,
-                )
-            )
-        certificate = None
-        if with_certificate:
-            changed = self._changed_mask()
-            certificate = PartitionCertificate(
-                changed_digest=mask_digest(changed),
-                input_token=self._prints.token(
-                    condition_subset + transformation_subset, changed
-                ),
-                labels=labels,
-                discover_seconds=time.perf_counter() - started,
-            )
-        return PartitionIndexEntry(partitions, certificate)
-
-    def _try_patch(
-        self,
-        key: tuple,
-        condition_subset: tuple[str, ...],
-        transformation_subset: tuple[str, ...],
-        n_partitions: int,
-        residual_weight: float,
-    ) -> tuple[str, PartitionIndexEntry | None]:
-        """Attempt to maintain the base pair state's discovery across the delta.
-
-        Returns ``("patched", entry)`` when the base certificate verified and
-        the inherited clustering was spliced onto this pair by replaying
-        induction; ``("fallback", None)`` when a base certificate existed but
-        verification mismatched (the delta touched the clustering's inputs);
-        ``("absent", None)`` when there is nothing to patch from.  Patch
-        outcomes — successes and proven mismatches alike — are memoised as
-        :class:`~repro.search.maintenance.PartitionPatchRecord` values keyed
-        by the base key digest and the delta digest, so any backend (memory,
-        shared, disk, remote) can serve them to later runs; a memoised entry
-        is still only *used* after its certificate verifies against this
-        pair state, so reuse is exactly as sound as a fresh patch.
-        """
-        ctx = self._maintenance
-        assert ctx is not None
-        relevant = tuple(dict.fromkeys(condition_subset + transformation_subset + (self._target,)))
-        if not ctx.touches(relevant):
-            # the delta missed this spec entirely, so the content key can only
-            # have missed through eviction — there is no base entry to find
-            return "absent", None
-        base_key = key[:-1] + (ctx.base_token(condition_subset + transformation_subset, self._full_mask),)
-        base_digest = key_digest(base_key)
-        delta_digest = ctx.delta_digest(relevant, self._prints)
-        patch_key = (
-            "partition-patch",
-            self._target,
-            condition_subset,
-            transformation_subset,
-            n_partitions,
-            residual_weight,
-            base_digest,
-            delta_digest,
-        )
-        # verify inputs: would the clustering stage read byte-identical values
-        # here?  Computed before any patch source is trusted — the certificate
-        # comparison below is the sole gate on reuse, for memoised records and
-        # fresh base entries alike (a record's delta digest is tolerance-based
-        # and so could in principle collide across sub-tolerance float drift;
-        # the bit-exact token comparison cannot)
-        changed = self._changed_mask()
-        changed_digest = mask_digest(changed)
-        input_token = self._prints.token(condition_subset + transformation_subset, changed)
-        record = self.caches.partitions.peek(patch_key)
-        if isinstance(record, PartitionPatchRecord):
-            if record.entry is not None and record.entry.certificate is not None:
-                if record.entry.certificate.matches(changed_digest, input_token):
-                    return "patched", record.entry
-            return "fallback", None
-        base_value = self.caches.partitions.peek(base_key)
-        if base_value is MISSING:
-            return "absent", None
-        certificate = as_entry(base_value).certificate
-        if certificate is None:
-            return "absent", None
-        if not certificate.matches(changed_digest, input_token):
-            self.caches.partitions.store(
-                patch_key,
-                PartitionPatchRecord(base_digest, delta_digest, None, "certificate-mismatch"),
-            )
-            return "fallback", None
-        # patch: inherit the clustering, re-derive membership on this table
-        partitions = tuple(
+            return ()
+        changed_indices, labels = clustered
+        return tuple(
             partitions_from_labels(
-                self._pair,
+                scope_pair,
                 self._target,
                 condition_subset,
-                np.nonzero(changed)[0],
-                certificate.labels,
+                changed_indices,
+                labels,
                 n_partitions,
                 self._config,
             )
         )
-        entry = PartitionIndexEntry(partitions, certificate)
-        self.caches.partitions.store(
-            patch_key,
-            PartitionPatchRecord(base_digest, delta_digest, entry, "patched"),
-            cost_seconds=certificate.discover_seconds,
-        )
-        return "patched", entry
 
     def _cached_fit(
         self, transformation_subset: tuple[str, ...], mask: np.ndarray

@@ -53,7 +53,6 @@ from repro.search.evaluator import (
     EvaluationOutcome,
     ScoredSummary,
 )
-from repro.search.maintenance import MaintenanceContext
 from repro.search.planner import CandidateSpec, SearchPlan
 from repro.search.stats import SearchStats
 
@@ -130,7 +129,6 @@ class SearchExecutor:
         config: CharlesConfig,
         caches: SearchCaches | None = None,
         initial_floor: float = float("-inf"),
-        maintenance: MaintenanceContext | None = None,
     ) -> tuple[list[ScoredSummary], SearchStats]:
         """Evaluate the plan and return the ranked candidates plus statistics.
 
@@ -149,13 +147,6 @@ class SearchExecutor:
         the final ranking equals the cold ranking iff the seed does not exceed
         this run's true k-th-best score — which is what the session's
         verify-or-fallback protocol checks.
-
-        ``maintenance`` is the session's
-        :class:`~repro.search.maintenance.MaintenanceContext` for patching
-        cached partition discoveries across the delta from the previous pair
-        state; it is handed to every evaluator (parallel workers included —
-        the context pickles) and never changes results, only how misses are
-        resolved.
         """
         started = time.perf_counter()
         tracer = get_tracer()
@@ -190,7 +181,7 @@ class SearchExecutor:
             )
             self._cost_model = OnlineCostModel()  # learns per search
             stats.bound_pruning = bound_index is not None
-            self._setup(pair, target, config, caches, maintenance)
+            self._setup(pair, target, config, caches)
             stats.cache_backend = self._cache_backend_kind()
             stats.cache_backend_requested = self._cache_backend_requested()
             try:
@@ -301,7 +292,6 @@ class SearchExecutor:
         target: str,
         config: CharlesConfig,
         caches: SearchCaches | None = None,
-        maintenance: MaintenanceContext | None = None,
     ) -> None:
         raise NotImplementedError
 
@@ -362,7 +352,6 @@ class SerialExecutor(SearchExecutor):
         target: str,
         config: CharlesConfig,
         caches: SearchCaches | None = None,
-        maintenance: MaintenanceContext | None = None,
     ) -> None:
         self._owned_caches: SearchCaches | None = None
         self._requested_backend: str | None = None
@@ -382,7 +371,7 @@ class SerialExecutor(SearchExecutor):
                 if config.cache_backend != "memory":
                     self._requested_backend = config.cache_backend
                 caches = SearchCaches(config.search_cache_capacity)
-        self._evaluator = CandidateEvaluator(pair, target, config, caches, maintenance)
+        self._evaluator = CandidateEvaluator(pair, target, config, caches)
 
     def _cache_backend_kind(self) -> str:
         return self._evaluator.caches.backend_kind
@@ -417,7 +406,6 @@ def _init_worker(
     target: str,
     config: CharlesConfig,
     cache_handles: tuple | None = None,
-    maintenance: MaintenanceContext | None = None,
 ) -> None:
     """Build this worker's evaluator, attached to the shared store if one exists.
 
@@ -433,7 +421,7 @@ def _init_worker(
         caches = SearchCaches.attach(cache_handles)
     else:
         caches = SearchCaches(config.search_cache_capacity)
-    _WORKER_EVALUATOR = CandidateEvaluator(pair, target, config, caches, maintenance)
+    _WORKER_EVALUATOR = CandidateEvaluator(pair, target, config, caches)
 
 
 def _evaluate_batch(
@@ -477,7 +465,6 @@ class ParallelExecutor(SearchExecutor):
         self._search_context: tuple[SnapshotPair, str, CharlesConfig] | None = None
         self._session_caches: SearchCaches | None = None
         self._owned_caches: SearchCaches | None = None
-        self._maintenance: MaintenanceContext | None = None
 
     def _setup(
         self,
@@ -485,10 +472,8 @@ class ParallelExecutor(SearchExecutor):
         target: str,
         config: CharlesConfig,
         caches: SearchCaches | None = None,
-        maintenance: MaintenanceContext | None = None,
     ) -> None:
         self._fallback = None
-        self._maintenance = maintenance
         self._search_context = (pair, target, config)
         self._owned_caches = None
         if caches is None and config.cache_backend != "memory":
@@ -506,7 +491,7 @@ class ParallelExecutor(SearchExecutor):
             self._pool = ProcessPoolExecutor(
                 max_workers=self.n_jobs,
                 initializer=_init_worker,
-                initargs=(pair, target, config, handles, maintenance),
+                initargs=(pair, target, config, handles),
             )
         except (OSError, PermissionError, RuntimeError) as error:
             self._fall_back_to_serial(error)
@@ -536,7 +521,7 @@ class ParallelExecutor(SearchExecutor):
         assert self._search_context is not None
         pair, target, config = self._search_context
         caches = self._session_caches or SearchCaches(config.search_cache_capacity)
-        self._fallback = CandidateEvaluator(pair, target, config, caches, self._maintenance)
+        self._fallback = CandidateEvaluator(pair, target, config, caches)
 
     def _effective_n_jobs(self) -> int:
         return 1 if self._fallback is not None else self.n_jobs

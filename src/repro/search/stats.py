@@ -56,16 +56,10 @@ class SearchStats:
     and the search was transparently re-run with an open floor (the recorded
     wall time then covers both attempts).
 
-    Under incremental partition maintenance (:mod:`repro.search.maintenance`)
-    every partition-cache miss is resolved one of three ways and counted
-    accordingly: ``partitions_patched`` (the previous pair state's clustering
-    was transported across the delta and only condition induction replayed),
-    ``partition_patch_fallbacks`` (a base certificate existed but
-    verification proved the delta touched the clustering's inputs — full
-    discovery ran) and ``partitions_recomputed`` (no usable base entry; full
-    discovery ran — refinement-scope discoveries always count here).
-    Patching never changes results; the split only explains where the
-    discovery time went.
+    Every partition-cache miss runs a full discovery, so
+    ``partitions_recomputed`` equals ``partition_cache_misses``.  It and the
+    retired ``partitions_patched`` / ``partition_patch_fallbacks`` counters
+    (always 0) stay readable for callers that still tabulate them.
     """
 
     candidates_enumerated: int = 0
@@ -78,9 +72,6 @@ class SearchStats:
     fit_cache_misses: int = 0
     partition_cache_hits: int = 0
     partition_cache_misses: int = 0
-    partitions_patched: int = 0
-    partition_patch_fallbacks: int = 0
-    partitions_recomputed: int = 0
     cache_evictions: int = 0
     cache_backend: str = "memory"
     cache_backend_requested: str | None = None
@@ -126,6 +117,21 @@ class SearchStats:
         return self.cache_hits / lookups
 
     @property
+    def partitions_recomputed(self) -> int:
+        """Full partition discoveries run: one per partition-cache miss."""
+        return self.partition_cache_misses
+
+    @property
+    def partitions_patched(self) -> int:
+        """Retired with partition maintenance; always 0."""
+        return 0
+
+    @property
+    def partition_patch_fallbacks(self) -> int:
+        """Retired with partition maintenance; always 0."""
+        return 0
+
+    @property
     def warm_started(self) -> bool:
         """Whether this run was seeded with a pruning floor from a previous run."""
         return self.warm_start_floor is not None
@@ -138,9 +144,6 @@ class SearchStats:
         self.fit_cache_misses += counters.fit_misses
         self.partition_cache_hits += counters.partition_hits
         self.partition_cache_misses += counters.partition_misses
-        self.partitions_patched += counters.partitions_patched
-        self.partition_patch_fallbacks += counters.partition_patch_fallbacks
-        self.partitions_recomputed += counters.partitions_recomputed
         self.cache_evictions += counters.evictions
         for layer, delta in counters.backends:
             self.backend_counters[layer] = (
@@ -163,9 +166,6 @@ class SearchStats:
             "fit_cache_misses": self.fit_cache_misses,
             "partition_cache_hits": self.partition_cache_hits,
             "partition_cache_misses": self.partition_cache_misses,
-            "partitions_patched": self.partitions_patched,
-            "partition_patch_fallbacks": self.partition_patch_fallbacks,
-            "partitions_recomputed": self.partitions_recomputed,
             "cache_evictions": self.cache_evictions,
             "cache_hit_rate": self.cache_hit_rate,
             "cache_backend": self.cache_backend,
@@ -204,12 +204,6 @@ class SearchStats:
         if self.warm_started:
             suffix = " (fell back to a cold floor)" if self.warm_start_fallback else ""
             text += f", warm floor {self.warm_start_floor:.3f}{suffix}"
-        if self.partitions_patched or self.partition_patch_fallbacks:
-            text += (
-                f", partitions patched {self.partitions_patched}"
-                f"/recomputed {self.partitions_recomputed}"
-                f" ({self.partition_patch_fallbacks} patch fallbacks)"
-            )
         return text
 
     def __str__(self) -> str:

@@ -8,7 +8,7 @@ the loop.  The request path composes the three serving mechanisms:
 
 1. :class:`~repro.serving.registry.SessionRegistry` — tenant-namespaced
    leases over :class:`~repro.timeline.session.EngineSession` (warm caches,
-   pruning floors, maintenance bases), swept on idleness so sessions release
+   pruning floors), swept on idleness so sessions release
    their cache backends instead of leaking them.
 2. :class:`~repro.serving.admission.AdmissionController` — bounded per-tenant
    queues and concurrency quotas; saturation answers ``503`` + ``Retry-After``

@@ -51,7 +51,6 @@ from repro.obs.trace import configure_tracing, get_tracer
 from repro.relational.snapshot import SnapshotPair
 from repro.search.cache import CacheCounters, SearchCaches
 from repro.search.evaluator import CandidateEvaluator
-from repro.search.maintenance import MaintenanceContext
 from repro.search.stats import SearchStats
 from repro.timeline.delta import VersionDelta
 from repro.timeline.result import TimelineHop, TimelineResult
@@ -74,7 +73,6 @@ class EngineSession:
         self._charles = Charles(self._config)
         self._caches = SearchCaches.from_config(self._config)
         self._floors: dict[str, float] = {}
-        self._maintenance_bases: dict[str, SnapshotPair] = {}
         self._closed = False
         self._last_used = time.monotonic()
         self.runs_completed = 0
@@ -174,24 +172,17 @@ class EngineSession:
 
         Reuses every memo-cache entry from earlier runs whose input rows are
         untouched, seeds the pruning floor from the previous run on the same
-        target, patches cached partition discoveries across the delta from
-        the previous run's pair state where a certificate proves it safe
-        (:mod:`repro.search.maintenance`), and verifies the floor seed
-        afterwards (re-running with an open floor when it proved too
-        aggressive).  The ranking is byte-identical to a cold run on the same
-        pair.
+        target, and verifies the floor seed afterwards (re-running with an
+        open floor when it proved too aggressive).  The ranking is
+        byte-identical to a cold run on the same pair.
         """
         self._ensure_open()
         self.touch()
         tracer = get_tracer()
         floor = self.warm_floor(target)
         seed = _COLD if floor is None else floor
-        maintenance = self._maintenance_context(pair, target)
         with tracer.span(
-            "session.summarize",
-            target=target,
-            warm=seed != _COLD,
-            maintenance=maintenance is not None,
+            "session.summarize", target=target, warm=seed != _COLD
         ) as session_span:
             try:
                 result = self._charles.summarize_pair(
@@ -201,7 +192,6 @@ class EngineSession:
                     transformation_attributes=transformation_attributes,
                     caches=self._caches,
                     initial_floor=seed,
-                    maintenance=maintenance,
                 )
             except DiscoveryError:
                 if seed == _COLD:
@@ -229,7 +219,6 @@ class EngineSession:
                         transformation_attributes=transformation_attributes,
                         caches=self._caches,
                         initial_floor=_COLD,
-                        maintenance=maintenance,
                     )
                 if result.search_stats is not None:
                     result.search_stats.warm_start_floor = seed
@@ -238,10 +227,6 @@ class EngineSession:
         self.runs_completed += 1
         self.touch()
         self._remember_floor(target, result)
-        if self._config.partition_maintenance:
-            # only retained when the next run may patch from it: a disabled
-            # session must not pin two table snapshots per target for nothing
-            self._maintenance_bases[target] = pair
         return result
 
     def summarize_timeline(
@@ -285,22 +270,6 @@ class EngineSession:
         return TimelineResult(target=target, hops=tuple(hops))
 
     # -- internals -------------------------------------------------------------
-
-    def _maintenance_context(
-        self, pair: SnapshotPair, target: str
-    ) -> MaintenanceContext | None:
-        """The patch context linking ``pair`` to the previous run's pair state.
-
-        ``None`` when maintenance is disabled, this is the first run for the
-        target, or the pairs are not two states of one row-aligned relation —
-        the run then proceeds on content keys alone, exactly as before.
-        """
-        if not self._config.partition_maintenance:
-            return None
-        base = self._maintenance_bases.get(target)
-        if base is None:
-            return None
-        return MaintenanceContext.between(base, pair, target)
 
     def _floor_verified(self, result: CharlesResult, seed: float) -> bool:
         """Whether the seeded floor provably preserved the top-k."""

@@ -16,6 +16,7 @@ from repro.cachestore import (
     create_shared_backends,
     key_digest,
 )
+from repro.cachestore.base import STORE_ERRORS
 from repro.exceptions import CacheStoreError, ConfigurationError
 
 
@@ -190,7 +191,9 @@ class TestDiskBackend:
         backend.put("k", [1, 2])
         with sqlite3.connect(path) as conn:
             conn.execute("UPDATE entries SET value = ?", (b"not a pickle",))
-        assert backend.get("k") is MISSING  # degrade, never abort
+        before = STORE_ERRORS.value(backend="disk", op="get")
+        assert backend.get("k") is MISSING  # degrade, never abort ...
+        assert STORE_ERRORS.value(backend="disk", op="get") == before + 1  # ... counted
         assert len(backend) == 0  # the damaged entry was discarded
         backend.put("k", [3])
         assert backend.get("k") == [3]
@@ -238,9 +241,14 @@ class TestDiskBackend:
         backend.put("k", 1)
         backend.close()
         path.write_bytes(b"this is no longer a sqlite database")
+        ops = ("get", "len", "clear")
+        before = {op: STORE_ERRORS.value(backend="disk", op=op) for op in ops}
         assert backend.get("k") is MISSING  # degrade, never abort ...
         assert len(backend) == 0  # ... and so must the introspection calls
         backend.clear()  # a no-op, not an exception
+        # every degradation is counted, so a broken store is not silent
+        for op, count in before.items():
+            assert STORE_ERRORS.value(backend="disk", op=op) == count + 1
 
     def test_strict_variants_raise_on_a_corrupt_store(self, tmp_path):
         # cache traffic degrades; admin tooling must see the failure instead

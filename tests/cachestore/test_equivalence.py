@@ -135,6 +135,11 @@ class TestConfigNamespacing:
         # these knobs pick the execution strategy, never the computed values:
         # flipping them must keep a persistent cache warm
         assert neutral.cache_fingerprint() == base.cache_fingerprint()
+        # the retired partition_maintenance field is accepted and ignored
+        assert (
+            base.replace(partition_maintenance=True).cache_fingerprint()
+            == base.replace(partition_maintenance=False).cache_fingerprint()
+        )
 
     def test_fingerprint_rotates_on_result_affecting_knobs(self):
         base = CharlesConfig()

@@ -79,7 +79,7 @@ class TestClusteringInputReuse:
         evaluator = CandidateEvaluator(pair, "bonus", config)
         for spec in _round():
             evaluator.evaluate(spec)
-        assert evaluator.caches.partitions_recomputed == 6
+        assert evaluator.caches.partitions.misses == 6
         assert len(residual_calls) == 1
 
     def test_stored_input_is_read_only_and_never_weighted(self):

@@ -121,8 +121,8 @@ class TestParallelFallback:
         executor = ParallelExecutor(2)
         original_setup = executor._setup
 
-        def broken_setup(pair, target, cfg, caches=None, maintenance=None):
-            original_setup(pair, target, cfg, caches, maintenance)
+        def broken_setup(pair, target, cfg, caches=None):
+            original_setup(pair, target, cfg, caches)
             with pytest.warns(RuntimeWarning):
                 executor._fall_back_to_serial(RuntimeError("simulated pool loss"))
 

@@ -67,13 +67,11 @@ class TestCacheCounters:
         base = CacheCounters(
             fit_hits=4,
             partition_misses=2,
-            partitions_patched=1,
             backends=(("remote[a:1]", BackendCounters(hits=5, round_trips=4)),),
         )
         delta = CacheCounters(
             fit_hits=1,
             partition_misses=1,
-            partitions_patched=1,
             backends=(("remote[a:1]", BackendCounters(hits=2, round_trips=1)),),
         )
         assert (base + delta) - delta == base
@@ -95,7 +93,6 @@ class TestSearchStats:
             CacheCounters(
                 fit_hits=1,
                 partition_misses=1,
-                partitions_recomputed=1,
                 backends=(("remote[a:1]", BackendCounters(hits=1, round_trips=1)),),
             )
         )
@@ -145,16 +142,12 @@ class TestSearchStats:
             wall_time_seconds=1.234,
             n_jobs=4,
             warm_start_floor=0.875,
-            partitions_patched=7,
-            partitions_recomputed=2,
-            partition_patch_fallbacks=1,
         )
         assert stats.describe() == (
             "40 candidates planned (25 evaluated, 15 pruned), "
             "cache hit rate 75.0%, 1.23s, jobs=4, "
             "5 bound-pruned before discovery, cache=remote, "
-            "warm floor 0.875, "
-            "partitions patched 7/recomputed 2 (1 patch fallbacks)"
+            "warm floor 0.875"
         )
 
     def test_describe_is_str(self):

@@ -311,6 +311,9 @@ class TestHttpContract:
             )
             assert status == 400
             assert field in body["error"]
+        # a retired field is still accepted, so older tenant configs keep loading
+        for value in (True, False):
+            _open_session(server.url, "acme", {"partition_maintenance": value})
 
     def test_infra_fields_are_server_owned(self, server):
         status, _, body = request(

@@ -89,9 +89,9 @@ class TestVersionDelta:
 class TestVersionDeltaEdgeCases:
     """Pins the delta layer's behaviour at its boundaries.
 
-    The maintenance layer (:mod:`repro.search.maintenance`) keys patch
-    decisions off these exact semantics, so they are load-bearing: a change
-    here silently changes which discoveries get patched.
+    Timeline hops skip the search entirely when the delta misses the target
+    (:meth:`~repro.timeline.session.EngineSession.summarize_timeline`), so
+    these semantics are load-bearing: a change here changes which hops run.
     """
 
     def test_all_rows_changed(self):

@@ -104,10 +104,10 @@ class TestIncrementalEqualsCold:
 def revision_chains(draw) -> TimelineStore:
     """Chains mixing bonus-policy hops with metadata-correction hops.
 
-    Correction hops revise ``edu``/``exp`` without touching the target, which
-    is the terrain of delta-patchable partition maintenance: serving the
-    chain's versions against a fixed endpoint moves the *source* side of the
-    pair by exactly those sparse corrections.
+    Correction hops revise ``edu``/``exp`` without touching the target:
+    serving the chain's versions against a fixed endpoint moves the *source*
+    side of the pair by exactly those sparse corrections, so content keys over
+    condition attributes rotate while the changed-row set may not.
     """
     n = draw(st.integers(8, 14))
     rows = []
@@ -146,9 +146,9 @@ class TestMaintainedProvenanceSweepEqualsCold:
     """Serving every version against the chain's endpoint, one warm session.
 
     Each sweep step summarises ``(v_i, v_latest)``; between steps the pair's
-    source moves by one hop's delta, so the session's maintenance layer sees
-    patchable revisions, certificate mismatches and content hits in random
-    mixture — and must deliver cold rankings through all of them.
+    source moves by one hop's delta, so the session's caches see rotated
+    partition keys, untouched keys and warm floors in random mixture — and
+    must deliver cold rankings through all of them.
     """
 
     @given(revision_chains())

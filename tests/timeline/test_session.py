@@ -33,8 +33,15 @@ class TestWarmEqualsCold:
             _ranking(Charles(config).summarize_pair(pair, "bonus"))
             for _, _, pair in chain.consecutive_pairs()
         ]
-        warm = EngineSession(config).summarize_timeline(chain, "bonus")
-        assert warm.rankings() == cold
+        # partition_maintenance is retired: either value runs the same search,
+        # and the retired patch counters stay readable at 0
+        for maintenance in (True, False):
+            session = EngineSession(config.replace(partition_maintenance=maintenance))
+            warm = session.summarize_timeline(chain, "bonus")
+            assert warm.rankings() == cold
+            for stats in (hop.stats for hop in warm.hops if hop.stats):
+                assert stats.partitions_patched == stats.partition_patch_fallbacks == 0
+                assert stats.partitions_recomputed == stats.partition_cache_misses
 
     def test_equality_holds_with_tiny_cache_capacity(self, chain):
         config = CharlesConfig(search_cache_capacity=8, **_FAST)
