@@ -18,6 +18,7 @@ on decimal roundness:
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 __all__ = ["value_normality", "normality_of_values", "snap_candidates", "snap_value"]
@@ -29,12 +30,18 @@ _DIGIT_SCORES = {0: 1.0, 1: 1.0, 2: 0.85, 3: 0.6, 4: 0.35, 5: 0.15}
 _MAX_SIGNIFICANT_DIGITS = 12
 
 
+@lru_cache(maxsize=256)
 def _significant_decimal_digits(value: float) -> int:
     """Number of significant decimal digits needed to write ``value`` exactly.
 
     ``1050`` needs 3 (1.05e3), ``0.05`` needs 1 (5e-2), ``23.796`` needs 5.
     Values that cannot be represented with :data:`_MAX_SIGNIFICANT_DIGITS`
     digits (i.e. arbitrary floats) are reported as that maximum.
+
+    Cached: snapping and threshold search ask for the same constants many
+    times.  The count depends only on ``abs(value)``, so keys that compare
+    equal (``0.0`` and ``-0.0``, ``2`` and ``2.0``, a numpy float and its
+    Python float) may share an entry.
     """
     if value == 0:
         return 0

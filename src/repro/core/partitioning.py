@@ -276,7 +276,9 @@ def _global_residuals(
         residuals = model.residuals(features, new_values)
     except ModelFitError:
         residuals = new_values - float(np.nanmean(new_values))
-    return np.where(np.isnan(residuals), 0.0, residuals)
+    # a row without a finite residual (missing or infinite value) pulls no
+    # cluster centroid towards it
+    return np.where(np.isfinite(residuals), residuals, 0.0)
 
 
 # ---------------------------------------------------------------------------

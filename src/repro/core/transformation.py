@@ -38,8 +38,10 @@ def partition_errors(
     ``matrix`` is the partition's ``(n, d)`` feature matrix, ``coefficients``
     an ``(m, d)`` array with one candidate per row, ``intercepts`` the ``m``
     intercepts and ``actual`` the ``n`` actual new values.  A candidate's
-    error is the sum of ``|prediction - actual|`` over the rows where both
-    are known, or ``inf`` when there is no such row.
+    error is the sum of ``|prediction - actual|`` over the rows where the
+    prediction is known and the actual value is finite, or ``inf`` when there
+    is no such row: a non-finite actual value counts as missing, and an
+    infinite prediction errs by ``inf``.
 
     Each error is bit-identical to summing the errors of that candidate's
     :meth:`LinearTransformation.apply` with a 1-D ``np.sum``: a run of equal
@@ -60,7 +62,7 @@ def partition_errors(
     # as apply's constant prediction does
     predictions += intercepts[:, None]
     missing = np.isnan(predictions)
-    missing |= np.isnan(actual)
+    missing |= ~np.isfinite(actual)
     predictions -= actual
     np.abs(predictions, out=predictions)
     missing_rows = missing.any(axis=0)
@@ -247,7 +249,7 @@ class LinearTransformation:
 
         A candidate's accuracy loss is its L1 error on the partition rows
         ``source`` against their ``actual`` new values, minus this
-        transformation's error, relative to the summed magnitude of the known
+        transformation's error, relative to the summed magnitude of the finite
         actual values.  A candidate whose loss exceeds ``tolerance``, or is
         unknown (NaN), is rejected.
 
@@ -265,7 +267,8 @@ class LinearTransformation:
         """
         matrix = source.numeric_matrix(list(self.feature_names))
         actual = np.asarray(actual, dtype=float)
-        scale = float(np.nansum(np.abs(actual))) or 1.0
+        magnitudes = np.abs(actual)
+        scale = float(np.sum(np.where(np.isfinite(magnitudes), magnitudes, 0.0))) or 1.0
         options = [_snap_options(constant) for constant in (*self.coefficients, self.intercept)]
         if math.prod(min(len(values), 6) for values, _ in options) > max_combinations:
             return self._greedy_snap(matrix, actual, scale, tolerance, options)

@@ -96,8 +96,9 @@ class LinearRegression:
     ) -> "LinearRegression":
         """Fit the model and return ``self``.
 
-        Rows containing NaN in either features or target are dropped before
-        fitting.  Raises :class:`ModelFitError` if nothing usable remains.
+        Rows holding a non-finite value (NaN or ±inf) in either features or
+        target are dropped before fitting.  Raises :class:`ModelFitError` if
+        nothing usable remains.
         """
         matrix = _as_matrix(features)
         vector = _as_vector(target)
@@ -105,9 +106,9 @@ class LinearRegression:
             raise ModelFitError(
                 f"feature rows ({matrix.shape[0]}) and target rows ({vector.shape[0]}) differ"
             )
-        usable = ~np.isnan(vector)
+        usable = np.isfinite(vector)
         if matrix.shape[1] > 0:
-            usable &= ~np.isnan(matrix).any(axis=1)
+            usable &= np.isfinite(matrix).all(axis=1)
         if sample_weight is not None:
             weights = np.asarray(sample_weight, dtype=float)
             usable &= ~np.isnan(weights) & (weights > 0)

@@ -9,7 +9,18 @@ and per-mask regression fit it performs is memoised in its
 :class:`~repro.search.cache.SearchCaches`, so work that recurs across specs
 (identical partition masks at different ``k``/residual weights, union masks
 re-fitted during merging, refinement re-clustering the same sub-table) is done
-once.
+once.  Three more memos live as long as the evaluator, are plain dicts and
+change no outcome:
+
+* the *clustering input* of a scope, by (C, T, scope content token): every
+  partition count and residual weight clusters the same matrix;
+* the *induced partitions*, by (C, scope mask, ``k > 1``, labels): condition
+  induction reads neither T nor w, and reads k only through ``k > 1``, so
+  every k = 1 spec of a C subset and every (T, w) that k-means maps to the
+  same labelling shares one induction;
+* the *built summary* of a partition signature, with its interpretability
+  and (once some spec needed it) its accuracy: specs of one round whose
+  partitions coincide build and score one summary.
 
 Two kinds of pruning happen here, both exact:
 
@@ -123,6 +134,21 @@ class EvaluationOutcome:
         return self.pruned_reason is not None
 
 
+@dataclass
+class _BuiltSummary:
+    """A summary built from one partition signature, shared by its specs.
+
+    ``breakdown`` (which holds the accuracy) is filled by the first spec that
+    is not score-bound pruned; every spec still builds its own
+    :class:`ScoredSummary`, so provenance stays per spec.
+    """
+
+    summary: ChangeSummary | None
+    interpretability: float = 0.0
+    components: dict | None = None
+    breakdown: ScoreBreakdown | None = None
+
+
 class CandidateEvaluator:
     """Evaluates candidate specs for one snapshot pair, target and config."""
 
@@ -142,6 +168,11 @@ class CandidateEvaluator:
         # partition count and residual weight of one scope clusters the same
         # matrix.  Lives as long as the evaluator, like the fingerprints.
         self._clustering_inputs: dict[tuple, np.ndarray] = {}
+        # induced partitions by (C, scope mask digest, k > 1, labels), and
+        # built summaries by partition signature; both as long-lived as the
+        # clustering inputs, and both valid only for this evaluator's pair
+        self._inductions: dict[tuple, tuple[Partition, ...]] = {}
+        self._summaries: dict[tuple, _BuiltSummary] = {}
         self.caches = caches or SearchCaches(config.search_cache_capacity)
         # the process-wide tracer singleton; its `.enabled` flag is the only
         # overhead evaluation pays when tracing is off
@@ -200,10 +231,13 @@ class CandidateEvaluator:
         signature = self._partition_signature(spec, partitions)
         if signature in known_signatures:
             return EvaluationOutcome(spec, None, signature, pruned_reason=PRUNED_DUPLICATE)
-        summary = self._partitioned_summary(spec, partitions)
-        if summary is None:
+        built = self._summaries.get(signature)
+        if built is None:
+            built = self._build_summary(spec, partitions)
+            self._summaries[signature] = built
+        if built.summary is None:
             return EvaluationOutcome(spec, None, signature)
-        scored = self._score_or_prune(summary, spec, floor)
+        scored = self._score_or_prune(built, spec, floor)
         reason = PRUNED_SCORE_BOUND if scored is None else None
         return EvaluationOutcome(spec, scored, signature, pruned_reason=reason)
 
@@ -298,15 +332,16 @@ class CandidateEvaluator:
         with self._tracer.span(
             "partitions.resolve", top_level=scope_mask is self._full_mask
         ) as span:
-            partitions = self._discover_partitions(
+            partitions, induced = self._discover_partitions(
                 scope_pair,
+                scope_mask,
                 key[-1],
                 condition_subset,
                 transformation_subset,
                 n_partitions,
                 residual_weight,
             )
-            span.set(partitions=len(partitions))
+            span.set(partitions=len(partitions), induced=induced)
         _PARTITION_RESOLUTION.inc(outcome="recomputed")
         self.caches.partitions.store(
             key, partitions, cost_seconds=time.perf_counter() - started
@@ -340,13 +375,21 @@ class CandidateEvaluator:
     def _discover_partitions(
         self,
         scope_pair: SnapshotPair,
+        scope_mask: np.ndarray,
         scope_token: bytes,
         condition_subset: tuple[str, ...],
         transformation_subset: tuple[str, ...],
         n_partitions: int,
         residual_weight: float,
-    ) -> tuple[Partition, ...]:
-        """Full partition discovery: cluster the changed rows, induce conditions."""
+    ) -> tuple[tuple[Partition, ...], bool]:
+        """Full partition discovery: cluster the changed rows, induce conditions.
+
+        Returns the partitions and whether induction ran (``False`` when its
+        result was reused, or nothing changed).  Induction reads the scope's
+        source values of C, its changed rows and the labels; the scope mask
+        stands for the first two within this evaluator's pair, and k enters
+        only as ``k > 1`` (whether a trivial condition may be dropped).
+        """
         clustered = cluster_changed_rows(
             scope_pair,
             self._target,
@@ -360,9 +403,13 @@ class CandidateEvaluator:
             ),
         )
         if clustered is None:
-            return ()
+            return (), False
         changed_indices, labels = clustered
-        return tuple(
+        key = (condition_subset, mask_digest(scope_mask), n_partitions > 1, labels.tobytes())
+        partitions = self._inductions.get(key)
+        if partitions is not None:
+            return partitions, False
+        partitions = tuple(
             partitions_from_labels(
                 scope_pair,
                 self._target,
@@ -373,6 +420,8 @@ class CandidateEvaluator:
                 self._config,
             )
         )
+        self._inductions[key] = partitions
+        return partitions, True
 
     def _cached_fit(
         self, transformation_subset: tuple[str, ...], mask: np.ndarray
@@ -458,29 +507,36 @@ class CandidateEvaluator:
             identity_fallback=self._config.include_identity_fallback,
         )
 
+    def _build_summary(self, spec: CandidateSpec, partitions: list[Partition]) -> _BuiltSummary:
+        """The summary of a partition structure, with its interpretability."""
+        summary = self._partitioned_summary(spec, partitions)
+        if summary is None:
+            return _BuiltSummary(None)
+        return _BuiltSummary(summary, *interpretability(summary, self._pair, self._config))
+
     def _score_or_prune(
-        self, summary: ChangeSummary, spec: CandidateSpec, floor: float
+        self, built: _BuiltSummary, spec: CandidateSpec, floor: float
     ) -> ScoredSummary | None:
         """Score a built summary, or drop it when it provably cannot reach the top-k."""
         config = self._config
-        interpretability_value, components = interpretability(summary, self._pair, config)
         if config.prune_search:
-            upper_bound = config.alpha * 1.0 + (1.0 - config.alpha) * interpretability_value
+            upper_bound = config.alpha * 1.0 + (1.0 - config.alpha) * built.interpretability
             if upper_bound < floor:
                 return None
-        accuracy_value = accuracy(summary, self._pair, sharpness=config.accuracy_sharpness)
-        breakdown = ScoreBreakdown(
-            accuracy=accuracy_value,
-            interpretability=interpretability_value,
-            size_score=components["size"],
-            simplicity_score=components["simplicity"],
-            coverage_score=components["coverage"],
-            normality_score=components["normality"],
-            alpha=config.alpha,
-        )
+        if built.breakdown is None:
+            components = built.components
+            built.breakdown = ScoreBreakdown(
+                accuracy=accuracy(built.summary, self._pair, sharpness=config.accuracy_sharpness),
+                interpretability=built.interpretability,
+                size_score=components["size"],
+                simplicity_score=components["simplicity"],
+                coverage_score=components["coverage"],
+                normality_score=components["normality"],
+                alpha=config.alpha,
+            )
         return ScoredSummary(
-            summary=summary,
-            breakdown=breakdown,
+            summary=built.summary,
+            breakdown=built.breakdown,
             condition_attributes=spec.condition_subset,
             transformation_attributes=spec.transformation_subset,
             n_partitions=spec.n_partitions,
@@ -564,7 +620,8 @@ class CandidateEvaluator:
             actual_new = pair.target.numeric_column(target)[partition.mask]
             old_values = rows.numeric_column(target)
             unexplained = self._partition_error(transformation, rows, actual_new)
-            total_change = float(np.nansum(np.abs(actual_new - old_values)))
+            change = np.abs(actual_new - old_values)
+            total_change = float(np.sum(np.where(np.isfinite(change), change, 0.0)))
             if total_change <= 0.0 or unexplained / total_change < config.refinement_error_threshold:
                 refined.append((partition, transformation))
                 continue
@@ -649,7 +706,7 @@ class CandidateEvaluator:
         compromise between the policy and the noise.
         """
         residuals = np.abs(model.residuals(features, actual_new))
-        residuals = np.where(np.isnan(residuals), 0.0, residuals)
+        residuals = np.where(np.isfinite(residuals), residuals, 0.0)
         median = float(np.median(residuals))
         if median <= 0.0:
             return model

@@ -2,8 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import normality
 from repro.core.config import CharlesConfig, InterpretabilityWeights
 from repro.core.normality import (
     normality_of_values,
@@ -114,3 +118,29 @@ class TestNormality:
         scores = [value_normality(value) for value in ordered]
         assert all(a >= b for a, b in zip(scores, scores[1:]))
         assert not math.isclose(scores[0], scores[-1])
+
+
+_digit_keys = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e6, 1e6, allow_nan=False).map(lambda value: round(value, 3)),
+    st.integers(-10**6, 10**6),
+    st.sampled_from([0.0, -0.0, 0, 1, 1.0, 1.05, 0.05, 1050, -23.796]),
+    st.floats(-1e6, 1e6, allow_nan=False).map(np.float64),
+)
+
+
+class TestSignificantDigitCache:
+    """The cached digit count answers exactly as the uncached function."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(_digit_keys, min_size=1, max_size=20))
+    def test_cached_equals_uncached(self, values):
+        uncached = normality._significant_decimal_digits.__wrapped__
+        # each value twice, and its negation and float twin in between, so
+        # lookups hit entries that keys comparing equal have stored
+        for value in values + [-value for value in values] + [float(v) for v in values] + values:
+            assert normality._significant_decimal_digits(value) == uncached(value)
+
+    def test_cache_is_bounded(self):
+        info = normality._significant_decimal_digits.cache_info()
+        assert info.maxsize == 256

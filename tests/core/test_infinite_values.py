@@ -1,0 +1,98 @@
+"""A non-finite value is a missing value, from the fits to the scorer.
+
+One infinite cell must not decide a ranking: the regression fits drop the
+row, the global residual behind clustering is zero there, the error kernel
+skips it, and scoring already ignores it.  The two measured cases check the
+end result: a pair with the first changed new ``bonus`` set to ``inf`` ranks
+exactly as the same pair with that cell blank.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core import Charles, CharlesConfig
+from repro.core.partitioning import _global_residuals
+from repro.core.transformation import partition_errors
+from repro.exceptions import ModelFitError
+from repro.ml.linreg import LinearRegression
+from repro.relational.snapshot import SnapshotPair
+from repro.relational.table import Table
+from repro.workloads import employee_pair
+
+
+def _with_first_changed(pair: SnapshotPair, value, target: str = "bonus") -> SnapshotPair:
+    row = int(np.nonzero(pair.changed_mask(target))[0][0])
+    values = pair.target.column(target)
+    values[row] = value
+    return SnapshotPair(pair.source, pair.target.with_column(target, values), pair.key)
+
+
+def _ranking(pair: SnapshotPair, conditions, transformations) -> list[str]:
+    result = Charles(CharlesConfig()).summarize_pair(pair, "bonus", conditions, transformations)
+    return [scored.describe() for scored in result.summaries]
+
+
+class TestFitsDropNonFiniteRows:
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_fit_equals_the_fit_without_the_row(self, bad):
+        features = np.array([[1.0], [2.0], [3.0], [4.0], [5.0]])
+        target = np.array([3.0, 5.0, 7.0, 9.0, 11.0])
+        dirty_target = target.copy()
+        dirty_target[2] = bad
+        dirty_features = features.copy()
+        dirty_features[4, 0] = bad
+        keep = [0, 1, 3, 4]
+        for x, y, rows in (
+            (features, dirty_target, keep),
+            (dirty_features, target, [0, 1, 2, 3]),
+        ):
+            model = LinearRegression().fit(x, y)
+            clean = LinearRegression().fit(features[rows], target[rows])
+            assert model.coefficients.tolist() == clean.coefficients.tolist()
+            assert model.intercept == clean.intercept
+
+    def test_nothing_finite_is_nothing_usable(self):
+        with pytest.raises(ModelFitError):
+            LinearRegression().fit(np.array([[1.0], [2.0]]), np.array([np.inf, -np.inf]))
+
+
+class TestGlobalResidualsZeroNonFinite:
+    def test_infinite_new_value_has_zero_residual(self):
+        config = CharlesConfig()
+        x = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        new_values = np.array([2.0, 4.5, np.inf, 8.0, 9.0])
+        residuals = _global_residuals(Table.from_columns({"x": x.tolist()}), new_values, ["x"], config)
+        finite = np.isfinite(new_values)
+        line = LinearRegression(ridge=config.ridge).fit(x[finite, None], new_values[finite])
+        assert residuals[2] == 0.0
+        assert residuals[finite].tolist() == line.residuals(x[finite, None], new_values[finite]).tolist()
+
+
+class TestErrorKernelSkipsNonFiniteActuals:
+    def test_same_errors_as_with_the_value_missing(self):
+        matrix = np.array([[1.0], [2.0], [3.0], [4.0]])
+        coefficients, intercepts = [[1.0], [2.0], [0.5]], [0.0, 1.0, -1.0]
+        infinite = np.array([1.0, np.inf, 2.0, -np.inf])
+        blank = np.array([1.0, np.nan, 2.0, np.nan])
+        got = partition_errors(matrix, coefficients, intercepts, infinite)
+        want = partition_errors(matrix, coefficients, intercepts, blank)
+        assert got.tobytes() == want.tobytes()
+
+
+class TestInfiniteCellRanksLikeABlankOne:
+    def test_employee_300(self):
+        pair = employee_pair(300, seed=7)
+        shortlists = (["edu", "exp"], ["bonus", "salary"])
+        infinite = _ranking(_with_first_changed(pair, float("inf")), *shortlists)
+        blank = _ranking(_with_first_changed(pair, None), *shortlists)
+        assert infinite == blank
+        assert "accuracy=1.000" in infinite[0]
+
+    def test_first_399_rows_of_employee_2000(self):
+        full = employee_pair(2000, seed=7)
+        pair = full.restricted(np.arange(full.num_rows) < 399)
+        shortlists = (["edu", "salary"], ["bonus", "salary"])
+        infinite = _ranking(_with_first_changed(pair, float("inf")), *shortlists)
+        blank = _ranking(_with_first_changed(pair, None), *shortlists)
+        assert infinite == blank
+        assert "score=0.859" in infinite[0]

@@ -22,9 +22,9 @@ NAMES = ("a", "b", "c", "d")
 
 
 def _reference_error(candidate: LinearTransformation, source: Table, actual: np.ndarray) -> float:
-    """One candidate's L1 error, computed on its own."""
+    """One candidate's L1 error, computed on its own; a non-finite actual is missing."""
     predictions = candidate.apply(source)
-    usable = ~np.isnan(predictions) & ~np.isnan(actual)
+    usable = ~np.isnan(predictions) & np.isfinite(actual)
     if not usable.any():
         return float("inf")
     return float(np.sum(np.abs(predictions[usable] - actual[usable])))
@@ -88,7 +88,7 @@ def _reference_greedy(transformation, loss, tolerance):
 
 def _reference_loss(transformation, source, actual):
     baseline = _reference_error(transformation, source, actual)
-    scale = float(np.nansum(np.abs(actual))) or 1.0
+    scale = float(np.sum(np.abs(actual[np.isfinite(actual)]))) or 1.0
     return lambda candidate: (_reference_error(candidate, source, actual) - baseline) / scale
 
 
@@ -111,6 +111,9 @@ def _partitions(draw):
         # a row whose features are all missing
         matrix[draw(st.integers(0, n - 1))] = np.nan
     actual = np.array(draw(st.lists(_maybe_missing, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        # an infinite actual value, which counts as missing
+        actual[draw(st.integers(0, n - 1))] = draw(st.sampled_from([np.inf, -np.inf]))
     return matrix, actual
 
 
@@ -144,6 +147,13 @@ class TestPartitionErrors:
         actual = np.array([np.nan, 2.0])
         errors = partition_errors(matrix, [[1.0], [2.0]], [0.0, 1.0], actual)
         assert np.isinf(errors).all()
+
+    def test_infinite_actual_is_missing(self):
+        matrix = np.array([[1.0], [2.0], [3.0]])
+        actual = np.array([np.inf, 2.0, -np.inf])
+        errors = partition_errors(matrix, [[1.0], [2.0]], [0.0, 0.0], actual)
+        assert errors.tolist() == [0.0, 2.0]
+        assert np.isinf(partition_errors(matrix, [[1.0]], [0.0], np.full(3, np.inf))).all()
 
     def test_infinite_feature_keeps_per_candidate_rows(self):
         # inf * 0 is NaN, so a zero coefficient drops the row another keeps
