@@ -13,7 +13,7 @@ assistant needs:
 
 All functions return values in ``[-1, 1]`` (symmetric measures are
 non-negative) and ``nan`` when the association is undefined (e.g. constant
-columns or empty input).
+columns or empty input).  A non-finite numeric value counts as missing.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ __all__ = [
 def _clean_numeric_pair(x: Sequence[float], y: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     x_array = np.asarray(x, dtype=float)
     y_array = np.asarray(y, dtype=float)
-    usable = ~np.isnan(x_array) & ~np.isnan(y_array)
+    usable = np.isfinite(x_array) & np.isfinite(y_array)
     return x_array[usable], y_array[usable]
 
 
@@ -90,7 +90,7 @@ def correlation_ratio(categories: Sequence[Any], values: Sequence[float]) -> flo
     usable = [
         (category, value)
         for category, value in zip(categories, values_array.tolist())
-        if category is not None and not np.isnan(value)
+        if category is not None and np.isfinite(value)
     ]
     if len(usable) < 2:
         return float("nan")

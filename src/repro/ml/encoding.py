@@ -127,11 +127,11 @@ class OrdinalEncoder:
 class TableEncoder:
     """Encode a subset of table columns into a scaled numeric matrix.
 
-    Numeric columns pass through (missing values imputed with the column
-    mean); categorical columns are one-hot encoded.  The final matrix is
-    min-max scaled so every feature contributes comparably to Euclidean
-    distance.  Extra features (e.g. regression residuals) can be appended and
-    are scaled the same way.
+    Numeric columns pass through (missing and non-finite values imputed with
+    the mean of the finite ones); categorical columns are one-hot encoded.
+    The final matrix is min-max scaled so every feature contributes
+    comparably to Euclidean distance.  Extra features (e.g. regression
+    residuals) can be appended and are scaled the same way.
     """
 
     columns: list[str]
@@ -155,8 +155,12 @@ class TableEncoder:
             column = table.schema.column(name)
             if column.is_numeric:
                 values = table.numeric_column(name)
-                mean = float(np.nanmean(values)) if not np.all(np.isnan(values)) else 0.0
-                values = np.where(np.isnan(values), mean, values)
+                # a non-finite value is imputed like a missing one; the mean
+                # is nanmean's arithmetic over the finite values
+                finite = np.isfinite(values)
+                count = int(finite.sum())
+                mean = float(np.where(finite, values, 0.0).sum()) / count if count else 0.0
+                values = np.where(finite, values, mean)
                 blocks.append(values.reshape(-1, 1))
                 self._feature_names.append(name)
             else:

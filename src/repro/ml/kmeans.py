@@ -5,10 +5,25 @@ regression line" over the condition attributes (paper §2).  This module
 supplies the clustering primitive: a deterministic-under-seed k-means with
 k-means++ seeding, empty-cluster repair, and an elbow-style helper for
 choosing k when the caller does not fix it.
+
+Every squared distance comes from one kernel, :class:`_SquaredDistances`,
+built once per point set and reused for each centroid set: it subtracts into
+a preallocated buffer, squares in place and sums over the width into a
+preallocated ``(k, n)`` output, one row per centroid.  Its summation order
+is the one a last-axis ``np.add.reduce`` of an ``(n, k, d)`` difference
+array uses, so fits are bit-identical to computing that array afresh.  Below
+8 columns numpy adds a last axis one element at a time, in column order.
+The kernel stores the points column-major, ``(d, 1, n)``, builds a
+``(d, k, n)`` buffer and reduces over the leading axis, which adds the same
+columns in the same order, with every inner loop running over all n points
+instead of over 3 to 7 columns.  From 8 columns on numpy sums a last axis
+pairwise, so there the kernel reduces the last axis of a ``(k, n, d)``
+buffer, whose per-element sums are the ones of ``(n, k, d)``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -17,6 +32,9 @@ import numpy as np
 from repro.exceptions import ModelFitError
 
 __all__ = ["KMeans", "KMeansResult", "choose_k_by_elbow"]
+
+#: the shortest last axis numpy's ``add.reduce`` sums pairwise rather than in order
+_PAIRWISE_MIN_WIDTH = 8
 
 
 @dataclass(frozen=True)
@@ -42,12 +60,17 @@ class KMeansResult:
 class KMeans:
     """Lloyd's algorithm with k-means++ initialisation.
 
+    Distances come from one :class:`_SquaredDistances` kernel per fit, shared
+    by every restart (see the module docstring for why its sums are
+    bit-identical to a fresh ``(n, k, d)`` reduction).
+
     Each update computes every centroid at once: one ``np.bincount`` sums the
-    members' coordinates per (label, column) and one counts the members.
-    ``bincount`` adds the rows in row order starting from 0.0, exactly as an
-    axis-0 ``mean`` of a cluster's members does for two or more columns, so
-    the centroids are bit-identical to the per-cluster means (an all-zero sum
-    may differ in sign only, which no distance sees).  For a single column
+    members' coordinates per (column, label) and one counts the members.
+    The entries go in column by column, so each bin still receives its rows
+    in row order, and ``bincount`` adds them starting from 0.0, exactly as
+    an axis-0 ``mean`` of a cluster's members does for two or more columns,
+    so the centroids are bit-identical to the per-cluster means (an all-zero
+    sum may differ in sign only, which no distance sees).  For a single column
     ``mean`` sums pairwise, and centroids can then differ in the last bit.
     Every empty cluster is re-seeded at the point farthest from its centroid.
 
@@ -86,19 +109,17 @@ class KMeans:
 
     def fit(self, points: np.ndarray | Sequence[Sequence[float]]) -> KMeansResult:
         """Cluster ``points`` and return (and store) the best :class:`KMeansResult`."""
-        matrix = np.asarray(points, dtype=float)
-        if matrix.ndim == 1:
-            matrix = matrix.reshape(-1, 1)
+        matrix = _as_matrix(points)
         if matrix.ndim != 2 or matrix.shape[0] == 0:
             raise ModelFitError(f"cannot cluster an array of shape {matrix.shape}")
-        if np.isnan(matrix).any():
-            raise ModelFitError("k-means input contains NaN values")
-        n_points = matrix.shape[0]
-        k = min(self.n_clusters, n_points)
+        if not np.isfinite(matrix).all():
+            raise ModelFitError("k-means input contains non-finite values")
+        k = min(self.n_clusters, matrix.shape[0])
+        distances = _SquaredDistances(matrix, k)
         rng = np.random.default_rng(self.seed)
         best: KMeansResult | None = None
         for _ in range(max(1, self.n_init)):
-            result = self._single_run(matrix, k, rng)
+            result = self._single_run(matrix, k, rng, distances)
             if best is None or result.inertia < best.inertia:
                 best = result
         assert best is not None
@@ -109,83 +130,128 @@ class KMeans:
         """Assign each point to the nearest centroid of the stored fit."""
         if self.result is None:
             raise ModelFitError("predict called before fit")
-        matrix = np.asarray(points, dtype=float)
-        if matrix.ndim == 1:
-            matrix = matrix.reshape(-1, 1)
-        distances = _pairwise_squared_distances(matrix, self.result.centroids)
-        return np.argmin(distances, axis=1)
+        centroids = self.result.centroids
+        return _SquaredDistances(_as_matrix(points), len(centroids))(centroids).argmin(axis=0)
 
     # -- internals ------------------------------------------------------------
 
-    def _single_run(self, matrix: np.ndarray, k: int, rng: np.random.Generator) -> KMeansResult:
-        width = matrix.shape[1]
-        values = matrix.ravel()
-        # bin of every matrix entry in the flattened (k, width) centroid sums
-        columns = np.arange(width)
+    def _single_run(
+        self,
+        matrix: np.ndarray,
+        k: int,
+        rng: np.random.Generator,
+        squared_distances: _SquaredDistances,
+    ) -> KMeansResult:
+        n_points, width = matrix.shape
+        # the entries column by column, and the bin of each in the flattened
+        # (width, k) centroid sums, less its label
+        values = np.ascontiguousarray(matrix.T).ravel()
+        offsets = np.repeat(np.arange(width) * k, n_points).reshape(width, n_points)
         centroids = _kmeans_plus_plus_init(matrix, k, rng)
         # labels whose exact means are `centroids` (no cluster was re-seeded)
         settled: np.ndarray | None = None
         distances: np.ndarray | None = None
         iterations = 0
         for iterations in range(1, self.max_iterations + 1):
-            distances = _pairwise_squared_distances(matrix, centroids)
-            labels = np.argmin(distances, axis=1)
-            if settled is not None and np.array_equal(labels, settled):
+            distances = squared_distances(centroids)
+            labels = distances.argmin(axis=0)
+            if settled is not None and (labels == settled).all():
                 # the update would return `centroids` bit for bit (movement 0)
                 # and the final pass would recompute these distances
                 break
             counts = np.bincount(labels, minlength=k)
-            sums = np.bincount(
-                (labels[:, None] * width + columns).ravel(), weights=values, minlength=k * width
-            ).reshape(k, width)
-            new_centroids = sums / np.maximum(counts, 1)[:, None]
-            empty = counts == 0
-            if empty.any():
-                # re-seed every empty cluster at the point farthest from its centroid
-                farthest = int(np.argmax(np.min(distances, axis=1)))
-                new_centroids[empty] = matrix[farthest]
-                settled = None
-            else:
+            sums = np.bincount((labels + offsets).ravel(), weights=values, minlength=width * k)
+            new_centroids = (sums.reshape(width, k) / np.maximum(counts, 1)).T
+            if counts.all():
                 settled = labels if self.tolerance >= 0 else None
-            movement = float(np.linalg.norm(new_centroids - centroids))
+            else:
+                # re-seed every empty cluster at the point farthest from its centroid
+                farthest = int(distances.min(axis=0).argmax())
+                new_centroids[counts == 0] = matrix[farthest]
+                settled = None
+            # what np.linalg.norm computes for a real array
+            step = (new_centroids - centroids).ravel()
+            movement = math.sqrt(step.dot(step))
             centroids = new_centroids
             distances = None
             if movement <= self.tolerance:
                 break
         if distances is None:
-            distances = _pairwise_squared_distances(matrix, centroids)
-            labels = np.argmin(distances, axis=1)
-        inertia = float(np.sum(np.min(distances, axis=1)))
-        return KMeansResult(centroids=centroids, labels=labels, inertia=inertia,
-                            iterations=iterations)
+            distances = squared_distances(centroids)
+            labels = distances.argmin(axis=0)
+        inertia = float(distances.min(axis=0).sum())
+        # an update leaves the centroids column-major; results are row-major
+        return KMeansResult(centroids=np.ascontiguousarray(centroids), labels=labels,
+                            inertia=inertia, iterations=iterations)
 
 
-def _pairwise_squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distance between every point and every centroid."""
-    diff = points[:, None, :] - centroids[None, :, :]
-    diff *= diff
-    return np.add.reduce(diff, axis=2)
+def _as_matrix(points: np.ndarray | Sequence[Sequence[float]]) -> np.ndarray:
+    matrix = np.asarray(points, dtype=float)
+    return matrix.reshape(-1, 1) if matrix.ndim == 1 else matrix
+
+
+class _SquaredDistances:
+    """Squared Euclidean distances from fixed points to ``k`` centroids at a time.
+
+    Calling it with a ``(k, d)`` centroid array returns a ``(k, n)`` array
+    that the next call overwrites.  Below ``_PAIRWISE_MIN_WIDTH`` columns the
+    points are stored as ``(d, 1, n)`` and the sum runs over the leading axis;
+    from there on they stay ``(1, n, d)`` and the sum runs over the last axis
+    (see the module docstring).
+    """
+
+    def __init__(self, matrix: np.ndarray, k: int) -> None:
+        n_points, width = matrix.shape
+        if width < _PAIRWISE_MIN_WIDTH:
+            self._axis = 0
+            self._points = np.ascontiguousarray(matrix.T).reshape(width, 1, n_points)
+            self._buffer = np.empty((width, k, n_points))
+        else:
+            self._axis = 2
+            self._points = matrix[None, :, :]
+            self._buffer = np.empty((k, n_points, width))
+        self._out = np.empty((k, n_points))
+
+    def __call__(self, centroids: np.ndarray) -> np.ndarray:
+        shaped = centroids.T[:, :, None] if self._axis == 0 else centroids[:, None, :]
+        buffer = self._buffer
+        np.subtract(self._points, shaped, out=buffer)
+        np.multiply(buffer, buffer, out=buffer)
+        return np.add.reduce(buffer, axis=self._axis, out=self._out)
 
 
 def _kmeans_plus_plus_init(matrix: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding: spread the initial centroids proportionally to distance."""
     n_points = matrix.shape[0]
     centroids = np.empty((k, matrix.shape[1]), dtype=float)
+    squared_distances = _SquaredDistances(matrix, 1)
     first = int(rng.integers(n_points))
     centroids[0] = matrix[first]
-    closest_sq = np.sum((matrix - centroids[0]) ** 2, axis=1)
+    closest_sq = squared_distances(centroids[:1])[0].copy()
     for index in range(1, k):
         total = float(closest_sq.sum())
+        if not math.isfinite(total):
+            # an overflowed total leaves no valid probabilities to draw from
+            raise ModelFitError("k-means++ distances overflow float64")
         if total <= 0.0:
             # all remaining points coincide with an existing centroid
             choice = int(rng.integers(n_points))
         else:
-            probabilities = closest_sq / total
-            choice = int(rng.choice(n_points, p=probabilities))
+            choice = _weighted_draw(closest_sq / total, rng)
         centroids[index] = matrix[choice]
-        new_sq = np.sum((matrix - centroids[index]) ** 2, axis=1)
-        closest_sq = np.minimum(closest_sq, new_sq)
+        np.minimum(closest_sq, squared_distances(centroids[index:index + 1])[0], out=closest_sq)
     return centroids
+
+
+def _weighted_draw(probabilities: np.ndarray, rng: np.random.Generator) -> int:
+    """The index ``rng.choice(len(probabilities), p=probabilities)`` returns.
+
+    It is the arithmetic ``Generator.choice`` itself runs, on the same single
+    uniform double, without that call's validation of ``p``.
+    """
+    cdf = np.cumsum(probabilities)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def choose_k_by_elbow(
@@ -201,9 +267,7 @@ def choose_k_by_elbow(
     ``improvement_threshold``.  Used when the caller does not supply an
     explicit number of partitions.
     """
-    matrix = np.asarray(points, dtype=float)
-    if matrix.ndim == 1:
-        matrix = matrix.reshape(-1, 1)
+    matrix = _as_matrix(points)
     n_points = matrix.shape[0]
     if n_points == 0:
         raise ModelFitError("cannot choose k for zero points")

@@ -385,23 +385,38 @@ class CandidateEvaluator:
         """Full partition discovery: cluster the changed rows, induce conditions.
 
         Returns the partitions and whether induction ran (``False`` when its
-        result was reused, or nothing changed).  Induction reads the scope's
-        source values of C, its changed rows and the labels; the scope mask
-        stands for the first two within this evaluator's pair, and k enters
-        only as ``k > 1`` (whether a trivial condition may be dropped).
+        result was reused, or nothing changed).  Clustering runs under a
+        ``core.cluster`` span and induction under a ``core.induce`` span, the
+        layer names perfbench uses.  Induction reads the scope's source
+        values of C, its changed rows and the labels; the scope mask stands
+        for the first two within this evaluator's pair, and k enters only as
+        ``k > 1`` (whether a trivial condition may be dropped).
         """
-        clustered = cluster_changed_rows(
-            scope_pair,
-            self._target,
-            condition_subset,
-            transformation_subset,
-            n_partitions,
-            self._config,
-            residual_weight=residual_weight,
-            clustering_input=lambda changed_indices: self._clustering_input(
-                scope_pair, scope_token, condition_subset, transformation_subset, changed_indices
-            ),
-        )
+        # `k` is the cluster count k-means ran with, 1 when nothing was clustered
+        with self._tracer.span(
+            "core.cluster", k=1, weight=residual_weight, rows=0, width=0
+        ) as span:
+
+            def clustering_input(changed_indices: np.ndarray) -> np.ndarray:
+                matrix = self._clustering_input(
+                    scope_pair, scope_token, condition_subset, transformation_subset,
+                    changed_indices,
+                )
+                span.set(k=min(n_partitions, changed_indices.size), width=matrix.shape[1])
+                return matrix
+
+            clustered = cluster_changed_rows(
+                scope_pair,
+                self._target,
+                condition_subset,
+                transformation_subset,
+                n_partitions,
+                self._config,
+                residual_weight=residual_weight,
+                clustering_input=clustering_input,
+            )
+            if clustered is not None:
+                span.set(rows=clustered[0].size)
         if clustered is None:
             return (), False
         changed_indices, labels = clustered
@@ -409,17 +424,19 @@ class CandidateEvaluator:
         partitions = self._inductions.get(key)
         if partitions is not None:
             return partitions, False
-        partitions = tuple(
-            partitions_from_labels(
-                scope_pair,
-                self._target,
-                condition_subset,
-                changed_indices,
-                labels,
-                n_partitions,
-                self._config,
+        with self._tracer.span("core.induce", rows=changed_indices.size) as span:
+            partitions = tuple(
+                partitions_from_labels(
+                    scope_pair,
+                    self._target,
+                    condition_subset,
+                    changed_indices,
+                    labels,
+                    n_partitions,
+                    self._config,
+                )
             )
-        )
+            span.set(partitions=len(partitions))
         self._inductions[key] = partitions
         return partitions, True
 

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from repro.core import Charles, CharlesConfig
-from repro.core.partitioning import _global_residuals
+from repro.core.partitioning import _global_residuals, clustering_matrix
 from repro.core.transformation import partition_errors
 from repro.exceptions import ModelFitError
+from repro.ml.kmeans import KMeans
 from repro.ml.linreg import LinearRegression
 from repro.relational.snapshot import SnapshotPair
 from repro.relational.table import Table
@@ -25,6 +26,13 @@ def _with_first_changed(pair: SnapshotPair, value, target: str = "bonus") -> Sna
     values = pair.target.column(target)
     values[row] = value
     return SnapshotPair(pair.source, pair.target.with_column(target, values), pair.key)
+
+
+def _with_first_changed_source(pair: SnapshotPair, value, column: str = "salary") -> SnapshotPair:
+    row = int(np.nonzero(pair.changed_mask("bonus"))[0][0])
+    values = pair.source.column(column)
+    values[row] = value
+    return SnapshotPair(pair.source.with_column(column, values), pair.target, pair.key)
 
 
 def _ranking(pair: SnapshotPair, conditions, transformations) -> list[str]:
@@ -96,3 +104,47 @@ class TestInfiniteCellRanksLikeABlankOne:
         blank = _ranking(_with_first_changed(pair, None), *shortlists)
         assert infinite == blank
         assert "score=0.859" in infinite[0]
+
+
+class TestInfiniteConditionValueIsImputed:
+    """An infinite condition value clusters like a missing one."""
+
+    def test_clustering_matrix_equals_the_blank_cell_one(self):
+        pair = employee_pair(300, seed=7)
+        changed = np.nonzero(pair.changed_mask("bonus"))[0]
+        matrices = [
+            clustering_matrix(
+                _with_first_changed_source(pair, value), "bonus", changed,
+                ["edu", "salary"], ["bonus"], CharlesConfig(),
+            )
+            for value in (float("inf"), float("-inf"), None)
+        ]
+        assert np.isfinite(matrices[0]).all()
+        assert matrices[0].tobytes() == matrices[1].tobytes() == matrices[2].tobytes()
+
+    def test_summarize_returns_finite_scores(self):
+        pair = _with_first_changed_source(employee_pair(300, seed=7), float("inf"))
+        result = Charles().summarize_pair(
+            pair, "bonus", condition_attributes=["edu", "salary"],
+            transformation_attributes=["bonus"],
+        )
+        assert result.summaries
+        assert all(np.isfinite(scored.score) for scored in result.summaries)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_kmeans_rejects_non_finite_input(self, bad):
+        with pytest.raises(ModelFitError, match="non-finite"):
+            KMeans(2).fit(np.array([[0.0, 1.0], [bad, 2.0], [3.0, 4.0]]))
+
+
+class TestSetupAssistantIgnoresInfiniteValues:
+    def test_unpinned_ranking_equals_the_blank_cell_one(self):
+        # the shortlists come from the correlations, which must skip the cell
+        pair = employee_pair(300, seed=7)
+        rankings = [
+            Charles(CharlesConfig()).summarize_pair(_with_first_changed(pair, value), "bonus")
+            for value in (float("inf"), None)
+        ]
+        infinite, blank = ([s.describe() for s in r.summaries[:10]] for r in rankings)
+        assert infinite == blank
+        assert round(rankings[0].summaries[0].score, 3) == 0.933

@@ -33,6 +33,15 @@ class TestPearsonSpearman:
         y = np.array([2.0, 4.0, 100.0, 8.0])
         assert pearson(x, y) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_pairs_ignored_like_missing_ones(self, bad):
+        x = np.array([1.0, 2.0, bad, 4.0, 3.0])
+        y = np.array([2.0, 4.0, 100.0, 8.0, 5.0])
+        blank = x.copy()
+        blank[2] = np.nan
+        assert pearson(x, y) == pearson(blank, y)
+        assert spearman(y, x) == spearman(y, blank)
+
     def test_too_few_points_is_nan(self):
         assert np.isnan(pearson([1.0], [2.0]))
 
@@ -65,6 +74,12 @@ class TestCorrelationRatio:
     def test_missing_categories_ignored(self):
         value = correlation_ratio(["a", None, "b"], [1.0, 99.0, 2.0])
         assert 0.0 <= value <= 1.0
+
+    def test_infinite_values_ignored_like_missing_ones(self):
+        categories = ["a", "a", "b", "b", "a"]
+        got = correlation_ratio(categories, [1.0, 2.0, np.inf, 9.0, 1.5])
+        assert got == correlation_ratio(categories, [1.0, 2.0, np.nan, 9.0, 1.5])
+        assert 0.0 <= got <= 1.0
 
 
 class TestCramersV:

@@ -69,6 +69,10 @@ class TestKMeans:
         with pytest.raises(ModelFitError):
             KMeans(2).fit(np.array([[np.nan, 1.0]]))
 
+    def test_overflowing_distances_rejected(self):
+        with np.errstate(over="ignore"), pytest.raises(ModelFitError, match="overflow"):
+            KMeans(2).fit(np.array([[1e200], [-1e200], [0.0], [5.0]]))
+
     def test_empty_input_rejected(self):
         with pytest.raises(ModelFitError):
             KMeans(2).fit(np.empty((0, 2)))

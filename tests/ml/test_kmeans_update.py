@@ -1,17 +1,21 @@
-"""The one-pass Lloyd update against the per-cluster loop it replaced.
+"""The k-means loop against the per-cluster loop and kernels it replaced.
 
 ``KMeans`` computes all centroids of an iteration with two ``np.bincount``
-calls and stops early once an iteration reproduces the labels that produced
-the current centroids.  Both must leave every fit bit-identical to the loop
-kept below as the oracle (one ``mean`` per cluster, one more distance pass
-after convergence): labels, centroid bytes, inertia and iteration count, for
-two or more columns.  With one column numpy's ``mean`` sums pairwise, so
-there only the labels are compared.
+calls, stops early once an iteration reproduces the labels that produced
+the current centroids, takes every distance from one reused column-major
+kernel and draws k-means++ seeds without ``Generator.choice``.  All of it
+must leave every fit bit-identical to the oracle kept below, which shares no
+code with the module: one ``mean`` per cluster, a fresh ``(n, k, d)``
+distance array per pass, ``rng.choice`` seeding and one more distance pass
+after convergence.  Labels, centroid bytes, inertia and iteration count are
+compared for two or more columns.  With one column numpy's ``mean`` sums
+pairwise, so there only the labels are compared.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,15 +24,38 @@ from repro.ml.kmeans import KMeans, KMeansResult
 
 
 def _reference_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance between every point and every centroid."""
     diff = points[:, None, :] - centroids[None, :, :]
-    return np.sum(diff * diff, axis=2)
+    diff *= diff
+    return np.add.reduce(diff, axis=2)
+
+
+def _reference_init(matrix: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding with ``rng.choice`` draws."""
+    n_points = matrix.shape[0]
+    centroids = np.empty((k, matrix.shape[1]), dtype=float)
+    first = int(rng.integers(n_points))
+    centroids[0] = matrix[first]
+    closest_sq = np.sum((matrix - centroids[0]) ** 2, axis=1)
+    for index in range(1, k):
+        total = float(closest_sq.sum())
+        if total <= 0.0:
+            choice = int(rng.integers(n_points))
+        else:
+            choice = int(rng.choice(n_points, p=closest_sq / total))
+        centroids[index] = matrix[choice]
+        new_sq = np.sum((matrix - centroids[index]) ** 2, axis=1)
+        closest_sq = np.minimum(closest_sq, new_sq)
+    return centroids
 
 
 class ReferenceKMeans(KMeans):
     """``KMeans`` with the per-cluster centroid loop and no early exit."""
 
-    def _single_run(self, matrix: np.ndarray, k: int, rng: np.random.Generator) -> KMeansResult:
-        centroids = kmeans._kmeans_plus_plus_init(matrix, k, rng)
+    init = staticmethod(_reference_init)
+
+    def _single_run(self, matrix, k, rng, squared_distances=None) -> KMeansResult:
+        centroids = self.init(matrix, k, rng)
         iterations = 0
         for iterations in range(1, self.max_iterations + 1):
             distances = _reference_distances(matrix, centroids)
@@ -53,7 +80,7 @@ class ReferenceKMeans(KMeans):
 
 
 @st.composite
-def clustering_problems(draw, widths=st.integers(2, 10)):
+def clustering_problems(draw, widths=st.integers(2, 12)):
     """A point matrix plus KMeans settings.
 
     Values are rounded to a drawn number of decimals, so ties between
@@ -131,7 +158,71 @@ class TestOnePassUpdate:
         matrix = np.array([[0.0, 0.0], [2.0, 0.0], [10.0, 0.0]])
         start = np.array([[7.0, 0.0], [1.0, 0.0], [100.0, 0.0]])
         monkeypatch.setattr(kmeans, "_kmeans_plus_plus_init", lambda m, k, rng: start.copy())
+        monkeypatch.setattr(ReferenceKMeans, "init", staticmethod(lambda m, k, rng: start.copy()))
         got, want = _both(matrix, {"n_clusters": 3, "n_init": 1})
         assert got.iterations == want.iterations > 2
         assert got.centroids.tobytes() == want.centroids.tobytes()
         assert np.array_equal(got.labels, want.labels)
+
+
+class TestDistanceKernel:
+    @pytest.mark.parametrize("width", range(1, 13))
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_bit_identical_to_a_fresh_last_axis_reduction(self, width, k):
+        # below 8 columns the kernel sums over a leading axis, from 8 on over
+        # the last one; either way every bit must match the reference
+        rng = np.random.default_rng(width * 10 + k)
+        points = rng.normal(size=(257, width)) * rng.uniform(0.01, 100.0, size=width)
+        kernel = kmeans._SquaredDistances(points, k)
+        for _ in range(3):
+            centroids = rng.normal(size=(k, width))
+            want = _reference_distances(points, centroids)
+            # the kernel returns distances by centroid, (k, n)
+            assert kernel(centroids).T.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=clustering_problems(widths=st.integers(1, 12)), seed=st.integers(0, 2**32 - 1))
+    def test_predict_is_the_reference_argmin(self, problem, seed):
+        matrix, settings_ = problem
+        model = KMeans(**settings_)
+        centroids = model.fit(matrix).centroids
+        others = np.random.default_rng(seed).normal(size=(37, matrix.shape[1]))
+        for points in (matrix, others):
+            want = np.argmin(_reference_distances(points, centroids), axis=1)
+            assert np.array_equal(model.predict(points), want)
+
+
+@st.composite
+def draw_weights(draw):
+    """Non-negative k-means++ weights with at least one positive entry."""
+    n = draw(st.integers(1, 60))
+    entries = st.sampled_from([0.0, 1e-300, 1e-9, 0.25, 1.0, 3.0, 1e12]) | st.floats(0.0, 1e3)
+    weights = np.array(draw(st.lists(entries, min_size=n, max_size=n)))
+    if not weights.any():
+        weights[draw(st.integers(0, n - 1))] = draw(st.floats(1e-6, 1e6))
+    return weights
+
+
+class TestDirectDraw:
+    @staticmethod
+    def _assert_draws_agree(weights: np.ndarray, seed: int) -> None:
+        probabilities = weights / float(weights.sum())
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = int(numpys.choice(len(probabilities), p=probabilities))
+        assert kmeans._weighted_draw(probabilities, ours) == want
+        assert ours.random() == numpys.random()
+
+    @settings(max_examples=300, deadline=None)
+    @given(weights=draw_weights(), seed=st.integers(0, 2**32 - 1))
+    def test_same_index_and_generator_state_as_choice(self, weights, seed):
+        self._assert_draws_agree(weights, seed)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_one_nonzero_entry(self, seed):
+        weights = np.zeros(9)
+        weights[seed % 9] = 0.5
+        self._assert_draws_agree(weights, seed)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_point(self, seed):
+        self._assert_draws_agree(np.array([2.0]), seed)
