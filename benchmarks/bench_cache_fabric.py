@@ -1,4 +1,4 @@
-"""Cache-fabric benchmark: sharding, replication and elastic membership, end to end.
+"""Cache-fabric benchmark: sharding and replication, end to end.
 
 ``bench_cache_server.py`` proves one cache server pools memo work across a
 fleet.  This benchmark measures what the *fabric* adds on top:
@@ -12,19 +12,15 @@ fleet.  This benchmark measures what the *fabric* adds on top:
    misses and ring failovers: with replication on, the dead shard's entries
    are served off successors instead of being recomputed;
 3. **a warm fleet pays off** — a second engine against the same fleet runs
-   off the first one's entries (``fleet_warm_speedup``);
-4. **membership is elastic** — one engine arm runs against a fleet that
-   *grows by one member and loses another mid-run* (``fleet_join`` then
-   ``fleet_leave`` while the spawned engine is searching); its rankings
-   must still be byte-identical to the serial reference.
+   off the first one's entries (``fleet_warm_speedup``).
 
 Engine arms run in freshly *spawned* interpreters (no shared memory), so
 every warm hit demonstrably travelled through TCP frames.
 
 Contract points, recorded in the JSON report:
 
-* rankings identical across every topology — including the live
-  join/leave arm (always enforced);
+* rankings identical across every topology: memory, 1 shard, N shards
+  replicated, and N shards with one killed (always enforced);
 * with replication, the degraded arm's misses stay under 10 % of the cold
   arm's (enforced outside smoke mode; warns in smoke, where shared runners
   are noisy) and its failover count is non-zero.
@@ -45,7 +41,7 @@ import time
 from pathlib import Path
 
 from repro.core import CharlesConfig
-from repro.cacheserver import AsyncCacheServer, fleet_join, fleet_leave, server_topology
+from repro.cacheserver import AsyncCacheServer
 from repro.timeline import EngineSession, TimelineStore
 from repro.workloads import streaming_employee_timeline
 
@@ -116,13 +112,8 @@ def _run_fabric_scenario(
     seed: int,
     url: str,
     replication: int,
-    churn=None,
 ) -> dict:
-    """Run the workload in a genuinely fresh interpreter (spawned, not forked).
-
-    ``churn``, when given, runs in the parent while the spawned engine is
-    mid-benchmark — the elastic arm uses it to reshape the fleet under load.
-    """
+    """Run the workload in a genuinely fresh interpreter (spawned, not forked)."""
     context = multiprocessing.get_context("spawn")
     with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as handle:
         out_path = handle.name
@@ -130,11 +121,7 @@ def _run_fabric_scenario(
         target=_fabric_process, args=(rows, versions, seed, url, replication, out_path)
     )
     process.start()
-    try:
-        if churn is not None:
-            churn()
-    finally:
-        process.join()
+    process.join()
     if process.exitcode != 0:
         raise RuntimeError(f"fabric scenario process exited with {process.exitcode}")
     report = json.loads(Path(out_path).read_text(encoding="utf-8"))
@@ -161,40 +148,6 @@ def run_benchmark(
                 "one-shard-cold", rows, versions, seed, single.url, 1
             )
         )
-
-    # a fleet that changes shape mid-run: a fresh member joins and warms
-    # from its ring predecessors, then an original member leaves —
-    # both while a spawned engine is searching against the fleet
-    elastic = [AsyncCacheServer().start() for _ in range(2)]
-    joiner = AsyncCacheServer().start()
-    try:
-        elastic_url = ",".join(member.url for member in elastic)
-
-        def churn() -> None:
-            time.sleep(1.0)
-            fleet_join([member.url for member in elastic], joiner.url)
-            time.sleep(0.75)
-            fleet_leave(
-                [member.url for member in elastic] + [joiner.url],
-                elastic[1].url,
-            )
-
-        scenarios.append(
-            _run_fabric_scenario(
-                "fleet-elastic",
-                rows,
-                versions,
-                seed,
-                elastic_url,
-                min(replication, 2),
-                churn=churn,
-            )
-        )
-        elastic_final_epoch = server_topology(elastic[0].url)["epoch"]
-    finally:
-        joiner.shutdown()
-        for member in elastic:
-            member.shutdown()
 
     shards = [AsyncCacheServer().start() for _ in range(shard_count)]
     try:
@@ -241,9 +194,6 @@ def run_benchmark(
             {key: value for key, value in scenario.items() if key != "rankings"}
             for scenario in scenarios
         ],
-        "elastic_final_epoch": elastic_final_epoch,
-        "elastic_misses": by_name["fleet-elastic"]["misses"],
-        "elastic_failovers": by_name["fleet-elastic"]["failovers"],
         "fleet_warm_speedup": (
             cold["seconds"] / warm["seconds"] if warm["seconds"] > 0 else None
         ),
@@ -263,7 +213,7 @@ def run_benchmark(
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="cache-fabric benchmark: sharded, replicated, elastic fleet cache"
+        description="cache-fabric benchmark: sharded, replicated fleet cache"
     )
     parser.add_argument("--rows", type=int, default=1_500, help="entities per version")
     parser.add_argument("--versions", type=int, default=4, help="versions in the chain")

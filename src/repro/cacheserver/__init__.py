@@ -15,7 +15,7 @@ client, one server eviction order.
   and a per-PUT recomputation-cost hint; batched ``MGET`` lookups; stdlib
   ``struct``/``json`` only.
 * :mod:`~repro.cacheserver.server` — :class:`~repro.cacheserver.server.
-  CacheServerCore` (regions, verbs, metrics, elastic fleet topology),
+  CacheServerCore` (regions, verbs, metrics, span buffer),
   hosting the ``fits``/``partitions`` regions on
   :class:`~repro.cachestore.memory.InProcessBackend` stores with cost-aware
   eviction, plus ``PING``/``STATS``/``METRICS``/``TRACE`` admin verbs.
@@ -40,11 +40,8 @@ client, one server eviction order.
   optional replica-set writes (``cache_replication``), read failover around
   the ring, and round-synchronised ``MGET`` prefetching.
 
-Membership is *elastic*: ``charles cache topology --join/--leave`` broadcasts
-an epoch-stamped endpoint list (``JOIN``/``LEAVE`` verbs), a joining shard
-warms itself from its ring predecessors (``HANDOFF``), and every response
-carries the current epoch so running fabrics refresh their rings mid-search
-— without ever changing what the search returns.
+Membership is *static*: the ring is built from the ``cache_url`` endpoint
+list when a backend is created, and servers know nothing of their fleet.
 
 Keys are namespaced by ``CharlesConfig.cache_fingerprint()`` exactly like the
 disk store, so differently configured engines sharing one fabric never serve
@@ -59,14 +56,11 @@ byte-identical to in-process runs, which ``tests/cacheserver/`` and
 from repro.cacheserver.aserver import AsyncCacheServer
 from repro.cacheserver.client import (
     ShardClient,
-    fleet_join,
-    fleet_leave,
     parse_url,
     server_clear,
     server_metrics,
     server_ping,
     server_stats,
-    server_topology,
     server_trace,
 )
 from repro.cacheserver.fabric import ShardedRemoteBackend, ShardedRemoteHandle
@@ -87,9 +81,6 @@ __all__ = [
     "server_clear",
     "server_metrics",
     "server_trace",
-    "server_topology",
-    "fleet_join",
-    "fleet_leave",
     "CacheServerCore",
     "AsyncCacheServer",
     "DEFAULT_PORT",

@@ -13,12 +13,8 @@ The listening socket is created synchronously in ``__init__``, so
 or pair :meth:`~AsyncCacheServer.start` / :meth:`~AsyncCacheServer.
 serve_forever` with :meth:`~AsyncCacheServer.shutdown`.
 
-One asymmetry: ``JOIN``/``LEAVE`` handling can block (a joining server warms
-itself from its ring predecessors over plain sockets), so those two verbs
-are dispatched on a worker thread via ``run_in_executor`` while every other
-verb runs inline on the loop.  Ordering still holds: the connection's
-coroutine awaits the executor result before answering later frames, so
-responses leave in arrival order as the protocol requires.
+Every verb is dispatched inline on the loop: none of them blocks, so
+responses leave each connection in arrival order as the protocol requires.
 """
 
 from __future__ import annotations
@@ -31,10 +27,6 @@ from repro.cacheserver import protocol
 from repro.cacheserver.server import CacheServerCore
 
 __all__ = ["AsyncCacheServer"]
-
-#: verbs whose handling may block on network I/O (membership warm-up); they
-#: run on a worker thread so the event loop keeps serving other connections
-_BLOCKING_VERBS = frozenset({protocol.JOIN, protocol.LEAVE})
 
 
 class AsyncCacheServer(CacheServerCore):
@@ -120,8 +112,9 @@ class AsyncCacheServer(CacheServerCore):
                         request_id, body = protocol.parse_message(frame)
                     except protocol.ProtocolError:
                         return  # unframeable peer: drop the connection, not the server
-                    response = await self._dispatch_frame(body)
-                    responses.append(protocol.frame_message(request_id, response))
+                    responses.append(
+                        protocol.frame_message(request_id, self.dispatch(body))
+                    )
                 if responses:
                     writer.write(b"".join(responses))
                     try:
@@ -134,19 +127,6 @@ class AsyncCacheServer(CacheServerCore):
             self._conn_tasks.discard(task)
             self._inflight.set(len(self._conn_tasks))
             writer.close()
-
-    async def _dispatch_frame(self, body: bytes) -> bytes:
-        verb = (body[0] & ~protocol.TRACE_FLAG) if body else None
-        try:
-            if verb in _BLOCKING_VERBS:
-                # membership warm-up does synchronous socket I/O; keep the
-                # loop serving other connections while it runs
-                return await asyncio.get_running_loop().run_in_executor(
-                    None, self.dispatch, body
-                )
-            return self.dispatch(body)
-        except protocol.ProtocolError as error:
-            return protocol.encode_response(protocol.ERROR, str(error).encode("utf-8"))
 
     # -- lifecycle ---------------------------------------------------------------
 

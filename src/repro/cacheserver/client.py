@@ -10,7 +10,7 @@ fire-and-forget, and any number of requests may be in flight on the one
 socket, so cache traffic does not serialise a search on round-trip latency.
 The module also carries the wire-value codec (:func:`encode_value` /
 :func:`decode_value`) and the admin helpers behind ``charles cache``
-(``server_stats``, ``fleet_join``, ...), which raise instead of degrading.
+(``server_stats``, ``server_clear``, ...), which raise instead of degrading.
 
 The cardinal rule is *degrade, never abort* — stronger here than for the disk
 backend, because the failure domain includes another machine: a server that
@@ -57,9 +57,6 @@ __all__ = [
     "server_ping",
     "server_metrics",
     "server_trace",
-    "server_topology",
-    "fleet_join",
-    "fleet_leave",
 ]
 
 #: engine-side per-endpoint round-trip latency, labelled by shard URL — the
@@ -140,7 +137,6 @@ class ShardClient:
         self._ops_until_retry = 0
         self._retry_not_before = 0.0
         self._current_backoff = RETRY_BACKOFF_SECONDS
-        self._latest_epoch = 0
         self.round_trips = 0
         self.connection_failures = 0
 
@@ -156,21 +152,6 @@ class ShardClient:
             return False
         return time.monotonic() < self._retry_not_before
 
-    @property
-    def topology_epoch(self) -> int:
-        """Newest fleet-topology epoch this endpoint has reported (0 = none).
-
-        Carried on every response once a fleet is configured; survives
-        reconnects (the high-water mark is kept here, not on the
-        connection), so the fabric can poll it cheaply after each batch to
-        notice membership changes mid-run.
-        """
-        conn = self._conn
-        if conn is not None and self._pid == os.getpid():
-            if conn.latest_epoch > self._latest_epoch:
-                self._latest_epoch = conn.latest_epoch
-        return self._latest_epoch
-
     def _record_failure(self) -> None:
         self.connection_failures += 1
         self._drop_connection()
@@ -180,8 +161,6 @@ class ShardClient:
 
     def _drop_connection(self) -> None:
         conn, owned = self._conn, self._pid == os.getpid()
-        if conn is not None and owned and conn.latest_epoch > self._latest_epoch:
-            self._latest_epoch = conn.latest_epoch  # keep epochs across reconnects
         self._conn = None
         self._pid = None
         if conn is not None and owned:
@@ -364,80 +343,3 @@ def server_trace(
         timeout,
     )
     return json.loads(payload.decode("utf-8"))
-
-
-def server_topology(url: str, timeout: float = DEFAULT_TIMEOUT) -> dict:
-    """The fleet view one server holds: ``{"epoch", "endpoints", ...}``."""
-    _, payload = _admin_request(
-        url, protocol.encode_request(protocol.TOPOLOGY, protocol.REGION_ALL), timeout
-    )
-    return json.loads(payload.decode("utf-8"))
-
-
-def _fleet_epoch(endpoints: list[str], timeout: float) -> int:
-    """The newest topology epoch any reachable member reports (0 = none)."""
-    epoch = 0
-    for url in endpoints:
-        try:
-            epoch = max(epoch, int(server_topology(url, timeout)["epoch"]))
-        except CacheStoreError:
-            continue  # an unreachable member cannot hold the newest epoch anyway
-    return epoch
-
-
-def fleet_join(fleet: list[str], subject: str, timeout: float = DEFAULT_TIMEOUT) -> dict:
-    """Grow the fleet: broadcast a topology with ``subject`` added.
-
-    ``fleet`` is the current membership (``subject`` may or may not already
-    be listed).  The proposal's epoch is one past the newest any member
-    reports, so repeated or concurrent admin runs converge: servers adopt
-    only strictly newer epochs.  Existing members learn the topology first
-    and the subject last — its ``JOIN`` triggers the warm-up pull from its
-    ring predecessors, which need the new ring to answer ``HANDOFF``.
-    Raises :class:`~repro.exceptions.CacheStoreError` if any member refuses;
-    admin traffic wants the error, not a silent degrade.
-    """
-    members = [url for url in fleet if url != subject]
-    endpoints = members + [subject]
-    epoch = _fleet_epoch(endpoints, timeout) + 1
-    proposal = json.dumps(
-        {"epoch": epoch, "endpoints": endpoints, "subject": subject}
-    ).encode("utf-8")
-    warmed = 0
-    for url in members + [subject]:
-        _, payload = _admin_request(
-            url,
-            protocol.encode_request(protocol.JOIN, protocol.REGION_ALL, payload=proposal),
-            timeout,
-        )
-        if url == subject:
-            warmed = int(json.loads(payload.decode("utf-8")).get("warmed", 0))
-    return {"epoch": epoch, "endpoints": endpoints, "warmed": warmed}
-
-
-def fleet_leave(fleet: list[str], subject: str, timeout: float = DEFAULT_TIMEOUT) -> dict:
-    """Shrink the fleet: broadcast a topology with ``subject`` removed.
-
-    No data transfer happens — the departed member's keys fail over around
-    the ring exactly as a shard death does, and with replication >= 2 the
-    new owner already holds them.  The remaining members adopt the topology
-    (raising on refusal); the subject itself is told best-effort, since a
-    leave is often prompted by that very server being half-dead.
-    """
-    remaining = [url for url in fleet if url != subject]
-    if not remaining:
-        raise CacheStoreError("cannot remove the last endpoint from the fleet")
-    if len(remaining) == len(fleet):
-        raise CacheStoreError(f"endpoint {subject!r} is not in the fleet {fleet!r}")
-    epoch = _fleet_epoch(list(fleet), timeout) + 1
-    proposal = json.dumps(
-        {"epoch": epoch, "endpoints": remaining, "subject": subject}
-    ).encode("utf-8")
-    body = protocol.encode_request(protocol.LEAVE, protocol.REGION_ALL, payload=proposal)
-    for url in remaining:
-        _admin_request(url, body, timeout)
-    try:
-        _admin_request(subject, body, timeout)
-    except CacheStoreError:
-        pass  # a dying server not hearing about its own departure is fine
-    return {"epoch": epoch, "endpoints": remaining}

@@ -23,20 +23,15 @@ changes — it is still one :class:`~repro.cachestore.base.CacheBackend` with
   resolves a whole round of keys with one batched ``MGET`` per shard, and
   :meth:`get` then answers from the one-shot buffer without touching the
   wire, collapsing a round's lookup latency from ``O(keys)`` round trips to
-  ``O(shards)``;
-* **elastic membership** — every response from an elastic fleet carries a
-  topology epoch; when any shard reports one newer than the fabric has
-  applied, the fabric asks that shard for the new endpoint list and updates
-  its ring *incrementally* (only the joined/left endpoints' arcs move,
-  surviving :class:`~repro.cacheserver.client.ShardClient`\\ s are reused),
-  so a running search follows a ``charles cache topology --join/--leave``
-  without restarting.  An engine that has not refreshed yet is still
-  correct: a joined shard's donors keep their entries (stale routing reads
-  them there), and a left shard looks exactly like a dead one (failover).
+  ``O(shards)``.
+
+The fleet is static: the ring is built once from ``cache_url`` and never
+changes while the backend lives.  Changing the fleet means restarting
+engines with a new ``cache_url``.
 
 Correctness is unchanged by construction: a cache can only return what some
 engine previously computed and published under a content-derived key, so the
-worst any topology event (shard death, failover, degraded prefetch) can
+worst any shard failure (a dead shard, failover, degraded prefetch) can
 produce is a miss and a recomputation — never a wrong value.  The fabric
 test suite pins this down as byte-identical rankings across 1-shard,
 N-shard, and degraded-shard topologies.
@@ -62,10 +57,8 @@ from repro.cacheserver.client import (
     ShardClient,
     decode_value,
     encode_value,
-    server_topology,
 )
 from repro.cacheserver.ring import HashRing, parse_endpoints
-from repro.exceptions import CacheStoreError
 from repro.obs.trace import get_tracer, wire_context
 
 __all__ = ["ShardedRemoteBackend", "ShardedRemoteHandle"]
@@ -117,11 +110,7 @@ class ShardedRemoteBackend(CacheBackend):
         self._cache_url = ",".join(endpoints)
         self._ring = HashRing(endpoints)
         self._clients = [ShardClient(endpoint, timeout) for endpoint in endpoints]
-        self._requested_replication = replication
         self._replication = min(replication, len(endpoints))
-        # newest topology epoch already applied to the ring (0 = the static
-        # cache_url topology); shards reporting a newer one trigger a refresh
-        self._seen_epoch = 0
         self._region = region
         self._capacity = capacity
         self._namespace = namespace
@@ -144,59 +133,6 @@ class ShardedRemoteBackend(CacheBackend):
             self._clients[index]
             for index in self._ring.preference(digest, self._replication)
         ]
-
-    # -- elastic topology --------------------------------------------------------
-
-    def _maybe_refresh(self) -> None:
-        """Adopt a newer fleet topology if any shard has reported one.
-
-        The epoch rides on every response (tracked per
-        :class:`~repro.cacheserver.client.ShardClient`), so the check is a
-        few attribute reads; only an actually-newer epoch costs a
-        ``TOPOLOGY`` round trip.  A refresh that fails (the reporting shard
-        died in between) is simply retried on a later operation — routing
-        under the stale ring stays correct, it just pays failovers.
-        """
-        newest, source = self._seen_epoch, None
-        for client in self._clients:
-            epoch = client.topology_epoch
-            if epoch > newest:
-                newest, source = epoch, client
-        if source is None:
-            return
-        try:
-            view = server_topology(source.url, timeout=self._timeout)
-        except CacheStoreError:
-            return
-        epoch = int(view.get("epoch", 0))
-        endpoints = tuple(view.get("endpoints") or ())
-        if epoch <= self._seen_epoch or not endpoints:
-            return
-        self._apply_topology(epoch, endpoints)
-
-    def _apply_topology(self, epoch: int, endpoints: tuple[str, ...]) -> None:
-        """Incrementally reshape the ring to a new endpoint list.
-
-        Surviving endpoints keep their :class:`ShardClient` (connection,
-        degrade state, counters) and their arcs; only the joined/left
-        endpoints' virtual points move, so placement churn is the ring's
-        minimal-movement guarantee, not a rebuild.  Buffered prefetch
-        answers stay valid — they are values for digests, not placements.
-        """
-        clients = {client.url: client for client in self._clients}
-        current = set(self._ring.endpoints)
-        for url in endpoints:  # adds first: the ring must never empty out
-            if url not in current:
-                self._ring.add(url)
-                clients[url] = ShardClient(url, self._timeout)
-        for url in tuple(self._ring.endpoints):
-            if url not in endpoints:
-                self._ring.remove(url)
-                clients.pop(url).close()
-        self._clients = [clients[url] for url in self._ring.endpoints]
-        self._replication = min(self._requested_replication, len(self._ring.endpoints))
-        self._cache_url = ",".join(self._ring.endpoints)
-        self._seen_epoch = epoch
 
     def _fetch(self, digest: bytes) -> bytes | None:
         """Raw stored bytes for one digest, or ``None`` for miss-or-degraded.
@@ -224,7 +160,6 @@ class ShardedRemoteBackend(CacheBackend):
         if digest in self._prefetched:
             payload = self._prefetched.pop(digest)
         else:
-            self._maybe_refresh()
             payload = self._fetch(digest)
         if payload is not None:
             value = decode_value(payload)
@@ -239,7 +174,6 @@ class ShardedRemoteBackend(CacheBackend):
         if payload is None:
             return
         digest = self._digest(key)
-        self._maybe_refresh()
         # a fresh publish supersedes any buffered prefetch answer for the key
         self._prefetched.pop(digest, None)
         body = protocol.encode_request(
@@ -293,7 +227,6 @@ class ShardedRemoteBackend(CacheBackend):
         misses (degrade, never abort).
         """
         tracer = get_tracer()
-        self._maybe_refresh()
         pending: list[bytes] = []
         seen: set[bytes] = set()
         for key in keys:
@@ -420,9 +353,7 @@ class ShardedRemoteBackend(CacheBackend):
             capacity=self._capacity,
             namespace=self._namespace,
             timeout=self._timeout,
-            # the *requested* factor: a worker attaching after a join can
-            # then use the headroom the larger fleet provides
-            replication=self._requested_replication,
+            replication=self._replication,
         )
 
     def close(self) -> None:

@@ -82,9 +82,6 @@ class PipelinedConnection:
         # responses resolved so far; submitters compare snapshots of it to
         # tell a slow server (progress continues) from a silent one
         self._progress = 0
-        #: newest fleet-topology epoch seen on any response (0 until the
-        #: fleet configures one); the fabric polls it to refresh its ring
-        self.latest_epoch = 0
         #: high-water mark of requests simultaneously in flight — how much of
         #: the pipelining headroom traffic actually used (observability only)
         self.peak_in_flight = 0
@@ -201,15 +198,13 @@ class PipelinedConnection:
             for frame in frames:
                 try:
                     request_id, message = protocol.parse_message(frame)
-                    status, payload, epoch = protocol.decode_response_full(message)
+                    status, payload = protocol.decode_response(message)
                 except protocol.ProtocolError as error:
                     self._fail(error)
                     return
                 with self._pending_lock:
                     future = self._pending.pop(request_id, None)
                     self._progress += 1  # any response is progress
-                    if epoch > self.latest_epoch:
-                        self.latest_epoch = epoch
                     # resolved ids are skipped lazily when they reach the
                     # order head (in submit's backpressure check) — no O(n)
                     # scan of the in-flight window per response

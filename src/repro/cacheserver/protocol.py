@@ -29,10 +29,6 @@ verb      message after the (verb, region) header
 ``STATS`` empty — per-region counters as UTF-8 JSON
 ``TRACE`` optional 16-byte trace id — drain buffered server spans
 ``METRICS`` empty — Prometheus text exposition of the server
-``TOPOLOGY`` empty — the server's fleet view as UTF-8 JSON
-``JOIN``  UTF-8 JSON ``{epoch, endpoints, subject}`` — adopt a grown fleet
-``LEAVE`` UTF-8 JSON ``{epoch, endpoints, subject}`` — adopt a shrunk fleet
-``HANDOFF`` UTF-8 endpoint — the region's entries that endpoint now owns
 ========  =======================================================
 
 Any request may additionally carry a **trace-context header**: setting the
@@ -47,17 +43,8 @@ are byte-for-byte unchanged.
 Responses start with a status byte: ``HIT`` carries the stored value bytes,
 ``MISS`` is empty, ``OK`` carries verb-specific payloads (an 8-byte count for
 ``LEN``, a packed hit/miss vector for ``MGET``, JSON for ``STATS``),
-``ERROR`` carries a UTF-8 message.
-
-A server with a configured fleet topology additionally sets the status
-byte's high bit (:data:`EPOCH_FLAG`) and inserts its 4-byte **topology
-epoch** between the status byte and the payload.  The epoch is a
-monotonically increasing change counter: a client that observes an epoch
-newer than the one its ring was built from asks ``TOPOLOGY`` for the new
-endpoint list and rebuilds its routing — this is how ring membership
-changes reach a running fleet without any client restart.  Servers with no
-topology configured (every pre-elastic deployment) never set the flag, so
-their responses are byte-for-byte unchanged.
+``ERROR`` carries a UTF-8 message.  Any other status byte is a
+:class:`ProtocolError`: a reader never guesses at a frame it cannot parse.
 
 Two deliberate choices keep the server small and safe:
 
@@ -92,14 +79,9 @@ __all__ = [
     "STATS",
     "TRACE",
     "METRICS",
-    "TOPOLOGY",
-    "JOIN",
-    "LEAVE",
-    "HANDOFF",
     "VERB_NAMES",
     "TRACE_FLAG",
     "TRACE_CONTEXT_SIZE",
-    "EPOCH_FLAG",
     "REGION_FITS",
     "REGION_PARTITIONS",
     "REGION_ALL",
@@ -113,8 +95,6 @@ __all__ = [
     "decode_request",
     "encode_response",
     "decode_response",
-    "decode_response_full",
-    "attach_epoch",
     "recv_frame",
     "frame_message",
     "drain_frames",
@@ -125,8 +105,6 @@ __all__ = [
     "unpack_count",
     "pack_multi",
     "unpack_multi",
-    "pack_entries",
-    "unpack_entries",
 ]
 
 
@@ -151,13 +129,8 @@ STATS = 6
 MGET = 7
 TRACE = 8
 METRICS = 9
-TOPOLOGY = 10
-JOIN = 11
-LEAVE = 12
-HANDOFF = 13
-_VERBS = frozenset(
-    {PING, GET, PUT, LEN, CLEAR, STATS, MGET, TRACE, METRICS, TOPOLOGY, JOIN, LEAVE, HANDOFF}
-)
+# ids 10-13 stay unassigned (retired fleet-membership verbs): they decode as unknown
+_VERBS = frozenset({PING, GET, PUT, LEN, CLEAR, STATS, MGET, TRACE, METRICS})
 VERB_NAMES = {
     PING: "PING",
     GET: "GET",
@@ -168,10 +141,6 @@ VERB_NAMES = {
     MGET: "MGET",
     TRACE: "TRACE",
     METRICS: "METRICS",
-    TOPOLOGY: "TOPOLOGY",
-    JOIN: "JOIN",
-    LEAVE: "LEAVE",
-    HANDOFF: "HANDOFF",
 }
 
 #: high bit of the verb byte: set when a trace-context header follows the
@@ -179,11 +148,6 @@ VERB_NAMES = {
 TRACE_FLAG = 0x80
 #: the header's size: a 16-byte trace id followed by an 8-byte parent span id
 TRACE_CONTEXT_SIZE = 24
-
-#: high bit of the response status byte: set when a 4-byte topology epoch
-#: follows the status (servers with a configured fleet topology send it on
-#: every response; servers without never set the bit)
-EPOCH_FLAG = 0x80
 
 # regions: one per memo cache the search layer carries, plus the admin "all"
 REGION_FITS = 0
@@ -196,6 +160,7 @@ OK = 0
 HIT = 1
 MISS = 2
 ERROR = 3
+_STATUSES = frozenset({OK, HIT, MISS, ERROR})
 
 _LENGTH = struct.Struct(">I")
 _COST = struct.Struct(">d")
@@ -268,12 +233,6 @@ def encode_request(
                 f"TRACE filter must be empty or {DIGEST_SIZE} bytes, got {len(payload)}"
             )
         return head + payload
-    if verb in (JOIN, LEAVE, HANDOFF):
-        # JOIN/LEAVE carry a UTF-8 JSON topology proposal, HANDOFF the
-        # requesting endpoint; all opaque to the framing layer
-        if not payload:
-            raise ProtocolError(f"{VERB_NAMES[verb]} requires a payload")
-        return head + payload
     return head
 
 
@@ -300,11 +259,6 @@ def decode_request(body: bytes) -> Request:
             raise ProtocolError(
                 f"TRACE filter must be empty or {DIGEST_SIZE} bytes, got {len(payload)}"
             )
-        return Request(verb, region, payload=payload, trace=trace)
-    if verb in (JOIN, LEAVE, HANDOFF):
-        payload = body[2:]
-        if not payload:
-            raise ProtocolError(f"{VERB_NAMES[verb]} requires a payload")
         return Request(verb, region, payload=payload, trace=trace)
     if verb == GET:
         digest = body[2:]
@@ -338,47 +292,19 @@ def decode_request(body: bytes) -> Request:
     return Request(verb, region, trace=trace)
 
 
-_EPOCH = struct.Struct(">I")
-
-
 def encode_response(status: int, payload: bytes = b"") -> bytes:
     """The body bytes of one response frame."""
     return bytes((status,)) + payload
 
 
-def attach_epoch(body: bytes, epoch: int) -> bytes:
-    """Fold a topology epoch into an already-encoded response body.
-
-    Sets :data:`EPOCH_FLAG` on the status byte and inserts the 4-byte epoch
-    after it; epoch 0 means "no topology configured" and leaves the response
-    untouched, so pre-elastic servers stay byte-identical on the wire.
-    """
-    if not epoch:
-        return body
-    return bytes((body[0] | EPOCH_FLAG,)) + _EPOCH.pack(epoch & 0xFFFFFFFF) + body[1:]
-
-
 def decode_response(body: bytes) -> tuple[int, bytes]:
-    """Parse one response body into ``(status, payload)``, epoch stripped."""
-    status, payload, _ = decode_response_full(body)
-    return status, payload
-
-
-def decode_response_full(body: bytes) -> tuple[int, bytes, int]:
-    """Parse one response body into ``(status, payload, topology_epoch)``.
-
-    ``topology_epoch`` is 0 when the server sent none (no fleet topology
-    configured) — epochs start at 1, so 0 is unambiguous.
-    """
+    """Parse one response body into ``(status, payload)``."""
     if not body:
         raise ProtocolError("empty response frame")
     status = body[0]
-    if not status & EPOCH_FLAG:
-        return status, body[1:], 0
-    if len(body) < 1 + _EPOCH.size:
-        raise ProtocolError("epoch-flagged response truncated")
-    (epoch,) = _EPOCH.unpack_from(body, 1)
-    return status & ~EPOCH_FLAG, body[1 + _EPOCH.size :], epoch
+    if status not in _STATUSES:
+        raise ProtocolError(f"unknown response status {status}")
+    return status, body[1:]
 
 
 def pack_count(count: int) -> bytes:
@@ -433,49 +359,6 @@ def unpack_multi(payload: bytes, count: int) -> "list[bytes | None]":
     if offset != len(payload):
         raise ProtocolError(f"MGET response carries {len(payload) - offset} trailing bytes")
     return values
-
-
-def pack_entries(entries: "list[tuple[bytes, float, bytes]]") -> bytes:
-    """The payload of a ``HANDOFF`` response: ``(digest, cost, value)`` triples.
-
-    Entries whose value would push the frame past :data:`MAX_FRAME_BYTES`
-    are the *caller's* problem — the server slices its handoff into frames
-    below the bound before packing.
-    """
-    parts: list[bytes] = [_SHORT.pack(len(entries))]
-    for digest, cost, value in entries:
-        if len(digest) != DIGEST_SIZE:
-            raise ProtocolError(
-                f"handoff digest must be {DIGEST_SIZE} bytes, got {len(digest)}"
-            )
-        parts.append(digest + _COST.pack(cost) + _SHORT.pack(len(value)) + value)
-    return b"".join(parts)
-
-
-def unpack_entries(payload: bytes) -> "list[tuple[bytes, float, bytes]]":
-    """The ``(digest, cost, value)`` triples of a ``HANDOFF`` response."""
-    if len(payload) < _SHORT.size:
-        raise ProtocolError("handoff payload too short for a count")
-    (count,) = _SHORT.unpack_from(payload)
-    offset = _SHORT.size
-    fixed = DIGEST_SIZE + _COST.size + _SHORT.size
-    entries: list[tuple[bytes, float, bytes]] = []
-    for _ in range(count):
-        if offset + fixed > len(payload):
-            raise ProtocolError("handoff payload truncated inside an entry head")
-        digest = payload[offset : offset + DIGEST_SIZE]
-        (cost,) = _COST.unpack_from(payload, offset + DIGEST_SIZE)
-        (length,) = _SHORT.unpack_from(payload, offset + DIGEST_SIZE + _COST.size)
-        offset += fixed
-        if offset + length > len(payload):
-            raise ProtocolError("handoff payload truncated inside a value")
-        entries.append((digest, cost, payload[offset : offset + length]))
-        offset += length
-    if offset != len(payload):
-        raise ProtocolError(
-            f"handoff payload carries {len(payload) - offset} trailing bytes"
-        )
-    return entries
 
 
 def _recv_exact(sock: socket.socket, count: int) -> bytes | None:

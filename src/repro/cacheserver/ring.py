@@ -9,13 +9,10 @@ for a cache:
 * **placement is a pure function of the endpoint string and the digest** —
   every engine in the fleet, and every run of the admin CLI, routes a key to
   the same shard without any coordination or shared state;
-* **topology changes move little** — adding or removing one endpoint remaps
-  only the keys whose arc it owned (~1/N of the space), so growing the fleet
-  does not cold-start the whole cache.  :meth:`HashRing.add` and
-  :meth:`HashRing.remove` apply such a change in place, touching only the
-  changed endpoint's virtual points — the other arcs (and therefore every
-  other key's owner) are untouched, which is the minimal-movement property
-  elastic membership leans on.
+* **a changed endpoint list moves little** — engines restarted with one
+  endpoint added to or dropped from ``cache_url`` remap only the keys whose
+  arcs that endpoint owns (~1/N of the space), so resizing the fleet does
+  not cold-start the whole cache.
 
 :meth:`HashRing.preference` walks clockwise past the owner collecting the
 next *distinct* endpoints — the replica set for writes, and the failover
@@ -80,7 +77,6 @@ class HashRing:
         if vnodes < 1:
             raise CacheStoreError(f"vnodes must be >= 1, got {vnodes}")
         self.endpoints = tuple(endpoints)
-        self._vnodes = vnodes
         points: list[tuple[int, int]] = []
         for index, endpoint in enumerate(self.endpoints):
             for vnode in range(vnodes):
@@ -91,49 +87,6 @@ class HashRing:
 
     def __len__(self) -> int:
         return len(self.endpoints)
-
-    def add(self, endpoint: str) -> None:
-        """Insert one endpoint's virtual points, leaving every other arc alone.
-
-        Keys whose point falls on one of the new arcs move to ``endpoint``;
-        every other key keeps its owner (and its replica successors keep
-        their relative order), so a join invalidates ~1/N of placements
-        instead of reshuffling the ring.
-        """
-        if endpoint in self.endpoints:
-            raise CacheStoreError(f"endpoint {endpoint!r} is already on the ring")
-        index = len(self.endpoints)
-        self.endpoints = self.endpoints + (endpoint,)
-        for vnode in range(self._vnodes):
-            point = _point(f"{endpoint}#{vnode}")
-            position = bisect.bisect_left(self._points, point)
-            self._points.insert(position, point)
-            self._owners.insert(position, index)
-
-    def remove(self, endpoint: str) -> None:
-        """Drop one endpoint's virtual points, leaving every other arc alone.
-
-        Each removed arc merges into its clockwise successor — exactly the
-        first failover candidate readers were already trying while the
-        endpoint was dying, so a leave turns failover routing into primary
-        routing without moving any other key.
-        """
-        if endpoint not in self.endpoints:
-            raise CacheStoreError(f"endpoint {endpoint!r} is not on the ring")
-        if len(self.endpoints) == 1:
-            raise CacheStoreError("cannot remove the last endpoint from the ring")
-        index = self.endpoints.index(endpoint)
-        self.endpoints = tuple(e for e in self.endpoints if e != endpoint)
-        points: list[int] = []
-        owners: list[int] = []
-        for point, owner in zip(self._points, self._owners):
-            if owner == index:
-                continue
-            points.append(point)
-            # endpoint indices above the removed one shift down by one
-            owners.append(owner - 1 if owner > index else owner)
-        self._points = points
-        self._owners = owners
 
     @staticmethod
     def key_point(digest: bytes) -> int:

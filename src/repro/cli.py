@@ -216,11 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
     cache = subparsers.add_parser(
         "cache", help="inspect or reset a cache store without writing python"
     )
-    cache.add_argument("action", choices=["stats", "clear", "topology"],
+    cache.add_argument("action", choices=["stats", "clear"],
                        help="stats: entry counts and hit/miss counters; "
-                            "clear: drop every entry; "
-                            "topology: show each shard's fleet view, or "
-                            "reshape the fleet with --join/--leave")
+                            "clear: drop every entry")
     cache.add_argument("--cache-url", default=None,
                        help="host:port of a running cache server")
     cache.add_argument("--cache-dir", type=Path, default=None,
@@ -228,14 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     cache.add_argument("--metrics", action="store_true",
                        help="with stats --cache-url: print each server's "
                             "Prometheus metrics exposition instead of the table")
-    cache.add_argument("--join", metavar="HOST:PORT", default=None,
-                       help="with topology: add this running server to the "
-                            "fleet named by --cache-url (it warms itself from "
-                            "its ring predecessors before the command returns)")
-    cache.add_argument("--leave", metavar="HOST:PORT", default=None,
-                       help="with topology: remove this member from the fleet "
-                            "named by --cache-url (no transfer; its keys fail "
-                            "over around the ring like a shard death)")
     return parser
 
 
@@ -726,57 +716,9 @@ def _shard_stats_table(per_shard: dict[str, "dict | None"]) -> str:
     return "\n".join(lines)
 
 
-def _cache_topology(args: argparse.Namespace, endpoints: tuple[str, ...]) -> int:
-    """Show or reshape the elastic fleet named by ``--cache-url``."""
-    from repro.cacheserver import fleet_join, fleet_leave, server_topology
-
-    if args.join and args.leave:
-        print("error: pass at most one of --join or --leave", file=sys.stderr)
-        return 2
-    if args.join:
-        outcome = fleet_join(list(endpoints), args.join)
-        print(
-            f"fleet grew to {len(outcome['endpoints'])} members at epoch "
-            f"{outcome['epoch']} ({outcome['warmed']} entries warmed onto "
-            f"{args.join}); running engines refresh on their next response"
-        )
-        print("new --cache-url " + ",".join(outcome["endpoints"]))
-        return 0
-    if args.leave:
-        outcome = fleet_leave(list(endpoints), args.leave)
-        print(
-            f"fleet shrank to {len(outcome['endpoints'])} members at epoch "
-            f"{outcome['epoch']}; departed keys fail over around the ring"
-        )
-        print("new --cache-url " + ",".join(outcome["endpoints"]))
-        return 0
-    # no flags: each member's own fleet view (divergence is visible as
-    # different epochs — the newest one wins as soon as clients see it)
-    for endpoint in endpoints:
-        try:
-            view = server_topology(endpoint)
-        except CharlesError as error:
-            print(f"{endpoint}: DOWN ({error})")
-            continue
-        if not view["endpoints"]:
-            print(f"{endpoint}: no fleet topology configured (static cache_url)")
-            continue
-        members = ",".join(view["endpoints"])
-        warmed = view.get("warmed_entries", 0)
-        suffix = f", {warmed} entries warmed on join" if warmed else ""
-        print(f"{endpoint}: epoch {view['epoch']}, members {members}{suffix}")
-    return 0
-
-
 def _command_cache(args: argparse.Namespace) -> int:
     if (args.cache_url is None) == (args.cache_dir is None):
         print("error: pass exactly one of --cache-url or --cache-dir", file=sys.stderr)
-        return 2
-    if args.action != "topology" and (args.join or args.leave):
-        print("error: --join/--leave only apply to the topology action", file=sys.stderr)
-        return 2
-    if args.action == "topology" and args.cache_url is None:
-        print("error: topology needs --cache-url (a fleet, not a directory)", file=sys.stderr)
         return 2
     if args.cache_url is not None:
         from repro.cacheserver import (
@@ -787,8 +729,6 @@ def _command_cache(args: argparse.Namespace) -> int:
         )
 
         endpoints = parse_endpoints(args.cache_url)
-        if args.action == "topology":
-            return _cache_topology(args, endpoints)
         if args.action == "stats" and args.metrics:
             # the same exposition a Prometheus scrape of each shard would see;
             # a dead shard becomes a note, not an abort mid-fan-out

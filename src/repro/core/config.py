@@ -206,7 +206,7 @@ class CharlesConfig:
         the owner and its ring successors and reads fail over around the
         ring, so losing a shard costs a failover round trip instead of the
         cached work.  Replication never changes results — only how much
-        recomputation a topology event causes.
+        recomputation a shard failure causes.
     warm_start:
         Whether an :class:`~repro.timeline.session.EngineSession` may seed a
         run's pruning floor from the previous run's k-th best score for the

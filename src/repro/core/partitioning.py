@@ -172,7 +172,7 @@ def clustering_matrix(
     # the *relative* residual (residual as a share of the old value) separates
     # multiplicative policies whose absolute effect scales with the value itself
     old_values = changed_source.numeric_column(target)
-    denominator = np.maximum(np.abs(np.where(np.isnan(old_values), 0.0, old_values)), 1e-9)
+    denominator = np.maximum(np.abs(np.where(np.isfinite(old_values), old_values, 0.0)), 1e-9)
     relative_residuals = residuals / denominator
     # winsorise both residual features: a few noisy point edits must not hijack
     # the k-means centroids and mask the latent group structure
@@ -381,9 +381,10 @@ def _numeric_descriptor(
 ) -> Descriptor | None:
     values = source.numeric_column(attribute)
     member_values = values[member_mask]
-    member_values = member_values[~np.isnan(member_values)]
+    # a non-finite value is a missing one: it bounds no threshold
+    member_values = member_values[np.isfinite(member_values)]
     rest_values = values[rest_mask]
-    rest_values = rest_values[~np.isnan(rest_values)]
+    rest_values = rest_values[np.isfinite(rest_values)]
     if member_values.size == 0 or rest_values.size == 0:
         return None
     member_low, member_high = float(member_values.min()), float(member_values.max())

@@ -152,9 +152,9 @@ class Comparison(Expression):
             return np.asarray(result, dtype=bool)
         with np.errstate(invalid="ignore"):
             result = _COMPARATORS[self.op](left, right)
-        # missing numeric values never satisfy a comparison
-        missing = np.isnan(left) | np.isnan(right)
-        return np.asarray(result, dtype=bool) & ~missing
+        # missing (or infinite, which counts as missing) numeric values never
+        # satisfy a comparison
+        return np.asarray(result, dtype=bool) & np.isfinite(left) & np.isfinite(right)
 
     def _over_codes(self, table: Table) -> np.ndarray | None:
         """``column = literal`` (or ``!=``, either side) on a categorical column.
@@ -198,7 +198,7 @@ class Between(Expression):
         values = self.operand.evaluate(table).astype(float)
         with np.errstate(invalid="ignore"):
             result = (values >= self.low) & (values <= self.high)
-        return np.asarray(result, dtype=bool) & ~np.isnan(values)
+        return np.asarray(result, dtype=bool) & np.isfinite(values)
 
     def columns(self) -> set[str]:
         return self.operand.columns()

@@ -15,7 +15,12 @@ import threading
 import pytest
 
 from repro.cachestore import MISSING
-from repro.cacheserver import AsyncCacheServer, ShardedRemoteBackend, server_ping
+from repro.cacheserver import (
+    AsyncCacheServer,
+    CacheServerCore,
+    ShardedRemoteBackend,
+    server_ping,
+)
 from repro.cacheserver import protocol
 from repro.cacheserver.pipeline import PipelinedConnection
 
@@ -235,6 +240,23 @@ class TestClientAgainstHostileServers:
         finally:
             evil.close()
 
+    @pytest.mark.parametrize(
+        "status",
+        [protocol.MISS | 0x80, 4],
+        ids=["old-epoch-flag", "unknown"],
+    )
+    def test_undefined_status_degrades_to_a_counted_miss(self, status):
+        # the reader fails the connection on the undecodable status, so the
+        # shard degrades to a miss and counts it — never reads it as a miss
+        evil = _EvilServer(protocol.frame_message(0, bytes((status,))), close_after=False)
+        try:
+            backend = ShardedRemoteBackend(evil.url)
+            assert backend.get_many(["k"]) == [MISSING]
+            assert backend.connection_failures == 1
+            backend.close()
+        finally:
+            evil.close()
+
     def test_unpack_multi_rejects_truncations_and_trailing_bytes(self):
         value = b"payload"
         good = protocol.pack_multi([value, None])
@@ -257,3 +279,30 @@ class TestClientAgainstHostileServers:
             except protocol.ProtocolError:
                 continue
             assert all(value is None or isinstance(value, bytes) for value in values)
+
+
+class TestUndefinedWireValues:
+    """Status bytes and verb ids the protocol does not define are rejected."""
+
+    @pytest.mark.parametrize(
+        "status",
+        [protocol.HIT | 0x80, protocol.OK | 0x80, protocol.ERROR | 0x80, 4, 0x7F, 0xFF],
+    )
+    def test_undefined_status_is_a_protocol_error(self, status):
+        # 0x80 flagged a 4-byte epoch header once; with or without those
+        # bytes (or a truncated remnant of them) the frame is unreadable now
+        for tail in (b"", b"\x00\x00", b"\x00\x00\x00\x03", b"\x00\x00\x00\x03value"):
+            with pytest.raises(protocol.ProtocolError):
+                protocol.decode_response(bytes((status,)) + tail)
+
+    @pytest.mark.parametrize("verb", [10, 11, 12, 13])
+    def test_unassigned_verb_ids_answer_error(self, verb):
+        core = CacheServerCore()
+        for body in (
+            bytes((verb, protocol.REGION_ALL)),
+            bytes((verb, protocol.REGION_ALL)) + b'{"epoch": 1, "endpoints": ["a:1"]}',
+            bytes((verb | protocol.TRACE_FLAG, protocol.REGION_ALL)) + b"\x00" * 24,
+        ):
+            status, payload = protocol.decode_response(core.dispatch(body))
+            assert status == protocol.ERROR
+            assert b"unknown verb" in payload

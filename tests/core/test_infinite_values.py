@@ -1,8 +1,9 @@
 """A non-finite value is a missing value, from the fits to the scorer.
 
 One infinite cell must not decide a ranking: the regression fits drop the
-row, the global residual behind clustering is zero there, the error kernel
-skips it, and scoring already ignores it.  The two measured cases check the
+row, the global residual behind clustering is zero there, condition
+induction and condition predicates skip it, the error kernel skips it, and
+scoring already ignores it.  The two measured cases check the
 end result: a pair with the first changed new ``bonus`` set to ``inf`` ranks
 exactly as the same pair with that cell blank.
 """
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 
 from repro.core import Charles, CharlesConfig
-from repro.core.partitioning import _global_residuals, clustering_matrix
+from repro.core.condition import Descriptor
+from repro.core.partitioning import _global_residuals, _numeric_descriptor, clustering_matrix
 from repro.core.transformation import partition_errors
 from repro.exceptions import ModelFitError
 from repro.ml.kmeans import KMeans
@@ -122,6 +124,20 @@ class TestInfiniteConditionValueIsImputed:
         assert np.isfinite(matrices[0]).all()
         assert matrices[0].tobytes() == matrices[1].tobytes() == matrices[2].tobytes()
 
+    def test_infinite_old_target_scales_like_a_blank_one(self):
+        # the relative residual divides by the old value; a non-finite one
+        # falls back to the same floor as a missing one
+        pair = employee_pair(300, seed=7)
+        changed = np.nonzero(pair.changed_mask("bonus"))[0]
+        matrices = [
+            clustering_matrix(
+                _with_first_changed_source(pair, value, column="bonus"), "bonus", changed,
+                ["edu"], ["salary"], CharlesConfig(),
+            )
+            for value in (float("inf"), float("-inf"), None)
+        ]
+        assert matrices[0].tobytes() == matrices[1].tobytes() == matrices[2].tobytes()
+
     def test_summarize_returns_finite_scores(self):
         pair = _with_first_changed_source(employee_pair(300, seed=7), float("inf"))
         result = Charles().summarize_pair(
@@ -130,6 +146,51 @@ class TestInfiniteConditionValueIsImputed:
         )
         assert result.summaries
         assert all(np.isfinite(scored.score) for scored in result.summaries)
+
+    @pytest.mark.parametrize(
+        "values, member",
+        [
+            ([1.0, np.inf, 10.0, 11.0], [True, True, False, False]),
+            ([1.0, 2.0, 10.0, -np.inf], [True, True, False, False]),
+        ],
+        ids=["inf-member", "minus-inf-rest"],
+    )
+    def test_induced_threshold_ignores_the_cell(self, values, member):
+        member = np.array(member)
+        blank = [value if np.isfinite(value) else np.nan for value in values]
+        descriptors = [
+            _numeric_descriptor(
+                Table.from_columns({"x": column}), "x", member, ~member, CharlesConfig()
+            )
+            for column in (values, blank)
+        ]
+        assert descriptors[0] == descriptors[1]
+        assert str(descriptors[0]) == "x < 6"
+
+    @pytest.mark.parametrize(
+        "descriptor",
+        [Descriptor.at_least("x", 0), Descriptor.less_than("x", 5), Descriptor.between("x", -1, 5)],
+        ids=str,
+    )
+    def test_no_numeric_condition_holds_on_the_cell(self, descriptor):
+        table = Table.from_columns({"x": [np.inf, -np.inf, np.nan, 1.0]})
+        assert descriptor.mask(table).tolist() == [False, False, False, True]
+
+    def test_condition_induction_ranks_like_the_blank_cell(self):
+        # the thresholds induced over `salary` must not see the infinite cell
+        pair = employee_pair(300, seed=7)
+        rankings = [
+            [
+                scored.describe()
+                for scored in Charles(CharlesConfig()).summarize_pair(
+                    _with_first_changed_source(pair, value), "bonus",
+                    ["edu", "salary"], ["bonus"],
+                ).summaries[:10]
+            ]
+            for value in (float("inf"), float("-inf"), None)
+        ]
+        assert rankings[0] == rankings[2]
+        assert rankings[1] == rankings[2]
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_kmeans_rejects_non_finite_input(self, bad):

@@ -86,6 +86,21 @@ class TestParser:
             )
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cache", "stats", "--cache-url", "a:1", "--join", "b:2"],
+            ["cache", "stats", "--cache-url", "a:1", "--leave", "b:2"],
+            ["cache", "topology", "--cache-url", "a:1"],
+        ],
+        ids=["join", "leave", "topology"],
+    )
+    def test_removed_cache_switches_are_usage_errors(self, argv):
+        # the fleet is the static --cache-url list: no membership commands
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+
 
 class TestCommands:
     def test_summarize_prints_ranked_summaries(self, example_csvs, capsys):
