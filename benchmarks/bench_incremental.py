@@ -113,7 +113,6 @@ def run_benchmark(rows: int, versions: int, seed: int, config: CharlesConfig) ->
         "final_chain": final,
         "session": {
             "runs_completed": session.runs_completed,
-            "warm_start_fallbacks": session.warm_start_fallbacks,
             "cache_hit_rate": counters.hit_rate,
             "cache_hits": counters.hits,
             "cache_misses": counters.misses,

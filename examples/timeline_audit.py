@@ -44,7 +44,6 @@ def main() -> None:
     print()
     print(
         f"session: {session.runs_completed} searches, "
-        f"{session.warm_start_fallbacks} warm-start fallback(s), "
         f"cache counters {session.cache_counters()}"
     )
 

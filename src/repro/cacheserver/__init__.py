@@ -46,7 +46,7 @@ list when a backend is created, and servers know nothing of their fleet.
 Keys are namespaced by ``CharlesConfig.cache_fingerprint()`` exactly like the
 disk store, so differently configured engines sharing one fabric never serve
 each other's entries, while execution-only knobs (``n_jobs``, pruning,
-warm-start, shard count, replication) keep the fleet cache warm.  As with
+shard count, replication) keep the fleet cache warm.  As with
 every backend, where entries live never changes what a search returns:
 rankings with one shard, N shards, or a shard killed mid-run are
 byte-identical to in-process runs, which ``tests/cacheserver/`` and

@@ -22,11 +22,12 @@ is most expensive for the fleet to redo.
 Operational surface:
 
 * ``PING``/``STATS`` admin verbs (liveness; per-region entry counts and
-  hit/miss/eviction counters as JSON) — also reachable from the shell via
+  hit/miss/eviction counters, request and error totals, as JSON) — also
+  reachable from the shell via
   ``charles cache {stats,clear} --cache-url`` and ``charles cache-server``;
-* ``METRICS``: a Prometheus text exposition (per-verb request counters and
-  latency histograms, in-flight connections, region sizes and evictions,
-  uptime) rendered by a per-server
+* ``METRICS``: a Prometheus text exposition (per-verb request and error
+  counters and latency histograms, in-flight connections, region sizes and
+  evictions, uptime) rendered by a per-server
   :class:`~repro.obs.metrics.MetricsRegistry` — ``charles cache stats
   --metrics`` scrapes it per shard;
 * ``TRACE``: requests whose verb byte carries the protocol's trace-context
@@ -102,6 +103,7 @@ class CacheServerCore:
         self._locks = {region: threading.Lock() for region in self._regions}
         self._capacity = capacity
         self._requests = 0
+        self._errors = 0
         self._requests_lock = threading.Lock()
         self._started = time.time()
         self._spans: deque = deque(maxlen=MAX_BUFFERED_SPANS)
@@ -109,6 +111,11 @@ class CacheServerCore:
         self._metrics = MetricsRegistry()
         self._requests_total = self._metrics.counter(
             "cacheserver_requests_total", "Requests handled, by verb", labels=("verb",)
+        )
+        self._request_errors_total = self._metrics.counter(
+            "cacheserver_request_errors_total",
+            "Requests answered with ERROR, by verb ('unknown' when the frame did not decode)",
+            labels=("verb",),
         )
         self._request_seconds = self._metrics.histogram(
             "cacheserver_request_seconds", "Request handling latency, by verb", labels=("verb",)
@@ -152,14 +159,17 @@ class CacheServerCore:
 
         A malformed request (unknown verb or region, bad digest, truncated
         header) is answered with an ``ERROR`` response carrying the reason;
-        the conversation goes on.  All observability happens here, around
-        :meth:`_handle`: the per-verb request counter and latency histogram
-        always run (they are two dict updates), a span is recorded only when
-        the client shipped a trace-context header on the verb byte.
+        the conversation goes on, and the error is counted by verb
+        (``"unknown"`` when the frame did not decode).  All observability
+        happens here, around :meth:`_handle`: the per-verb request counter
+        and latency histogram always run (they are two dict updates), a span
+        is recorded only when the client shipped a trace-context header on
+        the verb byte.
         """
         try:
             request = protocol.decode_request(body)
         except protocol.ProtocolError as error:
+            self._count_error("unknown")
             return _error_response(error)
         with self._requests_lock:
             self._requests += 1
@@ -171,6 +181,7 @@ class CacheServerCore:
             return self._handle(request)
         except protocol.ProtocolError as error:
             outcome = "error"
+            self._count_error(verb_name)
             return _error_response(error)
         finally:
             elapsed = time.perf_counter() - started
@@ -178,6 +189,11 @@ class CacheServerCore:
             self._request_seconds.observe(elapsed, verb=verb_name)
             if request.trace:
                 self._record_span(request, verb_name, started_wall, elapsed, outcome)
+
+    def _count_error(self, verb_name: str) -> None:
+        with self._requests_lock:
+            self._errors += 1
+        self._request_errors_total.inc(verb=verb_name)
 
     def _handle(self, request: protocol.Request) -> bytes:
         if request.verb == protocol.PING:
@@ -309,12 +325,13 @@ class CacheServerCore:
                 "hit_rate": counters.hit_rate,
             }
         with self._requests_lock:
-            requests = self._requests
+            requests, errors = self._requests, self._errors
         return {
             "server": {
                 "url": self.url,
                 "capacity": self._capacity,
                 "requests": requests,
+                "errors": errors,
                 "uptime_seconds": time.time() - self._started,
             },
             "regions": regions,

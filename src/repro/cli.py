@@ -139,8 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     timeline.add_argument("--cache-capacity", type=int, default=None,
                           help="LRU capacity of each session memo cache (default unbounded)")
     _add_cache_arguments(timeline)
-    timeline.add_argument("--cold", action="store_true",
-                          help="run every hop with a fresh cold engine (baseline for comparison)")
     timeline.add_argument("--condition-attributes", nargs="*", default=None)
     timeline.add_argument("--transformation-attributes", nargs="*", default=None)
     _add_observability_arguments(timeline)
@@ -444,7 +442,6 @@ def _command_timeline(args: argparse.Namespace) -> int:
         cache_dir=str(args.cache_dir) if args.cache_dir is not None else None,
         cache_url=args.cache_url,
         cache_replication=args.cache_replication,
-        warm_start=not args.cold,
         trace_path=str(args.trace) if args.trace is not None else None,
     )
     store = TimelineStore(key=args.key)
@@ -460,28 +457,6 @@ def _command_timeline(args: argparse.Namespace) -> int:
 
     _begin_tracing(args)
     started = time.perf_counter()
-    if args.cold:
-        # per-hop cold baseline: fresh engine (and caches) for every hop
-        hop_stats = []
-        for source, target_version, pair in store.windowed_pairs(args.window):
-            result = Charles(config).summarize_pair(
-                pair,
-                args.target,
-                condition_attributes=args.condition_attributes,
-                transformation_attributes=args.transformation_attributes,
-            )
-            hop_stats.append((source.name, target_version.name, result.search_stats))
-            print(f"== {source.name} -> {target_version.name} (cold) ==")
-            print(result.describe(limit=args.limit))
-            if result.search_stats is not None:
-                print(f"search: {result.search_stats.describe()}")
-            print()
-        if args.trace is not None:
-            _collect_server_spans(args.cache_url)
-        if args.stats_json is not None:
-            _write_timeline_stats(args, config, time.perf_counter() - started, hop_stats)
-        return 0
-
     with EngineSession(config) as session:
         timeline_result = session.summarize_timeline(
             store,
@@ -491,8 +466,6 @@ def _command_timeline(args: argparse.Namespace) -> int:
             window=args.window,
         )
         print(timeline_result.describe(limit=args.limit))
-        if session.warm_start_fallbacks:
-            print(f"warm-start fallbacks: {session.warm_start_fallbacks}")
     if args.trace is not None:
         _collect_server_spans(args.cache_url)
     if args.stats_json is not None:

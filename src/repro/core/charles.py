@@ -129,8 +129,8 @@ class Charles:
     def session(self):
         """A long-lived :class:`~repro.timeline.session.EngineSession` with this config.
 
-        The session keeps memo caches and warm-start pruning floors alive
-        across runs, so summarising consecutive hops of a version chain reuses
+        The session keeps memo caches alive across runs, so summarising
+        consecutive hops of a version chain reuses
         every computation whose input rows are untouched.  Rankings stay
         byte-identical to one-shot ``summarize`` calls.
         """
@@ -259,15 +259,14 @@ class Charles:
         transformation_attributes: Sequence[str] | None = None,
         *,
         caches: SearchCaches | None = None,
-        initial_floor: float = float("-inf"),
     ) -> CharlesResult:
         """Same as :meth:`summarize` but starting from an already-aligned pair.
 
-        ``caches`` and ``initial_floor`` are the session hooks: an
+        ``caches`` is the session hook: an
         :class:`~repro.timeline.session.EngineSession` passes its persistent
-        memo caches and warm-start pruning floor through here so warm and
-        cold runs share one code path (which is what makes their rankings
-        provably identical).  One-shot callers leave both at their defaults.
+        memo caches through here so warm and cold runs share one code path
+        (which is what makes their rankings provably identical).  One-shot
+        callers leave it at its default.
         """
         suggestions = self._assistant.suggest(pair, target)
         if condition_attributes is None:
@@ -280,7 +279,6 @@ class Charles:
             condition_attributes,
             transformation_attributes,
             caches=caches,
-            initial_floor=initial_floor,
         )
         top = tuple(ranked[: self._config.top_k])
         return CharlesResult(
@@ -291,12 +289,11 @@ class Charles:
             config=self._config,
             condition_attributes=tuple(condition_attributes),
             transformation_attributes=tuple(transformation_attributes),
-            # score-bound-pruned specs were distinct summaries that provably
-            # fell below the top-k; duplicate-pruned specs are not counted —
-            # they would have merged into an existing candidate anyway — and
-            # neither are spec-bound prunes, which never built a summary (so
-            # whether they were distinct candidates is unknowable without
-            # paying for the discovery the bound exists to avoid)
-            total_candidates=len(ranked) + stats.candidates_pruned_bounds,
+            # duplicate-pruned specs are not counted — they would have merged
+            # into an existing candidate anyway — and neither are spec-bound
+            # prunes, which never built a summary (so whether they were
+            # distinct candidates is unknowable without paying for the
+            # discovery the bound exists to avoid)
+            total_candidates=len(ranked),
             search_stats=stats,
         )

@@ -37,7 +37,6 @@ _RESULT_NEUTRAL_FIELDS = frozenset(
         "cache_url",
         "cache_replication",
         "warm_start",
-        "warm_start_margin",
         "partition_maintenance",
         "trace_path",
     }
@@ -208,18 +207,12 @@ class CharlesConfig:
         cached work.  Replication never changes results — only how much
         recomputation a shard failure causes.
     warm_start:
-        Whether an :class:`~repro.timeline.session.EngineSession` may seed a
-        run's pruning floor from the previous run's k-th best score for the
-        same target.  The session verifies the seed after the run and falls
-        back to a cold floor when it proved too aggressive, so rankings stay
-        byte-identical to cold runs either way.  One-shot ``Charles`` calls
-        are unaffected (they have no previous run).
-    warm_start_margin:
-        Safety margin subtracted from the previous k-th best score before it
-        is used as a seed floor.  Scores live in ``[0, 1]`` and the k-th best
-        score routinely shifts by ~0.1 between consecutive version hops, so
-        the default leaves room for that; a smaller margin prunes more but
-        triggers verification fallbacks more often.
+        Retired and ignored.  It once let an
+        :class:`~repro.timeline.session.EngineSession` seed a run's top-k
+        pruning floor from the previous run; every run's floor now starts at
+        ``-inf`` and rises with the run's own scores.  The field is still
+        accepted so existing configurations keep loading, and it does not
+        rotate the cache fingerprint.
     partition_maintenance:
         Retired and ignored.  It once let a session patch cached partition
         discoveries across deltas; every partition-cache miss now runs the
@@ -266,7 +259,6 @@ class CharlesConfig:
     cache_url: str | None = None
     cache_replication: int = 1
     warm_start: bool = True
-    warm_start_margin: float = 0.15
     partition_maintenance: bool = True
     trace_path: str | None = None
 
@@ -349,10 +341,6 @@ class CharlesConfig:
             raise ConfigurationError(
                 f"cache_replication must be >= 1, got {self.cache_replication}"
             )
-        if self.warm_start_margin < 0.0:
-            raise ConfigurationError(
-                f"warm_start_margin must be >= 0, got {self.warm_start_margin}"
-            )
 
     def replace(self, **changes: Any) -> "CharlesConfig":
         """A copy of this configuration with the given fields replaced."""
@@ -390,7 +378,7 @@ class CharlesConfig:
         folds this fingerprint into every key: two configs sharing a
         ``cache_dir`` read and write disjoint namespaces.  Fields that only
         pick the execution strategy (``n_jobs``, backend selection,
-        ``prune_search``, warm-start knobs, the retired
+        ``prune_search``, the retired ``warm_start`` and
         ``partition_maintenance``, tracing) are excluded — they are
         documented never to change results, so flipping them keeps the cache
         warm.

@@ -79,14 +79,12 @@ class DiffDiscoveryEngine:
         condition_attributes: Sequence[str],
         transformation_attributes: Sequence[str],
         caches: SearchCaches | None = None,
-        initial_floor: float = float("-inf"),
     ) -> tuple[list[ScoredSummary], SearchStats]:
         """Like :meth:`discover`, additionally returning the search statistics.
 
-        ``caches`` and ``initial_floor`` exist for session-style callers
+        ``caches`` exists for session-style callers
         (:class:`~repro.timeline.session.EngineSession`) that keep memo caches
-        and pruning floors alive across runs; one-shot calls leave them at
-        their defaults and behave exactly as before.
+        alive across runs; one-shot calls leave it at its default.
         """
         column = pair.schema.column(target)
         if not column.is_numeric:
@@ -108,14 +106,7 @@ class DiffDiscoveryEngine:
 
         plan = build_search_plan(condition_attributes, transformation_attributes, self._config)
         executor = select_executor(self._config)
-        ranked, stats = executor.execute(
-            pair,
-            target,
-            plan,
-            self._config,
-            caches=caches,
-            initial_floor=initial_floor,
-        )
+        ranked, stats = executor.execute(pair, target, plan, self._config, caches=caches)
         if not ranked:
             raise DiscoveryError("no candidate summaries could be generated")
         return ranked, stats

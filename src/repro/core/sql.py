@@ -42,19 +42,34 @@ def _literal(value: Any) -> str:
     return f"'{escaped}'"
 
 
+def _finite(column: str) -> str:
+    """A term that is false for ±inf and NULL in ``column``.
+
+    The engine's numeric predicates treat ±inf like a missing value, which
+    satisfies no comparison; in SQL ``inf >= 150`` and ``inf <> 150`` hold.
+    The bound is float64's largest value, a valid literal in any DBMS.
+    """
+    return f"abs({column}) <= 1.7976931348623157e308"
+
+
 def _descriptor_to_sql(descriptor: Descriptor) -> str:
     column = _quote_identifier(descriptor.attribute)
     kind = descriptor.kind
+    value = descriptor.values[0]
     if kind is DescriptorKind.EQUALS:
-        return f"{column} = {_literal(descriptor.values[0])}"
+        return f"{column} = {_literal(value)}"
     if kind is DescriptorKind.NOT_EQUALS:
-        return f"{column} <> {_literal(descriptor.values[0])}"
+        comparison = f"{column} <> {_literal(value)}"
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return comparison
+        return f"{_finite(column)} AND {comparison}"
     if kind is DescriptorKind.LESS_THAN:
-        return f"{column} < {_literal(descriptor.values[0])}"
+        return f"{_finite(column)} AND {column} < {_literal(value)}"
     if kind is DescriptorKind.AT_LEAST:
-        return f"{column} >= {_literal(descriptor.values[0])}"
+        return f"{_finite(column)} AND {column} >= {_literal(value)}"
     if kind is DescriptorKind.BETWEEN:
-        return f"{column} BETWEEN {_literal(descriptor.values[0])} AND {_literal(descriptor.values[1])}"
+        high = descriptor.values[1]
+        return f"{_finite(column)} AND {column} BETWEEN {_literal(value)} AND {_literal(high)}"
     rendered = ", ".join(_literal(value) for value in descriptor.values)
     if kind is DescriptorKind.NOT_IN_SET:
         return f"{column} NOT IN ({rendered})"

@@ -20,9 +20,9 @@ it is computed, in three layers:
    :class:`~repro.search.executors.SerialExecutor` runs in process;
    :class:`~repro.search.executors.ParallelExecutor` fans rounds out over a
    ``ProcessPoolExecutor`` (``CharlesConfig.n_jobs`` selects between them).
-   Both produce byte-identical rankings because every input to an evaluation
-   (the top-k pruning floor, the duplicate-signature set) is frozen per round,
-   and outcomes are reduced in spec order.  Executors fill in a
+   Both produce byte-identical rankings because the top-k pruning floor and
+   the duplicate-signature set (the one input to an evaluation besides its
+   spec) are frozen per round, and outcomes are reduced in spec order.  Executors fill in a
    :class:`~repro.search.stats.SearchStats` record (candidates enumerated /
    evaluated / pruned, cache hits, wall time) that rides along with the
    results.
@@ -40,20 +40,20 @@ it is computed, in three layers:
    survive interpreter restarts (see :mod:`repro.cachestore`).  A
    partition-cache miss always runs the full discovery (cluster the changed
    rows, then induce conditions); content keys already reuse every discovery
-   whose inputs a delta left untouched.  Pruning is exact, never heuristic:
-   specs whose discovered partition structure duplicates an earlier round's
-   spec are skipped (the downstream
-   pipeline is deterministic, so the summary would be identical), and built
-   summaries whose score upper bound ``alpha + (1 - alpha) *
-   interpretability`` cannot beat the current top-k floor are dropped without
-   paying for the accuracy pass.
+   whose inputs a delta left untouched.  The evaluator's pruning is exact,
+   never heuristic: specs whose discovered partition structure duplicates an
+   earlier round's spec are skipped (the downstream pipeline is
+   deterministic, so the summary would be identical).  Every summary it
+   builds is scored.
 
 Since the bound-planning layer (:mod:`repro.search.bounds`,
 :mod:`repro.search.costmodel`) the executors additionally *plan* each round
 before paying for it: a once-per-search :class:`~repro.search.bounds.
 ScoreBoundIndex` bounds every spec's achievable score from the pair state
 alone, specs provably below the top-k floor are skipped before partition
-discovery runs (whenever ``CharlesConfig.prune_search`` is on), survivors are
+discovery runs (whenever ``CharlesConfig.prune_search`` is on).  The floor is
+a local of the round loop: it starts at ``-inf`` and rises to the run's own
+k-th best score after each round.  Survivors are
 scheduled in descending bound order, and an online cost model trained on each
 outcome's observed seconds packs worker chunks and prefetch batches.  Both are
 execution-only: rankings are byte-identical to exhaustive search.
@@ -63,11 +63,12 @@ Adding a new backend
 
 *Execution backends.*  Subclass
 :class:`~repro.search.executors.SearchExecutor` and implement ``_setup`` /
-``_run_round`` / ``_teardown``.  The base class owns the round loop, floor
-updates and the deterministic reduce; a backend only decides how the specs of
-one round are evaluated (threads, a job queue, a remote cluster, ...).  The
-contract to preserve: evaluate every spec of the round with exactly the
-``floor`` and ``known_signatures`` given, and return outcomes in spec order.
+``_run_round`` / ``_teardown``.  The base class owns the round loop, the
+top-k floor, spec-bound pruning and the deterministic reduce; a backend only
+decides how the specs of one round are evaluated (threads, a job queue, a
+remote cluster, ...).  The contract to preserve: evaluate every spec of the
+round with exactly the ``known_signatures`` given, and return outcomes in
+spec order.
 Wire the backend into :func:`~repro.search.executors.select_executor` (or
 construct it directly and call ``execute``).
 

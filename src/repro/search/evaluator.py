@@ -18,21 +18,16 @@ change no outcome:
   induction reads neither T nor w, and reads k only through ``k > 1``, so
   every k = 1 spec of a C subset and every (T, w) that k-means maps to the
   same labelling shares one induction;
-* the *built summary* of a partition signature, with its interpretability
-  and (once some spec needed it) its accuracy: specs of one round whose
+* the *scored summary* of a partition signature: specs of one round whose
   partitions coincide build and score one summary.
 
-Two kinds of pruning happen here, both exact:
-
-* **signature pruning** — if a spec's discovered partitions (conditions +
-  masks) are identical to those of a spec evaluated in an earlier round, the
-  downstream computation is fully deterministic, so the resulting summary
-  would be a byte-identical duplicate; the spec is skipped outright.
-* **score-bound pruning** — once a summary is built, its interpretability is
-  exact and its accuracy is at most 1, so ``alpha * 1 + (1 - alpha) *
-  interpretability`` is a sound upper bound on its score.  If that bound
-  cannot beat the current top-k floor the expensive accuracy pass is skipped
-  and the candidate is dropped; it provably could not have entered the top-k.
+One kind of pruning happens here, and it is exact: if a spec's discovered
+partitions (conditions + masks) are identical to those of a spec evaluated
+in an earlier round, the downstream computation is fully deterministic, so
+the resulting summary would be a byte-identical duplicate; the spec is
+skipped outright.  The top-k floor is not an input: specs that provably
+cannot reach it are skipped by the executor before they get here (see
+:mod:`repro.search.bounds`).
 """
 
 from __future__ import annotations
@@ -52,7 +47,7 @@ from repro.core.partitioning import (
     induce_condition,
     partitions_from_labels,
 )
-from repro.core.scoring import ScoreBreakdown, accuracy, interpretability, score_summary
+from repro.core.scoring import ScoreBreakdown, score_summary
 from repro.core.summary import ChangeSummary, ConditionalTransformation
 from repro.core.transformation import LinearTransformation, partition_errors
 from repro.exceptions import ModelFitError
@@ -97,7 +92,6 @@ class ScoredSummary:
 
 
 PRUNED_DUPLICATE = "duplicate"
-PRUNED_SCORE_BOUND = "score-bound"
 PRUNED_SPEC_BOUND = "spec-bound"
 
 
@@ -110,9 +104,8 @@ class EvaluationOutcome:
     partitioned specs so later rounds can skip provable duplicates.
     ``pruned_reason`` distinguishes the prune kinds:
     :data:`PRUNED_DUPLICATE` (identical partition structure already evaluated
-    — the summary would be a byte-identical duplicate),
-    :data:`PRUNED_SCORE_BOUND` (a distinct summary was built but provably
-    cannot enter the top-k) and :data:`PRUNED_SPEC_BOUND` (the executor's
+    — the summary would be a byte-identical duplicate) and
+    :data:`PRUNED_SPEC_BOUND` (the executor's
     pre-discovery :class:`~repro.search.bounds.SpecBound` proved the spec
     could not reach the floor — the evaluator never saw it, so no partition
     discovery, fit or prefetch was spent on it).
@@ -134,19 +127,16 @@ class EvaluationOutcome:
         return self.pruned_reason is not None
 
 
-@dataclass
+@dataclass(frozen=True)
 class _BuiltSummary:
-    """A summary built from one partition signature, shared by its specs.
+    """A summary built from one partition signature and its score.
 
-    ``breakdown`` (which holds the accuracy) is filled by the first spec that
-    is not score-bound pruned; every spec still builds its own
+    Shared by every spec with that signature; each spec still builds its own
     :class:`ScoredSummary`, so provenance stays per spec.
     """
 
-    summary: ChangeSummary | None
-    interpretability: float = 0.0
-    components: dict | None = None
-    breakdown: ScoreBreakdown | None = None
+    summary: ChangeSummary
+    breakdown: ScoreBreakdown
 
 
 class CandidateEvaluator:
@@ -172,7 +162,7 @@ class CandidateEvaluator:
         # built summaries by partition signature; both as long-lived as the
         # clustering inputs, and both valid only for this evaluator's pair
         self._inductions: dict[tuple, tuple[Partition, ...]] = {}
-        self._summaries: dict[tuple, _BuiltSummary] = {}
+        self._summaries: dict[tuple, _BuiltSummary | None] = {}
         self.caches = caches or SearchCaches(config.search_cache_capacity)
         # the process-wide tracer singleton; its `.enabled` flag is the only
         # overhead evaluation pays when tracing is off
@@ -183,10 +173,9 @@ class CandidateEvaluator:
     def evaluate(
         self,
         spec: CandidateSpec,
-        floor: float = float("-inf"),
         known_signatures: frozenset = frozenset(),
     ) -> EvaluationOutcome:
-        """Evaluate one spec against the current top-k ``floor``.
+        """Evaluate one spec.
 
         ``known_signatures`` must only contain signatures of specs from
         *earlier* rounds; the evaluator never mutates it, which keeps the
@@ -199,7 +188,7 @@ class CandidateEvaluator:
         """
         started = time.perf_counter()
         if not self._tracer.enabled:
-            outcome = self._evaluate(spec, floor, known_signatures)
+            outcome = self._evaluate(spec, known_signatures)
             return replace(outcome, seconds=time.perf_counter() - started)
         with self._tracer.span(
             "spec",
@@ -208,15 +197,12 @@ class CandidateEvaluator:
             transformations=list(spec.transformation_subset),
             k=spec.n_partitions,
         ) as span:
-            outcome = self._evaluate(spec, floor, known_signatures)
+            outcome = self._evaluate(spec, known_signatures)
             span.set(pruned=outcome.pruned_reason, scored=outcome.scored is not None)
         return replace(outcome, seconds=time.perf_counter() - started)
 
     def _evaluate(
-        self,
-        spec: CandidateSpec,
-        floor: float,
-        known_signatures: frozenset,
+        self, spec: CandidateSpec, known_signatures: frozenset
     ) -> EvaluationOutcome:
         if spec.kind == GLOBAL:
             return EvaluationOutcome(spec, self._global_summary(spec), None)
@@ -231,15 +217,19 @@ class CandidateEvaluator:
         signature = self._partition_signature(spec, partitions)
         if signature in known_signatures:
             return EvaluationOutcome(spec, None, signature, pruned_reason=PRUNED_DUPLICATE)
-        built = self._summaries.get(signature)
+        if signature not in self._summaries:
+            self._summaries[signature] = self._build_summary(spec, partitions)
+        built = self._summaries[signature]
         if built is None:
-            built = self._build_summary(spec, partitions)
-            self._summaries[signature] = built
-        if built.summary is None:
             return EvaluationOutcome(spec, None, signature)
-        scored = self._score_or_prune(built, spec, floor)
-        reason = PRUNED_SCORE_BOUND if scored is None else None
-        return EvaluationOutcome(spec, scored, signature, pruned_reason=reason)
+        scored = ScoredSummary(
+            summary=built.summary,
+            breakdown=built.breakdown,
+            condition_attributes=spec.condition_subset,
+            transformation_attributes=spec.transformation_subset,
+            n_partitions=spec.n_partitions,
+        )
+        return EvaluationOutcome(spec, scored, signature)
 
     def score_empty_summary(self, summary: ChangeSummary) -> ScoredSummary:
         """Score the degenerate "no change detected" summary."""
@@ -524,40 +514,14 @@ class CandidateEvaluator:
             identity_fallback=self._config.include_identity_fallback,
         )
 
-    def _build_summary(self, spec: CandidateSpec, partitions: list[Partition]) -> _BuiltSummary:
-        """The summary of a partition structure, with its interpretability."""
+    def _build_summary(
+        self, spec: CandidateSpec, partitions: list[Partition]
+    ) -> _BuiltSummary | None:
+        """The scored summary of a partition structure, or ``None`` if infeasible."""
         summary = self._partitioned_summary(spec, partitions)
         if summary is None:
-            return _BuiltSummary(None)
-        return _BuiltSummary(summary, *interpretability(summary, self._pair, self._config))
-
-    def _score_or_prune(
-        self, built: _BuiltSummary, spec: CandidateSpec, floor: float
-    ) -> ScoredSummary | None:
-        """Score a built summary, or drop it when it provably cannot reach the top-k."""
-        config = self._config
-        if config.prune_search:
-            upper_bound = config.alpha * 1.0 + (1.0 - config.alpha) * built.interpretability
-            if upper_bound < floor:
-                return None
-        if built.breakdown is None:
-            components = built.components
-            built.breakdown = ScoreBreakdown(
-                accuracy=accuracy(built.summary, self._pair, sharpness=config.accuracy_sharpness),
-                interpretability=built.interpretability,
-                size_score=components["size"],
-                simplicity_score=components["simplicity"],
-                coverage_score=components["coverage"],
-                normality_score=components["normality"],
-                alpha=config.alpha,
-            )
-        return ScoredSummary(
-            summary=built.summary,
-            breakdown=built.breakdown,
-            condition_attributes=spec.condition_subset,
-            transformation_attributes=spec.transformation_subset,
-            n_partitions=spec.n_partitions,
-        )
+            return None
+        return _BuiltSummary(summary, score_summary(summary, self._pair, self._config))
 
     def _merge_equivalent(
         self,

@@ -13,14 +13,15 @@ decide how the specs *within* one round are evaluated:
   each holding its own evaluator and caches.  Selected with
   ``CharlesConfig.n_jobs > 1``.
 
-Both executors produce byte-identical rankings.  Every quantity that affects
-an evaluation — the top-k floor and the duplicate-signature set — is frozen at
-the start of a round and only updated between rounds, so outcomes do not
-depend on evaluation order inside a round; and outcomes are reduced in spec
-order, so tie-breaking is identical no matter which worker produced a
-candidate.  (Cache *statistics* may differ: with the default in-process
-backend, workers cannot share memo caches across process boundaries, so
-parallel runs re-fit some work a serial run would have cached.  A shareable
+Both executors produce byte-identical rankings.  The top-k floor (which
+specs the spec bounds skip) and the duplicate-signature set (the only input
+an evaluation takes besides its spec) are frozen at the start of a round and
+only updated between rounds, so outcomes do not depend on evaluation order
+inside a round; and outcomes are reduced in spec order, so tie-breaking is
+identical no matter which worker produced a candidate.  (Cache *statistics*
+may differ: with the default in-process backend, workers cannot share memo
+caches across process boundaries, so parallel runs re-fit some work a serial
+run would have cached.  A shareable
 ``CharlesConfig.cache_backend`` — shared memory or disk, see
 :mod:`repro.cachestore` — closes that gap: ``_init_worker`` attaches every
 worker to the same store, so one worker's partition discovery is the next
@@ -128,7 +129,6 @@ class SearchExecutor:
         plan: SearchPlan,
         config: CharlesConfig,
         caches: SearchCaches | None = None,
-        initial_floor: float = float("-inf"),
     ) -> tuple[list[ScoredSummary], SearchStats]:
         """Evaluate the plan and return the ranked candidates plus statistics.
 
@@ -140,13 +140,9 @@ class SearchExecutor:
         backend the pool executor can only use them on its serial fallback
         path — workers then keep private caches, exactly as before.
 
-        ``initial_floor`` seeds the top-k pruning floor before round 0.  The
-        floor only ever *rises* above the seed (``max`` with the running
-        k-th-best score), so a seed of ``-inf`` reproduces the cold behaviour
-        exactly.  Callers seeding a finite floor own the soundness obligation:
-        the final ranking equals the cold ranking iff the seed does not exceed
-        this run's true k-th-best score — which is what the session's
-        verify-or-fallback protocol checks.
+        The top-k floor is local to this loop: it starts at ``-inf`` and,
+        after each round, rises to the k-th best score found so far.  Only
+        the pre-discovery spec bounds read it.
         """
         started = time.perf_counter()
         tracer = get_tracer()
@@ -158,11 +154,10 @@ class SearchExecutor:
             candidates_enumerated=len(plan),
             n_jobs=self.n_jobs,
             rounds=plan.num_rounds,
-            warm_start_floor=initial_floor if initial_floor != float("-inf") else None,
         )
         candidates: dict[tuple, ScoredSummary] = {}
         signatures: set = set()
-        floor = initial_floor
+        floor = float("-inf")
         with tracer.span(
             "search",
             target=target,
@@ -171,9 +166,9 @@ class SearchExecutor:
             executor=type(self).__name__,
             n_jobs=self.n_jobs,
         ):
-            # bound pruning is a top-k skip like score-bound pruning, so it obeys
-            # the same master switch; the index reads only the pair state, so it
-            # is identical across executors (serial/parallel prune the same specs)
+            # bound pruning is a top-k skip, so `prune_search` switches it off;
+            # the index reads only the pair state, so it is identical across
+            # executors (serial/parallel prune the same specs)
             bound_index = (
                 ScoreBoundIndex(pair, target, config)
                 if config.prune_search and len(plan)
@@ -228,7 +223,7 @@ class SearchExecutor:
                                 "round.dispatch", specs=len(run_specs)
                             ):
                                 outcomes, delta = self._run_round(
-                                    run_specs, floor, frozenset(signatures)
+                                    run_specs, frozenset(signatures)
                                 )
                         else:
                             outcomes, delta = [], CacheCounters()
@@ -250,17 +245,15 @@ class SearchExecutor:
                                 _SPECS_TOTAL.inc(status=outcome.pruned_reason)
                                 if outcome.pruned_reason == PRUNED_DUPLICATE:
                                     stats.candidates_pruned_duplicates += 1
-                                elif outcome.pruned_reason == PRUNED_SPEC_BOUND:
-                                    stats.candidates_pruned_spec_bounds += 1
                                 else:
-                                    stats.candidates_pruned_bounds += 1
+                                    stats.candidates_pruned_spec_bounds += 1
                                 continue
                             _SPECS_TOTAL.inc(status="evaluated")
                             stats.candidates_evaluated += 1
                             if outcome.scored is not None:
                                 add_candidate(candidates, outcome.scored)
                         stats.merge_cache_counters(delta)
-                        floor = max(initial_floor, _top_k_floor(candidates, config.top_k))
+                        floor = _top_k_floor(candidates, config.top_k)
                         round_span.set(
                             floor=None if floor == float("-inf") else floor,
                             candidates=len(candidates),
@@ -298,7 +291,6 @@ class SearchExecutor:
     def _run_round(
         self,
         specs: Sequence[CandidateSpec],
-        floor: float,
         known_signatures: frozenset,
     ) -> tuple[list[EvaluationOutcome], CacheCounters]:
         raise NotImplementedError
@@ -310,7 +302,6 @@ class SearchExecutor:
 def _evaluate_specs(
     evaluator: CandidateEvaluator,
     specs: Sequence[CandidateSpec],
-    floor: float,
     known_signatures: frozenset,
     cost_model: OnlineCostModel | None = None,
 ) -> tuple[list[EvaluationOutcome], CacheCounters]:
@@ -336,7 +327,7 @@ def _evaluate_specs(
         batch_specs = [specs[position] for position in batch]
         evaluator.prefetch_round(batch_specs)
         outcomes.extend(
-            evaluator.evaluate(spec, floor, known_signatures) for spec in batch_specs
+            evaluator.evaluate(spec, known_signatures) for spec in batch_specs
         )
     return outcomes, evaluator.caches.counters() - before
 
@@ -382,12 +373,9 @@ class SerialExecutor(SearchExecutor):
     def _run_round(
         self,
         specs: Sequence[CandidateSpec],
-        floor: float,
         known_signatures: frozenset,
     ) -> tuple[list[EvaluationOutcome], CacheCounters]:
-        return _evaluate_specs(
-            self._evaluator, specs, floor, known_signatures, self._cost_model
-        )
+        return _evaluate_specs(self._evaluator, specs, known_signatures, self._cost_model)
 
     def _teardown(self) -> None:
         self._evaluator = None
@@ -425,12 +413,12 @@ def _init_worker(
 
 
 def _evaluate_batch(
-    payload: tuple[tuple[CandidateSpec, ...], float, frozenset, tuple[str, str] | None],
+    payload: tuple[tuple[CandidateSpec, ...], frozenset, tuple[str, str] | None],
 ) -> tuple[list[EvaluationOutcome], CacheCounters, list[dict]]:
-    specs, floor, known_signatures, trace_context = payload
+    specs, known_signatures, trace_context = payload
     assert _WORKER_EVALUATOR is not None, "worker pool was not initialised"
     if trace_context is None:
-        outcomes, delta = _evaluate_specs(_WORKER_EVALUATOR, specs, floor, known_signatures)
+        outcomes, delta = _evaluate_specs(_WORKER_EVALUATOR, specs, known_signatures)
         return outcomes, delta, []
     # the parent's (trace id, dispatching span id) rode the pickled payload;
     # adopt it so this chunk's spans join the search trace, buffer them, and
@@ -438,9 +426,7 @@ def _evaluate_batch(
     tracer = get_tracer()
     with tracer.adopt(trace_context) as buffer:
         with tracer.span("worker.chunk", specs=len(specs), pid=os.getpid()):
-            outcomes, delta = _evaluate_specs(
-                _WORKER_EVALUATOR, specs, floor, known_signatures
-            )
+            outcomes, delta = _evaluate_specs(_WORKER_EVALUATOR, specs, known_signatures)
         records = buffer.drain()
     return outcomes, delta, records
 
@@ -507,7 +493,7 @@ class ParallelExecutor(SearchExecutor):
         Pool failures surface either at construction or — more commonly, since
         workers spawn lazily — as a broken pool mid-``map`` (a worker killed by
         the OS, an unpicklable payload).  Evaluation is pure given the round's
-        floor and signature set, so re-running the interrupted round serially
+        signature set, so re-running the interrupted round serially
         yields the same outcomes the workers would have produced.
         """
         warnings.warn(
@@ -529,7 +515,6 @@ class ParallelExecutor(SearchExecutor):
     def _run_round(
         self,
         specs: Sequence[CandidateSpec],
-        floor: float,
         known_signatures: frozenset,
     ) -> tuple[list[EvaluationOutcome], CacheCounters]:
         if self._pool is not None:
@@ -539,7 +524,6 @@ class ParallelExecutor(SearchExecutor):
             payloads = [
                 (
                     tuple(specs[position] for position in chunk),
-                    floor,
                     known_signatures,
                     trace_context,
                 )
@@ -562,9 +546,7 @@ class ParallelExecutor(SearchExecutor):
             except (BrokenProcessPool, OSError, pickle.PicklingError) as error:
                 self._fall_back_to_serial(error)
         assert self._fallback is not None
-        return _evaluate_specs(
-            self._fallback, specs, floor, known_signatures, self._cost_model
-        )
+        return _evaluate_specs(self._fallback, specs, known_signatures, self._cost_model)
 
     def _route(self, specs: Sequence[CandidateSpec]) -> list[tuple[int, ...]]:
         """The round's worker chunks, as index groups over ``specs``.

@@ -24,12 +24,11 @@ class SearchStats:
     ``candidates_enumerated`` is the size of the planned candidate space;
     every spec ends up either ``evaluated`` (partitions discovered, models
     fitted, summary scored — or found infeasible) or pruned — as a provable
-    *duplicate* of an earlier spec's partition structure, because a built
-    summary's score upper *bound* could not beat the current top-k floor, or
-    because the pre-discovery :class:`~repro.search.bounds.SpecBound` already
-    proved the spec could not reach the floor
-    (``candidates_pruned_spec_bounds``; these specs never invoked partition
-    discovery, fits or prefetches at all).  ``bound_pruning`` records whether
+    *duplicate* of an earlier spec's partition structure, or because the
+    pre-discovery :class:`~repro.search.bounds.SpecBound` proved the spec
+    could not reach the run's top-k floor (``candidates_pruned_spec_bounds``;
+    these specs never invoked partition discovery, fits or prefetches at
+    all).  ``bound_pruning`` records whether
     those pre-discovery bounds ran: they do unless ``prune_search`` is off or
     the plan is empty.  Pruning never changes rankings, only wall time.
     Cache counters come from the memo caches of :mod:`repro.search.cache`;
@@ -50,12 +49,6 @@ class SearchStats:
     kind is kept in ``cache_backend_requested`` so the substitution is
     visible, not silent.
 
-    Warm-started runs (see :class:`~repro.timeline.session.EngineSession`)
-    record the seeded pruning floor in ``warm_start_floor``;
-    ``warm_start_fallback`` marks runs where the seed proved too aggressive
-    and the search was transparently re-run with an open floor (the recorded
-    wall time then covers both attempts).
-
     Every partition-cache miss runs a full discovery, so
     ``partitions_recomputed`` equals ``partition_cache_misses``.  It and the
     retired ``partitions_patched`` / ``partition_patch_fallbacks`` counters
@@ -65,7 +58,6 @@ class SearchStats:
     candidates_enumerated: int = 0
     candidates_evaluated: int = 0
     candidates_pruned_duplicates: int = 0
-    candidates_pruned_bounds: int = 0
     candidates_pruned_spec_bounds: int = 0
     bound_pruning: bool = False
     fit_cache_hits: int = 0
@@ -79,19 +71,13 @@ class SearchStats:
     wall_time_seconds: float = 0.0
     n_jobs: int = 1
     rounds: int = field(default=0)
-    warm_start_floor: float | None = None
-    warm_start_fallback: bool = False
 
     # -- derived ---------------------------------------------------------------
 
     @property
     def candidates_pruned(self) -> int:
-        """Total specs skipped or dropped (duplicate, score-bound and spec-bound)."""
-        return (
-            self.candidates_pruned_duplicates
-            + self.candidates_pruned_bounds
-            + self.candidates_pruned_spec_bounds
-        )
+        """Total specs skipped (duplicate and spec-bound)."""
+        return self.candidates_pruned_duplicates + self.candidates_pruned_spec_bounds
 
     @property
     def cache_hits(self) -> int:
@@ -131,11 +117,6 @@ class SearchStats:
         """Retired with partition maintenance; always 0."""
         return 0
 
-    @property
-    def warm_started(self) -> bool:
-        """Whether this run was seeded with a pruning floor from a previous run."""
-        return self.warm_start_floor is not None
-
     # -- aggregation -----------------------------------------------------------
 
     def merge_cache_counters(self, counters: CacheCounters) -> None:
@@ -159,7 +140,6 @@ class SearchStats:
             "candidates_evaluated": self.candidates_evaluated,
             "candidates_pruned": self.candidates_pruned,
             "candidates_pruned_duplicates": self.candidates_pruned_duplicates,
-            "candidates_pruned_bounds": self.candidates_pruned_bounds,
             "candidates_pruned_spec_bounds": self.candidates_pruned_spec_bounds,
             "bound_pruning": self.bound_pruning,
             "fit_cache_hits": self.fit_cache_hits,
@@ -177,9 +157,6 @@ class SearchStats:
             "wall_time_seconds": self.wall_time_seconds,
             "n_jobs": self.n_jobs,
             "rounds": self.rounds,
-            "warm_started": self.warm_started,
-            "warm_start_floor": self.warm_start_floor,
-            "warm_start_fallback": self.warm_start_fallback,
         }
 
     def describe(self) -> str:
@@ -201,9 +178,6 @@ class SearchStats:
                 f", cache_backend {self.cache_backend_requested!r} not used"
                 " (nothing to share in a one-shot serial run)"
             )
-        if self.warm_started:
-            suffix = " (fell back to a cold floor)" if self.warm_start_fallback else ""
-            text += f", warm floor {self.warm_start_floor:.3f}{suffix}"
         return text
 
     def __str__(self) -> str:

@@ -1,7 +1,7 @@
 """Tenant-namespaced registry of live timeline sessions.
 
 Each lease pairs one tenant's :class:`~repro.timeline.session.EngineSession`
-(the warm engine: persistent caches and pruning floors) with
+(the warm engine: persistent memo caches) with
 the :class:`~repro.timeline.store.TimelineStore` its uploads accumulate in,
 under a capability-style session id.  Tenancy is enforced twice over:
 
@@ -89,7 +89,6 @@ class SessionLease:
             "key": self.store.key,
             "versions": self.store.names,
             "runs_completed": self.engine.runs_completed,
-            "warm_start_fallbacks": self.engine.warm_start_fallbacks,
             "idle_seconds": round(self.engine.idle_seconds, 3),
             "age_seconds": round(self.age_seconds, 3),
             "created_at": self.created_at,

@@ -20,15 +20,14 @@ turns the pipeline into a versioned, incremental system in three layers:
    changes only for attributes that moved.
 
 3. **Session** (:mod:`repro.timeline.session`) — :class:`EngineSession` owns a
-   persistent, content-keyed :class:`~repro.search.cache.SearchCaches` and
-   warm-start pruning floors across runs.  Because cache keys hash the exact
-   values a computation reads, entries whose input rows are untouched between
-   versions are reused and touched rows can never produce a stale hit —
-   invalidation is implicit in the keying.  Warm-started floors are verified
-   after each run (with a transparent cold-floor retry when too aggressive),
-   so rankings stay **byte-identical** to cold per-pair runs; only wall time
-   and cache hit rates differ.  ``benchmarks/bench_incremental.py`` measures
-   exactly that.
+   persistent, content-keyed :class:`~repro.search.cache.SearchCaches` across
+   runs.  Because cache keys hash the exact values a computation reads,
+   entries whose input rows are untouched between versions are reused and
+   touched rows can never produce a stale hit — invalidation is implicit in
+   the keying.  Each run is otherwise the one-shot search, top-k floor
+   included, so rankings stay **byte-identical** to cold per-pair runs; only
+   wall time and cache hit rates differ.  ``benchmarks/bench_incremental.py``
+   measures exactly that.
 
 Typical use::
 

@@ -79,7 +79,7 @@ class TimelineResult:
             total.candidates_enumerated += stats.candidates_enumerated
             total.candidates_evaluated += stats.candidates_evaluated
             total.candidates_pruned_duplicates += stats.candidates_pruned_duplicates
-            total.candidates_pruned_bounds += stats.candidates_pruned_bounds
+            total.candidates_pruned_spec_bounds += stats.candidates_pruned_spec_bounds
             total.fit_cache_hits += stats.fit_cache_hits
             total.fit_cache_misses += stats.fit_cache_misses
             total.partition_cache_hits += stats.partition_cache_hits

@@ -1,40 +1,30 @@
-"""A long-lived ChARLES engine: persistent caches and warm-started search.
+"""A long-lived ChARLES engine: memo caches that persist across runs.
 
 One-shot :class:`~repro.core.charles.Charles` calls start cold — a fresh
 :class:`~repro.search.cache.SearchCaches` per run — even though the caches are
 content-keyed and much of the work recurs when summarising V2→V3 right after
 V1→V2.  :class:`EngineSession` is the stateful counterpart: it owns one
-configuration, one set of memo caches and the warm-start floors, and serves
-repeated ``summarize`` queries over evolving data — the serving shape the
-roadmap's sharding and long-running-deployment goals need.
+configuration and one set of memo caches, and serves repeated ``summarize``
+queries over evolving data.
 
-Two mechanisms make warm runs cheaper, neither of which may change results:
+Cache keys hash the exact column values a computation reads
+(:class:`~repro.search.cache.PairFingerprints`), so a fit or partition
+discovery from a previous run is reused iff its input rows are untouched in
+the new pair — delta-driven invalidation with zero bookkeeping.  Stale
+entries cannot be hit (their keys are never requested again) and age out of
+the LRU when ``CharlesConfig.search_cache_capacity`` is set.  Where entries
+live follows ``CharlesConfig.cache_backend``: in process by default, in a
+cross-process shared store so parallel workers reuse each other's work, on
+disk (``cache_dir``) so a session started in a fresh interpreter begins warm
+from its predecessor's entries, or on a fleet cache server (``cache_url``) so
+sessions on *different machines* pool their work — with the remote client
+degrading to misses (never to wrong results) whenever the server is
+unreachable.
 
-* **Cache persistence.**  Cache keys hash the exact column values a
-  computation reads (:class:`~repro.search.cache.PairFingerprints`), so a fit
-  or partition discovery from a previous run is reused iff its input rows are
-  untouched in the new pair — delta-driven invalidation with zero bookkeeping.
-  Stale entries cannot be hit (their keys are never requested again) and age
-  out of the LRU when ``CharlesConfig.search_cache_capacity`` is set.
-  Where entries live follows ``CharlesConfig.cache_backend``: in process by
-  default, in a cross-process shared store so parallel workers reuse each
-  other's work, on disk (``cache_dir``) so a session started in a fresh
-  interpreter begins warm from its predecessor's entries, or on a fleet
-  cache server (``cache_url``) so sessions on *different machines* pool
-  their work — with the remote client degrading to misses (never to wrong
-  results) whenever the server is unreachable.
-
-* **Warm-started pruning floors.**  The score-bound pruning of the search
-  normally starts from ``-inf`` and tightens as candidates accumulate.  A
-  session seeds the floor with the previous run's k-th best score for the same
-  target (minus ``warm_start_margin``), so hopeless candidates are dropped
-  from round 0.  Soundness is *verified*, not assumed: pruning with a seed
-  ``F`` provably preserves the top-k iff the run's final k-th best score is at
-  least ``F`` (every extra-pruned candidate had a score upper bound, hence a
-  score, strictly below ``F``).  When verification fails — the new pair's
-  score landscape dropped below the seed — the session transparently re-runs
-  with an open floor.  Byte-identical rankings versus a cold run are therefore
-  a hard invariant, fallback or not.
+Every run of a session is the one-shot search with the session's caches: its
+top-k pruning floor starts at ``-inf`` and rises with the run's own scores,
+exactly as in a cold run, so rankings and pruning counts equal a cold run's
+and only cache hits and wall time differ.
 """
 
 from __future__ import annotations
@@ -58,8 +48,6 @@ from repro.timeline.store import TimelineStore
 
 __all__ = ["EngineSession"]
 
-_COLD = float("-inf")
-
 
 class EngineSession:
     """A stateful ChARLES engine serving repeated queries over evolving data."""
@@ -72,11 +60,9 @@ class EngineSession:
             configure_tracing(self._config.trace_path)
         self._charles = Charles(self._config)
         self._caches = SearchCaches.from_config(self._config)
-        self._floors: dict[str, float] = {}
         self._closed = False
         self._last_used = time.monotonic()
         self.runs_completed = 0
-        self.warm_start_fallbacks = 0
 
     def close(self) -> None:
         """Release the caches' backend resources (disk connections, managers).
@@ -150,14 +136,10 @@ class EngineSession:
         """Cumulative cache counters across every run of the session."""
         return self._caches.counters()
 
-    def warm_floor(self, target: str) -> float | None:
-        """The pruning-floor seed the next run for ``target`` would use."""
-        if not (self._config.warm_start and self._config.prune_search):
-            return None
-        floor = self._floors.get(target)
-        if floor is None:
-            return None
-        return floor - self._config.warm_start_margin
+    @property
+    def warm_start_fallbacks(self) -> int:
+        """Retired with warm-start floors; always 0."""
+        return 0
 
     # -- serving ---------------------------------------------------------------
 
@@ -171,62 +153,21 @@ class EngineSession:
         """Like :meth:`Charles.summarize_pair`, but warm.
 
         Reuses every memo-cache entry from earlier runs whose input rows are
-        untouched, seeds the pruning floor from the previous run on the same
-        target, and verifies the floor seed afterwards (re-running with an
-        open floor when it proved too aggressive).  The ranking is
-        byte-identical to a cold run on the same pair.
+        untouched.  The ranking is byte-identical to a cold run on the same
+        pair.
         """
         self._ensure_open()
         self.touch()
-        tracer = get_tracer()
-        floor = self.warm_floor(target)
-        seed = _COLD if floor is None else floor
-        with tracer.span(
-            "session.summarize", target=target, warm=seed != _COLD
-        ) as session_span:
-            try:
-                result = self._charles.summarize_pair(
-                    pair,
-                    target,
-                    condition_attributes=condition_attributes,
-                    transformation_attributes=transformation_attributes,
-                    caches=self._caches,
-                    initial_floor=seed,
-                )
-            except DiscoveryError:
-                if seed == _COLD:
-                    raise
-                # the extreme form of an overshooting seed: a floor above every
-                # spec's score bound prunes the entire plan before discovery, so
-                # the run yields no candidates at all instead of a short ranking
-                result = None
-            if seed != _COLD and (result is None or not self._floor_verified(result, seed)):
-                # the seed exceeded this run's true k-th best score, so pruning may
-                # have dropped genuine top-k members: redo with an open floor (the
-                # caches are warm, so the retry costs far less than a cold run)
-                self.warm_start_fallbacks += 1
-                session_span.set(fallback=True)
-                aborted_seconds = (
-                    result.search_stats.wall_time_seconds
-                    if result is not None and result.search_stats
-                    else 0.0
-                )
-                with tracer.span("session.warm_fallback", target=target, seed=seed):
-                    result = self._charles.summarize_pair(
-                        pair,
-                        target,
-                        condition_attributes=condition_attributes,
-                        transformation_attributes=transformation_attributes,
-                        caches=self._caches,
-                        initial_floor=_COLD,
-                    )
-                if result.search_stats is not None:
-                    result.search_stats.warm_start_floor = seed
-                    result.search_stats.warm_start_fallback = True
-                    result.search_stats.wall_time_seconds += aborted_seconds
+        with get_tracer().span("session.summarize", target=target):
+            result = self._charles.summarize_pair(
+                pair,
+                target,
+                condition_attributes=condition_attributes,
+                transformation_attributes=transformation_attributes,
+                caches=self._caches,
+            )
         self.runs_completed += 1
         self.touch()
-        self._remember_floor(target, result)
         return result
 
     def summarize_timeline(
@@ -270,17 +211,6 @@ class EngineSession:
         return TimelineResult(target=target, hops=tuple(hops))
 
     # -- internals -------------------------------------------------------------
-
-    def _floor_verified(self, result: CharlesResult, seed: float) -> bool:
-        """Whether the seeded floor provably preserved the top-k."""
-        top_k = self._config.top_k
-        summaries = result.summaries
-        return len(summaries) >= top_k and summaries[top_k - 1].score >= seed
-
-    def _remember_floor(self, target: str, result: CharlesResult) -> None:
-        top_k = self._config.top_k
-        if len(result.summaries) >= top_k:
-            self._floors[target] = result.summaries[top_k - 1].score
 
     def _unchanged_result(self, pair: SnapshotPair, target: str) -> CharlesResult:
         """The delta-driven short-circuit for hops that never touch the target.

@@ -160,3 +160,26 @@ class TestServerMetrics:
         backend.get("probe-b")
         after = parse_prometheus(server_metrics(server.url))[series]
         assert after == before + 2
+
+
+class TestRequestErrors:
+    def test_malformed_requests_are_counted_by_verb(self):
+        digest = b"\x00" * protocol.DIGEST_SIZE
+        with AsyncCacheServer() as running:
+            for body in (
+                bytes((250, 0)),  # an unassigned verb id
+                bytes((11, 255)),  # a retired membership verb
+                protocol.encode_request(protocol.GET, 99, digest=digest),
+            ):
+                status, _ = protocol.decode_response(running.dispatch(body))
+                assert status == protocol.ERROR
+            well_formed = protocol.encode_request(protocol.GET, protocol.REGION_FITS, digest=digest)
+            status, _ = protocol.decode_response(running.dispatch(well_formed))
+            assert status == protocol.MISS
+            samples = parse_prometheus(running.metrics_text())
+            stats = running.stats()
+        assert samples['cacheserver_request_errors_total{verb="unknown"}'] == 2
+        assert samples['cacheserver_request_errors_total{verb="GET"}'] == 1
+        assert samples['cacheserver_requests_total{verb="GET"}'] == 2
+        assert stats["server"]["errors"] == 3
+        assert stats["server"]["requests"] == 2

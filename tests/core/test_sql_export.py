@@ -1,11 +1,14 @@
 """Tests for exporting change summaries as SQL UPDATE statements."""
 
+import sqlite3
+
 import pytest
 
 from repro.core.condition import Condition, Descriptor
 from repro.core.sql import condition_to_sql, summary_to_sql_update, transformation_to_sql
 from repro.core.summary import ChangeSummary, ConditionalTransformation
 from repro.core.transformation import LinearTransformation
+from repro.relational.table import Table
 
 
 class TestConditionToSql:
@@ -14,7 +17,9 @@ class TestConditionToSql:
 
     def test_equality_and_threshold(self):
         condition = Condition.of(Descriptor.equals("edu", "MS"), Descriptor.at_least("exp", 3))
-        assert condition_to_sql(condition) == "edu = 'MS' AND exp >= 3"
+        assert condition_to_sql(condition) == (
+            "edu = 'MS' AND abs(exp) <= 1.7976931348623157e308 AND exp >= 3"
+        )
 
     def test_in_and_not_in(self):
         assert condition_to_sql(Condition.of(Descriptor.in_set("dept", ["POL", "FRS"]))) == (
@@ -24,7 +29,12 @@ class TestConditionToSql:
 
     def test_between(self):
         assert condition_to_sql(Condition.of(Descriptor.between("salary", 100, 200))) == (
-            "salary BETWEEN 100 AND 200"
+            "abs(salary) <= 1.7976931348623157e308 AND salary BETWEEN 100 AND 200"
+        )
+
+    def test_categorical_inequality_is_not_guarded(self):
+        assert condition_to_sql(Condition.of(Descriptor.not_equals("edu", "MS"))) == (
+            "edu <> 'MS'"
         )
 
     def test_string_values_escaped(self):
@@ -34,6 +44,43 @@ class TestConditionToSql:
     def test_mixed_case_identifier_quoted(self):
         condition = Condition.of(Descriptor.equals("Department Name", "Police"))
         assert condition_to_sql(condition).startswith('"Department Name"')
+
+
+class TestNonFiniteValues:
+    """An exported condition selects the rows the engine's mask selects.
+
+    The engine treats ±inf like a missing value, which satisfies no numeric
+    comparison; the replay runs the rendered condition in SQLite.
+    """
+
+    @pytest.mark.parametrize(
+        "descriptor",
+        [
+            Descriptor.at_least("salary", 150),
+            Descriptor.less_than("salary", 150),
+            Descriptor.between("salary", 50, 250),
+            Descriptor.not_equals("salary", 100),
+        ],
+        ids=str,
+    )
+    @pytest.mark.parametrize(
+        "salaries",
+        [[float("inf"), 100.0, 200.0], [float("-inf"), None, 100.0, 200.0]],
+        ids=["inf", "-inf-and-null"],
+    )
+    def test_sqlite_replay_matches_the_engine_mask(self, descriptor, salaries):
+        condition = Condition.of(descriptor)
+        table = Table.from_rows(
+            [{"id": index, "salary": value} for index, value in enumerate(salaries)],
+            primary_key="id",
+        )
+        with sqlite3.connect(":memory:") as connection:
+            connection.execute("CREATE TABLE t (id INTEGER, salary REAL)")
+            connection.executemany("INSERT INTO t VALUES (?, ?)", list(enumerate(salaries)))
+            rows = connection.execute(
+                f"SELECT coalesce({condition_to_sql(condition)}, 0) FROM t ORDER BY id"
+            ).fetchall()
+        assert [bool(selected) for (selected,) in rows] == condition.mask(table).tolist()
 
 
 class TestTransformationToSql:

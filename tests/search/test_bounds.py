@@ -191,35 +191,80 @@ class _RecordingPrefetchBackend(InProcessBackend):
         self.prefetched.extend(keys)
 
 
+def _two_slice_pair(rows: int = 100, seed: int = 11) -> SnapshotPair:
+    """A quantised pair whose policy rewrites two ``dept``/``region`` slices.
+
+    The old bonus is ``grade * 1000``, so a union missing ``dept`` or
+    ``region`` groups each changed row with untouched twins and bounds low.
+    A two-rule summary captures the policy, so the floor an early
+    partitioned round sets lets later rounds skip those unions' specs.
+    """
+    rng = np.random.default_rng(seed)
+    dept = rng.choice(["ENG", "FIN", "OPS", "POL"], size=rows)
+    region = rng.choice(["N", "S", "W"], size=rows)
+    grade = rng.integers(1, 6, size=rows)
+    tenure = rng.integers(0, 21, size=rows)
+    bonus = grade * 1_000.0
+    source = Table.from_rows(
+        [
+            {
+                "id": f"e{i}",
+                "dept": str(dept[i]),
+                "region": str(region[i]),
+                "tenure": float(tenure[i]),
+                "bonus": float(bonus[i]),
+            }
+            for i in range(rows)
+        ],
+        primary_key="id",
+    )
+    new_bonus = bonus.copy()
+    pol_w = (dept == "POL") & (region == "W")
+    fin_s = (dept == "FIN") & (region == "S")
+    new_bonus[pol_w] = new_bonus[pol_w] * 2.0 + 5_000.0
+    new_bonus[fin_s] = new_bonus[fin_s] * 0.5
+    target = source.with_column("bonus", [float(b) for b in new_bonus])
+    return SnapshotPair.align(source, target, key="id")
+
+
 class TestNoWastedPrefetch:
-    def _run(self, initial_floor: float):
-        pair = employee_pair(100, seed=5)
-        config = CharlesConfig()
+    def test_specs_pruned_by_an_earlier_rounds_floor_send_no_prefetch_keys(
+        self, monkeypatch
+    ):
+        # the floor starts at -inf, so every skip below comes from a floor
+        # the run itself set in an earlier round
+        pair = _two_slice_pair()
+        config = CharlesConfig(alpha=0.8, top_k=5)
         backend = _RecordingPrefetchBackend()
         caches = SearchCaches(backends=(InProcessBackend(), backend))
-        plan = build_search_plan(["edu", "exp"], ["bonus"], config)
+        plan = build_search_plan(["dept", "region"], ["bonus", "tenure"], config)
+        evaluated = []
+        original = CandidateEvaluator.evaluate
+
+        def spy(self, spec, known_signatures=frozenset()):
+            evaluated.append(spec)
+            return original(self, spec, known_signatures)
+
+        monkeypatch.setattr(CandidateEvaluator, "evaluate", spy)
         ranked, stats = SerialExecutor().execute(
-            pair, "bonus", plan, config, caches=caches, initial_floor=initial_floor
+            pair, "bonus", plan, config, caches=caches
         )
-        return plan, ranked, stats, backend
 
-    def test_bound_pruned_specs_send_no_prefetch_keys(self):
-        # a floor above every admissible bound prunes the whole plan before
-        # discovery: no candidate, no partition lookup, no MGET key
-        plan, ranked, stats, backend = self._run(initial_floor=2.0)
-        assert ranked == []
-        assert stats.candidates_pruned_spec_bounds == len(plan)
-        assert backend.prefetched == []
-        counters = backend.counters()
-        assert counters.hits + counters.misses == 0
-        assert counters.round_trips == 0
-
-    def test_surviving_specs_still_prefetch(self):
-        plan, ranked, stats, backend = self._run(initial_floor=float("-inf"))
+        skipped = set(plan.specs) - set(evaluated)
         assert ranked
-        assert backend.prefetched  # the open-floor run batches as before
+        assert stats.candidates_pruned_spec_bounds == len(skipped) > 0
+        assert all(spec.kind != GLOBAL for spec in skipped)
+        # partition keys carry (C, T, k, w) right after the prefix and target
+        prefetched = {tuple(key[2:6]) for key in backend.prefetched}
+        assert prefetched  # survivors still batch their lookups
+        # GLOBAL specs are never prefetched and no key is sent twice
         partitioned = sum(1 for spec in plan.specs if spec.kind != GLOBAL)
-        assert len(backend.prefetched) <= partitioned
+        assert len(backend.prefetched) <= partitioned - len(skipped)
+        assert prefetched.isdisjoint(
+            (spec.condition_subset, spec.transformation_subset, spec.n_partitions,
+             spec.residual_weight)
+            for spec in skipped
+        )
 
 
 class TestHistogram:

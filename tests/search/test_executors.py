@@ -104,12 +104,12 @@ class TestParallelFallback:
             with pytest.warns(RuntimeWarning, match="falling back to serial"):
                 executor._fall_back_to_serial(RuntimeError("worker died"))
             assert executor._effective_n_jobs() == 1
-            outcomes, _ = executor._run_round(plan.rounds[1], float("-inf"), frozenset())
+            outcomes, _ = executor._run_round(plan.rounds[1], frozenset())
         finally:
             executor._teardown()
         serial = SerialExecutor()
         serial._setup(fig1_pair, "bonus", config)
-        expected, _ = serial._run_round(plan.rounds[1], float("-inf"), frozenset())
+        expected, _ = serial._run_round(plan.rounds[1], frozenset())
         assert [o.spec for o in outcomes] == [o.spec for o in expected]
         assert [o.scored.score if o.scored else None for o in outcomes] == [
             o.scored.score if o.scored else None for o in expected
@@ -132,45 +132,19 @@ class TestParallelFallback:
         assert stats.n_jobs == 1
 
 
-class TestInitialFloor:
-    """The warm-start seed: a sound floor must not change the top-k."""
-
-    def _execute(self, pair, config, initial_floor, caches=None):
+class TestSuppliedCaches:
+    def _execute(self, pair, config, caches):
         plan = build_search_plan(["edu", "exp"], ["bonus", "salary"], config)
-        executor = SerialExecutor()
-        return executor.execute(
-            pair, "bonus", plan, config, caches=caches, initial_floor=initial_floor
-        )
-
-    def test_sound_seed_preserves_topk_and_prunes_more(self, fig1_pair):
-        config = CharlesConfig()
-        cold_ranked, cold_stats = self._execute(fig1_pair, config, float("-inf"))
-        kth = cold_ranked[: config.top_k][-1].score
-        seeded_ranked, seeded_stats = self._execute(fig1_pair, config, kth - 1e-9)
-        cold_top = [(s.summary.structural_key(), s.score) for s in cold_ranked[: config.top_k]]
-        seeded_top = [
-            (s.summary.structural_key(), s.score) for s in seeded_ranked[: config.top_k]
-        ]
-        assert seeded_top == cold_top
-        assert seeded_stats.candidates_pruned_bounds >= cold_stats.candidates_pruned_bounds
-        assert seeded_stats.warm_started and seeded_stats.warm_start_floor == kth - 1e-9
-        assert not cold_stats.warm_started
-
-    def test_seeded_floor_never_drops_below_seed(self, fig1_pair):
-        # every ranked survivor scored at least as well as its round's floor
-        # allowed; the seed bounds what can appear at the very bottom
-        config = CharlesConfig(top_k=3)
-        ranked, _ = self._execute(fig1_pair, config, 0.99)
-        assert all(s.score >= 0.0 for s in ranked)
+        return SerialExecutor().execute(pair, "bonus", plan, config, caches=caches)
 
     def test_shared_caches_are_used_by_serial_executor(self, fig1_pair):
         config = CharlesConfig()
         caches = SearchCaches()
-        self._execute(fig1_pair, config, float("-inf"), caches=caches)
+        self._execute(fig1_pair, config, caches)
         first = caches.counters()
         assert first.fit_misses > 0
         # the same search again: all lookups must hit the shared caches
-        self._execute(fig1_pair, config, float("-inf"), caches=caches)
+        self._execute(fig1_pair, config, caches)
         second = caches.counters()
         assert second.fit_misses == first.fit_misses
         assert second.partition_misses == first.partition_misses

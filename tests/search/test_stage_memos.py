@@ -23,7 +23,7 @@ from repro.obs.trace import BufferSink, disable_tracing, get_tracer
 from repro.relational.snapshot import SnapshotPair
 from repro.relational.table import Table
 from repro.search import evaluator as evaluator_module
-from repro.search.evaluator import PRUNED_DUPLICATE, PRUNED_SCORE_BOUND, CandidateEvaluator
+from repro.search.evaluator import PRUNED_DUPLICATE, CandidateEvaluator
 from repro.search.planner import PARTITIONED, CandidateSpec
 from repro.workloads import employee_pair
 
@@ -221,23 +221,3 @@ class TestSummaryMemo:
         again = evaluator.evaluate(spec, known_signatures=frozenset({first.signature}))
         assert first.scored is not None
         assert again.pruned_reason == PRUNED_DUPLICATE and again.scored is None
-
-    def test_memoised_summary_is_still_bound_pruned(self):
-        pair = employee_pair(150, seed=3)
-        config = CharlesConfig()
-        evaluator = CandidateEvaluator(pair, "bonus", config)
-        low, high = _round((1,))[:2]  # one labelling, one signature
-        scored = evaluator.evaluate(low)
-        assert scored.scored is not None
-        pruned = evaluator.evaluate(high, floor=1.5)
-        assert pruned.signature == scored.signature
-        assert pruned.pruned_reason == PRUNED_SCORE_BOUND and pruned.scored is None
-
-    def test_pruned_first_then_scored_matches_a_fresh_evaluator(self):
-        pair = employee_pair(150, seed=3)
-        config = CharlesConfig()
-        evaluator = CandidateEvaluator(pair, "bonus", config)
-        first, second = _round((1,))[:2]
-        assert evaluator.evaluate(first, floor=1.5).pruned_reason == PRUNED_SCORE_BOUND
-        alone = CandidateEvaluator(pair, "bonus", config).evaluate(second)
-        assert _view(evaluator.evaluate(second)) == _view(alone)

@@ -133,21 +133,18 @@ class TestSearchStats:
         stats = SearchStats(
             candidates_enumerated=40,
             candidates_evaluated=25,
-            candidates_pruned_duplicates=6,
-            candidates_pruned_bounds=4,
+            candidates_pruned_duplicates=10,
             candidates_pruned_spec_bounds=5,
             fit_cache_hits=30,
             fit_cache_misses=10,
             cache_backend="remote",
             wall_time_seconds=1.234,
             n_jobs=4,
-            warm_start_floor=0.875,
         )
         assert stats.describe() == (
             "40 candidates planned (25 evaluated, 15 pruned), "
             "cache hit rate 75.0%, 1.23s, jobs=4, "
-            "5 bound-pruned before discovery, cache=remote, "
-            "warm floor 0.875"
+            "5 bound-pruned before discovery, cache=remote"
         )
 
     def test_describe_is_str(self):

@@ -269,15 +269,6 @@ class TestTimelineCommand:
         assert "v1 -> v2" in output and "v2 -> v3" in output
         assert "total:" in output
 
-    def test_timeline_cold_baseline(self, chain_csvs, capsys):
-        code = main([
-            "timeline", *[str(p) for p in chain_csvs],
-            "--key", "name", "--target", "bonus", "-c", "2", "--top", "3", "--cold",
-        ])
-        assert code == 0
-        output = capsys.readouterr().out
-        assert "(cold)" in output
-
     def test_timeline_needs_two_versions(self, chain_csvs, capsys):
         code = main(["timeline", str(chain_csvs[0]), "--target", "bonus"])
         assert code == 2

@@ -1,12 +1,12 @@
 """Property test: incremental (warm) timeline runs equal cold per-pair runs.
 
-The timeline subsystem's hard invariant is that its two performance
-mechanisms — persistent content-keyed caches and warm-started pruning floors —
-never change results.  This test generates random version chains (random
-roster, random per-hop update policies including no-op hops) and asserts that
-``summarize_timeline`` over the chain produces byte-identical rankings to
-independent cold ``Charles`` runs on every pair, including under a tiny cache
-capacity that forces constant LRU eviction mid-chain.
+The timeline subsystem's hard invariant is that its performance mechanism —
+persistent content-keyed caches — never changes results.  This test
+generates random version chains (random roster, random per-hop update
+policies including no-op hops) and asserts that ``summarize_timeline`` over
+the chain produces byte-identical rankings to independent cold ``Charles``
+runs on every pair, including under a tiny cache capacity that forces
+constant LRU eviction mid-chain.
 """
 
 from __future__ import annotations
@@ -90,15 +90,6 @@ class TestIncrementalEqualsCold:
         warm = session.summarize_timeline(store, "bonus")
         assert warm.rankings() == _cold_rankings(store, config)
 
-    @given(version_chains())
-    @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_equality_with_aggressive_warm_floor(self, store: TimelineStore):
-        # margin 0 maximises seeded-floor pruning and fallback pressure; the
-        # verify-or-fallback protocol must still deliver cold rankings
-        config = CharlesConfig(warm_start_margin=0.0, **_FAST)
-        warm = EngineSession(config).summarize_timeline(store, "bonus")
-        assert warm.rankings() == _cold_rankings(store, config)
-
 
 @st.composite
 def revision_chains(draw) -> TimelineStore:
@@ -147,7 +138,7 @@ class TestMaintainedProvenanceSweepEqualsCold:
 
     Each sweep step summarises ``(v_i, v_latest)``; between steps the pair's
     source moves by one hop's delta, so the session's caches see rotated
-    partition keys, untouched keys and warm floors in random mixture — and
+    partition keys and untouched keys in random mixture — and
     must deliver cold rankings through all of them.
     """
 

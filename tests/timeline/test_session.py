@@ -1,4 +1,4 @@
-"""Tests for the warm engine session: cache reuse, warm floors, hard invariants."""
+"""Tests for the warm engine session: cache reuse, one-shot pruning, hard invariants."""
 
 from __future__ import annotations
 
@@ -54,16 +54,18 @@ class TestWarmEqualsCold:
         assert warm.rankings() == cold
         assert session.cache_counters().evictions > 0
 
-    def test_equality_holds_without_warm_start(self, chain):
-        config = CharlesConfig(warm_start=False, **_FAST)
+    def test_retired_warm_start_is_accepted_and_ignored(self, chain):
+        config = CharlesConfig(**_FAST)
         cold = [
             _ranking(Charles(config).summarize_pair(pair, "bonus"))
             for _, _, pair in chain.consecutive_pairs()
         ]
-        session = EngineSession(config)
-        warm = session.summarize_timeline(chain, "bonus")
-        assert warm.rankings() == cold
-        assert all(not hop.stats.warm_started for hop in warm.hops if hop.stats)
+        for warm_start in (True, False):
+            session = EngineSession(config.replace(warm_start=warm_start))
+            warm = session.summarize_timeline(chain, "bonus")
+            assert warm.rankings() == cold
+            assert session.warm_start_fallbacks == 0
+        assert config.replace(warm_start=False).cache_fingerprint() == config.cache_fingerprint()
 
 
 class TestCachePersistence:
@@ -89,37 +91,24 @@ class TestCachePersistence:
         assert session.runs_completed == len(chain) - 1
 
 
-class TestWarmStartFloors:
-    def test_floor_is_seeded_from_previous_run(self, chain):
-        session = EngineSession(CharlesConfig(**_FAST))
-        hops = chain.consecutive_pairs()
-        assert session.warm_floor("bonus") is None
-        first = session.summarize_pair(hops[0][2], "bonus")
-        config = session.config
-        expected = first.summaries[config.top_k - 1].score - config.warm_start_margin
-        assert session.warm_floor("bonus") == pytest.approx(expected)
-        second = session.summarize_pair(hops[1][2], "bonus")
-        assert second.search_stats.warm_started
+class TestPruningMatchesOneShot:
+    """A session run prunes exactly what a fresh one-shot run prunes.
 
-    def test_fallback_restores_cold_ranking_when_floor_overshoots(self, chain):
-        # an absurd margin of 0 with a manually inflated floor must trigger the
-        # verify-or-fallback path and still return the cold ranking
-        config = CharlesConfig(warm_start_margin=0.0, **_FAST)
+    The top-k floor belongs to one run's round loop and starts at ``-inf``,
+    so nothing a session learned from earlier hops may change which specs
+    are skipped; only cache hits may differ.
+    """
+
+    @pytest.mark.parametrize("config", [CharlesConfig(**_FAST), CharlesConfig(top_k=3)])
+    def test_each_hop_prunes_like_a_fresh_run(self, chain, config):
         session = EngineSession(config)
-        hops = chain.consecutive_pairs()
-        session.summarize_pair(hops[0][2], "bonus")
-        session._floors["bonus"] = 0.999  # force an unbeatable seed
-        result = session.summarize_pair(hops[1][2], "bonus")
-        cold = Charles(config).summarize_pair(hops[1][2], "bonus")
-        assert _ranking(result) == _ranking(cold)
-        assert session.warm_start_fallbacks == 1
-        assert result.search_stats.warm_start_fallback
-
-    def test_no_seed_when_pruning_disabled(self, chain):
-        session = EngineSession(CharlesConfig(prune_search=False, **_FAST))
-        hops = chain.consecutive_pairs()
-        session.summarize_pair(hops[0][2], "bonus")
-        assert session.warm_floor("bonus") is None
+        for _, _, pair in chain.consecutive_pairs():
+            warm = session.summarize_pair(pair, "bonus").search_stats
+            cold = Charles(config).summarize_pair(pair, "bonus").search_stats
+            assert warm.candidates_pruned_spec_bounds == cold.candidates_pruned_spec_bounds
+            assert warm.candidates_pruned_duplicates == cold.candidates_pruned_duplicates
+            assert warm.candidates_evaluated == cold.candidates_evaluated
+        assert session.runs_completed == len(chain) - 1
 
 
 class TestDeltaShortCircuit:
