@@ -12,7 +12,14 @@ fleet.  This benchmark measures what the *fabric* adds on top:
    misses and ring failovers: with replication on, the dead shard's entries
    are served off successors instead of being recomputed;
 3. **a warm fleet pays off** — a second engine against the same fleet runs
-   off the first one's entries (``fleet_warm_speedup``).
+   off the first one's entries (``fleet_warm_speedup``);
+4. **no delayed-ACK stalls on the wire** — the ``wire`` arm runs
+   PUT-then-GET cycles against two spawned shard processes and reports the
+   GET latency quantiles.  A replicated PUT casts to both shards, so the
+   owner often answers the PUT and then the GET before the client has
+   ACKed the first response; with Nagle's algorithm on at the server, that
+   GET response waited for the client's delayed ACK (about 40 ms on Linux).
+   Two servers in one process do not reproduce the stall.
 
 Engine arms run in freshly *spawned* interpreters (no shared memory), so
 every warm hit demonstrably travelled through TCP frames.
@@ -23,7 +30,9 @@ Contract points, recorded in the JSON report:
   replicated, and N shards with one killed (always enforced);
 * with replication, the degraded arm's misses stay under 10 % of the cold
   arm's (enforced outside smoke mode; warns in smoke, where shared runners
-  are noisy) and its failover count is non-zero.
+  are noisy) and its failover count is non-zero;
+* every ``wire`` GET hits, and its p99 stays under 20 ms (enforced outside
+  smoke mode; warns in smoke).
 
 Run it directly::
 
@@ -35,13 +44,14 @@ from __future__ import annotations
 import argparse
 import json
 import multiprocessing
+import statistics
 import sys
 import tempfile
 import time
 from pathlib import Path
 
 from repro.core import CharlesConfig
-from repro.cacheserver import AsyncCacheServer
+from repro.cacheserver import AsyncCacheServer, ShardedRemoteBackend
 from repro.timeline import EngineSession, TimelineStore
 from repro.workloads import streaming_employee_timeline
 
@@ -53,6 +63,15 @@ except ImportError:  # imported as a module (pytest, spawn workers), not run dir
 
 
 TARGET = "bonus"
+
+#: the wire arm's cycles, value size and p99 bound.  Engine entries are
+#: smaller (median 175 bytes, at most 3 KiB on a 500-row chain), but a 32 KiB
+#: PUT keeps the owner reading long enough that it often answers the PUT
+#: before the GET arrives, so the race a stall needs shows in a few percent
+#: of the cycles instead of about one in a hundred
+WIRE_CYCLES = 300
+WIRE_VALUE_BYTES = 32 * 1024
+WIRE_P99_LIMIT_SECONDS = 0.020
 
 
 # -- engine arms (spawned interpreters against live fleets) ---------------------
@@ -128,6 +147,58 @@ def _run_fabric_scenario(
     Path(out_path).unlink()
     report["scenario"] = name
     return report
+
+
+# -- the wire arm (client latency against two spawned shard processes) -----------
+
+
+def _shard_process(connection) -> None:
+    """One cache shard in its own interpreter (spawn target): serve until told to stop."""
+    server = AsyncCacheServer().start()
+    connection.send(server.url)
+    connection.recv()
+    server.shutdown()
+
+
+def run_wire_arm(cycles: int = WIRE_CYCLES, value_bytes: int = WIRE_VALUE_BYTES) -> dict:
+    """GET latency of ``cycles`` PUT-then-GET cycles on a 2-shard, 2-replica fabric."""
+    context = multiprocessing.get_context("spawn")
+    pipes, processes = [], []
+    try:
+        for _ in range(2):
+            parent_end, child_end = context.Pipe()
+            process = context.Process(target=_shard_process, args=(child_end,))
+            process.start()
+            pipes.append(parent_end)
+            processes.append(process)
+        url = ",".join(pipe.recv() for pipe in pipes)
+        backend = ShardedRemoteBackend(url, namespace=b"wire", replication=2)
+        value = bytes(value_bytes)
+        latencies = []
+        hits = 0
+        for index in range(cycles):
+            backend.put(("wire", index), value)
+            started = time.perf_counter()
+            hits += backend.get(("wire", index)) == value
+            latencies.append(time.perf_counter() - started)
+        backend.close()
+    finally:
+        for pipe in pipes:
+            pipe.send("stop")
+        for process in processes:
+            process.join(timeout=30)
+    percentiles = statistics.quantiles(latencies, n=100)
+    return {
+        "shards": 2,
+        "replication": 2,
+        "cycles": cycles,
+        "value_bytes": value_bytes,
+        "hits": hits,
+        "get_p50_s": percentiles[49],
+        "get_p99_s": percentiles[98],
+        "get_max_s": max(latencies),
+        "gets_over_20ms": sum(latency > 0.020 for latency in latencies),
+    }
 
 
 # -- the benchmark --------------------------------------------------------------
@@ -208,6 +279,7 @@ def run_benchmark(
         "all_rankings_identical": all(
             scenario["rankings_identical_to_serial"] for scenario in scenarios
         ),
+        "wire": run_wire_arm(),
     }
 
 
@@ -250,6 +322,15 @@ def main(argv: list[str] | None = None) -> int:
             "shard death was not absorbed by replicas "
             f"({report['degraded_misses']} misses vs {report['cold_misses']} cold, "
             f"{report['degraded_failovers']} failovers)"
+        )
+        (warnings_ if args.smoke else failures).append(message)
+    wire = report["wire"]
+    if wire["hits"] != wire["cycles"]:
+        failures.append(f"wire arm: {wire['hits']} of {wire['cycles']} GETs hit")
+    if wire["get_p99_s"] >= WIRE_P99_LIMIT_SECONDS:
+        message = (
+            f"wire arm: GET p99 {wire['get_p99_s'] * 1e3:.1f} ms is not under "
+            f"{WIRE_P99_LIMIT_SECONDS * 1e3:.0f} ms ({wire['gets_over_20ms']} GETs over 20 ms)"
         )
         (warnings_ if args.smoke else failures).append(message)
     for message in warnings_:

@@ -104,6 +104,7 @@ class CacheServerCore:
         self._capacity = capacity
         self._requests = 0
         self._errors = 0
+        self._connection_errors = 0
         self._requests_lock = threading.Lock()
         self._started = time.time()
         self._spans: deque = deque(maxlen=MAX_BUFFERED_SPANS)
@@ -116,6 +117,10 @@ class CacheServerCore:
             "cacheserver_request_errors_total",
             "Requests answered with ERROR, by verb ('unknown' when the frame did not decode)",
             labels=("verb",),
+        )
+        self._connection_errors_total = self._metrics.counter(
+            "cacheserver_connection_errors_total",
+            "Client connections dropped by a socket error (a reset or broken pipe)",
         )
         self._request_seconds = self._metrics.histogram(
             "cacheserver_request_seconds", "Request handling latency, by verb", labels=("verb",)
@@ -194,6 +199,12 @@ class CacheServerCore:
         with self._requests_lock:
             self._errors += 1
         self._request_errors_total.inc(verb=verb_name)
+
+    def _count_connection_error(self) -> None:
+        """Count a connection the transport lost to a socket error."""
+        with self._requests_lock:
+            self._connection_errors += 1
+        self._connection_errors_total.inc()
 
     def _handle(self, request: protocol.Request) -> bytes:
         if request.verb == protocol.PING:
@@ -326,12 +337,14 @@ class CacheServerCore:
             }
         with self._requests_lock:
             requests, errors = self._requests, self._errors
+            connection_errors = self._connection_errors
         return {
             "server": {
                 "url": self.url,
                 "capacity": self._capacity,
                 "requests": requests,
                 "errors": errors,
+                "connection_errors": connection_errors,
                 "uptime_seconds": time.time() - self._started,
             },
             "regions": regions,

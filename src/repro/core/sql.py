@@ -52,6 +52,15 @@ def _finite(column: str) -> str:
     return f"abs({column}) <= 1.7976931348623157e308"
 
 
+def _or_null(comparison: str, column: str) -> str:
+    """``comparison`` made to hold on NULL, as the engine's negations do.
+
+    A categorical ``<>`` and every ``NOT IN`` hold on a missing value in the
+    engine; in SQL they yield NULL, which a ``WHERE`` treats as false.
+    """
+    return f"({comparison} OR {column} IS NULL)"
+
+
 def _descriptor_to_sql(descriptor: Descriptor) -> str:
     column = _quote_identifier(descriptor.attribute)
     kind = descriptor.kind
@@ -61,7 +70,7 @@ def _descriptor_to_sql(descriptor: Descriptor) -> str:
     if kind is DescriptorKind.NOT_EQUALS:
         comparison = f"{column} <> {_literal(value)}"
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            return comparison
+            return _or_null(comparison, column)
         return f"{_finite(column)} AND {comparison}"
     if kind is DescriptorKind.LESS_THAN:
         return f"{_finite(column)} AND {column} < {_literal(value)}"
@@ -72,7 +81,7 @@ def _descriptor_to_sql(descriptor: Descriptor) -> str:
         return f"{_finite(column)} AND {column} BETWEEN {_literal(value)} AND {_literal(high)}"
     rendered = ", ".join(_literal(value) for value in descriptor.values)
     if kind is DescriptorKind.NOT_IN_SET:
-        return f"{column} NOT IN ({rendered})"
+        return _or_null(f"{column} NOT IN ({rendered})", column)
     return f"{column} IN ({rendered})"
 
 

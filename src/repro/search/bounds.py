@@ -159,25 +159,26 @@ class ScoreBoundIndex:
 
     def _union_bound(self, union: tuple[str, ...]) -> SpecBound:
         alpha = self._config.alpha
-        accuracy_ceiling = self._accuracy_ceiling(union)
+        residual_floor = self._residual_floor(union)
+        accuracy_ceiling = self._accuracy_ceiling(residual_floor)
         score_bound = min(
             1.0 + _BOUND_EPSILON,
             alpha * accuracy_ceiling + (1.0 - alpha) * 1.0 + _BOUND_EPSILON,
         )
         return SpecBound(
-            residual_floor=self._residual_floor(union),
+            residual_floor=residual_floor,
             baseline=self._baseline,
             accuracy_ceiling=accuracy_ceiling,
             interpretability_ceiling=1.0,
             score_bound=score_bound,
         )
 
-    def _accuracy_ceiling(self, union: tuple[str, ...]) -> float:
+    def _accuracy_ceiling(self, residual_floor: float) -> float:
         if self._actual.size == 0 or self._baseline <= 0.0:
             # accuracy() scores these cases against a scale where perfect
             # prediction (always reachable by "nothing changed") yields 1
             return 1.0
-        ratio = min(1.0, max(0.0, self._residual_floor(union) / self._baseline))
+        ratio = min(1.0, max(0.0, residual_floor / self._baseline))
         ceiling = 1.0 - ratio ** self._config.accuracy_sharpness
         return float(min(1.0, max(0.0, ceiling)))
 

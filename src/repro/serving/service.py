@@ -115,6 +115,7 @@ class CharlesServingService:
         self._pool: ThreadPoolExecutor | None = None
         self._server: asyncio.AbstractServer | None = None
         self._sweeper: asyncio.Task | None = None
+        self._connections: set[asyncio.Task] = set()
         self._started_monotonic = 0.0
 
         registry = get_registry()
@@ -182,6 +183,11 @@ class CharlesServingService:
             self._sweeper = None
         if self._server is not None:
             self._server.close()
+            # a keep-alive client may hold an idle connection open forever,
+            # and from Python 3.12 on wait_closed() waits for every connection
+            for task in list(self._connections):
+                task.cancel()
+            await asyncio.gather(*self._connections, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
         self.registry.close_all()
@@ -207,6 +213,8 @@ class CharlesServingService:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._connections.add(task)
         try:
             while True:
                 try:
@@ -230,9 +238,14 @@ class CharlesServingService:
                     break
         except (ConnectionResetError, BrokenPipeError):
             pass  # the client vanished; nothing to answer
+        except asyncio.CancelledError:
+            # stop() closes live connections like any other close (Python 3.11
+            # logs a connection task that ends cancelled as an unhandled error)
+            pass
         finally:
+            self._connections.discard(task)
             writer.close()
-            with contextlib.suppress(Exception):
+            with contextlib.suppress(Exception, asyncio.CancelledError):
                 await writer.wait_closed()
 
     async def _respond(self, request: HttpRequest) -> bytes:

@@ -11,8 +11,11 @@ compared structurally instead, and a concurrency test checks that many
 simultaneous connections make progress together on the one event loop.
 """
 
+import logging
 import socket
+import struct
 import threading
+import time
 
 import pytest
 
@@ -260,6 +263,55 @@ class TestAsyncServerUnderConcurrency:
         assert host == "127.0.0.1" and port > 0
         assert server.url == f"{host}:{port}"
         server.shutdown()  # never started: just releases the socket
+
+
+class _RecordingServer(AsyncCacheServer):
+    """Records the server side of every accepted connection, then serves it."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.accepted: list = []
+
+    async def _serve_connection(self, reader, writer) -> None:
+        self.accepted.append(writer.get_extra_info("socket"))
+        await super()._serve_connection(reader, writer)
+
+
+class TestConnectionHandling:
+    def test_accepted_connections_run_without_nagle(self):
+        # a small response queued behind an un-ACKed one must not wait for
+        # the client's delayed ACK; the listener does not pass TCP_NODELAY on
+        with _RecordingServer() as server:
+            with socket.create_connection(server.address, timeout=_TIMEOUT) as sock:
+                ping = protocol.encode_request(protocol.PING, protocol.REGION_ALL)
+                protocol.send_message(sock, 1, ping)
+                protocol.recv_message(sock)
+                (accepted,) = server.accepted
+                assert accepted.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) == 1
+
+    def test_a_client_reset_is_counted_not_logged(self, caplog):
+        from repro.obs.metrics import parse_prometheus
+
+        caplog.set_level(logging.WARNING, logger="asyncio")
+        with AsyncCacheServer() as server:
+            sock = socket.create_connection(server.address, timeout=_TIMEOUT)
+            get = protocol.encode_request(
+                protocol.GET, protocol.REGION_FITS, digest=_digest(b"reset")
+            )
+            protocol.send_message(sock, 1, get)
+            protocol.recv_message(sock)
+            # close with an RST instead of a FIN
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.close()
+            deadline = time.monotonic() + _TIMEOUT
+            while server_stats(server.url)["server"]["connection_errors"] == 0:
+                assert time.monotonic() < deadline, "the reset was never counted"
+                time.sleep(0.01)
+            assert server_stats(server.url)["server"]["connection_errors"] == 1
+            metrics = parse_prometheus(server_metrics(server.url))
+            assert metrics["cacheserver_connection_errors_total"] == 1
+            assert server_ping(server.url)  # the server keeps serving
+        assert [r for r in caplog.records if r.name == "asyncio"] == []
 
 
 class TestCliServesAsyncio:

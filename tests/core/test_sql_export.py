@@ -32,9 +32,14 @@ class TestConditionToSql:
             "abs(salary) <= 1.7976931348623157e308 AND salary BETWEEN 100 AND 200"
         )
 
-    def test_categorical_inequality_is_not_guarded(self):
+    def test_categorical_inequality_holds_on_null(self):
         assert condition_to_sql(Condition.of(Descriptor.not_equals("edu", "MS"))) == (
-            "edu <> 'MS'"
+            "(edu <> 'MS' OR edu IS NULL)"
+        )
+
+    def test_not_in_holds_on_null(self):
+        assert condition_to_sql(Condition.of(Descriptor.not_in_set("dept", ["POL"]))) == (
+            "(dept NOT IN ('POL') OR dept IS NULL)"
         )
 
     def test_string_values_escaped(self):
@@ -81,6 +86,47 @@ class TestNonFiniteValues:
                 f"SELECT coalesce({condition_to_sql(condition)}, 0) FROM t ORDER BY id"
             ).fetchall()
         assert [bool(selected) for (selected,) in rows] == condition.mask(table).tolist()
+
+
+class TestMissingValues:
+    """Negated predicates select a missing value in SQL exactly when the engine does.
+
+    The engine's categorical ``<>`` and every ``NOT IN`` hold on a missing
+    value; the replay runs the rendered condition in SQLite.
+    """
+
+    @pytest.mark.parametrize(
+        "condition",
+        [
+            Condition.of(Descriptor.not_equals("edu", "MS")),
+            Condition.of(Descriptor.not_in_set("edu", ["MS", "PhD"])),
+            Condition.of(Descriptor.equals("edu", "MS")),
+            Condition.of(Descriptor.in_set("edu", ["MS", "PhD"])),
+            Condition.of(Descriptor.not_in_set("salary", [100])),
+            Condition.of(Descriptor.not_equals("salary", 100)),
+            Condition.of(
+                Descriptor.not_equals("edu", "BS"), Descriptor.not_in_set("salary", [100])
+            ),
+        ],
+        ids=str,
+    )
+    def test_sqlite_replay_matches_the_engine_mask(self, condition):
+        rows = list(enumerate(zip(["MS", None, "PhD", "BS"], [100.0, 200.0, None, float("inf")])))
+        table = Table.from_rows(
+            [{"id": index, "edu": edu, "salary": salary} for index, (edu, salary) in rows],
+            primary_key="id",
+        )
+        with sqlite3.connect(":memory:") as connection:
+            connection.execute("CREATE TABLE t (id INTEGER, edu TEXT, salary REAL)")
+            connection.executemany(
+                "INSERT INTO t VALUES (?, ?, ?)",
+                [(index, edu, salary) for index, (edu, salary) in rows],
+            )
+            selected = connection.execute(
+                f"SELECT id FROM t WHERE {condition_to_sql(condition)} ORDER BY id"
+            ).fetchall()
+        mask = [index in {row_id for (row_id,) in selected} for index in range(len(rows))]
+        assert mask == condition.mask(table).tolist()
 
 
 class TestTransformationToSql:

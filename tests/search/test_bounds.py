@@ -138,6 +138,29 @@ class TestAdmissibility:
         assert record.accuracy_ceiling == 1.0
         assert record.residual_floor == 0.0
 
+    def test_one_residual_floor_per_distinct_union(self, monkeypatch):
+        # the grouping pass is the expensive part of a bound: the ceiling and
+        # the record's residual_floor field must share one pass per union
+        calls: list[tuple[str, ...]] = []
+        original = ScoreBoundIndex._residual_floor
+
+        def counted(self, union):
+            calls.append(union)
+            return original(self, union)
+
+        monkeypatch.setattr(ScoreBoundIndex, "_residual_floor", counted)
+        pair = employee_pair(80, seed=3)
+        config = CharlesConfig()
+        index = ScoreBoundIndex(pair, "bonus", config)
+        plan = build_search_plan(["edu", "exp"], ["bonus", "salary"], config)
+        unions = set()
+        for spec in plan.specs:
+            unions.add(tuple(dict.fromkeys(spec.condition_subset + spec.transformation_subset)))
+            record = index.spec_bound(spec)
+            ratio = min(1.0, max(0.0, record.residual_floor / record.baseline))
+            assert record.accuracy_ceiling == 1.0 - ratio ** config.accuracy_sharpness
+        assert sorted(calls) == sorted(unions)
+
     def test_residual_floor_is_never_negative(self):
         # prefix-sum cancellation must not leak a tiny negative E_min (it
         # would raise a negative float to a fractional power -> complex)

@@ -4,7 +4,11 @@ contract."""
 
 from __future__ import annotations
 
+import asyncio
+import http.client
 import json
+import logging
+import socket
 import threading
 import time
 import urllib.error
@@ -16,6 +20,7 @@ from repro.core import CharlesConfig, ServingConfig
 from repro.obs.metrics import get_registry
 from repro.relational.csv_io import write_csv_text
 from repro.serving import ServingServer
+from repro.serving.service import CharlesServingService
 from repro.timeline import EngineSession
 from repro.workloads import streaming_employee_timeline
 
@@ -382,3 +387,55 @@ class TestHttpContract:
         listed = {entry["session"] for entry in body["sessions"]}
         assert mine in listed
         assert all(entry["tenant"] == "acme" for entry in body["sessions"])
+
+
+class _RecordingService(CharlesServingService):
+    """Records the server side of every accepted connection, then serves it."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.accepted: list = []
+
+    async def _handle_connection(self, reader, writer) -> None:
+        self.accepted.append(writer.get_extra_info("socket"))
+        await super()._handle_connection(reader, writer)
+
+
+class TestConnections:
+    def test_accepted_connections_run_without_nagle(self):
+        async def accepted_nodelay() -> int:
+            service = _RecordingService()
+            await service.start()
+            try:
+                reader, writer = await asyncio.open_connection(*service.address)
+                writer.write(b"GET /healthz HTTP/1.1\r\nHost: charles\r\n\r\n")
+                await writer.drain()
+                await reader.readuntil(b"\r\n\r\n")
+                (accepted,) = service.accepted
+                nodelay = accepted.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+                writer.close()
+                await writer.wait_closed()
+            finally:
+                await service.stop()
+            return nodelay
+
+        assert asyncio.run(accepted_nodelay()) == 1
+
+    def test_stop_with_a_keep_alive_connection_open_logs_nothing(self, caplog):
+        caplog.set_level(logging.WARNING, logger="asyncio")
+        running = ServingServer().start()
+        host, port = running.url.removeprefix("http://").split(":")
+        connection = http.client.HTTPConnection(host, int(port), timeout=60)
+        try:
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            assert response.status == 200
+            response.read()  # the connection stays open for the next request
+            started = time.monotonic()
+            running.stop()
+            # the idle connection must not hold the stop up either
+            assert time.monotonic() - started < 10
+            assert not running._thread.is_alive()
+        finally:
+            connection.close()
+        assert [r for r in caplog.records if r.name == "asyncio"] == []
