@@ -13,13 +13,16 @@ fleet.  This benchmark measures what the *fabric* adds on top:
    are served off successors instead of being recomputed;
 3. **a warm fleet pays off** — a second engine against the same fleet runs
    off the first one's entries (``fleet_warm_speedup``);
-4. **no delayed-ACK stalls on the wire** — the ``wire`` arm runs
-   PUT-then-GET cycles against two spawned shard processes and reports the
-   GET latency quantiles.  A replicated PUT casts to both shards, so the
-   owner often answers the PUT and then the GET before the client has
-   ACKed the first response; with Nagle's algorithm on at the server, that
-   GET response waited for the client's delayed ACK (about 40 ms on Linux).
-   Two servers in one process do not reproduce the stall.
+4. **no delayed-ACK stalls on the wire** — the ``wire`` arm runs cycles of
+   two replicated 32 KiB PUTs and one GET against two spawned shard
+   processes and reports the GET latency quantiles.  The two PUTs pass the
+   client's 64 KiB write-behind bound and leave at once; the GET (of an
+   entry published in the previous cycle) follows before the client has
+   read, or ACKed, their acknowledgements.  With Nagle's algorithm on at
+   the server, the GET response waited for the client's delayed ACK (about
+   40 ms on Linux: p50 44 ms in this shape with the server's
+   ``TCP_NODELAY`` removed).  Two servers in one process do not reproduce
+   the stall.
 
 Engine arms run in freshly *spawned* interpreters (no shared memory), so
 every warm hit demonstrably travelled through TCP frames.
@@ -65,10 +68,9 @@ except ImportError:  # imported as a module (pytest, spawn workers), not run dir
 TARGET = "bonus"
 
 #: the wire arm's cycles, value size and p99 bound.  Engine entries are
-#: smaller (median 175 bytes, at most 3 KiB on a 500-row chain), but a 32 KiB
-#: PUT keeps the owner reading long enough that it often answers the PUT
-#: before the GET arrives, so the race a stall needs shows in a few percent
-#: of the cycles instead of about one in a hundred
+#: smaller (median 175 bytes, at most 3 KiB on a 500-row chain); two 32 KiB
+#: values fill the client's write-behind outbox, so each cycle's PUTs leave
+#: in a send of their own, as a search's do whenever it publishes 64 KiB
 WIRE_CYCLES = 300
 WIRE_VALUE_BYTES = 32 * 1024
 WIRE_P99_LIMIT_SECONDS = 0.020
@@ -161,7 +163,7 @@ def _shard_process(connection) -> None:
 
 
 def run_wire_arm(cycles: int = WIRE_CYCLES, value_bytes: int = WIRE_VALUE_BYTES) -> dict:
-    """GET latency of ``cycles`` PUT-then-GET cycles on a 2-shard, 2-replica fabric."""
+    """GET latency behind ``cycles`` write-behind bursts on a 2-shard, 2-replica fabric."""
     context = multiprocessing.get_context("spawn")
     pipes, processes = [], []
     try:
@@ -176,11 +178,18 @@ def run_wire_arm(cycles: int = WIRE_CYCLES, value_bytes: int = WIRE_VALUE_BYTES)
         value = bytes(value_bytes)
         latencies = []
         hits = 0
+        backend.put(("wire", -1, 0), value)
+        backend.flush()
         for index in range(cycles):
-            backend.put(("wire", index), value)
+            # two PUTs pass the write-behind bound and leave at once, their
+            # acknowledgements unread; the GET of the previous cycle's entry
+            # (published, and out of the local view since the flush) follows
+            backend.put(("wire", index, 0), value)
+            backend.put(("wire", index, 1), value)
             started = time.perf_counter()
-            hits += backend.get(("wire", index)) == value
+            hits += backend.get(("wire", index - 1, 0)) == value
             latencies.append(time.perf_counter() - started)
+            backend.flush()  # the end of a search: publish, forget the view
         backend.close()
     finally:
         for pipe in pipes:

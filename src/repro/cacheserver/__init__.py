@@ -24,9 +24,9 @@ client, one server eviction order.
   one ``asyncio`` event loop, with graceful shutdown.  Run one per shard
   with ``charles cache-server``.
 * :mod:`~repro.cacheserver.pipeline` — :class:`~repro.cacheserver.pipeline.
-  PipelinedConnection`, one persistent socket with any number of requests in
-  flight (a reader thread pairs responses up by request id), so lookups do
-  not wait one round trip at a time.
+  PipelinedConnection`, one persistent socket driven by its caller: ``PUT``\\ s
+  are buffered and leave with the next request, and a blocking read pays
+  one shard wake.
 * :mod:`~repro.cacheserver.ring` — :class:`~repro.cacheserver.ring.HashRing`,
   consistent-hash placement of key digests over N endpoints with virtual
   nodes; owner plus replica/failover successors per key.
@@ -38,7 +38,8 @@ client, one server eviction order.
   CacheBackend` and what ``cache_backend="remote"`` builds, even for one
   endpoint: a ``cache_url`` becomes a hash ring of shard clients, with
   optional replica-set writes (``cache_replication``), read failover around
-  the ring, and round-synchronised ``MGET`` prefetching.
+  the ring, round-synchronised ``MGET`` prefetching and a per-search local
+  view of the keys the search already resolved.
 
 Membership is *static*: the ring is built from the ``cache_url`` endpoint
 list when a backend is created, and servers know nothing of their fleet.

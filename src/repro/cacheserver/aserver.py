@@ -16,6 +16,14 @@ serve_forever` with :meth:`~AsyncCacheServer.shutdown`.
 Every verb is dispatched inline on the loop: none of them blocks, so
 responses leave each connection in arrival order as the protocol requires.
 
+The server accepts its connections itself (a reader on the listening socket)
+and tracks each accepted socket from that moment until it is closed.
+Shutdown stops accepting first, then cancels every connection, then closes
+the sockets whose connection task never ran.  ``asyncio.start_server``
+cannot promise that: a connection it accepts in the loop iteration that
+stops the server fails ``Server._attach`` after ``Server.close()`` and
+leaks its transport.
+
 Each accepted connection runs with ``TCP_NODELAY``.  The server sets it
 itself: asyncio only does so when the listening socket's ``proto`` is
 ``IPPROTO_TCP``, and ``socket.create_server`` leaves it 0.  With Nagle's
@@ -26,6 +34,7 @@ for the client's delayed ACK, about 40 ms on Linux.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import socket
 import threading
 
@@ -57,7 +66,9 @@ class AsyncCacheServer(CacheServerCore):
         self._stop: asyncio.Event | None = None
         self._ready = threading.Event()
         self._thread: threading.Thread | None = None
-        self._conn_tasks: set = set()
+        # every accepted connection's task → its socket, until the task ends
+        self._conn_tasks: dict[asyncio.Task, socket.socket] = {}
+        self._resume: asyncio.TimerHandle | None = None  # re-arms a paused accept
         self._closed = False
 
     @property
@@ -69,22 +80,63 @@ class AsyncCacheServer(CacheServerCore):
     # -- the event loop ----------------------------------------------------------
 
     async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
+        loop = self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
-        server = await asyncio.start_server(self._serve_connection, sock=self._sock)
+        self._sock.setblocking(False)
+        loop.add_reader(self._sock, self._accept)
         self._ready.set()
         try:
             await self._stop.wait()
         finally:
-            server.close()
+            # stop accepting before tearing down, so no connection can
+            # arrive while the others close
+            if self._resume is not None:
+                self._resume.cancel()
+            loop.remove_reader(self._sock)
+            self._sock.close()
             # tear down live connections so a stopped server immediately
             # looks *down* to its fleet: clients degrade to misses and
             # reconnect instead of staying parked on a dead conversation
-            for task in list(self._conn_tasks):
+            tasks = dict(self._conn_tasks)
+            for task in tasks:
                 task.cancel()
-            if self._conn_tasks:
-                await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-            await server.wait_closed()
+            await asyncio.gather(*tasks, return_exceptions=True)
+            for conn in tasks.values():
+                conn.close()  # a no-op unless the task was cancelled before it ran
+            await asyncio.sleep(0)  # transports closed above finish closing
+
+    def _accept(self) -> None:
+        """Adopt every connection waiting in the listen backlog."""
+        while True:
+            try:
+                conn, _ = self._sock.accept()
+            except (BlockingIOError, InterruptedError):
+                return
+            except OSError:
+                # out of descriptors or buffers: the client waits in the
+                # backlog; pause accepting for a second instead of spinning
+                self._count_connection_error()
+                self._loop.remove_reader(self._sock)
+                self._resume = self._loop.call_later(
+                    1.0, self._loop.add_reader, self._sock, self._accept
+                )
+                return
+            task = self._loop.create_task(self._adopt(conn))
+            self._conn_tasks[task] = conn
+            self._inflight.set(len(self._conn_tasks))
+
+    async def _adopt(self, conn: socket.socket) -> None:
+        """Wrap an accepted socket in streams and serve it until it closes."""
+        try:
+            reader, writer = await asyncio.open_connection(sock=conn)
+        except OSError:
+            conn.close()
+            self._count_connection_error()
+        else:
+            await self._serve_connection(reader, writer)
+        finally:
+            self._conn_tasks.pop(asyncio.current_task(), None)
+            self._inflight.set(len(self._conn_tasks))
 
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -98,9 +150,6 @@ class AsyncCacheServer(CacheServerCore):
         their responses go out in one write — a pipelined client's burst of
         PUTs costs a handful of syscalls, not two per entry.
         """
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
-        self._inflight.set(len(self._conn_tasks))
         buffer = bytearray()
         try:
             writer.get_extra_info("socket").setsockopt(
@@ -133,9 +182,9 @@ class AsyncCacheServer(CacheServerCore):
         except asyncio.CancelledError:
             return  # server shutdown: connections die with it
         finally:
-            self._conn_tasks.discard(task)
-            self._inflight.set(len(self._conn_tasks))
             writer.close()
+            with contextlib.suppress(OSError):
+                await writer.wait_closed()
 
     # -- lifecycle ---------------------------------------------------------------
 

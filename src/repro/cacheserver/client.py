@@ -5,9 +5,9 @@ PipelinedConnection` plus its degrade/backoff state.  It is the unit the
 sharded fabric (:mod:`repro.cacheserver.fabric`) composes N times over a
 hash ring — and the fabric is the one remote client: ``cache_backend=
 "remote"`` builds a :class:`~repro.cacheserver.fabric.ShardedRemoteBackend`
-even for a single endpoint.  Lookups block for their answer, publishes are
-fire-and-forget, and any number of requests may be in flight on the one
-socket, so cache traffic does not serialise a search on round-trip latency.
+even for a single endpoint.  Lookups block for their answer; publishes are
+write-behind, buffered until the next request to the shard or a
+:meth:`ShardClient.flush`, so a search wakes a shard once per blocking read.
 The module also carries the wire-value codec (:func:`encode_value` /
 :func:`decode_value`) and the admin helpers behind ``charles cache``
 (``server_stats``, ``server_clear``, ...), which raise instead of degrading.
@@ -42,7 +42,7 @@ import socket
 import time
 from typing import Any
 
-from repro.cachestore.base import MISSING
+from repro.cachestore.base import MISSING, STORE_ERRORS
 from repro.cachestore.disk import _UNPICKLE_ERRORS
 from repro.cacheserver import protocol
 from repro.cacheserver.pipeline import PipelinedConnection
@@ -118,14 +118,18 @@ class ShardClient:
 
     This is the unit the fabric replicates — each endpoint gets its own
     op-budget and backoff window, so one dead shard degrades alone while its
-    peers keep answering.  All three entry points answer ``None``/``False``
+    peers keep answering.  The entry points answer ``None``/``False``
     instead of raising while the endpoint is degraded or freshly failing:
 
     * :meth:`call` — send one request and block for its response;
-    * :meth:`cast` — fire-and-forget (pipelined ``PUT``): the send is
-      accounted as a round trip and nobody waits for the response frame;
-    * :meth:`mget` — one batched lookup resolving a whole round of keys in a
-      single round trip.
+    * :meth:`cast` — a write-behind ``PUT``: buffered, accounted as a round
+      trip, and nobody waits for its acknowledgement;
+    * :meth:`mget_begin` / :meth:`mget_finish` — one batched lookup resolving
+      a whole round of keys in a single round trip.
+
+    ``PUT``\\ s the shard may not have stored when its connection dies are
+    counted in ``charles_cache_store_errors_total{backend="remote",
+    op="put"}``, one per frame.
     """
 
     def __init__(self, url: str, timeout: float = DEFAULT_TIMEOUT) -> None:
@@ -142,16 +146,6 @@ class ShardClient:
 
     # -- connection & degrade state --------------------------------------------
 
-    @property
-    def degraded(self) -> bool:
-        """Whether the next operation would be answered locally, wire untouched."""
-        if self._ops_until_retry > 0:
-            return True
-        conn = self._conn
-        if conn is not None and self._pid == os.getpid() and conn.alive:
-            return False
-        return time.monotonic() < self._retry_not_before
-
     def _record_failure(self) -> None:
         self.connection_failures += 1
         self._drop_connection()
@@ -165,6 +159,8 @@ class ShardClient:
         self._pid = None
         if conn is not None and owned:
             conn.close()
+            if conn.unacknowledged:
+                STORE_ERRORS.inc(conn.unacknowledged, backend="remote", op="put")
 
     def _acquire(self) -> PipelinedConnection | None:
         """The live connection for one operation, or ``None`` while degraded."""
@@ -173,13 +169,9 @@ class ShardClient:
             return None
         conn = self._conn
         if conn is not None and self._pid != os.getpid():
-            # a connection must never cross a fork: the parent still owns it
-            # (and its reader thread did not survive into this process)
+            # a connection must never cross a fork: the parent still owns it,
+            # and the PUTs in its outbox are the parent's to send
             self._conn = conn = None
-        if conn is not None and not conn.alive:
-            # the reader noticed the peer die since our last operation
-            self._record_failure()
-            return None
         if conn is None:
             if time.monotonic() < self._retry_not_before:
                 return None  # still inside the wall-clock backoff window
@@ -211,7 +203,7 @@ class ShardClient:
         return response
 
     def cast(self, body: bytes) -> bool:
-        """One fire-and-forget request; returns whether the send was accepted."""
+        """One write-behind request; returns whether it was buffered."""
         conn = self._acquire()
         if conn is None:
             return False
@@ -221,28 +213,47 @@ class ShardClient:
         self.round_trips += 1
         return True
 
-    def mget_begin(self, region: int, digests: tuple[bytes, ...], trace: bytes = b""):
-        """Start a batched lookup without waiting; ``None`` while degraded.
+    def flush(self) -> None:
+        """Publish the buffered ``PUT``\\ s and wait until the shard stored them."""
+        conn = self._conn
+        if conn is None or self._pid != os.getpid():
+            return
+        try:
+            conn.flush()
+        except (OSError, protocol.ProtocolError):
+            self._record_failure()
 
-        The fabric fans one ``MGET`` out per shard and *then* collects, so a
+    def mget_begin(
+        self, region: int, digests: tuple[bytes, ...], trace: bytes = b""
+    ) -> int | None:
+        """Send a batched lookup without waiting; ``None`` while degraded.
+
+        The fabric sends one ``MGET`` per shard and *then* collects, so a
         round's lookups across N shards overlap instead of paying N
-        sequential round trips.  Pass the returned future to
+        sequential round trips.  Pass the returned request id to
         :meth:`mget_finish`.  ``trace`` (a packed wire context) makes the
         server record its handling as a span under the caller's.
         """
         conn = self._acquire()
         if conn is None:
             return None
-        return conn.submit(
-            protocol.encode_request(protocol.MGET, region, digests=digests, trace=trace)
-        )
+        try:
+            return conn.submit(
+                protocol.encode_request(protocol.MGET, region, digests=digests, trace=trace)
+            )
+        except (OSError, protocol.ProtocolError):
+            self._record_failure()
+            return None
 
-    def mget_finish(self, future, count: int) -> list[bytes | None] | None:
+    def mget_finish(self, request_id: int, count: int) -> list[bytes | None] | None:
         """Collect a started batch: per-key value bytes, or ``None`` degraded."""
+        conn = self._conn
+        if conn is None:
+            return None  # the connection failed after the batch was sent
         started = time.perf_counter()
         try:
-            answer = future.result(timeout=self._timeout)
-        except Exception:
+            answer = conn.collect(request_id)
+        except (OSError, protocol.ProtocolError):
             self._record_failure()
             return None
         _RPC_SECONDS.observe(time.perf_counter() - started, endpoint=self.url)
@@ -255,15 +266,6 @@ class ShardClient:
         except protocol.ProtocolError:
             self._record_failure()  # a corrupt batch means the stream is toast
             return None
-
-    def mget(self, region: int, digests: tuple[bytes, ...]) -> list[bytes | None] | None:
-        """Batched lookup: per-key value bytes (``None`` = miss), or ``None`` degraded."""
-        if not digests:
-            return []
-        future = self.mget_begin(region, digests)
-        if future is None:
-            return None
-        return self.mget_finish(future, len(digests))
 
     def close(self) -> None:
         self._drop_connection()

@@ -3,8 +3,8 @@
 A :class:`ShardedRemoteBackend` is the one remote client: a ``cache_url``
 (one ``host:port`` or a comma-separated list) becomes a
 :class:`~repro.cacheserver.ring.HashRing` over N endpoints, each endpoint a
-:class:`~repro.cacheserver.client.ShardClient` with its own pipelined
-connection and its own degrade/backoff state.  To the search layer nothing
+:class:`~repro.cacheserver.client.ShardClient` with its own connection and
+its own degrade/backoff state.  To the search layer nothing
 changes — it is still one :class:`~repro.cachestore.base.CacheBackend` with
 ``kind == "remote"`` — but underneath:
 
@@ -20,10 +20,18 @@ changes — it is still one :class:`~repro.cachestore.base.CacheBackend` with
   budget and backoff window while its peers keep answering; only keys owned
   (and replicated) entirely on dead shards degrade to misses;
 * **round-synchronised prefetch** — :meth:`ShardedRemoteBackend.prefetch`
-  resolves a whole round of keys with one batched ``MGET`` per shard, and
-  :meth:`get` then answers from the one-shot buffer without touching the
-  wire, collapsing a round's lookup latency from ``O(keys)`` round trips to
-  ``O(shards)``.
+  resolves a whole round of keys with one batched ``MGET`` per shard,
+  collapsing a round's lookup latency from ``O(keys)`` round trips to
+  ``O(shards)``;
+* **write-behind publishes** — a ``PUT`` is buffered on its shard's
+  connection and leaves with the next request to that shard, so a search
+  wakes a shard once per blocking read, not once per key;
+* **a per-search local view** — every key the current search resolved
+  (fetched, prefetched or put) is answered in process, hit or miss, without
+  touching the wire.  :meth:`ShardedRemoteBackend.flush`, which the
+  executors call when a search or a pool worker's chunk ends, publishes the
+  buffered ``PUT``\\ s, waits until the shards stored them and drops the
+  view, so the next search asks the fleet again.
 
 The fleet is static: the ring is built once from ``cache_url`` and never
 changes while the backend lives.  Changing the fleet means restarting
@@ -31,8 +39,9 @@ engines with a new ``cache_url``.
 
 Correctness is unchanged by construction: a cache can only return what some
 engine previously computed and published under a content-derived key, so the
-worst any shard failure (a dead shard, failover, degraded prefetch) can
-produce is a miss and a recomputation — never a wrong value.  The fabric
+worst any shard failure (a dead shard, failover, degraded prefetch, a
+buffered ``PUT`` lost with its connection) can produce is a miss and a
+recomputation — never a wrong value.  The fabric
 test suite pins this down as byte-identical rankings across 1-shard,
 N-shard, and degraded-shard topologies.
 """
@@ -62,6 +71,9 @@ from repro.cacheserver.ring import HashRing, parse_endpoints
 from repro.obs.trace import get_tracer, wire_context
 
 __all__ = ["ShardedRemoteBackend", "ShardedRemoteHandle"]
+
+# a key the local view has not resolved yet (MISSING is a resolved miss)
+_UNRESOLVED = object()
 
 
 @dataclass(frozen=True)
@@ -116,9 +128,9 @@ class ShardedRemoteBackend(CacheBackend):
         self._namespace = namespace
         self._timeout = timeout
         self.failovers = 0
-        # digest → raw value bytes (hit) or None (authoritative miss / degraded);
-        # filled by prefetch, consumed one-shot by get
-        self._prefetched: dict[bytes, bytes | None] = {}
+        # digest → value (MISSING for a miss) of every key this search
+        # resolved; dropped by flush() when the search ends
+        self._view: dict[bytes, Any] = {}
 
     # -- routing ----------------------------------------------------------------
 
@@ -157,25 +169,22 @@ class ShardedRemoteBackend(CacheBackend):
 
     def get(self, key: Hashable) -> Any:
         digest = self._digest(key)
-        if digest in self._prefetched:
-            payload = self._prefetched.pop(digest)
+        value = self._view.get(digest, _UNRESOLVED)
+        if value is _UNRESOLVED:
+            value = self._resolve(self._fetch(digest))
+            self._view[digest] = value
+        if value is MISSING:
+            self.misses += 1
         else:
-            payload = self._fetch(digest)
-        if payload is not None:
-            value = decode_value(payload)
-            if value is not MISSING:
-                self.hits += 1
-                return value
-        self.misses += 1
-        return MISSING
+            self.hits += 1
+        return value
 
     def put(self, key: Hashable, value: Any, cost_hint: float | None = None) -> None:
+        digest = self._digest(key)
+        self._view[digest] = value  # this search reads its own writes locally
         payload = encode_value(value)
         if payload is None:
             return
-        digest = self._digest(key)
-        # a fresh publish supersedes any buffered prefetch answer for the key
-        self._prefetched.pop(digest, None)
         body = protocol.encode_request(
             protocol.PUT,
             self._region,
@@ -203,7 +212,7 @@ class ShardedRemoteBackend(CacheBackend):
         return total
 
     def clear(self) -> None:
-        self._prefetched.clear()
+        self._view.clear()
         body = protocol.encode_request(protocol.CLEAR, self._region)
         for client in self._clients:
             client.call(body)
@@ -219,19 +228,20 @@ class ShardedRemoteBackend(CacheBackend):
     def prefetch(self, keys: Iterable[Hashable]) -> None:
         """Resolve a round of keys with one batched ``MGET`` per shard.
 
-        Results land in a one-shot buffer the next :meth:`get` per key
-        consumes — hit/miss accounting happens there, so prefetching never
-        distorts the counters relative to the unbatched path.  A shard that
-        cannot answer fails its keys over to the next replica, exactly like
-        single-key reads; keys whose whole replica set is down buffer as
-        misses (degrade, never abort).
+        Results land in the local view, where :meth:`get` finds them —
+        hit/miss accounting happens there, so prefetching never distorts the
+        counters relative to the unbatched path.  Keys the view already
+        holds are not asked again.  A shard that cannot answer fails its
+        keys over to the next replica, exactly like single-key reads; keys
+        whose whole replica set is down resolve as misses (degrade, never
+        abort).
         """
         tracer = get_tracer()
         pending: list[bytes] = []
         seen: set[bytes] = set()
         for key in keys:
             digest = self._digest(key)
-            if digest not in self._prefetched and digest not in seen:
+            if digest not in self._view and digest not in seen:
                 seen.add(digest)
                 pending.append(digest)
         with tracer.span("fabric.prefetch", keys=len(pending), shards=len(self._clients)):
@@ -252,21 +262,21 @@ class ShardedRemoteBackend(CacheBackend):
                 pending = orphans
                 # fan the rung's MGETs out to every shard before collecting any,
                 # so N shards answer in one overlapped round trip, not N serial ones
-                started: list[tuple[int, list[bytes], Any, float, float]] = []
+                started: list[tuple[int, list[bytes], int | None, float, float]] = []
                 for index, digests in groups.items():
                     if rung:
                         self.failovers += 1
-                    future = self._clients[index].mget_begin(
+                    request_id = self._clients[index].mget_begin(
                         self._region, tuple(digests), trace=trace
                     )
                     started.append(
-                        (index, digests, future, time.time(), time.perf_counter())
+                        (index, digests, request_id, time.time(), time.perf_counter())
                     )
-                for index, digests, future, begun_wall, begun in started:
+                for index, digests, request_id, begun_wall, begun in started:
                     values = (
                         None
-                        if future is None
-                        else self._clients[index].mget_finish(future, len(digests))
+                        if request_id is None
+                        else self._clients[index].mget_finish(request_id, len(digests))
                     )
                     tracer.record(
                         "fabric.mget",
@@ -280,10 +290,25 @@ class ShardedRemoteBackend(CacheBackend):
                     if values is None:
                         pending.extend(digests)  # shard down: next rung tries successors
                         continue
-                    for digest, value in zip(digests, values):
-                        self._prefetched[digest] = value
-            for digest in pending:  # every replica down: buffered as misses
-                self._prefetched[digest] = None
+                    for digest, payload in zip(digests, values):
+                        self._view[digest] = self._resolve(payload)
+            for digest in pending:  # every replica down: resolved as misses
+                self._view[digest] = MISSING
+
+    @staticmethod
+    def _resolve(payload: bytes | None) -> Any:
+        """The value a shard's answer carries (MISSING for a miss or degrade)."""
+        return MISSING if payload is None else decode_value(payload)
+
+    def flush(self) -> None:
+        """End of a search: publish buffered ``PUT``\\ s and drop the local view.
+
+        Once this returns every shard that is up has stored this backend's
+        writes, so other engines (and pool workers) see them.
+        """
+        self._view.clear()
+        for client in self._clients:
+            client.flush()
 
     # -- accounting, sharing, lifecycle --------------------------------------------
 
@@ -357,6 +382,6 @@ class ShardedRemoteBackend(CacheBackend):
         )
 
     def close(self) -> None:
-        self._prefetched.clear()
+        self._view.clear()
         for client in self._clients:
             client.close()

@@ -1,248 +1,232 @@
-"""A pipelined cache-server connection: many requests in flight on one socket.
+"""A pipelined cache-server connection: write-behind PUTs, one wake per read.
 
-The PR-4 client was strictly request/response: every lookup paid a full
-round trip before the next one could start, so a search's cache traffic was
-serialised on the socket and fleet latency grew linearly with lookup count.
-:class:`PipelinedConnection` removes that ceiling using the protocol's
-request ids (:func:`~repro.cacheserver.protocol.send_message`): callers
-submit request bodies and receive :class:`concurrent.futures.Future`\\ s; a
-single reader thread pairs response messages back up with their futures by
-id, so any number of requests may be outstanding at once.
+:class:`PipelinedConnection` is one persistent socket to one shard, driven
+entirely by the thread that calls it.  There is no reader thread: a caller
+that needs an answer sends its request and reads the socket itself until its
+response arrives.  The server answers each connection's frames in arrival
+order and echoes their request ids
+(:func:`~repro.cacheserver.protocol.send_message`), which is all the pairing
+the client needs.
 
-Two usage patterns fall out:
+Two kinds of traffic share the socket:
 
-* **fire-and-forget writes** — a ``PUT`` publishes an entry the caller never
-  needs an answer for; :meth:`PipelinedConnection.fire` sends it and returns
-  immediately (in-flight count bounded by :data:`MAX_IN_FLIGHT`, so a stalled
-  server applies backpressure instead of unbounded buffering);
-* **batched reads** — an ``MGET`` resolves a whole round's lookups in one
-  round trip; :meth:`PipelinedConnection.request` blocks only for its own
-  response, not for everything queued behind it.
+* **write-behind writes** — :meth:`PipelinedConnection.fire` frames a ``PUT``
+  into a per-connection outbox and returns.  The outbox leaves in the same
+  ``sendall`` as the next request to the shard, so a search pays one shard
+  wake per blocking read instead of one per key.  Arrival order gives
+  read-your-writes: a ``GET`` queued behind buffered ``PUT``\\ s is answered
+  after them.  The outbox also leaves on :meth:`~PipelinedConnection.flush`,
+  on :meth:`~PipelinedConnection.close` and once it passes
+  :data:`WRITE_BEHIND_BYTES`;
+* **blocking reads** — :meth:`~PipelinedConnection.submit` sends a request
+  (with the outbox) and returns its id; :meth:`~PipelinedConnection.collect`
+  reads until that id's response is in.  The fabric submits one ``MGET`` per
+  shard before it collects any, so N shards answer in one overlapped round
+  trip.
 
-Backpressure is *progress-based*: a submitter over the in-flight bound waits
-on the oldest pending response, but the deadline resets whenever any
-response arrives — a saturated window against a slow-but-working server
-just throttles, and only a peer that stays completely silent for a full
-timeout is declared dead.
+Nobody waits for a ``PUT``'s acknowledgement.  Acknowledgements are read and
+dropped on the way to a response, and drained without blocking before each
+send, so the server never stalls writing to a client that is not reading.
+:meth:`~PipelinedConnection.flush` reads every acknowledgement still owed:
+once it returns, every other client sees the entries.
 
-The connection is failure-final: any socket or framing error fails every
-pending future and marks the connection dead (``alive`` turns false).  The
-degrade-to-miss and backoff policy stays where it was — in the client layer
-above (:class:`~repro.cacheserver.client.ShardClient`), which discards dead
-connections and answers locally until its backoff window allows a redial.
+A peer that stays silent for a full ``timeout`` is dead; a slow peer that
+keeps answering is not, because the timeout applies to each read.  The
+connection is failure-final: a socket or framing error closes it, ``alive``
+turns false and every later call raises :class:`ConnectionError`.
+:attr:`~PipelinedConnection.unacknowledged` then counts the ``PUT``\\ s the
+shard may never have stored.  Degrade-to-miss and backoff live in the client
+layer above (:class:`~repro.cacheserver.client.ShardClient`).
 
-Thread safety: ``submit``/``fire``/``request`` may be called from any thread
-(sends serialise on an internal lock); the reader thread is the only reader.
+A connection belongs to one thread at a time: its caller, or the engine
+session that holds it.
 """
 
 from __future__ import annotations
 
+import select
 import socket
-import threading
-from collections import deque
-from concurrent.futures import Future
-from concurrent.futures import TimeoutError as _FutureTimeout
 
 from repro.cacheserver import protocol
 
-__all__ = ["PipelinedConnection", "MAX_IN_FLIGHT"]
+__all__ = ["PipelinedConnection", "WRITE_BEHIND_BYTES"]
 
-#: hard bound on outstanding requests per connection; beyond it, submitters
-#: block on the oldest pending future — backpressure, not unbounded memory
-MAX_IN_FLIGHT = 512
+#: outbox size past which buffered PUT frames go out without waiting for the
+#: next request (bounds client memory and the burst the server parses at once)
+WRITE_BEHIND_BYTES = 64 * 1024
 
 
 class _DeadConnection(ConnectionError):
-    """The connection failed; every pending and future request fails with this."""
+    """The connection failed; every later request fails with this."""
 
 
 class PipelinedConnection:
-    """One persistent, multiplexed connection to a cache server.
+    """One persistent connection to a cache server, driven by its caller.
 
-    Connecting raises like ``socket.create_connection`` does; after that, all
-    failures surface through the returned futures (and ``alive``), never as
-    exceptions from ``submit``/``fire``.
+    Connecting raises like ``socket.create_connection`` does.  After that,
+    :meth:`submit`, :meth:`collect`, :meth:`request` and :meth:`flush` raise
+    :class:`ConnectionError` (a garbled response stream included) and
+    :meth:`fire` returns ``False`` once the connection is dead.
     """
 
     def __init__(self, address: tuple[str, int], timeout: float) -> None:
-        self._timeout = timeout
         self._sock = socket.create_connection(address, timeout=timeout)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        # sends keep the timeout (a wedged server must not hang a publisher
-        # forever); the reader owns its own blocking recv loop below
-        self._send_lock = threading.Lock()
-        self._pending_lock = threading.Lock()
-        self._pending: dict[int, Future] = {}
-        # insertion order, for backpressure; ids resolved out of order stay
-        # until they surface at the head and are skipped lazily — O(1) per
-        # response instead of an O(n) scan of the whole window
-        self._order: deque[int] = deque()
+        self._poller = select.poll()
+        self._poller.register(self._sock, select.POLLIN)
+        self._inbox = bytearray()  # received bytes not yet framed
+        self._outbox = bytearray()  # framed PUTs not yet sent
+        self._buffered = 0  # PUT frames in the outbox
+        self._acks_owed = 0  # PUT frames sent whose acknowledgement is unread
+        # request id -> response, None until it arrives (ids someone collects)
+        self._awaited: dict[int, tuple[int, bytes] | None] = {}
         self._next_id = 0
         self._dead = False
-        # responses resolved so far; submitters compare snapshots of it to
-        # tell a slow server (progress continues) from a silent one
-        self._progress = 0
-        #: high-water mark of requests simultaneously in flight — how much of
-        #: the pipelining headroom traffic actually used (observability only)
-        self.peak_in_flight = 0
-        self._reader = threading.Thread(
-            target=self._read_loop, name="charles-cache-pipeline", daemon=True
-        )
-        self._reader.start()
-
-    # -- submitting ------------------------------------------------------------
 
     @property
     def alive(self) -> bool:
         """Whether the connection can still carry requests."""
         return not self._dead
 
-    def submit(self, body: bytes) -> Future:
-        """Send one request message; the future resolves to ``(status, payload)``.
+    @property
+    def unacknowledged(self) -> int:
+        """``PUT`` frames not known to have reached the server (buffered or unacked)."""
+        return self._buffered + self._acks_owed
 
-        On a dead or failing connection the returned future carries a
-        :class:`ConnectionError` — the caller decides what a failure means
-        (for cache traffic: degrade to a miss).
-        """
-        future: Future = Future()
-        with self._pending_lock:
-            if self._dead:
-                future.set_exception(_DeadConnection("connection is closed"))
-                return future
-            request_id = self._next_id
-            self._next_id = (self._next_id + 1) & 0xFFFFFFFF
-            self._pending[request_id] = future
-            self._order.append(request_id)
-            if len(self._pending) > self.peak_in_flight:
-                self.peak_in_flight = len(self._pending)
-            oldest_future = None
-            if len(self._pending) > MAX_IN_FLIGHT:
-                # skip ids the reader already resolved out of order; the
-                # deque head is then the genuinely oldest pending request
-                while self._order and self._order[0] not in self._pending:
-                    self._order.popleft()
-                if self._order:
-                    oldest_future = self._pending.get(self._order[0])
-        if oldest_future is not None:
-            # backpressure: wait for the oldest response before queueing
-            # more — but only a *silent* peer is fatal.  Any response
-            # arriving resets the deadline, so a saturated window against a
-            # slow server throttles the submitter instead of killing the
-            # connection (and with it every pending request).
-            while True:
-                with self._pending_lock:
-                    seen = self._progress
-                try:
-                    oldest_future.result(timeout=self._timeout)
-                    break
-                except (_FutureTimeout, TimeoutError):
-                    with self._pending_lock:
-                        advanced = self._progress != seen
-                    if advanced:
-                        continue  # slow but alive: keep waiting
-                    self._fail(ConnectionError("pipelined peer stopped answering"))
-                    return future
-                except Exception:
-                    # the oldest request itself failed: the connection is
-                    # already dead or dying, surface that to our caller too
-                    self._fail(ConnectionError("pipelined peer stopped answering"))
-                    return future
-        try:
-            with self._send_lock:
-                protocol.send_message(self._sock, request_id, body)
-        except (OSError, protocol.ProtocolError) as error:
-            self._fail(error)
-        return future
+    # -- writes ------------------------------------------------------------------
 
     def fire(self, body: bytes) -> bool:
-        """Send a request whose response nobody will wait for (pipelined PUT).
+        """Buffer a request nobody waits for (a write-behind ``PUT``).
 
-        Returns whether the send was accepted; a later failure of the actual
-        request surfaces as a dead connection, which the owning client treats
-        as a degrade signal on its next operation.
+        Returns whether the connection is still alive; the frame leaves with
+        the next send.
         """
         if self._dead:
             return False
-        self.submit(body)
-        return not self._dead
+        self._outbox += protocol.frame_message(self._take_id(), body)
+        self._buffered += 1
+        if len(self._outbox) > WRITE_BEHIND_BYTES:
+            try:
+                self._send(b"")
+            except ConnectionError:
+                return False
+        return True
+
+    def flush(self) -> None:
+        """Send the outbox and read every acknowledgement still owed.
+
+        Once this returns, the server has stored every ``PUT`` fired on this
+        connection, so every other client sees them.
+        """
+        self._check_alive()
+        if self._outbox:
+            self._send(b"")
+        while self._acks_owed:
+            self._receive()
+
+    # -- blocking reads ------------------------------------------------------------
+
+    def submit(self, body: bytes) -> int:
+        """Send one request, with the outbox in front of it; returns its id."""
+        self._check_alive()
+        request_id = self._take_id()
+        self._awaited[request_id] = None
+        self._send(protocol.frame_message(request_id, body))
+        return request_id
+
+    def collect(self, request_id: int) -> tuple[int, bytes]:
+        """Read until the response to ``request_id`` arrives; ``(status, payload)``."""
+        while self._awaited.get(request_id) is None:
+            self._check_alive()
+            self._receive()
+        return self._awaited.pop(request_id)
 
     def request(self, body: bytes) -> tuple[int, bytes]:
         """Send one request and block for its ``(status, payload)`` response."""
-        future = self.submit(body)
+        return self.collect(self.submit(body))
+
+    # -- the socket ------------------------------------------------------------------
+
+    def _take_id(self) -> int:
+        request_id = self._next_id
+        self._next_id = (request_id + 1) & 0xFFFFFFFF
+        return request_id
+
+    def _check_alive(self) -> None:
+        if self._dead:
+            raise _DeadConnection("connection is closed")
+
+    def _send(self, frame: bytes) -> None:
+        """One ``sendall`` of the outbox plus ``frame``."""
+        if self._acks_owed:
+            # take in what the server already answered, so its writes to
+            # this socket never back up behind a client that is not reading
+            while self._poller.poll(0):
+                self._receive()
+        data = self._outbox + frame if self._outbox else frame
         try:
-            return future.result(timeout=self._timeout)
-        except (_FutureTimeout, TimeoutError):
-            # an unanswered request wedges everything queued behind it too:
-            # the connection is useless, kill it so the client can degrade
-            self._fail(ConnectionError("response timed out"))
-            raise _DeadConnection("response timed out") from None
+            self._sock.sendall(data)
+        except OSError as error:
+            self._fail()
+            raise _DeadConnection(f"send failed: {error}") from None
+        self._acks_owed += self._buffered
+        self._buffered = 0
+        self._outbox.clear()
 
-    # -- the reader ------------------------------------------------------------
+    def _receive(self) -> None:
+        """One ``recv``, then file every frame it completed.
 
-    def _read_loop(self) -> None:
-        """Drain frames off the socket, resolving pending futures by id.
-
-        Reads through a local buffer so a recv timeout between chunks never
-        loses a partial frame — data stays buffered until a frame completes.
+        The socket's timeout bounds the wait, so a peer silent for a full
+        ``timeout`` is dead while a slow one that keeps answering is not.
         """
-        buffer = bytearray()
-        sock = self._sock
-        while not self._dead:
-            # parse every complete frame currently buffered (the server
-            # coalesces response bursts, so one recv often carries many)
-            try:
-                frames = protocol.drain_frames(buffer)
-            except protocol.ProtocolError as error:
-                self._fail(error)
-                return
-            for frame in frames:
-                try:
-                    request_id, message = protocol.parse_message(frame)
-                    status, payload = protocol.decode_response(message)
-                except protocol.ProtocolError as error:
-                    self._fail(error)
-                    return
-                with self._pending_lock:
-                    future = self._pending.pop(request_id, None)
-                    self._progress += 1  # any response is progress
-                    # resolved ids are skipped lazily when they reach the
-                    # order head (in submit's backpressure check) — no O(n)
-                    # scan of the in-flight window per response
-                    if self._order and self._order[0] == request_id:
-                        self._order.popleft()
-                if future is not None:
-                    future.set_result((status, payload))
-            try:
-                chunk = sock.recv(1 << 16)
-            except socket.timeout:
-                continue  # idle connection; buffered partial data is kept
-            except OSError as error:
-                self._fail(error)
-                return
-            if not chunk:
-                self._fail(ConnectionError("server closed the connection"))
-                return
-            buffer += chunk
+        try:
+            chunk = self._sock.recv(1 << 16)
+        except OSError as error:  # a timeout included
+            self._fail()
+            raise _DeadConnection(f"receive failed: {error}") from None
+        if not chunk:
+            self._fail()
+            raise _DeadConnection("server closed the connection")
+        self._inbox += chunk
+        try:
+            for frame in protocol.drain_frames(self._inbox):
+                request_id, message = protocol.parse_message(frame)
+                response = protocol.decode_response(message)
+                if request_id in self._awaited:
+                    self._awaited[request_id] = response
+                elif self._acks_owed:
+                    self._acks_owed -= 1  # a PUT acknowledgement: nobody reads it
+                else:
+                    raise protocol.ProtocolError(
+                        f"response to request {request_id} that is not in flight"
+                    )
+        except protocol.ProtocolError as error:
+            self._fail()
+            raise _DeadConnection(f"garbled response stream: {error}") from None
 
-    # -- teardown --------------------------------------------------------------
+    # -- teardown --------------------------------------------------------------------
 
-    def _fail(self, error: BaseException) -> None:
-        """Mark the connection dead and fail every pending future."""
-        with self._pending_lock:
-            if self._dead:
-                return
-            self._dead = True
-            pending = list(self._pending.values())
-            self._pending.clear()
-            self._order.clear()
-        for future in pending:
-            if not future.done():
-                future.set_exception(_DeadConnection(str(error)))
+    def _fail(self) -> None:
+        """Mark the connection dead and close the socket (idempotent)."""
+        if self._dead:
+            return
+        self._dead = True
+        self._outbox.clear()
+        self._awaited.clear()
         try:
             self._sock.close()
         except OSError:  # pragma: no cover - close on a dead socket
             pass
 
     def close(self) -> None:
-        """Tear the connection down; pending requests fail as connection errors."""
-        self._fail(ConnectionError("connection closed by the client"))
+        """Publish what is buffered, then tear the connection down.
+
+        A failure while publishing is not raised: :attr:`unacknowledged`
+        counts what the shard may not have stored.
+        """
+        if not self._dead:
+            try:
+                self.flush()
+            except ConnectionError:
+                pass  # counted through `unacknowledged` by the owner
+        self._fail()

@@ -23,6 +23,8 @@ The contract is deliberately small:
   other backend is free to ignore it;
 * ``__len__`` / :meth:`~CacheBackend.clear` expose and drop the stored
   entries (clearing preserves counters);
+* :meth:`~CacheBackend.flush` marks the end of a search: a backend that
+  buffers writes publishes them (a no-op for every local store);
 * :meth:`~CacheBackend.counters` / :meth:`~CacheBackend.breakdown` snapshot
   the backend's own hit/miss/eviction accounting, per physical layer.
 
@@ -202,6 +204,14 @@ class CacheBackend(ABC):
         batched request per shard for the remote fabric) or do nothing at
         all (every local store).  Callers gate on :attr:`supports_prefetch`
         to skip the call where it cannot help.
+        """
+
+    def flush(self) -> None:
+        """End of a search (or of a pool worker's chunk): publish and forget.
+
+        A backend that buffers writes or remembers what the search resolved
+        (the remote fabric) sends the writes, waits until they are stored
+        and drops what it remembered.  Every local store does nothing.
         """
 
     @abstractmethod

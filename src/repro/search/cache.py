@@ -332,6 +332,11 @@ class SearchCaches:
             ),
         )
 
+    def flush(self) -> None:
+        """End of a search or pool chunk: both backends publish what they buffer."""
+        self.fits.backend.flush()
+        self.partitions.backend.flush()
+
     def close(self) -> None:
         """Release backend resources (disk connections, manager processes)."""
         self.fits.close()

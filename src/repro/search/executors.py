@@ -378,6 +378,7 @@ class SerialExecutor(SearchExecutor):
         return _evaluate_specs(self._evaluator, specs, known_signatures, self._cost_model)
 
     def _teardown(self) -> None:
+        self._evaluator.caches.flush()
         self._evaluator = None
         if self._owned_caches is not None:
             self._owned_caches.close()
@@ -419,6 +420,8 @@ def _evaluate_batch(
     assert _WORKER_EVALUATOR is not None, "worker pool was not initialised"
     if trace_context is None:
         outcomes, delta = _evaluate_specs(_WORKER_EVALUATOR, specs, known_signatures)
+        # publish before reporting: the next round's workers may read these
+        _WORKER_EVALUATOR.caches.flush()
         return outcomes, delta, []
     # the parent's (trace id, dispatching span id) rode the pickled payload;
     # adopt it so this chunk's spans join the search trace, buffer them, and
@@ -427,6 +430,7 @@ def _evaluate_batch(
     with tracer.adopt(trace_context) as buffer:
         with tracer.span("worker.chunk", specs=len(specs), pid=os.getpid()):
             outcomes, delta = _evaluate_specs(_WORKER_EVALUATOR, specs, known_signatures)
+            _WORKER_EVALUATOR.caches.flush()
         records = buffer.drain()
     return outcomes, delta, records
 
@@ -591,6 +595,8 @@ class ParallelExecutor(SearchExecutor):
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
+        if self._session_caches is not None:
+            self._session_caches.flush()  # the serial fallback may have written
         if self._owned_caches is not None:
             self._owned_caches.close()
             self._owned_caches = None

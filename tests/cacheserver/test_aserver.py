@@ -11,11 +11,13 @@ compared structurally instead, and a concurrency test checks that many
 simultaneous connections make progress together on the one event loop.
 """
 
+import gc
 import logging
 import socket
 import struct
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -137,6 +139,7 @@ class TestStructuralParity:
         served, core = transports
         backend = ShardedRemoteBackend(served.url, namespace=b"parity")
         backend.put("k", 41, cost_hint=0.5)
+        backend.flush()  # publish, and read back over the wire
         assert backend.get("k") == 41
         assert backend.get("absent") is MISSING
         digests = [backend._digest("k"), backend._digest("absent")]
@@ -216,6 +219,7 @@ class TestAsyncServerUnderConcurrency:
                     )
                     for index in range(25):
                         backend.put(("k", index), (worker_id, index))
+                        backend.flush()  # the read below goes to the server
                         assert backend.get(("k", index)) == (worker_id, index)
                     backend.close()
                 except Exception as error:  # pragma: no cover - reporting
@@ -245,9 +249,24 @@ class TestAsyncServerUnderConcurrency:
             assert inflight(server.url) == 1
             backend = ShardedRemoteBackend(server.url, namespace=b"gauge")
             backend.put("k", 1)
+            backend.flush()
             assert backend.get("k") == 1  # the pipelined connection is now open
             assert inflight(server.url) == 2
             backend.close()
+
+    def test_shutdown_right_after_a_connect_leaks_nothing(self):
+        # a connection the loop accepts in the iteration that stops the
+        # server used to fail Server._attach after Server.close() and leave
+        # an unclosed transport behind, every time
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            for _ in range(20):
+                server = AsyncCacheServer().start()
+                with socket.create_connection(server.address, timeout=_TIMEOUT):
+                    server.shutdown()
+            gc.collect()
+        leaks = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
+        assert leaks == []
 
     def test_context_manager_lifecycle_is_idempotent(self):
         server = AsyncCacheServer()

@@ -79,6 +79,7 @@ class TestSharding:
         fabric = ShardedRemoteBackend(fleet[0].url, namespace=os.urandom(8))
         assert fabric.get("k") is MISSING
         fabric.put("k", 1)
+        fabric.flush()  # publish and forget the search's view: the hit is remote
         assert fabric.get("k") == 1
         assert fabric.round_trips == 3  # miss, put, hit — one wire op each
         assert fabric.endpoints == (fleet[0].url,)
@@ -90,6 +91,7 @@ class TestSharding:
         reader = ShardedRemoteBackend(_url(fleet), namespace=writer.namespace)
         for index in range(20):
             writer.put(("k", index), index)
+        writer.flush()
         assert [reader.get(("k", index)) for index in range(20)] == list(range(20))
         writer.close(), reader.close()
 
@@ -130,6 +132,7 @@ class TestReplicationAndFailover:
         fabric = _fabric(fleet, replication=2)
         for index in range(40):
             fabric.put(("k", index), index, cost_hint=0.01)
+        fabric.flush()  # published; the reads below go to the fleet
         fleet[0].shutdown()  # kill one member mid-conversation
         values = [fabric.get(("k", index)) for index in range(40)]
         assert values == list(range(40))  # every key still served
@@ -142,6 +145,7 @@ class TestReplicationAndFailover:
         fabric = _fabric(fleet, replication=1)
         for index in range(40):
             fabric.put(("k", index), index)
+        fabric.flush()
         fleet[0].shutdown()
         values = [fabric.get(("k", index)) for index in range(40)]
         missed = [index for index, value in enumerate(values) if value is MISSING]
@@ -169,6 +173,7 @@ class TestPrefetch:
         keys = [("k", index) for index in range(42)]
         for key in keys:
             fabric.put(key, key[1])
+        fabric.flush()
         before = fabric.round_trips
         assert fabric.get_many(keys) == [key[1] for key in keys]
         # 42 lookups cost at most one MGET per shard, not 42 round trips
@@ -176,14 +181,20 @@ class TestPrefetch:
         assert fabric.hits == 42
         fabric.close()
 
-    def test_prefetch_buffer_is_one_shot(self, fleet):
+    def test_local_view_answers_until_flush(self, fleet):
         fabric = _fabric(fleet)
         fabric.put("k", 1)
-        fabric.prefetch(["k"])
+        fabric.flush()
+        fabric.prefetch(["k", "absent"])
         before = fabric.round_trips
-        assert fabric.get("k") == 1  # served from the buffer
+        for _ in range(2):  # a prefetched hit and miss, asked twice
+            assert fabric.get("k") == 1
+            assert fabric.get("absent") is MISSING
+        fabric.prefetch(["k"])  # already resolved: not asked again
         assert fabric.round_trips == before
-        assert fabric.get("k") == 1  # buffer consumed: back on the wire
+        assert fabric.hits == 2 and fabric.misses == 2
+        fabric.flush()  # the search ended: the next one asks the fleet
+        assert fabric.get("k") == 1
         assert fabric.round_trips == before + 1
         fabric.close()
 
@@ -210,6 +221,7 @@ class TestPrefetch:
         keys = [("k", index) for index in range(40)]
         for key in keys:
             fabric.put(key, key[1])
+        fabric.flush()
         fleet[0].shutdown()
         assert fabric.get_many(keys) == [key[1] for key in keys]
         assert fabric.hits == 40 and fabric.misses == 0
@@ -229,6 +241,7 @@ class TestHandles:
     def test_handle_roundtrips_through_pickle(self, fleet):
         fabric = _fabric(fleet, replication=2, capacity=512)
         fabric.put("shared-key", [1, 2, 3])
+        fabric.flush()
         handle = fabric.handle()
         assert isinstance(handle, ShardedRemoteHandle)
         attached = pickle.loads(pickle.dumps(handle)).attach()
@@ -248,6 +261,7 @@ class TestHandles:
             _url(fleet), protocol.REGION_PARTITIONS, namespace=namespace
         )
         fits.put("k", "fits-value")
+        fits.flush()
         assert partitions.get("k") is MISSING
         fits.close(), partitions.close()
 
@@ -318,6 +332,40 @@ class TestTopologyNeverChangesResults:
             assert {f"remote[{server.url}]" for server in servers} <= layers
             payload = stats.as_dict()["backend_counters"]
             assert all("failovers" in counters for counters in payload.values())
+        finally:
+            for server in servers:
+                server.shutdown()
+
+    def test_puts_lost_with_a_killed_shard_are_counted(self, fig1_pair, monkeypatch):
+        # write-behind can lose what a shard never received: the PUTs still
+        # buffered for it when it dies.  Each is counted; rankings stand.
+        from repro.cachestore.base import STORE_ERRORS
+
+        memory = _ranking(_summarize(fig1_pair, CharlesConfig()))
+        servers = [AsyncCacheServer().start() for _ in range(2)]
+        victim = servers[0]
+        put = ShardedRemoteBackend.put
+        buffered_at_kill = []
+
+        def put_then_kill(self, key, value, cost_hint=None):
+            put(self, key, value, cost_hint)
+            (client,) = [c for c in self._clients if c.url == victim.url]
+            if not buffered_at_kill and client._conn is not None and client._conn._buffered:
+                buffered_at_kill.append(client._conn._buffered)
+                victim.shutdown()
+
+        monkeypatch.setattr(ShardedRemoteBackend, "put", put_then_kill)
+        try:
+            config = CharlesConfig(
+                cache_backend="remote",
+                cache_url=",".join(server.url for server in servers),
+            )
+            before = STORE_ERRORS.value(backend="remote", op="put")
+            result = _summarize(fig1_pair, config)
+            lost = STORE_ERRORS.value(backend="remote", op="put") - before
+            assert buffered_at_kill  # the shard died with PUTs buffered for it
+            assert lost >= buffered_at_kill[0]
+            assert _ranking(result) == memory
         finally:
             for server in servers:
                 server.shutdown()

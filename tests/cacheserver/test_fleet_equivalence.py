@@ -192,7 +192,12 @@ class TestServerOutage:
             # byte-identical, the outage cost recomputation time only
             assert _ranking(dead) == memory_ranking
             stats = dead.search_stats
-            assert stats.fit_cache_hits == 0 and stats.partition_cache_hits == 0
+            # nothing came off the dead server: the only hits are the ones a
+            # cold in-process run also has, repeats inside the one search
+            cold = _summarize(fig1_pair, CharlesConfig()).search_stats
+            assert stats.backend_counters["remote"].round_trips == 0
+            assert stats.fit_cache_hits == cold.fit_cache_hits
+            assert stats.partition_cache_hits == cold.partition_cache_hits
             assert stats.fit_cache_misses > 0
 
     def test_engine_boots_and_runs_with_no_server_at_all(self, fig1_pair, memory_ranking):
@@ -200,7 +205,9 @@ class TestServerOutage:
         result = _summarize(fig1_pair, config)
         assert _ranking(result) == memory_ranking
         remote = result.search_stats.backend_counters["remote"]
-        assert remote.hits == 0 and remote.round_trips == 0
+        cold = _summarize(fig1_pair, CharlesConfig()).search_stats
+        assert remote.round_trips == 0
+        assert remote.hits == cold.fit_cache_hits + cold.partition_cache_hits
 
 
 class TestConfigValidation:

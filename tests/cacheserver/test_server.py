@@ -58,6 +58,7 @@ class TestServing:
         key = ("fit", "bonus", ("salary",), b"token")
         assert backend.get(key) is MISSING
         backend.put(key, {"value": 42}, cost_hint=0.01)
+        backend.flush()  # publish and forget the search's view: the hit is remote
         assert backend.get(key) == {"value": 42}
         assert backend.hits == 1 and backend.misses == 1
         assert backend.round_trips == 3
@@ -90,6 +91,7 @@ class TestServing:
 
     def test_handle_attach_reaches_same_entries(self, server, backend):
         backend.put("shared-key", [1, 2, 3])
+        backend.flush()
         handle = backend.handle()
         assert isinstance(handle, ShardedRemoteHandle)
         attached = pickle.loads(pickle.dumps(handle)).attach()
@@ -152,6 +154,7 @@ class TestAdminVerbs:
             partitions = ShardedRemoteBackend(private.url, protocol.REGION_PARTITIONS)
             fits.put("a", 1)
             partitions.put("b", 2)
+            fits.flush(), partitions.flush()
             server_clear(private.url)
             assert len(fits) == 0 and len(partitions) == 0
             fits.close(), partitions.close()
@@ -185,6 +188,7 @@ class TestEvictionOnTheServer:
             client.put("expensive", list(range(8)), cost_hint=4.0)
             for index in range(10):
                 client.put(f"cheap{index}", list(range(8)), cost_hint=0.0001)
+            client.flush()
             assert client.get("expensive") == list(range(8))
             assert server_stats(bounded.url)["regions"]["fits"]["evictions"] == 8
             client.close()
@@ -203,6 +207,7 @@ class TestEvictionOnTheServer:
             client.put("a", b"x", cost_hint=3.0)  # upgrade orphans the 0.1 entry
             client.put("b", b"y", cost_hint=1.0)
             client.put("c", b"z", cost_hint=0.5)  # evicts the cheapest: "c" itself
+            client.flush()
             assert client.get("a") == b"x" and client.get("b") == b"y"
             assert client.get("c") is MISSING
             client.close()
@@ -228,8 +233,10 @@ class TestDegradeToMiss:
         private = AsyncCacheServer().start()
         backend = ShardedRemoteBackend(private.url)
         backend.put("k", 1)
+        backend.flush()
         assert backend.get("k") == 1
         private.shutdown()
+        backend.flush()  # a new search: nothing it resolved is remembered
         assert backend.get("k") is MISSING  # dead server: miss, not exception
         assert backend.connection_failures >= 1
         backend.close()
@@ -241,15 +248,17 @@ class TestDegradeToMiss:
         host, port = private.address
         backend = ShardedRemoteBackend(private.url)
         backend.put("k", 1)
+        backend.flush()
         private.shutdown()
         assert backend.get("k") is MISSING  # the failure that starts the backoff
         # a new server on the same port (the entries are gone with the old one)
         revived = AsyncCacheServer(host=host, port=port).start()
         try:
-            for _ in range(client_module.RETRY_AFTER_OPS):
-                backend.get("k")  # burn through the degraded op budget
+            for index in range(client_module.RETRY_AFTER_OPS):
+                backend.get(("burn", index))  # burn through the degraded op budget
             backend._clients[0]._retry_not_before = 0.0  # and skip the wall-clock window
             backend.put("k", 2)
+            backend.flush()
             assert backend.get("k") == 2  # reconnected and serving again
         finally:
             revived.shutdown()
@@ -261,14 +270,14 @@ class TestDegradeToMiss:
         backend = ShardedRemoteBackend("127.0.0.1:9")
         assert backend.get("k") is MISSING  # first failure opens the window
         assert backend.connection_failures == 1
-        for _ in range(client_module.RETRY_AFTER_OPS + 5):
-            backend.get("k")
+        for index in range(client_module.RETRY_AFTER_OPS + 5):
+            backend.get(("burn", index))
         # the op budget is burned, but the wall-clock window (1s, far longer
         # than this loop) must still hold the next connect attempt back — this
         # is what bounds the stalls a blackholed server can cause
         assert backend.connection_failures == 1
         backend._clients[0]._retry_not_before = 0.0
-        backend.get("k")
+        backend.get(("fresh", 0))
         assert backend.connection_failures == 2  # window over: attempt made
         backend.close()
 
