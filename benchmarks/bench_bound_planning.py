@@ -1,7 +1,7 @@
 """Bound-planning benchmark: the default bound-pruned search vs exhaustive search.
 
-Models the serving pattern the bound layer (:mod:`repro.search.bounds`,
-:mod:`repro.search.costmodel`) exists for: a wide snapshot pair where the
+Models the serving pattern the bound layer (:mod:`repro.search.bounds`)
+exists for: a wide snapshot pair where the
 change is explained by a *small* subset of the shortlisted attributes, so
 most candidate specs read unions that provably cannot reproduce the new
 values.  Without bounds the search pays partition discovery — the dominant
@@ -24,13 +24,12 @@ rounds prune them all before discovery.
 Three arms summarise the identical pair from cold caches:
 
 * ``off`` — ``prune_search=False``: exhaustive search, the one configuration
-  that computes no pre-discovery bounds (bound pruning and cost routing have
-  no switch of their own, so this is the baseline left to measure against);
-* ``bounds`` — the default configuration (serial; bound pruning and the
-  online cost model both run);
-* ``routed`` — the default configuration with ``n_jobs=2``, so the cost
-  model packs worker chunks (its wall clock is recorded for information —
-  process-pool dispatch is too noisy for a CI-enforced ratio).
+  that computes no pre-discovery bounds (bound pruning has no switch of its
+  own, so this is the baseline left to measure against);
+* ``bounds`` — the default configuration (serial, bound pruning on);
+* ``parallel`` — the default configuration with ``n_jobs=2``, so each round
+  runs as contiguous worker chunks (its wall clock is recorded for
+  information — process-pool dispatch is too noisy for a CI-enforced ratio).
 
 The run enforces the layer's contract points and records them in a
 machine-readable JSON report (like ``bench_incremental.py``):
@@ -152,7 +151,7 @@ def run_benchmark(rows: int, seed: int, config: CharlesConfig) -> dict:
     arms = {
         "off": config.replace(prune_search=False),
         "bounds": config,
-        "routed": config.replace(n_jobs=2),
+        "parallel": config.replace(n_jobs=2),
     }
     report_arms = {name: _run_arm(pair, arm_config) for name, arm_config in arms.items()}
 
@@ -170,7 +169,7 @@ def run_benchmark(rows: int, seed: int, config: CharlesConfig) -> dict:
         },
         "rankings_identical": (
             bounds["ranking"] == off["ranking"]
-            and report_arms["routed"]["ranking"] == off["ranking"]
+            and report_arms["parallel"]["ranking"] == off["ranking"]
         ),
         "spec_bound_pruned": pruned,
         "partition_lookups_saved": off["partition_lookups"] - bounds["partition_lookups"],
@@ -208,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
     # where a noisy shared runner must not be able to redden a build
     failures = []
     if not report["rankings_identical"]:
-        failures.append("bound-pruned/cost-routed rankings diverged from the exhaustive arm")
+        failures.append("bound-pruned/parallel rankings diverged from the exhaustive arm")
     if report["spec_bound_pruned"] <= 0:
         failures.append("bound pruning never skipped a spec before discovery")
     if report["partition_lookups_saved"] < report["spec_bound_pruned"]:

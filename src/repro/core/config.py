@@ -79,10 +79,9 @@ class CharlesConfig:
     The paper's user-facing knobs are ``alpha``, ``c`` and ``t``; the rest
     tune the reproduction's search, caching and serving.  An execution-only
     field exists only where real workloads need different values, so
-    pre-discovery bound pruning and cost-routed scheduling have no switch of
-    their own: they always run, and exhaustive search
-    (``prune_search=False``) turns bound pruning off with the rest of
-    pruning.
+    pre-discovery bound pruning has no switch of its own beyond
+    ``prune_search``: exhaustive search (``prune_search=False``) is the one
+    way to turn it off.
 
     Parameters
     ----------
@@ -154,12 +153,11 @@ class CharlesConfig:
         produce identical rankings; only wall time and cache hit rates differ.
     prune_search:
         Whether the search may skip candidates that provably cannot enter the
-        ranked top-k: after discovery when a candidate's score upper bound is
-        below the current k-th best score, and *before* discovery when the
-        admissible pre-discovery bound of
-        :class:`~repro.search.bounds.ScoreBoundIndex` already is.  Pruning
-        never changes the top-k; disable it to rank the complete candidate
-        space, e.g. for exhaustive analyses.
+        ranked top-k: a spec is skipped *before* partition discovery when its
+        admissible bound from :class:`~repro.search.bounds.ScoreBoundIndex`
+        is below the k-th best score of the earlier rounds.  Pruning never
+        changes the top-k; disable it to rank the complete candidate space,
+        e.g. for exhaustive analyses.
     search_cache_capacity:
         Maximum number of entries each memo cache (fits, partitions) keeps,
         with least-recently-used eviction beyond it.  ``None`` (the default)
@@ -222,8 +220,8 @@ class CharlesConfig:
     trace_path:
         When set, the engine enables the process-wide tracer
         (:mod:`repro.obs.trace`) and appends one JSON span record per line to
-        this file: search rounds, bound pruning, partition discoveries and
-        patches, per-mask fits, cache prefetches — including spans collected
+        this file: search rounds, bound pruning, partition discoveries,
+        per-mask fits, cache prefetches — including spans collected
         back from parallel workers and (via the ``TRACE`` verb) from remote
         cache shards.  Read the file with ``charles trace summarize`` /
         ``charles trace tree``.  Tracing is execution-only: it never feeds

@@ -46,17 +46,17 @@ it is computed, in three layers:
    deterministic, so the summary would be identical).  Every summary it
    builds is scored.
 
-Since the bound-planning layer (:mod:`repro.search.bounds`,
-:mod:`repro.search.costmodel`) the executors additionally *plan* each round
-before paying for it: a once-per-search :class:`~repro.search.bounds.
-ScoreBoundIndex` bounds every spec's achievable score from the pair state
-alone, specs provably below the top-k floor are skipped before partition
-discovery runs (whenever ``CharlesConfig.prune_search`` is on).  The floor is
-a local of the round loop: it starts at ``-inf`` and rises to the run's own
-k-th best score after each round.  Survivors are
-scheduled in descending bound order, and an online cost model trained on each
-outcome's observed seconds packs worker chunks and prefetch batches.  Both are
-execution-only: rankings are byte-identical to exhaustive search.
+Since the bound-planning layer (:mod:`repro.search.bounds`) the executors
+additionally *filter* each round before paying for it: a once-per-search
+:class:`~repro.search.bounds.ScoreBoundIndex` bounds every spec's achievable
+score from the pair state alone, and specs provably below the top-k floor are
+skipped before partition discovery runs (whenever
+``CharlesConfig.prune_search`` is on).  The floor is a local of the round
+loop: it starts at ``-inf`` and rises to the run's own k-th best score after
+each round.  The survivors run in plan order: a serial round sends one
+prefetch, and a pool round is split into at most ``2 * n_jobs`` contiguous
+chunks whose outcomes are concatenated in order.  Rankings are byte-identical
+to exhaustive search.
 
 Adding a new backend
 --------------------
@@ -89,7 +89,6 @@ from repro.search.cache import (
     SearchCaches,
     mask_digest,
 )
-from repro.search.costmodel import OnlineCostModel, batch_indices, pack_indices
 from repro.search.evaluator import CandidateEvaluator, EvaluationOutcome, ScoredSummary
 from repro.search.executors import (
     ParallelExecutor,
@@ -117,9 +116,6 @@ __all__ = [
     "SpecBound",
     "ScoreBoundIndex",
     "bound_histogram",
-    "OnlineCostModel",
-    "pack_indices",
-    "batch_indices",
     "MemoCache",
     "CacheCounters",
     "SearchCaches",

@@ -33,7 +33,7 @@ cannot reach it are skipped by the executor before they get here (see
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,7 +92,6 @@ class ScoredSummary:
 
 
 PRUNED_DUPLICATE = "duplicate"
-PRUNED_SPEC_BOUND = "spec-bound"
 
 
 @dataclass(frozen=True)
@@ -102,24 +101,17 @@ class EvaluationOutcome:
     ``scored`` is ``None`` when the spec yielded no candidate (infeasible) or
     was pruned; ``signature`` identifies the discovered partition structure of
     partitioned specs so later rounds can skip provable duplicates.
-    ``pruned_reason`` distinguishes the prune kinds:
-    :data:`PRUNED_DUPLICATE` (identical partition structure already evaluated
-    — the summary would be a byte-identical duplicate) and
-    :data:`PRUNED_SPEC_BOUND` (the executor's
-    pre-discovery :class:`~repro.search.bounds.SpecBound` proved the spec
-    could not reach the floor — the evaluator never saw it, so no partition
-    discovery, fit or prefetch was spent on it).
-
-    ``seconds`` is the observed wall time of the evaluation; the executors
-    feed it to the :class:`~repro.search.costmodel.OnlineCostModel` that
-    routes later rounds.  Synthesised outcomes (spec-bound prunes) carry 0.
+    ``pruned_reason`` is :data:`PRUNED_DUPLICATE` when an identical partition
+    structure was already evaluated (the summary would be a byte-identical
+    duplicate).  Specs the executor's pre-discovery
+    :class:`~repro.search.bounds.SpecBound` rules out never reach the
+    evaluator, so they have no outcome at all.
     """
 
     spec: CandidateSpec
     scored: ScoredSummary | None
     signature: tuple | None
     pruned_reason: str | None = None
-    seconds: float = 0.0
 
     @property
     def pruned(self) -> bool:
@@ -181,15 +173,9 @@ class CandidateEvaluator:
         *earlier* rounds; the evaluator never mutates it, which keeps the
         outcome independent of how specs within a round are ordered or
         distributed over workers.
-
-        The outcome records its own wall seconds so executors can train the
-        cost model that routes later rounds — timing changes nothing about
-        the outcome itself.
         """
-        started = time.perf_counter()
         if not self._tracer.enabled:
-            outcome = self._evaluate(spec, known_signatures)
-            return replace(outcome, seconds=time.perf_counter() - started)
+            return self._evaluate(spec, known_signatures)
         with self._tracer.span(
             "spec",
             kind=spec.kind,
@@ -199,7 +185,7 @@ class CandidateEvaluator:
         ) as span:
             outcome = self._evaluate(spec, known_signatures)
             span.set(pruned=outcome.pruned_reason, scored=outcome.scored is not None)
-        return replace(outcome, seconds=time.perf_counter() - started)
+        return outcome
 
     def _evaluate(
         self, spec: CandidateSpec, known_signatures: frozenset

@@ -46,10 +46,7 @@ from repro.obs.trace import configure_tracing, get_tracer
 from repro.relational.snapshot import SnapshotPair
 from repro.search.bounds import ScoreBoundIndex
 from repro.search.cache import CacheCounters, SearchCaches
-from repro.search.costmodel import OnlineCostModel, batch_indices, pack_indices
 from repro.search.evaluator import (
-    PRUNED_DUPLICATE,
-    PRUNED_SPEC_BOUND,
     CandidateEvaluator,
     EvaluationOutcome,
     ScoredSummary,
@@ -98,29 +95,17 @@ def _top_k_floor(candidates: dict[tuple, ScoredSummary], top_k: int) -> float:
 class SearchExecutor:
     """Template for executors: the round loop and the deterministic reduce.
 
-    The base class also owns two execution-only optimisations that subclasses
-    inherit for free:
-
-    * **pre-discovery bound pruning** (on whenever ``config.prune_search`` is
-      and the plan is non-empty) — a :class:`~repro.search.bounds.
-      ScoreBoundIndex` is built once per search, and specs whose admissible
-      score bound falls below the round's frozen floor are answered with a
-      synthesised :data:`~repro.search.evaluator.PRUNED_SPEC_BOUND` outcome
-      *here*, so they never reach ``_run_round`` — no partition discovery, no
-      fit, no prefetch key.  Survivors are dispatched in descending bound
-      order; outcomes are slotted back into plan order before the reduce, so
-      tie-breaking (and therefore the ranking) is byte-identical to the
-      unpruned, unordered path.
-    * **cost routing** (always on) — every outcome reports its observed
-      evaluation seconds; an :class:`~repro.search.costmodel.
-      OnlineCostModel` folds them in between rounds and the subclasses use
-      its predictions to pack worker chunks / prefetch batches.
+    The base class also owns pre-discovery bound pruning (on whenever
+    ``config.prune_search`` is and the plan is non-empty): a
+    :class:`~repro.search.bounds.ScoreBoundIndex` is built once per search,
+    and specs whose admissible score bound falls below the round's frozen
+    floor are counted as pruned *here*, so they never reach ``_run_round`` —
+    no partition discovery, no fit, no prefetch key.  The survivors keep
+    their plan order, so tie-breaking (and therefore the ranking) is
+    byte-identical to the unpruned path.
     """
 
     n_jobs: int = 1
-
-    def __init__(self) -> None:
-        self._cost_model = OnlineCostModel()
 
     def execute(
         self,
@@ -174,7 +159,6 @@ class SearchExecutor:
                 if config.prune_search and len(plan)
                 else None
             )
-            self._cost_model = OnlineCostModel()  # learns per search
             stats.bound_pruning = bound_index is not None
             self._setup(pair, target, config, caches)
             stats.cache_backend = self._cache_backend_kind()
@@ -188,36 +172,19 @@ class SearchExecutor:
                         "round", index=round_number, specs=len(round_specs)
                     ) as round_span:
                         run_specs = round_specs
-                        survivor_positions: list[int] | None = None
-                        slotted: list[EvaluationOutcome | None] | None = None
                         if bound_index is not None:
                             with tracer.span("round.bounds") as bounds_span:
                                 bounds = bound_index.round_bounds(round_specs)
-                                slotted = [
-                                    None
-                                    if bounds[position] >= floor
-                                    else EvaluationOutcome(
-                                        round_specs[position],
-                                        None,
-                                        None,
-                                        pruned_reason=PRUNED_SPEC_BOUND,
-                                    )
-                                    for position in range(len(round_specs))
-                                ]
-                                # dispatch survivors in descending bound order (stable by
-                                # plan position); the frozen floor/signature contract makes
-                                # intra-round order invisible to outcomes
-                                survivor_positions = sorted(
-                                    (p for p in range(len(round_specs)) if slotted[p] is None),
-                                    key=lambda p: (-bounds[p], p),
-                                )
                                 run_specs = tuple(
-                                    round_specs[p] for p in survivor_positions
+                                    spec
+                                    for spec, bound in zip(round_specs, bounds)
+                                    if bound >= floor
                                 )
-                                bounds_span.set(
-                                    pruned=len(round_specs) - len(run_specs),
-                                    survivors=len(run_specs),
-                                )
+                                pruned = len(round_specs) - len(run_specs)
+                                bounds_span.set(pruned=pruned, survivors=len(run_specs))
+                            if pruned:
+                                stats.candidates_pruned_spec_bounds += pruned
+                                _SPECS_TOTAL.inc(pruned, status="spec-bound")
                         if run_specs:
                             with tracer.span(
                                 "round.dispatch", specs=len(run_specs)
@@ -228,25 +195,11 @@ class SearchExecutor:
                         else:
                             outcomes, delta = [], CacheCounters()
                         for outcome in outcomes:
-                            self._cost_model.observe(outcome.spec, outcome.seconds)
-                        if slotted is not None:
-                            # restore plan order before the reduce: equal-score merges
-                            # in add_candidate keep the first-seen summary, so the
-                            # consumption order must not depend on the bound ordering
-                            for position, outcome in zip(survivor_positions, outcomes):
-                                slotted[position] = outcome
-                            outcomes = [
-                                outcome for outcome in slotted if outcome is not None
-                            ]
-                        for outcome in outcomes:
                             if outcome.signature is not None:
                                 signatures.add(outcome.signature)
                             if outcome.pruned:
                                 _SPECS_TOTAL.inc(status=outcome.pruned_reason)
-                                if outcome.pruned_reason == PRUNED_DUPLICATE:
-                                    stats.candidates_pruned_duplicates += 1
-                                else:
-                                    stats.candidates_pruned_spec_bounds += 1
+                                stats.candidates_pruned_duplicates += 1
                                 continue
                             _SPECS_TOTAL.inc(status="evaluated")
                             stats.candidates_evaluated += 1
@@ -303,32 +256,14 @@ def _evaluate_specs(
     evaluator: CandidateEvaluator,
     specs: Sequence[CandidateSpec],
     known_signatures: frozenset,
-    cost_model: OnlineCostModel | None = None,
 ) -> tuple[list[EvaluationOutcome], CacheCounters]:
     """Evaluate a batch of specs, reporting the cache-counter delta it caused."""
     before = evaluator.caches.counters()
-    # against a batching backend (the sharded remote fabric) prefetching
-    # resolves partition lookups in one MGET per shard; a no-op everywhere
-    # else.  With a trained cost model the prefetch covers only the next few
-    # predicted seconds of evaluations instead of the whole round, so the
-    # buffer holds keys that are about to be used rather than keys that may
-    # age out of the server before their turn.
-    if (
-        cost_model is not None
-        and cost_model.observations
-        and len(specs) > 1
-        and evaluator.caches.partitions.backend.supports_prefetch
-    ):
-        batches = batch_indices([cost_model.predict(spec) for spec in specs])
-    else:
-        batches = [tuple(range(len(specs)))] if specs else []
-    outcomes: list[EvaluationOutcome] = []
-    for batch in batches:
-        batch_specs = [specs[position] for position in batch]
-        evaluator.prefetch_round(batch_specs)
-        outcomes.extend(
-            evaluator.evaluate(spec, known_signatures) for spec in batch_specs
-        )
+    # against a batching backend (the sharded remote fabric) one prefetch
+    # resolves the batch's partition lookups in one MGET per shard; a no-op
+    # everywhere else
+    evaluator.prefetch_round(specs)
+    outcomes = [evaluator.evaluate(spec, known_signatures) for spec in specs]
     return outcomes, evaluator.caches.counters() - before
 
 
@@ -375,7 +310,7 @@ class SerialExecutor(SearchExecutor):
         specs: Sequence[CandidateSpec],
         known_signatures: frozenset,
     ) -> tuple[list[EvaluationOutcome], CacheCounters]:
-        return _evaluate_specs(self._evaluator, specs, known_signatures, self._cost_model)
+        return _evaluate_specs(self._evaluator, specs, known_signatures)
 
     def _teardown(self) -> None:
         self._evaluator.caches.flush()
@@ -448,7 +383,6 @@ class ParallelExecutor(SearchExecutor):
     def __init__(self, n_jobs: int):
         if n_jobs < 2:
             raise ValueError(f"ParallelExecutor needs n_jobs >= 2, got {n_jobs}")
-        super().__init__()
         self.n_jobs = n_jobs
         self._pool: ProcessPoolExecutor | None = None
         self._fallback: CandidateEvaluator | None = None
@@ -524,49 +458,31 @@ class ParallelExecutor(SearchExecutor):
         if self._pool is not None:
             tracer = get_tracer()
             trace_context = tracer.context() if tracer.enabled else None
-            index_chunks = self._route(specs)
             payloads = [
                 (
                     tuple(specs[position] for position in chunk),
                     known_signatures,
                     trace_context,
                 )
-                for chunk in index_chunks
+                for chunk in self._chunk_indices(len(specs))
             ]
-            slots: list[EvaluationOutcome | None] = [None] * len(specs)
+            outcomes: list[EvaluationOutcome] = []
             delta = CacheCounters()
             try:
-                # map() preserves payload order, but routed chunks interleave
-                # spec positions, so outcomes are slotted back into spec order
-                # — the reduce's tie-breaking must match the serial executor
-                for chunk, (chunk_outcomes, chunk_delta, chunk_spans) in zip(
-                    index_chunks, self._pool.map(_evaluate_batch, payloads)
+                # map() yields in payload order and the chunks are contiguous,
+                # so concatenation restores spec order — the reduce's
+                # tie-breaking must match the serial executor
+                for chunk_outcomes, chunk_delta, chunk_spans in self._pool.map(
+                    _evaluate_batch, payloads
                 ):
+                    outcomes.extend(chunk_outcomes)
                     delta = delta + chunk_delta
                     tracer.absorb(chunk_spans)
-                    for position, outcome in zip(chunk, chunk_outcomes):
-                        slots[position] = outcome
-                return [outcome for outcome in slots if outcome is not None], delta
+                return outcomes, delta
             except (BrokenProcessPool, OSError, pickle.PicklingError) as error:
                 self._fall_back_to_serial(error)
         assert self._fallback is not None
-        return _evaluate_specs(self._fallback, specs, known_signatures, self._cost_model)
-
-    def _route(self, specs: Sequence[CandidateSpec]) -> list[tuple[int, ...]]:
-        """The round's worker chunks, as index groups over ``specs``.
-
-        With a trained cost model the chunks are packed longest-predicted-first
-        into balanced loads (:func:`~repro.search.costmodel.pack_indices`), so
-        an expensive corner of the round cannot straggle behind ``n_jobs - 1``
-        idle workers; a cold model falls back to the historical contiguous
-        striding, which the balanced packing degenerates to under a uniform
-        cost vector anyway.
-        """
-        model = self._cost_model
-        if model.observations and len(specs) > 1:
-            costs = [model.predict(spec) for spec in specs]
-            return pack_indices(costs, 2 * self.n_jobs)
-        return self._chunk_indices(len(specs))
+        return _evaluate_specs(self._fallback, specs, known_signatures)
 
     def _chunk_indices(self, count: int) -> list[tuple[int, ...]]:
         """At most ``2 * n_jobs`` contiguous, ordered index chunks over a round."""
@@ -581,13 +497,6 @@ class ParallelExecutor(SearchExecutor):
             chunks.append(tuple(range(start, end)))
             start = end
         return chunks
-
-    def _chunk(self, specs: Sequence[CandidateSpec]) -> list[tuple[CandidateSpec, ...]]:
-        """Split a round into at most ``2 * n_jobs`` contiguous, ordered chunks."""
-        return [
-            tuple(specs[position] for position in chunk)
-            for chunk in self._chunk_indices(len(specs))
-        ]
 
     def _teardown(self) -> None:
         # _fallback is kept: _effective_n_jobs reads it after the round loop,

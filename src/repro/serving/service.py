@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import contextvars
 import hashlib
 import json
 import sys
@@ -206,7 +207,10 @@ class CharlesServingService:
 
     def _run_in_pool(self, fn: Callable[[], Any]) -> "asyncio.Future":
         assert self._pool is not None, "service not started"
-        return asyncio.get_running_loop().run_in_executor(self._pool, fn)
+        # run_in_executor does not carry contextvars into the pool thread; the
+        # copy keeps the engine's spans parented under this request's span
+        context = contextvars.copy_context()
+        return asyncio.get_running_loop().run_in_executor(self._pool, context.run, fn)
 
     # -- connection handling ---------------------------------------------------
 

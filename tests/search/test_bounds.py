@@ -24,7 +24,14 @@ from repro.cachestore.memory import InProcessBackend
 from repro.core import Charles, CharlesConfig
 from repro.relational.snapshot import SnapshotPair
 from repro.relational.table import Table
-from repro.search import GLOBAL, SearchCaches, SerialExecutor, build_search_plan
+from repro.search import (
+    GLOBAL,
+    ParallelExecutor,
+    SearchCaches,
+    SerialExecutor,
+    build_search_plan,
+)
+from repro.search import executors
 from repro.search.bounds import ScoreBoundIndex, bound_histogram
 from repro.search.evaluator import CandidateEvaluator
 from repro.workloads import employee_pair
@@ -209,8 +216,10 @@ class _RecordingPrefetchBackend(InProcessBackend):
     def __init__(self):
         super().__init__()
         self.prefetched: list = []
+        self.prefetch_calls = 0
 
     def prefetch(self, keys) -> None:
+        self.prefetch_calls += 1
         self.prefetched.extend(keys)
 
 
@@ -288,6 +297,88 @@ class TestNoWastedPrefetch:
              spec.residual_weight)
             for spec in skipped
         )
+        # a serial round sends its survivors' keys in exactly one prefetch
+        survivors = set(evaluated)
+        partitioned_rounds = sum(
+            1
+            for round_specs in plan.rounds
+            if any(spec in survivors and spec.kind != GLOBAL for spec in round_specs)
+        )
+        assert partitioned_rounds > 1
+        assert backend.prefetch_calls == partitioned_rounds
+
+
+class TestPrunedSpecCounting:
+    def test_spec_bound_prunes_are_counted_without_outcomes(self):
+        # a pruned spec has no outcome; the round loop counts it straight
+        # into the stats and the `charles_specs_total` counter
+        pair = _two_slice_pair()
+        config = CharlesConfig(alpha=0.8, top_k=5)
+        plan = build_search_plan(["dept", "region"], ["bonus", "tenure"], config)
+        before = {
+            status: executors._SPECS_TOTAL.value(status=status)
+            for status in ("spec-bound", "duplicate", "evaluated")
+        }
+        _, stats = SerialExecutor().execute(pair, "bonus", plan, config)
+        counted = {
+            status: executors._SPECS_TOTAL.value(status=status) - value
+            for status, value in before.items()
+        }
+        assert stats.candidates_pruned_spec_bounds > 0
+        assert counted == {
+            "spec-bound": stats.candidates_pruned_spec_bounds,
+            "duplicate": stats.candidates_pruned_duplicates,
+            "evaluated": stats.candidates_evaluated,
+        }
+        assert sum(counted.values()) == len(plan)
+
+    def test_parallel_executor_prunes_and_ranks_like_serial(self):
+        # the bound filter runs in the round loop, before any chunk leaves
+        # for a worker, so both executors skip the same specs
+        pair = _two_slice_pair()
+        config = CharlesConfig(alpha=0.8, top_k=5)
+        plan = build_search_plan(["dept", "region"], ["bonus", "tenure"], config)
+        serial_ranked, serial = SerialExecutor().execute(pair, "bonus", plan, config)
+        parallel_ranked, parallel = ParallelExecutor(2).execute(
+            pair, "bonus", plan, config
+        )
+        assert [(s.summary.describe(), s.score) for s in parallel_ranked] == [
+            (s.summary.describe(), s.score) for s in serial_ranked
+        ]
+        assert serial.candidates_pruned_spec_bounds > 0
+        assert (
+            parallel.candidates_pruned_spec_bounds,
+            parallel.candidates_pruned_duplicates,
+            parallel.candidates_evaluated,
+        ) == (
+            serial.candidates_pruned_spec_bounds,
+            serial.candidates_pruned_duplicates,
+            serial.candidates_evaluated,
+        )
+
+
+class TestPlanOrder:
+    def test_survivors_are_evaluated_in_plan_order(self, monkeypatch):
+        # no reordering by bound: the specs that pass the floor run in the
+        # order the plan lists them, so ties break as in an unpruned search
+        pair = _two_slice_pair()
+        config = CharlesConfig(alpha=0.8, top_k=5)
+        plan = build_search_plan(["dept", "region"], ["bonus", "tenure"], config)
+        evaluated = []
+        original = CandidateEvaluator.evaluate
+
+        def spy(self, spec, known_signatures=frozenset()):
+            evaluated.append(spec)
+            return original(self, spec, known_signatures)
+
+        monkeypatch.setattr(CandidateEvaluator, "evaluate", spy)
+        _, stats = SerialExecutor().execute(pair, "bonus", plan, config)
+
+        survivors = set(evaluated)
+        assert stats.candidates_pruned_spec_bounds > 0
+        assert len(evaluated) == len(survivors)
+        assert len(evaluated) == len(plan) - stats.candidates_pruned_spec_bounds
+        assert evaluated == [spec for spec in plan.specs if spec in survivors]
 
 
 class TestHistogram:

@@ -44,12 +44,25 @@ class TestExecutorSelection:
 
 
 class TestChunking:
-    def test_chunks_cover_specs_in_order(self):
-        plan = build_search_plan(["edu", "exp"], ["bonus"], CharlesConfig())
-        specs = plan.specs
-        chunks = ParallelExecutor(2)._chunk(specs)
-        assert tuple(spec for chunk in chunks for spec in chunk) == specs
-        assert len(chunks) <= 4
+    @pytest.mark.parametrize("n_jobs", [2, 3])
+    @pytest.mark.parametrize("count", [1, 2, 5, 17, 40])
+    def test_chunks_are_contiguous_and_cover_every_index_in_order(self, n_jobs, count):
+        chunks = ParallelExecutor(n_jobs)._chunk_indices(count)
+        assert [index for chunk in chunks for index in chunk] == list(range(count))
+        assert all(chunk for chunk in chunks)
+        assert len(chunks) <= 2 * n_jobs
+
+    def test_chunk_sizes_differ_by_at_most_one(self):
+        # plan order fixes which specs share a chunk, so balance comes from
+        # the split alone: no chunk is more than one spec longer than another
+        for n_jobs in (2, 3, 4):
+            for count in range(1, 60):
+                sizes = [
+                    len(chunk)
+                    for chunk in ParallelExecutor(n_jobs)._chunk_indices(count)
+                ]
+                assert len(sizes) == min(count, 2 * n_jobs)
+                assert max(sizes) - min(sizes) <= 1
 
 
 class TestSerialParallelEquivalence:

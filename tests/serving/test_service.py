@@ -18,6 +18,7 @@ import pytest
 
 from repro.core import CharlesConfig, ServingConfig
 from repro.obs.metrics import get_registry
+from repro.obs.trace import BufferSink, disable_tracing, get_tracer
 from repro.relational.csv_io import write_csv_text
 from repro.serving import ServingServer
 from repro.serving.service import CharlesServingService
@@ -51,7 +52,8 @@ def request(url, method="GET", payload=None, tenant=None):
         with urllib.request.urlopen(req, timeout=60) as resp:
             return resp.status, dict(resp.headers), json.loads(resp.read() or b"{}")
     except urllib.error.HTTPError as error:
-        body = error.read()
+        with error:  # the error owns the response socket
+            body = error.read()
         return error.code, dict(error.headers), json.loads(body or b"{}")
 
 
@@ -238,6 +240,75 @@ class TestDedup:
         assert all(not results[t][2]["deduped"] for t in sessions)
 
 
+class TestServedSpans:
+    @pytest.mark.parametrize(
+        "tenants",
+        [
+            {"acme": dict(_FAST)},
+            {"acme": dict(_FAST), "rival": dict(_FAST, alpha=0.7)},
+        ],
+        ids=["one-tenant", "two-concurrent-tenants"],
+    )
+    def test_engine_spans_parent_under_their_own_request(
+        self, server, chain, monkeypatch, tenants
+    ):
+        store, csvs = chain
+        url = server.url
+        original = EngineSession.summarize_pair
+
+        def slow_summarize(self, pair, target, **kwargs):
+            time.sleep(0.2)  # widen the in-flight window so requests overlap
+            return original(self, pair, target, **kwargs)
+
+        monkeypatch.setattr(EngineSession, "summarize_pair", slow_summarize)
+        sessions = {}
+        for tenant, fields in tenants.items():
+            sessions[tenant] = _open_session(url, tenant, fields)["session"]
+            for name in store.names[:2]:
+                _advance(url, sessions[tenant], tenant, name, csvs[name])
+
+        results = {}
+
+        def fire(tenant):
+            results[tenant] = _summarize(url, sessions[tenant], tenant)
+
+        sink = BufferSink()
+        get_tracer().configure(sink)
+        try:
+            threads = [threading.Thread(target=fire, args=(t,)) for t in sessions]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            disable_tracing()
+        # distinct configs: every request ran its own search, none deduped
+        assert [results[t][0] for t in sessions] == [200] * len(sessions)
+        assert not any(results[t][2]["deduped"] for t in sessions)
+
+        records = sink.records
+        by_id = {record["span"]: record for record in records}
+
+        def request_of(record):
+            while record["parent"] is not None:
+                record = by_id[record["parent"]]
+            assert record["name"] == "serve.request"
+            return record["span"]
+
+        requests = {r["span"] for r in records if r["name"] == "serve.request"}
+        summarizes = [r for r in records if r["name"] == "session.summarize"]
+        searches = [r for r in records if r["name"] == "search"]
+        assert len(requests) == len(summarizes) == len(searches) == len(sessions)
+        for summarize in summarizes:
+            parent = by_id[summarize["parent"]]
+            assert parent["name"] == "serve.request"
+            assert parent["attributes"]["route"].endswith("/summarize")
+        # each request owns exactly one summarize and one search
+        assert {request_of(r) for r in summarizes} == requests
+        assert {request_of(r) for r in searches} == requests
+
+
 class TestBackpressure:
     def test_flood_sheds_gracefully_and_recovers(self, chain, monkeypatch):
         """Flooding a capacity-1 queue yields fast 503s with an integer
@@ -306,7 +377,8 @@ class TestHttpContract:
         assert "tenant" in body["error"]
 
     def test_unknown_config_field_is_400(self, server):
-        # bound pruning and cost routing always run: they are not config fields
+        # bound pruning always runs and cost routing is gone: neither is a
+        # config field
         for field in ("no_such_knob", "bound_pruning", "cost_routing"):
             status, _, body = request(
                 f"{server.url}/v1/sessions",
@@ -368,7 +440,8 @@ class TestHttpContract:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(req, timeout=10)
-        assert excinfo.value.code == 400
+        with excinfo.value as error:
+            assert error.code == 400
 
     def test_close_then_use_is_404(self, server, chain):
         session = _open_session(server.url, "acme", dict(_FAST))["session"]

@@ -78,8 +78,8 @@ class TestParser:
         ids=["no-bound-pruning", "no-cost-routing", "plan-only", "tiered-disk"],
     )
     def test_removed_switches_are_usage_errors(self, removed):
-        # bound pruning and cost routing always run, `charles plan` is the one
-        # dry run, and the store kinds are memory/shared/disk/remote
+        # bound pruning always runs, cost routing is gone, `charles plan` is
+        # the one dry run, and the store kinds are memory/shared/disk/remote
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(
                 ["summarize", "a.csv", "b.csv", "--target", "x", *removed]
