@@ -1,13 +1,14 @@
-"""Cache-backend benchmark: what sharing and persisting memo entries buys.
+"""Cache-backend benchmark: what sharing memo entries and persisting results buys.
 
 The cachestore subsystem (:mod:`repro.cachestore`) exists for two losses the
 default in-process caches cannot recover:
 
 * **parallel workers recompute each other's work** — with ``n_jobs > 1`` each
   process holds private caches, so the measured hit rate collapses versus a
-  serial run of the same workload;
-* **warm starts die with the interpreter** — a production service restarted
-  (or a second analyst on the same data) pays the whole search again.
+  serial run of the same workload (the ``shared`` store);
+* **answers die with the interpreter** — a production service restarted (or
+  a second analyst on the same data) pays the whole search again (the
+  ``disk`` store's result entries).
 
 This benchmark runs one repeated-query workload — the streaming-audit chain
 of ``bench_incremental.py``, re-audited hop by hop through a warm
@@ -17,8 +18,11 @@ of ``bench_incremental.py``, re-audited hop by hop through a warm
 2. ``parallel-no-share``— ``n_jobs=2``, private per-worker caches;
 3. ``parallel-shared``  — ``n_jobs=2``, one shared store all workers attach to;
 4. ``disk``             — two *freshly spawned interpreters* in sequence, both
-   pointed at the same on-disk store: the first is cold, the second starts
-   warm from the first one's entries.
+   pointed at the same on-disk store: the first is cold, the second is
+   served the first one's result entries.
+
+Each scenario reports ``result_hits`` (requests served whole from a result
+entry) beside its memo misses, so each arm says what served it.
 
 Contract points, recorded in the JSON report:
 
@@ -65,7 +69,9 @@ def _build_store(rows: int, versions: int, seed: int) -> TimelineStore:
 
 def _run_scenario(name: str, config: CharlesConfig, rows: int, versions: int, seed: int) -> dict:
     full_store = _build_store(rows, versions, seed)
-    stats_sum = {"partition_hits": 0, "partition_misses": 0, "hits": 0, "misses": 0}
+    stats_sum = {
+        "partition_hits": 0, "partition_misses": 0, "hits": 0, "misses": 0, "result_hits": 0,
+    }
     started = time.perf_counter()
     with EngineSession(config) as session:
         store = TimelineStore(key=full_store.key)
@@ -83,6 +89,7 @@ def _run_scenario(name: str, config: CharlesConfig, rows: int, versions: int, se
                 stats_sum["partition_misses"] += hop.stats.partition_cache_misses
                 stats_sum["hits"] += hop.stats.cache_hits
                 stats_sum["misses"] += hop.stats.cache_lookups - hop.stats.cache_hits
+                stats_sum["result_hits"] += hop.stats.result_hits
         seconds = time.perf_counter() - started
     partition_lookups = stats_sum["partition_hits"] + stats_sum["partition_misses"]
     lookups = stats_sum["hits"] + stats_sum["misses"]

@@ -1,7 +1,8 @@
 """Cache-fabric benchmark: sharding and replication, end to end.
 
-``bench_cache_server.py`` proves one cache server pools memo work across a
-fleet.  This benchmark measures what the *fabric* adds on top:
+``bench_cache_server.py`` proves one cache server lets a fleet serve each
+other's repeated requests from result entries.  This benchmark measures
+what the *fabric* adds on top:
 
 1. **topology never changes results** — the repeated-query workload (the
    streaming-audit chain re-audited hop by hop) runs against in-process
@@ -9,20 +10,19 @@ fleet.  This benchmark measures what the *fabric* adds on top:
    fabric with one shard killed partway through the benchmark; every arm's
    rankings must be byte-identical to the serial reference;
 2. **replication makes shard death cheap** — the post-kill arm reports its
-   misses and ring failovers: with replication on, the dead shard's entries
-   are served off successors instead of being recomputed;
-3. **a warm fleet pays off** — a second engine against the same fleet runs
-   off the first one's entries (``fleet_warm_speedup``);
-4. **no delayed-ACK stalls on the wire** — the ``wire`` arm runs cycles of
-   two replicated 32 KiB PUTs and one GET against two spawned shard
-   processes and reports the GET latency quantiles.  The two PUTs pass the
-   client's 64 KiB write-behind bound and leave at once; the GET (of an
-   entry published in the previous cycle) follows before the client has
-   read, or ACKed, their acknowledgements.  With Nagle's algorithm on at
-   the server, the GET response waited for the client's delayed ACK (about
-   40 ms on Linux: p50 44 ms in this shape with the server's
-   ``TCP_NODELAY`` removed).  Two servers in one process do not reproduce
-   the stall.
+   memo misses, result hits and ring failovers: with replication on, the
+   dead shard's result entries are served off successors instead of being
+   recomputed;
+3. **a warm fleet pays off** — a second engine against the same fleet is
+   served the first one's result entries (``fleet_warm_speedup``);
+4. **no stalls on the wire** — the ``wire`` arm runs cycles of two
+   replicated 32 KiB PUTs and one GET against two spawned shard processes
+   and reports the GET latency quantiles.  Two servers in one process would
+   not show a stall of the shards' own sockets.
+
+Each scenario reports ``result_hits`` (requests served whole from a result
+entry) beside its memo ``misses`` (per-spec work recomputed), so each arm
+says what served it.
 
 Engine arms run in freshly *spawned* interpreters (no shared memory), so
 every warm hit demonstrably travelled through TCP frames.
@@ -81,7 +81,7 @@ WIRE_P99_LIMIT_SECONDS = 0.020
 
 def _run_scenario(name: str, config: CharlesConfig, rows: int, versions: int, seed: int) -> dict:
     full_store, _ = streaming_employee_timeline(rows, num_versions=versions, seed=seed)
-    stats_sum = {"hits": 0, "misses": 0, "failovers": 0, "round_trips": 0}
+    stats_sum = {"hits": 0, "misses": 0, "result_hits": 0, "failovers": 0, "round_trips": 0}
     started = time.perf_counter()
     with EngineSession(config) as session:
         store = TimelineStore(key=full_store.key)
@@ -97,6 +97,7 @@ def _run_scenario(name: str, config: CharlesConfig, rows: int, versions: int, se
                     continue
                 stats_sum["hits"] += hop.stats.cache_hits
                 stats_sum["misses"] += hop.stats.cache_lookups - hop.stats.cache_hits
+                stats_sum["result_hits"] += hop.stats.result_hits
                 remote = hop.stats.backend_counters.get("remote")
                 if remote is not None:
                     stats_sum["failovers"] += remote.failovers
@@ -163,7 +164,7 @@ def _shard_process(connection) -> None:
 
 
 def run_wire_arm(cycles: int = WIRE_CYCLES, value_bytes: int = WIRE_VALUE_BYTES) -> dict:
-    """GET latency behind ``cycles`` write-behind bursts on a 2-shard, 2-replica fabric."""
+    """GET latency after ``cycles`` of replicated PUTs on a 2-shard, 2-replica fabric."""
     context = multiprocessing.get_context("spawn")
     pipes, processes = [], []
     try:
@@ -179,17 +180,13 @@ def run_wire_arm(cycles: int = WIRE_CYCLES, value_bytes: int = WIRE_VALUE_BYTES)
         latencies = []
         hits = 0
         backend.put(("wire", -1, 0), value)
-        backend.flush()
         for index in range(cycles):
-            # two PUTs pass the write-behind bound and leave at once, their
-            # acknowledgements unread; the GET of the previous cycle's entry
-            # (published, and out of the local view since the flush) follows
+            # two acknowledged PUTs, then the GET of the previous cycle's entry
             backend.put(("wire", index, 0), value)
             backend.put(("wire", index, 1), value)
             started = time.perf_counter()
             hits += backend.get(("wire", index - 1, 0)) == value
             latencies.append(time.perf_counter() - started)
-            backend.flush()  # the end of a search: publish, forget the view
         backend.close()
     finally:
         for pipe in pipes:
@@ -280,6 +277,8 @@ def run_benchmark(
         "cold_misses": cold["misses"],
         "warm_misses": warm["misses"],
         "degraded_misses": degraded["misses"],
+        "warm_result_hits": warm["result_hits"],
+        "degraded_result_hits": degraded["result_hits"],
         "degraded_failovers": degraded["failovers"],
         "degraded_served_off_replicas": (
             degraded["misses"] <= 0.1 * max(cold["misses"], 1)

@@ -1,10 +1,10 @@
-"""Cache-server benchmark: what a fleet-shared memo store buys, end to end.
+"""Cache-server benchmark: what a fleet-shared result store buys, end to end.
 
-PR 3's backends pool memo work across processes on one machine (shared
-memory) and across restarts (disk).  The cache service
-(:mod:`repro.cacheserver`) extends the pool to a *fleet*: engine instances
-with no filesystem or memory in common, connected only by TCP, publishing
-into and serving off one :class:`~repro.cacheserver.aserver.AsyncCacheServer`.
+The cache service (:mod:`repro.cacheserver`) lets a *fleet* of engine
+instances with no filesystem or memory in common, connected only by TCP,
+serve each other's repeated requests: every summarize request publishes its
+ranked result into one :class:`~repro.cacheserver.aserver.AsyncCacheServer`
+(per-spec memo entries stay in each engine's process).
 
 This benchmark runs the repeated-query workload of ``bench_cache_backends.py``
 (the streaming-audit chain, re-audited hop by hop through a warm
@@ -14,8 +14,13 @@ This benchmark runs the repeated-query workload of ``bench_cache_backends.py``
 2. ``remote-cold`` — a *freshly spawned interpreter* pointed at an empty
    cache server: every entry it uses, it first computes and publishes;
 3. ``remote-warm`` — a second freshly spawned interpreter against the same
-   server: the fleet's second member, starting warm off the first one's
-   published entries.
+   server: the fleet's second member, served the first one's published
+   result entries.
+
+Each scenario reports ``result_hits`` (requests served whole from a result
+entry) beside its memo ``misses`` (per-spec work recomputed), so each arm
+says what served it.  The workload re-audits every earlier hop on each
+arrival, so even the cold member serves its repeats from result entries.
 
 Spawning (not forking) proves the fleet claim end to end: the children share
 no memory with this process or each other, so every warm hit travelled
@@ -26,7 +31,8 @@ Contract points, recorded in the JSON report:
 * rankings are byte-identical across every scenario (always enforced — the
   subsystem's hard invariant);
 * the warm fleet member misses (almost) nothing: its memo misses are under
-  10 % of the cold member's (enforced outside smoke mode);
+  10 % of the cold member's (enforced outside smoke mode) — its requests are
+  served from the cold member's result entries;
 * the warm fleet member is measurably faster than the cold one (enforced
   outside smoke mode; timing on shared CI runners only warns);
 * the server's view of the traffic (per-region hits/misses/entries) is
@@ -65,7 +71,7 @@ TARGET = "bonus"
 
 def _run_scenario(name: str, config: CharlesConfig, rows: int, versions: int, seed: int) -> dict:
     full_store, _ = streaming_employee_timeline(rows, num_versions=versions, seed=seed)
-    stats_sum = {"hits": 0, "misses": 0}
+    stats_sum = {"hits": 0, "misses": 0, "result_hits": 0}
     started = time.perf_counter()
     with EngineSession(config) as session:
         store = TimelineStore(key=full_store.key)
@@ -81,6 +87,7 @@ def _run_scenario(name: str, config: CharlesConfig, rows: int, versions: int, se
                     continue
                 stats_sum["hits"] += hop.stats.cache_hits
                 stats_sum["misses"] += hop.stats.cache_lookups - hop.stats.cache_hits
+                stats_sum["result_hits"] += hop.stats.result_hits
         seconds = time.perf_counter() - started
     lookups = stats_sum["hits"] + stats_sum["misses"]
     return {
@@ -157,6 +164,8 @@ def run_benchmark(rows: int, versions: int, seed: int) -> dict:
         "warm_fleet_faster": warm["seconds"] < cold["seconds"],
         "cold_misses": cold["misses"],
         "warm_misses": warm["misses"],
+        "cold_result_hits": cold["result_hits"],
+        "warm_result_hits": warm["result_hits"],
         "warm_fleet_served_off_server": warm["misses"] <= 0.1 * max(cold["misses"], 1),
         "all_rankings_identical": all(
             scenario["rankings_identical_to_serial"] for scenario in scenarios

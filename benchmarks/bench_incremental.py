@@ -5,14 +5,16 @@ versions of a dataset arrive one at a time, and every arrival triggers a
 re-audit of the whole chain so far (the dashboard-refresh workload).  A cold
 deployment re-runs every hop from scratch on every refresh; a warm
 :class:`~repro.timeline.session.EngineSession` answers previously-served hops
-from its content-keyed caches and only pays for the new hop.
+from their result entries and only pays for the new hop.  Each refresh
+reports ``result_hits`` (hops served whole from a result entry) beside the
+session's memo traffic, so the report says what served the warm run.
 
 The run enforces the subsystem's three contract points and records them in a
 machine-readable JSON report (like ``bench_scaling.py``'s E6 output):
 
 * rankings of the warm ``summarize_timeline`` over the full chain are
   byte-identical to independent cold per-pair runs;
-* the warm session's measured cache hit rate is greater than zero;
+* the warm session's measured memo-cache hit rate is greater than zero;
 * the warm run of the full chain is faster than the cold per-pair runs.
 
 Run it directly (pytest is not involved, so CI can execute it in smoke mode
@@ -76,6 +78,7 @@ def run_benchmark(rows: int, versions: int, seed: int, config: CharlesConfig) ->
         timeline_result = session.summarize_timeline(store, target)
         warm_seconds = time.perf_counter() - started
         identical = timeline_result.rankings() == cold_rankings
+        result_hits = sum(hop.stats.result_hits for hop in timeline_result.hops if hop.stats)
         cold_total += cold_seconds
         warm_total += warm_seconds
         refreshes.append(
@@ -85,6 +88,7 @@ def run_benchmark(rows: int, versions: int, seed: int, config: CharlesConfig) ->
                 "cold_seconds": cold_seconds,
                 "warm_seconds": warm_seconds,
                 "rankings_identical": identical,
+                "result_hits": result_hits,
             }
         )
         final = {
@@ -113,6 +117,7 @@ def run_benchmark(rows: int, versions: int, seed: int, config: CharlesConfig) ->
         "final_chain": final,
         "session": {
             "runs_completed": session.runs_completed,
+            "result_hits": sum(refresh["result_hits"] for refresh in refreshes),
             "cache_hit_rate": counters.hit_rate,
             "cache_hits": counters.hits,
             "cache_misses": counters.misses,

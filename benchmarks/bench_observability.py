@@ -1,7 +1,7 @@
 """Observability benchmark: tracing is coherent, cheap and result-neutral.
 
 PR 8 threaded spans and metrics through every layer — executor rounds,
-partition discovery, per-mask fits, the sharded cache fabric's MGETs and the
+partition discovery, per-mask fits, the sharded cache fabric's requests and the
 cache servers' request handling.  This benchmark proves the three contract
 points the instrumentation must hold:
 

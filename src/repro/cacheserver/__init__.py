@@ -1,32 +1,34 @@
-"""The fleet-scale cache fabric: a sharded, replicated memo store on the network.
+"""The fleet-scale cache fabric: a sharded, replicated result store on the network.
 
 Cacheserver architecture
 ========================
 
-The shared and disk stores pool memo work across *processes on one
-machine*; this package pools it across a fleet of engines on different
-machines through a *fabric* of cache servers — sharded, replicated and
-pipelined, so fleet cache capacity and throughput scale past one socket and
-one server.  Each job has one mechanism: one server transport, one remote
-client, one server eviction order.
+This package lets a fleet of engines on different machines serve each
+other's repeated requests: each engine publishes one *result entry* per
+summarize request (the ranked top-k, keyed by the request's content key)
+into the ``results`` region of a *fabric* of cache servers — sharded and
+replicated, so fleet cache capacity and throughput scale past one socket and
+one server.  A request any engine already answered then costs one lookup.
+Per-spec memo entries stay in each engine's process: their keys rotate with
+every changed row, so across processes they were write-only traffic.  Each
+job has one mechanism: one server transport, one remote client, one server
+eviction order.
 
 * :mod:`~repro.cacheserver.protocol` — the wire format: length-prefixed
   binary frames carrying a request id, digested keys, opaque pickled values
-  and a per-PUT recomputation-cost hint; batched ``MGET`` lookups; stdlib
-  ``struct``/``json`` only.
+  and a per-PUT recomputation-cost hint; stdlib ``struct``/``json`` only.
 * :mod:`~repro.cacheserver.server` — :class:`~repro.cacheserver.server.
-  CacheServerCore` (regions, verbs, metrics, span buffer),
-  hosting the ``fits``/``partitions`` regions on
-  :class:`~repro.cachestore.memory.InProcessBackend` stores with cost-aware
-  eviction, plus ``PING``/``STATS``/``METRICS``/``TRACE`` admin verbs.
+  CacheServerCore` (regions, verbs, metrics, span buffer), hosting its
+  regions on :class:`~repro.cachestore.memory.InProcessBackend` stores with
+  cost-aware eviction, plus ``PING``/``STATS``/``METRICS``/``TRACE`` admin
+  verbs.
 * :mod:`~repro.cacheserver.aserver` — :class:`~repro.cacheserver.aserver.
   AsyncCacheServer`, the core on the wire: every connection multiplexed on
   one ``asyncio`` event loop, with graceful shutdown.  Run one per shard
   with ``charles cache-server``.
 * :mod:`~repro.cacheserver.pipeline` — :class:`~repro.cacheserver.pipeline.
-  PipelinedConnection`, one persistent socket driven by its caller: ``PUT``\\ s
-  are buffered and leave with the next request, and a blocking read pays
-  one shard wake.
+  PipelinedConnection`, one persistent socket driven by its caller, with
+  requests submitted before their answers are collected.
 * :mod:`~repro.cacheserver.ring` — :class:`~repro.cacheserver.ring.HashRing`,
   consistent-hash placement of key digests over N endpoints with virtual
   nodes; owner plus replica/failover successors per key.
@@ -35,11 +37,10 @@ client, one server eviction order.
   degrade-to-miss backoff) and the ``charles cache`` admin helpers.
 * :mod:`~repro.cacheserver.fabric` — :class:`~repro.cacheserver.fabric.
   ShardedRemoteBackend`, the one remote :class:`~repro.cachestore.base.
-  CacheBackend` and what ``cache_backend="remote"`` builds, even for one
-  endpoint: a ``cache_url`` becomes a hash ring of shard clients, with
-  optional replica-set writes (``cache_replication``), read failover around
-  the ring, round-synchronised ``MGET`` prefetching and a per-search local
-  view of the keys the search already resolved.
+  CacheBackend` and what ``cache_backend="remote"`` builds for the results
+  store, even for one endpoint: a ``cache_url`` becomes a hash ring of shard
+  clients, with optional replica-set writes (``cache_replication``) and read
+  failover around the ring.
 
 Membership is *static*: the ring is built from the ``cache_url`` endpoint
 list when a backend is created, and servers know nothing of their fleet.
@@ -64,7 +65,7 @@ from repro.cacheserver.client import (
     server_stats,
     server_trace,
 )
-from repro.cacheserver.fabric import ShardedRemoteBackend, ShardedRemoteHandle
+from repro.cacheserver.fabric import ShardedRemoteBackend
 from repro.cacheserver.pipeline import PipelinedConnection
 from repro.cacheserver.ring import HashRing, parse_endpoints
 from repro.cacheserver.server import DEFAULT_PORT, CacheServerCore
@@ -72,7 +73,6 @@ from repro.cacheserver.server import DEFAULT_PORT, CacheServerCore
 __all__ = [
     "ShardClient",
     "ShardedRemoteBackend",
-    "ShardedRemoteHandle",
     "PipelinedConnection",
     "HashRing",
     "parse_endpoints",

@@ -5,10 +5,8 @@ PipelinedConnection` plus its degrade/backoff state.  It is the unit the
 sharded fabric (:mod:`repro.cacheserver.fabric`) composes N times over a
 hash ring — and the fabric is the one remote client: ``cache_backend=
 "remote"`` builds a :class:`~repro.cacheserver.fabric.ShardedRemoteBackend`
-even for a single endpoint.  Lookups block for their answer; publishes are
-write-behind, buffered until the next request to the shard or a
-:meth:`ShardClient.flush`, so a search wakes a shard once per blocking read.
-The module also carries the wire-value codec (:func:`encode_value` /
+even for a single endpoint.  Every request is answered: a lookup waits for
+its value, a publish for its acknowledgement.  The module also carries the wire-value codec (:func:`encode_value` /
 :func:`decode_value`) and the admin helpers behind ``charles cache``
 (``server_stats``, ``server_clear``, ...), which raise instead of degrading.
 
@@ -42,7 +40,7 @@ import socket
 import time
 from typing import Any
 
-from repro.cachestore.base import MISSING, STORE_ERRORS
+from repro.cachestore.base import MISSING
 from repro.cachestore.disk import _UNPICKLE_ERRORS
 from repro.cacheserver import protocol
 from repro.cacheserver.pipeline import PipelinedConnection
@@ -118,18 +116,12 @@ class ShardClient:
 
     This is the unit the fabric replicates — each endpoint gets its own
     op-budget and backoff window, so one dead shard degrades alone while its
-    peers keep answering.  The entry points answer ``None``/``False``
-    instead of raising while the endpoint is degraded or freshly failing:
+    peers keep answering.  The entry points answer ``None`` instead of
+    raising while the endpoint is degraded or freshly failing:
 
-    * :meth:`call` — send one request and block for its response;
-    * :meth:`cast` — a write-behind ``PUT``: buffered, accounted as a round
-      trip, and nobody waits for its acknowledgement;
-    * :meth:`mget_begin` / :meth:`mget_finish` — one batched lookup resolving
-      a whole round of keys in a single round trip.
-
-    ``PUT``\\ s the shard may not have stored when its connection dies are
-    counted in ``charles_cache_store_errors_total{backend="remote",
-    op="put"}``, one per frame.
+    * :meth:`submit` — send one request without waiting; returns its id;
+    * :meth:`collect` — block for a submitted request's response;
+    * :meth:`call` — the two in one.
     """
 
     def __init__(self, url: str, timeout: float = DEFAULT_TIMEOUT) -> None:
@@ -159,8 +151,6 @@ class ShardClient:
         self._pid = None
         if conn is not None and owned:
             conn.close()
-            if conn.unacknowledged:
-                STORE_ERRORS.inc(conn.unacknowledged, backend="remote", op="put")
 
     def _acquire(self) -> PipelinedConnection | None:
         """The live connection for one operation, or ``None`` while degraded."""
@@ -169,8 +159,8 @@ class ShardClient:
             return None
         conn = self._conn
         if conn is not None and self._pid != os.getpid():
-            # a connection must never cross a fork: the parent still owns it,
-            # and the PUTs in its outbox are the parent's to send
+            # a connection must never cross a fork: the parent still owns
+            # the socket and the requests in flight on it
             self._conn = conn = None
         if conn is None:
             if time.monotonic() < self._retry_not_before:
@@ -186,14 +176,25 @@ class ShardClient:
 
     # -- operations --------------------------------------------------------------
 
-    def call(self, body: bytes) -> tuple[int, bytes] | None:
-        """One blocking request, or ``None`` while degraded / on a fresh failure."""
+    def submit(self, body: bytes) -> int | None:
+        """Send one request without waiting; ``None`` while degraded / on failure."""
         conn = self._acquire()
         if conn is None:
             return None
+        try:
+            return conn.submit(body)
+        except (OSError, protocol.ProtocolError):
+            self._record_failure()
+            return None
+
+    def collect(self, request_id: int | None) -> tuple[int, bytes] | None:
+        """The response to a submitted request, or ``None`` if it cannot come."""
+        conn = self._conn
+        if request_id is None or conn is None:
+            return None  # never sent, or the connection failed since
         started = time.perf_counter()
         try:
-            response = conn.request(body)
+            response = conn.collect(request_id)
         except (OSError, protocol.ProtocolError):
             self._record_failure()
             return None
@@ -202,70 +203,9 @@ class ShardClient:
         self._current_backoff = RETRY_BACKOFF_SECONDS  # healthy again
         return response
 
-    def cast(self, body: bytes) -> bool:
-        """One write-behind request; returns whether it was buffered."""
-        conn = self._acquire()
-        if conn is None:
-            return False
-        if not conn.fire(body):
-            self._record_failure()
-            return False
-        self.round_trips += 1
-        return True
-
-    def flush(self) -> None:
-        """Publish the buffered ``PUT``\\ s and wait until the shard stored them."""
-        conn = self._conn
-        if conn is None or self._pid != os.getpid():
-            return
-        try:
-            conn.flush()
-        except (OSError, protocol.ProtocolError):
-            self._record_failure()
-
-    def mget_begin(
-        self, region: int, digests: tuple[bytes, ...], trace: bytes = b""
-    ) -> int | None:
-        """Send a batched lookup without waiting; ``None`` while degraded.
-
-        The fabric sends one ``MGET`` per shard and *then* collects, so a
-        round's lookups across N shards overlap instead of paying N
-        sequential round trips.  Pass the returned request id to
-        :meth:`mget_finish`.  ``trace`` (a packed wire context) makes the
-        server record its handling as a span under the caller's.
-        """
-        conn = self._acquire()
-        if conn is None:
-            return None
-        try:
-            return conn.submit(
-                protocol.encode_request(protocol.MGET, region, digests=digests, trace=trace)
-            )
-        except (OSError, protocol.ProtocolError):
-            self._record_failure()
-            return None
-
-    def mget_finish(self, request_id: int, count: int) -> list[bytes | None] | None:
-        """Collect a started batch: per-key value bytes, or ``None`` degraded."""
-        conn = self._conn
-        if conn is None:
-            return None  # the connection failed after the batch was sent
-        started = time.perf_counter()
-        try:
-            answer = conn.collect(request_id)
-        except (OSError, protocol.ProtocolError):
-            self._record_failure()
-            return None
-        _RPC_SECONDS.observe(time.perf_counter() - started, endpoint=self.url)
-        self.round_trips += 1
-        self._current_backoff = RETRY_BACKOFF_SECONDS  # healthy again
-        if answer[0] != protocol.OK:
-            return None
-        try:
-            return protocol.unpack_multi(answer[1], count)
-        except protocol.ProtocolError:
-            self._record_failure()  # a corrupt batch means the stream is toast
-            return None
+    def call(self, body: bytes) -> tuple[int, bytes] | None:
+        """One blocking request, or ``None`` while degraded / on a fresh failure."""
+        return self.collect(self.submit(body))
 
     def close(self) -> None:
         self._drop_connection()

@@ -19,19 +19,15 @@ changes — it is still one :class:`~repro.cachestore.base.CacheBackend` with
 * **degradation stays per shard** — one dead endpoint burns its own op
   budget and backoff window while its peers keep answering; only keys owned
   (and replicated) entirely on dead shards degrade to misses;
-* **round-synchronised prefetch** — :meth:`ShardedRemoteBackend.prefetch`
-  resolves a whole round of keys with one batched ``MGET`` per shard,
-  collapsing a round's lookup latency from ``O(keys)`` round trips to
-  ``O(shards)``;
-* **write-behind publishes** — a ``PUT`` is buffered on its shard's
-  connection and leaves with the next request to that shard, so a search
-  wakes a shard once per blocking read, not once per key;
-* **a per-search local view** — every key the current search resolved
-  (fetched, prefetched or put) is answered in process, hit or miss, without
-  touching the wire.  :meth:`ShardedRemoteBackend.flush`, which the
-  executors call when a search or a pool worker's chunk ends, publishes the
-  buffered ``PUT``\\ s, waits until the shards stored them and drops the
-  view, so the next search asks the fleet again.
+* **acknowledged publishes** — a ``PUT`` is sent to every replica before
+  any acknowledgement is collected, and :meth:`ShardedRemoteBackend.put`
+  returns once each live replica stored the entry, so any engine that looks
+  the key up next finds it.
+
+The engine keeps one entry per summarize request here — the whole ranked
+result (:meth:`~repro.core.charles.Charles.summarize_pair`) — so a repeated
+request costs one lookup, and a first one a lookup plus a publish.  Per-spec
+memo entries stay in the engine's process.
 
 The fleet is static: the ring is built once from ``cache_url`` and never
 changes while the backend lives.  Changing the fleet means restarting
@@ -39,24 +35,20 @@ engines with a new ``cache_url``.
 
 Correctness is unchanged by construction: a cache can only return what some
 engine previously computed and published under a content-derived key, so the
-worst any shard failure (a dead shard, failover, degraded prefetch, a
-buffered ``PUT`` lost with its connection) can produce is a miss and a
-recomputation — never a wrong value.  The fabric
-test suite pins this down as byte-identical rankings across 1-shard,
-N-shard, and degraded-shard topologies.
+worst any shard failure (a dead shard, failover, a ``PUT`` lost with its
+connection) can produce is a miss and a recomputation — never a wrong value.
+The fabric test suite pins this down as byte-identical rankings across
+1-shard, N-shard, and degraded-shard topologies.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
 from typing import Any, Hashable, Iterable
 
 from repro.cachestore.base import (
     MISSING,
     STORE_ERRORS,
     BackendCounters,
-    BackendHandle,
     CacheBackend,
     key_digest,
 )
@@ -68,41 +60,15 @@ from repro.cacheserver.client import (
     encode_value,
 )
 from repro.cacheserver.ring import HashRing, parse_endpoints
-from repro.obs.trace import get_tracer, wire_context
+from repro.obs.trace import wire_context
 
-__all__ = ["ShardedRemoteBackend", "ShardedRemoteHandle"]
-
-# a key the local view has not resolved yet (MISSING is a resolved miss)
-_UNRESOLVED = object()
-
-
-@dataclass(frozen=True)
-class ShardedRemoteHandle(BackendHandle):
-    """Reconnects a worker to the fabric (each instance opens its own sockets)."""
-
-    cache_url: str
-    region: int
-    capacity: int | None
-    namespace: bytes = b""
-    timeout: float = DEFAULT_TIMEOUT
-    replication: int = 1
-
-    def attach(self) -> "ShardedRemoteBackend":
-        return ShardedRemoteBackend(
-            self.cache_url,
-            self.region,
-            capacity=self.capacity,
-            namespace=self.namespace,
-            timeout=self.timeout,
-            replication=self.replication,
-        )
+__all__ = ["ShardedRemoteBackend"]
 
 
 class ShardedRemoteBackend(CacheBackend):
     """One region of a sharded, replicated cache-server fleet."""
 
     kind = "remote"
-    supports_prefetch = True
 
     def __init__(
         self,
@@ -126,11 +92,7 @@ class ShardedRemoteBackend(CacheBackend):
         self._region = region
         self._capacity = capacity
         self._namespace = namespace
-        self._timeout = timeout
         self.failovers = 0
-        # digest → value (MISSING for a miss) of every key this search
-        # resolved; dropped by flush() when the search ends
-        self._view: dict[bytes, Any] = {}
 
     # -- routing ----------------------------------------------------------------
 
@@ -168,11 +130,8 @@ class ShardedRemoteBackend(CacheBackend):
     # -- the CacheBackend contract -----------------------------------------------
 
     def get(self, key: Hashable) -> Any:
-        digest = self._digest(key)
-        value = self._view.get(digest, _UNRESOLVED)
-        if value is _UNRESOLVED:
-            value = self._resolve(self._fetch(digest))
-            self._view[digest] = value
+        payload = self._fetch(self._digest(key))
+        value = MISSING if payload is None else decode_value(payload)
         if value is MISSING:
             self.misses += 1
         else:
@@ -180,8 +139,14 @@ class ShardedRemoteBackend(CacheBackend):
         return value
 
     def put(self, key: Hashable, value: Any, cost_hint: float | None = None) -> None:
+        """Store ``value`` on every replica and wait for their acknowledgements.
+
+        The request goes to all R replicas before any answer is collected, so
+        replication costs one overlapped round trip.  A replica that cannot
+        take the entry is counted as a store error; the value is then simply
+        recomputed by whoever misses on it.
+        """
         digest = self._digest(key)
-        self._view[digest] = value  # this search reads its own writes locally
         payload = encode_value(value)
         if payload is None:
             return
@@ -193,8 +158,11 @@ class ShardedRemoteBackend(CacheBackend):
             payload=payload,
             trace=wire_context(),
         )
-        for client in self._preferred(digest):
-            client.cast(body)
+        sent = [(client, client.submit(body)) for client in self._preferred(digest)]
+        for client, request_id in sent:
+            answer = client.collect(request_id)
+            if answer is None or answer[0] != protocol.OK:
+                STORE_ERRORS.inc(backend=self.kind, op="put")
 
     def __len__(self) -> int:
         # sum over shards; with replication > 1 an entry is counted once per
@@ -212,105 +180,24 @@ class ShardedRemoteBackend(CacheBackend):
         return total
 
     def clear(self) -> None:
-        self._view.clear()
         body = protocol.encode_request(protocol.CLEAR, self._region)
         for client in self._clients:
             client.call(body)
 
-    # -- batched lookups ---------------------------------------------------------
+    # -- names kept for callers that bind them ------------------------------------
 
     def get_many(self, keys: Iterable[Hashable]) -> list[Any]:
         """The stored values for ``keys`` in order (:data:`MISSING` for misses)."""
-        ordered = list(keys)
-        self.prefetch(ordered)
-        return [self.get(key) for key in ordered]
+        return [self.get(key) for key in keys]
 
     def prefetch(self, keys: Iterable[Hashable]) -> None:
-        """Resolve a round of keys with one batched ``MGET`` per shard.
+        """Does nothing: lookups are not batched.
 
-        Results land in the local view, where :meth:`get` finds them —
-        hit/miss accounting happens there, so prefetching never distorts the
-        counters relative to the unbatched path.  Keys the view already
-        holds are not asked again.  A shard that cannot answer fails its
-        keys over to the next replica, exactly like single-key reads; keys
-        whose whole replica set is down resolve as misses (degrade, never
-        abort).
+        Kept so that tooling which wraps this method by name keeps finding
+        it; the engine never calls it.
         """
-        tracer = get_tracer()
-        pending: list[bytes] = []
-        seen: set[bytes] = set()
-        for key in keys:
-            digest = self._digest(key)
-            if digest not in self._view and digest not in seen:
-                seen.add(digest)
-                pending.append(digest)
-        with tracer.span("fabric.prefetch", keys=len(pending), shards=len(self._clients)):
-            trace = tracer.wire_bytes()
-            # walk the preference ladder: rung 0 groups keys by owner, rung 1
-            # regroups only the failed shards' keys onto their first successor, ...
-            for rung in range(self._replication):
-                if not pending:
-                    return
-                groups: dict[int, list[bytes]] = {}
-                orphans: list[bytes] = []
-                for digest in pending:
-                    preference = self._ring.preference(digest, self._replication)
-                    if rung < len(preference):
-                        groups.setdefault(preference[rung], []).append(digest)
-                    else:  # pragma: no cover - replication already clamped to fleet
-                        orphans.append(digest)
-                pending = orphans
-                # fan the rung's MGETs out to every shard before collecting any,
-                # so N shards answer in one overlapped round trip, not N serial ones
-                started: list[tuple[int, list[bytes], int | None, float, float]] = []
-                for index, digests in groups.items():
-                    if rung:
-                        self.failovers += 1
-                    request_id = self._clients[index].mget_begin(
-                        self._region, tuple(digests), trace=trace
-                    )
-                    started.append(
-                        (index, digests, request_id, time.time(), time.perf_counter())
-                    )
-                for index, digests, request_id, begun_wall, begun in started:
-                    values = (
-                        None
-                        if request_id is None
-                        else self._clients[index].mget_finish(request_id, len(digests))
-                    )
-                    tracer.record(
-                        "fabric.mget",
-                        begun_wall,
-                        time.perf_counter() - begun,
-                        shard=self._clients[index].url,
-                        keys=len(digests),
-                        rung=rung,
-                        degraded=values is None,
-                    )
-                    if values is None:
-                        pending.extend(digests)  # shard down: next rung tries successors
-                        continue
-                    for digest, payload in zip(digests, values):
-                        self._view[digest] = self._resolve(payload)
-            for digest in pending:  # every replica down: resolved as misses
-                self._view[digest] = MISSING
 
-    @staticmethod
-    def _resolve(payload: bytes | None) -> Any:
-        """The value a shard's answer carries (MISSING for a miss or degrade)."""
-        return MISSING if payload is None else decode_value(payload)
-
-    def flush(self) -> None:
-        """End of a search: publish buffered ``PUT``\\ s and drop the local view.
-
-        Once this returns every shard that is up has stored this backend's
-        writes, so other engines (and pool workers) see them.
-        """
-        self._view.clear()
-        for client in self._clients:
-            client.flush()
-
-    # -- accounting, sharing, lifecycle --------------------------------------------
+    # -- accounting and lifecycle --------------------------------------------
 
     def counters(self) -> BackendCounters:
         return BackendCounters(
@@ -367,21 +254,6 @@ class ShardedRemoteBackend(CacheBackend):
     def connection_failures(self) -> int:
         return sum(client.connection_failures for client in self._clients)
 
-    @property
-    def shareable(self) -> bool:
-        return True
-
-    def handle(self) -> ShardedRemoteHandle:
-        return ShardedRemoteHandle(
-            cache_url=self._cache_url,
-            region=self._region,
-            capacity=self._capacity,
-            namespace=self._namespace,
-            timeout=self._timeout,
-            replication=self._replication,
-        )
-
     def close(self) -> None:
-        self._view.clear()
         for client in self._clients:
             client.close()

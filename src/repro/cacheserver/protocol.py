@@ -23,7 +23,6 @@ verb      message after the (verb, region) header
 ``PING``  empty — liveness probe, answered with ``OK`` + ``pong``
 ``GET``   16-byte key digest
 ``PUT``   16-byte key digest, 8-byte float64 cost hint, value bytes
-``MGET``  4-byte count, then count 16-byte key digests
 ``LEN``   empty — entry count of the region (or all regions)
 ``CLEAR`` empty — drop the region's entries (or all regions')
 ``STATS`` empty — per-region counters as UTF-8 JSON
@@ -42,7 +41,7 @@ are byte-for-byte unchanged.
 
 Responses start with a status byte: ``HIT`` carries the stored value bytes,
 ``MISS`` is empty, ``OK`` carries verb-specific payloads (an 8-byte count for
-``LEN``, a packed hit/miss vector for ``MGET``, JSON for ``STATS``),
+``LEN``, JSON for ``STATS``),
 ``ERROR`` carries a UTF-8 message.  Any other status byte is a
 :class:`ProtocolError`: a reader never guesses at a frame it cannot parse.
 
@@ -73,7 +72,6 @@ __all__ = [
     "PING",
     "GET",
     "PUT",
-    "MGET",
     "LEN",
     "CLEAR",
     "STATS",
@@ -84,6 +82,7 @@ __all__ = [
     "TRACE_CONTEXT_SIZE",
     "REGION_FITS",
     "REGION_PARTITIONS",
+    "REGION_RESULTS",
     "REGION_ALL",
     "REGION_NAMES",
     "OK",
@@ -103,8 +102,6 @@ __all__ = [
     "parse_message",
     "pack_count",
     "unpack_count",
-    "pack_multi",
-    "unpack_multi",
 ]
 
 
@@ -126,11 +123,11 @@ PUT = 3
 LEN = 4
 CLEAR = 5
 STATS = 6
-MGET = 7
 TRACE = 8
 METRICS = 9
-# ids 10-13 stay unassigned (retired fleet-membership verbs): they decode as unknown
-_VERBS = frozenset({PING, GET, PUT, LEN, CLEAR, STATS, MGET, TRACE, METRICS})
+# id 7 (the retired batched lookup) and ids 10-13 (retired fleet-membership
+# verbs) stay unassigned: they decode as unknown
+_VERBS = frozenset({PING, GET, PUT, LEN, CLEAR, STATS, TRACE, METRICS})
 VERB_NAMES = {
     PING: "PING",
     GET: "GET",
@@ -138,7 +135,6 @@ VERB_NAMES = {
     LEN: "LEN",
     CLEAR: "CLEAR",
     STATS: "STATS",
-    MGET: "MGET",
     TRACE: "TRACE",
     METRICS: "METRICS",
 }
@@ -149,11 +145,18 @@ TRACE_FLAG = 0x80
 #: the header's size: a 16-byte trace id followed by an 8-byte parent span id
 TRACE_CONTEXT_SIZE = 24
 
-# regions: one per memo cache the search layer carries, plus the admin "all"
+# regions: the engine publishes whole search results to ``results``; the
+# ``fits`` and ``partitions`` regions remain general-purpose stores; "all" is
+# the admin selector
 REGION_FITS = 0
 REGION_PARTITIONS = 1
+REGION_RESULTS = 2
 REGION_ALL = 255
-REGION_NAMES = {REGION_FITS: "fits", REGION_PARTITIONS: "partitions"}
+REGION_NAMES = {
+    REGION_FITS: "fits",
+    REGION_PARTITIONS: "partitions",
+    REGION_RESULTS: "results",
+}
 
 # response statuses
 OK = 0
@@ -165,12 +168,7 @@ _STATUSES = frozenset({OK, HIT, MISS, ERROR})
 _LENGTH = struct.Struct(">I")
 _COST = struct.Struct(">d")
 _COUNT = struct.Struct(">Q")
-_SHORT = struct.Struct(">I")
 _REQUEST_ID = struct.Struct(">I")
-
-#: largest key batch one MGET may carry (a round's worth of lookups is far
-#: below this; anything near it is a corrupt count, not a legitimate batch)
-MAX_BATCH_KEYS = 65536
 
 
 @dataclass(frozen=True)
@@ -186,7 +184,6 @@ class Request:
     digest: bytes = b""
     cost: float = 0.0
     payload: bytes = b""
-    digests: tuple[bytes, ...] = ()
     trace: bytes = b""
 
 
@@ -196,7 +193,6 @@ def encode_request(
     digest: bytes = b"",
     cost: float = 0.0,
     payload: bytes = b"",
-    digests: tuple[bytes, ...] = (),
     trace: bytes = b"",
 ) -> bytes:
     """The body bytes of one request message."""
@@ -216,17 +212,6 @@ def encode_request(
         return head + digest
     if verb == PUT:
         return head + digest + _COST.pack(cost) + payload
-    if verb == MGET:
-        if not digests or len(digests) > MAX_BATCH_KEYS:
-            raise ProtocolError(
-                f"MGET must carry 1..{MAX_BATCH_KEYS} digests, got {len(digests)}"
-            )
-        for entry in digests:
-            if len(entry) != DIGEST_SIZE:
-                raise ProtocolError(
-                    f"key digest must be {DIGEST_SIZE} bytes, got {len(entry)}"
-                )
-        return head + _SHORT.pack(len(digests)) + b"".join(digests)
     if verb == TRACE:
         if payload and len(payload) != DIGEST_SIZE:
             raise ProtocolError(
@@ -272,23 +257,6 @@ def decode_request(body: bytes) -> Request:
         digest = body[2 : 2 + DIGEST_SIZE]
         (cost,) = _COST.unpack_from(body, 2 + DIGEST_SIZE)
         return Request(verb, region, digest=digest, cost=cost, payload=body[fixed:], trace=trace)
-    if verb == MGET:
-        if len(body) < 2 + _SHORT.size:
-            raise ProtocolError(f"MGET frame too short ({len(body)} bytes)")
-        (count,) = _SHORT.unpack_from(body, 2)
-        if not 0 < count <= MAX_BATCH_KEYS:
-            raise ProtocolError(f"MGET count must be 1..{MAX_BATCH_KEYS}, got {count}")
-        expected = 2 + _SHORT.size + count * DIGEST_SIZE
-        if len(body) != expected:
-            raise ProtocolError(
-                f"MGET frame must be {expected} bytes for {count} digests, got {len(body)}"
-            )
-        start = 2 + _SHORT.size
-        digests = tuple(
-            body[start + index * DIGEST_SIZE : start + (index + 1) * DIGEST_SIZE]
-            for index in range(count)
-        )
-        return Request(verb, region, digests=digests, trace=trace)
     return Request(verb, region, trace=trace)
 
 
@@ -317,48 +285,6 @@ def unpack_count(payload: bytes) -> int:
     if len(payload) != _COUNT.size:
         raise ProtocolError(f"LEN payload must be {_COUNT.size} bytes, got {len(payload)}")
     return _COUNT.unpack(payload)[0]
-
-
-def pack_multi(values: "list[bytes | None]") -> bytes:
-    """The payload of an ``MGET`` response: one hit/miss slot per requested key.
-
-    Each slot is a status byte (:data:`HIT`/:data:`MISS`); a hit is followed
-    by a 4-byte length and the stored value bytes, a miss by nothing.
-    """
-    parts: list[bytes] = []
-    for value in values:
-        if value is None:
-            parts.append(bytes((MISS,)))
-        else:
-            parts.append(bytes((HIT,)) + _SHORT.pack(len(value)) + value)
-    return b"".join(parts)
-
-
-def unpack_multi(payload: bytes, count: int) -> "list[bytes | None]":
-    """The per-key values of an ``MGET`` response (``None`` marks a miss)."""
-    values: list[bytes | None] = []
-    offset = 0
-    for _ in range(count):
-        if offset >= len(payload):
-            raise ProtocolError("MGET response truncated")
-        status = payload[offset]
-        offset += 1
-        if status == MISS:
-            values.append(None)
-            continue
-        if status != HIT:
-            raise ProtocolError(f"MGET slot carries unknown status {status}")
-        if offset + _SHORT.size > len(payload):
-            raise ProtocolError("MGET response truncated inside a length")
-        (length,) = _SHORT.unpack_from(payload, offset)
-        offset += _SHORT.size
-        if offset + length > len(payload):
-            raise ProtocolError("MGET response truncated inside a value")
-        values.append(payload[offset : offset + length])
-        offset += length
-    if offset != len(payload):
-        raise ProtocolError(f"MGET response carries {len(payload) - offset} trailing bytes")
-    return values
 
 
 def _recv_exact(sock: socket.socket, count: int) -> bytes | None:

@@ -1,10 +1,11 @@
-"""The cache service core: one process holding the memo regions for a whole fleet.
+"""The cache service core: one process holding the cache regions for a whole fleet.
 
 :class:`CacheServerCore` holds everything request-shaped, and
 :class:`~repro.cacheserver.aserver.AsyncCacheServer` puts it on the wire
 (one ``asyncio`` event loop multiplexing every connection; what
-``charles cache-server`` runs).  The core hosts the two memo regions every
-search carries (``fits`` and ``partitions``), each an
+``charles cache-server`` runs).  The core hosts the ``results`` region,
+where engines publish whole search results, and the general-purpose ``fits``
+and ``partitions`` regions, each an
 :class:`~repro.cachestore.memory.InProcessBackend` behind the same
 :class:`~repro.cachestore.base.CacheBackend` interface the rest of the
 cachestore uses — the server is just another place entries live, reached
@@ -36,7 +37,7 @@ Operational surface:
   ``TRACE`` drains — optionally filtered to one trace id, so concurrent
   engines sharing a shard each collect only their own spans;
 * one lock per region: request handling serialises on the touched region
-  only, so ``fits`` traffic never waits on ``partitions`` traffic.
+  only, so traffic to one region never waits on another's.
 
 A server knows nothing of its fleet: which shard owns a key is decided on
 the client side by the :class:`~repro.cacheserver.ring.HashRing` over the
@@ -99,6 +100,7 @@ class CacheServerCore:
         self._regions = {
             protocol.REGION_FITS: InProcessBackend(capacity, policy=CostAwarePolicy()),
             protocol.REGION_PARTITIONS: InProcessBackend(capacity, policy=CostAwarePolicy()),
+            protocol.REGION_RESULTS: InProcessBackend(capacity, policy=CostAwarePolicy()),
         }
         self._locks = {region: threading.Lock() for region in self._regions}
         self._capacity = capacity
@@ -240,17 +242,6 @@ class CacheServerCore:
             if value is MISSING:
                 return protocol.encode_response(protocol.MISS)
             return protocol.encode_response(protocol.HIT, value)
-        if request.verb == protocol.MGET:
-            # one lock hold for the whole batch: a round's lookups cost one
-            # acquisition instead of one per key
-            with lock:
-                values = [region.get(digest) for digest in request.digests]
-            return protocol.encode_response(
-                protocol.OK,
-                protocol.pack_multi(
-                    [None if value is MISSING else value for value in values]
-                ),
-            )
         # PUT: the payload is opaque bytes; the cost hint feeds the policy
         with lock:
             region.put(request.digest, request.payload, cost_hint=request.cost)
@@ -279,7 +270,6 @@ class CacheServerCore:
             attributes={
                 "url": self.url,
                 "region": protocol.REGION_NAMES.get(request.region, "all"),
-                "keys": len(request.digests) if request.digests else 1,
             },
             outcome=outcome,
             process="server",

@@ -23,17 +23,16 @@ The contract is deliberately small:
   other backend is free to ignore it;
 * ``__len__`` / :meth:`~CacheBackend.clear` expose and drop the stored
   entries (clearing preserves counters);
-* :meth:`~CacheBackend.flush` marks the end of a search: a backend that
-  buffers writes publishes them (a no-op for every local store);
 * :meth:`~CacheBackend.counters` / :meth:`~CacheBackend.breakdown` snapshot
   the backend's own hit/miss/eviction accounting, per physical layer.
 
-Backends whose storage can serve several processes at once additionally
-report ``shareable = True`` and export a picklable :class:`BackendHandle`
-via :meth:`~CacheBackend.handle`; a worker process calls
-:meth:`BackendHandle.attach` to obtain its own backend instance over the
-*same* underlying storage (counters are always process-local — the stats
-layer aggregates them, exactly as it already does for parallel workers).
+A backend whose storage the workers of one parallel search can join (the
+``shared`` store) additionally reports ``shareable = True`` and exports a
+picklable :class:`BackendHandle` via :meth:`~CacheBackend.handle`; a worker
+process calls :meth:`BackendHandle.attach` to obtain its own backend
+instance over the *same* underlying storage (counters are always
+process-local — the stats layer aggregates them, exactly as it already does
+for parallel workers).
 """
 
 from __future__ import annotations
@@ -93,10 +92,9 @@ def key_digest(key: Hashable) -> bytes:
 class BackendCounters:
     """Hit/miss/eviction counts of one physical cache layer (delta-friendly).
 
-    ``round_trips`` counts network requests actually sent — zero for every
-    local layer, and for a remote layer typically below ``hits + misses``
-    because a degraded client answers lookups locally without touching the
-    wire and a pipelined client batches a round of lookups into one request.
+    ``round_trips`` counts network requests answered — zero for every local
+    layer; for a remote layer one per lookup and one per replica written,
+    fewer while a degraded client answers locally without touching the wire.
     ``failovers`` counts reads and batches redirected from an unreachable
     shard to a ring successor — zero everywhere but a replicated fabric.
     """
@@ -163,10 +161,6 @@ class CacheBackend(ABC):
     #: short identifier of the storage kind ("memory", "shared", "disk", ...)
     kind: str = "backend"
 
-    #: whether :meth:`prefetch` actually batches wire traffic; local stores
-    #: leave it False so callers skip the bookkeeping entirely
-    supports_prefetch: bool = False
-
     def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
@@ -186,32 +180,6 @@ class CacheBackend(ABC):
         memo layer times every fit and partition discovery).  Backends with a
         cost-aware eviction policy use it to rank entries; all others may
         ignore it — it is advisory and never changes what ``get`` returns.
-        """
-
-    def get_many(self, keys) -> list:
-        """The stored values for ``keys`` in order (:data:`MISSING` per miss).
-
-        The default is a loop of :meth:`get`; backends that can answer a
-        batch in fewer round trips (the sharded fabric's ``MGET``) override
-        it.  Counters move exactly as the loop would move them.
-        """
-        return [self.get(key) for key in keys]
-
-    def prefetch(self, keys) -> None:
-        """Warm the backend for an imminent batch of :meth:`get` calls.
-
-        Purely advisory: a backend may resolve the keys ahead of time (one
-        batched request per shard for the remote fabric) or do nothing at
-        all (every local store).  Callers gate on :attr:`supports_prefetch`
-        to skip the call where it cannot help.
-        """
-
-    def flush(self) -> None:
-        """End of a search (or of a pool worker's chunk): publish and forget.
-
-        A backend that buffers writes or remembers what the search resolved
-        (the remote fabric) sends the writes, waits until they are stored
-        and drops what it remembered.  Every local store does nothing.
         """
 
     @abstractmethod

@@ -1,12 +1,11 @@
 """The on-disk backend: content-keyed entries in a SQLite file.
 
-A :class:`DiskBackend` makes memo entries outlive the interpreter: a second
+A :class:`DiskBackend` makes entries outlive the interpreter: a second
 process (or a session started days later) pointed at the same ``cache_dir``
-reads the fits and partition discoveries the first one computed.  This is
-sound for the same reason sharing across workers is — cache keys hash the
-exact column values a computation reads, so an entry can only ever be hit by
-a lookup whose inputs are byte-identical; stale data simply stops being
-referenced.
+reads the search results the first one stored (``results.sqlite``, one entry
+per summarize request).  This is sound because the keys hash the exact
+content a computation reads, so an entry can only ever be hit by a lookup
+whose inputs are byte-identical; stale data simply stops being referenced.
 
 Content keys are blind to *configuration*, though: knobs like the k-means
 seed or coverage thresholds change computed values without changing the data
@@ -15,7 +14,7 @@ owning configuration, but a disk store does — so every key is additionally
 folded with a ``namespace`` (``CharlesConfig.cache_fingerprint()`` of the
 result-affecting fields, threaded through the factory).  Two differently
 configured runs pointed at the same ``cache_dir`` therefore read and write
-disjoint entries instead of silently reusing wrong-config fits.
+disjoint entries instead of silently reusing a wrong-config result.
 
 Storage details:
 
@@ -23,11 +22,11 @@ Storage details:
   ``(namespace, memo key)`` pair; values are pickled — both live in one
   ``entries`` table;
 * every write is wrapped in a SQLite transaction, so concurrent readers and
-  writers (e.g. parallel workers attached to the same file) see complete
+  writers (e.g. two engines pointed at the same directory) see complete
   entries or nothing — never a torn write;
 * connections are opened lazily *per process*: a backend that crosses a
-  ``fork``/``spawn`` boundary (through a :class:`DiskHandle` or directly)
-  re-opens its own connection on first use rather than sharing one unsafely;
+  ``fork``/``spawn`` boundary re-opens its own connection on first use
+  rather than sharing one unsafely;
 * an optional ``capacity`` bounds the entry count; since format v2 every
   entry persists the ``cost_hint`` recomputation-seconds its writer observed,
   and eviction drops the cheapest value per stored byte first (ties, such as
@@ -54,20 +53,13 @@ from __future__ import annotations
 import os
 import pickle
 import sqlite3
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Hashable
 
-from repro.cachestore.base import (
-    MISSING,
-    STORE_ERRORS,
-    BackendHandle,
-    CacheBackend,
-    key_digest,
-)
+from repro.cachestore.base import MISSING, STORE_ERRORS, CacheBackend, key_digest
 from repro.exceptions import CacheStoreError
 
-__all__ = ["DiskBackend", "DiskHandle"]
+__all__ = ["DiskBackend"]
 
 # bump when the on-disk layout or the pickled value types change shape; a
 # store stamped with a *newer or unknown* version is dropped wholesale at
@@ -92,22 +84,6 @@ _UNPICKLE_ERRORS = (
     TypeError,
     ValueError,
 )
-
-
-@dataclass(frozen=True)
-class DiskHandle(BackendHandle):
-    """Reconnects a worker to an on-disk store (it opens its own connection)."""
-
-    path: str
-    capacity: int | None
-    namespace: bytes = b""
-
-    def attach(self) -> "DiskBackend":
-        return DiskBackend(
-            self.path,
-            capacity=self.capacity,
-            namespace=self.namespace,
-        )
 
 
 class DiskBackend(CacheBackend):
@@ -295,17 +271,6 @@ class DiskBackend(CacheBackend):
             raise CacheStoreError(
                 f"cannot clear on-disk cache at {self._path}: {error}"
             ) from error
-
-    @property
-    def shareable(self) -> bool:
-        return True
-
-    def handle(self) -> DiskHandle:
-        return DiskHandle(
-            path=str(self._path),
-            capacity=self._capacity,
-            namespace=self._namespace,
-        )
 
     def close(self) -> None:
         if self._conn is not None and self._pid == os.getpid():

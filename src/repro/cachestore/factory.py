@@ -1,9 +1,11 @@
-"""Backend selection: from configuration values to a pair of stores.
+"""Backend selection: from configuration values to the search's three stores.
 
-The search layer carries two memo caches (per-mask fits and partition
-discoveries), so the factory always builds backends in pairs — one physical
-region per cache, sharing a manager process (``shared``), a cache directory
-(``disk``) or a cache service (``remote``) between them.
+The search layer carries two per-spec memo caches (per-mask fits and
+partition discoveries) and one cache of whole results, so the factory always
+builds three backends.  The per-spec pair stays in the process — shared
+between the workers of one search for ``shared`` — and only the results
+store follows ``disk`` (a SQLite file under the cache directory) or
+``remote`` (the fabric's ``results`` region) out of it.
 """
 
 from __future__ import annotations
@@ -29,18 +31,19 @@ def build_search_backends(
     namespace: bytes = b"",
     cache_url: str | None = None,
     cache_replication: int = 1,
-) -> tuple[CacheBackend, CacheBackend]:
-    """The ``(fits, partitions)`` backend pair for one configuration.
+) -> tuple[CacheBackend, CacheBackend, CacheBackend]:
+    """The ``(fits, partitions, results)`` backends for one configuration.
 
-    * ``memory`` — two process-local LRU stores (the default; today's
-      behaviour exactly).
-    * ``shared`` — two regions of one cross-process manager store, so
-      parallel workers read and publish each other's entries.
-    * ``disk`` — two SQLite files under ``cache_dir``, so entries survive
+    * ``memory`` — three process-local LRU stores (the default).
+    * ``shared`` — fits and partitions in two regions of one cross-process
+      manager store, so the workers of a parallel search read and publish
+      each other's entries; results in process.
+    * ``disk`` — per-spec stores in process, results in
+      ``cache_dir/results.sqlite``, so a repeated request survives
       interpreter restarts.
-    * ``remote`` — the two regions of a fleet-shared cache service at
-      ``cache_url``, so engines on different machines pool their work.  A
-      comma-separated ``cache_url`` shards the regions over every listed
+    * ``remote`` — per-spec stores in process, results in the ``results``
+      region of the cache fabric at ``cache_url``.  A comma-separated
+      ``cache_url`` shards the region over every listed
       :class:`~repro.cacheserver.aserver.AsyncCacheServer` with
       consistent-hash routing, and ``cache_replication`` > 1 stores each
       entry on that many ring-adjacent shards so one shard death costs
@@ -58,8 +61,11 @@ def build_search_backends(
         raise ConfigurationError(
             f"cache_backend must be one of {BACKEND_CHOICES}, got {kind!r}"
         )
+    if kind == "shared":
+        return (*create_shared_backends(2, capacity), InProcessBackend(capacity))
+    fits, partitions = InProcessBackend(capacity), InProcessBackend(capacity)
     if kind == "memory":
-        return InProcessBackend(capacity), InProcessBackend(capacity)
+        return fits, partitions, InProcessBackend(capacity)
     if kind == "remote":
         if cache_url is None:
             raise ConfigurationError(
@@ -68,34 +74,21 @@ def build_search_backends(
         # imported lazily: the cacheserver package builds *on* the cachestore
         # contract, so the base package must not import it at module load
         from repro.cacheserver.fabric import ShardedRemoteBackend
-        from repro.cacheserver.protocol import REGION_FITS, REGION_PARTITIONS
+        from repro.cacheserver.protocol import REGION_RESULTS
 
         # always the fabric, even for one endpoint: a 1-shard ring routes
         # every key to that shard, so there is exactly one remote code path
-        return (
-            ShardedRemoteBackend(
-                cache_url,
-                REGION_FITS,
-                capacity,
-                namespace=namespace,
-                replication=cache_replication,
-            ),
-            ShardedRemoteBackend(
-                cache_url,
-                REGION_PARTITIONS,
-                capacity,
-                namespace=namespace,
-                replication=cache_replication,
-            ),
+        results = ShardedRemoteBackend(
+            cache_url,
+            REGION_RESULTS,
+            capacity,
+            namespace=namespace,
+            replication=cache_replication,
         )
-    if kind == "shared":
-        return create_shared_backends(2, capacity)
+        return fits, partitions, results
     if cache_dir is None:
         raise ConfigurationError(
             f"cache_backend {kind!r} needs a cache_dir to store its entries in"
         )
-    directory = Path(cache_dir)
-    return (
-        DiskBackend(directory / "fits.sqlite", capacity, namespace=namespace),
-        DiskBackend(directory / "partitions.sqlite", capacity, namespace=namespace),
-    )
+    results = DiskBackend(Path(cache_dir) / "results.sqlite", capacity, namespace=namespace)
+    return fits, partitions, results

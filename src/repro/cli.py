@@ -23,7 +23,7 @@ its cache fabric as long-lived services:
   concurrent timeline sessions over warm engine sessions, with per-tenant
   admission control, load shedding and cross-tenant single-flight dedup
   (see :mod:`repro.serving`).
-* ``charles cache-server`` — host the memo regions for a fleet of engines
+* ``charles cache-server`` — host the result store for a fleet of engines
   (``--cache-backend remote --cache-url host:port`` on the other commands).
 * ``charles cache``        — inspect (``stats``, optionally ``--metrics`` for
   the Prometheus exposition) or reset (``clear``) a cache store, either a
@@ -247,10 +247,12 @@ def _add_observability_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _add_cache_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-backend", choices=BACKEND_CHOICES, default="memory",
-                        help="where memo-cache entries live: 'memory' (private LRU), "
-                             "'shared' (one store for all --jobs workers), 'disk' "
-                             "(persists under --cache-dir across runs) or 'remote' "
-                             "(a fleet cache server at --cache-url); default: memory")
+                        help="where cached work lives: 'memory' (private LRU), "
+                             "'shared' (memo entries in one store for all --jobs "
+                             "workers), 'disk' (whole results persist under "
+                             "--cache-dir across runs) or 'remote' (whole results "
+                             "on a fleet cache server at --cache-url); memo entries "
+                             "stay in the process for disk and remote; default: memory")
     parser.add_argument("--cache-dir", type=Path, default=None,
                         help="directory for the on-disk cache (required by the disk backend)")
     parser.add_argument("--cache-url", default=None,

@@ -19,9 +19,11 @@ Typical use::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro.cachestore import MISSING
 from repro.core.config import CharlesConfig
 from repro.core.discovery import DiffDiscoveryEngine, ScoredSummary
 from repro.core.setup_assistant import SetupAssistant, SetupSuggestions
@@ -29,11 +31,15 @@ from repro.exceptions import DiscoveryError
 from repro.relational.snapshot import SnapshotPair
 from repro.relational.table import Table
 from repro.search.bounds import ScoreBoundIndex
-from repro.search.cache import SearchCaches
+from repro.search.cache import SearchCaches, snapshot_digest, work_key
 from repro.search.planner import SearchPlan, build_search_plan
 from repro.search.stats import SearchStats
 
 __all__ = ["Charles", "CharlesResult"]
+
+#: the value-format version of result entries, folded into their keys so an
+#: entry an older format left in a persistent or remote store is never read
+_RESULT_FORMAT = b"result/1"
 
 
 @dataclass(frozen=True)
@@ -42,13 +48,25 @@ class CharlesResult:
 
     pair: SnapshotPair
     target: str
-    suggestions: SetupSuggestions
     summaries: tuple[ScoredSummary, ...]
     config: CharlesConfig
     condition_attributes: tuple[str, ...]
     transformation_attributes: tuple[str, ...]
     total_candidates: int
     search_stats: SearchStats | None = None
+    _suggestions: SetupSuggestions | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def suggestions(self) -> SetupSuggestions:
+        """The setup assistant's shortlists for this pair, computed on first read.
+
+        A search whose shortlists were both given never needs them, so they
+        are not computed unless someone asks (the Markdown report does).
+        """
+        if self._suggestions is None:
+            suggestions = SetupAssistant(self.config).suggest(self.pair, self.target)
+            object.__setattr__(self, "_suggestions", suggestions)
+        return self._suggestions
 
     @property
     def best(self) -> ScoredSummary:
@@ -178,11 +196,9 @@ class Charles:
         size, per-round spec counts and bound histograms before paying for a
         run (``charles plan``).
         """
-        suggestions = self._assistant.suggest(pair, target)
-        if condition_attributes is None:
-            condition_attributes = suggestions.selected_condition_attributes
-        if transformation_attributes is None:
-            transformation_attributes = suggestions.selected_transformation_attributes
+        condition_attributes, transformation_attributes, _ = self._shortlists(
+            pair, target, condition_attributes, transformation_attributes
+        )
         plan = build_search_plan(condition_attributes, transformation_attributes, self._config)
         index = None
         if self._config.prune_search and len(plan):
@@ -266,34 +282,116 @@ class Charles:
         :class:`~repro.timeline.session.EngineSession` passes its persistent
         memo caches through here so warm and cold runs share one code path
         (which is what makes their rankings provably identical).  One-shot
-        callers leave it at its default.
+        callers leave it at its default; with a ``disk`` or ``remote``
+        ``cache_backend`` the call then opens the configured stores itself.
+
+        Before anything is planned, the request is looked up as a *result
+        entry* in ``caches.results`` under :func:`~repro.search.cache.
+        work_key`; a hit returns the stored ranking with a
+        :class:`~repro.search.stats.SearchStats` that counts one
+        ``result_hits`` and no search work.  A miss runs the search and
+        stores the ranked top-k, the candidate count and the resolved
+        shortlists, so the next identical request — from this session, a
+        new process on the same ``cache_dir`` or any engine on the same
+        fabric — is served from the entry.
         """
-        suggestions = self._assistant.suggest(pair, target)
-        if condition_attributes is None:
-            condition_attributes = suggestions.selected_condition_attributes
-        if transformation_attributes is None:
-            transformation_attributes = suggestions.selected_transformation_attributes
-        ranked, stats = self._engine.discover_with_stats(
-            pair,
-            target,
-            condition_attributes,
-            transformation_attributes,
-            caches=caches,
-        )
-        top = tuple(ranked[: self._config.top_k])
-        return CharlesResult(
-            pair=pair,
-            target=target,
-            suggestions=suggestions,
-            summaries=top,
-            config=self._config,
-            condition_attributes=tuple(condition_attributes),
-            transformation_attributes=tuple(transformation_attributes),
+        owned = None
+        if caches is None and self._config.cache_backend in ("disk", "remote"):
+            caches = owned = SearchCaches.from_config(self._config)
+        try:
+            return self._summarize(
+                pair, target, condition_attributes, transformation_attributes, caches
+            )
+        finally:
+            if owned is not None:
+                owned.close()
+
+    def _summarize(
+        self,
+        pair: SnapshotPair,
+        target: str,
+        condition_attributes: Sequence[str] | None,
+        transformation_attributes: Sequence[str] | None,
+        caches: SearchCaches | None,
+    ) -> CharlesResult:
+        started = time.perf_counter()
+        entry = MISSING
+        if caches is not None:
+            source_digest = snapshot_digest(pair.source, pair.key)
+            target_digest = snapshot_digest(pair.target, pair.key)
+            key = _RESULT_FORMAT + work_key(
+                self._config,
+                source_digest,
+                target_digest,
+                target,
+                condition_attributes,
+                transformation_attributes,
+            )
+            before = caches.result_traffic()
+            entry = caches.results.lookup(key)
+        suggestions = None
+        if entry is not MISSING:
+            top, total, condition_attributes, transformation_attributes = entry
+            stats = SearchStats(
+                result_hits=1, cache_backend=caches.backend_kind, n_jobs=self._config.n_jobs
+            )
+        else:
+            condition_attributes, transformation_attributes, suggestions = self._shortlists(
+                pair, target, condition_attributes, transformation_attributes
+            )
+            if caches is not None:
+                caches.scope_to_pair(source_digest + target_digest)
+            ranked, stats = self._engine.discover_with_stats(
+                pair,
+                target,
+                condition_attributes,
+                transformation_attributes,
+                caches=caches,
+            )
+            top = tuple(ranked[: self._config.top_k])
             # duplicate-pruned specs are not counted — they would have merged
             # into an existing candidate anyway — and neither are spec-bound
             # prunes, which never built a summary (so whether they were
             # distinct candidates is unknowable without paying for the
             # discovery the bound exists to avoid)
-            total_candidates=len(ranked),
+            total = len(ranked)
+            condition_attributes = tuple(condition_attributes)
+            transformation_attributes = tuple(transformation_attributes)
+            if caches is not None:
+                caches.results.store(
+                    key,
+                    (top, total, condition_attributes, transformation_attributes),
+                    cost_seconds=time.perf_counter() - started,
+                )
+        if caches is not None:
+            stats.merge_cache_counters(caches.result_traffic() - before)
+            if entry is not MISSING:
+                stats.wall_time_seconds = time.perf_counter() - started
+        return CharlesResult(
+            pair=pair,
+            target=target,
+            summaries=top,
+            config=self._config,
+            condition_attributes=condition_attributes,
+            transformation_attributes=transformation_attributes,
+            total_candidates=total,
             search_stats=stats,
+            _suggestions=suggestions,
         )
+
+    def _shortlists(
+        self,
+        pair: SnapshotPair,
+        target: str,
+        condition_attributes: Sequence[str] | None,
+        transformation_attributes: Sequence[str] | None,
+    ) -> tuple[Sequence[str], Sequence[str], SetupSuggestions | None]:
+        """Both shortlists, asking the setup assistant only for a missing one."""
+        if condition_attributes is not None and transformation_attributes is not None:
+            return condition_attributes, transformation_attributes, None
+        suggestions = self._assistant.suggest(pair, target)
+        if condition_attributes is None:
+            condition_attributes = suggestions.selected_condition_attributes
+        if transformation_attributes is None:
+            transformation_attributes = suggestions.selected_transformation_attributes
+        return condition_attributes, transformation_attributes, suggestions

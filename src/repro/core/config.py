@@ -167,14 +167,16 @@ class CharlesConfig:
         never changes results — evicted work is simply recomputed on the next
         miss.
     cache_backend:
-        Which physical store the search memo caches use (see
-        :mod:`repro.cachestore`).  ``"memory"`` (the default) is a
-        process-local LRU dict; ``"shared"`` is a cross-process store every
-        parallel worker attaches to, recovering the serial hit rate at
-        ``n_jobs > 1``; ``"disk"`` is a content-keyed SQLite store under
-        ``cache_dir`` that survives interpreter restarts; ``"remote"`` is a
-        fleet-shared :class:`~repro.cacheserver.aserver.AsyncCacheServer`
-        fleet at ``cache_url``, pooling work across machines.
+        Where cached search work lives (see :mod:`repro.cachestore`).
+        ``"memory"`` (the default) keeps everything in a process-local LRU
+        dict; ``"shared"`` puts the per-spec memo caches in a cross-process
+        store every parallel worker of a search attaches to.  ``"disk"``
+        keeps one result entry per summarize request in a SQLite file under
+        ``cache_dir`` that survives interpreter restarts; ``"remote"`` keeps
+        them on a fleet of
+        :class:`~repro.cacheserver.aserver.AsyncCacheServer` shards at
+        ``cache_url``, so any engine serves a request another one answered.
+        Per-spec memo entries stay in the process for both.
         Backends change where entries live, never what a search returns —
         rankings are byte-identical across all of them (a remote server
         outage degrades to cache misses, never to different results).
@@ -221,7 +223,7 @@ class CharlesConfig:
         When set, the engine enables the process-wide tracer
         (:mod:`repro.obs.trace`) and appends one JSON span record per line to
         this file: search rounds, bound pruning, partition discoveries,
-        per-mask fits, cache prefetches — including spans collected
+        per-mask fits — including spans collected
         back from parallel workers and (via the ``TRACE`` verb) from remote
         cache shards.  Read the file with ``charles trace summarize`` /
         ``charles trace tree``.  Tracing is execution-only: it never feeds

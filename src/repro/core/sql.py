@@ -12,6 +12,7 @@ replaying a recovered policy on another snapshot inside a real DBMS.
 
 from __future__ import annotations
 
+import numbers
 from typing import Any
 
 from repro.core.condition import Condition, Descriptor, DescriptorKind
@@ -19,8 +20,6 @@ from repro.core.summary import ChangeSummary
 from repro.core.transformation import LinearTransformation
 
 __all__ = ["condition_to_sql", "transformation_to_sql", "summary_to_sql_update"]
-
-_ZERO_EPSILON = 1e-10
 
 
 def _quote_identifier(name: str) -> str:
@@ -32,12 +31,20 @@ def _quote_identifier(name: str) -> str:
 
 
 def _literal(value: Any) -> str:
+    """A SQL literal that parses back to exactly ``value``.
+
+    Floats render as their shortest round-tripping ``repr``, integers as
+    integers, so a replayed statement compares and computes with the very
+    constants the engine used.
+    """
     if value is None:
         return "NULL"
     if isinstance(value, bool):
         return "TRUE" if value else "FALSE"
-    if isinstance(value, (int, float)):
-        return f"{value:g}"
+    if isinstance(value, numbers.Integral):
+        return str(int(value))
+    if isinstance(value, numbers.Real):
+        return repr(float(value))
     escaped = str(value).replace("'", "''")
     return f"'{escaped}'"
 
@@ -93,18 +100,19 @@ def condition_to_sql(condition: Condition) -> str:
 
 
 def transformation_to_sql(transformation: LinearTransformation) -> str:
-    """Render a transformation as a SQL arithmetic expression over source columns."""
+    """Render a transformation as a SQL arithmetic expression over source columns.
+
+    The expression computes what :meth:`~repro.core.transformation.
+    LinearTransformation.apply` computes, term for term.  A zero coefficient
+    is rendered too: ``0.0 * x`` is NULL where ``x`` is NULL or infinite,
+    just as the engine's product is NaN there.
+    """
     terms: list[str] = []
     for name, coefficient in zip(transformation.feature_names, transformation.coefficients):
-        if abs(coefficient) <= _ZERO_EPSILON:
-            continue
         column = _quote_identifier(name)
-        if abs(coefficient - 1.0) <= _ZERO_EPSILON:
-            terms.append(column)
-        else:
-            terms.append(f"{coefficient:g} * {column}")
-    if abs(transformation.intercept) > _ZERO_EPSILON or not terms:
-        terms.append(f"{transformation.intercept:g}")
+        terms.append(column if coefficient == 1.0 else f"{_literal(coefficient)} * {column}")
+    if transformation.intercept != 0.0 or not terms:
+        terms.append(_literal(transformation.intercept))
     expression = " + ".join(terms)
     return expression.replace("+ -", "- ")
 

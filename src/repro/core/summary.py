@@ -211,7 +211,13 @@ class ChangeSummary:
         return LinearModelTree.from_rules(rules, self.target, default=default)
 
     def describe(self) -> str:
-        """A multi-line human-readable rendering of the summary."""
+        """A multi-line human-readable rendering of the summary.
+
+        Constants are rounded for people (6 significant digits), so the text
+        is not an identity: two different summaries can print alike.
+        :meth:`structural_key` identifies a summary, and
+        :func:`~repro.core.sql.summary_to_sql_update` exports it exactly.
+        """
         lines = [f"Change summary for '{self.target}' ({self.size} rule(s)):"]
         for index, ct in enumerate(self.conditional_transformations, start=1):
             lines.append(f"  R{index}: {ct}")

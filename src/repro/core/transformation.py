@@ -295,7 +295,8 @@ class LinearTransformation:
         normality = np.where(counted > 0, normality_sum / np.maximum(counted, 1), 1.0)
         coefficients = np.column_stack(columns[:-1]) if columns[:-1] else np.empty((size, 0))
         errors = partition_errors(matrix, coefficients, columns[-1], actual)
-        with np.errstate(invalid="ignore"):  # inf - inf: no usable row
+        # inf - inf: no usable row; a large gap over a tiny scale: +inf
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             losses = (errors - errors[0]) / scale
         # prefer fewer terms, then rounder constants, then smaller accuracy
         # loss; the first combination reaching the best key wins
@@ -328,7 +329,7 @@ class LinearTransformation:
             candidates = np.tile(np.asarray(constants, dtype=float), (len(trials), 1))
             candidates[:, position] = trials
             errors = partition_errors(matrix, candidates[:, :-1], candidates[:, -1], actual)
-            with np.errstate(invalid="ignore"):
+            with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
                 passing = np.flatnonzero((errors - baseline) / scale <= tolerance)
             if passing.size:
                 constants[position] = trials[passing[0]]

@@ -106,11 +106,7 @@ def summarize_trace(spans: Sequence[Mapping[str, Any]], slowest: int = 5) -> str
     network: dict[str, list[float]] = {}
     for span in spans:
         attrs = span.get("attributes", {})
-        shard = None
-        if span["name"] == "fabric.mget":
-            shard = attrs.get("shard")
-        elif span.get("process") == "server":
-            shard = attrs.get("url")
+        shard = attrs.get("url") if span.get("process") == "server" else None
         if shard:
             bucket = network.setdefault(str(shard), [0.0, 0.0])
             bucket[0] += float(span.get("duration", 0.0))

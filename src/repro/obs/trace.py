@@ -1,7 +1,7 @@
 """Distributed tracing for the ChARLES engine: spans, context, propagation.
 
 A :class:`Span` is one timed unit of work — a search round, a partition
-discovery, a server-side ``MGET`` — linked to its parent by ids so a whole
+discovery, a server-side ``GET`` — linked to its parent by ids so a whole
 run renders as one tree even when the work crossed a process pool and a
 socket.  The :class:`Tracer` is process-wide (:func:`get_tracer`), carries
 the *current* span in a :mod:`contextvars` variable, and writes finished

@@ -35,9 +35,9 @@ it is computed, in three layers:
    per-mask fit memoised by content key (row-mask digest + attribute subset).
    The caches are logical only: where entries physically live is a pluggable
    :class:`~repro.cachestore.base.CacheBackend` selected by
-   ``CharlesConfig.cache_backend`` — in process (default), in a cross-process
-   shared store that parallel workers attach to, or on disk so entries
-   survive interpreter restarts (see :mod:`repro.cachestore`).  A
+   ``CharlesConfig.cache_backend`` — in process, or in a cross-process
+   shared store that the parallel workers of one search attach to (see
+   :mod:`repro.cachestore`; only whole result entries leave the process).  A
    partition-cache miss always runs the full discovery (cluster the changed
    rows, then induce conditions); content keys already reuse every discovery
    whose inputs a delta left untouched.  The evaluator's pruning is exact,
@@ -53,8 +53,7 @@ score from the pair state alone, and specs provably below the top-k floor are
 skipped before partition discovery runs (whenever
 ``CharlesConfig.prune_search`` is on).  The floor is a local of the round
 loop: it starts at ``-inf`` and rises to the run's own k-th best score after
-each round.  The survivors run in plan order: a serial round sends one
-prefetch, and a pool round is split into at most ``2 * n_jobs`` contiguous
+each round.  The survivors run in plan order: a pool round is split into at most ``2 * n_jobs`` contiguous
 chunks whose outcomes are concatenated in order.  Rankings are byte-identical
 to exhaustive search.
 
@@ -74,8 +73,7 @@ construct it directly and call ``execute``).
 
 *Cache backends.*  Where the memo caches store their entries is equally
 pluggable: subclass :class:`~repro.cachestore.base.CacheBackend`
-(``get``/``put``/``__len__``/``clear`` + counter snapshots; a picklable
-handle if other processes may attach) and register the kind in
+(``get``/``put``/``__len__``/``clear`` + counter snapshots) and register the kind in
 :func:`~repro.cachestore.factory.build_search_backends` — see the
 :mod:`repro.cachestore` package docstring for the full recipe.  Execution and
 cache backends compose freely: any executor works against any store.

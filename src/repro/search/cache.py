@@ -25,12 +25,16 @@ is needed.
 with least-recently-used eviction, so long-lived sessions cannot grow without
 limit; evictions are counted alongside hits and misses.
 
-Since PR 3 the caches are *logical* only: where entries physically live is a
-pluggable :class:`~repro.cachestore.base.CacheBackend` (process-local LRU by
-default; cross-process shared memory or an on-disk SQLite store via
-``CharlesConfig.cache_backend``).  ``MemoCache`` counts logical hits and
-misses; the backend counts per-layer physical traffic, and both travel in
-:class:`CacheCounters`.
+The caches are *logical* only: where entries physically live is a pluggable
+:class:`~repro.cachestore.base.CacheBackend`.  ``MemoCache`` counts logical
+hits and misses; the backend counts per-layer physical traffic, and both
+travel in :class:`CacheCounters`.
+
+Beside the per-spec memos, :class:`SearchCaches` carries a cache of whole
+results, keyed by :func:`work_key` over :func:`snapshot_digest`\\ s of the
+two snapshots.  It is the one store that follows ``CharlesConfig.
+cache_backend`` out of the process (a SQLite file for ``disk``, the fabric
+for ``remote``), so an exact repeat of a request costs one lookup anywhere.
 """
 
 from __future__ import annotations
@@ -60,12 +64,67 @@ __all__ = [
     "SearchCaches",
     "PairFingerprints",
     "mask_digest",
+    "snapshot_digest",
+    "work_key",
 ]
 
 
 def mask_digest(mask: np.ndarray) -> bytes:
     """A compact content key for a boolean row mask."""
     return hashlib.blake2b(np.ascontiguousarray(mask).tobytes(), digest_size=16).digest()
+
+
+def snapshot_digest(table: Table, key: str | None) -> bytes:
+    """A BLAKE2b digest of a snapshot's content, in row order.
+
+    Built from the column arrays: each column's name and type, then its
+    float64 values or its dictionary codes and levels, plus the alignment
+    ``key``.  Row order is part of the content because k-means++ draws
+    depend on it.  Two snapshots whose levels were first seen in a
+    different order digest differently, which costs a miss, never a wrong
+    hit.
+    """
+    digest = hashlib.blake2b(repr(key).encode("utf-8"), digest_size=16)
+    for column in table.schema:
+        digest.update(repr((column.name, column.dtype.value)).encode("utf-8"))
+        if column.is_numeric:
+            digest.update(np.asarray(table.numeric_column(column.name), dtype="<f8").tobytes())
+        else:
+            codes, levels = table.categorical_codes(column.name)
+            digest.update(repr(levels).encode("utf-8"))
+            digest.update(np.asarray(codes, dtype="<i8").tobytes())
+    return digest.digest()
+
+
+def work_key(
+    config,
+    source_digest: bytes,
+    target_digest: bytes,
+    target: str,
+    condition_attributes: Sequence[str] | None,
+    transformation_attributes: Sequence[str] | None,
+) -> bytes:
+    """The identity of one summarize request, total over its result.
+
+    ``config`` contributes ``cache_fingerprint()`` (every knob that changes
+    a computed value) plus ``top_k`` and ``prune_search``: neutral for memo
+    entries, they decide how many summaries a result holds and how many
+    candidates it counts.  The digests are content digests of the two
+    snapshots; ``None`` shortlists resolve deterministically from the pair
+    via the setup assistant, so they key as themselves.  Result entries and
+    the serving layer's single-flight deduplication both key by it.
+    """
+    shortlists = tuple(
+        None if names is None else tuple(names)
+        for names in (condition_attributes, transformation_attributes)
+    )
+    digest = hashlib.blake2b(config.cache_fingerprint(), digest_size=16)
+    digest.update(source_digest)
+    digest.update(target_digest)
+    digest.update(
+        repr((config.top_k, config.prune_search, target, *shortlists)).encode("utf-8")
+    )
+    return digest.digest()
 
 
 class MemoCache:
@@ -236,12 +295,15 @@ class CacheCounters:
 
 
 class SearchCaches:
-    """The two memo caches one evaluator carries through a search.
+    """The memo caches one evaluator carries through a search, plus results.
 
     * ``fits`` — per-mask transformation fits, keyed on the transformation
       subset plus a :class:`PairFingerprints` content token of the rows read.
     * ``partitions`` — partition-discovery results, keyed on the spec
       parameters plus the content token of the scope rows the discovery ran on.
+    * ``results`` — whole ranked results, one per summarize request, keyed
+      by :func:`work_key`; read and written by
+      :meth:`~repro.core.charles.Charles.summarize_pair`, never by a search.
 
     Because the keys are content-based, one ``SearchCaches`` may safely serve
     many searches — different targets, different snapshot pairs of the same
@@ -249,21 +311,21 @@ class SearchCaches:
     k-means seed or coverage thresholds change computed values without changing
     content keys, so caches must never be shared across configurations.
     :class:`~repro.timeline.session.EngineSession` owns exactly one config and
-    one ``SearchCaches`` for this reason; persistent backends, whose files
-    outlive any single owner, additionally namespace every key with the
-    config's ``cache_fingerprint()`` so a differently configured later run
-    cannot reuse their entries (see :meth:`from_config`).
+    one ``SearchCaches`` for this reason; a results store that outlives its
+    owner (disk, remote) additionally namespaces every key with the config's
+    ``cache_fingerprint()`` (see :meth:`from_config`).
 
-    Physical storage is pluggable: :meth:`from_config` builds the backend pair
-    ``CharlesConfig.cache_backend`` selects, and for shareable backends
-    (shared memory, disk) :meth:`handles` / :meth:`attach` let parallel worker
-    processes join the same store.
+    Physical storage is pluggable: :meth:`from_config` builds the stores
+    ``CharlesConfig.cache_backend`` selects.  The per-spec pair stays in the
+    process; for the ``shared`` kind :meth:`handles` / :meth:`attach` let the
+    worker processes of one parallel search join it.
     """
 
     def __init__(
         self,
         capacity: int | None = None,
         backends: tuple[CacheBackend, CacheBackend] | None = None,
+        results: CacheBackend | None = None,
     ) -> None:
         if backends is None:
             backends = (InProcessBackend(capacity), InProcessBackend(capacity))
@@ -272,6 +334,10 @@ class SearchCaches:
         fit_backend, partition_backend = backends
         self.fits = MemoCache(backend=fit_backend)
         self.partitions = MemoCache(backend=partition_backend)
+        self.results = MemoCache(
+            backend=results if results is not None else InProcessBackend(capacity)
+        )
+        self._pair_id: bytes | None = None
 
     @classmethod
     def from_config(cls, config) -> "SearchCaches":
@@ -285,25 +351,27 @@ class SearchCaches:
         other's entries.
         """
         fingerprint = getattr(config, "cache_fingerprint", None)
-        return cls(
-            backends=build_search_backends(
-                getattr(config, "cache_backend", "memory"),
-                config.search_cache_capacity,
-                getattr(config, "cache_dir", None),
-                namespace=fingerprint() if callable(fingerprint) else b"",
-                cache_url=getattr(config, "cache_url", None),
-                cache_replication=getattr(config, "cache_replication", 1),
-            )
+        fits, partitions, results = build_search_backends(
+            getattr(config, "cache_backend", "memory"),
+            config.search_cache_capacity,
+            getattr(config, "cache_dir", None),
+            namespace=fingerprint() if callable(fingerprint) else b"",
+            cache_url=getattr(config, "cache_url", None),
+            cache_replication=getattr(config, "cache_replication", 1),
         )
+        return cls(backends=(fits, partitions), results=results)
 
     @property
     def backend_kind(self) -> str:
-        """The physical-store kind of both caches (e.g. ``"disk"``)."""
-        return self.fits.backend.kind
+        """The configured store kind (e.g. ``"disk"``): the one not in process."""
+        for cache in (self.results, self.fits):
+            if cache.backend.kind != "memory":
+                return cache.backend.kind
+        return "memory"
 
     @property
     def shareable(self) -> bool:
-        """Whether worker processes can attach to these caches' storage."""
+        """Whether worker processes can attach to the per-spec caches' storage."""
         return self.fits.backend.shareable and self.partitions.backend.shareable
 
     def handles(self) -> tuple[BackendHandle, BackendHandle]:
@@ -312,12 +380,12 @@ class SearchCaches:
 
     @classmethod
     def attach(cls, handles: tuple[BackendHandle, BackendHandle]) -> "SearchCaches":
-        """Caches over the same physical stores as the handles' originals."""
+        """Caches over the same per-spec stores as the handles' originals."""
         fit_handle, partition_handle = handles
         return cls(backends=(fit_handle.attach(), partition_handle.attach()))
 
     def counters(self) -> CacheCounters:
-        """The current cumulative counters of both caches."""
+        """The current cumulative counters of both per-spec caches."""
         return CacheCounters(
             fit_hits=self.fits.hits,
             fit_misses=self.fits.misses,
@@ -332,15 +400,30 @@ class SearchCaches:
             ),
         )
 
-    def flush(self) -> None:
-        """End of a search or pool chunk: both backends publish what they buffer."""
-        self.fits.backend.flush()
-        self.partitions.backend.flush()
+    def scope_to_pair(self, pair_id: bytes) -> None:
+        """Keep per-spec entries for one pair: drop them when the pair changes.
+
+        Memo keys hash the rows a computation reads, and each hop of a
+        version chain rewrites a different row set, so an earlier pair's
+        entries are not read again (measured: no key recurs across the hops
+        of a streaming chain); a long session would only carry them.  The
+        entries of the pair asked last stay, so another shortlist or target
+        on it keeps its reuse.
+        """
+        if pair_id != self._pair_id:
+            self._pair_id = pair_id
+            self.fits.clear()
+            self.partitions.clear()
+
+    def result_traffic(self) -> CacheCounters:
+        """The results store's cumulative per-layer counters (no logical fields)."""
+        return CacheCounters(backends=tuple(sorted(self.results.backend.breakdown().items())))
 
     def close(self) -> None:
-        """Release backend resources (disk connections, manager processes)."""
+        """Release backend resources (disk connections, manager processes, sockets)."""
         self.fits.close()
         self.partitions.close()
+        self.results.close()
 
 
 class PairFingerprints:

@@ -222,35 +222,6 @@ class CandidateEvaluator:
         breakdown = score_summary(summary, self._pair, self._config)
         return ScoredSummary(summary, breakdown, (), (), 0)
 
-    def prefetch_round(self, specs) -> None:
-        """Warm the partition cache for a round's top-level lookups in a batch.
-
-        Executors call this before evaluating a round against a backend that
-        batches wire traffic (``supports_prefetch`` — the sharded remote
-        fabric): the round's partition-discovery keys resolve in one ``MGET``
-        per shard instead of one round trip per spec, and each spec's
-        :meth:`evaluate` then answers its lookup from the prefetch buffer.
-        Purely a latency optimisation — a prefetched hit, a prefetched miss
-        and an unprefetched lookup all produce identical outcomes.
-        """
-        backend = self.caches.partitions.backend
-        if not backend.supports_prefetch:
-            return
-        keys = [
-            self._partition_key(
-                spec.condition_subset,
-                spec.transformation_subset,
-                spec.n_partitions,
-                spec.residual_weight,
-                self._full_mask,
-            )
-            for spec in specs
-            if spec.kind != GLOBAL
-        ]
-        if keys:
-            with self._tracer.span("prefetch", keys=len(keys)):
-                backend.prefetch(keys)
-
     # -- cached building blocks --------------------------------------------------
 
     def _partition_key(

@@ -19,11 +19,10 @@ an evaluation takes besides its spec) are frozen at the start of a round and
 only updated between rounds, so outcomes do not depend on evaluation order
 inside a round; and outcomes are reduced in spec order, so tie-breaking is
 identical no matter which worker produced a candidate.  (Cache *statistics*
-may differ: with the default in-process backend, workers cannot share memo
-caches across process boundaries, so parallel runs re-fit some work a serial
-run would have cached.  A shareable
-``CharlesConfig.cache_backend`` — shared memory or disk, see
-:mod:`repro.cachestore` — closes that gap: ``_init_worker`` attaches every
+may differ: with in-process stores, workers cannot share memo caches across
+process boundaries, so parallel runs re-fit some work a serial run would
+have cached.  The ``shared`` ``CharlesConfig.cache_backend`` (see
+:mod:`repro.cachestore`) narrows that gap: ``_init_worker`` attaches every
 worker to the same store, so one worker's partition discovery is the next
 worker's hit.  Either way statistics change timings, never results — caches
 only ever memoise deterministic functions.)
@@ -100,7 +99,7 @@ class SearchExecutor:
     :class:`~repro.search.bounds.ScoreBoundIndex` is built once per search,
     and specs whose admissible score bound falls below the round's frozen
     floor are counted as pruned *here*, so they never reach ``_run_round`` —
-    no partition discovery, no fit, no prefetch key.  The survivors keep
+    no partition discovery, no fit, no cache lookup.  The survivors keep
     their plan order, so tie-breaking (and therefore the ranking) is
     byte-identical to the unpruned path.
     """
@@ -121,9 +120,8 @@ class SearchExecutor:
         :class:`~repro.timeline.session.EngineSession`) supply memo caches that
         outlive one search; in-process executors use them directly, and the
         process-pool executor attaches its workers to them when their backend
-        is shareable (shared memory, disk).  With the default in-process
-        backend the pool executor can only use them on its serial fallback
-        path — workers then keep private caches, exactly as before.
+        is shareable (``shared``).  Otherwise the pool executor can only use
+        them on its serial fallback path — workers keep private caches.
 
         The top-k floor is local to this loop: it starts at ``-inf`` and,
         after each round, rises to the k-th best score found so far.  Only
@@ -259,10 +257,6 @@ def _evaluate_specs(
 ) -> tuple[list[EvaluationOutcome], CacheCounters]:
     """Evaluate a batch of specs, reporting the cache-counter delta it caused."""
     before = evaluator.caches.counters()
-    # against a batching backend (the sharded remote fabric) one prefetch
-    # resolves the batch's partition lookups in one MGET per shard; a no-op
-    # everywhere else
-    evaluator.prefetch_round(specs)
     outcomes = [evaluator.evaluate(spec, known_signatures) for spec in specs]
     return outcomes, evaluator.caches.counters() - before
 
@@ -279,24 +273,15 @@ class SerialExecutor(SearchExecutor):
         config: CharlesConfig,
         caches: SearchCaches | None = None,
     ) -> None:
-        self._owned_caches: SearchCaches | None = None
         self._requested_backend: str | None = None
         if caches is None:
-            if config.cache_backend in ("disk", "remote"):
-                # honour a backend whose store outlives the run even one-shot:
-                # disk makes the *next* process's identical search warm, and a
-                # remote server serves the whole fleet what this run publishes
-                caches = SearchCaches.from_config(config)
-                self._owned_caches = caches
-            else:
-                # shared kinds have nothing to share here: with no session and
-                # no workers, the store would die at teardown having only added
-                # a proxy round-trip per lookup — use plain in-process caches
-                # and record the substitution in the stats so it is visible
-                # (a session-provided `caches` of any kind is always honoured)
-                if config.cache_backend != "memory":
-                    self._requested_backend = config.cache_backend
-                caches = SearchCaches(config.search_cache_capacity)
+            # with no session and no workers, no store outlives the run or
+            # has anyone to share with: use plain in-process caches and record
+            # the substitution in the stats so it is visible (a caller's
+            # `caches` of any kind is always honoured)
+            if config.cache_backend != "memory":
+                self._requested_backend = config.cache_backend
+            caches = SearchCaches(config.search_cache_capacity)
         self._evaluator = CandidateEvaluator(pair, target, config, caches)
 
     def _cache_backend_kind(self) -> str:
@@ -313,11 +298,7 @@ class SerialExecutor(SearchExecutor):
         return _evaluate_specs(self._evaluator, specs, known_signatures)
 
     def _teardown(self) -> None:
-        self._evaluator.caches.flush()
         self._evaluator = None
-        if self._owned_caches is not None:
-            self._owned_caches.close()
-            self._owned_caches = None
 
 
 # -- process-pool worker plumbing ------------------------------------------------
@@ -334,11 +315,11 @@ def _init_worker(
     """Build this worker's evaluator, attached to the shared store if one exists.
 
     ``cache_handles`` are the picklable :class:`~repro.cachestore.base.
-    BackendHandle` pair of the parent's shareable caches; attaching gives the
-    worker its own counter-local view over the *same* physical entries, so
-    partition discoveries and per-mask fits published by any worker (or by the
-    parent's earlier serial runs) are hits here.  Without handles the worker
-    keeps a private in-process cache, exactly the pre-shared behaviour.
+    BackendHandle` pair of the parent's ``shared`` caches; attaching gives
+    the worker its own counter-local view over the *same* physical entries,
+    so partition discoveries and per-mask fits published by any worker (or by
+    the parent's earlier serial runs) are hits here.  Without handles the
+    worker keeps a private in-process cache.
     """
     global _WORKER_EVALUATOR
     if cache_handles is not None:
@@ -355,8 +336,6 @@ def _evaluate_batch(
     assert _WORKER_EVALUATOR is not None, "worker pool was not initialised"
     if trace_context is None:
         outcomes, delta = _evaluate_specs(_WORKER_EVALUATOR, specs, known_signatures)
-        # publish before reporting: the next round's workers may read these
-        _WORKER_EVALUATOR.caches.flush()
         return outcomes, delta, []
     # the parent's (trace id, dispatching span id) rode the pickled payload;
     # adopt it so this chunk's spans join the search trace, buffer them, and
@@ -365,7 +344,6 @@ def _evaluate_batch(
     with tracer.adopt(trace_context) as buffer:
         with tracer.span("worker.chunk", specs=len(specs), pid=os.getpid()):
             outcomes, delta = _evaluate_specs(_WORKER_EVALUATOR, specs, known_signatures)
-            _WORKER_EVALUATOR.caches.flush()
         records = buffer.drain()
     return outcomes, delta, records
 
@@ -374,10 +352,9 @@ class ParallelExecutor(SearchExecutor):
     """Fans each round out over a process pool; falls back to serial if pools fail.
 
     Workers are initialised once per search with the (pickled) pair, target,
-    configuration and — when the caches' backend is shareable — the cache
-    handles; their evaluators live for the whole search, so cross-round reuse
-    happens within each worker, and with a shared/disk backend across workers
-    and searches too.
+    configuration and — for the ``shared`` backend — the cache handles; their
+    evaluators live for the whole search, so cross-round reuse happens within
+    each worker, and with ``shared`` across workers too.
     """
 
     def __init__(self, n_jobs: int):
@@ -400,12 +377,12 @@ class ParallelExecutor(SearchExecutor):
         self._fallback = None
         self._search_context = (pair, target, config)
         self._owned_caches = None
-        if caches is None and config.cache_backend != "memory":
-            # a one-shot parallel run with a shareable backend still profits:
-            # the workers publish into one store instead of n_jobs private ones
+        if caches is None and config.cache_backend == "shared":
+            # a one-shot parallel run still profits from `shared`: the
+            # workers publish into one store instead of n_jobs private ones
             caches = SearchCaches.from_config(config)
             self._owned_caches = caches
-        # shareable caches are handed to the workers below; in-process caches
+        # shared caches are handed to the workers below; in-process caches
         # cannot cross the boundary and serve only the serial fallback path
         self._session_caches = caches
         handles = None
@@ -504,8 +481,6 @@ class ParallelExecutor(SearchExecutor):
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        if self._session_caches is not None:
-            self._session_caches.flush()  # the serial fallback may have written
         if self._owned_caches is not None:
             self._owned_caches.close()
             self._owned_caches = None

@@ -27,27 +27,33 @@ class SearchStats:
     *duplicate* of an earlier spec's partition structure, or because the
     pre-discovery :class:`~repro.search.bounds.SpecBound` proved the spec
     could not reach the run's top-k floor (``candidates_pruned_spec_bounds``;
-    these specs never invoked partition discovery, fits or prefetches at
+    these specs never invoked partition discovery, fits or cache lookups at
     all).  ``bound_pruning`` records whether
     those pre-discovery bounds ran: they do unless ``prune_search`` is off or
     the plan is empty.  Pruning never changes rankings, only wall time.
     Cache counters come from the memo caches of :mod:`repro.search.cache`;
-    in parallel runs they are aggregated across worker processes.  With the
-    default in-process backend each worker has private caches, so parallel
-    hit rates are typically lower than serial ones; a shared or disk
-    ``cache_backend`` lets workers serve each other's entries and recovers
-    the serial rate.  ``backend_counters`` breaks the same traffic down per
-    physical layer: a ``remote`` layer additionally reports the network
-    round-trips it actually made — below its lookup count while the client
-    is degraded or while batched prefetches answer many lookups per request
-    — and, on a sharded fabric, per-endpoint ``remote[host:port]`` component
-    layers plus the reads failed over around the ring when a replicated
-    shard was unreachable.  ``cache_backend`` records which store kind the
-    run used.  When that differs from what the configuration asked for — a
+    in parallel runs they are aggregated across worker processes.  With
+    in-process stores each worker has private caches, so parallel hit rates
+    are typically lower than serial ones; the ``shared`` ``cache_backend``
+    lets workers serve each other's entries.  ``backend_counters`` breaks
+    the traffic down per physical layer, the result-entry lookup and store
+    of :meth:`~repro.core.charles.Charles.summarize_pair` included: a
+    ``remote`` layer additionally reports the network round trips it made —
+    one per lookup and one per replica written, fewer while the client is
+    degraded — and, on a sharded fabric, per-endpoint ``remote[host:port]``
+    component layers plus the reads failed over around the ring when a
+    replicated shard was unreachable.
+
+    ``cache_backend`` records which store kind the run used.  When that
+    differs from what the configuration asked for — a
     one-shot serial run quietly substitutes in-process caches for a
     ``shared`` backend that would have nothing to share — the configured
     kind is kept in ``cache_backend_requested`` so the substitution is
     visible, not silent.
+
+    ``result_hits`` is 1 when the whole ranking came from a stored result
+    entry.  Such a run plans and evaluates nothing, so every search counter
+    is 0: the stats describe this call, not the run that stored the entry.
 
     Every partition-cache miss runs a full discovery, so
     ``partitions_recomputed`` equals ``partition_cache_misses``.  It and the
@@ -56,6 +62,7 @@ class SearchStats:
     """
 
     candidates_enumerated: int = 0
+    result_hits: int = 0
     candidates_evaluated: int = 0
     candidates_pruned_duplicates: int = 0
     candidates_pruned_spec_bounds: int = 0
@@ -137,6 +144,7 @@ class SearchStats:
         """Every counter plus the derived rates, as a plain JSON-friendly dict."""
         return {
             "candidates_enumerated": self.candidates_enumerated,
+            "result_hits": self.result_hits,
             "candidates_evaluated": self.candidates_evaluated,
             "candidates_pruned": self.candidates_pruned,
             "candidates_pruned_duplicates": self.candidates_pruned_duplicates,
@@ -161,6 +169,11 @@ class SearchStats:
 
     def describe(self) -> str:
         """A one-line human-readable rendering (used by the CLI)."""
+        if self.result_hits:
+            text = f"served from a stored result, {self.wall_time_seconds:.2f}s"
+            if self.cache_backend != "memory":
+                text += f", cache={self.cache_backend}"
+            return text
         text = (
             f"{self.candidates_enumerated} candidates planned "
             f"({self.candidates_evaluated} evaluated, {self.candidates_pruned} pruned), "
@@ -176,7 +189,7 @@ class SearchStats:
         if self.cache_backend_requested is not None:
             text += (
                 f", cache_backend {self.cache_backend_requested!r} not used"
-                " (nothing to share in a one-shot serial run)"
+                " (a one-shot serial search keeps its memo in process)"
             )
         return text
 

@@ -6,9 +6,11 @@ ask the engine for byte-identical evaluations — the same
 :class:`~repro.search.planner.CandidateSpec` plan over the same pair under
 the same result-affecting configuration.  Memo caches already collapse that
 work *sequentially*; the :class:`RequestBatcher` collapses it *in flight*:
-requests are keyed by :func:`work_key` — a digest of the configuration's
-``cache_fingerprint()`` (every result-affecting knob) plus the exact content
-of both snapshots, the target and the attribute shortlists — and while a
+requests are keyed by :func:`~repro.search.cache.work_key` — the key
+result entries use too — a digest of the configuration's
+``cache_fingerprint()`` (every result-affecting knob) and result size, the
+exact content of both snapshots, the target and the attribute shortlists —
+and while a
 request for some key is executing, every further request for the same key
 becomes a *follower* that simply awaits the leader's result instead of
 reaching the executors.  N tenants asking for the same fingerprinted work
@@ -30,35 +32,12 @@ without being cached — the next request for the key starts a fresh flight.
 from __future__ import annotations
 
 import asyncio
-import hashlib
-from typing import Any, Awaitable, Callable, Sequence
+from typing import Any, Awaitable, Callable
 
 from repro.exceptions import ServingError
+from repro.search.cache import work_key
 
 __all__ = ["RequestBatcher", "work_key"]
-
-
-def work_key(
-    fingerprint: bytes,
-    source_digest: bytes,
-    target_digest: bytes,
-    target: str,
-    condition_attributes: Sequence[str] | None,
-    transformation_attributes: Sequence[str] | None,
-) -> bytes:
-    """The identity of one summarize request, total over its result.
-
-    ``fingerprint`` is ``CharlesConfig.cache_fingerprint()`` (every
-    result-affecting knob); the digests are content hashes of the two
-    snapshot uploads; ``None`` shortlists resolve deterministically from the
-    pair via the setup assistant, so they key as themselves.
-    """
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(fingerprint)
-    digest.update(source_digest)
-    digest.update(target_digest)
-    digest.update(repr((target, condition_attributes, transformation_attributes)).encode("utf-8"))
-    return digest.digest()
 
 
 class RequestBatcher:

@@ -455,7 +455,7 @@ class CharlesServingService:
                         raise HttpError(409, f"unknown version {name!r} (have {names})")
 
                 key = work_key(
-                    lease.config.cache_fingerprint(),
+                    lease.config,
                     lease.version_digests[source_name],
                     lease.version_digests[version_name],
                     target,

@@ -10,16 +10,20 @@ queries over evolving data.
 Cache keys hash the exact column values a computation reads
 (:class:`~repro.search.cache.PairFingerprints`), so a fit or partition
 discovery from a previous run is reused iff its input rows are untouched in
-the new pair — delta-driven invalidation with zero bookkeeping.  Stale
-entries cannot be hit (their keys are never requested again) and age out of
-the LRU when ``CharlesConfig.search_cache_capacity`` is set.  Where entries
-live follows ``CharlesConfig.cache_backend``: in process by default, in a
-cross-process shared store so parallel workers reuse each other's work, on
-disk (``cache_dir``) so a session started in a fresh interpreter begins warm
-from its predecessor's entries, or on a fleet cache server (``cache_url``) so
-sessions on *different machines* pool their work — with the remote client
-degrading to misses (never to wrong results) whenever the server is
-unreachable.
+the new pair — delta-driven invalidation with zero bookkeeping.  In practice
+that reuse is within one pair: a changed-shortlist query reuses most of the
+previous run's work, while the hops of a streaming chain each change a
+different row set and share no entries.  Stale entries cannot be hit (their
+keys are never requested again) and age out of the LRU when
+``CharlesConfig.search_cache_capacity`` is set.
+
+These per-spec entries stay in the session's process (in a ``shared`` store
+the workers of a parallel search join, for that kind).  What
+``CharlesConfig.cache_backend`` carries out of the process is one *result
+entry* per request: on disk (``cache_dir``), an exact repeat in a fresh
+interpreter is served from the file; on a fleet cache server (``cache_url``),
+from the fabric — with the remote client degrading to misses (never to wrong
+results) whenever the server is unreachable.
 
 Every run of a session is the one-shot search with the session's caches: its
 top-k pruning floor starts at ``-inf`` and rises with the run's own scores,
@@ -34,7 +38,6 @@ from typing import Sequence
 
 from repro.core.charles import Charles, CharlesResult
 from repro.core.config import CharlesConfig
-from repro.core.setup_assistant import SetupSuggestions
 from repro.core.summary import ChangeSummary
 from repro.exceptions import DiscoveryError, SessionClosedError
 from repro.obs.trace import configure_tracing, get_tracer
@@ -67,8 +70,8 @@ class EngineSession:
     def close(self) -> None:
         """Release the caches' backend resources (disk connections, managers).
 
-        Entries in persistent backends survive: a future session with the same
-        ``cache_dir`` starts warm.  Sessions are also context managers, so
+        Result entries in persistent backends survive: a future session with
+        the same ``cache_dir`` serves the same requests from them.  Sessions are also context managers, so
         ``with Charles(config).session() as session: ...`` closes for you.
 
         Idempotent, and terminal: serving another query through a closed
@@ -152,7 +155,8 @@ class EngineSession:
     ) -> CharlesResult:
         """Like :meth:`Charles.summarize_pair`, but warm.
 
-        Reuses every memo-cache entry from earlier runs whose input rows are
+        Serves an exact repeat from its result entry and otherwise reuses
+        every memo-cache entry from earlier runs whose input rows are
         untouched.  The ranking is byte-identical to a cold run on the same
         pair.
         """
@@ -218,7 +222,8 @@ class EngineSession:
         Mirrors the engine's degenerate "no change detected" path — same empty
         summary, same scoring — without rescanning the pair for attribute
         shortlists or planning a search.  The attribute shortlists are left
-        empty: there is nothing to explain.
+        empty: there is nothing to explain (the result's ``suggestions``
+        still compute on first read).
         """
         if not pair.schema.column(target).is_numeric:
             raise DiscoveryError(f"target attribute {target!r} must be numeric")
@@ -228,9 +233,6 @@ class EngineSession:
         return CharlesResult(
             pair=pair,
             target=target,
-            suggestions=SetupSuggestions(
-                target=target, condition_candidates=(), transformation_candidates=()
-            ),
             summaries=(scored,),
             config=self._config,
             condition_attributes=(),

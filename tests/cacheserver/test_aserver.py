@@ -77,12 +77,11 @@ class TestByteIdenticalResponses:
                 protocol.GET, protocol.REGION_FITS, digest=_digest(b"absent")
             ),
             protocol.encode_request(
-                protocol.MGET,
-                protocol.REGION_PARTITIONS,
-                digests=(_digest(b"a"), _digest(b"b")),
+                protocol.GET, protocol.REGION_RESULTS, digest=_digest(b"absent")
             ),
             protocol.encode_request(protocol.CLEAR, protocol.REGION_ALL),
             bytes((250, protocol.REGION_FITS)),  # unknown verb
+            bytes((7, protocol.REGION_FITS)) + _digest(b"x"),  # the retired batch verb
             bytes((protocol.GET, 99)) + _digest(b"x"),  # unknown region
             bytes((protocol.GET, protocol.REGION_FITS)) + b"short",  # bad digest
         ],
@@ -91,7 +90,7 @@ class TestByteIdenticalResponses:
         served, core = transports
         assert _roundtrip(served, body) == _reference(core, body)
 
-    def test_put_then_get_and_mget_are_identical(self, transports):
+    def test_put_then_get_are_identical(self, transports):
         served, core = transports
         digest = _digest(b"key-1")
         put = protocol.encode_request(
@@ -102,11 +101,11 @@ class TestByteIdenticalResponses:
             payload=b"stored-bytes",
         )
         get = protocol.encode_request(protocol.GET, protocol.REGION_FITS, digest=digest)
-        mget = protocol.encode_request(
-            protocol.MGET, protocol.REGION_FITS, digests=(digest, _digest(b"miss"))
+        miss = protocol.encode_request(
+            protocol.GET, protocol.REGION_FITS, digest=_digest(b"miss")
         )
         length = protocol.encode_request(protocol.LEN, protocol.REGION_ALL)
-        conversation = (put, get, mget, length)
+        conversation = (put, get, miss, length)
         served_answers = [_roundtrip(served, body) for body in conversation]
         reference_answers = [_reference(core, body) for body in conversation]
         assert served_answers == reference_answers
@@ -139,7 +138,6 @@ class TestStructuralParity:
         served, core = transports
         backend = ShardedRemoteBackend(served.url, namespace=b"parity")
         backend.put("k", 41, cost_hint=0.5)
-        backend.flush()  # publish, and read back over the wire
         assert backend.get("k") == 41
         assert backend.get("absent") is MISSING
         digests = [backend._digest("k"), backend._digest("absent")]
@@ -219,7 +217,6 @@ class TestAsyncServerUnderConcurrency:
                     )
                     for index in range(25):
                         backend.put(("k", index), (worker_id, index))
-                        backend.flush()  # the read below goes to the server
                         assert backend.get(("k", index)) == (worker_id, index)
                     backend.close()
                 except Exception as error:  # pragma: no cover - reporting
@@ -249,7 +246,6 @@ class TestAsyncServerUnderConcurrency:
             assert inflight(server.url) == 1
             backend = ShardedRemoteBackend(server.url, namespace=b"gauge")
             backend.put("k", 1)
-            backend.flush()
             assert backend.get("k") == 1  # the pipelined connection is now open
             assert inflight(server.url) == 2
             backend.close()

@@ -1,22 +1,24 @@
-"""The sharded fabric: routing, replication, failover, prefetch — same results.
+"""The sharded fabric: routing, replication, failover — same results.
 
 Topology is never allowed to show up in results: the standing invariant is
 byte-identical rankings across in-process caches, a 1-shard fabric, an
 N-shard replicated fabric, and an N-shard fabric with a member killed
-mid-run.  Everything else here pins down the mechanics that make that cheap:
-replica-set writes, read failover around the ring, per-shard degradation and
-round-synchronised MGET prefetching.
+mid-run.  Everything else here pins down the mechanics: replica-set writes
+cast before they are collected, read failover around the ring, per-shard
+degradation, and the one lookup plus R writes a search costs the fabric.
 """
 
 import os
-import pickle
 
 import pytest
 
-from repro.cachestore import MISSING
-from repro.cacheserver import AsyncCacheServer, ShardedRemoteBackend, ShardedRemoteHandle
+from repro.cachestore import MISSING, BackendCounters
+from repro.cachestore.base import STORE_ERRORS
+from repro.cacheserver import AsyncCacheServer, ShardedRemoteBackend
 from repro.cacheserver import protocol
 from repro.core import Charles, CharlesConfig
+from repro.search.evaluator import CandidateEvaluator
+from repro.timeline import EngineSession
 
 
 @pytest.fixture()
@@ -79,7 +81,6 @@ class TestSharding:
         fabric = ShardedRemoteBackend(fleet[0].url, namespace=os.urandom(8))
         assert fabric.get("k") is MISSING
         fabric.put("k", 1)
-        fabric.flush()  # publish and forget the search's view: the hit is remote
         assert fabric.get("k") == 1
         assert fabric.round_trips == 3  # miss, put, hit — one wire op each
         assert fabric.endpoints == (fleet[0].url,)
@@ -91,7 +92,6 @@ class TestSharding:
         reader = ShardedRemoteBackend(_url(fleet), namespace=writer.namespace)
         for index in range(20):
             writer.put(("k", index), index)
-        writer.flush()
         assert [reader.get(("k", index)) for index in range(20)] == list(range(20))
         writer.close(), reader.close()
 
@@ -121,8 +121,7 @@ class TestReplicationAndFailover:
         fabric = _fabric(fleet, replication=2)
         for index in range(40):
             fabric.put(("k", index), index)
-        # len() doubles as a write barrier: LEN answers arrive behind the
-        # pipelined casts on each shard's connection, so the counts are final.
+        # every put returned acknowledged, so the counts are final.
         # Physical occupancy doubles: owner + one successor per key.
         assert len(fabric) == 80
         assert sum(_entries(server) for server in fleet) == 80
@@ -132,7 +131,6 @@ class TestReplicationAndFailover:
         fabric = _fabric(fleet, replication=2)
         for index in range(40):
             fabric.put(("k", index), index, cost_hint=0.01)
-        fabric.flush()  # published; the reads below go to the fleet
         fleet[0].shutdown()  # kill one member mid-conversation
         values = [fabric.get(("k", index)) for index in range(40)]
         assert values == list(range(40))  # every key still served
@@ -145,7 +143,6 @@ class TestReplicationAndFailover:
         fabric = _fabric(fleet, replication=1)
         for index in range(40):
             fabric.put(("k", index), index)
-        fabric.flush()
         fleet[0].shutdown()
         values = [fabric.get(("k", index)) for index in range(40)]
         missed = [index for index, value in enumerate(values) if value is MISSING]
@@ -167,46 +164,27 @@ class TestReplicationAndFailover:
         fabric.close()
 
 
-class TestPrefetch:
-    def test_get_many_is_one_mget_per_shard(self, fleet):
-        fabric = _fabric(fleet)
-        keys = [("k", index) for index in range(42)]
-        for key in keys:
-            fabric.put(key, key[1])
-        fabric.flush()
-        before = fabric.round_trips
-        assert fabric.get_many(keys) == [key[1] for key in keys]
-        # 42 lookups cost at most one MGET per shard, not 42 round trips
-        assert fabric.round_trips - before <= len(fleet)
-        assert fabric.hits == 42
-        fabric.close()
+    def test_a_put_is_cast_to_every_replica_before_any_answer_is_collected(self, fleet):
+        fabric = _fabric(fleet, replication=3)
+        calls = []
+        for client in fabric._clients:
+            for name in ("submit", "collect"):
+                original = getattr(client, name)
 
-    def test_local_view_answers_until_flush(self, fleet):
-        fabric = _fabric(fleet)
+                def record(*args, _name=name, _original=original):
+                    calls.append(_name)
+                    return _original(*args)
+
+                setattr(client, name, record)
         fabric.put("k", 1)
-        fabric.flush()
-        fabric.prefetch(["k", "absent"])
-        before = fabric.round_trips
-        for _ in range(2):  # a prefetched hit and miss, asked twice
-            assert fabric.get("k") == 1
-            assert fabric.get("absent") is MISSING
-        fabric.prefetch(["k"])  # already resolved: not asked again
-        assert fabric.round_trips == before
-        assert fabric.hits == 2 and fabric.misses == 2
-        fabric.flush()  # the search ended: the next one asks the fleet
-        assert fabric.get("k") == 1
-        assert fabric.round_trips == before + 1
+        assert calls == ["submit"] * 3 + ["collect"] * 3
+        assert fabric.round_trips == 3
+        assert len(fabric) == 3  # stored on all three before put returned
         fabric.close()
 
-    def test_put_supersedes_buffered_answer(self, fleet):
-        fabric = _fabric(fleet)
-        fabric.put("k", 1)
-        fabric.prefetch(["k"])
-        fabric.put("k", 2)  # fresher than whatever prefetch buffered
-        assert fabric.get("k") == 2
-        fabric.close()
 
-    def test_prefetch_mixes_hits_and_misses_accurately(self, fleet):
+class TestGetMany:
+    def test_get_many_mixes_hits_and_misses_accurately(self, fleet):
         fabric = _fabric(fleet)
         for index in range(0, 30, 2):
             fabric.put(("k", index), index)
@@ -216,19 +194,13 @@ class TestPrefetch:
         assert fabric.hits == 15 and fabric.misses == 15
         fabric.close()
 
-    def test_degraded_shard_fails_prefetch_over_to_replicas(self, fleet):
-        fabric = _fabric(fleet, replication=2)
-        keys = [("k", index) for index in range(40)]
-        for key in keys:
-            fabric.put(key, key[1])
-        fabric.flush()
-        fleet[0].shutdown()
-        assert fabric.get_many(keys) == [key[1] for key in keys]
-        assert fabric.hits == 40 and fabric.misses == 0
-        assert fabric.failovers > 0
+    def test_prefetch_sends_nothing(self, fleet):
+        fabric = _fabric(fleet)
+        fabric.prefetch([("k", index) for index in range(10)])
+        assert fabric.round_trips == 0 and fabric.hits == fabric.misses == 0
         fabric.close()
 
-    def test_whole_fleet_down_prefetch_degrades_to_misses(self, fleet):
+    def test_whole_fleet_down_degrades_to_misses(self, fleet):
         fabric = _fabric(fleet, replication=2)
         for server in fleet:
             server.shutdown()
@@ -236,34 +208,17 @@ class TestPrefetch:
         assert fabric.misses == 10
         fabric.close()
 
-
-class TestHandles:
-    def test_handle_roundtrips_through_pickle(self, fleet):
-        fabric = _fabric(fleet, replication=2, capacity=512)
-        fabric.put("shared-key", [1, 2, 3])
-        fabric.flush()
-        handle = fabric.handle()
-        assert isinstance(handle, ShardedRemoteHandle)
-        attached = pickle.loads(pickle.dumps(handle)).attach()
-        assert attached.get("shared-key") == [1, 2, 3]
-        assert attached.replication == 2 and attached.capacity == 512
-        assert attached.endpoints == fabric.endpoints
-        # counters are per-instance, like every other attached backend
-        assert attached.hits == 1 and fabric.hits == 0
-        attached.close(), fabric.close()
-
     def test_regions_stay_distinct_across_the_fabric(self, fleet):
         namespace = os.urandom(8)
         fits = ShardedRemoteBackend(
             _url(fleet), protocol.REGION_FITS, namespace=namespace
         )
-        partitions = ShardedRemoteBackend(
-            _url(fleet), protocol.REGION_PARTITIONS, namespace=namespace
+        results = ShardedRemoteBackend(
+            _url(fleet), protocol.REGION_RESULTS, namespace=namespace
         )
         fits.put("k", "fits-value")
-        fits.flush()
-        assert partitions.get("k") is MISSING
-        fits.close(), partitions.close()
+        assert results.get("k") is MISSING
+        fits.close(), results.close()
 
 
 def _ranking(result):
@@ -336,41 +291,86 @@ class TestTopologyNeverChangesResults:
             for server in servers:
                 server.shutdown()
 
-    def test_puts_lost_with_a_killed_shard_are_counted(self, fig1_pair, monkeypatch):
-        # write-behind can lose what a shard never received: the PUTs still
-        # buffered for it when it dies.  Each is counted; rankings stand.
-        from repro.cachestore.base import STORE_ERRORS
-
+    def test_a_put_to_a_dead_replica_is_counted(self, fig1_pair):
         memory = _ranking(_summarize(fig1_pair, CharlesConfig()))
         servers = [AsyncCacheServer().start() for _ in range(2)]
-        victim = servers[0]
-        put = ShardedRemoteBackend.put
-        buffered_at_kill = []
+        try:
+            config = CharlesConfig(
+                cache_backend="remote",
+                cache_url=",".join(server.url for server in servers),
+                cache_replication=2,
+            )
+            servers[0].shutdown()
+            before = STORE_ERRORS.value(backend="remote", op="put")
+            result = _summarize(fig1_pair, config)
+            assert STORE_ERRORS.value(backend="remote", op="put") - before == 1
+            assert _ranking(result) == memory
+            # the surviving replica holds the entry: the repeat is served
+            assert _summarize(fig1_pair, config).search_stats.result_hits == 1
+        finally:
+            for server in servers:
+                server.shutdown()
 
-        def put_then_kill(self, key, value, cost_hint=None):
-            put(self, key, value, cost_hint)
-            (client,) = [c for c in self._clients if c.url == victim.url]
-            if not buffered_at_kill and client._conn is not None and client._conn._buffered:
-                buffered_at_kill.append(client._conn._buffered)
-                victim.shutdown()
+    def test_a_shard_killed_mid_run_degrades_to_recomputation(self, fig1_pair, monkeypatch):
+        memory = _ranking(_summarize(fig1_pair, CharlesConfig()))
+        servers = [AsyncCacheServer().start() for _ in range(2)]
+        evaluate = CandidateEvaluator.evaluate
 
-        monkeypatch.setattr(ShardedRemoteBackend, "put", put_then_kill)
+        def evaluate_then_kill(self, spec, known_signatures=frozenset()):
+            for server in servers:
+                server.shutdown()  # idempotent; the search is under way
+            return evaluate(self, spec, known_signatures)
+
         try:
             config = CharlesConfig(
                 cache_backend="remote",
                 cache_url=",".join(server.url for server in servers),
             )
-            before = STORE_ERRORS.value(backend="remote", op="put")
-            result = _summarize(fig1_pair, config)
-            lost = STORE_ERRORS.value(backend="remote", op="put") - before
-            assert buffered_at_kill  # the shard died with PUTs buffered for it
-            assert lost >= buffered_at_kill[0]
-            assert _ranking(result) == memory
+            with monkeypatch.context() as patch:
+                patch.setattr(CandidateEvaluator, "evaluate", evaluate_then_kill)
+                killed = _summarize(fig1_pair, config)
+            assert _ranking(killed) == memory
+            # nothing was stored, so the next engine recomputes, identically
+            again = _summarize(fig1_pair, config)
+            assert again.search_stats.result_hits == 0
+            assert again.search_stats.candidates_evaluated > 0
+            assert _ranking(again) == memory
         finally:
             for server in servers:
                 server.shutdown()
 
-    def test_second_engine_runs_fully_warm_off_the_fabric(self, fig1_pair):
+    def test_a_search_costs_one_get_and_r_puts_then_one_get(self, fig1_pair):
+        servers = [AsyncCacheServer().start() for _ in range(2)]
+        try:
+            config = CharlesConfig(
+                cache_backend="remote",
+                cache_url=",".join(server.url for server in servers),
+                cache_replication=2,
+            )
+            with EngineSession(config) as session:
+                first = session.summarize_pair(
+                    fig1_pair, "bonus", **_SHORTLISTS
+                ).search_stats
+                second = session.summarize_pair(
+                    fig1_pair, "bonus", **_SHORTLISTS
+                ).search_stats
+            # a miss: one GET, then the PUT to both replicas
+            assert first.backend_counters["remote"] == BackendCounters(
+                misses=1, round_trips=3
+            )
+            # a repeat: one GET, answered by the owner
+            assert second.backend_counters["remote"] == BackendCounters(
+                hits=1, round_trips=1
+            )
+            assert second.result_hits == 1 and second.cache_lookups == 0
+            served = [_verb_counts(server.url) for server in servers]
+            assert sum(counts.get("GET", 0) for counts in served) == 2
+            assert [counts.get("PUT", 0) for counts in served] == [1, 1]
+        finally:
+            for server in servers:
+                server.shutdown()
+
+    def test_second_engine_is_served_from_the_result_entry(self, fig1_pair):
         servers = [AsyncCacheServer().start() for _ in range(3)]
         try:
             config = CharlesConfig(
@@ -381,8 +381,29 @@ class TestTopologyNeverChangesResults:
             first = _summarize(fig1_pair, config)
             second = _summarize(fig1_pair, config)
             assert _ranking(first) == _ranking(second)
+            assert second.total_candidates == first.total_candidates
             stats = second.search_stats
-            assert stats.fit_cache_misses == 0 and stats.partition_cache_misses == 0
+            assert stats.result_hits == 1
+            assert stats.cache_lookups == stats.candidates_evaluated == 0
         finally:
             for server in servers:
                 server.shutdown()
+
+
+_SHORTLISTS = dict(
+    condition_attributes=["edu", "exp"], transformation_attributes=["bonus", "salary"]
+)
+
+
+def _verb_counts(url: str) -> dict[str, float]:
+    """Requests a shard handled, by verb (its ``METRICS`` exposition)."""
+    from repro.cacheserver import server_metrics
+    from repro.obs.metrics import parse_prometheus
+
+    metrics = parse_prometheus(server_metrics(url))
+    prefix = 'cacheserver_requests_total{verb="'
+    return {
+        name[len(prefix) : -2]: value
+        for name, value in metrics.items()
+        if name.startswith(prefix)
+    }

@@ -2,14 +2,16 @@
 
 The hard invariants of the subsystem, end to end through real engines:
 rankings with a remote store are byte-identical to in-process rankings —
-including when several engine processes race on one server, and when the
-server is killed mid-session (degrade to miss, never to a wrong result).
+including when a request is served from another engine's result entry, when
+several engine processes race on one server, and when the server is killed
+mid-session (degrade to miss, never to a wrong result).
 """
 
 import multiprocessing
 
 import pytest
 
+from repro.cachestore import BackendCounters
 from repro.core import Charles, CharlesConfig
 from repro.cacheserver import AsyncCacheServer, server_stats
 from repro.timeline import EngineSession
@@ -66,11 +68,10 @@ class TestRankingsAgainstServer:
         config = CharlesConfig(cache_backend="remote", cache_url=server.url)
         stats = _summarize(fig1_pair, config).search_stats
         remote = stats.backend_counters["remote"]
-        assert remote.round_trips > 0
-        # batched MGET prefetches answer many lookups per wire request, so the
-        # round-trip count sits below the lookup count — but every lookup was
-        # answered by the server, so the gap is bounded by the hits served
-        assert remote.round_trips + remote.hits >= remote.hits + remote.misses
+        # the fabric sees one lookup per request: the result entry's; a miss
+        # adds the PUT that stores it
+        assert remote.lookups == 1
+        assert remote.round_trips == (1 if remote.hits else 2)
         payload = stats.as_dict()
         assert payload["backend_counters"]["remote"]["round_trips"] > 0
         assert payload["backend_counters"]["remote"]["failovers"] == 0
@@ -78,12 +79,13 @@ class TestRankingsAgainstServer:
     def test_second_engine_is_fully_warm_off_the_server(self, fig1_pair, memory_ranking, server):
         config = CharlesConfig(cache_backend="remote", cache_url=server.url)
         first = _summarize(fig1_pair, config)
-        # a brand-new engine (fresh caches object, fresh connection): every
-        # lookup must come off the entries the first engine published
+        # a brand-new engine (fresh caches object, fresh connection) is served
+        # the whole ranking from the result entry the first engine published
         second = _summarize(fig1_pair, config)
         assert _ranking(second) == _ranking(first) == memory_ranking
         stats = second.search_stats
-        assert stats.fit_cache_misses == 0 and stats.partition_cache_misses == 0
+        assert stats.result_hits == 1
+        assert stats.cache_lookups == stats.candidates_evaluated == 0
 
     def test_engine_session_over_remote(self, fig1_pair, memory_ranking, server):
         config = CharlesConfig(cache_backend="remote", cache_url=server.url)
@@ -102,16 +104,26 @@ class TestRankingsAgainstServer:
         # a different seed changes k-means outcomes without changing content
         # keys — the reconfigured run must recompute, not reuse seed-0 entries
         stats = _summarize(fig1_pair, config.replace(seed=123)).search_stats
+        assert stats.result_hits == 0
         assert stats.fit_cache_misses > 0 and stats.partition_cache_misses > 0
+        # so must a different shortlist
+        narrower = Charles(config).summarize_pair(
+            fig1_pair,
+            "bonus",
+            condition_attributes=["edu"],
+            transformation_attributes=["bonus", "salary"],
+        )
+        assert narrower.search_stats.result_hits == 0
         warm = _summarize(fig1_pair, config).search_stats
-        assert warm.fit_cache_misses == 0 and warm.partition_cache_misses == 0
+        assert warm.result_hits == 1
 
-    def test_server_sees_both_regions(self, fig1_pair, server):
+    def test_server_holds_result_entries_only(self, fig1_pair, server):
         config = CharlesConfig(cache_backend="remote", cache_url=server.url)
         _summarize(fig1_pair, config)
         regions = server_stats(server.url)["regions"]
-        assert regions["fits"]["entries"] > 0
-        assert regions["partitions"]["entries"] > 0
+        assert regions["results"]["entries"] > 0
+        # per-spec memo entries stay in the engine's process
+        assert regions["fits"]["entries"] == regions["partitions"]["entries"] == 0
 
 
 def _fleet_engine(url, barrier, queue):
@@ -122,8 +134,7 @@ def _fleet_engine(url, barrier, queue):
     config = CharlesConfig(cache_backend="remote", cache_url=url)
     barrier.wait(timeout=30)  # genuinely concurrent, not accidentally serial
     result = _summarize(pair, config)
-    misses = result.search_stats.fit_cache_misses + result.search_stats.partition_cache_misses
-    queue.put((_ranking(result), misses))
+    queue.put((_ranking(result), result.search_stats.result_hits))
 
 
 @pytest.mark.skipif(not _FORK_AVAILABLE, reason="needs the fork start method")
@@ -161,15 +172,12 @@ class TestFleetProcesses:
                     target=_fleet_engine, args=(private.url, barrier, queue)
                 )
                 engine.start()
-                ranking, misses = queue.get(timeout=120)
+                ranking, result_hits = queue.get(timeout=120)
                 engine.join(timeout=30)
                 assert engine.exitcode == 0
                 rankings.append(ranking)
-                if expected_cold:
-                    assert misses > 0
-                else:
-                    # the whole search served off the first member's entries
-                    assert misses == 0
+                # the second member is served the first member's result entry
+                assert result_hits == (0 if expected_cold else 1)
         assert rankings[0] == rankings[1] == memory_ranking
 
 
@@ -188,26 +196,24 @@ class TestServerOutage:
             assert _ranking(alive) == memory_ranking
             private.shutdown()  # the fleet cache dies mid-session
             dead = session.summarize_pair(fig1_pair, "bonus", **kwargs)
-            # every lookup degraded to a miss — and the ranking is *still*
-            # byte-identical, the outage cost recomputation time only
+            # the result lookup degraded to a miss — and the ranking is
+            # *still* byte-identical, the outage cost a search only
             assert _ranking(dead) == memory_ranking
             stats = dead.search_stats
-            # nothing came off the dead server: the only hits are the ones a
-            # cold in-process run also has, repeats inside the one search
-            cold = _summarize(fig1_pair, CharlesConfig()).search_stats
-            assert stats.backend_counters["remote"].round_trips == 0
-            assert stats.fit_cache_hits == cold.fit_cache_hits
-            assert stats.partition_cache_hits == cold.partition_cache_hits
-            assert stats.fit_cache_misses > 0
+            assert stats.result_hits == 0
+            assert stats.backend_counters["remote"] == BackendCounters(misses=1)
+            # the session's per-spec entries live in its process, so the
+            # repeated search still reuses every one of them
+            assert stats.fit_cache_misses == stats.partition_cache_misses == 0
 
     def test_engine_boots_and_runs_with_no_server_at_all(self, fig1_pair, memory_ranking):
         config = CharlesConfig(cache_backend="remote", cache_url="127.0.0.1:9")
         result = _summarize(fig1_pair, config)
         assert _ranking(result) == memory_ranking
-        remote = result.search_stats.backend_counters["remote"]
+        stats = result.search_stats
         cold = _summarize(fig1_pair, CharlesConfig()).search_stats
-        assert remote.round_trips == 0
-        assert remote.hits == cold.fit_cache_hits + cold.partition_cache_hits
+        assert stats.backend_counters["remote"] == BackendCounters(misses=1)
+        assert stats.cache_hits == cold.cache_hits
 
 
 class TestConfigValidation:

@@ -70,20 +70,13 @@ class TestProtocolTraceHeader:
         assert traced[0] == protocol.GET | protocol.TRACE_FLAG
         assert traced[2 : 2 + protocol.TRACE_CONTEXT_SIZE] == context
 
-    def test_mget_and_put_carry_the_header_too(self):
+    def test_put_carries_the_header_too(self):
         context = _context_bytes(new_trace_id(), new_span_id())
-        digests = tuple(os.urandom(protocol.DIGEST_SIZE) for _ in range(3))
-        decoded = protocol.decode_request(
-            protocol.encode_request(
-                protocol.MGET, protocol.REGION_FITS, digests=digests, trace=context
-            )
-        )
-        assert decoded.trace == context and decoded.digests == digests
         decoded = protocol.decode_request(
             protocol.encode_request(
                 protocol.PUT,
                 protocol.REGION_FITS,
-                digest=digests[0],
+                digest=os.urandom(protocol.DIGEST_SIZE),
                 cost=0.5,
                 payload=b"value",
                 trace=context,

@@ -7,7 +7,6 @@ endpoint's :class:`~repro.cacheserver.client.ShardClient` through
 """
 
 import os
-import pickle
 import socket
 import threading
 
@@ -17,7 +16,6 @@ from repro.cachestore import MISSING
 from repro.cacheserver import (
     AsyncCacheServer,
     ShardedRemoteBackend,
-    ShardedRemoteHandle,
     parse_url,
     server_clear,
     server_ping,
@@ -58,7 +56,6 @@ class TestServing:
         key = ("fit", "bonus", ("salary",), b"token")
         assert backend.get(key) is MISSING
         backend.put(key, {"value": 42}, cost_hint=0.01)
-        backend.flush()  # publish and forget the search's view: the hit is remote
         assert backend.get(key) == {"value": 42}
         assert backend.hits == 1 and backend.misses == 1
         assert backend.round_trips == 3
@@ -89,16 +86,16 @@ class TestServing:
         assert first.get("k") == 1 and second.get("k") == 2
         first.close(), second.close()
 
-    def test_handle_attach_reaches_same_entries(self, server, backend):
+    def test_a_second_engine_reads_what_the_first_stored(self, server, backend):
+        # put returns once the shard acknowledged the entry
         backend.put("shared-key", [1, 2, 3])
-        backend.flush()
-        handle = backend.handle()
-        assert isinstance(handle, ShardedRemoteHandle)
-        attached = pickle.loads(pickle.dumps(handle)).attach()
-        assert attached.get("shared-key") == [1, 2, 3]
-        # counters are per-instance, like every other attached backend
-        assert attached.hits == 1 and backend.hits == 0
-        attached.close()
+        other = ShardedRemoteBackend(
+            server.url, protocol.REGION_FITS, namespace=backend.namespace
+        )
+        assert other.get("shared-key") == [1, 2, 3]
+        # counters are per-instance
+        assert other.hits == 1 and backend.hits == 0
+        other.close()
 
     def test_len_counts_region_entries(self, server):
         with AsyncCacheServer() as private:
@@ -139,11 +136,11 @@ class TestAdminVerbs:
     def test_ping(self, server):
         assert server_ping(server.url)
 
-    def test_stats_reports_both_regions(self, server, backend):
+    def test_stats_reports_every_region(self, server, backend):
         backend.put("k", 1)
         backend.get("k")
         stats = server_stats(server.url)
-        assert set(stats["regions"]) == {"fits", "partitions"}
+        assert set(stats["regions"]) == {"fits", "partitions", "results"}
         fits = stats["regions"]["fits"]
         assert fits["entries"] >= 1 and fits["hits"] >= 1
         assert stats["server"]["requests"] > 0
@@ -154,7 +151,6 @@ class TestAdminVerbs:
             partitions = ShardedRemoteBackend(private.url, protocol.REGION_PARTITIONS)
             fits.put("a", 1)
             partitions.put("b", 2)
-            fits.flush(), partitions.flush()
             server_clear(private.url)
             assert len(fits) == 0 and len(partitions) == 0
             fits.close(), partitions.close()
@@ -188,7 +184,6 @@ class TestEvictionOnTheServer:
             client.put("expensive", list(range(8)), cost_hint=4.0)
             for index in range(10):
                 client.put(f"cheap{index}", list(range(8)), cost_hint=0.0001)
-            client.flush()
             assert client.get("expensive") == list(range(8))
             assert server_stats(bounded.url)["regions"]["fits"]["evictions"] == 8
             client.close()
@@ -207,7 +202,6 @@ class TestEvictionOnTheServer:
             client.put("a", b"x", cost_hint=3.0)  # upgrade orphans the 0.1 entry
             client.put("b", b"y", cost_hint=1.0)
             client.put("c", b"z", cost_hint=0.5)  # evicts the cheapest: "c" itself
-            client.flush()
             assert client.get("a") == b"x" and client.get("b") == b"y"
             assert client.get("c") is MISSING
             client.close()
@@ -217,7 +211,7 @@ class TestDegradeToMiss:
     def test_unreachable_server_degrades_instead_of_raising(self):
         backend = ShardedRemoteBackend("127.0.0.1:9")  # the discard port: nothing there
         assert backend.get("k") is MISSING
-        backend.put("k", 1)  # a silent no-op
+        backend.put("k", 1)  # silent: counted as a store error, never raised
         assert len(backend) == 0
         backend.clear()  # also a no-op
         assert backend.misses == 1
@@ -233,10 +227,8 @@ class TestDegradeToMiss:
         private = AsyncCacheServer().start()
         backend = ShardedRemoteBackend(private.url)
         backend.put("k", 1)
-        backend.flush()
         assert backend.get("k") == 1
         private.shutdown()
-        backend.flush()  # a new search: nothing it resolved is remembered
         assert backend.get("k") is MISSING  # dead server: miss, not exception
         assert backend.connection_failures >= 1
         backend.close()
@@ -248,7 +240,6 @@ class TestDegradeToMiss:
         host, port = private.address
         backend = ShardedRemoteBackend(private.url)
         backend.put("k", 1)
-        backend.flush()
         private.shutdown()
         assert backend.get("k") is MISSING  # the failure that starts the backoff
         # a new server on the same port (the entries are gone with the old one)
@@ -258,7 +249,6 @@ class TestDegradeToMiss:
                 backend.get(("burn", index))  # burn through the degraded op budget
             backend._clients[0]._retry_not_before = 0.0  # and skip the wall-clock window
             backend.put("k", 2)
-            backend.flush()
             assert backend.get("k") == 2  # reconnected and serving again
         finally:
             revived.shutdown()

@@ -1,7 +1,6 @@
 """Conformance tests every cache backend must pass, plus backend-specific ones."""
 
 import multiprocessing
-import pickle
 
 import pytest
 
@@ -166,13 +165,6 @@ class TestDiskBackend:
         assert second.get(("fit", "bonus", b"tok")) == [1.5, None, "x"]
         assert second.counters().hits == 1
 
-    def test_handle_attach_shares_the_file(self, tmp_path):
-        first = DiskBackend(tmp_path / "cache.sqlite", capacity=5, namespace=b"ns")
-        first.put("k", {"a": 1})
-        second = pickle.loads(pickle.dumps(first.handle())).attach()
-        assert second.get("k") == {"a": 1}
-        assert second.capacity == 5 and second.namespace == b"ns"
-
     def test_capacity_fifo_eviction(self, tmp_path):
         backend = DiskBackend(tmp_path / "cache.sqlite", capacity=2)
         backend.put("a", 1)
@@ -226,8 +218,8 @@ class TestDiskBackend:
         assert second.get("k") is MISSING  # never another config's entry
         second.put("k", 2)
         assert first.get("k") == 1 and second.get("k") == 2
-        attached = second.handle().attach()  # handles carry the namespace
-        assert attached.get("k") == 2
+        reopened = DiskBackend(path, namespace=b"config-b")
+        assert reopened.get("k") == 2
 
     def test_store_file_is_owner_only(self, tmp_path):
         path = tmp_path / "cache.sqlite"
@@ -276,29 +268,32 @@ class TestKeyDigest:
 
 class TestFactory:
     def test_memory_default(self):
-        fits, partitions = build_search_backends("memory", capacity=5)
-        assert isinstance(fits, InProcessBackend) and isinstance(partitions, InProcessBackend)
-        assert fits.capacity == 5 and fits is not partitions
+        fits, partitions, results = build_search_backends("memory", capacity=5)
+        for backend in (fits, partitions, results):
+            assert isinstance(backend, InProcessBackend) and backend.capacity == 5
+        assert len({id(fits), id(partitions), id(results)}) == 3
 
     def test_disk_requires_cache_dir(self):
         with pytest.raises(ConfigurationError):
             build_search_backends("disk")
 
-    def test_disk_pair_uses_distinct_files(self, tmp_path):
-        fits, partitions = build_search_backends("disk", cache_dir=tmp_path)
-        assert fits.path != partitions.path
-        fits.put("k", 1)
-        assert partitions.get("k") is MISSING
+    def test_disk_keeps_results_on_disk_and_memo_entries_in_process(self, tmp_path):
+        fits, partitions, results = build_search_backends("disk", cache_dir=tmp_path)
+        assert isinstance(fits, InProcessBackend)
+        assert isinstance(partitions, InProcessBackend)
+        assert isinstance(results, DiskBackend)
+        assert results.path == tmp_path / "results.sqlite"
+        assert not results.shareable
 
-    def test_namespace_reaches_the_disk_stores(self, tmp_path):
-        fits_a, _ = build_search_backends("disk", cache_dir=tmp_path, namespace=b"a")
-        fits_a.put("k", 1)
-        fits_b, _ = build_search_backends("disk", cache_dir=tmp_path, namespace=b"b")
-        assert fits_b.get("k") is MISSING
-        fits_a_again, _ = build_search_backends(
+    def test_namespace_reaches_the_results_store(self, tmp_path):
+        *_, results_a = build_search_backends("disk", cache_dir=tmp_path, namespace=b"a")
+        results_a.put("k", 1)
+        *_, results_b = build_search_backends("disk", cache_dir=tmp_path, namespace=b"b")
+        assert results_b.get("k") is MISSING
+        *_, results_a_again = build_search_backends(
             "disk", cache_dir=tmp_path, namespace=b"a"
         )
-        assert fits_a_again.get("k") == 1  # same namespace, same entries
+        assert results_a_again.get("k") == 1  # same namespace, same entries
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError) as excinfo:
@@ -310,30 +305,39 @@ class TestFactory:
             build_search_backends("remote")
         assert "cache_url" in str(excinfo.value)
 
-    def test_remote_pair_uses_distinct_regions(self):
+    def test_remote_keeps_results_on_the_fabric(self):
         # the factory always builds the sharded fabric, even for a single
         # endpoint — one remote code path, a 1-shard ring
         from repro.cacheserver.fabric import ShardedRemoteBackend
-        from repro.cacheserver.protocol import REGION_FITS, REGION_PARTITIONS
+        from repro.cacheserver.protocol import REGION_RESULTS
 
-        fits, partitions = build_search_backends(
+        fits, partitions, results = build_search_backends(
             "remote", capacity=9, namespace=b"ns", cache_url="127.0.0.1:1"
         )
-        assert isinstance(fits, ShardedRemoteBackend)
-        assert isinstance(partitions, ShardedRemoteBackend)
-        assert fits._region == REGION_FITS and partitions._region == REGION_PARTITIONS
-        assert fits.capacity == 9 and fits.namespace == b"ns"
-        assert fits.shareable and fits.kind == "remote"
+        assert isinstance(fits, InProcessBackend)
+        assert isinstance(partitions, InProcessBackend)
+        assert isinstance(results, ShardedRemoteBackend)
+        assert results._region == REGION_RESULTS
+        assert results.capacity == 9 and results.namespace == b"ns"
+        assert not results.shareable and results.kind == "remote"
 
-    def test_remote_pair_with_sharded_url_and_replication(self):
-        fits, _ = build_search_backends(
+    def test_remote_results_with_sharded_url_and_replication(self):
+        *_, results = build_search_backends(
             "remote",
             namespace=b"ns",
             cache_url="127.0.0.1:1,127.0.0.1:2,127.0.0.1:3",
             cache_replication=2,
         )
-        assert fits.endpoints == ("127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3")
-        assert fits.replication == 2 and fits.kind == "remote"
+        assert results.endpoints == ("127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3")
+        assert results.replication == 2 and results.kind == "remote"
+
+    def test_shared_keeps_results_in_process(self):
+        fits, partitions, results = build_search_backends("shared")
+        try:
+            assert fits.shareable and partitions.shareable
+            assert isinstance(results, InProcessBackend)
+        finally:
+            fits.close(), partitions.close()
 
     def test_choices_cover_every_kind(self):
         assert BACKEND_CHOICES == ("memory", "shared", "disk", "remote")

@@ -84,19 +84,22 @@ class TestRankingsAcrossBackends:
         assert shared.search_stats.cache_backend == "shared"
 
 
-class TestDiskWarmStart:
-    def test_second_run_is_fully_warm(self, fig1_pair, tmp_path):
+class TestDiskResultEntries:
+    def test_second_run_is_served_from_the_file(self, fig1_pair, tmp_path):
         config = CharlesConfig(cache_backend="disk", cache_dir=str(tmp_path))
         first = _summarize(fig1_pair, config)
         # a brand-new Charles (fresh engine, fresh caches object) over the same
-        # cache_dir: every lookup must come off the file the first run wrote
+        # cache_dir: the ranking comes off the result entry the first run wrote
         second = _summarize(fig1_pair, config)
         assert _ranking(second) == _ranking(first)
+        assert second.total_candidates == first.total_candidates
         stats = second.search_stats
-        assert stats.cache_hits > 0
-        assert stats.fit_cache_misses == 0 and stats.partition_cache_misses == 0
+        assert stats.result_hits == 1 and first.search_stats.result_hits == 0
+        assert stats.cache_lookups == stats.candidates_evaluated == 0
+        # per-spec entries never reach the directory
+        assert sorted(path.name for path in tmp_path.glob("*.sqlite")) == ["results.sqlite"]
 
-    def test_fresh_session_starts_warm_from_disk(self, fig1_pair, tmp_path):
+    def test_fresh_session_is_served_from_disk(self, fig1_pair, tmp_path):
         config = CharlesConfig(cache_backend="disk", cache_dir=str(tmp_path))
         with EngineSession(config) as session:
             cold = session.summarize_pair(fig1_pair, "bonus")
@@ -104,15 +107,16 @@ class TestDiskWarmStart:
             warm = session.summarize_pair(fig1_pair, "bonus")
             counters = session.cache_counters()
         assert _ranking(warm) == _ranking(cold)
-        assert counters.hits > 0 and counters.misses == 0
+        assert warm.search_stats.result_hits == 1
+        assert counters.hits == counters.misses == 0
 
     def test_per_backend_breakdown_travels_in_stats(self, fig1_pair, tmp_path):
         config = CharlesConfig(cache_backend="disk", cache_dir=str(tmp_path))
         _summarize(fig1_pair, config)
         stats = _summarize(fig1_pair, config).search_stats
         assert set(stats.backend_counters) == {"disk"}
-        # the second run finds every entry the first one persisted
-        assert stats.backend_counters["disk"].hits > 0
+        # the second run finds the result entry the first one persisted
+        assert stats.backend_counters["disk"].hits == 1
         assert stats.backend_counters["disk"].misses == 0
         payload = stats.as_dict()
         assert payload["cache_backend"] == "disk"
@@ -159,20 +163,35 @@ class TestConfigNamespacing:
         # a different seed changes k-means outcomes without changing content
         # keys — the second run must recompute, not reuse seed-0 entries
         stats = _summarize(fig1_pair, config.replace(seed=123)).search_stats
+        assert stats.result_hits == 0
         assert stats.fit_cache_misses > 0 and stats.partition_cache_misses > 0
-        # while the original config stays fully warm alongside it
+        # so must a shortlist the first run did not ask for
+        narrower = Charles(config).summarize_pair(
+            fig1_pair,
+            "bonus",
+            condition_attributes=["edu"],
+            transformation_attributes=["bonus", "salary"],
+        )
+        assert narrower.search_stats.result_hits == 0
+        # while the original request is still served alongside them
         warm = _summarize(fig1_pair, config).search_stats
-        assert warm.fit_cache_misses == 0 and warm.partition_cache_misses == 0
+        assert warm.result_hits == 1
 
 
 class TestSearchCachesFromConfig:
-    def test_attach_shares_physical_storage(self, tmp_path):
-        config = CharlesConfig(cache_backend="disk", cache_dir=str(tmp_path))
-        caches = SearchCaches.from_config(config)
-        assert caches.shareable and caches.backend_kind == "disk"
+    def test_attach_shares_physical_storage(self):
+        caches = SearchCaches.from_config(CharlesConfig(cache_backend="shared"))
+        assert caches.shareable and caches.backend_kind == "shared"
         caches.fits.get_or_compute("k", lambda: 41)
         attached = SearchCaches.attach(caches.handles())
         assert attached.fits.get_or_compute("k", lambda: 99) == 41
+        caches.close()
+
+    def test_disk_caches_keep_memo_entries_in_process(self, tmp_path):
+        config = CharlesConfig(cache_backend="disk", cache_dir=str(tmp_path))
+        caches = SearchCaches.from_config(config)
+        assert not caches.shareable and caches.backend_kind == "disk"
+        assert caches.fits.backend.kind == caches.partitions.backend.kind == "memory"
         caches.close()
 
     def test_memory_caches_are_not_shareable(self):

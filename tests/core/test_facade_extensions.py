@@ -49,3 +49,56 @@ class TestSummarizeAll:
         assert best.summary.size == 1
         transformation = best.summary.conditional_transformations[0].transformation
         assert transformation.intercept == pytest.approx(1.0)
+
+
+class TestSetupAssistantOnDemand:
+    """The setup assistant runs only for a missing shortlist."""
+
+    @pytest.fixture()
+    def suggest_calls(self, monkeypatch):
+        from repro.core.setup_assistant import SetupAssistant
+
+        calls = []
+        original = SetupAssistant.suggest
+
+        def counting(self, pair, target):
+            calls.append(target)
+            return original(self, pair, target)
+
+        monkeypatch.setattr(SetupAssistant, "suggest", counting)
+        return calls
+
+    def test_pinned_shortlists_skip_it(self, fig1_pair, suggest_calls):
+        charles = Charles()
+        result = charles.summarize_pair(
+            fig1_pair,
+            "bonus",
+            condition_attributes=["edu", "exp"],
+            transformation_attributes=["bonus"],
+        )
+        charles.plan_pair(
+            fig1_pair,
+            "bonus",
+            condition_attributes=["edu", "exp"],
+            transformation_attributes=["bonus"],
+        )
+        assert suggest_calls == []
+        # the suggestions still exist: computed on first read, then kept
+        assert result.suggestions.target == "bonus"
+        assert result.suggestions is result.suggestions
+        assert suggest_calls == ["bonus"]
+
+    def test_a_missing_shortlist_asks_once(self, fig1_pair, suggest_calls):
+        result = Charles().summarize_pair(
+            fig1_pair, "bonus", transformation_attributes=["bonus"]
+        )
+        assert result.suggestions.target == "bonus"
+        assert suggest_calls == ["bonus"]  # the run's own suggestions are kept
+
+    def test_a_result_entry_hit_needs_none(self, fig1_pair, suggest_calls):
+        with Charles().session() as session:
+            first = session.summarize_pair(fig1_pair, "bonus")
+            second = session.summarize_pair(fig1_pair, "bonus")
+        assert second.search_stats.result_hits == 1
+        assert second.condition_attributes == first.condition_attributes
+        assert suggest_calls == ["bonus"]  # the first run's, none for the hit

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.transformation import LinearTransformation
 
@@ -55,6 +57,27 @@ class TestWideTransformationSnapping:
         for tolerance in (0.0, 1e-4, 1e-2):
             snapped = fitted.snapped(source, actual, tolerance=tolerance)
             assert loss(snapped) <= tolerance + 1e-12
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=25, deadline=None)
+    @given(
+        tiny=st.floats(min_value=5e-324, max_value=1e-300),
+        intercept=st.floats(min_value=1.0, max_value=1e6),
+        wide=st.booleans(),
+    )
+    @example(tiny=5e-324, intercept=1e6, wide=True)  # overflows in the greedy path
+    @example(tiny=5e-324, intercept=1e6, wide=False)  # and in the exhaustive one
+    def test_a_large_gap_over_a_tiny_scale_warns_nothing(self, tiny, intercept, wide):
+        # actual values near zero make the loss scale tiny, so a candidate's
+        # error gap divided by it overflows to +inf: a rejection, not a warning
+        names = ["a", "b", "c", "d", "e"] if wide else ["a"]
+        matrix = np.random.default_rng(2).uniform(1.0, 10.0, size=(40, len(names)))
+        source = _MatrixTable(matrix, names)
+        coefficients = (1.0499998, 2.0000003, 0.2500001, 0.7499999, 3.0000002)
+        fitted = LinearTransformation("y", tuple(names), coefficients[: len(names)], intercept)
+        actual = np.full(40, tiny)
+        snapped = fitted.snapped(source, actual, tolerance=0.01)
+        assert len(snapped.coefficients) == len(names)
 
     def test_zero_coefficient_transformation_untouched(self):
         source = _MatrixTable(np.ones((10, 1)), ["a"])

@@ -66,8 +66,9 @@ class TestSqlSemantics:
         sql = summary_to_sql_update(fig1_result.best.summary, "employees")
         for ct in fig1_result.best.summary:
             for coefficient in ct.transformation.coefficients:
-                if abs(coefficient - 1.0) > 1e-9:
-                    assert f"{coefficient:g}" in sql
+                if coefficient != 1.0:
+                    # every digit: the exported statement replays exactly
+                    assert f"{float(coefficient)!r} * " in sql
 
 
 class TestMixedChangeAttributes:

@@ -208,19 +208,16 @@ class TestRankingInvariance:
         assert result.search_stats.candidates_pruned_spec_bounds == 0
 
 
-class _RecordingPrefetchBackend(InProcessBackend):
-    """An in-process store that pretends to batch wire traffic like the fabric."""
-
-    supports_prefetch = True
+class _RecordingBackend(InProcessBackend):
+    """An in-process store that records every key looked up."""
 
     def __init__(self):
         super().__init__()
-        self.prefetched: list = []
-        self.prefetch_calls = 0
+        self.looked_up: list = []
 
-    def prefetch(self, keys) -> None:
-        self.prefetch_calls += 1
-        self.prefetched.extend(keys)
+    def get(self, key):
+        self.looked_up.append(key)
+        return super().get(key)
 
 
 def _two_slice_pair(rows: int = 100, seed: int = 11) -> SnapshotPair:
@@ -259,15 +256,13 @@ def _two_slice_pair(rows: int = 100, seed: int = 11) -> SnapshotPair:
     return SnapshotPair.align(source, target, key="id")
 
 
-class TestNoWastedPrefetch:
-    def test_specs_pruned_by_an_earlier_rounds_floor_send_no_prefetch_keys(
-        self, monkeypatch
-    ):
+class TestNoWastedLookups:
+    def test_bound_pruned_specs_never_reach_the_partition_cache(self, monkeypatch):
         # the floor starts at -inf, so every skip below comes from a floor
         # the run itself set in an earlier round
         pair = _two_slice_pair()
         config = CharlesConfig(alpha=0.8, top_k=5)
-        backend = _RecordingPrefetchBackend()
+        backend = _RecordingBackend()
         caches = SearchCaches(backends=(InProcessBackend(), backend))
         plan = build_search_plan(["dept", "region"], ["bonus", "tenure"], config)
         evaluated = []
@@ -286,26 +281,23 @@ class TestNoWastedPrefetch:
         assert ranked
         assert stats.candidates_pruned_spec_bounds == len(skipped) > 0
         assert all(spec.kind != GLOBAL for spec in skipped)
-        # partition keys carry (C, T, k, w) right after the prefix and target
-        prefetched = {tuple(key[2:6]) for key in backend.prefetched}
-        assert prefetched  # survivors still batch their lookups
-        # GLOBAL specs are never prefetched and no key is sent twice
-        partitioned = sum(1 for spec in plan.specs if spec.kind != GLOBAL)
-        assert len(backend.prefetched) <= partitioned - len(skipped)
-        assert prefetched.isdisjoint(
-            (spec.condition_subset, spec.transformation_subset, spec.n_partitions,
-             spec.residual_weight)
-            for spec in skipped
-        )
-        # a serial round sends its survivors' keys in exactly one prefetch
-        survivors = set(evaluated)
-        partitioned_rounds = sum(
-            1
-            for round_specs in plan.rounds
-            if any(spec in survivors and spec.kind != GLOBAL for spec in round_specs)
-        )
-        assert partitioned_rounds > 1
-        assert backend.prefetch_calls == partitioned_rounds
+        keys = CandidateEvaluator(pair, "bonus", config)
+
+        def top_level_key(spec):
+            return keys._partition_key(
+                spec.condition_subset,
+                spec.transformation_subset,
+                spec.n_partitions,
+                spec.residual_weight,
+                keys._full_mask,
+            )
+
+        looked_up = set(backend.looked_up)
+        assert not looked_up & {top_level_key(spec) for spec in skipped}
+        # every partitioned survivor did look its discovery up
+        assert {
+            top_level_key(spec) for spec in evaluated if spec.kind != GLOBAL
+        } <= looked_up
 
 
 class TestPrunedSpecCounting:

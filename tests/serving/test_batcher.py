@@ -6,6 +6,7 @@ import asyncio
 
 import pytest
 
+from repro.core import CharlesConfig
 from repro.serving.batcher import RequestBatcher, work_key
 
 
@@ -16,7 +17,7 @@ def run(coro):
 class TestWorkKey:
     def test_total_over_every_input(self):
         base = dict(
-            fingerprint=b"f" * 16,
+            config=CharlesConfig(),
             source_digest=b"s" * 16,
             target_digest=b"t" * 16,
             target="bonus",
@@ -26,7 +27,10 @@ class TestWorkKey:
         reference = work_key(**base)
         assert work_key(**base) == reference  # deterministic
         for field, changed in [
-            ("fingerprint", b"F" * 16),
+            ("config", CharlesConfig(seed=7)),
+            # neutral for memo entries, but a result's length and count
+            ("config", CharlesConfig(top_k=3)),
+            ("config", CharlesConfig(prune_search=False)),
             ("source_digest", b"S" * 16),
             ("target_digest", b"T" * 16),
             ("target", "salary"),
@@ -34,10 +38,12 @@ class TestWorkKey:
             ("transformation_attributes", ("exp",)),
         ]:
             assert work_key(**{**base, field: changed}) != reference, field
+        # execution-only knobs do not split flights or result entries
+        assert work_key(**{**base, "config": CharlesConfig(n_jobs=2)}) == reference
 
     def test_none_and_empty_shortlists_differ(self):
         base = dict(
-            fingerprint=b"f" * 16,
+            config=CharlesConfig(),
             source_digest=b"s" * 16,
             target_digest=b"t" * 16,
             target="bonus",
@@ -46,6 +52,10 @@ class TestWorkKey:
         # None means "resolve via the setup assistant", () means "none at all"
         assert work_key(**base, condition_attributes=None) != work_key(
             **base, condition_attributes=()
+        )
+        # a list and a tuple of the same names are the same request
+        assert work_key(**base, condition_attributes=["dept"]) == work_key(
+            **base, condition_attributes=("dept",)
         )
 
 

@@ -171,11 +171,12 @@ class TestCommands:
         assert main(argv) == 0
         first_output = capsys.readouterr().out
         assert "cache=disk" in first_output
-        assert (cache_dir / "fits.sqlite").exists()
+        assert (cache_dir / "results.sqlite").exists()
         # the second invocation builds a brand-new engine over the same store
+        # and is served the first one's result entry
         assert main(argv) == 0
         second_output = capsys.readouterr().out
-        assert "cache hit rate 100.0%" in second_output
+        assert "served from a stored result" in second_output
         assert first_output.split("search:")[0] == second_output.split("search:")[0]
 
     def test_summarize_rejects_disk_cache_without_dir(self, example_csvs, capsys):
@@ -337,7 +338,8 @@ class TestCacheCommands:
         # a second engine invocation is served off the fleet store
         assert main(remote_argv) == 0
         second_output = capsys.readouterr().out
-        assert "cache hit rate 100.0%" in second_output
+        assert "served from a stored result" in second_output
+        assert memory_output.split("search:")[0] == second_output.split("search:")[0]
 
     def test_cache_stats_and_clear_against_running_server(self, example_csvs, server, capsys):
         source, target = example_csvs
@@ -348,15 +350,14 @@ class TestCacheCommands:
         capsys.readouterr()
         assert main(["cache", "stats", "--cache-url", server.url]) == 0
         stats_output = capsys.readouterr().out
-        assert '"fits"' in stats_output and '"partitions"' in stats_output
-        assert '"capacity"' in stats_output
+        assert '"results"' in stats_output and '"capacity"' in stats_output
         assert main(["cache", "clear", "--cache-url", server.url]) == 0
         capsys.readouterr()
         assert main(["cache", "stats", "--cache-url", server.url]) == 0
         import json
 
         cleared = json.loads(capsys.readouterr().out)
-        assert cleared["regions"]["fits"]["entries"] == 0
+        assert cleared["regions"]["results"]["entries"] == 0
         assert cleared["regions"]["partitions"]["entries"] == 0
 
     def test_summarize_against_a_sharded_fleet_matches_memory(self, example_csvs, capsys):
@@ -430,7 +431,7 @@ class TestCacheCommands:
         capsys.readouterr()
         assert main(["cache", "stats", "--cache-dir", str(cache_dir)]) == 0
         stats_output = capsys.readouterr().out
-        assert "fits.sqlite" in stats_output and "entries" in stats_output
+        assert "results.sqlite: 1 entries" in stats_output
         assert main(["cache", "clear", "--cache-dir", str(cache_dir)]) == 0
         capsys.readouterr()
         assert main(["cache", "stats", "--cache-dir", str(cache_dir)]) == 0

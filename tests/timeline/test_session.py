@@ -69,18 +69,58 @@ class TestWarmEqualsCold:
 
 
 class TestCachePersistence:
-    def test_requerying_the_same_pair_is_fully_cached(self, chain):
+    def test_requerying_the_same_pair_is_served_from_its_result_entry(self, chain):
         session = EngineSession(CharlesConfig(**_FAST))
         _, _, pair = chain.consecutive_pairs()[0]
         first = session.summarize_pair(pair, "bonus")
         before = session.cache_counters()
         second = session.summarize_pair(pair, "bonus")
-        after = session.cache_counters()
         assert _ranking(first) == _ranking(second)
-        # the re-query recomputes nothing: every fit and partition discovery hits
-        assert after.fit_misses == before.fit_misses
-        assert after.partition_misses == before.partition_misses
-        assert after.fit_hits > before.fit_hits
+        assert second.total_candidates == first.total_candidates
+        assert second.condition_attributes == first.condition_attributes
+        # the re-query runs no search at all: not one memo lookup
+        assert session.cache_counters() == before
+        stats = second.search_stats
+        assert stats.result_hits == 1 and first.search_stats.result_hits == 0
+        assert stats.cache_lookups == stats.candidates_evaluated == 0
+        assert stats.backend_counters["memory"].hits == 1
+
+    def test_a_changed_shortlist_still_reuses_per_spec_entries(self, chain):
+        config = CharlesConfig(**_FAST)
+        session = EngineSession(config)
+        _, _, pair = chain.consecutive_pairs()[0]
+        first = session.summarize_pair(pair, "bonus")
+        narrower = first.condition_attributes[:1]
+        second = session.summarize_pair(
+            pair,
+            "bonus",
+            condition_attributes=narrower,
+            transformation_attributes=first.transformation_attributes,
+        )
+        stats = second.search_stats
+        assert stats.result_hits == 0
+        assert stats.cache_hits > 0
+        cold = Charles(config).summarize_pair(
+            pair,
+            "bonus",
+            condition_attributes=narrower,
+            transformation_attributes=first.transformation_attributes,
+        )
+        assert _ranking(second) == _ranking(cold)
+        assert cold.search_stats.cache_hits < stats.cache_hits
+
+    def test_the_memo_holds_only_the_last_pairs_entries(self, chain):
+        # per-spec keys rotate with every hop, so earlier pairs' entries are
+        # dead weight: the session drops them when the pair changes
+        config = CharlesConfig(**_FAST)
+        pairs = [pair for _, _, pair in chain.consecutive_pairs()]
+        session = EngineSession(config)
+        for pair in pairs:
+            session.summarize_pair(pair, "bonus")
+        fresh = EngineSession(config)
+        fresh.summarize_pair(pairs[-1], "bonus")
+        assert len(session.caches.fits) == len(fresh.caches.fits) > 0
+        assert len(session.caches.partitions) == len(fresh.caches.partitions) > 0
 
     def test_session_counters_accumulate_across_runs(self, chain):
         session = EngineSession(CharlesConfig(**_FAST))
