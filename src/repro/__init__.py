@@ -21,84 +21,95 @@ Package layout:
 * :mod:`repro.ml`          — regression, k-means, association measures, model trees
 * :mod:`repro.core`        — the ChARLES contribution (conditions, transformations,
   scoring, setup assistant, partition discovery, diff discovery engine)
+* :mod:`repro.search`      — the candidate search: planner, score bounds, memo
+  caches, evaluator, serial and process-pool executors
 * :mod:`repro.diff`        — syntactic baselines: cell diffs, update distance, drift
 * :mod:`repro.baselines`   — exhaustive / global-regression / greedy-tree baselines
 * :mod:`repro.timeline`    — versioned snapshot chains, deltas, warm engine sessions
-* :mod:`repro.cachestore`  — pluggable cache stores (in-process, shared-memory, disk)
+* :mod:`repro.cachestore`  — pluggable cache stores (in-process, shared-memory, disk,
+  remote) behind one backend contract
+* :mod:`repro.cacheserver` — the cache fabric: wire protocol, asyncio cache server,
+  consistent-hash ring and the sharded remote backend
+* :mod:`repro.serving`     — the multi-tenant HTTP front door behind ``charles serve``
+* :mod:`repro.obs`         — tracing spans, Prometheus metrics and trace analysis
 * :mod:`repro.workloads`   — synthetic datasets with known ground-truth policies
 * :mod:`repro.evaluation`  — recovery metrics and the experiment harness
 * :mod:`repro.viz`         — ASCII model trees, partition treemaps, markdown reports
 * :mod:`repro.cli`         — the ``charles`` command-line front-end
+
+The names below are imported from the module that defines them on first
+use, so ``import repro`` loads nothing else and each process loads only the
+parts it runs.
 """
 
-from repro.core.charles import Charles, CharlesResult
-from repro.core.condition import Condition, Descriptor
-from repro.core.config import CharlesConfig, InterpretabilityWeights, ServingConfig
-from repro.core.discovery import DiffDiscoveryEngine, ScoredSummary
-from repro.core.scoring import ScoreBreakdown, score_summary
-from repro.core.setup_assistant import SetupAssistant, SetupSuggestions
-from repro.core.summary import ChangeSummary, ConditionalTransformation
-from repro.core.transformation import LinearTransformation
-from repro.exceptions import (
-    CharlesError,
-    ConfigurationError,
-    DiscoveryError,
-    ExpressionError,
-    ModelFitError,
-    SchemaError,
-    SnapshotAlignmentError,
-    TimelineError,
-)
-from repro.relational.csv_io import read_csv, write_csv
-from repro.relational.schema import Column, DType, Schema
-from repro.relational.snapshot import SnapshotPair
-from repro.relational.table import Table
-from repro.timeline import (
-    EngineSession,
-    TimelineHop,
-    TimelineResult,
-    TimelineStore,
-    VersionDelta,
-)
+from __future__ import annotations
+
+import sys
+from typing import Callable, Mapping, Sequence
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "Charles",
-    "CharlesResult",
-    "CharlesConfig",
-    "InterpretabilityWeights",
-    "ServingConfig",
-    "Condition",
-    "Descriptor",
-    "LinearTransformation",
-    "ChangeSummary",
-    "ConditionalTransformation",
-    "ScoreBreakdown",
-    "score_summary",
-    "SetupAssistant",
-    "SetupSuggestions",
-    "DiffDiscoveryEngine",
-    "ScoredSummary",
-    "Table",
-    "Schema",
-    "Column",
-    "DType",
-    "SnapshotPair",
-    "read_csv",
-    "write_csv",
-    "TimelineStore",
-    "VersionDelta",
-    "EngineSession",
-    "TimelineHop",
-    "TimelineResult",
-    "CharlesError",
-    "SchemaError",
-    "ExpressionError",
-    "SnapshotAlignmentError",
-    "ModelFitError",
-    "ConfigurationError",
-    "DiscoveryError",
-    "TimelineError",
-]
+
+def _lazy_exports(
+    package: str, modules: Mapping[str, Sequence[str]]
+) -> tuple[dict[str, str], Callable[[str], object], Callable[[], list[str]]]:
+    """``(name -> defining module, __getattr__, __dir__)`` of a lazy package.
+
+    ``modules`` maps each defining module to the names the package
+    re-exports from it.  The first lookup of a name (``package.Name``,
+    ``from package import Name`` or ``from package import *``) imports its
+    defining module (PEP 562) and binds the object in the package, so it is
+    the object the defining module holds and later lookups are plain
+    attribute reads.  A package with a public name equal to one of its
+    submodules' names must stay eager (``repro.diff``): importing that
+    submodule rebinds the package attribute to the module.
+    """
+    exports = {name: module for module, names in modules.items() for name in names}
+
+    def __getattr__(name: str) -> object:
+        module = exports.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        # the import statement's machinery, so `python -X importtime` logs it
+        __import__(module)
+        value = getattr(sys.modules[module], name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(set(vars(sys.modules[package])) | set(exports))
+
+    return exports, __getattr__, __dir__
+
+
+# names resolve on first use, so `import repro` loads no other repro module
+# and a process imports only the parts of the engine it runs
+_EXPORTS, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.core.charles": ("Charles", "CharlesResult"),
+    "repro.core.config": ("CharlesConfig", "InterpretabilityWeights", "ServingConfig"),
+    "repro.core.condition": ("Condition", "Descriptor"),
+    "repro.core.transformation": ("LinearTransformation",),
+    "repro.core.summary": ("ChangeSummary", "ConditionalTransformation"),
+    "repro.core.scoring": ("ScoreBreakdown", "score_summary"),
+    "repro.core.setup_assistant": ("SetupAssistant", "SetupSuggestions"),
+    "repro.core.discovery": ("DiffDiscoveryEngine", "ScoredSummary"),
+    "repro.relational.table": ("Table",),
+    "repro.relational.schema": ("Schema", "Column", "DType"),
+    "repro.relational.snapshot": ("SnapshotPair",),
+    "repro.relational.csv_io": ("read_csv", "write_csv"),
+    "repro.timeline.store": ("TimelineStore",),
+    "repro.timeline.delta": ("VersionDelta",),
+    "repro.timeline.session": ("EngineSession",),
+    "repro.timeline.result": ("TimelineHop", "TimelineResult"),
+    "repro.exceptions": (
+        "CharlesError",
+        "SchemaError",
+        "ExpressionError",
+        "SnapshotAlignmentError",
+        "ModelFitError",
+        "ConfigurationError",
+        "DiscoveryError",
+        "TimelineError",
+    ),
+})
+__all__ = list(_EXPORTS)

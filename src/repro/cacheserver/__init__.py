@@ -55,34 +55,22 @@ byte-identical to in-process runs, which ``tests/cacheserver/`` and
 ``benchmarks/bench_cache_fabric.py`` enforce.
 """
 
-from repro.cacheserver.aserver import AsyncCacheServer
-from repro.cacheserver.client import (
-    ShardClient,
-    parse_url,
-    server_clear,
-    server_metrics,
-    server_ping,
-    server_stats,
-    server_trace,
-)
-from repro.cacheserver.fabric import ShardedRemoteBackend
-from repro.cacheserver.pipeline import PipelinedConnection
-from repro.cacheserver.ring import HashRing, parse_endpoints
-from repro.cacheserver.server import DEFAULT_PORT, CacheServerCore
+from repro import _lazy_exports
 
-__all__ = [
-    "ShardClient",
-    "ShardedRemoteBackend",
-    "PipelinedConnection",
-    "HashRing",
-    "parse_endpoints",
-    "parse_url",
-    "server_ping",
-    "server_stats",
-    "server_clear",
-    "server_metrics",
-    "server_trace",
-    "CacheServerCore",
-    "AsyncCacheServer",
-    "DEFAULT_PORT",
-]
+_EXPORTS, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.cacheserver.client": (
+        "ShardClient",
+        "parse_url",
+        "server_ping",
+        "server_stats",
+        "server_clear",
+        "server_metrics",
+        "server_trace",
+    ),
+    "repro.cacheserver.fabric": ("ShardedRemoteBackend",),
+    "repro.cacheserver.pipeline": ("PipelinedConnection",),
+    "repro.cacheserver.ring": ("HashRing", "parse_endpoints"),
+    "repro.cacheserver.server": ("CacheServerCore", "DEFAULT_PORT"),
+    "repro.cacheserver.aserver": ("AsyncCacheServer",),
+})
+__all__ = list(_EXPORTS)

@@ -40,8 +40,7 @@ import socket
 import time
 from typing import Any
 
-from repro.cachestore.base import MISSING
-from repro.cachestore.disk import _UNPICKLE_ERRORS
+from repro.cachestore.base import MISSING, UNPICKLE_ERRORS
 from repro.cacheserver import protocol
 from repro.cacheserver.pipeline import PipelinedConnection
 from repro.exceptions import CacheStoreError
@@ -107,7 +106,7 @@ def decode_value(payload: bytes) -> Any:
     """Unpickle a served value; a foreign or stale blob degrades to MISSING."""
     try:
         return pickle.loads(payload)
-    except _UNPICKLE_ERRORS:
+    except UNPICKLE_ERRORS:
         return MISSING
 
 

@@ -59,44 +59,28 @@ Subclass :class:`~repro.cachestore.base.CacheBackend` and implement
 :func:`~repro.cachestore.base.key_digest` so keys are stable across
 interpreters.  Wire the kind into
 :func:`~repro.cachestore.factory.build_search_backends` and
-``BACKEND_CHOICES``; everything above the backend — executors, sessions,
-stats, CLI — picks it up from configuration.  The contract to preserve: a
+``BACKEND_CHOICES``, importing its module inside its branch so a process
+that never selects the kind never loads it; everything above the backend —
+executors, sessions, stats, CLI — picks it up from configuration.  The contract to preserve: a
 ``put`` value must come back identically from ``get`` (backends never see
 non-deterministic data, so races may duplicate work but can never corrupt
 results).
 """
 
-from repro.cachestore.base import (
-    MISSING,
-    BackendCounters,
-    BackendHandle,
-    CacheBackend,
-    key_digest,
-)
-from repro.cachestore.disk import DiskBackend
-from repro.cachestore.factory import BACKEND_CHOICES, build_search_backends
-from repro.cachestore.memory import InProcessBackend
-from repro.cachestore.policy import (
-    CostAwarePolicy,
-    EvictionPolicy,
-    LRUPolicy,
-)
-from repro.cachestore.shared import SharedBackend, SharedHandle, create_shared_backends
+from repro import _lazy_exports
 
-__all__ = [
-    "MISSING",
-    "BackendCounters",
-    "BackendHandle",
-    "CacheBackend",
-    "key_digest",
-    "EvictionPolicy",
-    "LRUPolicy",
-    "CostAwarePolicy",
-    "InProcessBackend",
-    "SharedBackend",
-    "SharedHandle",
-    "create_shared_backends",
-    "DiskBackend",
-    "BACKEND_CHOICES",
-    "build_search_backends",
-]
+_EXPORTS, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.cachestore.base": (
+        "MISSING",
+        "BackendCounters",
+        "BackendHandle",
+        "CacheBackend",
+        "key_digest",
+    ),
+    "repro.cachestore.policy": ("EvictionPolicy", "LRUPolicy", "CostAwarePolicy"),
+    "repro.cachestore.memory": ("InProcessBackend",),
+    "repro.cachestore.shared": ("SharedBackend", "SharedHandle", "create_shared_backends"),
+    "repro.cachestore.disk": ("DiskBackend",),
+    "repro.cachestore.factory": ("BACKEND_CHOICES", "build_search_backends"),
+})
+__all__ = list(_EXPORTS)

@@ -38,6 +38,7 @@ for parallel workers).
 from __future__ import annotations
 
 import hashlib
+import pickle
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Hashable
@@ -48,6 +49,7 @@ from repro.obs.metrics import get_registry
 __all__ = [
     "MISSING",
     "STORE_ERRORS",
+    "UNPICKLE_ERRORS",
     "BackendCounters",
     "CacheBackend",
     "BackendHandle",
@@ -60,6 +62,20 @@ STORE_ERRORS = get_registry().counter(
     "charles_cache_store_errors_total",
     "Cache-store failures degraded instead of raised, by backend and operation",
     labels=("backend", "op"),
+)
+
+
+# everything pickle.loads can raise on a stale or damaged blob (missing
+# classes after an upgrade, truncated payloads, bogus opcodes); the disk
+# store and the fabric client both degrade these to a counted miss
+UNPICKLE_ERRORS = (
+    pickle.UnpicklingError,
+    AttributeError,
+    ImportError,
+    IndexError,
+    EOFError,
+    TypeError,
+    ValueError,
 )
 
 

@@ -56,7 +56,13 @@ import sqlite3
 from pathlib import Path
 from typing import Any, Hashable
 
-from repro.cachestore.base import MISSING, STORE_ERRORS, CacheBackend, key_digest
+from repro.cachestore.base import (
+    MISSING,
+    STORE_ERRORS,
+    UNPICKLE_ERRORS,
+    CacheBackend,
+    key_digest,
+)
 from repro.exceptions import CacheStoreError
 
 __all__ = ["DiskBackend"]
@@ -72,19 +78,6 @@ _FORMAT_VERSION = 2
 #: ranks by in memory — with ``rowid`` breaking ties, so a store of all-zero
 #: costs (e.g. freshly migrated from v1) evicts oldest-insert-first
 _EVICTION_ORDER = "cost / (length(value) + 1) ASC, rowid ASC"
-
-# everything pickle.loads can raise on a stale or damaged blob (missing
-# classes after an upgrade, truncated payloads, bogus opcodes)
-_UNPICKLE_ERRORS = (
-    pickle.UnpicklingError,
-    AttributeError,
-    ImportError,
-    IndexError,
-    EOFError,
-    TypeError,
-    ValueError,
-)
-
 
 class DiskBackend(CacheBackend):
     """A content-keyed persistent store in a single SQLite file."""
@@ -186,7 +179,7 @@ class DiskBackend(CacheBackend):
                 return value
         except (sqlite3.Error, CacheStoreError):
             STORE_ERRORS.inc(backend=self.kind, op="get")
-        except _UNPICKLE_ERRORS:
+        except UNPICKLE_ERRORS:
             STORE_ERRORS.inc(backend=self.kind, op="get")
             self._discard(digest)
         self.misses += 1

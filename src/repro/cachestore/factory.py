@@ -13,9 +13,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.cachestore.base import CacheBackend
-from repro.cachestore.disk import DiskBackend
 from repro.cachestore.memory import InProcessBackend
-from repro.cachestore.shared import create_shared_backends
 from repro.exceptions import ConfigurationError
 
 __all__ = ["BACKEND_CHOICES", "build_search_backends"]
@@ -61,7 +59,11 @@ def build_search_backends(
         raise ConfigurationError(
             f"cache_backend must be one of {BACKEND_CHOICES}, got {kind!r}"
         )
+    # each optional backend is imported in its branch, so a process loads
+    # sqlite3, multiprocessing or the fabric client only when it uses them
     if kind == "shared":
+        from repro.cachestore.shared import create_shared_backends
+
         return (*create_shared_backends(2, capacity), InProcessBackend(capacity))
     fits, partitions = InProcessBackend(capacity), InProcessBackend(capacity)
     if kind == "memory":
@@ -71,8 +73,8 @@ def build_search_backends(
             raise ConfigurationError(
                 "cache_backend 'remote' needs a cache_url pointing at a cache server"
             )
-        # imported lazily: the cacheserver package builds *on* the cachestore
-        # contract, so the base package must not import it at module load
+        # the cacheserver package also builds *on* the cachestore contract,
+        # so this package must not import it at module load
         from repro.cacheserver.fabric import ShardedRemoteBackend
         from repro.cacheserver.protocol import REGION_RESULTS
 
@@ -90,5 +92,7 @@ def build_search_backends(
         raise ConfigurationError(
             f"cache_backend {kind!r} needs a cache_dir to store its entries in"
         )
+    from repro.cachestore.disk import DiskBackend
+
     results = DiskBackend(Path(cache_dir) / "results.sqlite", capacity, namespace=namespace)
     return fits, partitions, results

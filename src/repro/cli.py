@@ -44,26 +44,16 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.cachestore import BACKEND_CHOICES, DiskBackend
-from repro.core.charles import Charles
-from repro.core.config import CharlesConfig
-from repro.core.sql import summary_to_sql_update
-from repro.diff import batch_update_distance, diff_snapshots, drift_report, update_distance
+# every command imports the modules it runs inside its handler, so the
+# parser, `charles cache-server` and `charles cache` start without numpy
+from repro.cachestore.factory import BACKEND_CHOICES
 from repro.exceptions import CharlesError
-from repro.relational.csv_io import read_csv, write_csv
-from repro.relational.snapshot import SnapshotPair
-from repro.search.bounds import bound_histogram
-from repro.timeline import EngineSession, TimelineStore
-from repro.viz.report import result_to_markdown
-from repro.viz.tree_render import render_summary_tree
-from repro.viz.treemap import render_partition_treemap
-from repro.workloads import (
-    billionaires_pair,
-    employee_pair,
-    example_pair,
-    montgomery_pair,
-)
+
+if TYPE_CHECKING:
+    from repro.core.config import CharlesConfig
+    from repro.relational.snapshot import SnapshotPair
 
 __all__ = ["main", "build_parser"]
 
@@ -319,6 +309,9 @@ def _write_stats_json(
 
 
 def _load_pair(args: argparse.Namespace) -> SnapshotPair:
+    from repro.relational.csv_io import read_csv
+    from repro.relational.snapshot import SnapshotPair
+
     source = read_csv(args.source, primary_key=args.key)
     target = read_csv(args.target_file, primary_key=args.key)
     return SnapshotPair.align(source, target, key=args.key)
@@ -326,6 +319,8 @@ def _load_pair(args: argparse.Namespace) -> SnapshotPair:
 
 def _render_plan(plan, index) -> str:
     """The dry-run report: the plan's shape plus per-round bound histograms."""
+    from repro.search.bounds import bound_histogram
+
     lines = [plan.describe()]
     if index is not None:
         lines.append("  score-bound histogram per round (bucket:specs):")
@@ -341,6 +336,9 @@ def _render_plan(plan, index) -> str:
 
 
 def _command_plan(args: argparse.Namespace) -> int:
+    from repro.core.charles import Charles
+    from repro.core.config import CharlesConfig
+
     config = CharlesConfig(
         alpha=args.alpha,
         max_condition_attributes=args.max_condition_attributes,
@@ -359,6 +357,13 @@ def _command_plan(args: argparse.Namespace) -> int:
 
 
 def _command_summarize(args: argparse.Namespace) -> int:
+    from repro.core.charles import Charles
+    from repro.core.config import CharlesConfig
+    from repro.core.sql import summary_to_sql_update
+    from repro.viz.report import result_to_markdown
+    from repro.viz.tree_render import render_summary_tree
+    from repro.viz.treemap import render_partition_treemap
+
     config = CharlesConfig(
         alpha=args.alpha,
         max_condition_attributes=args.max_condition_attributes,
@@ -411,6 +416,8 @@ def _command_summarize(args: argparse.Namespace) -> int:
 
 
 def _command_suggest(args: argparse.Namespace) -> int:
+    from repro.core.charles import Charles
+
     pair = _load_pair(args)
     suggestions = Charles().suggest_attributes(pair.source, pair.target, args.target, key=pair.key)
     print(suggestions.describe())
@@ -418,6 +425,8 @@ def _command_suggest(args: argparse.Namespace) -> int:
 
 
 def _command_diff(args: argparse.Namespace) -> int:
+    from repro.diff import batch_update_distance, diff_snapshots, drift_report, update_distance
+
     pair = _load_pair(args)
     report = diff_snapshots(pair)
     print(report.describe(limit=args.limit))
@@ -433,6 +442,10 @@ def _command_timeline(args: argparse.Namespace) -> int:
     if len(args.versions) < 2:
         print("error: a timeline needs at least two snapshot CSVs", file=sys.stderr)
         return 2
+    from repro.core.config import CharlesConfig
+    from repro.relational.csv_io import read_csv
+    from repro.timeline import EngineSession, TimelineStore
+
     config = CharlesConfig(
         alpha=args.alpha,
         max_condition_attributes=args.max_condition_attributes,
@@ -516,6 +529,9 @@ def _command_trace(args: argparse.Namespace) -> int:
 
 
 def _command_generate(args: argparse.Namespace) -> int:
+    from repro.relational.csv_io import write_csv
+    from repro.workloads import billionaires_pair, employee_pair, example_pair, montgomery_pair
+
     if args.workload == "example":
         pair = example_pair()
     elif args.workload == "employee":
@@ -534,7 +550,6 @@ def _command_generate(args: argparse.Namespace) -> int:
 
 
 def _command_cache_server(args: argparse.Namespace) -> int:
-    # imported here so the paper-workflow commands never pay for the server
     from repro.cacheserver import DEFAULT_PORT, AsyncCacheServer
 
     port = DEFAULT_PORT if args.port is None else args.port
@@ -567,7 +582,6 @@ def _command_cache_server(args: argparse.Namespace) -> int:
 
 
 def _command_serve(args: argparse.Namespace) -> int:
-    # imported here so the paper-workflow commands never pay for the service
     import asyncio
 
     from repro.core.config import ServingConfig
@@ -737,6 +751,8 @@ def _command_cache(args: argparse.Namespace) -> int:
 
         print(_shard_stats_table({url: _stats_or_down(url) for url in endpoints}))
         return 0
+    from repro.cachestore.disk import DiskBackend
+
     for path in _disk_cache_files(args.cache_dir):
         backend = DiskBackend(path)
         try:

@@ -14,43 +14,22 @@ Submodules, in dependency order:
 * :mod:`~repro.core.charles` — the :class:`Charles` facade tying it all together.
 """
 
-from repro.core.charles import Charles, CharlesResult
-from repro.core.condition import Condition, Descriptor, DescriptorKind
-from repro.core.config import CharlesConfig, InterpretabilityWeights, ServingConfig
-from repro.core.discovery import DiffDiscoveryEngine, ScoredSummary
-from repro.core.partitioning import Partition, discover_partitions, induce_condition
-from repro.core.scoring import ScoreBreakdown, accuracy, interpretability, score_summary
-from repro.core.setup_assistant import AttributeSuggestion, SetupAssistant, SetupSuggestions
-from repro.core.sql import condition_to_sql, summary_to_sql_update, transformation_to_sql
-from repro.core.summary import ChangeSummary, ConditionalTransformation, PartitionAssignment
-from repro.core.transformation import LinearTransformation
+from repro import _lazy_exports
 
-__all__ = [
-    "Charles",
-    "CharlesResult",
-    "CharlesConfig",
-    "InterpretabilityWeights",
-    "ServingConfig",
-    "Condition",
-    "Descriptor",
-    "DescriptorKind",
-    "LinearTransformation",
-    "ChangeSummary",
-    "ConditionalTransformation",
-    "PartitionAssignment",
-    "ScoreBreakdown",
-    "accuracy",
-    "interpretability",
-    "score_summary",
-    "SetupAssistant",
-    "SetupSuggestions",
-    "AttributeSuggestion",
-    "Partition",
-    "discover_partitions",
-    "induce_condition",
-    "DiffDiscoveryEngine",
-    "ScoredSummary",
-    "condition_to_sql",
-    "transformation_to_sql",
-    "summary_to_sql_update",
-]
+_EXPORTS, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.core.charles": ("Charles", "CharlesResult"),
+    "repro.core.config": ("CharlesConfig", "InterpretabilityWeights", "ServingConfig"),
+    "repro.core.condition": ("Condition", "Descriptor", "DescriptorKind"),
+    "repro.core.transformation": ("LinearTransformation",),
+    "repro.core.summary": (
+        "ChangeSummary",
+        "ConditionalTransformation",
+        "PartitionAssignment",
+    ),
+    "repro.core.scoring": ("ScoreBreakdown", "accuracy", "interpretability", "score_summary"),
+    "repro.core.setup_assistant": ("SetupAssistant", "SetupSuggestions", "AttributeSuggestion"),
+    "repro.core.partitioning": ("Partition", "discover_partitions", "induce_condition"),
+    "repro.core.discovery": ("DiffDiscoveryEngine", "ScoredSummary"),
+    "repro.core.sql": ("condition_to_sql", "transformation_to_sql", "summary_to_sql_update"),
+})
+__all__ = list(_EXPORTS)

@@ -196,7 +196,10 @@ class LinearTransformation:
         if not self.feature_names:
             return np.full(table.num_rows, self.intercept, dtype=float)
         matrix = table.numeric_matrix(list(self.feature_names))
-        return matrix @ np.asarray(self.coefficients, dtype=float) + self.intercept
+        # a ±inf cell times a 0 coefficient, or opposite infinities summed,
+        # is NaN (no prediction), as intended; numpy would warn about it
+        with np.errstate(invalid="ignore", over="ignore"):
+            return matrix @ np.asarray(self.coefficients, dtype=float) + self.intercept
 
     def errors(self, source: Table, actual_new_values: np.ndarray) -> np.ndarray:
         """Absolute errors of this transformation against the actual new values."""

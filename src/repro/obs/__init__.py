@@ -16,44 +16,28 @@ fingerprints or scoring, and rankings are byte-identical with tracing on or
 off.
 """
 
-from repro.obs.analyze import load_trace, render_tree, summarize_trace
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-    parse_prometheus,
-)
-from repro.obs.trace import (
-    BufferSink,
-    JsonlSink,
-    Span,
-    Tracer,
-    configure_tracing,
-    disable_tracing,
-    get_tracer,
-    new_span_id,
-    wire_context,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "Span",
-    "Tracer",
-    "JsonlSink",
-    "BufferSink",
-    "get_tracer",
-    "configure_tracing",
-    "disable_tracing",
-    "wire_context",
-    "new_span_id",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "get_registry",
-    "parse_prometheus",
-    "load_trace",
-    "summarize_trace",
-    "render_tree",
-]
+_EXPORTS, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.obs.trace": (
+        "Span",
+        "Tracer",
+        "JsonlSink",
+        "BufferSink",
+        "get_tracer",
+        "configure_tracing",
+        "disable_tracing",
+        "wire_context",
+        "new_span_id",
+    ),
+    "repro.obs.metrics": (
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricsRegistry",
+        "get_registry",
+        "parse_prometheus",
+    ),
+    "repro.obs.analyze": ("load_trace", "summarize_trace", "render_tree"),
+})
+__all__ = list(_EXPORTS)

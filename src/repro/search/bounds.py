@@ -60,6 +60,7 @@ pruning on and off to byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -69,7 +70,7 @@ from repro.relational.snapshot import SnapshotPair
 from repro.search.cache import PairFingerprints
 from repro.search.planner import CandidateSpec
 
-__all__ = ["SpecBound", "ScoreBoundIndex", "bound_histogram"]
+__all__ = ["SpecBound", "ScoreBoundIndex", "bound_histogram", "grouped_l1_floor"]
 
 #: float-robustness margin added to every score bound: the vectorised residual
 #: floor and the scalar scoring path may round differently in the last ulps,
@@ -184,29 +185,40 @@ class ScoreBoundIndex:
 
     def _residual_floor(self, union: tuple[str, ...]) -> float:
         """``E_min``: least total L1 error any per-group prediction can leave."""
-        if self._actual.size == 0:
-            return 0.0
         columns = tuple(dict.fromkeys(union + (self._target,)))
-        matrix = np.column_stack(
-            [self._column_print(name)[self._usable] for name in columns]
-        )
-        _, inverse = np.unique(matrix, axis=0, return_inverse=True)
-        inverse = np.asarray(inverse).ravel()
-        # sort rows by (group, value); per-group L1-median deviations then
-        # fall out of one prefix-sum pass over the sorted values
-        order = np.lexsort((self._actual, inverse))
-        groups = inverse[order]
-        values = self._actual[order]
-        prefix = np.concatenate(([0.0], np.cumsum(values)))
-        starts = np.flatnonzero(np.r_[True, groups[1:] != groups[:-1]])
-        ends = np.r_[starts[1:], values.size]
-        counts = ends - starts
-        lower = starts + counts // 2
-        upper = starts + (counts + 1) // 2
-        deviations = (prefix[ends] - prefix[upper]) - (prefix[lower] - prefix[starts])
-        # prefix-sum cancellation can leave a tiny negative residue; the true
-        # quantity is a sum of absolute deviations and can never be below 0
-        return max(0.0, float(deviations.sum()))
+        prints = [self._column_print(name)[self._usable] for name in columns]
+        return grouped_l1_floor(prints, self._actual)
+
+
+def grouped_l1_floor(prints: Sequence[np.ndarray], values: np.ndarray) -> float:
+    """Least total L1 error of predicting ``values`` by one constant per group.
+
+    Rows with equal entries in every array of ``prints`` form a group; the
+    best constant of a group is its median.  One ``lexsort`` orders the rows
+    by the prints, the first array most significant (the lexicographic group
+    order ``np.unique(axis=0)`` gives), and by value within a group; per-group
+    median deviations then fall out of one prefix-sum pass over the sorted
+    values.
+    """
+    if values.size == 0:
+        return 0.0
+    order = np.lexsort((values, *reversed(prints)))
+    values = values[order]
+    boundary = np.zeros(values.size, dtype=bool)
+    boundary[0] = True
+    for column in prints:
+        column = column[order]
+        boundary[1:] |= column[1:] != column[:-1]
+    prefix = np.concatenate(([0.0], np.cumsum(values)))
+    starts = np.flatnonzero(boundary)
+    ends = np.r_[starts[1:], values.size]
+    counts = ends - starts
+    lower = starts + counts // 2
+    upper = starts + (counts + 1) // 2
+    deviations = (prefix[ends] - prefix[upper]) - (prefix[lower] - prefix[starts])
+    # prefix-sum cancellation can leave a tiny negative residue; the true
+    # quantity is a sum of absolute deviations and can never be below 0
+    return max(0.0, float(deviations.sum()))
 
 
 def bound_histogram(bounds, bins: int = 10) -> str:

@@ -35,9 +35,7 @@ import os
 import pickle
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.config import CharlesConfig
 from repro.obs.metrics import get_registry
@@ -52,6 +50,9 @@ from repro.search.evaluator import (
 )
 from repro.search.planner import CandidateSpec, SearchPlan
 from repro.search.stats import SearchStats
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = ["SearchExecutor", "SerialExecutor", "ParallelExecutor", "select_executor"]
 
@@ -388,6 +389,9 @@ class ParallelExecutor(SearchExecutor):
         handles = None
         if caches is not None and caches.shareable:
             handles = caches.handles()
+        # imported here: a serial search never loads the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         try:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.n_jobs,
@@ -433,6 +437,8 @@ class ParallelExecutor(SearchExecutor):
         known_signatures: frozenset,
     ) -> tuple[list[EvaluationOutcome], CacheCounters]:
         if self._pool is not None:
+            from concurrent.futures.process import BrokenProcessPool
+
             tracer = get_tracer()
             trace_context = tracer.context() if tracer.enabled else None
             payloads = [

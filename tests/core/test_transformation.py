@@ -6,6 +6,7 @@ import pytest
 from repro.core.transformation import LinearTransformation
 from repro.exceptions import ModelFitError
 from repro.ml.linreg import fit_linear_model
+from repro.relational.table import Table
 
 
 class TestConstruction:
@@ -63,6 +64,23 @@ class TestComplexityAndNormality:
         rule = LinearTransformation("bonus", ("bonus",), (1.05,), 1000.0)
         actual = rule.apply(source)
         assert np.allclose(rule.errors(source, actual), 0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_apply_is_silent_where_an_infinite_cell_gives_nan(self):
+        table = Table.from_rows(
+            [
+                {"id": 0, "x": float("inf"), "y": 1.0},
+                {"id": 1, "x": float("inf"), "y": float("-inf")},
+                {"id": 2, "x": 2.0, "y": 3.0},
+            ],
+            primary_key="id",
+        )
+        # inf * 0 and inf + -inf have no value: NaN, and no numpy warning
+        zero_weight = LinearTransformation("y", ("x", "y"), (0.0, 1.0), 0.5)
+        assert np.isnan(zero_weight.apply(table)[0])
+        assert zero_weight.apply(table)[2] == 3.5
+        opposite = LinearTransformation("y", ("x", "y"), (1.0, 1.0), 0.0)
+        assert np.isnan(opposite.apply(table)[1])
 
 
 class TestSnapping:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cachestore.memory import InProcessBackend
@@ -32,7 +32,7 @@ from repro.search import (
     build_search_plan,
 )
 from repro.search import executors
-from repro.search.bounds import ScoreBoundIndex, bound_histogram
+from repro.search.bounds import ScoreBoundIndex, bound_histogram, grouped_l1_floor
 from repro.search.evaluator import CandidateEvaluator
 from repro.workloads import employee_pair
 
@@ -371,6 +371,71 @@ class TestPlanOrder:
         assert len(evaluated) == len(survivors)
         assert len(evaluated) == len(plan) - stats.candidates_pruned_spec_bounds
         assert evaluated == [spec for spec in plan.specs if spec in survivors]
+
+
+def _unique_rows_floor(prints, values) -> float:
+    """The residual floor grouped by ``np.unique(axis=0)``: the oracle."""
+    _, inverse = np.unique(np.column_stack(prints), axis=0, return_inverse=True)
+    inverse = np.asarray(inverse).ravel()
+    order = np.lexsort((values, inverse))
+    groups, values = inverse[order], values[order]
+    prefix = np.concatenate(([0.0], np.cumsum(values)))
+    starts = np.flatnonzero(np.r_[True, groups[1:] != groups[:-1]])
+    ends = np.r_[starts[1:], values.size]
+    counts = ends - starts
+    lower = starts + counts // 2
+    upper = starts + (counts + 1) // 2
+    deviations = (prefix[ends] - prefix[upper]) - (prefix[lower] - prefix[starts])
+    return max(0.0, float(deviations.sum()))
+
+
+#: fingerprints of NaN cells: the quiet NaN numpy makes, a negative one and
+#: two payloads, as ``float64.view(uint64)`` produces them
+_NAN_BITS = (
+    int(np.array([np.nan]).view(np.uint64)[0]),
+    0xFFF8000000000000,
+    0x7FF0000000000001,
+    0x7FF8DEADBEEF0000,
+)
+_PRINTS = st.sampled_from((0, 1, 2**63, 2**64 - 1) + _NAN_BITS) | st.integers(0, 2**64 - 1)
+
+
+@st.composite
+def fingerprint_tables(draw):
+    """Fingerprint columns whose rows repeat, and one value per row."""
+    width = draw(st.integers(1, 4))
+    distinct = draw(st.lists(st.tuples(*[_PRINTS] * width), min_size=1, max_size=6))
+    rows = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=40))
+    prints = [np.array([row[column] for row in rows], dtype=np.uint64) for column in range(width)]
+    values = draw(st.lists(
+        st.sampled_from((0.0, 1.5, -2.0)) | st.floats(-1e9, 1e9, allow_nan=False),
+        min_size=len(rows), max_size=len(rows),
+    ))
+    return prints, np.array(values, dtype=float)
+
+
+class TestGroupedFloor:
+    """One lexsort groups the rows exactly as ``np.unique(axis=0)`` did."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=fingerprint_tables())
+    @example(table=([np.array([5], dtype=np.uint64)], np.array([3.25])))
+    @example(table=(
+        [np.array(_NAN_BITS * 2, dtype=np.uint64), np.array([7] * 8, dtype=np.uint64)],
+        np.array([1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0]),
+    ))
+    def test_bit_identical_to_unique_rows(self, table):
+        prints, values = table
+        assert grouped_l1_floor(prints, values) == _unique_rows_floor(prints, values)
+
+    def test_duplicate_rows_share_one_median(self):
+        prints = [np.array([1, 1, 1, 2], dtype=np.uint64), np.array([9, 9, 9, 9], dtype=np.uint64)]
+        # group (1, 9): median 2, deviations 1 + 0 + 4; group (2, 9) alone: 0
+        assert grouped_l1_floor(prints, np.array([1.0, 2.0, 6.0, 100.0])) == 5.0
+
+    def test_a_single_row_or_none_leaves_no_error(self):
+        assert grouped_l1_floor([np.array([3], dtype=np.uint64)], np.array([42.0])) == 0.0
+        assert grouped_l1_floor([np.array([], dtype=np.uint64)], np.array([])) == 0.0
 
 
 class TestHistogram:
