@@ -26,8 +26,8 @@ Package layout:
 * :mod:`repro.diff`        — syntactic baselines: cell diffs, update distance, drift
 * :mod:`repro.baselines`   — exhaustive / global-regression / greedy-tree baselines
 * :mod:`repro.timeline`    — versioned snapshot chains, deltas, warm engine sessions
-* :mod:`repro.cachestore`  — pluggable cache stores (in-process, shared-memory, disk,
-  remote) behind one backend contract
+* :mod:`repro.cachestore`  — pluggable cache stores (in-process, disk, remote) behind
+  one backend contract
 * :mod:`repro.cacheserver` — the cache fabric: wire protocol, asyncio cache server,
   consistent-hash ring and the sharded remote backend
 * :mod:`repro.serving`     — the multi-tenant HTTP front door behind ``charles serve``

@@ -18,10 +18,10 @@ eviction order.
   binary frames carrying a request id, digested keys, opaque pickled values
   and a per-PUT recomputation-cost hint; stdlib ``struct``/``json`` only.
 * :mod:`~repro.cacheserver.server` — :class:`~repro.cacheserver.server.
-  CacheServerCore` (regions, verbs, metrics, span buffer), hosting its
-  regions on :class:`~repro.cachestore.memory.InProcessBackend` stores with
-  cost-aware eviction, plus ``PING``/``STATS``/``METRICS``/``TRACE`` admin
-  verbs.
+  CacheServerCore` (the region, verbs, metrics, span buffer), hosting the
+  ``results`` region on an :class:`~repro.cachestore.memory.InProcessBackend`
+  with cost-aware eviction, plus ``PING``/``STATS``/``METRICS``/``TRACE``
+  admin verbs.
 * :mod:`~repro.cacheserver.aserver` — :class:`~repro.cacheserver.aserver.
   AsyncCacheServer`, the core on the wire: every connection multiplexed on
   one ``asyncio`` event loop, with graceful shutdown.  Run one per shard

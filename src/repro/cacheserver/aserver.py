@@ -48,7 +48,7 @@ class AsyncCacheServer(CacheServerCore):
     """A fleet-shared cache service, every connection on one event loop.
 
     ``port=0`` binds an ephemeral port (read it back from :attr:`address` /
-    :attr:`url`); ``capacity`` bounds each region's entry count, evicting
+    :attr:`url`); ``capacity`` bounds the region's entry count, evicting
     the cheapest recomputation per byte first.
     """
 

@@ -66,14 +66,13 @@ __all__ = ["ShardedRemoteBackend"]
 
 
 class ShardedRemoteBackend(CacheBackend):
-    """One region of a sharded, replicated cache-server fleet."""
+    """The ``results`` region of a sharded, replicated cache-server fleet."""
 
     kind = "remote"
 
     def __init__(
         self,
         cache_url: str,
-        region: int = protocol.REGION_FITS,
         capacity: int | None = None,
         namespace: bytes = b"",
         timeout: float = DEFAULT_TIMEOUT,
@@ -89,7 +88,6 @@ class ShardedRemoteBackend(CacheBackend):
         self._ring = HashRing(endpoints)
         self._clients = [ShardClient(endpoint, timeout) for endpoint in endpoints]
         self._replication = min(replication, len(endpoints))
-        self._region = region
         self._capacity = capacity
         self._namespace = namespace
         self.failovers = 0
@@ -116,7 +114,7 @@ class ShardedRemoteBackend(CacheBackend):
         healthy fleet never pays extra round trips for replication.
         """
         body = protocol.encode_request(
-            protocol.GET, self._region, digest=digest, trace=wire_context()
+            protocol.GET, protocol.REGION_RESULTS, digest=digest, trace=wire_context()
         )
         for position, client in enumerate(self._preferred(digest)):
             if position:
@@ -152,7 +150,7 @@ class ShardedRemoteBackend(CacheBackend):
             return
         body = protocol.encode_request(
             protocol.PUT,
-            self._region,
+            protocol.REGION_RESULTS,
             digest=digest,
             cost=cost_hint or 0.0,
             payload=payload,
@@ -167,7 +165,7 @@ class ShardedRemoteBackend(CacheBackend):
     def __len__(self) -> int:
         # sum over shards; with replication > 1 an entry is counted once per
         # replica — this is physical occupancy, not distinct-key count
-        body = protocol.encode_request(protocol.LEN, self._region)
+        body = protocol.encode_request(protocol.LEN, protocol.REGION_RESULTS)
         total = 0
         for client in self._clients:
             answer = client.call(body)
@@ -180,7 +178,7 @@ class ShardedRemoteBackend(CacheBackend):
         return total
 
     def clear(self) -> None:
-        body = protocol.encode_request(protocol.CLEAR, self._region)
+        body = protocol.encode_request(protocol.CLEAR, protocol.REGION_RESULTS)
         for client in self._clients:
             client.call(body)
 

@@ -80,8 +80,6 @@ __all__ = [
     "VERB_NAMES",
     "TRACE_FLAG",
     "TRACE_CONTEXT_SIZE",
-    "REGION_FITS",
-    "REGION_PARTITIONS",
     "REGION_RESULTS",
     "REGION_ALL",
     "REGION_NAMES",
@@ -145,18 +143,13 @@ TRACE_FLAG = 0x80
 #: the header's size: a 16-byte trace id followed by an 8-byte parent span id
 TRACE_CONTEXT_SIZE = 24
 
-# regions: the engine publishes whole search results to ``results``; the
-# ``fits`` and ``partitions`` regions remain general-purpose stores; "all" is
-# the admin selector
-REGION_FITS = 0
-REGION_PARTITIONS = 1
+# regions: a server hosts one, ``results``, where engines publish whole
+# search results; "all" is the admin selector.  Ids 0 and 1 (the retired
+# ``fits`` and ``partitions`` regions) stay unassigned: a server answers
+# them like any unknown region
 REGION_RESULTS = 2
 REGION_ALL = 255
-REGION_NAMES = {
-    REGION_FITS: "fits",
-    REGION_PARTITIONS: "partitions",
-    REGION_RESULTS: "results",
-}
+REGION_NAMES = {REGION_RESULTS: "results"}
 
 # response statuses
 OK = 0

@@ -1,11 +1,10 @@
-"""The cache service core: one process holding the cache regions for a whole fleet.
+"""The cache service core: one process holding the results cache for a whole fleet.
 
 :class:`CacheServerCore` holds everything request-shaped, and
 :class:`~repro.cacheserver.aserver.AsyncCacheServer` puts it on the wire
 (one ``asyncio`` event loop multiplexing every connection; what
-``charles cache-server`` runs).  The core hosts the ``results`` region,
-where engines publish whole search results, and the general-purpose ``fits``
-and ``partitions`` regions, each an
+``charles cache-server`` runs).  The core hosts one region, ``results``,
+where engines publish whole search results: an
 :class:`~repro.cachestore.memory.InProcessBackend` behind the same
 :class:`~repro.cachestore.base.CacheBackend` interface the rest of the
 cachestore uses — the server is just another place entries live, reached
@@ -13,9 +12,8 @@ through :mod:`repro.cacheserver.protocol` frames instead of a function call.
 Entries are opaque ``digest → bytes`` pairs: clients digest and pickle on
 their side, so the server never deserialises anything it is sent.
 
-Because all regions live in one process, the server is also where eviction
-earns its keep: each region is bounded with a
-:class:`~repro.cachestore.policy.CostAwarePolicy`, ranking entries by the
+The server is also where eviction earns its keep: the region is bounded
+with a :class:`~repro.cachestore.policy.CostAwarePolicy`, ranking entries by the
 recomputation seconds the clients observed (shipped per ``PUT`` as the
 protocol's cost hint) per byte held — a small server retains the work that
 is most expensive for the fleet to redo.
@@ -36,8 +34,8 @@ Operational surface:
   client-side span that issued them) into a bounded in-memory buffer, which
   ``TRACE`` drains — optionally filtered to one trace id, so concurrent
   engines sharing a shard each collect only their own spans;
-* one lock per region: request handling serialises on the touched region
-  only, so traffic to one region never waits on another's.
+* a lock around the region, so :meth:`~CacheServerCore.stats` called from
+  another thread than the transport's never reads it mid-update.
 
 A server knows nothing of its fleet: which shard owns a key is decided on
 the client side by the :class:`~repro.cacheserver.ring.HashRing` over the
@@ -82,11 +80,11 @@ def _error_response(error: protocol.ProtocolError) -> bytes:
 class CacheServerCore:
     """Transport-independent cache-server state and request handling.
 
-    Hosts the regions, locks, metrics and span buffer;
+    Hosts the region, its lock, metrics and span buffer;
     :meth:`dispatch` turns one decoded request body into one response body.
     :class:`~repro.cacheserver.aserver.AsyncCacheServer` provides the wire:
     accepting connections, draining frames, calling :meth:`dispatch` per
-    message and writing coalesced response bursts.  ``capacity`` bounds each
+    message and writing coalesced response bursts.  ``capacity`` bounds the
     region's entry count (cost-aware eviction beyond it).
     """
 
@@ -98,8 +96,6 @@ class CacheServerCore:
                 f"cache-server capacity must be >= 1 or unbounded, got {capacity}"
             )
         self._regions = {
-            protocol.REGION_FITS: InProcessBackend(capacity, policy=CostAwarePolicy()),
-            protocol.REGION_PARTITIONS: InProcessBackend(capacity, policy=CostAwarePolicy()),
             protocol.REGION_RESULTS: InProcessBackend(capacity, policy=CostAwarePolicy()),
         }
         self._locks = {region: threading.Lock() for region in self._regions}

@@ -7,12 +7,13 @@ A search caches work at two scopes, and each scope has one mechanism:
 
 * **per-spec memo entries** — per-mask fits and partition discoveries, keyed
   by a :class:`~repro.search.cache.PairFingerprints` token that hashes the
-  exact column values a computation reads.  They live in the process: in a
-  session's in-memory store, so a changed-shortlist query on the same pair
-  reuses them, or in the ``shared`` store the workers of one parallel search
-  join.  Their keys rotate with every changed row, so across the hops of a
-  version chain no entry recurs; shipping them out of the process was
-  measured to be write-only traffic.
+  exact column values a computation reads.  They live in the process, in
+  in-memory stores, so a changed-shortlist query on the same pair reuses
+  them; each worker of a parallel search keeps its own.  Their keys rotate
+  with every changed row, so across the hops of a version chain no entry
+  recurs; shipping them out of the process was measured to be write-only
+  traffic, and a store the workers of one search join was measured to cost
+  more than it saved.
 * **result entries** — one per summarize request, holding the ranked top-k
   (:meth:`~repro.core.charles.Charles.summarize_pair`).  They follow the
   configured backend out of the process, so an exact repeat of a request —
@@ -21,14 +22,9 @@ A search caches work at two scopes, and each scope has one mechanism:
 The hierarchy behind one ABC:
 
 * :class:`~repro.cachestore.base.CacheBackend` — the contract
-  (``get``/``put``/``__len__``/``clear`` plus per-layer counter snapshots,
-  and ``handle()``/``attach()`` for the store pool workers join).
+  (``get``/``put``/``__len__``/``clear`` plus per-layer counter snapshots).
 * :class:`~repro.cachestore.memory.InProcessBackend` — a process-local LRU
-  dict; every per-spec store outside ``shared`` and every in-process
-  results store.
-* :class:`~repro.cachestore.shared.SharedBackend` — a
-  ``multiprocessing.Manager`` dict every parallel worker attaches to, so
-  ``n_jobs > 1`` recovers most of the serial hit rate.
+  dict; every per-spec store and the ``memory`` kind's results.
 * :class:`~repro.cachestore.disk.DiskBackend` — a content-keyed SQLite store
   with transactional writes: the ``disk`` kind's results, which survive
   interpreter restarts.
@@ -46,8 +42,10 @@ entry's cost is its search's wall time).
 Selection is configuration-driven (``CharlesConfig.cache_backend`` /
 ``cache_dir`` / ``cache_url``, CLI ``--cache-backend`` / ``--cache-dir`` /
 ``--cache-url``) through
-:func:`~repro.cachestore.factory.build_search_backends`, which always builds
-the ``(fits, partitions, results)`` stores the search layer carries.
+:func:`~repro.cachestore.factory.build_results_backend`, which builds the
+results store; :class:`~repro.search.cache.SearchCaches` makes its two
+per-spec stores itself.  ``shared``, the retired cross-process memo store,
+is still accepted and runs as ``memory``.
 
 Adding a new cache backend
 --------------------------
@@ -58,7 +56,7 @@ Subclass :class:`~repro.cachestore.base.CacheBackend` and implement
 ``hits``/``misses``/``evictions`` locally, and key out-of-process storage by
 :func:`~repro.cachestore.base.key_digest` so keys are stable across
 interpreters.  Wire the kind into
-:func:`~repro.cachestore.factory.build_search_backends` and
+:func:`~repro.cachestore.factory.build_results_backend` and
 ``BACKEND_CHOICES``, importing its module inside its branch so a process
 that never selects the kind never loads it; everything above the backend —
 executors, sessions, stats, CLI — picks it up from configuration.  The contract to preserve: a
@@ -73,14 +71,12 @@ _EXPORTS, __getattr__, __dir__ = _lazy_exports(__name__, {
     "repro.cachestore.base": (
         "MISSING",
         "BackendCounters",
-        "BackendHandle",
         "CacheBackend",
         "key_digest",
     ),
     "repro.cachestore.policy": ("EvictionPolicy", "LRUPolicy", "CostAwarePolicy"),
     "repro.cachestore.memory": ("InProcessBackend",),
-    "repro.cachestore.shared": ("SharedBackend", "SharedHandle", "create_shared_backends"),
     "repro.cachestore.disk": ("DiskBackend",),
-    "repro.cachestore.factory": ("BACKEND_CHOICES", "build_search_backends"),
+    "repro.cachestore.factory": ("BACKEND_CHOICES", "build_results_backend"),
 })
 __all__ = list(_EXPORTS)

@@ -3,11 +3,10 @@
 The search subsystem's memo caches (:mod:`repro.search.cache`) are *logical*
 caches: they know what a key means and when to compute a value.  A
 :class:`CacheBackend` is the *physical* store behind one of them — where the
-entries actually live (a process-local dict, a cross-process shared dict, an
-on-disk SQLite file) and what happens when the store fills up.  Separating the
-two lets the same content-keyed memoisation survive process boundaries
-(parallel workers) and interpreter restarts (warm sessions) without the search
-layer knowing or caring.
+entries actually live (a process-local dict, an on-disk SQLite file, the
+cache fabric) and what happens when the store fills up.  Separating the two
+lets a stored result survive interpreter restarts and reach other engines
+without the search layer knowing or caring.
 
 The contract is deliberately small:
 
@@ -17,7 +16,7 @@ The contract is deliberately small:
 * :meth:`~CacheBackend.put` stores a value, possibly evicting under a
   capacity bound (the eviction order is a pluggable
   :class:`~repro.cachestore.policy.EvictionPolicy` where the backend supports
-  one — LRU in process by default, FIFO on disk and in the shared dict).  The
+  one — LRU in process by default, cost-aware on disk).  The
   optional ``cost_hint`` is the observed seconds the value took to compute;
   cost-aware policies use it to retain expensive work under pressure, every
   other backend is free to ignore it;
@@ -26,13 +25,8 @@ The contract is deliberately small:
 * :meth:`~CacheBackend.counters` / :meth:`~CacheBackend.breakdown` snapshot
   the backend's own hit/miss/eviction accounting, per physical layer.
 
-A backend whose storage the workers of one parallel search can join (the
-``shared`` store) additionally reports ``shareable = True`` and exports a
-picklable :class:`BackendHandle` via :meth:`~CacheBackend.handle`; a worker
-process calls :meth:`BackendHandle.attach` to obtain its own backend
-instance over the *same* underlying storage (counters are always
-process-local — the stats layer aggregates them, exactly as it already does
-for parallel workers).
+Counters are always process-local; the stats layer aggregates them across
+the workers of a parallel search.
 """
 
 from __future__ import annotations
@@ -43,7 +37,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Hashable
 
-from repro.exceptions import CacheStoreError
 from repro.obs.metrics import get_registry
 
 __all__ = [
@@ -52,7 +45,6 @@ __all__ = [
     "UNPICKLE_ERRORS",
     "BackendCounters",
     "CacheBackend",
-    "BackendHandle",
     "key_digest",
 ]
 
@@ -97,7 +89,7 @@ def key_digest(key: Hashable) -> bytes:
     Memo keys are tuples of primitives (strings, ints, floats, bytes tokens,
     nested tuples), whose ``repr`` is deterministic across processes and
     interpreter restarts — unlike ``hash()``, which is salted per process.
-    The digest is what shared and on-disk backends index by, so two processes
+    The digest is what on-disk and remote backends index by, so two processes
     (or two sessions, days apart) looking up the same logical key reach the
     same physical entry.
     """
@@ -163,18 +155,10 @@ class BackendCounters:
         }
 
 
-class BackendHandle(ABC):
-    """A picklable token that reconnects a worker process to a shared store."""
-
-    @abstractmethod
-    def attach(self) -> "CacheBackend":
-        """A new backend instance over the same underlying storage."""
-
-
 class CacheBackend(ABC):
     """One physical store behind a logical memo cache."""
 
-    #: short identifier of the storage kind ("memory", "shared", "disk", ...)
+    #: short identifier of the storage kind ("memory", "disk", "remote")
     kind: str = "backend"
 
     def __init__(self) -> None:
@@ -221,16 +205,7 @@ class CacheBackend(ABC):
         """Counters per physical layer (a sharded fabric adds one per endpoint)."""
         return {self.kind: self.counters()}
 
-    # -- sharing & lifecycle -----------------------------------------------------
-
-    @property
-    def shareable(self) -> bool:
-        """Whether other processes can attach to this backend's storage."""
-        return False
-
-    def handle(self) -> BackendHandle:
-        """A picklable handle a worker passes to :meth:`BackendHandle.attach`."""
-        raise CacheStoreError(f"{self.kind!r} cache backend cannot be shared across processes")
+    # -- lifecycle ---------------------------------------------------------------
 
     def close(self) -> None:
-        """Release process-level resources (connections, manager processes)."""
+        """Release process-level resources (connections, file handles)."""

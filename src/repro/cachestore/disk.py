@@ -9,7 +9,7 @@ whose inputs are byte-identical; stale data simply stops being referenced.
 
 Content keys are blind to *configuration*, though: knobs like the k-means
 seed or coverage thresholds change computed values without changing the data
-a computation reads.  In-process and shared stores never outlive their single
+a computation reads.  In-process stores never outlive their single
 owning configuration, but a disk store does — so every key is additionally
 folded with a ``namespace`` (``CharlesConfig.cache_fingerprint()`` of the
 result-affecting fields, threaded through the factory).  Two differently

@@ -237,12 +237,11 @@ def _add_observability_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _add_cache_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-backend", choices=BACKEND_CHOICES, default="memory",
-                        help="where cached work lives: 'memory' (private LRU), "
-                             "'shared' (memo entries in one store for all --jobs "
-                             "workers), 'disk' (whole results persist under "
-                             "--cache-dir across runs) or 'remote' (whole results "
-                             "on a fleet cache server at --cache-url); memo entries "
-                             "stay in the process for disk and remote; default: memory")
+                        help="where whole results live: 'memory' (private LRU), "
+                             "'disk' (persist under --cache-dir across runs) or "
+                             "'remote' (a fleet cache server at --cache-url); memo "
+                             "entries always stay in the process, and 'shared' is "
+                             "accepted as memory; default: memory")
     parser.add_argument("--cache-dir", type=Path, default=None,
                         help="directory for the on-disk cache (required by the disk backend)")
     parser.add_argument("--cache-url", default=None,

@@ -169,14 +169,14 @@ class CharlesConfig:
     cache_backend:
         Where cached search work lives (see :mod:`repro.cachestore`).
         ``"memory"`` (the default) keeps everything in a process-local LRU
-        dict; ``"shared"`` puts the per-spec memo caches in a cross-process
-        store every parallel worker of a search attaches to.  ``"disk"``
-        keeps one result entry per summarize request in a SQLite file under
-        ``cache_dir`` that survives interpreter restarts; ``"remote"`` keeps
-        them on a fleet of
+        dict.  ``"disk"`` keeps one result entry per summarize request in a
+        SQLite file under ``cache_dir`` that survives interpreter restarts;
+        ``"remote"`` keeps them on a fleet of
         :class:`~repro.cacheserver.aserver.AsyncCacheServer` shards at
         ``cache_url``, so any engine serves a request another one answered.
-        Per-spec memo entries stay in the process for both.
+        Per-spec memo entries stay in the process for every kind.
+        ``"shared"``, the retired cross-process memo store, is still
+        accepted and resolves to ``"memory"``.
         Backends change where entries live, never what a search returns —
         rankings are byte-identical across all of them (a remote server
         outage degrades to cache misses, never to different results).
@@ -327,6 +327,10 @@ class CharlesConfig:
             raise ConfigurationError(
                 f"cache_backend must be one of {BACKEND_CHOICES}, got {self.cache_backend!r}"
             )
+        if self.cache_backend == "shared":
+            # the retired cross-process memo store: memo entries always stay
+            # in the process now, so an existing config runs as the default
+            object.__setattr__(self, "cache_backend", "memory")
         if self.cache_backend == "disk" and self.cache_dir is None:
             raise ConfigurationError(
                 f"cache_backend {self.cache_backend!r} requires cache_dir"
@@ -372,7 +376,7 @@ class CharlesConfig:
         Memo-cache keys hash the data a computation reads and the candidate
         spec's parameters, but not the configuration — knobs like the k-means
         ``seed`` or ``min_partition_coverage`` change computed values without
-        changing keys.  In-process and shared stores die with the run (one
+        changing keys.  In-process stores die with the run (one
         config per owner), but a persistent store must not serve a second run
         configured differently, so :class:`~repro.cachestore.disk.DiskBackend`
         folds this fingerprint into every key: two configs sharing a

@@ -54,11 +54,11 @@ class DiscoveryError(CharlesError):
 
 
 class CacheStoreError(CharlesError):
-    """A cache backend could not serve or share its storage.
+    """A cache backend could not serve its storage.
 
-    Raised when a non-shareable backend is asked for a cross-process handle,
-    when an on-disk store cannot be opened, or when a backend is constructed
-    with an invalid capacity or location.
+    Raised when an on-disk store cannot be opened, when a cache server
+    cannot be reached or answers with a malformed frame, or when a backend
+    is constructed with an invalid location.
     """
 
 
@@ -75,8 +75,8 @@ class SessionClosedError(CharlesError):
     """An :class:`~repro.timeline.session.EngineSession` was used after ``close()``.
 
     A closed session has released its cache backends (disk connections,
-    manager processes, remote sockets), so serving another query through it
-    would silently run cold at best and crash a backend at worst.  Long-lived
+    remote sockets), so serving another query through it would silently
+    run cold at best and crash a backend at worst.  Long-lived
     deployments tear idle sessions down on expiry; the caller must create a
     fresh session instead.
     """

@@ -35,12 +35,11 @@ it is computed, in three layers:
    per-mask fit memoised by content key (row-mask digest + attribute subset).
    The caches are logical only: where entries physically live is a pluggable
    :class:`~repro.cachestore.base.CacheBackend` selected by
-   ``CharlesConfig.cache_backend`` — in process, or in a cross-process
-   shared store that the parallel workers of one search attach to (see
-   :mod:`repro.cachestore`; only whole result entries leave the process).  A
-   partition-cache miss always runs the full discovery (cluster the changed
-   rows, then induce conditions); content keys already reuse every discovery
-   whose inputs a delta left untouched.  The evaluator's pruning is exact,
+   ``CharlesConfig.cache_backend``; per-spec entries always stay in the
+   process, and only whole result entries leave it (see
+   :mod:`repro.cachestore`).  A partition-cache miss always runs the full
+   discovery (cluster the changed rows, then induce conditions); content
+   keys already reuse every discovery whose inputs a delta left untouched.  The evaluator's pruning is exact,
    never heuristic: specs whose discovered partition structure duplicates an
    earlier round's spec are skipped (the downstream pipeline is
    deterministic, so the summary would be identical).  Every summary it
@@ -71,10 +70,10 @@ spec order.
 Wire the backend into :func:`~repro.search.executors.select_executor` (or
 construct it directly and call ``execute``).
 
-*Cache backends.*  Where the memo caches store their entries is equally
-pluggable: subclass :class:`~repro.cachestore.base.CacheBackend`
+*Cache backends.*  Where stored results live is equally pluggable: subclass
+:class:`~repro.cachestore.base.CacheBackend`
 (``get``/``put``/``__len__``/``clear`` + counter snapshots) and register the kind in
-:func:`~repro.cachestore.factory.build_search_backends` — see the
+:func:`~repro.cachestore.factory.build_results_backend` — see the
 :mod:`repro.cachestore` package docstring for the full recipe.  Execution and
 cache backends compose freely: any executor works against any store.
 """

@@ -49,10 +49,9 @@ import numpy as np
 from repro.cachestore import (
     MISSING,
     BackendCounters,
-    BackendHandle,
     CacheBackend,
     InProcessBackend,
-    build_search_backends,
+    build_results_backend,
 )
 from repro.relational.snapshot import SnapshotPair
 from repro.relational.table import Table
@@ -135,7 +134,7 @@ class MemoCache:
     comparison.  Storage lives in a :class:`~repro.cachestore.base.CacheBackend`
     — an in-process LRU dict by default (``capacity`` bounds it; lookups
     refresh recency; without one it grows unboundedly, which is fine for
-    one-shot searches but not for long-lived engine sessions), or any shared /
+    one-shot searches but not for long-lived engine sessions), or any
     persistent backend from :mod:`repro.cachestore`.
 
     ``hits``/``misses`` here are *logical* (did the lookup avoid a
@@ -315,10 +314,10 @@ class SearchCaches:
     owner (disk, remote) additionally namespaces every key with the config's
     ``cache_fingerprint()`` (see :meth:`from_config`).
 
-    Physical storage is pluggable: :meth:`from_config` builds the stores
-    ``CharlesConfig.cache_backend`` selects.  The per-spec pair stays in the
-    process; for the ``shared`` kind :meth:`handles` / :meth:`attach` let the
-    worker processes of one parallel search join it.
+    The per-spec pair always lives in the process, in in-memory stores
+    (a caller may inject its own ``backends``, e.g. to record traffic);
+    :meth:`from_config` builds the results store
+    ``CharlesConfig.cache_backend`` selects.
     """
 
     def __init__(
@@ -351,7 +350,7 @@ class SearchCaches:
         other's entries.
         """
         fingerprint = getattr(config, "cache_fingerprint", None)
-        fits, partitions, results = build_search_backends(
+        results = build_results_backend(
             getattr(config, "cache_backend", "memory"),
             config.search_cache_capacity,
             getattr(config, "cache_dir", None),
@@ -359,30 +358,12 @@ class SearchCaches:
             cache_url=getattr(config, "cache_url", None),
             cache_replication=getattr(config, "cache_replication", 1),
         )
-        return cls(backends=(fits, partitions), results=results)
+        return cls(config.search_cache_capacity, results=results)
 
     @property
     def backend_kind(self) -> str:
-        """The configured store kind (e.g. ``"disk"``): the one not in process."""
-        for cache in (self.results, self.fits):
-            if cache.backend.kind != "memory":
-                return cache.backend.kind
-        return "memory"
-
-    @property
-    def shareable(self) -> bool:
-        """Whether worker processes can attach to the per-spec caches' storage."""
-        return self.fits.backend.shareable and self.partitions.backend.shareable
-
-    def handles(self) -> tuple[BackendHandle, BackendHandle]:
-        """Picklable handles for :meth:`attach` in another process."""
-        return (self.fits.backend.handle(), self.partitions.backend.handle())
-
-    @classmethod
-    def attach(cls, handles: tuple[BackendHandle, BackendHandle]) -> "SearchCaches":
-        """Caches over the same per-spec stores as the handles' originals."""
-        fit_handle, partition_handle = handles
-        return cls(backends=(fit_handle.attach(), partition_handle.attach()))
+        """The configured store kind (e.g. ``"disk"``): the results store's."""
+        return self.results.backend.kind
 
     def counters(self) -> CacheCounters:
         """The current cumulative counters of both per-spec caches."""
@@ -420,7 +401,7 @@ class SearchCaches:
         return CacheCounters(backends=tuple(sorted(self.results.backend.breakdown().items())))
 
     def close(self) -> None:
-        """Release backend resources (disk connections, manager processes, sockets)."""
+        """Release backend resources (disk connections, sockets)."""
         self.fits.close()
         self.partitions.close()
         self.results.close()

@@ -19,13 +19,9 @@ an evaluation takes besides its spec) are frozen at the start of a round and
 only updated between rounds, so outcomes do not depend on evaluation order
 inside a round; and outcomes are reduced in spec order, so tie-breaking is
 identical no matter which worker produced a candidate.  (Cache *statistics*
-may differ: with in-process stores, workers cannot share memo caches across
-process boundaries, so parallel runs re-fit some work a serial run would
-have cached.  The ``shared`` ``CharlesConfig.cache_backend`` (see
-:mod:`repro.cachestore`) narrows that gap: ``_init_worker`` attaches every
-worker to the same store, so one worker's partition discovery is the next
-worker's hit.  Either way statistics change timings, never results — caches
-only ever memoise deterministic functions.)
+may differ: each worker keeps private memo caches, so parallel runs re-fit
+some work a serial run would have cached.  That changes timings, never
+results — caches only ever memoise deterministic functions.)
 """
 
 from __future__ import annotations
@@ -119,10 +115,9 @@ class SearchExecutor:
 
         ``caches`` lets a long-lived caller (an
         :class:`~repro.timeline.session.EngineSession`) supply memo caches that
-        outlive one search; in-process executors use them directly, and the
-        process-pool executor attaches its workers to them when their backend
-        is shareable (``shared``).  Otherwise the pool executor can only use
-        them on its serial fallback path — workers keep private caches.
+        outlive one search; in-process executors use them directly, while the
+        process-pool executor uses them only on its serial fallback path —
+        its workers keep private caches.
 
         The top-k floor is local to this loop: it starts at ``-inf`` and,
         after each round, rises to the k-th best score found so far.  Only
@@ -160,8 +155,8 @@ class SearchExecutor:
             )
             stats.bound_pruning = bound_index is not None
             self._setup(pair, target, config, caches)
-            stats.cache_backend = self._cache_backend_kind()
-            stats.cache_backend_requested = self._cache_backend_requested()
+            # without caller caches a search runs on fresh in-process ones
+            stats.cache_backend = "memory" if caches is None else caches.backend_kind
             try:
                 for round_number, round_specs in enumerate(plan.rounds):
                     if not round_specs:
@@ -221,14 +216,6 @@ class SearchExecutor:
         """The parallelism the search actually ran with (see ParallelExecutor)."""
         return self.n_jobs
 
-    def _cache_backend_kind(self) -> str:
-        """The physical cache-store kind this search runs against."""
-        return "memory"
-
-    def _cache_backend_requested(self) -> str | None:
-        """The configured backend kind, when the run could not honour it."""
-        return None
-
     # -- subclass hooks ----------------------------------------------------------
 
     def _setup(
@@ -274,22 +261,9 @@ class SerialExecutor(SearchExecutor):
         config: CharlesConfig,
         caches: SearchCaches | None = None,
     ) -> None:
-        self._requested_backend: str | None = None
         if caches is None:
-            # with no session and no workers, no store outlives the run or
-            # has anyone to share with: use plain in-process caches and record
-            # the substitution in the stats so it is visible (a caller's
-            # `caches` of any kind is always honoured)
-            if config.cache_backend != "memory":
-                self._requested_backend = config.cache_backend
             caches = SearchCaches(config.search_cache_capacity)
         self._evaluator = CandidateEvaluator(pair, target, config, caches)
-
-    def _cache_backend_kind(self) -> str:
-        return self._evaluator.caches.backend_kind
-
-    def _cache_backend_requested(self) -> str | None:
-        return self._requested_backend
 
     def _run_round(
         self,
@@ -307,26 +281,10 @@ class SerialExecutor(SearchExecutor):
 _WORKER_EVALUATOR: CandidateEvaluator | None = None
 
 
-def _init_worker(
-    pair: SnapshotPair,
-    target: str,
-    config: CharlesConfig,
-    cache_handles: tuple | None = None,
-) -> None:
-    """Build this worker's evaluator, attached to the shared store if one exists.
-
-    ``cache_handles`` are the picklable :class:`~repro.cachestore.base.
-    BackendHandle` pair of the parent's ``shared`` caches; attaching gives
-    the worker its own counter-local view over the *same* physical entries,
-    so partition discoveries and per-mask fits published by any worker (or by
-    the parent's earlier serial runs) are hits here.  Without handles the
-    worker keeps a private in-process cache.
-    """
+def _init_worker(pair: SnapshotPair, target: str, config: CharlesConfig) -> None:
+    """Build this worker's evaluator over private in-process caches."""
     global _WORKER_EVALUATOR
-    if cache_handles is not None:
-        caches = SearchCaches.attach(cache_handles)
-    else:
-        caches = SearchCaches(config.search_cache_capacity)
+    caches = SearchCaches(config.search_cache_capacity)
     _WORKER_EVALUATOR = CandidateEvaluator(pair, target, config, caches)
 
 
@@ -352,10 +310,9 @@ def _evaluate_batch(
 class ParallelExecutor(SearchExecutor):
     """Fans each round out over a process pool; falls back to serial if pools fail.
 
-    Workers are initialised once per search with the (pickled) pair, target,
-    configuration and — for the ``shared`` backend — the cache handles; their
-    evaluators live for the whole search, so cross-round reuse happens within
-    each worker, and with ``shared`` across workers too.
+    Workers are initialised once per search with the (pickled) pair, target
+    and configuration; their evaluators live for the whole search, so
+    cross-round reuse happens within each worker.
     """
 
     def __init__(self, n_jobs: int):
@@ -366,7 +323,6 @@ class ParallelExecutor(SearchExecutor):
         self._fallback: CandidateEvaluator | None = None
         self._search_context: tuple[SnapshotPair, str, CharlesConfig] | None = None
         self._session_caches: SearchCaches | None = None
-        self._owned_caches: SearchCaches | None = None
 
     def _setup(
         self,
@@ -377,18 +333,9 @@ class ParallelExecutor(SearchExecutor):
     ) -> None:
         self._fallback = None
         self._search_context = (pair, target, config)
-        self._owned_caches = None
-        if caches is None and config.cache_backend == "shared":
-            # a one-shot parallel run still profits from `shared`: the
-            # workers publish into one store instead of n_jobs private ones
-            caches = SearchCaches.from_config(config)
-            self._owned_caches = caches
-        # shared caches are handed to the workers below; in-process caches
-        # cannot cross the boundary and serve only the serial fallback path
+        # in-process caches cannot cross the process boundary: they serve
+        # only the serial fallback path
         self._session_caches = caches
-        handles = None
-        if caches is not None and caches.shareable:
-            handles = caches.handles()
         # imported here: a serial search never loads the pool machinery
         from concurrent.futures import ProcessPoolExecutor
 
@@ -396,15 +343,10 @@ class ParallelExecutor(SearchExecutor):
             self._pool = ProcessPoolExecutor(
                 max_workers=self.n_jobs,
                 initializer=_init_worker,
-                initargs=(pair, target, config, handles),
+                initargs=(pair, target, config),
             )
         except (OSError, PermissionError, RuntimeError) as error:
             self._fall_back_to_serial(error)
-
-    def _cache_backend_kind(self) -> str:
-        if self._session_caches is not None:
-            return self._session_caches.backend_kind
-        return "memory"
 
     def _fall_back_to_serial(self, error: BaseException) -> None:
         """Abandon the pool and finish the search with an in-process evaluator.
@@ -487,9 +429,6 @@ class ParallelExecutor(SearchExecutor):
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        if self._owned_caches is not None:
-            self._owned_caches.close()
-            self._owned_caches = None
 
 
 def select_executor(config: CharlesConfig) -> SearchExecutor:

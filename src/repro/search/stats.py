@@ -32,11 +32,10 @@ class SearchStats:
     those pre-discovery bounds ran: they do unless ``prune_search`` is off or
     the plan is empty.  Pruning never changes rankings, only wall time.
     Cache counters come from the memo caches of :mod:`repro.search.cache`;
-    in parallel runs they are aggregated across worker processes.  With
-    in-process stores each worker has private caches, so parallel hit rates
-    are typically lower than serial ones; the ``shared`` ``cache_backend``
-    lets workers serve each other's entries.  ``backend_counters`` breaks
-    the traffic down per physical layer, the result-entry lookup and store
+    in parallel runs they are aggregated across worker processes.  Each
+    worker has private caches, so parallel hit rates are typically lower
+    than serial ones.  ``backend_counters`` breaks the traffic down per
+    physical layer, the result-entry lookup and store
     of :meth:`~repro.core.charles.Charles.summarize_pair` included: a
     ``remote`` layer additionally reports the network round trips it made —
     one per lookup and one per replica written, fewer while the client is
@@ -44,12 +43,7 @@ class SearchStats:
     component layers plus the reads failed over around the ring when a
     replicated shard was unreachable.
 
-    ``cache_backend`` records which store kind the run used.  When that
-    differs from what the configuration asked for — a
-    one-shot serial run quietly substitutes in-process caches for a
-    ``shared`` backend that would have nothing to share — the configured
-    kind is kept in ``cache_backend_requested`` so the substitution is
-    visible, not silent.
+    ``cache_backend`` records which store kind the run used.
 
     ``result_hits`` is 1 when the whole ranking came from a stored result
     entry.  Such a run plans and evaluates nothing, so every search counter
@@ -73,7 +67,6 @@ class SearchStats:
     partition_cache_misses: int = 0
     cache_evictions: int = 0
     cache_backend: str = "memory"
-    cache_backend_requested: str | None = None
     backend_counters: dict[str, BackendCounters] = field(default_factory=dict)
     wall_time_seconds: float = 0.0
     n_jobs: int = 1
@@ -157,7 +150,6 @@ class SearchStats:
             "cache_evictions": self.cache_evictions,
             "cache_hit_rate": self.cache_hit_rate,
             "cache_backend": self.cache_backend,
-            "cache_backend_requested": self.cache_backend_requested,
             "backend_counters": {
                 layer: counters.as_dict()
                 for layer, counters in sorted(self.backend_counters.items())
@@ -186,11 +178,6 @@ class SearchStats:
             )
         if self.cache_backend != "memory":
             text += f", cache={self.cache_backend}"
-        if self.cache_backend_requested is not None:
-            text += (
-                f", cache_backend {self.cache_backend_requested!r} not used"
-                " (a one-shot serial search keeps its memo in process)"
-            )
         return text
 
     def __str__(self) -> str:

@@ -17,8 +17,7 @@ different row set and share no entries.  Stale entries cannot be hit (their
 keys are never requested again) and age out of the LRU when
 ``CharlesConfig.search_cache_capacity`` is set.
 
-These per-spec entries stay in the session's process (in a ``shared`` store
-the workers of a parallel search join, for that kind).  What
+These per-spec entries stay in the session's process.  What
 ``CharlesConfig.cache_backend`` carries out of the process is one *result
 entry* per request: on disk (``cache_dir``), an exact repeat in a fresh
 interpreter is served from the file; on a fleet cache server (``cache_url``),
@@ -76,10 +75,9 @@ class EngineSession:
 
         Idempotent, and terminal: serving another query through a closed
         session raises :class:`~repro.exceptions.SessionClosedError` — its
-        backend handles (SQLite connections, manager processes, remote
-        sockets) are gone, so long-lived deployments that tear idle sessions
-        down on expiry (:class:`~repro.serving.registry.SessionRegistry`)
-        never leak them.
+        backend handles (SQLite connections, remote sockets) are gone, so
+        long-lived deployments that tear idle sessions down on expiry
+        (:class:`~repro.serving.registry.SessionRegistry`) never leak them.
         """
         if self._closed:
             return

@@ -72,18 +72,16 @@ class TestByteIdenticalResponses:
         [
             protocol.encode_request(protocol.PING, protocol.REGION_ALL),
             protocol.encode_request(protocol.LEN, protocol.REGION_ALL),
-            protocol.encode_request(protocol.LEN, protocol.REGION_FITS),
-            protocol.encode_request(
-                protocol.GET, protocol.REGION_FITS, digest=_digest(b"absent")
-            ),
+            protocol.encode_request(protocol.LEN, protocol.REGION_RESULTS),
             protocol.encode_request(
                 protocol.GET, protocol.REGION_RESULTS, digest=_digest(b"absent")
             ),
+            bytes((protocol.GET, 0)) + _digest(b"x"),  # the retired fits region
             protocol.encode_request(protocol.CLEAR, protocol.REGION_ALL),
-            bytes((250, protocol.REGION_FITS)),  # unknown verb
-            bytes((7, protocol.REGION_FITS)) + _digest(b"x"),  # the retired batch verb
+            bytes((250, protocol.REGION_RESULTS)),  # unknown verb
+            bytes((7, protocol.REGION_RESULTS)) + _digest(b"x"),  # the retired batch verb
             bytes((protocol.GET, 99)) + _digest(b"x"),  # unknown region
-            bytes((protocol.GET, protocol.REGION_FITS)) + b"short",  # bad digest
+            bytes((protocol.GET, protocol.REGION_RESULTS)) + b"short",  # bad digest
         ],
     )
     def test_same_frame_same_bytes(self, transports, body):
@@ -95,14 +93,14 @@ class TestByteIdenticalResponses:
         digest = _digest(b"key-1")
         put = protocol.encode_request(
             protocol.PUT,
-            protocol.REGION_FITS,
+            protocol.REGION_RESULTS,
             digest=digest,
             cost=1.25,
             payload=b"stored-bytes",
         )
-        get = protocol.encode_request(protocol.GET, protocol.REGION_FITS, digest=digest)
+        get = protocol.encode_request(protocol.GET, protocol.REGION_RESULTS, digest=digest)
         miss = protocol.encode_request(
-            protocol.GET, protocol.REGION_FITS, digest=_digest(b"miss")
+            protocol.GET, protocol.REGION_RESULTS, digest=_digest(b"miss")
         )
         length = protocol.encode_request(protocol.LEN, protocol.REGION_ALL)
         conversation = (put, get, miss, length)
@@ -120,7 +118,7 @@ class TestByteIdenticalResponses:
         for index in range(32):
             body = protocol.encode_request(
                 protocol.PUT,
-                protocol.REGION_FITS,
+                protocol.REGION_RESULTS,
                 digest=_digest(b"burst-%d" % index),
                 payload=b"v",
             )
@@ -145,12 +143,12 @@ class TestStructuralParity:
         _reference(
             core,
             protocol.encode_request(
-                protocol.PUT, protocol.REGION_FITS, digest=digests[0], cost=0.5, payload=b"v"
+                protocol.PUT, protocol.REGION_RESULTS, digest=digests[0], cost=0.5, payload=b"v"
             ),
         )
         for digest in digests:
             _reference(
-                core, protocol.encode_request(protocol.GET, protocol.REGION_FITS, digest=digest)
+                core, protocol.encode_request(protocol.GET, protocol.REGION_RESULTS, digest=digest)
             )
         shapes = []
         for stats in (server_stats(served.url), core.stats()):
@@ -186,7 +184,7 @@ class TestStructuralParity:
         trace_context = b"\x11" * TRACE_ID_BYTES + b"\x00" * SPAN_ID_BYTES
         body = protocol.encode_request(
             protocol.GET,
-            protocol.REGION_FITS,
+            protocol.REGION_RESULTS,
             digest=_digest(b"traced"),
             trace=trace_context,
         )
@@ -200,7 +198,7 @@ class TestStructuralParity:
             recorded.append(
                 [(span["name"], span["outcome"], span["attributes"]["region"]) for span in spans]
             )
-        assert recorded[0] == recorded[1] == [("server.get", "ok", "fits")]
+        assert recorded[0] == recorded[1] == [("server.get", "ok", "results")]
 
 
 class TestAsyncServerUnderConcurrency:
@@ -311,7 +309,7 @@ class TestConnectionHandling:
         with AsyncCacheServer() as server:
             sock = socket.create_connection(server.address, timeout=_TIMEOUT)
             get = protocol.encode_request(
-                protocol.GET, protocol.REGION_FITS, digest=_digest(b"reset")
+                protocol.GET, protocol.REGION_RESULTS, digest=_digest(b"reset")
             )
             protocol.send_message(sock, 1, get)
             protocol.recv_message(sock)

@@ -15,7 +15,6 @@ import pytest
 from repro.cachestore import MISSING, BackendCounters
 from repro.cachestore.base import STORE_ERRORS
 from repro.cacheserver import AsyncCacheServer, ShardedRemoteBackend
-from repro.cacheserver import protocol
 from repro.core import Charles, CharlesConfig
 from repro.search.evaluator import CandidateEvaluator
 from repro.timeline import EngineSession
@@ -207,18 +206,6 @@ class TestGetMany:
         assert fabric.get_many([("k", index) for index in range(10)]) == [MISSING] * 10
         assert fabric.misses == 10
         fabric.close()
-
-    def test_regions_stay_distinct_across_the_fabric(self, fleet):
-        namespace = os.urandom(8)
-        fits = ShardedRemoteBackend(
-            _url(fleet), protocol.REGION_FITS, namespace=namespace
-        )
-        results = ShardedRemoteBackend(
-            _url(fleet), protocol.REGION_RESULTS, namespace=namespace
-        )
-        fits.put("k", "fits-value")
-        assert results.get("k") is MISSING
-        fits.close(), results.close()
 
 
 def _ranking(result):

@@ -36,7 +36,7 @@ def server():
 
 @pytest.fixture()
 def backend(server):
-    attached = ShardedRemoteBackend(server.url, protocol.REGION_FITS, namespace=os.urandom(8))
+    attached = ShardedRemoteBackend(server.url, namespace=os.urandom(8))
     yield attached
     attached.close()
 
@@ -48,12 +48,12 @@ def _context_bytes(trace_id: str, parent_id: str) -> bytes:
 class TestProtocolTraceHeader:
     def test_get_round_trips_with_and_without_header(self):
         digest = os.urandom(protocol.DIGEST_SIZE)
-        plain = protocol.encode_request(protocol.GET, protocol.REGION_FITS, digest=digest)
+        plain = protocol.encode_request(protocol.GET, protocol.REGION_RESULTS, digest=digest)
         decoded = protocol.decode_request(plain)
         assert decoded.trace == b"" and decoded.digest == digest
         context = _context_bytes(new_trace_id(), new_span_id())
         traced = protocol.encode_request(
-            protocol.GET, protocol.REGION_FITS, digest=digest, trace=context
+            protocol.GET, protocol.REGION_RESULTS, digest=digest, trace=context
         )
         decoded = protocol.decode_request(traced)
         assert decoded.trace == context
@@ -62,9 +62,9 @@ class TestProtocolTraceHeader:
     def test_traced_frame_is_plain_frame_plus_header(self):
         digest = os.urandom(protocol.DIGEST_SIZE)
         context = _context_bytes(new_trace_id(), new_span_id())
-        plain = protocol.encode_request(protocol.GET, protocol.REGION_FITS, digest=digest)
+        plain = protocol.encode_request(protocol.GET, protocol.REGION_RESULTS, digest=digest)
         traced = protocol.encode_request(
-            protocol.GET, protocol.REGION_FITS, digest=digest, trace=context
+            protocol.GET, protocol.REGION_RESULTS, digest=digest, trace=context
         )
         assert len(traced) == len(plain) + protocol.TRACE_CONTEXT_SIZE
         assert traced[0] == protocol.GET | protocol.TRACE_FLAG
@@ -75,7 +75,7 @@ class TestProtocolTraceHeader:
         decoded = protocol.decode_request(
             protocol.encode_request(
                 protocol.PUT,
-                protocol.REGION_FITS,
+                protocol.REGION_RESULTS,
                 digest=os.urandom(protocol.DIGEST_SIZE),
                 cost=0.5,
                 payload=b"value",
@@ -166,7 +166,7 @@ class TestRequestErrors:
             ):
                 status, _ = protocol.decode_response(running.dispatch(body))
                 assert status == protocol.ERROR
-            well_formed = protocol.encode_request(protocol.GET, protocol.REGION_FITS, digest=digest)
+            well_formed = protocol.encode_request(protocol.GET, protocol.REGION_RESULTS, digest=digest)
             status, _ = protocol.decode_response(running.dispatch(well_formed))
             assert status == protocol.MISS
             samples = parse_prometheus(running.metrics_text())

@@ -28,7 +28,7 @@ _PING = protocol.encode_request(protocol.PING, protocol.REGION_ALL)
 
 def _put(index: int, payload: bytes = b"v") -> bytes:
     return protocol.encode_request(
-        protocol.PUT, protocol.REGION_FITS, digest=_digest(index), payload=payload
+        protocol.PUT, protocol.REGION_RESULTS, digest=_digest(index), payload=payload
     )
 
 
@@ -123,7 +123,7 @@ class TestRequestsInFlight:
             connection = PipelinedConnection(server.address, timeout=5.0)
             puts = [connection.submit(_put(index, b"value-%d" % index)) for index in range(3)]
             get = connection.submit(
-                protocol.encode_request(protocol.GET, protocol.REGION_FITS, digest=_digest(2))
+                protocol.encode_request(protocol.GET, protocol.REGION_RESULTS, digest=_digest(2))
             )
             # the GET arrived after the PUTs, so it sees them; collecting it
             # first files the PUT answers on the way

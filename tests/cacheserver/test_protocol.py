@@ -19,8 +19,7 @@ from repro.cacheserver.protocol import (
     PING,
     PUT,
     REGION_ALL,
-    REGION_FITS,
-    REGION_PARTITIONS,
+    REGION_RESULTS,
     STATS,
     ProtocolError,
     Request,
@@ -40,22 +39,22 @@ DIGEST = bytes(range(DIGEST_SIZE))
 
 class TestRequestCodec:
     def test_get_round_trip(self):
-        body = encode_request(GET, REGION_FITS, digest=DIGEST)
-        assert decode_request(body) == Request(GET, REGION_FITS, digest=DIGEST)
+        body = encode_request(GET, REGION_RESULTS, digest=DIGEST)
+        assert decode_request(body) == Request(GET, REGION_RESULTS, digest=DIGEST)
 
     def test_put_round_trip_carries_cost_and_payload(self):
         body = encode_request(
-            PUT, REGION_PARTITIONS, digest=DIGEST, cost=0.125, payload=b"pickled"
+            PUT, REGION_RESULTS, digest=DIGEST, cost=0.125, payload=b"pickled"
         )
         request = decode_request(body)
-        assert request.verb == PUT and request.region == REGION_PARTITIONS
+        assert request.verb == PUT and request.region == REGION_RESULTS
         assert request.digest == DIGEST
         assert request.cost == 0.125
         assert request.payload == b"pickled"
 
     def test_put_empty_payload_is_legal(self):
         # pickled values are never empty, but the frame format must not care
-        request = decode_request(encode_request(PUT, REGION_FITS, digest=DIGEST))
+        request = decode_request(encode_request(PUT, REGION_RESULTS, digest=DIGEST))
         assert request.payload == b"" and request.cost == 0.0
 
     def test_admin_verbs_round_trip(self):
@@ -65,19 +64,19 @@ class TestRequestCodec:
 
     def test_bad_digest_length_rejected_at_encode(self):
         with pytest.raises(ProtocolError):
-            encode_request(GET, REGION_FITS, digest=b"short")
+            encode_request(GET, REGION_RESULTS, digest=b"short")
 
     def test_bad_digest_length_rejected_at_decode(self):
         with pytest.raises(ProtocolError):
-            decode_request(bytes((GET, REGION_FITS)) + b"short")
+            decode_request(bytes((GET, REGION_RESULTS)) + b"short")
 
     def test_truncated_put_rejected(self):
         with pytest.raises(ProtocolError):
-            decode_request(bytes((PUT, REGION_FITS)) + DIGEST[:4])
+            decode_request(bytes((PUT, REGION_RESULTS)) + DIGEST[:4])
 
     def test_unknown_verb_rejected(self):
         with pytest.raises(ProtocolError):
-            decode_request(bytes((99, REGION_FITS)))
+            decode_request(bytes((99, REGION_RESULTS)))
 
     def test_empty_body_rejected(self):
         with pytest.raises(ProtocolError):

@@ -23,6 +23,7 @@ from repro.cacheserver import (
 )
 from repro.cacheserver import protocol
 from repro.cacheserver.pipeline import PipelinedConnection
+from repro.obs.metrics import parse_prometheus
 
 # short socket timeouts keep a would-be hang visible as a fast test failure
 _TIMEOUT = 5.0
@@ -66,7 +67,7 @@ class TestServerAgainstHostileClients:
 
     def test_unknown_verb_is_an_error_response_not_a_close(self, server):
         with _connect(server) as sock:
-            protocol.send_message(sock, 3, bytes((250, protocol.REGION_FITS)))
+            protocol.send_message(sock, 3, bytes((250, protocol.REGION_RESULTS)))
             request_id, body = protocol.recv_message(sock)
             status, payload = protocol.decode_response(body)
             assert request_id == 3 and status == protocol.ERROR
@@ -76,6 +77,29 @@ class TestServerAgainstHostileClients:
                 sock, 4, protocol.encode_request(protocol.PING, protocol.REGION_ALL)
             )
             assert protocol.recv_message(sock)[0] == 4
+
+    @pytest.mark.parametrize("region", [0, 1], ids=["retired-fits", "retired-partitions"])
+    def test_retired_regions_answer_error_and_are_counted(self, server, region):
+        digest = b"\x00" * protocol.DIGEST_SIZE
+        requests = {
+            "GET": protocol.encode_request(protocol.GET, region, digest=digest),
+            "PUT": protocol.encode_request(
+                protocol.PUT, region, digest=digest, payload=b"value"
+            ),
+            "LEN": protocol.encode_request(protocol.LEN, region),
+            "CLEAR": protocol.encode_request(protocol.CLEAR, region),
+        }
+        with _connect(server) as sock:
+            for request_id, body in enumerate(requests.values()):
+                protocol.send_message(sock, request_id, body)
+                answer_id, answer = protocol.recv_message(sock)
+                status, payload = protocol.decode_response(answer)
+                assert answer_id == request_id and status == protocol.ERROR
+                assert payload == f"unknown region {region}".encode("utf-8")
+        samples = parse_prometheus(server.metrics_text())
+        for verb in requests:
+            assert samples[f'cacheserver_request_errors_total{{verb="{verb}"}}'] == 1
+        assert server.stats()["regions"]["results"]["entries"] == 0
 
     def test_zero_length_frame_is_rejected_without_crash(self, server):
         with _connect(server) as sock:
@@ -112,7 +136,7 @@ class TestServerAgainstHostileClients:
                 verb = rng.choice(verbs)
                 tail = bytes(rng.randrange(256) for _ in range(rng.randrange(0, 40)))
                 protocol.send_message(
-                    sock, 9, bytes((verb, protocol.REGION_FITS)) + tail
+                    sock, 9, bytes((verb, protocol.REGION_RESULTS)) + tail
                 )
                 sock.settimeout(_TIMEOUT)
                 answer = protocol.recv_message(sock)

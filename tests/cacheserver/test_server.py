@@ -35,7 +35,7 @@ def server():
 def backend(server):
     # a fresh namespace per test keeps tests invisible to each other while
     # sharing one server process, exactly like differently configured engines
-    attached = ShardedRemoteBackend(server.url, protocol.REGION_FITS, namespace=os.urandom(8))
+    attached = ShardedRemoteBackend(server.url, namespace=os.urandom(8))
     yield attached
     attached.close()
 
@@ -69,14 +69,6 @@ class TestServing:
         backend.put("k", 2)
         assert backend.get("k") == 2
 
-    def test_regions_are_distinct(self, server, backend):
-        partitions = ShardedRemoteBackend(
-            server.url, protocol.REGION_PARTITIONS, namespace=backend.namespace
-        )
-        backend.put("k", "fits-value")
-        assert partitions.get("k") is MISSING
-        partitions.close()
-
     def test_namespaces_partition_the_server(self, server):
         first = ShardedRemoteBackend(server.url, namespace=b"config-a")
         second = ShardedRemoteBackend(server.url, namespace=b"config-b")
@@ -89,9 +81,7 @@ class TestServing:
     def test_a_second_engine_reads_what_the_first_stored(self, server, backend):
         # put returns once the shard acknowledged the entry
         backend.put("shared-key", [1, 2, 3])
-        other = ShardedRemoteBackend(
-            server.url, protocol.REGION_FITS, namespace=backend.namespace
-        )
+        other = ShardedRemoteBackend(server.url, namespace=backend.namespace)
         assert other.get("shared-key") == [1, 2, 3]
         # counters are per-instance
         assert other.hits == 1 and backend.hits == 0
@@ -99,13 +89,13 @@ class TestServing:
 
     def test_len_counts_region_entries(self, server):
         with AsyncCacheServer() as private:
-            fits = ShardedRemoteBackend(private.url, protocol.REGION_FITS)
-            fits.put("a", 1)
-            fits.put("b", 2)
-            assert len(fits) == 2
-            fits.clear()
-            assert len(fits) == 0
-            fits.close()
+            results = ShardedRemoteBackend(private.url)
+            results.put("a", 1)
+            results.put("b", 2)
+            assert len(results) == 2
+            results.clear()
+            assert len(results) == 0
+            results.close()
 
     def test_concurrent_clients_stay_consistent(self, server):
         namespace = os.urandom(8)
@@ -136,24 +126,30 @@ class TestAdminVerbs:
     def test_ping(self, server):
         assert server_ping(server.url)
 
-    def test_stats_reports_every_region(self, server, backend):
+    def test_stats_of_a_fresh_server_lists_only_the_results_region(self):
+        with AsyncCacheServer() as private:
+            regions = server_stats(private.url)["regions"]
+        assert regions == {
+            "results": {"entries": 0, "hits": 0, "misses": 0, "evictions": 0, "hit_rate": 0.0}
+        }
+
+    def test_stats_reports_the_results_region(self, server, backend):
         backend.put("k", 1)
         backend.get("k")
         stats = server_stats(server.url)
-        assert set(stats["regions"]) == {"fits", "partitions", "results"}
-        fits = stats["regions"]["fits"]
-        assert fits["entries"] >= 1 and fits["hits"] >= 1
+        assert set(stats["regions"]) == {"results"}
+        results = stats["regions"]["results"]
+        assert results["entries"] >= 1 and results["hits"] >= 1
         assert stats["server"]["requests"] > 0
 
     def test_clear_drops_every_region(self):
         with AsyncCacheServer() as private:
-            fits = ShardedRemoteBackend(private.url, protocol.REGION_FITS)
-            partitions = ShardedRemoteBackend(private.url, protocol.REGION_PARTITIONS)
-            fits.put("a", 1)
-            partitions.put("b", 2)
+            results = ShardedRemoteBackend(private.url)
+            results.put("a", 1)
+            results.put("b", 2)
             server_clear(private.url)
-            assert len(fits) == 0 and len(partitions) == 0
-            fits.close(), partitions.close()
+            assert len(results) == 0
+            results.close()
 
     def test_unknown_region_is_an_error_response_not_a_crash(self, server):
         with socket.create_connection(server.address) as sock:
@@ -185,7 +181,7 @@ class TestEvictionOnTheServer:
             for index in range(10):
                 client.put(f"cheap{index}", list(range(8)), cost_hint=0.0001)
             assert client.get("expensive") == list(range(8))
-            assert server_stats(bounded.url)["regions"]["fits"]["evictions"] == 8
+            assert server_stats(bounded.url)["regions"]["results"]["evictions"] == 8
             client.close()
 
     def test_invalid_capacity_rejected_as_configuration_error(self):

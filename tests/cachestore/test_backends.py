@@ -1,7 +1,5 @@
 """Conformance tests every cache backend must pass, plus backend-specific ones."""
 
-import multiprocessing
-
 import pytest
 
 from repro.cachestore import (
@@ -10,31 +8,23 @@ from repro.cachestore import (
     BackendCounters,
     DiskBackend,
     InProcessBackend,
-    SharedBackend,
-    build_search_backends,
-    create_shared_backends,
+    build_results_backend,
     key_digest,
 )
 from repro.cachestore.base import STORE_ERRORS
+from repro.core.config import CharlesConfig
 from repro.exceptions import CacheStoreError, ConfigurationError
-
-
-@pytest.fixture(scope="module")
-def manager():
-    with multiprocessing.Manager() as manager:
-        yield manager
+from repro.search.cache import SearchCaches
 
 
 @pytest.fixture(
-    params=["memory", "disk", "shared"],
+    params=["memory", "disk"],
 )
-def backend(request, tmp_path, manager):
+def backend(request, tmp_path):
     if request.param == "memory":
         yield InProcessBackend()
-    elif request.param == "disk":
-        yield DiskBackend(tmp_path / "cache.sqlite")
     else:
-        yield SharedBackend(manager.dict())
+        yield DiskBackend(tmp_path / "cache.sqlite")
 
 
 class TestBackendConformance:
@@ -89,70 +79,6 @@ class TestInProcessBackend:
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             InProcessBackend(capacity=0)
-
-    def test_not_shareable(self):
-        with pytest.raises(CacheStoreError):
-            InProcessBackend().handle()
-
-
-class TestSharedBackend:
-    def test_attached_backend_sees_entries(self, manager):
-        first = SharedBackend(manager.dict())
-        first.put(("partition", 1), [1, 2, 3])
-        second = first.handle().attach()
-        assert second.get(("partition", 1)) == [1, 2, 3]
-        # counters are process/instance-local
-        assert second.counters().hits == 1 and first.counters().hits == 0
-
-    def test_full_store_evicts_oldest_insert(self, manager):
-        backend = SharedBackend(manager.dict(), capacity=2)
-        backend.put("a", 1)
-        backend.put("b", 2)
-        backend.put("c", 3)  # full: "a" (the oldest insert) makes room
-        assert backend.get("a") is MISSING
-        assert backend.get("b") == 2 and backend.get("c") == 3
-        assert backend.evictions == 1
-        assert len(backend) == 2
-
-    def test_overwrite_of_a_full_store_never_evicts(self, manager):
-        backend = SharedBackend(manager.dict(), capacity=1)
-        backend.put("a", 1)
-        backend.put("a", 2)  # replaces in place; nothing needs to go
-        assert backend.get("a") == 2
-        assert backend.evictions == 0
-
-    def test_full_store_keeps_admitting_new_entries(self, manager):
-        # a long-lived session must keep learning once the store fills up —
-        # the newest entry is always admitted, at the cost of the oldest
-        backend = SharedBackend(manager.dict(), capacity=2)
-        for index in range(5):
-            backend.put(f"k{index}", index)
-        assert backend.get("k4") == 4
-        assert backend.get("k0") is MISSING
-        assert backend.evictions == 3
-
-    def test_eviction_pass_reclaims_overshoot(self, manager):
-        entries = manager.dict()
-        backend = SharedBackend(entries, capacity=10)
-        for index in range(14):  # as racing writers could leave behind
-            entries[key_digest(f"raw{index}")] = index
-        backend.put("new", 1)
-        # one pass drains the overshoot plus room for the newcomer, oldest first
-        assert len(backend) == 10
-        assert backend.evictions == 5
-        assert backend.get("new") == 1
-        assert backend.get("raw0") is MISSING and backend.get("raw13") == 13
-
-    def test_create_shared_backends_one_manager(self):
-        fits, partitions = create_shared_backends(2)
-        try:
-            fits.put("k", 1)
-            assert partitions.get("k") is MISSING  # distinct regions
-            partitions.put("k", 2)
-            assert fits.get("k") == 1 and partitions.get("k") == 2
-        finally:
-            fits.close()
-            partitions.close()
 
 
 class TestDiskBackend:
@@ -268,61 +194,57 @@ class TestKeyDigest:
 
 class TestFactory:
     def test_memory_default(self):
-        fits, partitions, results = build_search_backends("memory", capacity=5)
-        for backend in (fits, partitions, results):
-            assert isinstance(backend, InProcessBackend) and backend.capacity == 5
-        assert len({id(fits), id(partitions), id(results)}) == 3
+        results = build_results_backend("memory", capacity=5)
+        assert isinstance(results, InProcessBackend) and results.capacity == 5
 
     def test_disk_requires_cache_dir(self):
         with pytest.raises(ConfigurationError):
-            build_search_backends("disk")
+            build_results_backend("disk")
 
     def test_disk_keeps_results_on_disk_and_memo_entries_in_process(self, tmp_path):
-        fits, partitions, results = build_search_backends("disk", cache_dir=tmp_path)
-        assert isinstance(fits, InProcessBackend)
-        assert isinstance(partitions, InProcessBackend)
-        assert isinstance(results, DiskBackend)
-        assert results.path == tmp_path / "results.sqlite"
-        assert not results.shareable
+        caches = SearchCaches.from_config(
+            CharlesConfig(cache_backend="disk", cache_dir=tmp_path)
+        )
+        try:
+            assert isinstance(caches.fits.backend, InProcessBackend)
+            assert isinstance(caches.partitions.backend, InProcessBackend)
+            assert isinstance(caches.results.backend, DiskBackend)
+            assert caches.results.backend.path == tmp_path / "results.sqlite"
+        finally:
+            caches.close()
 
     def test_namespace_reaches_the_results_store(self, tmp_path):
-        *_, results_a = build_search_backends("disk", cache_dir=tmp_path, namespace=b"a")
+        results_a = build_results_backend("disk", cache_dir=tmp_path, namespace=b"a")
         results_a.put("k", 1)
-        *_, results_b = build_search_backends("disk", cache_dir=tmp_path, namespace=b"b")
+        results_b = build_results_backend("disk", cache_dir=tmp_path, namespace=b"b")
         assert results_b.get("k") is MISSING
-        *_, results_a_again = build_search_backends(
-            "disk", cache_dir=tmp_path, namespace=b"a"
-        )
+        results_a_again = build_results_backend("disk", cache_dir=tmp_path, namespace=b"a")
         assert results_a_again.get("k") == 1  # same namespace, same entries
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError) as excinfo:
-            build_search_backends("redis")
+            build_results_backend("redis")
         assert "cache_backend" in str(excinfo.value)
 
     def test_remote_requires_cache_url(self):
         with pytest.raises(ConfigurationError) as excinfo:
-            build_search_backends("remote")
+            build_results_backend("remote")
         assert "cache_url" in str(excinfo.value)
 
     def test_remote_keeps_results_on_the_fabric(self):
         # the factory always builds the sharded fabric, even for a single
         # endpoint — one remote code path, a 1-shard ring
         from repro.cacheserver.fabric import ShardedRemoteBackend
-        from repro.cacheserver.protocol import REGION_RESULTS
 
-        fits, partitions, results = build_search_backends(
+        results = build_results_backend(
             "remote", capacity=9, namespace=b"ns", cache_url="127.0.0.1:1"
         )
-        assert isinstance(fits, InProcessBackend)
-        assert isinstance(partitions, InProcessBackend)
         assert isinstance(results, ShardedRemoteBackend)
-        assert results._region == REGION_RESULTS
         assert results.capacity == 9 and results.namespace == b"ns"
-        assert not results.shareable and results.kind == "remote"
+        assert results.kind == "remote"
 
     def test_remote_results_with_sharded_url_and_replication(self):
-        *_, results = build_search_backends(
+        results = build_results_backend(
             "remote",
             namespace=b"ns",
             cache_url="127.0.0.1:1,127.0.0.1:2,127.0.0.1:3",
@@ -330,14 +252,6 @@ class TestFactory:
         )
         assert results.endpoints == ("127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3")
         assert results.replication == 2 and results.kind == "remote"
-
-    def test_shared_keeps_results_in_process(self):
-        fits, partitions, results = build_search_backends("shared")
-        try:
-            assert fits.shareable and partitions.shareable
-            assert isinstance(results, InProcessBackend)
-        finally:
-            fits.close(), partitions.close()
 
     def test_choices_cover_every_kind(self):
         assert BACKEND_CHOICES == ("memory", "shared", "disk", "remote")

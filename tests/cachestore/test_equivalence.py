@@ -41,47 +41,42 @@ class TestRankingsAcrossBackends:
         result = _summarize(fig1_pair, config)
         assert _ranking(result) == memory_ranking
         assert result.search_stats.cache_backend == "disk"
-        assert result.search_stats.cache_backend_requested is None
 
-    def test_shared_backend_identical(self, fig1_pair, memory_ranking):
+    def test_shared_config_runs_as_memory(self, fig1_pair, memory_ranking):
+        # `shared` names the retired cross-process memo store: old configs
+        # still load, and run exactly as the in-process default
         config = CharlesConfig(cache_backend="shared")
+        assert config.cache_backend == "memory"
+        result = _summarize(fig1_pair, config)
+        assert _ranking(result) == memory_ranking
+        assert result.search_stats.cache_backend == "memory"
         with EngineSession(config) as session:
-            result = session.summarize_pair(
+            served = session.summarize_pair(
                 fig1_pair,
                 "bonus",
                 condition_attributes=["edu", "exp"],
                 transformation_attributes=["bonus", "salary"],
             )
-        assert _ranking(result) == memory_ranking
-        assert result.search_stats.cache_backend == "shared"
+        assert _ranking(served) == memory_ranking
+        assert served.search_stats.cache_backend == "memory"
 
-    def test_one_shot_serial_ignores_shared_backend(self, fig1_pair, memory_ranking):
-        # with no session and no workers a shared store could not outlive the
-        # run, so the serial executor uses in-process caches instead — and
-        # records the substitution rather than pretending nothing happened
-        result = _summarize(fig1_pair, CharlesConfig(cache_backend="shared"))
-        assert _ranking(result) == memory_ranking
-        stats = result.search_stats
-        assert stats.cache_backend == "memory"
-        assert stats.cache_backend_requested == "shared"
-        assert stats.as_dict()["cache_backend_requested"] == "shared"
-        assert "'shared' not used" in stats.describe()
+    def test_shared_serving_default_runs_as_memory(self):
+        infra = CharlesConfig().with_serving_defaults({"cache_backend": "shared"})
+        assert infra.cache_backend == "memory"
 
-    def test_parallel_workers_attached_to_shared_store_identical(
-        self, employee_200, tmp_path
-    ):
-        serial = Charles(CharlesConfig()).summarize_pair(
-            employee_200, "bonus",
-            condition_attributes=["edu", "exp"], transformation_attributes=["bonus"],
+    def test_parallel_shared_config_identical_to_memory(self, employee_200):
+        shortlists = dict(
+            condition_attributes=["edu", "exp"], transformation_attributes=["bonus"]
         )
-        shared = Charles(
-            CharlesConfig(n_jobs=2, cache_backend="shared")
-        ).summarize_pair(
-            employee_200, "bonus",
-            condition_attributes=["edu", "exp"], transformation_attributes=["bonus"],
+        memory = Charles(CharlesConfig(n_jobs=2)).summarize_pair(
+            employee_200, "bonus", **shortlists
         )
-        assert _ranking(serial) == _ranking(shared)
-        assert shared.search_stats.cache_backend == "shared"
+        shared = Charles(CharlesConfig(n_jobs=2, cache_backend="shared")).summarize_pair(
+            employee_200, "bonus", **shortlists
+        )
+        assert _ranking(shared) == _ranking(memory)
+        assert shared.search_stats.cache_backend == "memory"
+        assert shared.search_stats.n_jobs == memory.search_stats.n_jobs
 
 
 class TestDiskResultEntries:
@@ -179,24 +174,18 @@ class TestConfigNamespacing:
 
 
 class TestSearchCachesFromConfig:
-    def test_attach_shares_physical_storage(self):
-        caches = SearchCaches.from_config(CharlesConfig(cache_backend="shared"))
-        assert caches.shareable and caches.backend_kind == "shared"
-        caches.fits.get_or_compute("k", lambda: 41)
-        attached = SearchCaches.attach(caches.handles())
-        assert attached.fits.get_or_compute("k", lambda: 99) == 41
-        caches.close()
-
     def test_disk_caches_keep_memo_entries_in_process(self, tmp_path):
         config = CharlesConfig(cache_backend="disk", cache_dir=str(tmp_path))
         caches = SearchCaches.from_config(config)
-        assert not caches.shareable and caches.backend_kind == "disk"
+        assert caches.backend_kind == "disk"
         assert caches.fits.backend.kind == caches.partitions.backend.kind == "memory"
         caches.close()
 
-    def test_memory_caches_are_not_shareable(self):
-        caches = SearchCaches.from_config(CharlesConfig())
-        assert not caches.shareable and caches.backend_kind == "memory"
+    def test_memory_caches_stay_in_process(self):
+        caches = SearchCaches.from_config(CharlesConfig(search_cache_capacity=5))
+        assert caches.backend_kind == "memory"
+        for cache in (caches.fits, caches.partitions, caches.results):
+            assert cache.backend.kind == "memory" and cache.capacity == 5
 
     def test_config_rejects_disk_without_dir(self):
         from repro.exceptions import ConfigurationError

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import _render_plan, build_parser, main
@@ -79,7 +81,8 @@ class TestParser:
     )
     def test_removed_switches_are_usage_errors(self, removed):
         # bound pruning always runs, cost routing is gone, `charles plan` is
-        # the one dry run, and the store kinds are memory/shared/disk/remote
+        # the one dry run, and the store kinds are memory/disk/remote (plus
+        # `shared`, accepted as memory)
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(
                 ["summarize", "a.csv", "b.csv", "--target", "x", *removed]
@@ -160,6 +163,27 @@ class TestCommands:
         assert (
             serial_output.split("search:")[0] == parallel_output.split("search:")[0]
         )
+
+    def test_summarize_shared_cache_backend_runs_as_memory(
+        self, example_csvs, tmp_path, capsys
+    ):
+        # `shared` names the retired cross-process memo store: the flag is
+        # still accepted, and a parallel run ranks exactly as with memory
+        source, target = example_csvs
+        argv = [
+            "summarize", str(source), str(target), "--key", "name", "--target", "bonus",
+            "--jobs", "2",
+        ]
+        assert main(argv + ["--cache-backend", "memory"]) == 0
+        memory_output = capsys.readouterr().out
+        stats_path = tmp_path / "stats.json"
+        assert main(
+            argv + ["--cache-backend", "shared", "--stats-json", str(stats_path)]
+        ) == 0
+        shared_output = capsys.readouterr().out
+        assert shared_output.split("search:")[0] == memory_output.split("search:")[0]
+        assert "cache=" not in shared_output
+        assert json.loads(stats_path.read_text())["stats"]["cache_backend"] == "memory"
 
     def test_summarize_disk_cache_warm_second_invocation(self, example_csvs, tmp_path, capsys):
         source, target = example_csvs
@@ -298,7 +322,7 @@ class TestTimelineCommand:
         shared_output = capsys.readouterr().out
 
         def summaries_only(text):
-            # drop the stats lines: wall times and the cache label differ
+            # drop the stats lines: wall times differ
             return [
                 line
                 for line in text.splitlines()
@@ -306,7 +330,7 @@ class TestTimelineCommand:
             ]
 
         assert summaries_only(default_output) == summaries_only(shared_output)
-        assert "cache=shared" in shared_output
+        assert "cache=" not in shared_output  # `shared` runs as memory
 
     def test_timeline_window_out_of_range_rejected(self, chain_csvs, capsys):
         code = main([
@@ -354,11 +378,9 @@ class TestCacheCommands:
         assert main(["cache", "clear", "--cache-url", server.url]) == 0
         capsys.readouterr()
         assert main(["cache", "stats", "--cache-url", server.url]) == 0
-        import json
-
         cleared = json.loads(capsys.readouterr().out)
+        assert list(cleared["regions"]) == ["results"]
         assert cleared["regions"]["results"]["entries"] == 0
-        assert cleared["regions"]["partitions"]["entries"] == 0
 
     def test_summarize_against_a_sharded_fleet_matches_memory(self, example_csvs, capsys):
         from repro.cacheserver import AsyncCacheServer
