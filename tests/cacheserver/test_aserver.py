@@ -77,6 +77,10 @@ class TestByteIdenticalResponses:
                 protocol.GET, protocol.REGION_RESULTS, digest=_digest(b"absent")
             ),
             bytes((protocol.GET, 0)) + _digest(b"x"),  # the retired fits region
+            bytes((protocol.LEN, 0)),  # the retired fits region
+            # the retired partitions region
+            protocol.encode_request(protocol.PUT, 1, digest=_digest(b"x"), payload=b"v"),
+            bytes((protocol.CLEAR, 1)),  # the retired partitions region
             protocol.encode_request(protocol.CLEAR, protocol.REGION_ALL),
             bytes((250, protocol.REGION_RESULTS)),  # unknown verb
             bytes((7, protocol.REGION_RESULTS)) + _digest(b"x"),  # the retired batch verb

@@ -79,26 +79,30 @@ class TestServerAgainstHostileClients:
             assert protocol.recv_message(sock)[0] == 4
 
     @pytest.mark.parametrize("region", [0, 1], ids=["retired-fits", "retired-partitions"])
-    def test_retired_regions_answer_error_and_are_counted(self, server, region):
+    @pytest.mark.parametrize("verb", ["GET", "PUT", "LEN", "CLEAR"])
+    def test_retired_regions_answer_error_and_are_counted(self, server, verb, region):
         digest = b"\x00" * protocol.DIGEST_SIZE
-        requests = {
+        body = {
             "GET": protocol.encode_request(protocol.GET, region, digest=digest),
             "PUT": protocol.encode_request(
                 protocol.PUT, region, digest=digest, payload=b"value"
             ),
             "LEN": protocol.encode_request(protocol.LEN, region),
             "CLEAR": protocol.encode_request(protocol.CLEAR, region),
-        }
+        }[verb]
         with _connect(server) as sock:
-            for request_id, body in enumerate(requests.values()):
-                protocol.send_message(sock, request_id, body)
-                answer_id, answer = protocol.recv_message(sock)
-                status, payload = protocol.decode_response(answer)
-                assert answer_id == request_id and status == protocol.ERROR
-                assert payload == f"unknown region {region}".encode("utf-8")
+            protocol.send_message(sock, 5, body)
+            answer_id, answer = protocol.recv_message(sock)
+            status, payload = protocol.decode_response(answer)
+            assert answer_id == 5 and status == protocol.ERROR
+            assert payload == f"unknown region {region}".encode("utf-8")
+            # the connection stays usable after the error
+            protocol.send_message(
+                sock, 6, protocol.encode_request(protocol.PING, protocol.REGION_ALL)
+            )
+            assert protocol.recv_message(sock)[0] == 6
         samples = parse_prometheus(server.metrics_text())
-        for verb in requests:
-            assert samples[f'cacheserver_request_errors_total{{verb="{verb}"}}'] == 1
+        assert samples[f'cacheserver_request_errors_total{{verb="{verb}"}}'] == 1
         assert server.stats()["regions"]["results"]["entries"] == 0
 
     def test_zero_length_frame_is_rejected_without_crash(self, server):

@@ -18,13 +18,21 @@ from repro.search.cache import SearchCaches
 
 
 @pytest.fixture(
-    params=["memory", "disk"],
+    params=["memory", "disk", "remote"],
 )
 def backend(request, tmp_path):
     if request.param == "memory":
         yield InProcessBackend()
-    else:
+    elif request.param == "disk":
         yield DiskBackend(tmp_path / "cache.sqlite")
+    else:
+        # the results store of the fabric, on a private one-shard fleet
+        from repro.cacheserver import AsyncCacheServer, ShardedRemoteBackend
+
+        with AsyncCacheServer() as server:
+            remote = ShardedRemoteBackend(server.url)
+            yield remote
+            remote.close()
 
 
 class TestBackendConformance:
@@ -220,6 +228,16 @@ class TestFactory:
         assert results_b.get("k") is MISSING
         results_a_again = build_results_backend("disk", cache_dir=tmp_path, namespace=b"a")
         assert results_a_again.get("k") == 1  # same namespace, same entries
+
+    def test_shared_keeps_results_in_process(self):
+        # "shared" runs as "memory": every store of the search stays in process
+        caches = SearchCaches.from_config(CharlesConfig(cache_backend="shared"))
+        try:
+            assert caches.results.backend.kind == "memory"
+            for store in (caches.fits, caches.partitions, caches.results):
+                assert isinstance(store.backend, InProcessBackend)
+        finally:
+            caches.close()
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError) as excinfo:
