@@ -121,7 +121,6 @@ def run_benchmark(rows: int, versions: int, seed: int, config: CharlesConfig) ->
             "cache_hit_rate": counters.hit_rate,
             "cache_hits": counters.hits,
             "cache_misses": counters.misses,
-            "cache_evictions": counters.evictions,
         },
     }
 

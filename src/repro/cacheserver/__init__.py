@@ -9,8 +9,9 @@ summarize request (the ranked top-k, keyed by the request's content key)
 into the ``results`` region of a *fabric* of cache servers — sharded and
 replicated, so fleet cache capacity and throughput scale past one socket and
 one server.  A request any engine already answered then costs one lookup.
-Per-spec memo entries stay in each engine's process: their keys rotate with
-every changed row, so across processes they were write-only traffic.  Each
+The per-spec memo stays in each engine's process: it belongs to one snapshot
+pair, and shipping it across processes was measured to be write-only
+traffic.  Each
 job has one mechanism: one server transport, one remote client, one server
 eviction order.
 

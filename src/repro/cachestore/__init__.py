@@ -1,30 +1,31 @@
-"""Pluggable cache stores: where cached search work physically lives.
+"""Pluggable cache stores: where stored search results physically live.
 
 Cachestore architecture
 =======================
 
 A search caches work at two scopes, and each scope has one mechanism:
 
-* **per-spec memo entries** — per-mask fits and partition discoveries, keyed
-  by a :class:`~repro.search.cache.PairFingerprints` token that hashes the
-  exact column values a computation reads.  They live in the process, in
-  in-memory stores, so a changed-shortlist query on the same pair reuses
-  them; each worker of a parallel search keeps its own.  Their keys rotate
-  with every changed row, so across the hops of a version chain no entry
-  recurs; shipping them out of the process was measured to be write-only
-  traffic, and a store the workers of one search join was measured to cost
-  more than it saved.
+* **the pair memo** — per-mask fits, partition discoveries and the stages
+  between them, in the plain dict tables of
+  :class:`~repro.search.cache.SearchCaches`, keyed within one snapshot pair
+  by row-mask digest and cleared when the pair changes.  It never touches
+  this package: a changed-shortlist query on the same pair reuses it, and
+  each worker of a parallel search keeps its own.  No entry recurs across
+  the hops of a version chain, so shipping entries out of the process was
+  measured to be write-only traffic, and a store the workers of one search
+  join was measured to cost more than it saved.
 * **result entries** — one per summarize request, holding the ranked top-k
-  (:meth:`~repro.core.charles.Charles.summarize_pair`).  They follow the
-  configured backend out of the process, so an exact repeat of a request —
-  in a new interpreter, or on another engine of the fleet — costs one lookup.
+  (:meth:`~repro.core.charles.Charles.summarize_pair`).  They live in a
+  :class:`~repro.cachestore.base.CacheBackend` that follows the configured
+  kind out of the process, so an exact repeat of a request — in a new
+  interpreter, or on another engine of the fleet — costs one lookup.
 
 The hierarchy behind one ABC:
 
 * :class:`~repro.cachestore.base.CacheBackend` — the contract
   (``get``/``put``/``__len__``/``clear`` plus per-layer counter snapshots).
 * :class:`~repro.cachestore.memory.InProcessBackend` — a process-local LRU
-  dict; every per-spec store and the ``memory`` kind's results.
+  dict: the ``memory`` kind's results, and each cache-server region.
 * :class:`~repro.cachestore.disk.DiskBackend` — a content-keyed SQLite store
   with transactional writes: the ``disk`` kind's results, which survive
   interpreter restarts.
@@ -34,7 +35,7 @@ The hierarchy behind one ABC:
   repeated requests.
 
 Eviction order (:mod:`repro.cachestore.policy`): the engine's in-process
-stores evict least-recently-used first; cache-server regions and the disk
+results store evicts least-recently-used first; cache-server regions and the disk
 store evict cost-aware, ranking entries by the observed recomputation
 seconds each ``put`` ships as its ``cost_hint`` per byte held (a result
 entry's cost is its search's wall time).
@@ -43,9 +44,9 @@ Selection is configuration-driven (``CharlesConfig.cache_backend`` /
 ``cache_dir`` / ``cache_url``, CLI ``--cache-backend`` / ``--cache-dir`` /
 ``--cache-url``) through
 :func:`~repro.cachestore.factory.build_results_backend`, which builds the
-results store; :class:`~repro.search.cache.SearchCaches` makes its two
-per-spec stores itself.  ``shared``, the retired cross-process memo store,
-is still accepted and runs as ``memory``.
+results store; ``CharlesConfig.search_cache_capacity`` (CLI
+``--cache-capacity``) bounds it.  ``shared``, the retired cross-process memo
+store, is still accepted and runs as ``memory``.
 
 Adding a new cache backend
 --------------------------

@@ -1,12 +1,12 @@
 """The cache-backend contract: what every physical store must provide.
 
-The search subsystem's memo caches (:mod:`repro.search.cache`) are *logical*
-caches: they know what a key means and when to compute a value.  A
-:class:`CacheBackend` is the *physical* store behind one of them — where the
-entries actually live (a process-local dict, an on-disk SQLite file, the
-cache fabric) and what happens when the store fills up.  Separating the two
-lets a stored result survive interpreter restarts and reach other engines
-without the search layer knowing or caring.
+:meth:`~repro.core.charles.Charles.summarize_pair` knows what a result key
+means and when to run a search.  A :class:`CacheBackend` is the *physical*
+store behind its results — where the entries actually live (a
+process-local dict, an on-disk SQLite file, the cache fabric) and what
+happens when the store fills up.  Separating the two lets a stored result
+survive interpreter restarts and reach other engines without the search
+layer knowing or caring.
 
 The contract is deliberately small:
 
@@ -84,9 +84,9 @@ MISSING = _Missing()
 
 
 def key_digest(key: Hashable) -> bytes:
-    """A stable 16-byte digest of a memo-cache key, for out-of-process stores.
+    """A stable 16-byte digest of a cache key, for out-of-process stores.
 
-    Memo keys are tuples of primitives (strings, ints, floats, bytes tokens,
+    Keys are bytes or tuples of primitives (strings, ints, floats, bytes,
     nested tuples), whose ``repr`` is deterministic across processes and
     interpreter restarts — unlike ``hash()``, which is salted per process.
     The digest is what on-disk and remote backends index by, so two processes
@@ -156,7 +156,7 @@ class BackendCounters:
 
 
 class CacheBackend(ABC):
-    """One physical store behind a logical memo cache."""
+    """One physical store: where cached values live and how they are evicted."""
 
     #: short identifier of the storage kind ("memory", "disk", "remote")
     kind: str = "backend"
@@ -176,8 +176,8 @@ class CacheBackend(ABC):
     def put(self, key: Hashable, value: Any, cost_hint: float | None = None) -> None:
         """Store ``value`` under ``key``, evicting if a capacity bound demands it.
 
-        ``cost_hint`` is the observed seconds the value took to compute (the
-        memo layer times every fit and partition discovery).  Backends with a
+        ``cost_hint`` is the observed seconds the value took to compute (a
+        result entry's is its search's wall time).  Backends with a
         cost-aware eviction policy use it to rank entries; all others may
         ignore it — it is advisory and never changes what ``get`` returns.
         """

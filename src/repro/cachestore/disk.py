@@ -19,7 +19,7 @@ disjoint entries instead of silently reusing a wrong-config result.
 Storage details:
 
 * keys are the 16-byte :func:`~repro.cachestore.base.key_digest` of the
-  ``(namespace, memo key)`` pair; values are pickled — both live in one
+  ``(namespace, key)`` pair; values are pickled — both live in one
   ``entries`` table;
 * every write is wrapped in a SQLite transaction, so concurrent readers and
   writers (e.g. two engines pointed at the same directory) see complete

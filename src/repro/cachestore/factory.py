@@ -1,9 +1,8 @@
 """Backend selection: from configuration values to the search's results store.
 
-The search layer carries two per-spec memo caches (per-mask fits and
-partition discoveries) and one cache of whole results.  The per-spec pair
-always stays in the process (:class:`~repro.search.cache.SearchCaches`
-makes it), so the factory builds only the results store: in process for
+The search layer memoises one pair's work in plain in-process dicts
+(:class:`~repro.search.cache.SearchCaches` makes them) and keeps one store of
+whole results.  The factory builds only the results store: in process for
 ``memory``, a SQLite file under the cache directory for ``disk``, the
 fabric's ``results`` region for ``remote``.
 """

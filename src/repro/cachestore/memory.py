@@ -29,13 +29,11 @@ def _approximate_size(value: Any) -> int:
 class InProcessBackend(CacheBackend):
     """A process-local dictionary store with a pluggable eviction policy.
 
-    This is the default backend and, with its default :class:`LRUPolicy`,
-    reproduces the original ``MemoCache`` storage semantics exactly: lookups
-    refresh recency, a ``capacity`` bound evicts the least-recently-used entry
-    past the bound, and without one the store grows without limit (fine for
-    one-shot searches, not for long-lived sessions).  Entries are stored by
-    their original tuple keys — no serialisation, no digesting — so hits cost
-    one dict lookup.
+    This is the default results store.  With its default :class:`LRUPolicy`,
+    lookups refresh recency, a ``capacity`` bound evicts the
+    least-recently-used entry past the bound, and without one the store
+    grows without limit.  Entries are stored by their original keys — no
+    serialisation, no digesting — so hits cost one dict lookup.
 
     A :class:`~repro.cachestore.policy.CostAwarePolicy` may replace the LRU
     order; the cache server hosts its regions on this backend that way, so a

@@ -1,17 +1,16 @@
 """Eviction policies: who leaves when a bounded in-process store fills up.
 
-Recency is a heuristic about *future* value, and for a cache of memoised
-search work there is a better signal available: the memo layer times every
-fit and partition discovery it computes, so each entry arrives with the cost
-of recomputing it.  An :class:`EvictionPolicy` is the small strategy object
+Recency is a heuristic about *future* value, and for a cache of search
+results there is a better signal available: each result entry arrives with
+the wall time of the search that computed it, the cost of recomputing it.  An :class:`EvictionPolicy` is the small strategy object
 :class:`~repro.cachestore.memory.InProcessBackend` consults to pick victims:
 
 * :class:`LRUPolicy` — evict the least-recently-used entry; the engine's
-  private in-process stores use it (the backend's default).
+  in-process results store uses it (the backend's default).
 * :class:`CostAwarePolicy` — evict the entry that is cheapest to recompute
-  *per byte held*.  A partition discovery that took 80 ms and pickles to 2 KB
-  outranks a trivial fit that took 40 µs and holds the same space, no matter
-  which was touched last — under pressure the store sheds cheap entries first
+  *per byte held*.  A search that took 800 ms and pickles to 20 KB outranks
+  one that took 40 ms and holds the same space, no matter which was touched
+  last — under pressure the store sheds cheap entries first
   and a small capacity retains most of the recomputation time it shields.
   Every cache-server region uses it, and the disk store applies the same
   density in SQL.

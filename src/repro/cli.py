@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     summarize.add_argument("--jobs", type=int, default=1,
                            help="worker processes for the candidate search (1 = serial)")
     summarize.add_argument("--cache-capacity", type=int, default=None,
-                           help="max entries per memo cache, evicting beyond it "
+                           help="max entries of the results store, evicting beyond it "
                                 "(default unbounded)")
     _add_cache_arguments(summarize)
     summarize.add_argument("--condition-attributes", nargs="*", default=None)
@@ -127,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
     timeline.add_argument("--jobs", type=int, default=1,
                           help="worker processes for the candidate search (1 = serial)")
     timeline.add_argument("--cache-capacity", type=int, default=None,
-                          help="LRU capacity of each session memo cache (default unbounded)")
+                          help="max entries of the session's results store, evicting "
+                               "beyond it (default unbounded)")
     _add_cache_arguments(timeline)
     timeline.add_argument("--condition-attributes", nargs="*", default=None)
     timeline.add_argument("--transformation-attributes", nargs="*", default=None)

@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.cachestore import MISSING
+from repro.cachestore import MISSING, BackendCounters
 from repro.core.config import CharlesConfig
 from repro.core.discovery import DiffDiscoveryEngine, ScoredSummary
 from repro.core.setup_assistant import SetupAssistant, SetupSuggestions
@@ -147,10 +147,11 @@ class Charles:
     def session(self):
         """A long-lived :class:`~repro.timeline.session.EngineSession` with this config.
 
-        The session keeps memo caches alive across runs, so summarising
-        consecutive hops of a version chain reuses
-        every computation whose input rows are untouched.  Rankings stay
-        byte-identical to one-shot ``summarize`` calls.
+        The session keeps the memo of the pair asked last and one results
+        store across runs, so re-asking a pair with another shortlist or
+        target reuses its fits and discoveries, and an exact repeat is served
+        from its result entry.  Rankings stay byte-identical to one-shot
+        ``summarize`` calls.
         """
         from repro.timeline.session import EngineSession
 
@@ -279,8 +280,8 @@ class Charles:
         """Same as :meth:`summarize` but starting from an already-aligned pair.
 
         ``caches`` is the session hook: an
-        :class:`~repro.timeline.session.EngineSession` passes its persistent
-        memo caches through here so warm and cold runs share one code path
+        :class:`~repro.timeline.session.EngineSession` passes its
+        caches through here so warm and cold runs share one code path
         (which is what makes their rankings provably identical).  One-shot
         callers leave it at its default; with a ``disk`` or ``remote``
         ``cache_backend`` the call then opens the configured stores itself.
@@ -327,8 +328,8 @@ class Charles:
                 condition_attributes,
                 transformation_attributes,
             )
-            before = caches.result_traffic()
-            entry = caches.results.lookup(key)
+            before = caches.results.breakdown()
+            entry = caches.results.get(key)
         suggestions = None
         if entry is not MISSING:
             top, total, condition_attributes, transformation_attributes = entry
@@ -339,8 +340,6 @@ class Charles:
             condition_attributes, transformation_attributes, suggestions = self._shortlists(
                 pair, target, condition_attributes, transformation_attributes
             )
-            if caches is not None:
-                caches.scope_to_pair(source_digest + target_digest)
             ranked, stats = self._engine.discover_with_stats(
                 pair,
                 target,
@@ -358,13 +357,16 @@ class Charles:
             condition_attributes = tuple(condition_attributes)
             transformation_attributes = tuple(transformation_attributes)
             if caches is not None:
-                caches.results.store(
+                caches.results.put(
                     key,
                     (top, total, condition_attributes, transformation_attributes),
-                    cost_seconds=time.perf_counter() - started,
+                    cost_hint=time.perf_counter() - started,
                 )
         if caches is not None:
-            stats.merge_cache_counters(caches.result_traffic() - before)
+            stats.backend_counters = {
+                layer: counters - before.get(layer, BackendCounters())
+                for layer, counters in caches.results.breakdown().items()
+            }
             if entry is not MISSING:
                 stats.wall_time_seconds = time.perf_counter() - started
         return CharlesResult(

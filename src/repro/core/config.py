@@ -159,16 +159,14 @@ class CharlesConfig:
         changes the top-k; disable it to rank the complete candidate space,
         e.g. for exhaustive analyses.
     search_cache_capacity:
-        Maximum number of entries each memo cache (fits, partitions) keeps,
-        with least-recently-used eviction beyond it.  ``None`` (the default)
-        leaves the caches unbounded, which matches the one-shot behaviour;
-        long-lived :class:`~repro.timeline.session.EngineSession` deployments
-        should set a capacity so memory stays bounded across runs.  Eviction
-        never changes results — evicted work is simply recomputed on the next
-        miss.
+        Maximum number of result entries the results store keeps (one per
+        summarize request), evicting beyond it.  ``None`` (the default)
+        leaves it unbounded.  The pair memo needs no bound: it holds one
+        pair's work and is dropped when the pair changes.  Eviction never
+        changes results — an evicted request is simply searched again.
     cache_backend:
-        Where cached search work lives (see :mod:`repro.cachestore`).
-        ``"memory"`` (the default) keeps everything in a process-local LRU
+        Where stored results live (see :mod:`repro.cachestore`).
+        ``"memory"`` (the default) keeps them in a process-local LRU
         dict.  ``"disk"`` keeps one result entry per summarize request in a
         SQLite file under ``cache_dir`` that survives interpreter restarts;
         ``"remote"`` keeps them on a fleet of

@@ -83,8 +83,9 @@ class DiffDiscoveryEngine:
         """Like :meth:`discover`, additionally returning the search statistics.
 
         ``caches`` exists for session-style callers
-        (:class:`~repro.timeline.session.EngineSession`) that keep memo caches
-        alive across runs; one-shot calls leave it at its default.
+        (:class:`~repro.timeline.session.EngineSession`) that keep one
+        memo alive across runs on a pair; one-shot calls leave it at its
+        default.
         """
         column = pair.schema.column(target)
         if not column.is_numeric:

@@ -35,7 +35,9 @@ def _literal(value: Any) -> str:
 
     Floats render as their shortest round-tripping ``repr``, integers as
     integers, so a replayed statement compares and computes with the very
-    constants the engine used.
+    constants the engine used.  One limit lies in the reader, not here:
+    SQLite 3.40 misreads some float literals beyond about 1e±160 by one ulp,
+    so a replay there is exact only for constants inside that range.
     """
     if value is None:
         return "NULL"

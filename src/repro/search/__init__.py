@@ -27,23 +27,23 @@ it is computed, in three layers:
    evaluated / pruned, cache hits, wall time) that rides along with the
    results.
 
-3. **Memo caches + pruning** (:mod:`repro.search.cache`,
+3. **Pair memo + pruning** (:mod:`repro.search.cache`,
    :mod:`repro.search.evaluator`) — the
    :class:`~repro.search.evaluator.CandidateEvaluator` performs the actual
    partition discovery, per-partition regression fits, equivalent-partition
-   merging and hierarchical refinement, with every partition discovery and
-   per-mask fit memoised by content key (row-mask digest + attribute subset).
-   The caches are logical only: where entries physically live is a pluggable
-   :class:`~repro.cachestore.base.CacheBackend` selected by
-   ``CharlesConfig.cache_backend``; per-spec entries always stay in the
-   process, and only whole result entries leave it (see
-   :mod:`repro.cachestore`).  A partition-cache miss always runs the full
-   discovery (cluster the changed rows, then induce conditions); content
-   keys already reuse every discovery whose inputs a delta left untouched.  The evaluator's pruning is exact,
-   never heuristic: specs whose discovered partition structure duplicates an
-   earlier round's spec are skipped (the downstream pipeline is
-   deterministic, so the summary would be identical).  Every summary it
-   builds is scored.
+   merging and hierarchical refinement, memoising each stage in the plain
+   dict tables of one :class:`~repro.search.cache.SearchCaches`, keyed by
+   target, attribute subsets and row-mask digest.  The tables belong to one
+   snapshot pair and stay in the process; the evaluator clears them when it
+   is handed another pair.  A partition-table miss always runs the full
+   discovery (cluster the changed rows, then induce conditions).  Only
+   whole result entries leave the process, through the pluggable
+   :class:`~repro.cachestore.base.CacheBackend` ``CharlesConfig.
+   cache_backend`` selects (see :mod:`repro.cachestore`).  The evaluator's
+   pruning is exact, never heuristic: specs whose discovered partition
+   structure duplicates an earlier round's spec are skipped (the downstream
+   pipeline is deterministic, so the summary would be identical).  Every
+   summary it builds is scored.
 
 Since the bound-planning layer (:mod:`repro.search.bounds`) the executors
 additionally *filter* each round before paying for it: a once-per-search
@@ -79,13 +79,7 @@ cache backends compose freely: any executor works against any store.
 """
 
 from repro.search.bounds import ScoreBoundIndex, SpecBound, bound_histogram
-from repro.search.cache import (
-    CacheCounters,
-    MemoCache,
-    PairFingerprints,
-    SearchCaches,
-    mask_digest,
-)
+from repro.search.cache import CacheCounters, MemoTable, SearchCaches, mask_digest
 from repro.search.evaluator import CandidateEvaluator, EvaluationOutcome, ScoredSummary
 from repro.search.executors import (
     ParallelExecutor,
@@ -113,10 +107,9 @@ __all__ = [
     "SpecBound",
     "ScoreBoundIndex",
     "bound_histogram",
-    "MemoCache",
+    "MemoTable",
     "CacheCounters",
     "SearchCaches",
-    "PairFingerprints",
     "mask_digest",
     "CandidateEvaluator",
     "EvaluationOutcome",

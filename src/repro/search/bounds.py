@@ -59,6 +59,7 @@ pruning on and off to byte-identical.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -67,7 +68,7 @@ import numpy as np
 from repro.core.config import CharlesConfig
 from repro.obs.trace import get_tracer
 from repro.relational.snapshot import SnapshotPair
-from repro.search.cache import PairFingerprints
+from repro.relational.table import Table
 from repro.search.planner import CandidateSpec
 
 __all__ = ["SpecBound", "ScoreBoundIndex", "bound_histogram", "grouped_l1_floor"]
@@ -76,6 +77,29 @@ __all__ = ["SpecBound", "ScoreBoundIndex", "bound_histogram", "grouped_l1_floor"
 #: floor and the scalar scoring path may round differently in the last ulps,
 #: and an admissible bound must never dip below a truly achievable score
 _BOUND_EPSILON = 1e-9
+
+
+def _column_fingerprint(table: Table, name: str) -> np.ndarray:
+    """One ``uint64`` per row of ``name``: rows with equal values print equally.
+
+    The raw IEEE-754 bits for numeric columns, an 8-byte BLAKE2b digest per
+    distinct value for categorical ones (with its own digest for a missing
+    value), so rows group by value without comparing Python objects.
+    """
+    column = table.schema.column(name)
+    if column.is_numeric:
+        return np.ascontiguousarray(table.numeric_column(name)).view(np.uint64)
+    codes, levels = table.categorical_codes(name)
+    # one digest per distinct value, plus the missing marker for code -1
+    tokens = [repr(value).encode("utf-8") for value in levels] + [b"\x00"]
+    digests = np.array(
+        [
+            int.from_bytes(hashlib.blake2b(token, digest_size=8).digest(), "little")
+            for token in tokens
+        ],
+        dtype=np.uint64,
+    )
+    return digests[codes]
 
 
 @dataclass(frozen=True)
@@ -154,7 +178,7 @@ class ScoreBoundIndex:
     def _column_print(self, name: str) -> np.ndarray:
         print_ = self._prints.get(name)
         if print_ is None:
-            print_ = PairFingerprints._column_fingerprint(self._pair.source, name)
+            print_ = _column_fingerprint(self._pair.source, name)
             self._prints[name] = print_
         return print_
 

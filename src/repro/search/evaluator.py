@@ -4,22 +4,25 @@ This module holds the model-fitting heart of the diff discovery engine, moved
 out of :class:`~repro.core.discovery.DiffDiscoveryEngine` so that any executor
 — serial or parallel — can evaluate :class:`~repro.search.planner.CandidateSpec`\\ s
 through one shared, cache-aware code path.  A :class:`CandidateEvaluator` is
-bound to a single ``(pair, target, config)`` triple; every partition discovery
-and per-mask regression fit it performs is memoised in its
-:class:`~repro.search.cache.SearchCaches`, so work that recurs across specs
-(identical partition masks at different ``k``/residual weights, union masks
-re-fitted during merging, refinement re-clustering the same sub-table) is done
-once.  Three more memos live as long as the evaluator, are plain dicts and
-change no outcome:
+bound to a single ``(pair, target, config)`` triple, and memoises its work in
+the pair-scoped tables of its :class:`~repro.search.cache.SearchCaches`, so
+work that recurs across specs is done once:
 
-* the *clustering input* of a scope, by (C, T, scope content token): every
-  partition count and residual weight clusters the same matrix;
-* the *induced partitions*, by (C, scope mask, ``k > 1``, labels): condition
-  induction reads neither T nor w, and reads k only through ``k > 1``, so
-  every k = 1 spec of a C subset and every (T, w) that k-means maps to the
-  same labelling shares one induction;
-* the *scored summary* of a partition signature: specs of one round whose
-  partitions coincide build and score one summary.
+* per-mask regression *fits*: union masks re-fitted during merging and
+  partitions that recur across specs fit once;
+* *partition discoveries*: identical partition masks at different
+  ``k``/residual weights, and refinement re-clustering the same sub-table;
+* the *clustering input* of a scope: every partition count and residual
+  weight clusters the same matrix;
+* the *induced partitions*: condition induction reads neither T nor w, and
+  reads k only through ``k > 1``, so every k = 1 spec of a C subset and
+  every (T, w) that k-means maps to the same labelling shares one induction;
+* the *scored summary* of a partition signature: specs whose partitions
+  coincide build and score one summary.
+
+Keys identify rows by :func:`~repro.search.cache.mask_digest`, which is only
+meaningful within one pair, so an evaluator scopes the caches it is handed
+to its pair before it reads them.
 
 One kind of pruning happens here, and it is exact: if a spec's discovered
 partitions (conditions + masks) are identical to those of a spec evaluated
@@ -32,7 +35,6 @@ cannot reach it are skipped by the executor before they get here (see
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +58,7 @@ from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 from repro.relational.snapshot import SnapshotPair
 from repro.relational.table import Table
-from repro.search.cache import PairFingerprints, SearchCaches, mask_digest
+from repro.search.cache import SearchCaches, mask_digest, snapshot_digest
 from repro.search.planner import GLOBAL, CandidateSpec
 
 __all__ = ["ScoredSummary", "EvaluationOutcome", "CandidateEvaluator"]
@@ -145,17 +147,15 @@ class CandidateEvaluator:
         self._target = target
         self._config = config
         self._full_mask = np.ones(pair.num_rows, dtype=bool)
-        self._prints = PairFingerprints(pair, target)
-        # unweighted clustering inputs by (C, T, scope content token): every
-        # partition count and residual weight of one scope clusters the same
-        # matrix.  Lives as long as the evaluator, like the fingerprints.
-        self._clustering_inputs: dict[tuple, np.ndarray] = {}
-        # induced partitions by (C, scope mask digest, k > 1, labels), and
-        # built summaries by partition signature; both as long-lived as the
-        # clustering inputs, and both valid only for this evaluator's pair
-        self._inductions: dict[tuple, tuple[Partition, ...]] = {}
-        self._summaries: dict[tuple, _BuiltSummary | None] = {}
-        self.caches = caches or SearchCaches(config.search_cache_capacity)
+        if caches is None:
+            caches = SearchCaches()
+        else:
+            # memo keys name rows by mask digest, so a caller's caches may
+            # hold another pair's entries under the same keys
+            caches.scope_to_pair(
+                snapshot_digest(pair.source, pair.key) + snapshot_digest(pair.target, pair.key)
+            )
+        self.caches = caches
         # the process-wide tracer singleton; its `.enabled` flag is the only
         # overhead evaluation pays when tracing is off
         self._tracer = get_tracer()
@@ -203,9 +203,11 @@ class CandidateEvaluator:
         signature = self._partition_signature(spec, partitions)
         if signature in known_signatures:
             return EvaluationOutcome(spec, None, signature, pruned_reason=PRUNED_DUPLICATE)
-        if signature not in self._summaries:
-            self._summaries[signature] = self._build_summary(spec, partitions)
-        built = self._summaries[signature]
+        summaries = self.caches.summaries
+        key = (self._target, signature)
+        if key not in summaries:
+            summaries[key] = self._build_summary(spec, partitions)
+        built = summaries[key]
         if built is None:
             return EvaluationOutcome(spec, None, signature)
         scored = ScoredSummary(
@@ -232,18 +234,13 @@ class CandidateEvaluator:
         residual_weight: float,
         scope_mask: np.ndarray,
     ) -> tuple:
-        # the "/3" is a value-format version: entries are bare partition
-        # tuples, and older formats left in a persistent or remote store hold
-        # pickles this code cannot load; the disjoint key prefix keeps every
-        # version safe in one store at the cost of a cold start
         return (
-            "partition/3",
             self._target,
             condition_subset,
             transformation_subset,
             n_partitions,
             residual_weight,
-            self._prints.token(condition_subset + transformation_subset, scope_mask),
+            mask_digest(scope_mask),
         )
 
     def _cached_partitions(
@@ -255,14 +252,12 @@ class CandidateEvaluator:
         n_partitions: int,
         residual_weight: float = 1.0,
     ) -> list[Partition]:
-        """Partition discovery on ``scope_pair``, memoised by content.
+        """Partition discovery on ``scope_pair``, memoised within the pair.
 
         ``scope_mask`` selects the scope's rows in the *full* pair (the full
         mask for top-level discovery, the parent partition's mask during
-        refinement); the cache key hashes the values of every involved column
-        under that mask, so the entry stays valid for exactly as long as those
-        values do — including across runs of a long-lived session.  A miss
-        runs the full discovery: clustering, then condition induction.
+        refinement); the key holds its digest.  A miss runs the full
+        discovery: clustering, then condition induction.
         """
         key = self._partition_key(
             condition_subset,
@@ -275,13 +270,11 @@ class CandidateEvaluator:
         if cached is not MISSING:
             _PARTITION_RESOLUTION.inc(outcome="cached")
             return list(cached)
-        started = time.perf_counter()
         with self._tracer.span(
             "partitions.resolve", top_level=scope_mask is self._full_mask
         ) as span:
             partitions, induced = self._discover_partitions(
                 scope_pair,
-                scope_mask,
                 key[-1],
                 condition_subset,
                 transformation_subset,
@@ -290,22 +283,20 @@ class CandidateEvaluator:
             )
             span.set(partitions=len(partitions), induced=induced)
         _PARTITION_RESOLUTION.inc(outcome="recomputed")
-        self.caches.partitions.store(
-            key, partitions, cost_seconds=time.perf_counter() - started
-        )
+        self.caches.partitions[key] = partitions
         return list(partitions)
 
     def _clustering_input(
         self,
         scope_pair: SnapshotPair,
-        scope_token: bytes,
+        scope_digest: bytes,
         condition_subset: tuple[str, ...],
         transformation_subset: tuple[str, ...],
         changed_indices: np.ndarray,
     ) -> np.ndarray:
         """The scope's unweighted clustering matrix, built once per (C, T, scope)."""
-        key = (condition_subset, transformation_subset, scope_token)
-        matrix = self._clustering_inputs.get(key)
+        key = (self._target, condition_subset, transformation_subset, scope_digest)
+        matrix = self.caches.clustering_inputs.get(key)
         if matrix is None:
             matrix = clustering_matrix(
                 scope_pair,
@@ -316,14 +307,13 @@ class CandidateEvaluator:
                 self._config,
             )
             matrix.setflags(write=False)
-            self._clustering_inputs[key] = matrix
+            self.caches.clustering_inputs[key] = matrix
         return matrix
 
     def _discover_partitions(
         self,
         scope_pair: SnapshotPair,
-        scope_mask: np.ndarray,
-        scope_token: bytes,
+        scope_digest: bytes,
         condition_subset: tuple[str, ...],
         transformation_subset: tuple[str, ...],
         n_partitions: int,
@@ -335,9 +325,9 @@ class CandidateEvaluator:
         result was reused, or nothing changed).  Clustering runs under a
         ``core.cluster`` span and induction under a ``core.induce`` span, the
         layer names perfbench uses.  Induction reads the scope's source
-        values of C, its changed rows and the labels; the scope mask stands
-        for the first two within this evaluator's pair, and k enters only as
-        ``k > 1`` (whether a trivial condition may be dropped).
+        values of C, its changed rows and the labels; the scope mask digest
+        stands for the first two within this evaluator's pair, and k enters
+        only as ``k > 1`` (whether a trivial condition may be dropped).
         """
         # `k` is the cluster count k-means ran with, 1 when nothing was clustered
         with self._tracer.span(
@@ -346,7 +336,7 @@ class CandidateEvaluator:
 
             def clustering_input(changed_indices: np.ndarray) -> np.ndarray:
                 matrix = self._clustering_input(
-                    scope_pair, scope_token, condition_subset, transformation_subset,
+                    scope_pair, scope_digest, condition_subset, transformation_subset,
                     changed_indices,
                 )
                 span.set(k=min(n_partitions, changed_indices.size), width=matrix.shape[1])
@@ -367,8 +357,8 @@ class CandidateEvaluator:
         if clustered is None:
             return (), False
         changed_indices, labels = clustered
-        key = (condition_subset, mask_digest(scope_mask), n_partitions > 1, labels.tobytes())
-        partitions = self._inductions.get(key)
+        key = (self._target, condition_subset, scope_digest, n_partitions > 1, labels.tobytes())
+        partitions = self.caches.inductions.get(key)
         if partitions is not None:
             return partitions, False
         with self._tracer.span("core.induce", rows=changed_indices.size) as span:
@@ -384,31 +374,26 @@ class CandidateEvaluator:
                 )
             )
             span.set(partitions=len(partitions))
-        self._inductions[key] = partitions
+        self.caches.inductions[key] = partitions
         return partitions, True
 
     def _cached_fit(
         self, transformation_subset: tuple[str, ...], mask: np.ndarray
     ) -> LinearTransformation | None:
-        key = (
-            "fit",
-            self._target,
-            transformation_subset,
-            self._prints.token(transformation_subset, mask),
-        )
-        if not self._tracer.enabled:
-            return self.caches.fits.get_or_compute(
-                key, lambda: self._fit_transformation(transformation_subset, mask)
-            )
-
-        def compute() -> LinearTransformation | None:
-            # only cache misses open a span: a hit costs nothing and says nothing
+        key = (self._target, transformation_subset, mask_digest(mask))
+        transformation = self.caches.fits.lookup(key)
+        if transformation is not MISSING:
+            return transformation
+        if self._tracer.enabled:
+            # only misses open a span: a hit costs nothing and says nothing
             with self._tracer.span(
                 "fit", features=len(transformation_subset), rows=int(mask.sum())
             ):
-                return self._fit_transformation(transformation_subset, mask)
-
-        return self.caches.fits.get_or_compute(key, compute)
+                transformation = self._fit_transformation(transformation_subset, mask)
+        else:
+            transformation = self._fit_transformation(transformation_subset, mask)
+        self.caches.fits[key] = transformation
+        return transformation
 
     @staticmethod
     def _partition_signature(spec: CandidateSpec, partitions: list[Partition]) -> tuple:

@@ -7,7 +7,7 @@ round loop, the deterministic reduce (structural-key deduplication in spec
 order, then ranking) and the top-k floor used for pruning; subclasses only
 decide how the specs *within* one round are evaluated:
 
-* :class:`SerialExecutor` — one in-process evaluator whose memo caches span
+* :class:`SerialExecutor` — one in-process evaluator whose memo spans
   the whole search.  The default (``CharlesConfig.n_jobs == 1``).
 * :class:`ParallelExecutor` — a ``ProcessPoolExecutor`` of ``n_jobs`` workers,
   each holding its own evaluator and caches.  Selected with
@@ -19,7 +19,7 @@ an evaluation takes besides its spec) are frozen at the start of a round and
 only updated between rounds, so outcomes do not depend on evaluation order
 inside a round; and outcomes are reduced in spec order, so tie-breaking is
 identical no matter which worker produced a candidate.  (Cache *statistics*
-may differ: each worker keeps private memo caches, so parallel runs re-fit
+may differ: each worker keeps a private memo, so parallel runs re-fit
 some work a serial run would have cached.  That changes timings, never
 results — caches only ever memoise deterministic functions.)
 """
@@ -114,10 +114,11 @@ class SearchExecutor:
         """Evaluate the plan and return the ranked candidates plus statistics.
 
         ``caches`` lets a long-lived caller (an
-        :class:`~repro.timeline.session.EngineSession`) supply memo caches that
+        :class:`~repro.timeline.session.EngineSession`) supply caches that
         outlive one search; in-process executors use them directly, while the
         process-pool executor uses them only on its serial fallback path —
-        its workers keep private caches.
+        its workers keep private caches.  The evaluator scopes them to
+        ``pair``: entries of another pair are dropped first.
 
         The top-k floor is local to this loop: it starts at ``-inf`` and,
         after each round, rises to the k-th best score found so far.  Only
@@ -250,7 +251,7 @@ def _evaluate_specs(
 
 
 class SerialExecutor(SearchExecutor):
-    """Evaluates every spec in order, in process, with search-wide memo caches."""
+    """Evaluates every spec in order, in process, with a search-wide memo."""
 
     n_jobs = 1
 
@@ -261,8 +262,6 @@ class SerialExecutor(SearchExecutor):
         config: CharlesConfig,
         caches: SearchCaches | None = None,
     ) -> None:
-        if caches is None:
-            caches = SearchCaches(config.search_cache_capacity)
         self._evaluator = CandidateEvaluator(pair, target, config, caches)
 
     def _run_round(
@@ -284,8 +283,7 @@ _WORKER_EVALUATOR: CandidateEvaluator | None = None
 def _init_worker(pair: SnapshotPair, target: str, config: CharlesConfig) -> None:
     """Build this worker's evaluator over private in-process caches."""
     global _WORKER_EVALUATOR
-    caches = SearchCaches(config.search_cache_capacity)
-    _WORKER_EVALUATOR = CandidateEvaluator(pair, target, config, caches)
+    _WORKER_EVALUATOR = CandidateEvaluator(pair, target, config)
 
 
 def _evaluate_batch(
@@ -367,8 +365,7 @@ class ParallelExecutor(SearchExecutor):
             self._pool = None
         assert self._search_context is not None
         pair, target, config = self._search_context
-        caches = self._session_caches or SearchCaches(config.search_cache_capacity)
-        self._fallback = CandidateEvaluator(pair, target, config, caches)
+        self._fallback = CandidateEvaluator(pair, target, config, self._session_caches)
 
     def _effective_n_jobs(self) -> int:
         return 1 if self._fallback is not None else self.n_jobs

@@ -16,6 +16,21 @@ from repro.search.cache import CacheCounters
 
 __all__ = ["SearchStats"]
 
+#: the fields :meth:`SearchStats.merge` adds up
+_SUMMED = (
+    "candidates_enumerated",
+    "result_hits",
+    "candidates_evaluated",
+    "candidates_pruned_duplicates",
+    "candidates_pruned_spec_bounds",
+    "fit_cache_hits",
+    "fit_cache_misses",
+    "partition_cache_hits",
+    "partition_cache_misses",
+    "wall_time_seconds",
+    "rounds",
+)
+
 
 @dataclass
 class SearchStats:
@@ -31,12 +46,12 @@ class SearchStats:
     all).  ``bound_pruning`` records whether
     those pre-discovery bounds ran: they do unless ``prune_search`` is off or
     the plan is empty.  Pruning never changes rankings, only wall time.
-    Cache counters come from the memo caches of :mod:`repro.search.cache`;
-    in parallel runs they are aggregated across worker processes.  Each
-    worker has private caches, so parallel hit rates are typically lower
-    than serial ones.  ``backend_counters`` breaks the traffic down per
-    physical layer, the result-entry lookup and store
-    of :meth:`~repro.core.charles.Charles.summarize_pair` included: a
+    Cache counters come from the fit and partition memo tables of
+    :mod:`repro.search.cache`; in parallel runs they are aggregated across
+    worker processes.  Each worker has private tables, so parallel hit rates
+    are typically lower than serial ones.  ``backend_counters`` is the
+    results store's traffic per physical layer — the result-entry lookup and
+    store of :meth:`~repro.core.charles.Charles.summarize_pair`: a
     ``remote`` layer additionally reports the network round trips it made —
     one per lookup and one per replica written, fewer while the client is
     degraded — and, on a sharded fabric, per-endpoint ``remote[host:port]``
@@ -65,7 +80,6 @@ class SearchStats:
     fit_cache_misses: int = 0
     partition_cache_hits: int = 0
     partition_cache_misses: int = 0
-    cache_evictions: int = 0
     cache_backend: str = "memory"
     backend_counters: dict[str, BackendCounters] = field(default_factory=dict)
     wall_time_seconds: float = 0.0
@@ -81,12 +95,12 @@ class SearchStats:
 
     @property
     def cache_hits(self) -> int:
-        """Total memo-cache hits (fit + partition caches)."""
+        """Total memo hits (fit + partition tables)."""
         return self.fit_cache_hits + self.partition_cache_hits
 
     @property
     def cache_lookups(self) -> int:
-        """Total memo-cache lookups (hits + misses, both caches)."""
+        """Total memo lookups (hits + misses, both tables)."""
         return (
             self.fit_cache_hits
             + self.fit_cache_misses
@@ -125,11 +139,22 @@ class SearchStats:
         self.fit_cache_misses += counters.fit_misses
         self.partition_cache_hits += counters.partition_hits
         self.partition_cache_misses += counters.partition_misses
-        self.cache_evictions += counters.evictions
-        for layer, delta in counters.backends:
+
+    def merge(self, other: "SearchStats") -> None:
+        """Add ``other``'s counts and wall time to this record, layer by layer.
+
+        ``n_jobs`` and ``cache_backend`` become ``other``'s, and
+        ``bound_pruning`` holds if it held in either run.
+        """
+        for name in _SUMMED:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        for layer, counters in other.backend_counters.items():
             self.backend_counters[layer] = (
-                self.backend_counters.get(layer, BackendCounters()) + delta
+                self.backend_counters.get(layer, BackendCounters()) + counters
             )
+        self.bound_pruning = self.bound_pruning or other.bound_pruning
+        self.cache_backend = other.cache_backend
+        self.n_jobs = other.n_jobs
 
     # -- rendering -------------------------------------------------------------
 
@@ -147,7 +172,6 @@ class SearchStats:
             "fit_cache_misses": self.fit_cache_misses,
             "partition_cache_hits": self.partition_cache_hits,
             "partition_cache_misses": self.partition_cache_misses,
-            "cache_evictions": self.cache_evictions,
             "cache_hit_rate": self.cache_hit_rate,
             "cache_backend": self.cache_backend,
             "backend_counters": {

@@ -1,7 +1,7 @@
 """Tenant-namespaced registry of live timeline sessions.
 
 Each lease pairs one tenant's :class:`~repro.timeline.session.EngineSession`
-(the warm engine: persistent memo caches) with
+(the warm engine: its pair memo and results store) with
 the :class:`~repro.timeline.store.TimelineStore` its uploads accumulate in,
 under a capability-style session id.  Tenancy is enforced twice over:
 

@@ -7,8 +7,8 @@ underneath, running in a small worker-thread pool so a search never blocks
 the loop.  The request path composes the three serving mechanisms:
 
 1. :class:`~repro.serving.registry.SessionRegistry` — tenant-namespaced
-   leases over :class:`~repro.timeline.session.EngineSession` (warm memo
-   caches), swept on idleness so sessions release
+   leases over :class:`~repro.timeline.session.EngineSession` (the pair memo
+   and results store), swept on idleness so sessions release
    their cache backends instead of leaking them.
 2. :class:`~repro.serving.admission.AdmissionController` — bounded per-tenant
    queues and concurrency quotas; saturation answers ``503`` + ``Retry-After``

@@ -19,14 +19,13 @@ turns the pipeline into a versioned, incremental system in three layers:
    the search entirely, and the incremental diff builders materialise cell
    changes only for attributes that moved.
 
-3. **Session** (:mod:`repro.timeline.session`) — :class:`EngineSession` owns a
-   persistent, content-keyed :class:`~repro.search.cache.SearchCaches` across
-   runs.  Because cache keys hash the exact values a computation reads,
-   entries whose input rows are untouched between versions are reused and
-   touched rows can never produce a stale hit — invalidation is implicit in
-   the keying.  Each run is otherwise the one-shot search, top-k floor
-   included, so rankings stay **byte-identical** to cold per-pair runs; only
-   wall time and cache hit rates differ.  ``benchmarks/bench_incremental.py``
+3. **Session** (:mod:`repro.timeline.session`) — :class:`EngineSession` owns
+   one :class:`~repro.search.cache.SearchCaches` across runs: the memo of
+   the pair asked last (dropped when the pair changes, so a re-ask of that
+   pair with another shortlist or target reuses its work) and the results
+   store that serves exact repeats.  Each run is otherwise the one-shot
+   search, top-k floor included, so rankings stay **byte-identical** to cold
+   per-pair runs; only wall time and cache hit rates differ.  ``benchmarks/bench_incremental.py``
    measures exactly that.
 
 Typical use::

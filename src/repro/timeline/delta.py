@@ -6,10 +6,9 @@ skips the attribute-shortlisting and search machinery entirely for hops that
 never touch the target attribute, the incremental diff builders in
 :mod:`repro.diff.timeline_diff` materialise cell changes only for attributes
 the delta names, and reports show an auditor where a hop concentrated its
-edits.  Cache invalidation needs no help from the delta — the content-keyed
-memo caches of :mod:`repro.search.cache` can never return stale entries — but
-the delta *explains* the reuse: the fraction of untouched rows is exactly the
-fraction of per-mask work the next run can hope to reuse.
+edits.  Cache invalidation needs no help from the delta: the memo of
+:mod:`repro.search.cache` belongs to one pair and is dropped when the pair
+changes.
 """
 
 from __future__ import annotations

@@ -73,21 +73,8 @@ class TimelineResult:
         """Counter totals over all hops (wall time summed, n_jobs from the last hop)."""
         total = SearchStats()
         for hop in self.hops:
-            stats = hop.stats
-            if stats is None:
-                continue
-            total.candidates_enumerated += stats.candidates_enumerated
-            total.candidates_evaluated += stats.candidates_evaluated
-            total.candidates_pruned_duplicates += stats.candidates_pruned_duplicates
-            total.candidates_pruned_spec_bounds += stats.candidates_pruned_spec_bounds
-            total.fit_cache_hits += stats.fit_cache_hits
-            total.fit_cache_misses += stats.fit_cache_misses
-            total.partition_cache_hits += stats.partition_cache_hits
-            total.partition_cache_misses += stats.partition_cache_misses
-            total.cache_evictions += stats.cache_evictions
-            total.wall_time_seconds += stats.wall_time_seconds
-            total.rounds += stats.rounds
-            total.n_jobs = stats.n_jobs
+            if hop.stats is not None:
+                total.merge(hop.stats)
         return total
 
     def describe(self, limit: int = 1) -> str:

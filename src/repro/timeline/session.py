@@ -1,28 +1,27 @@
-"""A long-lived ChARLES engine: memo caches that persist across runs.
+"""A long-lived ChARLES engine: one configuration, one set of caches, many runs.
 
 One-shot :class:`~repro.core.charles.Charles` calls start cold — a fresh
-:class:`~repro.search.cache.SearchCaches` per run — even though the caches are
-content-keyed and much of the work recurs when summarising V2→V3 right after
-V1→V2.  :class:`EngineSession` is the stateful counterpart: it owns one
-configuration and one set of memo caches, and serves repeated ``summarize``
-queries over evolving data.
+:class:`~repro.search.cache.SearchCaches` per run.  :class:`EngineSession` is
+the stateful counterpart: it owns one configuration and one
+``SearchCaches``, and serves repeated ``summarize`` queries over evolving
+data.
 
-Cache keys hash the exact column values a computation reads
-(:class:`~repro.search.cache.PairFingerprints`), so a fit or partition
-discovery from a previous run is reused iff its input rows are untouched in
-the new pair — delta-driven invalidation with zero bookkeeping.  In practice
-that reuse is within one pair: a changed-shortlist query reuses most of the
-previous run's work, while the hops of a streaming chain each change a
-different row set and share no entries.  Stale entries cannot be hit (their
-keys are never requested again) and age out of the LRU when
-``CharlesConfig.search_cache_capacity`` is set.
+The caches hold two scopes.  The *memo* — per-mask fits, partition
+discoveries, clustering inputs, inductions and built summaries — belongs to
+the pair asked last: its keys name rows by mask digest, so the evaluator
+drops it whenever the pair changes, and keeps it while the analyst re-asks
+the same pair with another shortlist or target (the paper's Fig. 4
+workflow), which then reuses most of the earlier run's work.  The hops of a
+streaming chain each change a different row set, so no memo entry would
+recur across them anyway (measured).  The memo stays in the session's
+process.
 
-These per-spec entries stay in the session's process.  What
-``CharlesConfig.cache_backend`` carries out of the process is one *result
-entry* per request: on disk (``cache_dir``), an exact repeat in a fresh
-interpreter is served from the file; on a fleet cache server (``cache_url``),
-from the fabric — with the remote client degrading to misses (never to wrong
-results) whenever the server is unreachable.
+What ``CharlesConfig.cache_backend`` carries out of the process is one
+*result entry* per request: on disk (``cache_dir``), an exact repeat in a
+fresh interpreter is served from the file; on a fleet cache server
+(``cache_url``), from the fabric — with the remote client degrading to
+misses (never to wrong results) whenever the server is unreachable.
+``CharlesConfig.search_cache_capacity`` bounds that results store.
 
 Every run of a session is the one-shot search with the session's caches: its
 top-k pruning floor starts at ``-inf`` and rises with the run's own scores,
@@ -67,7 +66,7 @@ class EngineSession:
         self.runs_completed = 0
 
     def close(self) -> None:
-        """Release the caches' backend resources (disk connections, managers).
+        """Release the results store's resources (disk connections, sockets).
 
         Result entries in persistent backends survive: a future session with
         the same ``cache_dir`` serves the same requests from them.  Sessions are also context managers, so
@@ -122,15 +121,15 @@ class EngineSession:
     def config(self) -> CharlesConfig:
         """The configuration every run of this session uses.
 
-        Fixed for the session's lifetime: the memo caches key on data content,
-        not on configuration, so results cached under one configuration must
-        never serve another.  Start a new session to change parameters.
+        Fixed for the session's lifetime: memo keys carry no configuration,
+        so work memoised under one configuration must never serve another.
+        Start a new session to change parameters.
         """
         return self._config
 
     @property
     def caches(self) -> SearchCaches:
-        """The session-wide memo caches (shared by every run)."""
+        """The session-wide caches (shared by every run)."""
         return self._caches
 
     def cache_counters(self) -> CacheCounters:
@@ -154,9 +153,8 @@ class EngineSession:
         """Like :meth:`Charles.summarize_pair`, but warm.
 
         Serves an exact repeat from its result entry and otherwise reuses
-        every memo-cache entry from earlier runs whose input rows are
-        untouched.  The ranking is byte-identical to a cold run on the same
-        pair.
+        the memo of earlier runs on the same pair.  The ranking is
+        byte-identical to a cold run on the same pair.
         """
         self._ensure_open()
         self.touch()

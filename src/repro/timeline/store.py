@@ -8,9 +8,7 @@ entity set, update-only evolution) and re-ordered so that row ``i`` refers to
 the same entity in *every* version.  That alignment-at-append is what makes
 the rest of the timeline subsystem cheap: any two versions form a
 :class:`~repro.relational.snapshot.SnapshotPair` without re-matching keys, row
-masks computed for one pair index the same entities in every other pair, and
-the content-keyed memo caches of :mod:`repro.search.cache` can recognise
-untouched rows across the whole chain.
+and masks computed for one pair index the same entities in every other pair.
 """
 
 from __future__ import annotations

@@ -10,8 +10,7 @@ like the pairwise workloads do for one hop.
 The default policy sequence deliberately produces *localised* hops (each wave
 touches one education group and leaves the rest of the roster byte-identical):
 that is both how real periodic updates behave and the regime where the
-incremental machinery — delta short-circuits and content-keyed cache reuse —
-has something to work with.
+incremental machinery — delta short-circuits — has something to work with.
 """
 
 from __future__ import annotations

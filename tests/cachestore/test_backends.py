@@ -14,7 +14,7 @@ from repro.cachestore import (
 from repro.cachestore.base import STORE_ERRORS
 from repro.core.config import CharlesConfig
 from repro.exceptions import CacheStoreError, ConfigurationError
-from repro.search.cache import SearchCaches
+from repro.search.cache import MemoTable, SearchCaches
 
 
 @pytest.fixture(
@@ -214,10 +214,9 @@ class TestFactory:
             CharlesConfig(cache_backend="disk", cache_dir=tmp_path)
         )
         try:
-            assert isinstance(caches.fits.backend, InProcessBackend)
-            assert isinstance(caches.partitions.backend, InProcessBackend)
-            assert isinstance(caches.results.backend, DiskBackend)
-            assert caches.results.backend.path == tmp_path / "results.sqlite"
+            assert type(caches.fits) is type(caches.partitions) is MemoTable
+            assert isinstance(caches.results, DiskBackend)
+            assert caches.results.path == tmp_path / "results.sqlite"
         finally:
             caches.close()
 
@@ -233,9 +232,9 @@ class TestFactory:
         # "shared" runs as "memory": every store of the search stays in process
         caches = SearchCaches.from_config(CharlesConfig(cache_backend="shared"))
         try:
-            assert caches.results.backend.kind == "memory"
-            for store in (caches.fits, caches.partitions, caches.results):
-                assert isinstance(store.backend, InProcessBackend)
+            assert caches.results.kind == "memory"
+            assert isinstance(caches.results, InProcessBackend)
+            assert type(caches.fits) is type(caches.partitions) is MemoTable
         finally:
             caches.close()
 

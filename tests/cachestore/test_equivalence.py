@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import Charles, CharlesConfig
-from repro.search.cache import SearchCaches
+from repro.search.cache import MemoTable, SearchCaches
 from repro.timeline import EngineSession
 
 
@@ -178,14 +178,13 @@ class TestSearchCachesFromConfig:
         config = CharlesConfig(cache_backend="disk", cache_dir=str(tmp_path))
         caches = SearchCaches.from_config(config)
         assert caches.backend_kind == "disk"
-        assert caches.fits.backend.kind == caches.partitions.backend.kind == "memory"
+        assert type(caches.fits) is type(caches.partitions) is MemoTable
         caches.close()
 
     def test_memory_caches_stay_in_process(self):
         caches = SearchCaches.from_config(CharlesConfig(search_cache_capacity=5))
         assert caches.backend_kind == "memory"
-        for cache in (caches.fits, caches.partitions, caches.results):
-            assert cache.backend.kind == "memory" and cache.capacity == 5
+        assert caches.results.kind == "memory" and caches.results.capacity == 5
 
     def test_config_rejects_disk_without_dir(self):
         from repro.exceptions import ConfigurationError

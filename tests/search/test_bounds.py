@@ -9,8 +9,7 @@ Three contracts keep pre-discovery bound pruning safe to run by default:
   (``prune_search=False``) differ in wall clock only, the ranked output is
   byte-identical;
 * **no wasted work** — a spec pruned by its bound reaches neither partition
-  discovery nor the prefetch batch, so a remote fabric sees no MGET keys for
-  it.
+  discovery nor a lookup in the partition table.
 """
 
 from __future__ import annotations
@@ -20,12 +19,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.cachestore.memory import InProcessBackend
 from repro.core import Charles, CharlesConfig
 from repro.relational.snapshot import SnapshotPair
 from repro.relational.table import Table
 from repro.search import (
     GLOBAL,
+    MemoTable,
     ParallelExecutor,
     SearchCaches,
     SerialExecutor,
@@ -208,16 +207,16 @@ class TestRankingInvariance:
         assert result.search_stats.candidates_pruned_spec_bounds == 0
 
 
-class _RecordingBackend(InProcessBackend):
-    """An in-process store that records every key looked up."""
+class _RecordingTable(MemoTable):
+    """A memo table that records every key looked up."""
 
     def __init__(self):
         super().__init__()
         self.looked_up: list = []
 
-    def get(self, key):
+    def lookup(self, key):
         self.looked_up.append(key)
-        return super().get(key)
+        return super().lookup(key)
 
 
 def _two_slice_pair(rows: int = 100, seed: int = 11) -> SnapshotPair:
@@ -262,8 +261,8 @@ class TestNoWastedLookups:
         # the run itself set in an earlier round
         pair = _two_slice_pair()
         config = CharlesConfig(alpha=0.8, top_k=5)
-        backend = _RecordingBackend()
-        caches = SearchCaches(backends=(InProcessBackend(), backend))
+        caches = SearchCaches()
+        caches.partitions = partitions = _RecordingTable()
         plan = build_search_plan(["dept", "region"], ["bonus", "tenure"], config)
         evaluated = []
         original = CandidateEvaluator.evaluate
@@ -292,7 +291,7 @@ class TestNoWastedLookups:
                 keys._full_mask,
             )
 
-        looked_up = set(backend.looked_up)
+        looked_up = set(partitions.looked_up)
         assert not looked_up & {top_level_key(spec) for spec in skipped}
         # every partitioned survivor did look its discovery up
         assert {

@@ -1,109 +1,120 @@
-"""Tests for the memo caches and search pruning guarantees."""
+"""Tests for the pair memo, the results store's bound and search pruning guarantees."""
+
+import hashlib
 
 import numpy as np
 import pytest
 
-from repro.cachestore import BackendCounters
+from repro.cachestore import MISSING, InProcessBackend
 from repro.core.config import CharlesConfig
 from repro.core.discovery import DiffDiscoveryEngine
 from repro.relational.snapshot import SnapshotPair
 from repro.relational.table import Table
-from repro.search import MemoCache, PairFingerprints, SearchCaches, mask_digest
+from repro.search import MemoTable, SearchCaches, SerialExecutor, build_search_plan, mask_digest
+from repro.search.bounds import _column_fingerprint
 from repro.search.cache import CacheCounters
+from repro.workloads import employee_pair
 
 
-class TestMemoCache:
+class TestMemoTable:
     def test_miss_then_hit(self):
-        cache = MemoCache()
-        calls = []
-        assert cache.get_or_compute("k", lambda: calls.append(1) or 41) == 41
-        assert cache.get_or_compute("k", lambda: calls.append(1) or 99) == 41
-        assert len(calls) == 1
-        assert cache.hits == 1 and cache.misses == 1
+        table = MemoTable()
+        assert table.lookup("k") is MISSING
+        table["k"] = 41
+        assert table.lookup("k") == 41
+        assert table.hits == 1 and table.misses == 1
 
     def test_none_is_a_cacheable_value(self):
-        cache = MemoCache()
-        calls = []
-        assert cache.get_or_compute("k", lambda: calls.append(1)) is None
-        assert cache.get_or_compute("k", lambda: calls.append(1)) is None
-        assert len(calls) == 1
-        assert cache.hits == 1
+        table = MemoTable()
+        table["k"] = None
+        assert table.lookup("k") is None
+        assert table.hits == 1 and table.misses == 0
 
     def test_clear_preserves_counters(self):
-        cache = MemoCache()
-        cache.get_or_compute("k", lambda: 1)
-        cache.clear()
-        assert len(cache) == 0 and cache.misses == 1
-        cache.get_or_compute("k", lambda: 2)
-        assert cache.misses == 2
+        table = MemoTable()
+        table.lookup("k")
+        table["k"] = 1
+        table.clear()
+        assert len(table) == 0 and table.misses == 1
+        assert table.lookup("k") is MISSING
+        assert table.misses == 2
 
 
-class TestMemoCacheLRU:
+def _get_or_put(backend, key, compute):
+    value = backend.get(key)
+    if value is MISSING:
+        value = compute()
+        backend.put(key, value)
+    return value
+
+
+class TestResultsStoreLRU:
+    """The capacity bound now applies to the results store alone."""
+
     def test_capacity_evicts_least_recently_used(self):
-        cache = MemoCache(capacity=2)
-        cache.get_or_compute("a", lambda: 1)
-        cache.get_or_compute("b", lambda: 2)
-        cache.get_or_compute("a", lambda: 1)  # refresh "a"; "b" is now LRU
-        cache.get_or_compute("c", lambda: 3)  # evicts "b"
-        assert len(cache) == 2 and cache.evictions == 1
+        store = InProcessBackend(capacity=2)
+        _get_or_put(store, "a", lambda: 1)
+        _get_or_put(store, "b", lambda: 2)
+        _get_or_put(store, "a", lambda: 1)  # refresh "a"; "b" is now LRU
+        _get_or_put(store, "c", lambda: 3)  # evicts "b"
+        assert len(store) == 2 and store.evictions == 1
         calls = []
-        assert cache.get_or_compute("a", lambda: calls.append(1) or 9) == 1
+        assert _get_or_put(store, "a", lambda: calls.append(1) or 9) == 1
         assert calls == []  # "a" survived
-        cache.get_or_compute("b", lambda: calls.append(1) or 9)
+        _get_or_put(store, "b", lambda: calls.append(1) or 9)
         assert calls == [1]  # "b" was recomputed
 
     def test_unbounded_by_default(self):
-        cache = MemoCache()
+        store = InProcessBackend()
         for index in range(1000):
-            cache.get_or_compute(index, lambda: index)
-        assert len(cache) == 1000 and cache.evictions == 0
-        assert cache.capacity is None
+            _get_or_put(store, index, lambda: index)
+        assert len(store) == 1000 and store.evictions == 0
+        assert store.capacity is None
 
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
-            MemoCache(capacity=0)
+            InProcessBackend(capacity=0)
 
     def test_capacity_one_keeps_only_the_last_entry(self):
-        cache = MemoCache(capacity=1)
-        assert cache.get_or_compute("a", lambda: 1) == 1
-        assert cache.get_or_compute("b", lambda: 2) == 2  # evicts "a"
-        assert len(cache) == 1 and cache.evictions == 1
+        store = InProcessBackend(capacity=1)
+        assert _get_or_put(store, "a", lambda: 1) == 1
+        assert _get_or_put(store, "b", lambda: 2) == 2  # evicts "a"
+        assert len(store) == 1 and store.evictions == 1
         calls = []
-        assert cache.get_or_compute("b", lambda: calls.append(1) or 9) == 2
+        assert _get_or_put(store, "b", lambda: calls.append(1) or 9) == 2
         assert calls == []  # "b" survived as the sole entry
-        cache.get_or_compute("a", lambda: calls.append(1) or 3)
-        assert calls == [1] and cache.evictions == 2  # "a" recomputed, "b" evicted
+        _get_or_put(store, "a", lambda: calls.append(1) or 3)
+        assert calls == [1] and store.evictions == 2  # "a" recomputed, "b" evicted
 
     def test_re_access_resets_eviction_order(self):
-        cache = MemoCache(capacity=3)
+        store = InProcessBackend(capacity=3)
         for key in ("a", "b", "c"):
-            cache.get_or_compute(key, lambda k=key: k)
+            _get_or_put(store, key, lambda k=key: k)
         # touch in reverse: eviction order must follow recency, not insertion
-        cache.get_or_compute("b", lambda: None)
-        cache.get_or_compute("a", lambda: None)
-        cache.get_or_compute("d", lambda: "d")  # evicts "c", the true LRU
-        cache.get_or_compute("e", lambda: "e")  # then "b"
-        assert cache.evictions == 2
+        _get_or_put(store, "b", lambda: None)
+        _get_or_put(store, "a", lambda: None)
+        _get_or_put(store, "d", lambda: "d")  # evicts "c", the true LRU
+        _get_or_put(store, "e", lambda: "e")  # then "b"
+        assert store.evictions == 2
         # the survivors hit without recomputation (hits do not evict)
         recomputed = []
         for key in ("a", "d", "e"):
-            cache.get_or_compute(key, lambda k=key: recomputed.append(k) or k)
+            _get_or_put(store, key, lambda k=key: recomputed.append(k) or k)
         assert recomputed == []
         # the evicted keys were really gone
-        cache.get_or_compute("c", lambda: recomputed.append("c") or "c")
+        _get_or_put(store, "c", lambda: recomputed.append("c") or "c")
         assert recomputed == ["c"]
 
-    def test_config_threads_capacity_and_counts_evictions(self, fig1_pair):
+    def test_config_capacity_bounds_the_results_store_only(self, fig1_pair):
         config = CharlesConfig(search_cache_capacity=4)
-        _, stats = DiffDiscoveryEngine(config).discover_with_stats(
-            fig1_pair, "bonus", ["edu", "exp"], ["bonus", "salary"]
+        caches = SearchCaches.from_config(config)
+        assert caches.results.capacity == 4
+        bounded, stats = DiffDiscoveryEngine(config).discover_with_stats(
+            fig1_pair, "bonus", ["edu", "exp"], ["bonus", "salary"], caches=caches
         )
-        assert stats.cache_evictions > 0
-        # eviction never changes results, only recomputation counts
+        # the memo is not bounded: it holds more entries than the capacity
+        assert len(caches.fits) > 4 and stats.fit_cache_hits > 0
         unbounded, _ = DiffDiscoveryEngine(CharlesConfig()).discover_with_stats(
-            fig1_pair, "bonus", ["edu", "exp"], ["bonus", "salary"]
-        )
-        bounded, _ = DiffDiscoveryEngine(config).discover_with_stats(
             fig1_pair, "bonus", ["edu", "exp"], ["bonus", "salary"]
         )
         assert [(s.summary.structural_key(), s.score) for s in bounded] == [
@@ -117,68 +128,65 @@ class TestMemoCacheLRU:
             CharlesConfig(search_cache_capacity=0)
 
 
-class TestPairFingerprints:
-    def _pair(self, bonuses_old, bonuses_new, cities=("x", "y", "z")):
-        source = Table.from_rows(
-            [
-                {"id": str(i), "city": cities[i], "bonus": bonuses_old[i]}
-                for i in range(3)
-            ],
-            primary_key="id",
-        )
-        target = source.with_column("bonus", list(bonuses_new))
-        return SnapshotPair.align(source, target, key="id")
+def _pair(bonuses_old, bonuses_new, cities=("x", "y", "z")):
+    source = Table.from_rows(
+        [{"id": str(i), "city": cities[i], "bonus": bonuses_old[i]} for i in range(3)],
+        primary_key="id",
+    )
+    target = source.with_column("bonus", list(bonuses_new))
+    return SnapshotPair.align(source, target, key="id")
 
-    def test_identical_content_same_token(self):
-        pair_a = self._pair([1.0, 2.0, 3.0], [1.5, 2.0, 3.0])
-        pair_b = self._pair([1.0, 2.0, 3.0], [1.5, 2.0, 3.0])
-        mask = np.array([True, True, False])
-        token_a = PairFingerprints(pair_a, "bonus").token(("bonus",), mask)
-        token_b = PairFingerprints(pair_b, "bonus").token(("bonus",), mask)
-        assert token_a == token_b
 
-    def test_changing_a_masked_row_changes_the_token(self):
-        pair_a = self._pair([1.0, 2.0, 3.0], [1.5, 2.0, 3.0])
-        pair_b = self._pair([1.0, 2.0, 3.0], [9.9, 2.0, 3.0])
-        mask = np.array([True, True, False])
-        prints_a = PairFingerprints(pair_a, "bonus")
-        prints_b = PairFingerprints(pair_b, "bonus")
-        assert prints_a.token(("bonus",), mask) != prints_b.token(("bonus",), mask)
+class TestColumnFingerprint:
+    """The per-row prints the score bounds group rows by."""
 
-    def test_changing_an_unmasked_row_keeps_the_token(self):
-        # the delta-invalidation property: entries over untouched rows survive
-        pair_a = self._pair([1.0, 2.0, 3.0], [1.0, 2.0, 3.5])
-        pair_b = self._pair([1.0, 2.0, 3.0], [1.0, 2.0, 9.9])
-        mask = np.array([True, True, False])
-        prints_a = PairFingerprints(pair_a, "bonus")
-        prints_b = PairFingerprints(pair_b, "bonus")
-        assert prints_a.token(("bonus",), mask) == prints_b.token(("bonus",), mask)
+    def test_identical_content_same_prints(self):
+        pair_a = _pair([1.0, 2.0, 3.0], [1.5, 2.0, 3.0])
+        pair_b = _pair([1.0, 2.0, 3.0], [1.5, 2.0, 3.0])
+        for name in ("city", "bonus"):
+            assert np.array_equal(
+                _column_fingerprint(pair_a.source, name), _column_fingerprint(pair_b.source, name)
+            )
 
     def test_categorical_and_missing_values_distinguished(self):
-        pair_a = self._pair([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], cities=("x", "y", "z"))
-        pair_b = self._pair([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], cities=("x", "y", "w"))
-        mask = np.ones(3, dtype=bool)
-        token_a = PairFingerprints(pair_a, "bonus").token(("city", "bonus"), mask)
-        token_b = PairFingerprints(pair_b, "bonus").token(("city", "bonus"), mask)
-        assert token_a != token_b
+        pair_a = _pair([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], cities=("x", "y", "z"))
+        pair_b = _pair([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], cities=("x", "y", "w"))
+        prints_a = _column_fingerprint(pair_a.source, "city")
+        prints_b = _column_fingerprint(pair_b.source, "city")
+        assert prints_a[:2].tolist() == prints_b[:2].tolist()
+        assert prints_a[2] != prints_b[2]
+        # a missing value prints apart from every level
+        missing = _pair([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], cities=("x", None, "y"))
+        prints = _column_fingerprint(missing.source, "city")
+        assert len(set(prints.tolist())) == 3
 
-    def test_attribute_order_and_duplicates_normalised(self):
-        pair = self._pair([1.0, 2.0, 3.0], [1.5, 2.0, 3.0])
-        prints = PairFingerprints(pair, "bonus")
-        mask = np.ones(3, dtype=bool)
-        assert prints.token(("city", "bonus"), mask) == prints.token(
-            ("city", "bonus", "city"), mask
-        )
+    def test_numeric_prints_are_the_raw_bits(self):
+        pair = _pair([1.0, -0.0, 0.0], [1.0, 2.0, 3.0])
+        prints = _column_fingerprint(pair.source, "bonus")
+        assert prints.dtype == np.uint64
+        assert prints[1] != prints[2]  # -0.0 and 0.0 differ bit for bit
+        assert prints[0] == np.array([1.0]).view(np.uint64)[0]
 
 
-class TestPairFingerprintGolden:
-    """Tokens pinned to fixed hex values, so cache keys cannot drift.
+def _token(pair, target, attributes, mask):
+    """The hash the retired per-spec memo keys were built from, over the prints."""
+    digest = hashlib.blake2b(digest_size=16)
+    for name in dict.fromkeys(attributes):
+        if name != target:
+            digest.update(_column_fingerprint(pair.source, name)[mask].tobytes())
+    digest.update(_column_fingerprint(pair.source, target)[mask].tobytes())
+    digest.update(_column_fingerprint(pair.target, target)[mask].tobytes())
+    return digest.digest()
 
-    Disk and remote caches key entries by these tokens; a change to how a
-    table stores its columns must leave every token byte-identical, or
-    caches written before the change would silently go cold.  The pair mixes
-    every dtype with missing values, an INT beyond 2**53, ``-0.0``, a target
-    in a different row order and a restricted sub-pair.
+
+class TestColumnFingerprintGolden:
+    """Prints pinned to fixed digests, so bound floors cannot drift.
+
+    The score bounds group rows by these prints; a change to how a table
+    stores its columns must leave every print byte-identical.  The digests
+    are the ones pinned before the helper moved to :mod:`repro.search.bounds`.
+    The pair mixes every dtype with missing values, an INT beyond 2**53,
+    ``-0.0``, a target in a different row order and a restricted sub-pair.
     """
 
     @staticmethod
@@ -196,24 +204,23 @@ class TestPairFingerprintGolden:
         target = Table.from_rows(target_rows, primary_key="id")
         return SnapshotPair.align(source, target)
 
-    def test_tokens_match_the_pinned_values(self):
+    def test_prints_match_the_pinned_values(self):
         pair = self._pair()
-        prints = PairFingerprints(pair, "bonus")
         every_row = np.ones(5, dtype=bool)
         some_rows = np.array([True, False, True, True, False])
-        assert prints.token(["edu", "active", "exp", "salary"], every_row).hex() == (
+        assert _token(pair, "bonus", ["edu", "active", "exp", "salary"], every_row).hex() == (
             "1830506170ca51afbceb9a39950a0a84"
         )
-        assert prints.token(["edu", "active"], some_rows).hex() == (
+        assert _token(pair, "bonus", ["edu", "active"], some_rows).hex() == (
             "824dcf7ca243b0058e149d376d76aecb"
         )
-        assert prints.token(["exp"], pair.changed_mask("bonus")).hex() == (
+        assert _token(pair, "bonus", ["exp"], pair.changed_mask("bonus")).hex() == (
             "f4057fc237b71cf1b0fba6befb90b73e"
         )
 
-    def test_restricted_pair_tokens_match_the_pinned_value(self):
+    def test_restricted_pair_prints_match_the_pinned_value(self):
         sub = self._pair().restricted(np.array([False, True, True, True, False]))
-        token = PairFingerprints(sub, "bonus").token(["edu", "active", "exp"], np.ones(3, dtype=bool))
+        token = _token(sub, "bonus", ["edu", "active", "exp"], np.ones(3, dtype=bool))
         assert token.hex() == "390a6bcde44e2d5e0bc5b771c0b174d2"
 
 
@@ -236,47 +243,86 @@ class TestCacheCountersArithmetic:
             fit_misses=2 * scale,
             partition_hits=3 * scale,
             partition_misses=4 * scale,
-            fit_evictions=5 * scale,
-            partition_evictions=6 * scale,
-            backends=(("memory", BackendCounters(7 * scale, 8 * scale, 9 * scale)),),
         )
 
     def test_add_is_fieldwise(self):
         total = self._counters(1) + self._counters(2)
         assert total == self._counters(3)
         assert total.hits == 3 + 9 and total.misses == 6 + 12
-        assert total.evictions == 15 + 18
 
     def test_sub_inverts_add(self):
         assert self._counters(3) - self._counters(2) == self._counters(1)
         assert self._counters(1) - self._counters(1) == self._counters(0)
 
-    def test_add_merges_distinct_backend_layers(self):
-        left = CacheCounters(backends=(("l1-memory", BackendCounters(1, 2, 0)),))
-        right = CacheCounters(backends=(("l2-disk", BackendCounters(3, 4, 5)),))
-        merged = (left + right).by_backend
-        assert merged == {
-            "l1-memory": BackendCounters(1, 2, 0),
-            "l2-disk": BackendCounters(3, 4, 5),
-        }
-
     def test_hit_rate_bounds(self):
         assert CacheCounters().hit_rate == 0.0
         assert CacheCounters(fit_hits=3, fit_misses=1).hit_rate == 0.75
-        assert BackendCounters().hit_rate == 0.0
-        assert BackendCounters(hits=1, misses=3).hit_rate == 0.25
 
 
 class TestSearchCaches:
     def test_counters_delta_arithmetic(self):
         caches = SearchCaches()
         before = caches.counters()
-        caches.fits.get_or_compute("a", lambda: 1)
-        caches.fits.get_or_compute("a", lambda: 1)
-        caches.partitions.get_or_compute("p", lambda: [])
+        caches.fits.lookup("a")
+        caches.fits["a"] = 1
+        caches.fits.lookup("a")
+        caches.partitions.lookup("p")
         delta = caches.counters() - before
         assert (delta.fit_hits, delta.fit_misses) == (1, 1)
         assert (delta.partition_hits, delta.partition_misses) == (0, 1)
+
+    def test_a_new_pair_clears_all_five_tables(self):
+        caches = SearchCaches()
+        tables = (
+            caches.fits,
+            caches.partitions,
+            caches.clustering_inputs,
+            caches.inductions,
+            caches.summaries,
+        )
+        caches.scope_to_pair(b"a")
+        for table in tables:
+            table["k"] = 1
+        caches.results.put("r", 1)
+        caches.scope_to_pair(b"a")  # the same pair keeps its entries
+        assert all(len(table) == 1 for table in tables)
+        caches.scope_to_pair(b"b")
+        assert all(len(table) == 0 for table in tables)
+        assert caches.results.get("r") == 1  # result entries are not pair-scoped
+
+
+def _ranking(ranked):
+    return [(scored.summary.describe(), scored.score) for scored in ranked]
+
+
+class TestPairScope:
+    """Memo keys name rows by mask digest, so caches must follow the pair."""
+
+    def test_one_caches_object_across_pairs_gives_cold_rankings(self):
+        config = CharlesConfig(max_partitions=3, top_k=5)
+        plan = build_search_plan(["edu", "exp"], ["bonus", "salary"], config)
+        pair_a = employee_pair(120, seed=3)
+        pair_b = employee_pair(120, seed=4)  # the same shape, other content
+        cold = {
+            name: _ranking(SerialExecutor().execute(pair, "bonus", plan, config)[0])
+            for name, pair in (("a", pair_a), ("b", pair_b))
+        }
+        assert cold["a"] != cold["b"]
+        caches = SearchCaches()
+        for name, pair in (("a", pair_a), ("b", pair_b), ("a", pair_a)):
+            ranked, _ = SerialExecutor().execute(pair, "bonus", plan, config, caches=caches)
+            assert _ranking(ranked) == cold[name], name
+
+    def test_the_same_pair_keeps_its_memo(self):
+        config = CharlesConfig(max_partitions=3, top_k=5)
+        plan = build_search_plan(["edu", "exp"], ["bonus"], config)
+        pair = employee_pair(120, seed=3)
+        caches = SearchCaches()
+        SerialExecutor().execute(pair, "bonus", plan, config, caches=caches)
+        misses = caches.counters().misses
+        # an equal pair built anew digests the same: every lookup hits
+        SerialExecutor().execute(employee_pair(120, seed=3), "bonus", plan, config, caches=caches)
+        assert caches.counters().misses == misses
 
 
 class TestEngineCacheBehaviour:

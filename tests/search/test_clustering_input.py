@@ -86,7 +86,7 @@ class TestClusteringInputReuse:
         pair = employee_pair(120, seed=3)
         evaluator = CandidateEvaluator(pair, "bonus", CharlesConfig(refine_partitions=False))
         evaluator.evaluate(_round(weights=(1.0,))[0])
-        (stored,) = evaluator._clustering_inputs.values()
+        (stored,) = evaluator.caches.clustering_inputs.values()
         before = stored.copy()
         for spec in _round(weights=(4.0, 0.5)):
             evaluator.evaluate(spec)
@@ -119,7 +119,7 @@ class TestClusteringInputReuse:
         evaluator = CandidateEvaluator(pair, "bonus", CharlesConfig(refine_partitions=False))
         evaluator.evaluate(CandidateSpec(PARTITIONED, CONDITIONS, TRANSFORMATIONS, 1, 1.0))
         assert residual_calls == []
-        assert evaluator._clustering_inputs == {}
+        assert evaluator.caches.clustering_inputs == {}
 
 
 class TestOnePartitionClustering:

@@ -40,84 +40,70 @@ class TestBackendCounters:
 
 
 class TestCacheCounters:
-    def test_add_merges_backend_layers_by_name(self):
-        left = CacheCounters(
-            fit_hits=1,
-            backends=(
-                ("memory", BackendCounters(hits=1)),
-                ("remote[a:1]", BackendCounters(hits=2, round_trips=2)),
-            ),
+    def test_add_is_fieldwise(self):
+        merged = CacheCounters(fit_hits=1, partition_misses=2) + CacheCounters(
+            fit_hits=2, fit_misses=1, partition_hits=4
         )
-        right = CacheCounters(
-            fit_hits=2,
-            backends=(
-                ("remote[a:1]", BackendCounters(misses=1, round_trips=1, failovers=1)),
-                ("remote[b:2]", BackendCounters(hits=4)),
-            ),
-        )
-        merged = left + right
-        assert merged.fit_hits == 3
-        layers = merged.by_backend
-        assert set(layers) == {"memory", "remote[a:1]", "remote[b:2]"}
-        assert layers["remote[a:1]"] == BackendCounters(
-            hits=2, misses=1, round_trips=3, failovers=1
+        assert merged == CacheCounters(
+            fit_hits=3, fit_misses=1, partition_hits=4, partition_misses=2
         )
 
-    def test_sub_inverts_add_including_backends(self):
-        base = CacheCounters(
-            fit_hits=4,
-            partition_misses=2,
-            backends=(("remote[a:1]", BackendCounters(hits=5, round_trips=4)),),
-        )
-        delta = CacheCounters(
-            fit_hits=1,
-            partition_misses=1,
-            backends=(("remote[a:1]", BackendCounters(hits=2, round_trips=1)),),
-        )
+    def test_sub_inverts_add(self):
+        base = CacheCounters(fit_hits=4, partition_misses=2)
+        delta = CacheCounters(fit_hits=1, partition_misses=1)
         assert (base + delta) - delta == base
 
     def test_derived_totals(self):
         counters = CacheCounters(
             fit_hits=2, fit_misses=1, partition_hits=1, partition_misses=2,
-            fit_evictions=1, partition_evictions=2,
         )
         assert counters.hits == 3 and counters.misses == 3
-        assert counters.evictions == 3
         assert counters.hit_rate == pytest.approx(0.5)
 
 
 class TestSearchStats:
-    def test_merge_cache_counters_accumulates_layers(self):
-        stats = SearchStats()
-        stats.merge_cache_counters(
-            CacheCounters(
-                fit_hits=1,
-                partition_misses=1,
-                backends=(("remote[a:1]", BackendCounters(hits=1, round_trips=1)),),
+    def test_merge_accumulates_counts_and_layers(self):
+        stats = SearchStats(
+            fit_cache_hits=1,
+            partition_cache_misses=1,
+            backend_counters={"remote[a:1]": BackendCounters(hits=1, round_trips=1)},
+        )
+        stats.merge(
+            SearchStats(
+                result_hits=1,
+                fit_cache_hits=2,
+                wall_time_seconds=0.5,
+                n_jobs=3,
+                cache_backend="remote",
+                backend_counters={
+                    "memory": BackendCounters(hits=3),
+                    "remote[a:1]": BackendCounters(misses=2, round_trips=2, failovers=1),
+                },
             )
         )
-        stats.merge_cache_counters(
-            CacheCounters(
-                fit_hits=2,
-                backends=(
-                    ("memory", BackendCounters(hits=3)),
-                    ("remote[a:1]", BackendCounters(misses=2, round_trips=2, failovers=1)),
-                ),
-            )
-        )
-        assert stats.fit_cache_hits == 3
+        assert stats.fit_cache_hits == 3 and stats.result_hits == 1
         assert stats.partitions_recomputed == 1
+        assert stats.wall_time_seconds == 0.5 and stats.n_jobs == 3
+        assert stats.cache_backend == "remote"
         assert stats.backend_counters["remote[a:1]"] == BackendCounters(
             hits=1, misses=2, round_trips=3, failovers=1
         )
         assert stats.backend_counters["memory"].hits == 3
 
-    def test_as_dict_nests_backend_layers_as_plain_dicts(self):
+    def test_merge_cache_counters_adds_the_logical_counts(self):
         stats = SearchStats()
-        stats.merge_cache_counters(
-            CacheCounters(backends=(("remote[a:1]", BackendCounters(hits=1, failovers=2)),))
+        stats.merge_cache_counters(CacheCounters(fit_hits=1, partition_misses=1))
+        stats.merge_cache_counters(CacheCounters(fit_hits=2, fit_misses=3))
+        assert (stats.fit_cache_hits, stats.fit_cache_misses) == (3, 3)
+        assert stats.partitions_recomputed == 1
+        assert stats.backend_counters == {}
+
+    def test_as_dict_nests_backend_layers_as_plain_dicts(self):
+        stats = SearchStats(
+            backend_counters={"remote[a:1]": BackendCounters(hits=1, failovers=2)}
         )
         payload = stats.as_dict()
+        assert "cache_evictions" not in payload
         assert payload["backend_counters"] == {
             "remote[a:1]": {
                 "hits": 1,

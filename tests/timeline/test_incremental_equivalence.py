@@ -85,7 +85,9 @@ class TestIncrementalEqualsCold:
     @given(version_chains())
     @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_equality_survives_cache_evictions(self, store: TimelineStore):
-        config = CharlesConfig(search_cache_capacity=4, **_FAST)
+        # the capacity bounds the results store; chains have 2-3 hops, so
+        # only a one-entry store is sure to evict
+        config = CharlesConfig(search_cache_capacity=1, **_FAST)
         session = EngineSession(config)
         warm = session.summarize_timeline(store, "bonus")
         assert warm.rankings() == _cold_rankings(store, config)

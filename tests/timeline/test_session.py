@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cachestore import BackendCounters
 from repro.core import Charles, CharlesConfig
 from repro.exceptions import DiscoveryError
+from repro.ml.kmeans import KMeans
 from repro.timeline import EngineSession, TimelineStore
 from repro.workloads import streaming_employee_timeline
 
@@ -44,7 +46,9 @@ class TestWarmEqualsCold:
                 assert stats.partitions_recomputed == stats.partition_cache_misses
 
     def test_equality_holds_with_tiny_cache_capacity(self, chain):
-        config = CharlesConfig(search_cache_capacity=8, **_FAST)
+        # the capacity bounds the results store: one entry, so every hop's
+        # result evicts the one before it
+        config = CharlesConfig(search_cache_capacity=1, **_FAST)
         cold = [
             _ranking(Charles(config).summarize_pair(pair, "bonus"))
             for _, _, pair in chain.consecutive_pairs()
@@ -52,7 +56,10 @@ class TestWarmEqualsCold:
         session = EngineSession(config)
         warm = session.summarize_timeline(chain, "bonus")
         assert warm.rankings() == cold
-        assert session.cache_counters().evictions > 0
+        searched = sum(1 for hop in warm.hops if hop.stats.candidates_enumerated)
+        assert searched > 1
+        assert len(session.caches.results) == 1
+        assert session.caches.results.counters().evictions == searched - 1
 
     def test_retired_warm_start_is_accepted_and_ignored(self, chain):
         config = CharlesConfig(**_FAST)
@@ -83,7 +90,9 @@ class TestCachePersistence:
         stats = second.search_stats
         assert stats.result_hits == 1 and first.search_stats.result_hits == 0
         assert stats.cache_lookups == stats.candidates_evaluated == 0
-        assert stats.backend_counters["memory"].hits == 1
+        # the memory layer counts the results store alone, not memo traffic
+        assert stats.backend_counters == {"memory": BackendCounters(hits=1)}
+        assert first.search_stats.backend_counters == {"memory": BackendCounters(misses=1)}
 
     def test_a_changed_shortlist_still_reuses_per_spec_entries(self, chain):
         config = CharlesConfig(**_FAST)
@@ -109,6 +118,30 @@ class TestCachePersistence:
         assert _ranking(second) == _ranking(cold)
         assert cold.search_stats.cache_hits < stats.cache_hits
 
+    def test_a_narrower_shortlist_runs_fewer_kmeans_fits(self, chain, monkeypatch):
+        config = CharlesConfig(**_FAST)
+        _, _, pair = chain.consecutive_pairs()[0]
+        session = EngineSession(config)
+        first = session.summarize_pair(pair, "bonus")
+        narrower = dict(
+            condition_attributes=first.condition_attributes[:1],
+            transformation_attributes=first.transformation_attributes,
+        )
+        fits = []
+        original = KMeans.fit
+
+        def spy(self, points):
+            fits.append(self.n_clusters)
+            return original(self, points)
+
+        monkeypatch.setattr(KMeans, "fit", spy)
+        cold = Charles(config).summarize_pair(pair, "bonus", **narrower)
+        cold_fits = len(fits)
+        del fits[:]
+        warm = session.summarize_pair(pair, "bonus", **narrower)
+        assert cold_fits > 0 and len(fits) < cold_fits
+        assert _ranking(warm) == _ranking(cold)
+
     def test_the_memo_holds_only_the_last_pairs_entries(self, chain):
         # per-spec keys rotate with every hop, so earlier pairs' entries are
         # dead weight: the session drops them when the pair changes
@@ -121,6 +154,17 @@ class TestCachePersistence:
         fresh.summarize_pair(pairs[-1], "bonus")
         assert len(session.caches.fits) == len(fresh.caches.fits) > 0
         assert len(session.caches.partitions) == len(fresh.caches.partitions) > 0
+
+    def test_a_repeated_timeline_aggregates_its_result_hits(self, chain):
+        session = EngineSession(CharlesConfig(**_FAST))
+        first = session.summarize_timeline(chain, "bonus")
+        again = session.summarize_timeline(chain, "bonus")
+        assert again.rankings() == first.rankings()
+        assert first.aggregate_stats.result_hits == 0
+        aggregate = again.aggregate_stats
+        assert aggregate.result_hits == len(again.hops) > 0
+        assert aggregate.backend_counters["memory"].hits == len(again.hops)
+        assert aggregate.cache_lookups == 0
 
     def test_session_counters_accumulate_across_runs(self, chain):
         session = EngineSession(CharlesConfig(**_FAST))
