@@ -30,6 +30,7 @@ from repro.exceptions import ModelFitError
 from repro.ml.encoding import TableEncoder
 from repro.ml.kmeans import KMeans
 from repro.ml.linreg import LinearRegression
+from repro.ml.scaling import MinMaxScaler
 from repro.relational.snapshot import SnapshotPair
 from repro.relational.table import Table
 
@@ -38,6 +39,8 @@ __all__ = [
     "discover_partitions",
     "cluster_changed_rows",
     "clustering_matrix",
+    "condition_features",
+    "residual_features",
     "partitions_from_labels",
     "induce_condition",
 ]
@@ -162,29 +165,57 @@ def clustering_matrix(
 ) -> np.ndarray:
     """The unweighted, scaled k-means input of the changed rows.
 
-    One row per entry of ``changed_indices``: the encoded condition
-    attributes followed by the two residual features (absolute and relative
-    distance from the global regression line), min-max scaled together.
+    One row per entry of ``changed_indices``: the :func:`condition_features`
+    followed by the :func:`residual_features`.  Min-max scaling works column
+    by column, so the two blocks, each scaled on its own, equal the joint
+    matrix scaled at once; a caller that clusters many (C, T) pairs of one
+    row set builds each block once.
     """
-    changed_source = pair.source.take(changed_indices)
+    return np.hstack(
+        [
+            condition_features(pair.source, changed_indices, condition_attributes),
+            residual_features(
+                pair, target, changed_indices, transformation_attributes, config
+            ),
+        ]
+    )
+
+
+def condition_features(
+    source: Table, changed_indices: np.ndarray, condition_attributes: Sequence[str]
+) -> np.ndarray:
+    """The encoded condition attributes of the changed rows, min-max scaled."""
+    if not condition_attributes:
+        return np.empty((changed_indices.size, 0))
+    return TableEncoder(list(condition_attributes)).fit_transform(source.take(changed_indices))
+
+
+def residual_features(
+    pair: SnapshotPair,
+    target: str,
+    changed_indices: np.ndarray,
+    transformation_attributes: Sequence[str],
+    config: CharlesConfig,
+) -> np.ndarray:
+    """The changed rows' distance from the global regression line, min-max scaled.
+
+    Two columns: the absolute and the relative residual of the regression of
+    the new target value on the transformation attributes over the changed
+    rows.  The columns are read through ``changed_indices``, without copying
+    a table.
+    """
     new_values = pair.target.numeric_column(target)[changed_indices]
-    residuals = _global_residuals(changed_source, new_values, transformation_attributes, config)
+    features = pair.source.numeric_matrix(list(transformation_attributes), changed_indices)
+    residuals = _global_residuals(features, new_values, config)
     # the *relative* residual (residual as a share of the old value) separates
     # multiplicative policies whose absolute effect scales with the value itself
-    old_values = changed_source.numeric_column(target)
+    old_values = pair.source.numeric_column(target)[changed_indices]
     denominator = np.maximum(np.abs(np.where(np.isfinite(old_values), old_values, 0.0)), 1e-9)
     relative_residuals = residuals / denominator
     # winsorise both residual features: a few noisy point edits must not hijack
     # the k-means centroids and mask the latent group structure
-    residual_features = np.column_stack(
-        [_winsorise(residuals), _winsorise(relative_residuals)]
-    )
-    encoder = TableEncoder(list(condition_attributes))
-    return encoder.fit_transform(
-        changed_source,
-        extra_features=residual_features,
-        extra_names=tuple(f"__residual_{i}__" for i in range(_N_RESIDUAL_FEATURES)),
-    )
+    block = np.column_stack([_winsorise(residuals), _winsorise(relative_residuals)])
+    return MinMaxScaler().fit_transform(block)
 
 
 def partitions_from_labels(
@@ -264,13 +295,9 @@ def _winsorise(values: np.ndarray, lower: float = 2.0, upper: float = 98.0) -> n
 
 
 def _global_residuals(
-    changed_source: Table,
-    new_values: np.ndarray,
-    transformation_attributes: Sequence[str],
-    config: CharlesConfig,
+    features: np.ndarray, new_values: np.ndarray, config: CharlesConfig
 ) -> np.ndarray:
     """Residuals of the all-rows regression of the new value on the transformation attrs."""
-    features = changed_source.numeric_matrix(list(transformation_attributes))
     try:
         model = LinearRegression(ridge=config.ridge).fit(features, new_values)
         residuals = model.residuals(features, new_values)

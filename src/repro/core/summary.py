@@ -12,8 +12,8 @@ linear model tree representation of Fig. 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -141,18 +141,22 @@ class ChangeSummary:
         return assignments
 
     def apply(self, source: Table) -> np.ndarray:
-        """Predicted new target values for every row of ``source``."""
+        """Predicted new target values for every row of ``source``.
+
+        Each partition's rows are read through its mask, without copying
+        ``source``.
+        """
         predictions = np.full(source.num_rows, np.nan, dtype=float)
         for assignment in self.partition_assignments(source):
-            if assignment.size == 0:
+            mask = assignment.mask
+            if not mask.any():
                 continue
-            rows = source.mask(assignment.mask)
             if assignment.conditional_transformation is not None:
-                predictions[assignment.mask] = (
-                    assignment.conditional_transformation.transformation.apply(rows)
+                predictions[mask] = assignment.conditional_transformation.transformation.apply(
+                    source, mask
                 )
             elif self.identity_fallback:
-                predictions[assignment.mask] = rows.numeric_column(self.target)
+                predictions[mask] = source.numeric_column(self.target)[mask]
         return predictions
 
     def transformed_table(self, source: Table) -> Table:

@@ -54,9 +54,12 @@ def partition_errors(
     intercepts = np.asarray(intercepts, dtype=float)
     coefficients = np.ascontiguousarray(coefficients, dtype=float)
     actual = np.asarray(actual, dtype=float)
-    starts = np.flatnonzero(np.r_[True, (coefficients[1:] != coefficients[:-1]).any(axis=1)])
+    is_start = np.empty(intercepts.size, dtype=bool)
+    is_start[:1] = True
+    np.any(coefficients[1:] != coefficients[:-1], axis=1, out=is_start[1:])
+    starts = np.flatnonzero(is_start)
     predictions = np.empty((intercepts.size, actual.size))
-    for start, end in zip(starts, np.r_[starts[1:], intercepts.size]):
+    for start, end in zip(starts, np.append(starts[1:], intercepts.size)):
         predictions[start:end] = matrix @ coefficients[start]
     # with no features the product is 0.0, and 0.0 + intercept errs exactly
     # as apply's constant prediction does
@@ -191,11 +194,16 @@ class LinearTransformation:
             and abs(self.intercept) < _ZERO_EPSILON
         )
 
-    def apply(self, table: Table) -> np.ndarray:
-        """Predicted new target values for every row of the source ``table``."""
+    def apply(self, table: Table, rows: np.ndarray | None = None) -> np.ndarray:
+        """Predicted new target values for the rows of the source ``table``.
+
+        ``rows`` (a boolean mask or an index array) restricts the prediction
+        to those rows, read straight from the table's columns; by default
+        every row is predicted.
+        """
+        matrix = table.numeric_matrix(self.feature_names, rows)
         if not self.feature_names:
-            return np.full(table.num_rows, self.intercept, dtype=float)
-        matrix = table.numeric_matrix(list(self.feature_names))
+            return np.full(matrix.shape[0], self.intercept, dtype=float)
         # a ±inf cell times a 0 coefficient, or opposite infinities summed,
         # is NaN (no prediction), as intended; numpy would warn about it
         with np.errstate(invalid="ignore", over="ignore"):
@@ -247,11 +255,13 @@ class LinearTransformation:
         actual: np.ndarray,
         tolerance: float,
         max_combinations: int = 256,
+        rows: np.ndarray | None = None,
     ) -> "LinearTransformation":
         """Round constants to "normal" values when accuracy allows it.
 
         A candidate's accuracy loss is its L1 error on the partition rows
-        ``source`` against their ``actual`` new values, minus this
+        (``source``, or the ``rows`` of it when given) against their
+        ``actual`` new values, minus this
         transformation's error, relative to the summed magnitude of the finite
         actual values.  A candidate whose loss exceeds ``tolerance``, or is
         unknown (NaN), is rejected.
@@ -268,7 +278,7 @@ class LinearTransformation:
         time in order: each takes the first of 0 and its rounder values that
         stays within ``tolerance``, given the constants snapped before it.
         """
-        matrix = source.numeric_matrix(list(self.feature_names))
+        matrix = source.numeric_matrix(self.feature_names, rows)
         actual = np.asarray(actual, dtype=float)
         magnitudes = np.abs(actual)
         scale = float(np.sum(np.where(np.isfinite(magnitudes), magnitudes, 0.0))) or 1.0

@@ -30,13 +30,17 @@ class SnapshotPair:
 
     Construct with :meth:`align`, which validates the ChARLES input contract
     and reorders the target so that row *i* of ``source`` and row *i* of
-    ``target`` describe the same entity.
+    ``target`` describe the same entity.  Both tables are immutable, so
+    :meth:`changed_mask` computes each mask once per pair.
     """
 
     source: Table
     target: Table
     key: str | None
     _key_values: tuple[Any, ...] = field(default=(), repr=False)
+    _changed: dict[tuple[str, float], np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # -- construction ---------------------------------------------------------
 
@@ -136,8 +140,17 @@ class SnapshotPair:
 
         Numeric attributes use an absolute tolerance so that floating-point
         round-trips do not register as changes; categorical attributes use
-        exact inequality.
+        exact inequality.  The mask is computed once per (attribute,
+        tolerance) and returned read-only.
         """
+        mask = self._changed.get((attribute, tolerance))
+        if mask is None:
+            mask = self._compute_changed_mask(attribute, tolerance)
+            mask.setflags(write=False)
+            self._changed[(attribute, tolerance)] = mask
+        return mask
+
+    def _compute_changed_mask(self, attribute: str, tolerance: float) -> np.ndarray:
         column = self.schema.column(attribute)
         if column.is_numeric:
             old = self.source.numeric_column(attribute)

@@ -30,6 +30,7 @@ comparison honest.
 
 from __future__ import annotations
 
+import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
@@ -254,6 +255,9 @@ class Table:
     schema: Schema
     _columns: dict[str, _ColumnData]
     _num_rows: int = field(init=False, repr=False, compare=False)
+    _digests: dict[Any, bytes] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if set(self._columns) != set(self.schema.names):
@@ -392,12 +396,49 @@ class Table:
         column = self.schema.column(name)
         raise SchemaError(f"column {name!r} is {column.dtype.value}, not numeric")
 
-    def numeric_matrix(self, names: Sequence[str]) -> np.ndarray:
-        """A ``(num_rows, len(names))`` float matrix of the given numeric columns."""
-        matrix = np.empty((self.num_rows, len(names)), dtype=float)
+    def numeric_matrix(
+        self, names: Sequence[str], rows: np.ndarray | None = None
+    ) -> np.ndarray:
+        """A float matrix of the given numeric columns, one column per name.
+
+        ``rows`` (a boolean mask or an index array), when given, selects the
+        rows to gather from each column: the matrix equals
+        ``self.mask(rows).numeric_matrix(names)`` (or ``take``) without
+        copying the table.
+        """
+        if rows is None:
+            size = self.num_rows
+        elif rows.dtype == bool:
+            size = int(np.count_nonzero(rows))
+        else:
+            size = rows.size
+        matrix = np.empty((size, len(names)), dtype=float)
         for position, name in enumerate(names):
-            matrix[:, position] = self.numeric_column(name)
+            column = self.numeric_column(name)
+            matrix[:, position] = column if rows is None else column[rows]
         return matrix
+
+    def content_digest(self, key: Any) -> bytes:
+        """A 16-byte BLAKE2b digest of the content in row order, led by ``key``.
+
+        ``repr(key)`` goes first, then each column's name and type, then its
+        float64 values or its dictionary levels and codes.  The table never
+        changes, so each key's digest is computed once and kept.
+        """
+        cached = self._digests.get(key)
+        if cached is not None:
+            return cached
+        digest = hashlib.blake2b(repr(key).encode("utf-8"), digest_size=16)
+        for column in self.schema:
+            digest.update(repr((column.name, column.dtype.value)).encode("utf-8"))
+            data = self._columns[column.name]
+            if isinstance(data, _NumericData):
+                digest.update(np.asarray(data.floats, dtype="<f8").tobytes())
+            else:
+                digest.update(repr(data.levels).encode("utf-8"))
+                digest.update(np.asarray(data.codes, dtype="<i8").tobytes())
+        self._digests[key] = value = digest.digest()
+        return value
 
     def categorical_codes(
         self, name: str, levels: tuple[Any, ...] | None = None

@@ -58,21 +58,14 @@ def snapshot_digest(table: Table, key: str | None) -> bytes:
 
     Built from the column arrays: each column's name and type, then its
     float64 values or its dictionary codes and levels, plus the alignment
-    ``key``.  Row order is part of the content because k-means++ draws
-    depend on it.  Two snapshots whose levels were first seen in a
-    different order digest differently, which costs a miss, never a wrong
-    hit.
+    ``key`` (:meth:`~repro.relational.table.Table.content_digest`).  Row
+    order is part of the content because k-means++ draws depend on it.  Two
+    snapshots whose levels were first seen in a different order digest
+    differently, which costs a miss, never a wrong hit.  A table is
+    immutable and keeps its digest per key, so a session hashes only the
+    new version of each hop.
     """
-    digest = hashlib.blake2b(repr(key).encode("utf-8"), digest_size=16)
-    for column in table.schema:
-        digest.update(repr((column.name, column.dtype.value)).encode("utf-8"))
-        if column.is_numeric:
-            digest.update(np.asarray(table.numeric_column(column.name), dtype="<f8").tobytes())
-        else:
-            codes, levels = table.categorical_codes(column.name)
-            digest.update(repr(levels).encode("utf-8"))
-            digest.update(np.asarray(codes, dtype="<i8").tobytes())
-    return digest.digest()
+    return table.content_digest(key)
 
 
 def work_key(
@@ -176,21 +169,28 @@ class CacheCounters:
 class SearchCaches:
     """The memo of one pair's search work, plus the store of whole results.
 
-    Five memo tables, all keyed within one snapshot pair and led by the
-    target attribute:
+    Seven memo tables, all keyed within one snapshot pair.  The clustering
+    stage reads only a scope's *changed rows*, so its three tables key rows
+    by the digest of ``scope mask & pair.changed_mask(target)`` (the
+    "changed rows" below), not by the scope: a refinement scope that holds
+    every changed row shares the top-level entries.
 
     * ``fits`` — per-mask transformation fits, by (target, T, mask digest);
     * ``partitions`` — partition-discovery results, by (target, C, T, k, w,
       scope mask digest);
-    * ``clustering_inputs`` — a scope's unweighted clustering matrix, by
-      (target, C, T, scope mask digest): every k and w clusters it;
+    * ``residual_features`` — the scaled residual block of the clustering
+      input, by (target, T, changed rows): every C, k and w clusters it;
+    * ``condition_features`` — the scaled, encoded condition block of the
+      clustering input, by (C, changed rows);
+    * ``labellings`` — the k-means labels of the changed rows (``None`` when
+      none changed), by (target, C, T, k, w, changed rows);
     * ``inductions`` — induced partitions, by (target, C, scope mask digest,
       ``k > 1``, labels);
     * ``summaries`` — built and scored summaries, by (target, partition
       signature).
 
     ``fits`` and ``partitions`` count hits and misses (:class:`MemoTable`);
-    the other three are plain dicts.  :meth:`scope_to_pair` clears all five
+    the other five are plain dicts.  :meth:`scope_to_pair` clears all seven
     together.  ``results`` holds whole ranked results, one per summarize
     request, keyed by :func:`work_key`; it is the bare
     :class:`~repro.cachestore.base.CacheBackend` ``CharlesConfig.
@@ -209,7 +209,9 @@ class SearchCaches:
     def __init__(self, results: CacheBackend | None = None) -> None:
         self.fits = MemoTable()
         self.partitions = MemoTable()
-        self.clustering_inputs: dict[tuple, np.ndarray] = {}
+        self.residual_features: dict[tuple, np.ndarray] = {}
+        self.condition_features: dict[tuple, np.ndarray] = {}
+        self.labellings: dict[tuple, np.ndarray | None] = {}
         self.inductions: dict[tuple, tuple] = {}
         self.summaries: dict[tuple, Any] = {}
         self.results = results if results is not None else InProcessBackend()
@@ -262,7 +264,9 @@ class SearchCaches:
             for table in (
                 self.fits,
                 self.partitions,
-                self.clustering_inputs,
+                self.residual_features,
+                self.condition_features,
+                self.labellings,
                 self.inductions,
                 self.summaries,
             ):

@@ -12,8 +12,12 @@ work that recurs across specs is done once:
   partitions that recur across specs fit once;
 * *partition discoveries*: identical partition masks at different
   ``k``/residual weights, and refinement re-clustering the same sub-table;
-* the *clustering input* of a scope: every partition count and residual
-  weight clusters the same matrix;
+* the *clustering input*, in two blocks keyed by the changed rows it reads:
+  the residual features per (T, changed rows) and the encoded conditions per
+  (C, changed rows), so every C, k and w of those rows shares one global
+  regression;
+* the *k-means labels* of the changed rows: a refinement scope that holds
+  every changed row clusters exactly what the top-level spec clustered;
 * the *induced partitions*: condition induction reads neither T nor w, and
   reads k only through ``k > 1``, so every k = 1 spec of a C subset and
   every (T, w) that k-means maps to the same labelling shares one induction;
@@ -22,7 +26,9 @@ work that recurs across specs is done once:
 
 Keys identify rows by :func:`~repro.search.cache.mask_digest`, which is only
 meaningful within one pair, so an evaluator scopes the caches it is handed
-to its pair before it reads them.
+to its pair before it reads them.  Per-spec steps read partition rows
+through their masks from the pair's full-table arrays
+(``Table.numeric_matrix(names, rows)``), never through a table copy.
 
 One kind of pruning happens here, and it is exact: if a spec's discovered
 partitions (conditions + masks) are identical to those of a spec evaluated
@@ -45,9 +51,10 @@ from repro.core.config import CharlesConfig
 from repro.core.partitioning import (
     Partition,
     cluster_changed_rows,
-    clustering_matrix,
+    condition_features,
     induce_condition,
     partitions_from_labels,
+    residual_features,
 )
 from repro.core.scoring import ScoreBreakdown, score_summary
 from repro.core.summary import ChangeSummary, ConditionalTransformation
@@ -193,7 +200,6 @@ class CandidateEvaluator:
         if spec.kind == GLOBAL:
             return EvaluationOutcome(spec, self._global_summary(spec), None)
         partitions = self._cached_partitions(
-            self._pair,
             self._full_mask,
             spec.condition_subset,
             spec.transformation_subset,
@@ -245,14 +251,13 @@ class CandidateEvaluator:
 
     def _cached_partitions(
         self,
-        scope_pair: SnapshotPair,
         scope_mask: np.ndarray,
         condition_subset: tuple[str, ...],
         transformation_subset: tuple[str, ...],
         n_partitions: int,
         residual_weight: float = 1.0,
     ) -> list[Partition]:
-        """Partition discovery on ``scope_pair``, memoised within the pair.
+        """Partition discovery on the rows ``scope_mask`` selects, memoised within the pair.
 
         ``scope_mask`` selects the scope's rows in the *full* pair (the full
         mask for top-level discovery, the parent partition's mask during
@@ -273,98 +278,134 @@ class CandidateEvaluator:
         with self._tracer.span(
             "partitions.resolve", top_level=scope_mask is self._full_mask
         ) as span:
-            partitions, induced = self._discover_partitions(
-                scope_pair,
+            partitions, clustered, induced = self._discover_partitions(
+                scope_mask,
                 key[-1],
                 condition_subset,
                 transformation_subset,
                 n_partitions,
                 residual_weight,
             )
-            span.set(partitions=len(partitions), induced=induced)
+            span.set(partitions=len(partitions), clustered=clustered, induced=induced)
         _PARTITION_RESOLUTION.inc(outcome="recomputed")
         self.caches.partitions[key] = partitions
         return list(partitions)
 
     def _clustering_input(
         self,
-        scope_pair: SnapshotPair,
-        scope_digest: bytes,
         condition_subset: tuple[str, ...],
         transformation_subset: tuple[str, ...],
-        changed_indices: np.ndarray,
+        changed_rows: np.ndarray,
+        changed_digest: bytes,
     ) -> np.ndarray:
-        """The scope's unweighted clustering matrix, built once per (C, T, scope)."""
-        key = (self._target, condition_subset, transformation_subset, scope_digest)
-        matrix = self.caches.clustering_inputs.get(key)
-        if matrix is None:
-            matrix = clustering_matrix(
-                scope_pair,
-                self._target,
-                changed_indices,
-                condition_subset,
-                transformation_subset,
-                self._config,
+        """The unweighted clustering matrix of the changed rows at ``changed_rows``.
+
+        Assembled from two blocks, each built once per pair and stored
+        read-only: the condition features by (C, changed rows) and the
+        residual features by (target, T, changed rows).
+        """
+        caches = self.caches
+        key = (condition_subset, changed_digest)
+        conditions = caches.condition_features.get(key)
+        if conditions is None:
+            conditions = condition_features(self._pair.source, changed_rows, condition_subset)
+            conditions.setflags(write=False)
+            caches.condition_features[key] = conditions
+        key = (self._target, transformation_subset, changed_digest)
+        residuals = caches.residual_features.get(key)
+        if residuals is None:
+            residuals = residual_features(
+                self._pair, self._target, changed_rows, transformation_subset, self._config
             )
-            matrix.setflags(write=False)
-            self.caches.clustering_inputs[key] = matrix
-        return matrix
+            residuals.setflags(write=False)
+            caches.residual_features[key] = residuals
+        return np.hstack([conditions, residuals])
 
     def _discover_partitions(
         self,
-        scope_pair: SnapshotPair,
+        scope_mask: np.ndarray,
         scope_digest: bytes,
         condition_subset: tuple[str, ...],
         transformation_subset: tuple[str, ...],
         n_partitions: int,
         residual_weight: float,
-    ) -> tuple[tuple[Partition, ...], bool]:
+    ) -> tuple[tuple[Partition, ...], bool, bool]:
         """Full partition discovery: cluster the changed rows, induce conditions.
 
-        Returns the partitions and whether induction ran (``False`` when its
-        result was reused, or nothing changed).  Clustering runs under a
-        ``core.cluster`` span and induction under a ``core.induce`` span, the
-        layer names perfbench uses.  Induction reads the scope's source
-        values of C, its changed rows and the labels; the scope mask digest
-        stands for the first two within this evaluator's pair, and k enters
-        only as ``k > 1`` (whether a trivial condition may be dropped).
+        Returns the partitions, whether clustering ran and whether induction
+        ran (each ``False`` when its result was reused).  Clustering reads
+        only the scope's changed rows, so its labelling is memoised by their
+        digest: a refinement scope that holds every changed row reuses the
+        top-level labels.  Clustering runs under a ``core.cluster`` span and
+        induction under a ``core.induce`` span, the layer names perfbench
+        uses.  Induction reads the scope's source values of C, its changed
+        rows and the labels; the scope mask digest stands for the first two
+        within this evaluator's pair, and k enters only as ``k > 1`` (whether
+        a trivial condition may be dropped).  The restricted pair of a
+        refinement scope is built only if a stage has to run.
         """
-        # `k` is the cluster count k-means ran with, 1 when nothing was clustered
-        with self._tracer.span(
-            "core.cluster", k=1, weight=residual_weight, rows=0, width=0
-        ) as span:
+        pair = self._pair
+        changed = pair.changed_mask(self._target)
+        if scope_mask is not self._full_mask:
+            changed = changed & scope_mask
+            pair = None
+        changed_digest = mask_digest(changed)
+        key = (
+            self._target,
+            condition_subset,
+            transformation_subset,
+            n_partitions,
+            residual_weight,
+            changed_digest,
+        )
+        labels = self.caches.labellings.get(key, MISSING)
+        clustered = labels is MISSING
+        if clustered:
+            if pair is None:
+                pair = self._pair.restricted(scope_mask)
+            changed_rows = np.flatnonzero(changed)
+            # `k` is the cluster count k-means ran with, 1 when nothing was clustered
+            with self._tracer.span(
+                "core.cluster", k=1, weight=residual_weight, rows=0, width=0
+            ) as span:
 
-            def clustering_input(changed_indices: np.ndarray) -> np.ndarray:
-                matrix = self._clustering_input(
-                    scope_pair, scope_digest, condition_subset, transformation_subset,
-                    changed_indices,
+                def clustering_input(changed_indices: np.ndarray) -> np.ndarray:
+                    # the scope's changed rows are `changed_rows` of the full pair
+                    matrix = self._clustering_input(
+                        condition_subset, transformation_subset, changed_rows, changed_digest
+                    )
+                    span.set(k=min(n_partitions, changed_indices.size), width=matrix.shape[1])
+                    return matrix
+
+                result = cluster_changed_rows(
+                    pair,
+                    self._target,
+                    condition_subset,
+                    transformation_subset,
+                    n_partitions,
+                    self._config,
+                    residual_weight=residual_weight,
+                    clustering_input=clustering_input,
                 )
-                span.set(k=min(n_partitions, changed_indices.size), width=matrix.shape[1])
-                return matrix
-
-            clustered = cluster_changed_rows(
-                scope_pair,
-                self._target,
-                condition_subset,
-                transformation_subset,
-                n_partitions,
-                self._config,
-                residual_weight=residual_weight,
-                clustering_input=clustering_input,
-            )
-            if clustered is not None:
-                span.set(rows=clustered[0].size)
-        if clustered is None:
-            return (), False
-        changed_indices, labels = clustered
+                labels = None
+                if result is not None:
+                    span.set(rows=result[0].size)
+                    labels = result[1]
+                    labels.setflags(write=False)
+            self.caches.labellings[key] = labels
+        if labels is None:
+            return (), clustered, False
         key = (self._target, condition_subset, scope_digest, n_partitions > 1, labels.tobytes())
         partitions = self.caches.inductions.get(key)
         if partitions is not None:
-            return partitions, False
+            return partitions, clustered, False
+        if pair is None:
+            pair = self._pair.restricted(scope_mask)
+        changed_indices = np.flatnonzero(pair.changed_mask(self._target))
         with self._tracer.span("core.induce", rows=changed_indices.size) as span:
             partitions = tuple(
                 partitions_from_labels(
-                    scope_pair,
+                    pair,
                     self._target,
                     condition_subset,
                     changed_indices,
@@ -375,7 +416,7 @@ class CandidateEvaluator:
             )
             span.set(partitions=len(partitions))
         self.caches.inductions[key] = partitions
-        return partitions, True
+        return partitions, clustered, True
 
     def _cached_fit(
         self, transformation_subset: tuple[str, ...], mask: np.ndarray
@@ -434,7 +475,6 @@ class CandidateEvaluator:
     ) -> ChangeSummary | None:
         if not partitions:
             return None
-        pair = self._pair
         fitted: list[tuple[Partition, LinearTransformation]] = []
         for partition in partitions:
             transformation = self._cached_fit(spec.transformation_subset, partition.mask)
@@ -533,24 +573,24 @@ class CandidateEvaluator:
         """
         config = self._config
         pair = self._pair
-        target = self._target
+        new_values = pair.target.numeric_column(self._target)
         refined: list[tuple[Partition, LinearTransformation]] = []
         for partition, transformation in fitted:
             if partition.size < 2 * config.min_refinement_rows:
                 refined.append((partition, transformation))
                 continue
-            rows = pair.source.mask(partition.mask)
-            actual_new = pair.target.numeric_column(target)[partition.mask]
-            old_values = rows.numeric_column(target)
-            unexplained = self._partition_error(transformation, rows, actual_new)
+            actual_new = new_values[partition.mask]
+            old_values = pair.source.numeric_column(self._target)[partition.mask]
+            unexplained = self._partition_error(
+                transformation, pair.source, partition.mask, actual_new
+            )
             change = np.abs(actual_new - old_values)
             total_change = float(np.sum(np.where(np.isfinite(change), change, 0.0)))
             if total_change <= 0.0 or unexplained / total_change < config.refinement_error_threshold:
                 refined.append((partition, transformation))
                 continue
-            sub_pair = pair.restricted(partition.mask)
             sub_partitions = self._cached_partitions(
-                sub_pair, partition.mask, condition_subset, transformation_subset, 2
+                partition.mask, condition_subset, transformation_subset, 2
             )
             if len(sub_partitions) < 2:
                 refined.append((partition, transformation))
@@ -565,9 +605,9 @@ class CandidateEvaluator:
                 sub_transformation = self._cached_fit(transformation_subset, sub_mask_full)
                 if sub_transformation is None:
                     continue
-                sub_rows = pair.source.mask(sub_mask_full)
-                sub_actual = pair.target.numeric_column(target)[sub_mask_full]
-                replacement_error += self._partition_error(sub_transformation, sub_rows, sub_actual)
+                replacement_error += self._partition_error(
+                    sub_transformation, pair.source, sub_mask_full, new_values[sub_mask_full]
+                )
                 coverage = float(sub_mask_full.mean())
                 replacement.append(
                     (Partition(combined, sub_mask_full, sub.fidelity, coverage), sub_transformation)
@@ -594,9 +634,8 @@ class CandidateEvaluator:
         if not mask.any():
             return None
         pair = self._pair
-        source_rows = pair.source.mask(mask)
         actual_new = pair.target.numeric_column(self._target)[mask]
-        features = source_rows.numeric_matrix(list(transformation_subset))
+        features = pair.source.numeric_matrix(transformation_subset, mask)
         try:
             model = LinearRegression(ridge=self._config.ridge).fit(features, actual_new)
             model = self._trimmed_refit(model, features, actual_new)
@@ -607,12 +646,14 @@ class CandidateEvaluator:
         )
         if not transformation.feature_names and transformation.intercept == 0.0:
             return None
-        baseline_error = self._partition_error(transformation, source_rows, actual_new)
+        baseline_error = self._partition_error(transformation, pair.source, mask, actual_new)
         # if the partition turns out to be unchanged, prefer the explicit identity
         identity = LinearTransformation.identity(self._target)
-        if self._partition_error(identity, source_rows, actual_new) <= baseline_error + 1e-9:
+        if self._partition_error(identity, pair.source, mask, actual_new) <= baseline_error + 1e-9:
             return identity
-        return transformation.snapped(source_rows, actual_new, self._config.snapping_tolerance)
+        return transformation.snapped(
+            pair.source, actual_new, self._config.snapping_tolerance, rows=mask
+        )
 
     def _trimmed_refit(
         self,
@@ -644,9 +685,13 @@ class CandidateEvaluator:
 
     @staticmethod
     def _partition_error(
-        transformation: LinearTransformation, source_rows: Table, actual_new: np.ndarray
+        transformation: LinearTransformation,
+        source: Table,
+        rows: np.ndarray | None,
+        actual_new: np.ndarray,
     ) -> float:
-        matrix = source_rows.numeric_matrix(list(transformation.feature_names))
+        """The L1 error of ``transformation`` on the ``rows`` of ``source``."""
+        matrix = source.numeric_matrix(transformation.feature_names, rows)
         errors = partition_errors(
             matrix, [transformation.coefficients], [transformation.intercept], actual_new
         )

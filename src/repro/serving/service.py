@@ -138,6 +138,11 @@ class CharlesServingService:
         self._m_expired = registry.counter(
             "serve_sessions_expired_total", "sessions closed by the idle sweeper"
         )
+        self._m_internal_errors = registry.counter(
+            "serve_internal_errors_total",
+            "requests answered 500 by an unexpected exception, by exception class",
+            labels=("route", "kind"),
+        )
         # pre-seed the series operators alert on, so a fresh server exposes
         # explicit zeros instead of absent samples
         for outcome in ("leader", "follower"):
@@ -277,10 +282,13 @@ class CharlesServingService:
                 status = _charles_error_status(error)
                 body = _json_bytes({"error": str(error), "kind": type(error).__name__})
                 content_type = "application/json"
-            except Exception:
+            except Exception as error:
                 status = 500
                 body = _json_bytes({"error": "internal server error"})
                 content_type = "application/json"
+                kind = type(error).__name__
+                self._m_internal_errors.inc(route=route, kind=kind)
+                span.set(error=kind)
                 traceback.print_exc(file=sys.stderr)
             span.set(status=status)
         self._m_requests.inc(route=route, status=str(status))

@@ -7,7 +7,8 @@ the stateful counterpart: it owns one configuration and one
 data.
 
 The caches hold two scopes.  The *memo* — per-mask fits, partition
-discoveries, clustering inputs, inductions and built summaries — belongs to
+discoveries, clustering-input blocks and labels, inductions and built
+summaries — belongs to
 the pair asked last: its keys name rows by mask digest, so the evaluator
 drops it whenever the pair changes, and keeps it while the analyst re-asks
 the same pair with another shortlist or target (the paper's Fig. 4

@@ -71,7 +71,7 @@ class TestGlobalResidualsZeroNonFinite:
         config = CharlesConfig()
         x = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         new_values = np.array([2.0, 4.5, np.inf, 8.0, 9.0])
-        residuals = _global_residuals(Table.from_columns({"x": x.tolist()}), new_values, ["x"], config)
+        residuals = _global_residuals(x[:, None], new_values, config)
         finite = np.isfinite(new_values)
         line = LinearRegression(ridge=config.ridge).fit(x[finite, None], new_values[finite])
         assert residuals[2] == 0.0

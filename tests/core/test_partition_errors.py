@@ -138,7 +138,7 @@ class TestPartitionErrors:
         for index, (row, intercept) in enumerate(zip(coefficients, intercepts)):
             candidate = LinearTransformation("y", names, tuple(row), float(intercept))
             expected = _reference_error(candidate, source, actual)
-            single = CandidateEvaluator._partition_error(candidate, source, actual)
+            single = CandidateEvaluator._partition_error(candidate, source, None, actual)
             assert errors[index].tobytes() == np.float64(expected).tobytes()
             assert np.float64(single).tobytes() == np.float64(expected).tobytes()
 

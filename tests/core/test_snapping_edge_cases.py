@@ -27,9 +27,10 @@ class _MatrixTable:
     def num_rows(self) -> int:
         return self._matrix.shape[0]
 
-    def numeric_matrix(self, names):
+    def numeric_matrix(self, names, rows=None):
         indices = [self._names.index(name) for name in names]
-        return self._matrix[:, indices]
+        matrix = self._matrix if rows is None else self._matrix[rows]
+        return matrix[:, indices]
 
 
 class TestWideTransformationSnapping:

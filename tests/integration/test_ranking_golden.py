@@ -2,7 +2,7 @@
 
 Performance work must not move a ranking.  These tests pin the sha256 of the
 ranked top-k (each summary's ``describe()`` text and exact score, digested as
-perfbench's ``common.digest_rankings`` does) for two fixed inputs, so that
+perfbench's ``common.digest_rankings`` does) for three fixed inputs, so that
 "rankings are byte-identical to the parent" is checkable without running the
 benchmark.  Scores are exact floats: a change that is meant to move a ranking
 must say so in CHANGES.md and regenerate these digests.
@@ -16,6 +16,8 @@ from repro.workloads import employee_pair
 from repro.workloads.streaming import streaming_employee_timeline
 
 EMPLOYEE_DIGEST = "3ac92cf6d954445ed64d0c39d88f48c3ae39e3cb9ae3a7638a64ef8309372c02"
+
+SHORTLISTED_DIGEST = "b6d40b9f720840688bfa294f3d65d36e797bed72a25a8ebfdfa19ba19c917935"
 
 TIMELINE_DIGESTS = [
     "f4e00c5f551c269dd369c1580fe2b007ef8800ebada9247888472e65b4ce5065",
@@ -37,6 +39,20 @@ def test_employee_pair_ranking_is_pinned():
     ranking = [(scored.summary.describe(), scored.score) for scored in result.summaries]
     assert len(ranking) == 10
     assert _digest(ranking) == EMPLOYEE_DIGEST
+
+
+def test_shortlisted_pair_ranking_is_pinned():
+    """perfbench's pair-cold shape: 500 rows, conditions edu, salary,
+    transformations bonus, salary, default configuration."""
+    result = Charles().summarize_pair(
+        employee_pair(500, seed=3),
+        "bonus",
+        condition_attributes=["edu", "salary"],
+        transformation_attributes=["bonus", "salary"],
+    )
+    ranking = [(scored.summary.describe(), scored.score) for scored in result.summaries]
+    assert len(ranking) == 10
+    assert _digest(ranking) == SHORTLISTED_DIGEST
 
 
 def test_streaming_timeline_rankings_are_pinned():

@@ -90,6 +90,21 @@ class TestChangeInspection:
     def test_changed_mask_categorical(self, pair):
         assert pair.changed_mask("grp").tolist() == [False, False, True]
 
+    def test_changed_mask_is_computed_once_and_read_only(self, pair):
+        mask = pair.changed_mask("v")
+        assert pair.changed_mask("v") is mask
+        assert not mask.flags.writeable
+        with pytest.raises(ValueError):
+            mask[0] = False
+        # another tolerance is another mask
+        assert pair.changed_mask("v", tolerance=2.0).tolist() == [False, False, True]
+        assert pair.changed_mask("v").tolist() == [True, False, True]
+
+    def test_memoised_masks_do_not_affect_equality(self, pair):
+        fresh = SnapshotPair(pair.source, pair.target, pair.key, tuple(pair.key_values))
+        pair.changed_mask("grp")
+        assert pair == fresh
+
     def test_changed_attributes_excludes_key(self, pair):
         assert pair.changed_attributes() == ["grp", "v"]
 

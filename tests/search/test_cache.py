@@ -1,6 +1,8 @@
 """Tests for the pair memo, the results store's bound and search pruning guarantees."""
 
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,8 +14,10 @@ from repro.relational.snapshot import SnapshotPair
 from repro.relational.table import Table
 from repro.search import MemoTable, SearchCaches, SerialExecutor, build_search_plan, mask_digest
 from repro.search.bounds import _column_fingerprint
-from repro.search.cache import CacheCounters
+from repro.search.cache import CacheCounters, snapshot_digest
+from repro.timeline import EngineSession
 from repro.workloads import employee_pair
+from repro.workloads.streaming import streaming_employee_timeline
 
 
 class TestMemoTable:
@@ -236,6 +240,73 @@ class TestMaskDigest:
         assert mask_digest(mask) == mask_digest(np.zeros(4, dtype=bool))
 
 
+class TestSnapshotDigest:
+    """Content digests of snapshots: pinned values, each table hashed once."""
+
+    @pytest.fixture()
+    def hashed(self, monkeypatch):
+        """The alignment key of every snapshot digest computed (not looked up)."""
+        keys = []
+        original = hashlib.blake2b
+
+        def spy(data=b"", **kwargs):
+            keys.append(data)
+            return original(data, **kwargs)
+
+        monkeypatch.setattr(hashlib, "blake2b", spy)
+        return keys
+
+    def test_digests_match_the_pinned_values(self):
+        pair = employee_pair(40, seed=5)
+        assert snapshot_digest(pair.source, pair.key).hex() == "bbbf40cbbf43173b918533bfba9bc02a"
+        assert snapshot_digest(pair.target, pair.key).hex() == "f3e8627d759c5ed67f341f25aac0f036"
+        assert snapshot_digest(pair.source, None).hex() == "e934e6a2757225135a9f3276a6b8026c"
+
+    def test_a_repeat_call_does_not_rehash(self, hashed):
+        pair = employee_pair(40, seed=5)
+        first = snapshot_digest(pair.source, pair.key)
+        assert hashed == [repr(pair.key).encode("utf-8")]
+        assert snapshot_digest(pair.source, pair.key) == first
+        assert len(hashed) == 1
+        # another alignment key is another digest
+        assert snapshot_digest(pair.source, None) != first
+        assert len(hashed) == 2
+
+    def test_concurrent_first_calls_agree(self):
+        # the memo's check-then-store may race; every thread still gets the
+        # one digest the content defines
+        pair = employee_pair(200, seed=5)
+        want = snapshot_digest(employee_pair(200, seed=5).source, pair.key)
+        results = []
+
+        def digest():
+            results.append(snapshot_digest(pair.source, pair.key))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=digest) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [want] * 8
+        assert pair.source._digests == {pair.key: want}
+
+    def test_a_session_hashes_each_version_once(self, hashed):
+        store, _ = streaming_employee_timeline(60, num_versions=4, seed=5)
+        session = EngineSession(CharlesConfig(max_partitions=2))
+        for source, target in (("v1", "v2"), ("v2", "v3"), ("v3", "v4")):
+            session.summarize_pair(store.pair(source, target), "bonus")
+        session.close()
+        # result key and pair scope share one digest per table, and each
+        # hop's source is the previous hop's target
+        assert hashed.count(repr(store.key).encode("utf-8")) == 4
+
+
 class TestCacheCountersArithmetic:
     def _counters(self, scale):
         return CacheCounters(
@@ -271,12 +342,14 @@ class TestSearchCaches:
         assert (delta.fit_hits, delta.fit_misses) == (1, 1)
         assert (delta.partition_hits, delta.partition_misses) == (0, 1)
 
-    def test_a_new_pair_clears_all_five_tables(self):
+    def test_a_new_pair_clears_every_memo_table(self):
         caches = SearchCaches()
         tables = (
             caches.fits,
             caches.partitions,
-            caches.clustering_inputs,
+            caches.residual_features,
+            caches.condition_features,
+            caches.labellings,
             caches.inductions,
             caches.summaries,
         )

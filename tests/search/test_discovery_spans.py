@@ -60,11 +60,13 @@ class TestDiscoverySpans:
         stages = [r for r in records if r["name"] in ("core.cluster", "core.induce")]
         assert {r["name"] for r in stages} == {"core.cluster", "core.induce"}
         assert all(r["parent"] in resolves for r in stages)
-        # every resolution clusters once, and induces exactly when it says so
+        # every resolution clusters and induces exactly when it says so: a
+        # reused labelling opens no `core.cluster` span
         for span_id, resolve in resolves.items():
             children = [r["name"] for r in stages if r["parent"] == span_id]
+            clustered = ["core.cluster"] if resolve["attributes"]["clustered"] else []
             induced = ["core.induce"] if resolve["attributes"]["induced"] else []
-            assert sorted(children) == ["core.cluster", *induced]
+            assert sorted(children) == [*clustered, *induced]
 
     def test_rankings_equal_with_tracing_on_and_off(self):
         pair = employee_pair(150, seed=3)

@@ -72,7 +72,6 @@ def _round(partition_counts, conditions=CONDITIONS) -> list[CandidateSpec]:
 def _partitions(evaluator: CandidateEvaluator, spec: CandidateSpec):
     # a cache hit after the spec was evaluated: the partitions it used
     return evaluator._cached_partitions(
-        evaluator._pair,
         evaluator._full_mask,
         spec.condition_subset,
         spec.transformation_subset,
@@ -171,9 +170,7 @@ class TestInductionMemo:
             scope_mask[changed_rows[part]] = True
             scope_mask[unchanged_rows[part]] = True
             scope_pair = pair.restricted(scope_mask)
-            got = evaluator._cached_partitions(
-                scope_pair, scope_mask, CONDITIONS, ("bonus",), 1
-            )
+            got = evaluator._cached_partitions(scope_mask, CONDITIONS, ("bonus",), 1)
             want = discover_partitions(scope_pair, "bonus", CONDITIONS, ("bonus",), 1, config)
             assert _same_partitions(got, want)
 
@@ -188,7 +185,7 @@ class TestInductionMemo:
         config = CharlesConfig(refine_partitions=False)
         evaluator = CandidateEvaluator(pair, "x", config)
         for k in order:
-            got = evaluator._cached_partitions(pair, evaluator._full_mask, ("c",), ("x",), k)
+            got = evaluator._cached_partitions(evaluator._full_mask, ("c",), ("x",), k)
             want = discover_partitions(pair, "x", ("c",), ("x",), k, config)
             assert _same_partitions(got, want), k
         assert len(discover_partitions(pair, "x", ("c",), ("x",), 1, config)) == 1

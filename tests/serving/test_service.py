@@ -474,6 +474,40 @@ class _RecordingService(CharlesServingService):
         await super()._handle_connection(reader, writer)
 
 
+class TestInternalErrors:
+    def test_a_raising_handler_is_counted_traced_and_logged(
+        self, server, monkeypatch, capfd
+    ):
+        async def broken(self, request):
+            raise RuntimeError("handler failed on purpose")
+
+        monkeypatch.setattr(CharlesServingService, "_handle_list", broken)
+        sink = BufferSink()
+        get_tracer().configure(sink)
+        try:
+            status, _, body = request(f"{server.url}/v1/sessions", tenant="acme")
+        finally:
+            disable_tracing()
+        assert (status, body) == (500, {"error": "internal server error"})
+        _, metrics = request_text(f"{server.url}/metrics")
+        assert (
+            'serve_internal_errors_total{route="/v1/sessions", kind="RuntimeError"} 1'
+            in metrics
+        )
+        assert 'serve_requests_total{route="/v1/sessions", status="500"} 1' in metrics
+        (span,) = [r for r in sink.records if r["name"] == "serve.request"]
+        assert span["attributes"]["status"] == 500
+        assert span["attributes"]["error"] == "RuntimeError"
+        # the traceback still reaches stderr
+        assert "handler failed on purpose" in capfd.readouterr().err
+
+    def test_no_internal_error_is_counted_for_a_client_error(self, server):
+        status, _, _ = request(f"{server.url}/v1/sessions", "POST", {})
+        assert status == 400
+        _, metrics = request_text(f"{server.url}/metrics")
+        assert "serve_internal_errors_total{" not in metrics
+
+
 class TestConnections:
     def test_accepted_connections_run_without_nagle(self):
         async def accepted_nodelay() -> int:
