@@ -104,7 +104,6 @@ _EXPORTS, __getattr__, __dir__ = _lazy_exports(__name__, {
     "repro.exceptions": (
         "CharlesError",
         "SchemaError",
-        "ExpressionError",
         "SnapshotAlignmentError",
         "ModelFitError",
         "ConfigurationError",

@@ -22,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.condition import Descriptor
 from repro.core.config import CharlesConfig
 from repro.core.partitioning import induce_condition
 from repro.core.summary import ChangeSummary, ConditionalTransformation
@@ -117,18 +118,17 @@ def ablation_summary(
     source = pair.source
     actual_new = pair.target.numeric_column(target)
     conditional_transformations = []
-    seen: set[str] = set()
+    seen: set[tuple[Descriptor, ...]] = set()
     for label in range(int(labels.max()) + 1 if labels.size else 0):
         member_indices = changed_indices[labels == label]
         if member_indices.size == 0:
             continue
         condition = induce_condition(source, member_indices, condition_attributes, config)
-        key = str(condition)
         if condition.is_trivial and n_partitions > 1:
             continue
-        if key in seen:
+        if condition.descriptors in seen:
             continue
-        seen.add(key)
+        seen.add(condition.descriptors)
         mask = condition.mask(source)
         if not mask.any():
             continue

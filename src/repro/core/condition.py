@@ -5,30 +5,23 @@ attributes — for example ``edu = 'MS' AND exp >= 3``.  Each descriptor
 identifies a segment of the data; the condition as a whole selects the
 partition that a transformation applies to.  Conditions know how to evaluate
 themselves against a table, report their coverage, measure their complexity
-(for the interpretability score), and render themselves both as text and as an
-expression AST.
+(for the interpretability score), and render themselves as text.  The text is
+for people only: it rounds constants, so the descriptors themselves, not the
+text, identify a condition.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from repro.core.normality import normality_of_values, value_normality
+from repro.core.normality import normality_of_values
 from repro.exceptions import ConfigurationError
-from repro.relational.expressions import (
-    And,
-    Between,
-    ColumnRef,
-    Comparison,
-    Expression,
-    IsIn,
-    Literal,
-    Not,
-)
 from repro.relational.table import Table
 
 __all__ = ["DescriptorKind", "Descriptor", "Condition"]
@@ -106,26 +99,49 @@ class Descriptor:
 
     # -- semantics -------------------------------------------------------------
 
-    def to_expression(self) -> Expression:
-        """The equivalent :class:`~repro.relational.expressions.Expression`."""
-        column = ColumnRef(self.attribute)
-        if self.kind is DescriptorKind.EQUALS:
-            return Comparison(column, "=", Literal(self.values[0]))
-        if self.kind is DescriptorKind.NOT_EQUALS:
-            return Comparison(column, "!=", Literal(self.values[0]))
-        if self.kind is DescriptorKind.LESS_THAN:
-            return Comparison(column, "<", Literal(self.values[0]))
-        if self.kind is DescriptorKind.AT_LEAST:
-            return Comparison(column, ">=", Literal(self.values[0]))
-        if self.kind is DescriptorKind.BETWEEN:
-            return Between(column, float(self.values[0]), float(self.values[1]))
-        if self.kind is DescriptorKind.NOT_IN_SET:
-            return Not(IsIn(column, self.values))
-        return IsIn(column, self.values)
-
     def mask(self, table: Table) -> np.ndarray:
-        """Boolean row mask of the rows satisfying this descriptor."""
-        return self.to_expression().mask(table)
+        """Boolean row mask of the rows satisfying this descriptor.
+
+        On a categorical column each level (and the missing value, code
+        ``-1``) is tested once and the answers are gathered by code, so a
+        missing value satisfies ``!=`` and ``NOT IN``.  On a numeric column a
+        comparison or range never holds on NaN or ±inf, and ``IN`` tests
+        membership value by value.
+        """
+        if table.schema.column(self.attribute).is_categorical:
+            codes, levels = table.categorical_codes(self.attribute)
+            holds = self._value_test()
+            return np.array([holds(level) for level in (*levels, None)], dtype=bool)[codes]
+        values = table.numeric_column(self.attribute)
+        if self.kind is DescriptorKind.BETWEEN:
+            low, high = float(self.values[0]), float(self.values[1])
+            return (values >= low) & (values <= high) & np.isfinite(values)
+        bound = _scalar(self.values[0])
+        if self.kind in _COMPARATORS and isinstance(bound, float):
+            return _COMPARATORS[self.kind](values, bound) & np.isfinite(values) & math.isfinite(bound)
+        holds = self._value_test()
+        return np.array([holds(value) for value in values.tolist()], dtype=bool)
+
+    def _value_test(self) -> Callable[[Any], bool]:
+        """This descriptor as a test of one value (``None`` when missing)."""
+        if self.kind is DescriptorKind.IN_SET:
+            return set(self.values).__contains__
+        if self.kind is DescriptorKind.NOT_IN_SET:
+            allowed = set(self.values)
+            return lambda value: value not in allowed
+        if self.kind is DescriptorKind.BETWEEN:
+            low, high = float(self.values[0]), float(self.values[1])
+
+            def within(value: Any) -> bool:
+                number = math.nan if value is None else float(value)
+                return math.isfinite(number) and low <= number <= high
+
+            return within
+        compare, bound = _COMPARATORS[self.kind], _scalar(self.values[0])
+        if self.kind in (DescriptorKind.EQUALS, DescriptorKind.NOT_EQUALS):
+            return lambda value: bool(compare(value, bound))
+        # an ordering never holds on a missing value
+        return lambda value: value is not None and bound is not None and bool(compare(value, bound))
 
     @property
     def numeric_constants(self) -> list[float]:
@@ -152,6 +168,21 @@ class Descriptor:
         if self.kind is DescriptorKind.NOT_IN_SET:
             return f"{self.attribute} not in {{{rendered}}}"
         return f"{self.attribute} in {{{rendered}}}"
+
+
+_COMPARATORS: dict[DescriptorKind, Callable[[Any, Any], Any]] = {
+    DescriptorKind.EQUALS: operator.eq,
+    DescriptorKind.NOT_EQUALS: operator.ne,
+    DescriptorKind.LESS_THAN: operator.lt,
+    DescriptorKind.AT_LEAST: operator.ge,
+}
+
+
+def _scalar(value: Any) -> Any:
+    """A comparison constant as compared: numbers (not bools) as ``float``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return value
+    return float(value)
 
 
 def _render(value: Any) -> str:
@@ -188,14 +219,6 @@ class Condition:
     def is_trivial(self) -> bool:
         """Whether this condition matches every row."""
         return not self.descriptors
-
-    def to_expression(self) -> Expression | None:
-        """The equivalent expression AST, or ``None`` for the trivial condition."""
-        if not self.descriptors:
-            return None
-        if len(self.descriptors) == 1:
-            return self.descriptors[0].to_expression()
-        return And(tuple(descriptor.to_expression() for descriptor in self.descriptors))
 
     def mask(self, table: Table) -> np.ndarray:
         """Boolean row mask of the rows satisfying every descriptor."""

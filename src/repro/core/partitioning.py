@@ -255,7 +255,7 @@ def partitions_from_labels(
     # legitimate trailing catch-all ("everyone else").
     preliminary.sort(key=lambda item: (item[1].is_trivial, -item[0].size))
     partitions: list[Partition] = []
-    seen_conditions: set[str] = set()
+    seen_conditions: set[tuple[Descriptor, ...]] = set()
     claimed = np.zeros(source.num_rows, dtype=bool)
     for position, (member_indices, _) in enumerate(preliminary):
         is_last = position == len(preliminary) - 1
@@ -267,10 +267,9 @@ def partitions_from_labels(
             # real condition; anywhere else a trivial condition explains nothing
             if not (is_last and partitions):
                 continue
-        key = str(condition)
-        if key in seen_conditions:
+        if condition.descriptors in seen_conditions:
             continue
-        seen_conditions.add(key)
+        seen_conditions.add(condition.descriptors)
         mask = condition.mask(source) & ~claimed
         coverage = float(mask.mean()) if source.num_rows else 0.0
         if coverage < config.min_partition_coverage:

@@ -208,7 +208,7 @@ class ChangeSummary:
     def to_model_tree(self) -> LinearModelTree:
         """The linear model tree (paper Fig. 2) equivalent to this summary."""
         rules = [
-            (ct.condition.to_expression(), ct.transformation.to_leaf_model())
+            (ct.condition, ct.transformation.to_leaf_model())
             for ct in self.conditional_transformations
         ]
         default = LeafModel.identity(self.target) if self.identity_fallback else None

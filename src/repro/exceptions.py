@@ -2,8 +2,8 @@
 
 All library errors derive from :class:`CharlesError` so that callers can catch a
 single base class at API boundaries while still being able to distinguish the
-failure domain (schema, expression parsing, snapshot alignment, model fitting,
-configuration) when they need to.
+failure domain (schema, snapshot alignment, model fitting, configuration) when
+they need to.
 """
 
 from __future__ import annotations
@@ -19,10 +19,6 @@ class SchemaError(CharlesError):
     Raised for duplicate column names, unknown dtypes, values that cannot be
     coerced to the declared dtype, or references to columns that do not exist.
     """
-
-
-class ExpressionError(CharlesError):
-    """A predicate/expression string or AST is invalid or cannot be evaluated."""
 
 
 class SnapshotAlignmentError(CharlesError):

@@ -168,7 +168,10 @@ class LinearRegression:
             )
         if self.coefficients.size == 0:
             return np.full(matrix.shape[0], self.intercept, dtype=float)
-        return matrix @ self.coefficients + self.intercept
+        # a ±inf feature times a 0 coefficient, or opposite infinities summed,
+        # is NaN (no prediction), as intended; numpy would warn about it
+        with np.errstate(invalid="ignore", over="ignore"):
+            return matrix @ self.coefficients + self.intercept
 
     def residuals(
         self,

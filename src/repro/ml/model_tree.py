@@ -12,13 +12,17 @@ visualisation package renders it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
 from repro.exceptions import ModelFitError
-from repro.relational.expressions import Expression
 from repro.relational.table import Table
+
+if TYPE_CHECKING:
+    # the tree only calls ``mask`` and ``is_trivial``, so ml keeps no runtime
+    # dependency on core
+    from repro.core.condition import Condition
 
 __all__ = ["LeafModel", "ModelTreeNode", "ModelTreeLeaf", "ModelTreeSplit", "LinearModelTree"]
 
@@ -83,7 +87,7 @@ class LeafModel:
 class ModelTreeNode:
     """Base class for tree nodes."""
 
-    def leaves(self) -> Iterator[tuple[tuple[tuple[Expression, bool], ...], LeafModel]]:
+    def leaves(self) -> Iterator[tuple[tuple[tuple[Condition, bool], ...], LeafModel]]:
         """Yield ``(path, leaf)`` pairs; the path is a tuple of (condition, branch taken)."""
         raise NotImplementedError
 
@@ -109,7 +113,7 @@ class ModelTreeLeaf(ModelTreeNode):
 class ModelTreeSplit(ModelTreeNode):
     """An internal node testing ``condition``; YES branch first, NO branch second."""
 
-    condition: Expression
+    condition: Condition
     yes: ModelTreeNode
     no: ModelTreeNode
 
@@ -150,7 +154,7 @@ class LinearModelTree:
             assigned |= mask
         return predictions
 
-    def leaves(self) -> list[tuple[tuple[tuple[Expression, bool], ...], LeafModel | None]]:
+    def leaves(self) -> list[tuple[tuple[tuple[Condition, bool], ...], LeafModel | None]]:
         """All ``(path, leaf)`` pairs in YES-before-NO order."""
         return list(self.root.leaves())
 
@@ -167,7 +171,7 @@ class LinearModelTree:
     @classmethod
     def from_rules(
         cls,
-        rules: Sequence[tuple[Expression | None, LeafModel]],
+        rules: Sequence[tuple[Condition, LeafModel]],
         target: str,
         default: LeafModel | None = None,
     ) -> "LinearModelTree":
@@ -175,12 +179,12 @@ class LinearModelTree:
 
         Each rule becomes an internal node whose YES branch is the rule's
         model; the final NO branch is ``default`` (usually the identity or
-        ``None``).  A rule with condition ``None`` matches everything and
+        ``None``).  A rule with the trivial condition matches everything and
         terminates the chain.
         """
         node: ModelTreeNode = ModelTreeLeaf(default)
         for condition, model in reversed(list(rules)):
-            if condition is None:
+            if condition.is_trivial:
                 node = ModelTreeLeaf(model)
             else:
                 node = ModelTreeSplit(condition, ModelTreeLeaf(model), node)

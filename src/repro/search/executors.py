@@ -61,6 +61,10 @@ _ROUND_SECONDS = _METRICS.histogram(
 _SPECS_TOTAL = _METRICS.counter(
     "charles_specs_total", "Candidate specs by outcome", labels=("status",)
 )
+_FALLBACKS_TOTAL = _METRICS.counter(
+    "charles_executor_fallbacks_total",
+    "Searches a process pool failure moved to in-process evaluation",
+)
 
 
 def add_candidate(candidates: dict[tuple, ScoredSummary], scored: ScoredSummary) -> None:
@@ -355,6 +359,7 @@ class ParallelExecutor(SearchExecutor):
         signature set, so re-running the interrupted round serially
         yields the same outcomes the workers would have produced.
         """
+        _FALLBACKS_TOTAL.inc()
         warnings.warn(
             f"process pool unavailable ({error!r}); falling back to serial search",
             RuntimeWarning,

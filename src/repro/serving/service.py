@@ -554,7 +554,7 @@ def _charles_error_status(error: CharlesError) -> int:
         return 409
     if isinstance(error, DiscoveryError):
         return 422
-    # schema, alignment, configuration, expression: the request was wrong
+    # schema, alignment, configuration: the request was wrong
     return 400
 
 

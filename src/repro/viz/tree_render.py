@@ -18,14 +18,16 @@ __all__ = ["render_model_tree", "render_summary_tree"]
 def render_model_tree(tree: LinearModelTree, indent: str = "    ") -> str:
     """Render a :class:`LinearModelTree` as indented ASCII text.
 
-    Example output (compare the paper's Fig. 2)::
+    Conditions print in the rule text of
+    :meth:`~repro.core.summary.ChangeSummary.describe`.  Example output
+    (compare the paper's Fig. 2)::
 
-        edu = 'PhD'?
-        ├── YES: new_bonus = 1.05*bonus + 1000
+        edu = 'MS' AND exp >= 3?
+        ├── YES: new_bonus = 1.04*bonus + 800
         └── NO:
-            edu = 'MS'?
-            ├── YES: ...
-            └── NO: (no change)
+            edu in {'PhD', 'BS'}?
+            ├── YES: new_bonus = 1.05*bonus + 1000
+            └── NO:  (no change)
     """
     lines: list[str] = []
     _render_node(tree.root, lines, prefix="")

@@ -78,6 +78,16 @@ class TestGlobalResidualsZeroNonFinite:
         assert residuals[finite].tolist() == line.residuals(x[finite, None], new_values[finite]).tolist()
 
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_an_infinite_feature_gets_a_zero_residual_without_a_warning(self):
+        # the fit drops the last row; predicting it sums inf and -inf to NaN
+        features = np.array([[1.0, 1.0], [2.0, 3.0], [3.0, 2.0], [4.0, 5.0], [np.inf, -np.inf]])
+        new_values = np.array([2.0, 5.0, 5.0, 9.0, 1.0])
+        residuals = _global_residuals(features, new_values, CharlesConfig())
+        assert residuals[:4] == pytest.approx(np.zeros(4), abs=1e-6)
+        assert residuals[4] == 0.0
+
+
 class TestErrorKernelSkipsNonFiniteActuals:
     def test_same_errors_as_with_the_value_missing(self):
         matrix = np.array([[1.0], [2.0], [3.0], [4.0]])

@@ -192,7 +192,9 @@ class TestSnappedMatchesReference:
         if data.draw(st.booleans()):
             # actual values that the transformation nearly explains
             noise = data.draw(st.floats(0.0, 0.1))
-            actual = np.where(np.isnan(actual), actual, truth.apply(source) + noise * actual)
+            # an infinite actual value times zero noise is NaN, a missing value
+            with np.errstate(invalid="ignore"):
+                actual = np.where(np.isnan(actual), actual, truth.apply(source) + noise * actual)
         expected = _reference_snapped(
             truth, _reference_loss(truth, source, actual), tolerance, max_combinations
         )

@@ -5,8 +5,9 @@ import pytest
 
 from repro.core.condition import DescriptorKind
 from repro.core.config import CharlesConfig
-from repro.core.partitioning import discover_partitions, induce_condition
+from repro.core.partitioning import discover_partitions, induce_condition, partitions_from_labels
 from repro.relational.snapshot import SnapshotPair
+from repro.relational.table import Table
 
 
 class TestInduceCondition:
@@ -126,3 +127,21 @@ class TestDiscoverPartitions:
         )
         rendered = [str(partition.condition) for partition in partitions]
         assert len(rendered) == len(set(rendered))
+
+    def test_conditions_that_print_alike_are_both_kept(self):
+        # two clusters straddle the outer rows, so each is described by a
+        # range; the ranges differ only past the sixth significant digit, so
+        # both print as "x in [1, 2]", and the second still claims a row
+        xs = [1.0000001, 2.0000001, 1.0000002, 2.0000002] + [0.0] * 10 + [10.0] * 10
+        source = Table.from_columns(
+            {"id": list(range(len(xs))), "x": xs, "bonus": [100.0] * len(xs)}, primary_key="id"
+        )
+        bonus = [200.0] * 4 + [100.0] * (len(xs) - 4)
+        pair = SnapshotPair.align(source, source.with_column("bonus", bonus), key="id")
+        partitions = partitions_from_labels(
+            pair, "bonus", ["x"], np.arange(4), np.array([0, 0, 1, 1]), 2, CharlesConfig()
+        )
+        conditions = [partition.condition for partition in partitions]
+        assert [str(condition) for condition in conditions] == ["x in [1, 2]"] * 2
+        assert conditions[0] != conditions[1]
+        assert [partition.mask.nonzero()[0].tolist() for partition in partitions] == [[0, 1, 2], [3]]

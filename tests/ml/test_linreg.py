@@ -99,6 +99,13 @@ class TestFitting:
         with pytest.raises(ModelFitError):
             model.predict(np.ones((2, 2)))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_an_infinite_feature_predicts_nan_without_a_warning(self):
+        model = LinearRegression().with_coefficients([1.0, 0.0], 2.0)
+        features = np.array([[np.inf, 1.0], [1.0, np.inf], [np.inf, -np.inf], [1.0, 1.0]])
+        assert model.predict(features).tolist()[1:] == [pytest.approx(np.nan, nan_ok=True)] * 2 + [3.0]
+        assert model.predict(features)[0] == np.inf
+
     def test_with_coefficients(self):
         model = LinearRegression().with_coefficients([1.05], 1000.0)
         assert model.is_fitted

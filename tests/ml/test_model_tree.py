@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.core.condition import Condition, Descriptor
 from repro.exceptions import ModelFitError
 from repro.ml.model_tree import LeafModel, LinearModelTree, ModelTreeLeaf, ModelTreeSplit
-from repro.relational.expressions import parse_expression
 from repro.relational.table import Table
+
+PHD = Condition.of(Descriptor.equals("edu", "PhD"))
+MS = Condition.of(Descriptor.equals("edu", "MS"))
+SENIOR_MS = Condition.of(Descriptor.equals("edu", "MS"), Descriptor.at_least("exp", 3))
 
 
 @pytest.fixture()
@@ -51,9 +55,9 @@ class TestLinearModelTree:
     def tree(self):
         return LinearModelTree.from_rules(
             [
-                (parse_expression("edu = 'PhD'"), LeafModel(("bonus",), (1.05,), 1000.0, "bonus")),
-                (parse_expression("edu = 'MS' AND exp >= 3"), LeafModel(("bonus",), (1.04,), 800.0, "bonus")),
-                (parse_expression("edu = 'MS'"), LeafModel(("bonus",), (1.03,), 400.0, "bonus")),
+                (PHD, LeafModel(("bonus",), (1.05,), 1000.0, "bonus")),
+                (SENIOR_MS, LeafModel(("bonus",), (1.04,), 800.0, "bonus")),
+                (MS, LeafModel(("bonus",), (1.03,), 400.0, "bonus")),
             ],
             target="bonus",
             default=LeafModel.identity("bonus"),
@@ -72,7 +76,7 @@ class TestLinearModelTree:
 
     def test_none_default_yields_nan(self, employees):
         tree = LinearModelTree.from_rules(
-            [(parse_expression("edu = 'PhD'"), LeafModel(("bonus",), (1.0,), 0.0, "bonus"))],
+            [(PHD, LeafModel(("bonus",), (1.0,), 0.0, "bonus"))],
             target="bonus",
             default=None,
         )
@@ -82,7 +86,11 @@ class TestLinearModelTree:
 
     def test_unconditional_rule_terminates_chain(self, employees):
         tree = LinearModelTree.from_rules(
-            [(None, LeafModel(("bonus",), (2.0,), 0.0, "bonus"))], target="bonus"
+            [
+                (Condition.always(), LeafModel(("bonus",), (2.0,), 0.0, "bonus")),
+                (PHD, LeafModel(("bonus",), (3.0,), 0.0, "bonus")),
+            ],
+            target="bonus",
         )
         assert tree.num_leaves == 1
         assert np.allclose(tree.predict(employees), 2 * employees.numeric_column("bonus"))
@@ -93,10 +101,11 @@ class TestLinearModelTree:
         first_path, first_leaf = paths[0]
         assert len(first_path) == 1 and first_path[0][1] is True
         assert first_leaf is not None and not first_leaf.is_identity
+        assert first_path[0][0] is PHD
 
     def test_manual_tree_composition(self, employees):
         split = ModelTreeSplit(
-            parse_expression("exp >= 3"),
+            Condition.of(Descriptor.at_least("exp", 3)),
             ModelTreeLeaf(LeafModel(("bonus",), (2.0,), 0.0, "bonus")),
             ModelTreeLeaf(None),
         )

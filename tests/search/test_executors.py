@@ -12,6 +12,7 @@ from repro.search import (
     build_search_plan,
     select_executor,
 )
+from repro.search.executors import _FALLBACKS_TOTAL
 from repro.workloads import employee_pair
 
 
@@ -113,9 +114,11 @@ class TestParallelFallback:
         plan = build_search_plan(["edu", "exp"], ["bonus"], config)
         executor = ParallelExecutor(2)
         executor._setup(fig1_pair, "bonus", config)
+        fallbacks = _FALLBACKS_TOTAL.value()
         try:
             with pytest.warns(RuntimeWarning, match="falling back to serial"):
                 executor._fall_back_to_serial(RuntimeError("worker died"))
+            assert _FALLBACKS_TOTAL.value() == fallbacks + 1
             assert executor._effective_n_jobs() == 1
             outcomes, _ = executor._run_round(plan.rounds[1], frozenset())
         finally:
@@ -140,9 +143,11 @@ class TestParallelFallback:
                 executor._fall_back_to_serial(RuntimeError("simulated pool loss"))
 
         executor._setup = broken_setup
+        fallbacks = _FALLBACKS_TOTAL.value()
         ranked, stats = executor.execute(fig1_pair, "bonus", plan, config)
         assert ranked
         assert stats.n_jobs == 1
+        assert _FALLBACKS_TOTAL.value() == fallbacks + 1
 
 
 class TestSuppliedCaches:

@@ -10,6 +10,7 @@ returning the object the defining module holds, and ``dir()`` and
 from __future__ import annotations
 
 import importlib
+import importlib.util
 import inspect
 import json
 import os
@@ -93,3 +94,18 @@ def test_diff_functions_survive_the_import_of_their_submodules():
 
     assert inspect.isfunction(repro.diff.update_distance)
     assert inspect.isfunction(repro.diff.timeline_diff)
+
+
+REMOVED_PREDICATE_NAMES = (
+    "parse_expression", "Expression", "ColumnRef", "Literal", "Comparison", "Between",
+    "IsIn", "And", "Or", "Not", "Arithmetic", "ExpressionError",
+)
+
+
+@pytest.mark.parametrize("name", ["repro", "repro.relational", "repro.exceptions"])
+def test_the_expression_tree_names_are_gone(name):
+    # Condition is the one predicate form; its descriptors evaluate themselves
+    package = importlib.import_module(name)
+    assert [n for n in REMOVED_PREDICATE_NAMES if hasattr(package, n)] == []
+    assert not set(REMOVED_PREDICATE_NAMES) & set(getattr(package, "__all__", ()))
+    assert importlib.util.find_spec("repro.relational.expressions") is None
