@@ -252,16 +252,18 @@ def partitions_from_labels(
     # describable clusters go first (largest first); clusters that could not be
     # described independently go last, where they only need to be separated
     # from whatever no earlier partition claimed — possibly ending up as a
-    # legitimate trailing catch-all ("everyone else").
+    # legitimate trailing catch-all ("everyone else").  While no row is
+    # claimed, a cluster's condition is its pass-1 condition.
     preliminary.sort(key=lambda item: (item[1].is_trivial, -item[0].size))
     partitions: list[Partition] = []
     seen_conditions: set[tuple[Descriptor, ...]] = set()
     claimed = np.zeros(source.num_rows, dtype=bool)
-    for position, (member_indices, _) in enumerate(preliminary):
+    for position, (member_indices, condition) in enumerate(preliminary):
         is_last = position == len(preliminary) - 1
-        condition = induce_condition(
-            source, member_indices, condition_attributes, config, ignore_mask=claimed
-        )
+        if claimed.any():
+            condition = induce_condition(
+                source, member_indices, condition_attributes, config, ignore_mask=claimed
+            )
         if condition.is_trivial and n_partitions > 1:
             # a trailing catch-all is acceptable once every other cluster has a
             # real condition; anywhere else a trivial condition explains nothing

@@ -256,7 +256,7 @@ class LinearTransformation:
         tolerance: float,
         max_combinations: int = 256,
         rows: np.ndarray | None = None,
-    ) -> "LinearTransformation":
+    ) -> tuple["LinearTransformation", float]:
         """Round constants to "normal" values when accuracy allows it.
 
         A candidate's accuracy loss is its L1 error on the partition rows
@@ -277,6 +277,10 @@ class LinearTransformation:
         that many combinations the constants are snapped greedily, one at a
         time in order: each takes the first of 0 and its rounder values that
         stays within ``tolerance``, given the constants snapped before it.
+
+        Returns the chosen transformation and its L1 error on those rows, as
+        the scoring pass computed it: bit-identical to a one-candidate
+        :func:`partition_errors` call.
         """
         matrix = source.numeric_matrix(self.feature_names, rows)
         actual = np.asarray(actual, dtype=float)
@@ -315,15 +319,16 @@ class LinearTransformation:
         # loss; the first combination reaching the best key wins
         best = np.flatnonzero(losses <= tolerance)
         if not best.size:
-            return self
+            return self, float(errors[0])
         for key in (complexity, -normality, losses):
             best = best[key[best] == key[best].min()]
         best = best[0]
         best_key = (-int(complexity[best]), float(normality[best]), -float(losses[best]))
         if best_key <= (-int(complexity[0]), float(normality[0]), 0.0):
-            return self
+            return self, float(errors[0])
         chosen = [values[index] for (values, _), index in zip(options, grid[:, best])]
-        return LinearTransformation(self.target, self.feature_names, tuple(chosen[:-1]), chosen[-1])
+        snapped = LinearTransformation(self.target, self.feature_names, tuple(chosen[:-1]), chosen[-1])
+        return snapped, float(errors[best])
 
     def _greedy_snap(
         self,
@@ -332,9 +337,11 @@ class LinearTransformation:
         scale: float,
         tolerance: float,
         options: list[tuple[list[float], list[float]]],
-    ) -> "LinearTransformation":
+    ) -> tuple["LinearTransformation", float]:
+        """The greedy snap and its error, the error of its last accepted trial."""
         constants = [*self.coefficients, self.intercept]
         baseline = partition_errors(matrix, [self.coefficients], [self.intercept], actual)[0]
+        error = baseline
         for position, (values, _) in enumerate(options):
             trials = values[1:]
             if not trials:
@@ -346,9 +353,11 @@ class LinearTransformation:
                 passing = np.flatnonzero((errors - baseline) / scale <= tolerance)
             if passing.size:
                 constants[position] = trials[passing[0]]
-        return LinearTransformation(
+                error = errors[passing[0]]
+        snapped = LinearTransformation(
             self.target, self.feature_names, tuple(constants[:-1]), constants[-1]
         )
+        return snapped, float(error)
 
     # -- conversion / rendering --------------------------------------------------
 

@@ -11,13 +11,18 @@ from __future__ import annotations
 import csv
 import io
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Any, Iterable, Sequence, TextIO
+
+import numpy as np
 
 from repro.exceptions import SchemaError
-from repro.relational.schema import Column, DType, Schema
-from repro.relational.table import Table
+from repro.relational.schema import _MISSING_STRINGS, Column, DType, Schema
+from repro.relational.table import Table, _CategoricalData, _NumericData
 
 __all__ = ["read_csv", "read_csv_text", "write_csv", "write_csv_text", "infer_column_dtype"]
+
+
+_BOOL_WORDS = frozenset({"true", "false", "t", "f", "yes", "no"})
 
 
 def infer_column_dtype(values: Iterable[str], name: str | None = None) -> DType:
@@ -29,31 +34,36 @@ def infer_column_dtype(values: Iterable[str], name: str | None = None) -> DType:
     ``STRING`` would mistype sparse numeric columns and surface much later as
     a confusing schema mismatch, e.g. when appending the file to a timeline.
     """
-    missing = {"", "na", "n/a", "nan", "null", "none"}
     saw_value = False
     could_be_int = True
     could_be_float = True
     could_be_bool = True
-    # the verdict depends only on which strings occur, so test each once
+    # each flag holds for every distinct string or for none, so the verdict
+    # does not depend on the order of the set; a type once ruled out is not
+    # tested again, and once only STRING is left the loop ends
     for raw in set(values):
         text = raw.strip()
-        if text.lower() in missing:
+        lowered = text.lower()
+        if lowered in _MISSING_STRINGS:
             continue
         saw_value = True
-        lowered = text.lower()
-        if lowered not in ("true", "false", "t", "f", "yes", "no"):
+        if could_be_bool and lowered not in _BOOL_WORDS:
             could_be_bool = False
-        cleaned = text.replace(",", "").replace("$", "")
-        try:
-            float(cleaned)
-        except ValueError:
-            could_be_float = False
-            could_be_int = False
-        else:
+        if could_be_float:
+            cleaned = text.replace(",", "").replace("$", "")
             try:
-                int(cleaned)
+                float(cleaned)
             except ValueError:
+                could_be_float = False
                 could_be_int = False
+            else:
+                if could_be_int:
+                    try:
+                        int(cleaned)
+                    except ValueError:
+                        could_be_int = False
+        if not (could_be_bool or could_be_float):
+            break
     if not saw_value:
         label = "the values" if name is None else f"column {name!r}"
         raise SchemaError(
@@ -125,13 +135,12 @@ def _read(
             raise SchemaError(
                 f"CSV row has {len(row)} fields but header has {len(header)}: {row!r}"
             )
-    raw_columns = {
-        name: [row[i] for row in raw_rows] for i, name in enumerate(header)
-    }
+    raw_columns: dict[str, Sequence[str]] = dict(zip(header, zip(*raw_rows)))
     if schema is None:
         schema = Schema(
             tuple(
-                Column(name, infer_column_dtype(raw_columns[name], name)) for name in header
+                Column(name, infer_column_dtype(raw_columns.get(name, ()), name))
+                for name in header
             ),
             primary_key=primary_key,
         )
@@ -139,16 +148,49 @@ def _read(
         schema = schema.with_primary_key(primary_key)
     return Table(
         schema,
-        {column.name: _coerce_text(column, raw_columns.get(column.name, [])) for column in schema},
+        {column.name: _encode_text(column, raw_columns.get(column.name, ())) for column in schema},
     )
 
 
-def _coerce_text(column: Column, raw_values: list[str]) -> list:
-    """``column.coerce_many(raw_values)``, coercing each distinct string once."""
-    # distinct strings in row order, so an invalid value is reported as it
-    # would be row by row
-    coerced = {raw: column.coerce(raw) for raw in dict.fromkeys(raw_values)}
-    return [coerced[raw] for raw in raw_values]
+def _encode_text(column: Column, raw_values: Sequence[str]) -> _NumericData | _CategoricalData:
+    """The table storage of ``column.coerce_many(raw_values)``.
+
+    Each distinct string is coerced once, in row order, so an invalid value
+    is reported as it would be row by row.  Two shortcuts return what
+    :meth:`Column.coerce` would.  A numeric string is first given to
+    ``float`` (``int`` for an INT column): when that succeeds, the string
+    holds no ``,$%`` and both ignore the surrounding whitespace.  A STRING
+    value that is no missing marker is kept as it is.  Anything else, a NaN
+    included (the missing marker a non-nullable column rejects), goes
+    through :meth:`Column.coerce`.  A categorical column is coded straight
+    from the strings, its levels in first-seen order of the coerced values.
+    """
+    distinct: dict[str, Any] = dict.fromkeys(raw_values)
+    if column.is_numeric:
+        is_int = column.dtype is DType.INT
+        parse = int if is_int else float
+        for raw in distinct:
+            try:
+                value = parse(raw)
+            except ValueError:
+                value = column.coerce(raw)
+            else:
+                if value != value:
+                    value = column.coerce(raw)
+            distinct[raw] = value
+        return _NumericData.encode(list(map(distinct.__getitem__, raw_values)), is_int)
+    is_string = column.dtype is DType.STRING
+    levels: dict[Any, int] = {}
+    for raw in distinct:
+        if is_string and raw.strip().lower() not in _MISSING_STRINGS:
+            value = raw
+        else:
+            value = column.coerce(raw)
+        distinct[raw] = -1 if value is None else levels.setdefault(value, len(levels))
+    codes = np.fromiter(
+        map(distinct.__getitem__, raw_values), dtype=np.intp, count=len(raw_values)
+    )
+    return _CategoricalData(codes, tuple(levels))
 
 
 def write_csv_text(table: Table, delimiter: str = ",") -> str:

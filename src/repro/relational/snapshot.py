@@ -32,12 +32,17 @@ class SnapshotPair:
     and reorders the target so that row *i* of ``source`` and row *i* of
     ``target`` describe the same entity.  Both tables are immutable, so
     :meth:`changed_mask` computes each mask once per pair.
+
+    A keyed pair's entity identifiers are its source key column, decoded
+    only when :attr:`key_values` asks for them; a pair without a key keeps
+    the row positions it was aligned at.  Either way they follow from the
+    tables and the pair's provenance, so equality ignores them.
     """
 
     source: Table
     target: Table
     key: str | None
-    _key_values: tuple[Any, ...] = field(default=(), repr=False)
+    _key_values: tuple[Any, ...] | None = field(default=None, repr=False, compare=False)
     _changed: dict[tuple[str, float], np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -128,6 +133,9 @@ class SnapshotPair:
     @property
     def key_values(self) -> list[Any]:
         """Entity identifiers in aligned order."""
+        if self._key_values is None:
+            keys = range(self.num_rows) if self.key is None else self.source.column(self.key)
+            object.__setattr__(self, "_key_values", tuple(keys))
         return list(self._key_values)
 
     def __len__(self) -> int:
@@ -200,11 +208,9 @@ class SnapshotPair:
         mask_array = np.asarray(mask, dtype=bool)
         source = self.source.mask(mask_array)
         target = self.target.mask(mask_array)
+        keys = None
         if self.key is None:
-            keys = tuple(compress(self._key_values, mask_array.tolist()))
-        else:
-            # aligned rows: the key column of the source side is the key values
-            keys = tuple(source.column(self.key))
+            keys = tuple(compress(self.key_values, mask_array.tolist()))
         return SnapshotPair(source, target, self.key, keys)
 
     def combined(self, target_attribute: str, suffix_old: str = "_old",

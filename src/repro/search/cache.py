@@ -175,7 +175,8 @@ class SearchCaches:
     "changed rows" below), not by the scope: a refinement scope that holds
     every changed row shares the top-level entries.
 
-    * ``fits`` — per-mask transformation fits, by (target, T, mask digest);
+    * ``fits`` — per-mask transformation fits with their L1 errors, by
+      (target, T, mask digest);
     * ``partitions`` — partition-discovery results, by (target, C, T, k, w,
       scope mask digest);
     * ``residual_features`` — the scaled residual block of the clustering

@@ -8,8 +8,9 @@ bound to a single ``(pair, target, config)`` triple, and memoises its work in
 the pair-scoped tables of its :class:`~repro.search.cache.SearchCaches`, so
 work that recurs across specs is done once:
 
-* per-mask regression *fits*: union masks re-fitted during merging and
-  partitions that recur across specs fit once;
+* per-mask regression *fits*, each with its L1 error on the mask: union
+  masks re-fitted during merging and partitions that recur across specs fit
+  once, and refinement reads a partition's error instead of scoring it again;
 * *partition discoveries*: identical partition masks at different
   ``k``/residual weights, and refinement re-clustering the same sub-table;
 * the *clustering input*, in two blocks keyed by the changed rows it reads:
@@ -42,6 +43,7 @@ cannot reach it are skipped by the executor before they get here (see
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,6 +103,13 @@ class ScoredSummary:
 
 
 PRUNED_DUPLICATE = "duplicate"
+
+
+class _Fit(NamedTuple):
+    """A fitted transformation and its L1 error on the rows it was fitted to."""
+
+    transformation: LinearTransformation
+    error: float
 
 
 @dataclass(frozen=True)
@@ -420,21 +429,21 @@ class CandidateEvaluator:
 
     def _cached_fit(
         self, transformation_subset: tuple[str, ...], mask: np.ndarray
-    ) -> LinearTransformation | None:
+    ) -> _Fit | None:
         key = (self._target, transformation_subset, mask_digest(mask))
-        transformation = self.caches.fits.lookup(key)
-        if transformation is not MISSING:
-            return transformation
+        fit = self.caches.fits.lookup(key)
+        if fit is not MISSING:
+            return fit
         if self._tracer.enabled:
             # only misses open a span: a hit costs nothing and says nothing
             with self._tracer.span(
                 "fit", features=len(transformation_subset), rows=int(mask.sum())
             ):
-                transformation = self._fit_transformation(transformation_subset, mask)
+                fit = self._fit_transformation(transformation_subset, mask)
         else:
-            transformation = self._fit_transformation(transformation_subset, mask)
-        self.caches.fits[key] = transformation
-        return transformation
+            fit = self._fit_transformation(transformation_subset, mask)
+        self.caches.fits[key] = fit
+        return fit
 
     @staticmethod
     def _partition_signature(spec: CandidateSpec, partitions: list[Partition]) -> tuple:
@@ -459,12 +468,12 @@ class CandidateEvaluator:
 
     def _global_summary(self, spec: CandidateSpec) -> ScoredSummary | None:
         """One CT with the trivial condition applied to every row (the paper's R4)."""
-        transformation = self._cached_fit(spec.transformation_subset, self._full_mask)
-        if transformation is None:
+        fit = self._cached_fit(spec.transformation_subset, self._full_mask)
+        if fit is None:
             return None
         summary = ChangeSummary(
             self._target,
-            (ConditionalTransformation(Condition.always(), transformation),),
+            (ConditionalTransformation(Condition.always(), fit.transformation),),
             identity_fallback=self._config.include_identity_fallback,
         )
         breakdown = score_summary(summary, self._pair, self._config)
@@ -475,18 +484,25 @@ class CandidateEvaluator:
     ) -> ChangeSummary | None:
         if not partitions:
             return None
-        fitted: list[tuple[Partition, LinearTransformation]] = []
+        fitted: list[tuple[Partition, _Fit]] = []
         for partition in partitions:
-            transformation = self._cached_fit(spec.transformation_subset, partition.mask)
-            if transformation is None:
+            fit = self._cached_fit(spec.transformation_subset, partition.mask)
+            if fit is None:
                 continue
-            fitted.append((partition, transformation))
+            fitted.append((partition, fit))
         fitted = self._merge_equivalent(fitted, spec.condition_subset, spec.transformation_subset)
         if self._config.refine_partitions:
-            fitted = self._refine(fitted, spec.condition_subset, spec.transformation_subset)
+            if self._tracer.enabled:
+                with self._tracer.span("search.refine", partitions=len(fitted)) as span:
+                    fitted = self._refine(
+                        fitted, spec.condition_subset, spec.transformation_subset
+                    )
+                    span.set(refined=len(fitted))
+            else:
+                fitted = self._refine(fitted, spec.condition_subset, spec.transformation_subset)
         conditional_transformations = [
-            ConditionalTransformation(partition.condition, transformation)
-            for partition, transformation in fitted
+            ConditionalTransformation(partition.condition, fit.transformation)
+            for partition, fit in fitted
         ]
         if not conditional_transformations:
             return None
@@ -507,10 +523,10 @@ class CandidateEvaluator:
 
     def _merge_equivalent(
         self,
-        fitted: list[tuple[Partition, LinearTransformation]],
+        fitted: list[tuple[Partition, _Fit]],
         condition_subset: tuple[str, ...],
         transformation_subset: tuple[str, ...],
-    ) -> list[tuple[Partition, LinearTransformation]]:
+    ) -> list[tuple[Partition, _Fit]]:
         """Merge partitions whose fitted transformations are identical.
 
         K-means sometimes splits a region that actually follows a single rule
@@ -522,16 +538,16 @@ class CandidateEvaluator:
             return fitted
         pair = self._pair
 
-        groups: dict[tuple, list[tuple[Partition, LinearTransformation]]] = {}
+        groups: dict[tuple, list[tuple[Partition, _Fit]]] = {}
         order: list[tuple] = []
-        for partition, transformation in fitted:
-            signature = transformation.signature()
+        for partition, fit in fitted:
+            signature = fit.transformation.signature()
             if signature not in groups:
                 groups[signature] = []
                 order.append(signature)
-            groups[signature].append((partition, transformation))
+            groups[signature].append((partition, fit))
 
-        merged: list[tuple[Partition, LinearTransformation]] = []
+        merged: list[tuple[Partition, _Fit]] = []
         for signature in order:
             members = groups[signature]
             if len(members) == 1:
@@ -547,20 +563,20 @@ class CandidateEvaluator:
                 merged.extend(members)
                 continue
             mask = condition.mask(pair.source)
-            transformation = self._cached_fit(transformation_subset, mask)
-            if transformation is None:
+            fit = self._cached_fit(transformation_subset, mask)
+            if fit is None:
                 merged.extend(members)
                 continue
             coverage = float(mask.mean()) if pair.num_rows else 0.0
-            merged.append((Partition(condition, mask, 1.0, coverage), transformation))
+            merged.append((Partition(condition, mask, 1.0, coverage), fit))
         return merged
 
     def _refine(
         self,
-        fitted: list[tuple[Partition, LinearTransformation]],
+        fitted: list[tuple[Partition, _Fit]],
         condition_subset: tuple[str, ...],
         transformation_subset: tuple[str, ...],
-    ) -> list[tuple[Partition, LinearTransformation]]:
+    ) -> list[tuple[Partition, _Fit]]:
         """Hierarchically re-partition partitions that are poorly explained.
 
         When one discovered partition actually contains several sub-policies
@@ -569,53 +585,51 @@ class CandidateEvaluator:
         restricts the pair to that partition, runs partition discovery again
         inside it, and replaces the partition with the sub-partitions — whose
         conditions are the parent condition conjoined with the sub-conditions,
-        exactly the nested structure of the paper's Fig. 2 tree.
+        exactly the nested structure of the paper's Fig. 2 tree.  A partition's
+        unexplained change, and each sub-partition's, is the error its fit
+        memo entry holds.
         """
         config = self._config
         pair = self._pair
         new_values = pair.target.numeric_column(self._target)
-        refined: list[tuple[Partition, LinearTransformation]] = []
-        for partition, transformation in fitted:
+        refined: list[tuple[Partition, _Fit]] = []
+        for partition, fit in fitted:
             if partition.size < 2 * config.min_refinement_rows:
-                refined.append((partition, transformation))
+                refined.append((partition, fit))
                 continue
             actual_new = new_values[partition.mask]
             old_values = pair.source.numeric_column(self._target)[partition.mask]
-            unexplained = self._partition_error(
-                transformation, pair.source, partition.mask, actual_new
-            )
+            unexplained = fit.error
             change = np.abs(actual_new - old_values)
             total_change = float(np.sum(np.where(np.isfinite(change), change, 0.0)))
             if total_change <= 0.0 or unexplained / total_change < config.refinement_error_threshold:
-                refined.append((partition, transformation))
+                refined.append((partition, fit))
                 continue
             sub_partitions = self._cached_partitions(
                 partition.mask, condition_subset, transformation_subset, 2
             )
             if len(sub_partitions) < 2:
-                refined.append((partition, transformation))
+                refined.append((partition, fit))
                 continue
-            replacement: list[tuple[Partition, LinearTransformation]] = []
+            replacement: list[tuple[Partition, _Fit]] = []
             replacement_error = 0.0
             parent_indices = np.nonzero(partition.mask)[0]
             for sub in sub_partitions:
                 sub_mask_full = np.zeros(pair.num_rows, dtype=bool)
                 sub_mask_full[parent_indices[np.nonzero(sub.mask)[0]]] = True
                 combined = self._conjoin(partition.condition, sub.condition)
-                sub_transformation = self._cached_fit(transformation_subset, sub_mask_full)
-                if sub_transformation is None:
+                sub_fit = self._cached_fit(transformation_subset, sub_mask_full)
+                if sub_fit is None:
                     continue
-                replacement_error += self._partition_error(
-                    sub_transformation, pair.source, sub_mask_full, new_values[sub_mask_full]
-                )
+                replacement_error += sub_fit.error
                 coverage = float(sub_mask_full.mean())
                 replacement.append(
-                    (Partition(combined, sub_mask_full, sub.fidelity, coverage), sub_transformation)
+                    (Partition(combined, sub_mask_full, sub.fidelity, coverage), sub_fit)
                 )
             if len(replacement) >= 2 and replacement_error < unexplained:
                 refined.extend(replacement)
             else:
-                refined.append((partition, transformation))
+                refined.append((partition, fit))
         return refined
 
     @staticmethod
@@ -629,8 +643,13 @@ class CandidateEvaluator:
         self,
         transformation_subset: tuple[str, ...],
         mask: np.ndarray,
-    ) -> LinearTransformation | None:
-        """Transformation discovery for one partition, with coefficient snapping."""
+    ) -> _Fit | None:
+        """Transformation discovery for one partition, with coefficient snapping.
+
+        The fit's error is the one already computed to choose it: the
+        identity's, the baseline's when snapping keeps the fit, or the
+        snapped candidate's from the snapping pass.
+        """
         if not mask.any():
             return None
         pair = self._pair
@@ -649,11 +668,12 @@ class CandidateEvaluator:
         baseline_error = self._partition_error(transformation, pair.source, mask, actual_new)
         # if the partition turns out to be unchanged, prefer the explicit identity
         identity = LinearTransformation.identity(self._target)
-        if self._partition_error(identity, pair.source, mask, actual_new) <= baseline_error + 1e-9:
-            return identity
-        return transformation.snapped(
+        identity_error = self._partition_error(identity, pair.source, mask, actual_new)
+        if identity_error <= baseline_error + 1e-9:
+            return _Fit(identity, identity_error)
+        return _Fit(*transformation.snapped(
             pair.source, actual_new, self._config.snapping_tolerance, rows=mask
-        )
+        ))
 
     def _trimmed_refit(
         self,

@@ -1,10 +1,11 @@
 """The batched snapping kernel against a per-candidate reference.
 
 ``partition_errors`` scores many candidate transformations of one partition
-in one pass, and ``LinearTransformation.snapped`` chooses among them.  Both
-must reproduce, bit for bit, what scoring one candidate at a time gives: a
-candidate's ``apply`` followed by a 1-D ``np.sum`` of its usable errors, and
-the old per-candidate snapping loop kept below as the oracle.
+in one pass, and ``LinearTransformation.snapped`` chooses among them and
+reports the chosen one's error.  Both must reproduce, bit for bit, what
+scoring one candidate at a time gives: a candidate's ``apply`` followed by a
+1-D ``np.sum`` of its usable errors, and the old per-candidate snapping loop
+kept below as the oracle.
 """
 
 from itertools import product
@@ -198,8 +199,13 @@ class TestSnappedMatchesReference:
         expected = _reference_snapped(
             truth, _reference_loss(truth, source, actual), tolerance, max_combinations
         )
-        snapped = truth.snapped(source, actual, tolerance, max_combinations=max_combinations)
+        snapped, error = truth.snapped(
+            source, actual, tolerance, max_combinations=max_combinations
+        )
         assert snapped == expected
         assert [type(value) for value in snapped.coefficients] == [
             type(value) for value in expected.coefficients
         ]
+        # the error the scoring pass reports is the one-candidate error, bit for bit
+        single = CandidateEvaluator._partition_error(snapped, source, None, actual)
+        assert np.float64(error).tobytes() == np.float64(single).tobytes()

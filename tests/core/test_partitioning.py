@@ -145,3 +145,66 @@ class TestDiscoverPartitions:
         assert [str(condition) for condition in conditions] == ["x in [1, 2]"] * 2
         assert conditions[0] != conditions[1]
         assert [partition.mask.nonzero()[0].tolist() for partition in partitions] == [[0, 1, 2], [3]]
+
+
+class TestPassTwoReusesPassOne:
+    """Pass 2 of induction re-induces a cluster only once rows are claimed.
+
+    With nothing claimed, ``ignore_mask`` removes no row from the rest of the
+    table, so the pass-2 condition is the pass-1 condition of that cluster.
+    """
+
+    @pytest.fixture()
+    def induce_calls(self, monkeypatch):
+        """Each ``induce_condition`` call: the number of rows it may ignore."""
+        from repro.core import partitioning
+
+        calls = []
+        original = partitioning.induce_condition
+
+        def spy(source, member_indices, condition_attributes, config=None, ignore_mask=None):
+            calls.append(None if ignore_mask is None else int(np.count_nonzero(ignore_mask)))
+            return original(
+                source, member_indices, condition_attributes, config, ignore_mask=ignore_mask
+            )
+
+        monkeypatch.setattr(partitioning, "induce_condition", spy)
+        return calls
+
+    def test_counted_calls(self, fig1_pair, induce_calls):
+        # the changed rows of Fig. 1 are the MS and PhD employees, one
+        # cluster each: both are described in pass 1; in pass 2 the larger
+        # (MS) reuses its condition and only PhD is induced again, with the
+        # MS rows claimed
+        edu = fig1_pair.source.column("edu")
+        changed = np.flatnonzero(fig1_pair.changed_mask("bonus"))
+        labels = np.array([("MS", "PhD").index(edu[i]) for i in changed])
+        partitions = partitions_from_labels(
+            fig1_pair, "bonus", ["edu"], changed, labels, 2, CharlesConfig()
+        )
+        assert [str(partition.condition) for partition in partitions] == [
+            "edu = 'MS'", "edu = 'PhD'"
+        ]
+        assert induce_calls == [None, None, 4]
+
+    def test_no_call_repeats_an_unclaimed_induction(self, employee_200, induce_calls):
+        config = CharlesConfig()
+        for k in (2, 3, 4):
+            del induce_calls[:]
+            discover_partitions(employee_200, "bonus", ["edu", "exp"], ["bonus"], k, config)
+            # k clusters in pass 1, then at most k - 1 again in pass 2, each
+            # with some rows claimed
+            assert induce_calls[:k] == [None] * k
+            assert 0 < len(induce_calls) - k < k
+            assert all(claimed > 0 for claimed in induce_calls[k:])
+
+    def test_unclaimed_induction_equals_pass_one(self, employee_200):
+        source = employee_200.source
+        rng = np.random.default_rng(5)
+        nothing = np.zeros(source.num_rows, dtype=bool)
+        for _ in range(20):
+            members = np.flatnonzero(rng.random(source.num_rows) < 0.3)
+            attributes = ["edu", "exp", "salary"]
+            assert induce_condition(
+                source, members, attributes, ignore_mask=nothing
+            ) == induce_condition(source, members, attributes)

@@ -42,7 +42,7 @@ class TestWideTransformationSnapping:
         true_coefficients = (1.0499998, 2.0000003, 0.2500001, 0.7499999, 3.0000002)
         truth = LinearTransformation("y", tuple(names), true_coefficients, 99.9999)
         actual = truth.apply(source)
-        snapped = truth.snapped(source, actual, tolerance=0.001)
+        snapped, _ = truth.snapped(source, actual, tolerance=0.001)
         # greedy snapping (the combinatorial space exceeds the exhaustive cap)
         # still lands every coefficient on the round value
         assert snapped.coefficients == pytest.approx((1.05, 2.0, 0.25, 0.75, 3.0), abs=1e-6)
@@ -56,7 +56,7 @@ class TestWideTransformationSnapping:
         actual = fitted.apply(source)
         loss = _loss_against(actual, source)
         for tolerance in (0.0, 1e-4, 1e-2):
-            snapped = fitted.snapped(source, actual, tolerance=tolerance)
+            snapped, _ = fitted.snapped(source, actual, tolerance=tolerance)
             assert loss(snapped) <= tolerance + 1e-12
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -77,12 +77,12 @@ class TestWideTransformationSnapping:
         coefficients = (1.0499998, 2.0000003, 0.2500001, 0.7499999, 3.0000002)
         fitted = LinearTransformation("y", tuple(names), coefficients[: len(names)], intercept)
         actual = np.full(40, tiny)
-        snapped = fitted.snapped(source, actual, tolerance=0.01)
+        snapped, _ = fitted.snapped(source, actual, tolerance=0.01)
         assert len(snapped.coefficients) == len(names)
 
     def test_zero_coefficient_transformation_untouched(self):
         source = _MatrixTable(np.ones((10, 1)), ["a"])
         constant = LinearTransformation("y", ("a",), (0.0,), 5.0)
         actual = constant.apply(source)
-        snapped = constant.snapped(source, actual, tolerance=0.01)
+        snapped, _ = constant.snapped(source, actual, tolerance=0.01)
         assert snapped.intercept == pytest.approx(5.0)

@@ -89,7 +89,7 @@ class TestSnapping:
         truth = LinearTransformation("bonus", ("bonus",), (1.05,), 1000.0)
         actual = truth.apply(source)
         fitted = LinearTransformation("bonus", ("bonus",), (1.0500000231,), 999.99992)
-        snapped = fitted.snapped(source, actual, tolerance=0.001)
+        snapped, _ = fitted.snapped(source, actual, tolerance=0.001)
         assert snapped.coefficients[0] == pytest.approx(1.05)
         assert snapped.intercept == pytest.approx(1000.0)
 
@@ -97,7 +97,7 @@ class TestSnapping:
         source, _ = fig1_tables
         actual = 1.05 * source.numeric_column("bonus")
         fitted = LinearTransformation("bonus", ("bonus",), (1.05,), 0.00042)
-        snapped = fitted.snapped(source, actual, tolerance=0.001)
+        snapped, _ = fitted.snapped(source, actual, tolerance=0.001)
         assert snapped.intercept == 0.0
         assert snapped.complexity == 1
 
@@ -105,14 +105,14 @@ class TestSnapping:
         source, _ = fig1_tables
         truth = LinearTransformation("bonus", ("bonus",), (1.0487,), 0.0)
         actual = truth.apply(source)
-        snapped = truth.snapped(source, actual, tolerance=1e-6)
+        snapped, _ = truth.snapped(source, actual, tolerance=1e-6)
         assert snapped.coefficients[0] == pytest.approx(1.0487)
 
     def test_zero_tolerance_keeps_exact_equivalents_only(self, fig1_tables):
         source, _ = fig1_tables
         truth = LinearTransformation("bonus", ("bonus",), (1.05,), 1000.0)
         actual = truth.apply(source)
-        snapped = truth.snapped(source, actual, tolerance=0.0)
+        snapped, _ = truth.snapped(source, actual, tolerance=0.0)
         assert snapped.coefficients[0] == pytest.approx(1.05)
         assert snapped.intercept == pytest.approx(1000.0)
 

@@ -12,6 +12,19 @@ def _table(rows, key="id"):
     return Table.from_rows(rows, primary_key=key)
 
 
+def _spy_on_column(monkeypatch) -> list[str]:
+    """The names ``Table.column`` decodes from now on, in call order."""
+    decoded: list[str] = []
+    original = Table.column
+
+    def spy(self, name):
+        decoded.append(name)
+        return original(self, name)
+
+    monkeypatch.setattr(Table, "column", spy)
+    return decoded
+
+
 @pytest.fixture()
 def source():
     return _table(
@@ -128,6 +141,36 @@ class TestChangeInspection:
         assert sub.num_rows == 2
         assert sub.key_values == ["a", "c"]
         assert sub.changed_mask("v").tolist() == [True, True]
+
+    def test_restricted_pair_decodes_its_keys_only_when_asked(self, pair, monkeypatch):
+        decoded = _spy_on_column(monkeypatch)
+        mask = np.array([False, True, True])
+        sub = pair.restricted(mask)
+        assert "id" not in decoded
+        assert sub.key_values == ["b", "c"] == [pair.key_values[i] for i in (1, 2)]
+        assert decoded.count("id") == 1
+        assert sub.key_values == ["b", "c"]
+        assert decoded.count("id") == 1  # decoded once, then kept
+        # equality reads tables and key, not whether the keys were decoded
+        assert sub == pair.restricted(mask)
+
+    def test_restricted_positional_pair_keeps_its_positions(self):
+        table = Table.from_columns({"v": [1.0, 2.0, 3.0]})
+        pair = SnapshotPair.align(table, table.with_column("v", [1.0, 5.0, 6.0]))
+        sub = pair.restricted(np.array([False, True, True]))
+        assert sub.key_values == [1, 2]
+        assert sub.restricted(np.array([False, True])).key_values == [2]
+        assert SnapshotPair(table, table, None).key_values == [0, 1, 2]
+
+    def test_a_search_decodes_no_key_column_after_alignment(self, monkeypatch):
+        from repro.core import Charles, CharlesConfig
+        from repro.workloads import employee_pair
+
+        pair = employee_pair(120, seed=3)
+        decoded = _spy_on_column(monkeypatch)
+        result = Charles(CharlesConfig()).summarize_pair(pair, "bonus")
+        assert result.summaries
+        assert pair.key not in decoded
 
     def test_combined_view(self, pair):
         combined = pair.combined("v")

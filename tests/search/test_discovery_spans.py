@@ -3,8 +3,9 @@
 ``_discover_partitions`` opens a ``core.cluster`` span around clustering and,
 when induction runs, a ``core.induce`` span around it, both under
 ``partitions.resolve`` and named like perfbench's layers.  A ``core.cluster``
-span with ``k > 1`` stands for exactly one k-means fit, and tracing never
-changes a ranking.
+span with ``k > 1`` stands for exactly one k-means fit.  Refinement runs
+under a ``search.refine`` span, so a sub-scope ``partitions.resolve`` is its
+child.  Tracing never changes a ranking.
 """
 
 from __future__ import annotations
@@ -67,6 +68,17 @@ class TestDiscoverySpans:
             clustered = ["core.cluster"] if resolve["attributes"]["clustered"] else []
             induced = ["core.induce"] if resolve["attributes"]["induced"] else []
             assert sorted(children) == [*clustered, *induced]
+
+    def test_refinement_resolves_sit_under_search_refine(self):
+        _, records = _traced_summarize(employee_pair(150, seed=3))
+        refines = {r["span"]: r for r in records if r["name"] == "search.refine"}
+        resolves = [r for r in records if r["name"] == "partitions.resolve"]
+        sub_scopes = [r for r in resolves if not r["attributes"]["top_level"]]
+        assert refines and sub_scopes
+        assert all(r["parent"] in refines for r in sub_scopes)
+        assert not any(r["parent"] in refines for r in resolves if r["attributes"]["top_level"])
+        for record in refines.values():
+            assert set(record["attributes"]) == {"partitions", "refined"}
 
     def test_rankings_equal_with_tracing_on_and_off(self):
         pair = employee_pair(150, seed=3)

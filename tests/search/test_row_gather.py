@@ -49,7 +49,7 @@ def _copying_fit(evaluator: CandidateEvaluator, transformation_subset, mask):
     identity = LinearTransformation.identity("bonus")
     if error(identity, source_rows, None, actual_new) <= baseline_error + 1e-9:
         return identity
-    return transformation.snapped(source_rows, actual_new, evaluator._config.snapping_tolerance)
+    return transformation.snapped(source_rows, actual_new, evaluator._config.snapping_tolerance)[0]
 
 
 def _masks(num_rows: int):
@@ -64,14 +64,17 @@ class TestGatheredRows:
     @given(mask=_masks(PAIR.num_rows), subset=st.sampled_from(TRANSFORMATION_SUBSETS))
     def test_fit_equals_the_copying_path(self, mask, subset):
         evaluator = CandidateEvaluator(PAIR, "bonus", CharlesConfig())
-        got = evaluator._fit_transformation(subset, mask)
+        fit = evaluator._fit_transformation(subset, mask)
         want = _copying_fit(evaluator, subset, mask)
-        assert got == want
-        if got is not None:
+        assert (None if fit is None else fit.transformation) == want
+        if fit is not None:
+            got = fit.transformation
             actual = PAIR.target.numeric_column("bonus")[mask]
             gathered = CandidateEvaluator._partition_error(got, PAIR.source, mask, actual)
             copied = CandidateEvaluator._partition_error(got, PAIR.source.mask(mask), None, actual)
             assert np.float64(gathered).tobytes() == np.float64(copied).tobytes()
+            # the error the fit memo keeps is the one refinement used to compute
+            assert np.float64(fit.error).tobytes() == np.float64(gathered).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(mask=_masks(PAIR.num_rows), subset=st.sampled_from(TRANSFORMATION_SUBSETS))
