@@ -54,9 +54,10 @@ class Partition:
     """A candidate data partition described by a condition.
 
     ``mask`` is the condition's row mask over the *full* source table (not just
-    the changed rows); ``fidelity`` measures how well the induced condition
-    reproduces the cluster it came from (Jaccard similarity), and ``coverage``
-    is the fraction of all rows the condition selects.
+    the changed rows), limited to the discovery scope; ``fidelity`` measures
+    how well the induced condition reproduces the cluster it came from
+    (Jaccard similarity), and ``coverage`` is the share of the scope's rows
+    (every row without a scope) the mask selects.
     """
 
     condition: Condition
@@ -78,11 +79,14 @@ def discover_partitions(
     n_partitions: int,
     config: CharlesConfig | None = None,
     residual_weight: float = 1.0,
+    scope: np.ndarray | None = None,
 ) -> list[Partition]:
     """Discover up to ``n_partitions`` candidate partitions of the changed rows.
 
     ``residual_weight`` controls how strongly the distance-from-the-regression-
     line feature dominates the clustering (see ``CharlesConfig.residual_weights``).
+    ``scope``, a boolean mask over the pair's rows, limits discovery to
+    those rows (``None``: every row); partition masks stay over the full pair.
     Returns a list of :class:`Partition` objects in first-match order.
     Partitions whose induced condition is trivial (except a trailing
     catch-all), duplicated, or below the configured minimum coverage are
@@ -98,12 +102,13 @@ def discover_partitions(
         n_partitions,
         config,
         residual_weight=residual_weight,
+        scope=scope,
     )
     if clustered is None:
         return []
     changed_indices, labels = clustered
     return partitions_from_labels(
-        pair, target, condition_attributes, changed_indices, labels, n_partitions, config
+        pair, condition_attributes, changed_indices, labels, n_partitions, config, scope=scope
     )
 
 
@@ -116,6 +121,7 @@ def cluster_changed_rows(
     config: CharlesConfig | None = None,
     residual_weight: float = 1.0,
     clustering_input: Callable[[np.ndarray], np.ndarray] | None = None,
+    scope: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """The clustering stage of partition discovery: changed rows and their labels.
 
@@ -123,7 +129,8 @@ def cluster_changed_rows(
     residual features weighted by ``residual_weight``.  It reads *only* the
     changed rows: the source-side values of the condition, transformation and
     target attributes plus the target-side values of the target attribute,
-    restricted to ``pair.changed_mask(target)``.  It is split from
+    restricted to ``pair.changed_mask(target) & scope`` (no ``scope``: every
+    row) and returned as indices into the full pair.  It is split from
     :func:`partitions_from_labels` so each stage can be timed on its own.
 
     ``clustering_input``, when given, is called with the changed row indices
@@ -136,6 +143,8 @@ def cluster_changed_rows(
     """
     config = config or CharlesConfig()
     changed = pair.changed_mask(target)
+    if scope is not None:
+        changed = changed & scope
     if not changed.any():
         return None
     changed_indices = np.nonzero(changed)[0]
@@ -187,7 +196,7 @@ def condition_features(
     """The encoded condition attributes of the changed rows, min-max scaled."""
     if not condition_attributes:
         return np.empty((changed_indices.size, 0))
-    return TableEncoder(list(condition_attributes)).fit_transform(source.take(changed_indices))
+    return TableEncoder(list(condition_attributes)).fit_transform(source, rows=changed_indices)
 
 
 def residual_features(
@@ -220,32 +229,38 @@ def residual_features(
 
 def partitions_from_labels(
     pair: SnapshotPair,
-    target: str,
     condition_attributes: Sequence[str],
     changed_indices: np.ndarray,
     labels: np.ndarray,
     n_partitions: int,
     config: CharlesConfig | None = None,
+    scope: np.ndarray | None = None,
 ) -> list[Partition]:
     """The induction stage of partition discovery: clusters to conditions to masks.
 
     Translates the clustering of :func:`cluster_changed_rows` into readable,
     first-match partitions.  Unlike the clustering stage this reads the
-    condition attributes over the *whole* source table: conditions must
-    separate members from everything else.
+    condition attributes over the *whole* scope (every row when ``scope`` is
+    ``None``): conditions must separate members from everything else in it.
+    Rows outside the scope are ignored like rows an earlier partition
+    claimed, and no partition mask selects them.
     """
     config = config or CharlesConfig()
     source = pair.source
+    outside = None if scope is None else ~scope
+    scope_rows = source.num_rows if scope is None else int(np.count_nonzero(scope))
 
     # Pass 1: independent induction, to learn which clusters can be described
-    # cleanly against the whole table.
+    # cleanly against the whole scope.
     preliminary: list[tuple[np.ndarray, Condition]] = []
     for label in range(int(labels.max()) + 1 if labels.size else 0):
         member_positions = np.nonzero(labels == label)[0]
         if member_positions.size == 0:
             continue
         member_indices = changed_indices[member_positions]
-        condition = induce_condition(source, member_indices, condition_attributes, config)
+        condition = induce_condition(
+            source, member_indices, condition_attributes, config, ignore_mask=outside
+        )
         preliminary.append((member_indices, condition))
 
     # Pass 2: sequential induction under first-match semantics.  Cleanly
@@ -261,8 +276,9 @@ def partitions_from_labels(
     for position, (member_indices, condition) in enumerate(preliminary):
         is_last = position == len(preliminary) - 1
         if claimed.any():
+            ignore_mask = claimed if outside is None else claimed | outside
             condition = induce_condition(
-                source, member_indices, condition_attributes, config, ignore_mask=claimed
+                source, member_indices, condition_attributes, config, ignore_mask=ignore_mask
             )
         if condition.is_trivial and n_partitions > 1:
             # a trailing catch-all is acceptable once every other cluster has a
@@ -273,7 +289,9 @@ def partitions_from_labels(
             continue
         seen_conditions.add(condition.descriptors)
         mask = condition.mask(source) & ~claimed
-        coverage = float(mask.mean()) if source.num_rows else 0.0
+        if scope is not None:
+            mask &= scope
+        coverage = int(np.count_nonzero(mask)) / scope_rows if scope_rows else 0.0
         if coverage < config.min_partition_coverage:
             continue
         fidelity = _jaccard(mask, _indices_to_mask(member_indices, source.num_rows))
@@ -512,6 +530,8 @@ def _nice_threshold(low: float, high: float, inclusive_high: bool = True) -> flo
         while value <= high + 1e-12:
             if low < value <= high:
                 candidates.append(float(value))
+            if value + scale == value:  # a gap of a few ulps: no step moves it
+                break
             value += scale
             if len(candidates) > 64:
                 break

@@ -146,15 +146,23 @@ class TableEncoder:
         table: Table,
         extra_features: np.ndarray | None = None,
         extra_names: Sequence[str] = (),
+        rows: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Fit the encoders on ``table`` and return the encoded matrix."""
+        """Fit the encoders on ``table`` and return the encoded matrix.
+
+        ``rows`` (a boolean mask or an index array), when given, selects the
+        rows to encode, as in :meth:`Table.numeric_matrix`.
+        """
         blocks: list[np.ndarray] = []
         self._feature_names = []
         self._one_hot = {}
+        if rows is not None and rows.dtype == bool:
+            rows = np.flatnonzero(rows)
+        num_rows = table.num_rows if rows is None else rows.size
         for name in self.columns:
             column = table.schema.column(name)
             if column.is_numeric:
-                values = table.numeric_column(name)
+                values = table.numeric_matrix([name], rows)[:, 0]
                 # a non-finite value is imputed like a missing one; the mean
                 # is nanmean's arithmetic over the finite values
                 finite = np.isfinite(values)
@@ -164,17 +172,19 @@ class TableEncoder:
                 blocks.append(values.reshape(-1, 1))
                 self._feature_names.append(name)
             else:
-                encoder = OneHotEncoder().fit(table.unique(name))
+                encoder = OneHotEncoder().fit(table.unique(name, rows))
                 self._one_hot[name] = encoder
-                blocks.append(encoder.transform_codes(*table.categorical_codes(name)))
+                codes, levels = table.categorical_codes(name)
+                codes = codes if rows is None else codes[rows]
+                blocks.append(encoder.transform_codes(codes, levels))
                 self._feature_names.extend(encoder.feature_names(name))
         if extra_features is not None:
             extra = np.asarray(extra_features, dtype=float)
             if extra.ndim == 1:
                 extra = extra.reshape(-1, 1)
-            if extra.shape[0] != table.num_rows:
+            if extra.shape[0] != num_rows:
                 raise SchemaError(
-                    f"extra features have {extra.shape[0]} rows, table has {table.num_rows}"
+                    f"extra features have {extra.shape[0]} rows, table has {num_rows}"
                 )
             blocks.append(extra)
             self._feature_names.extend(

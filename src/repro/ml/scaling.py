@@ -87,7 +87,9 @@ class MinMaxScaler:
         matrix = _as_matrix(values)
         if matrix.shape[0] == 0:
             raise ModelFitError("cannot fit a scaler on zero rows")
-        self.minimums = np.nanmin(matrix, axis=0)
+        # which of -0.0 and +0.0 nanmin returns depends on the array's memory
+        # layout; +0.0 makes a column scale alike alone and inside a matrix
+        self.minimums = np.nanmin(matrix, axis=0) + 0.0
         ranges = np.nanmax(matrix, axis=0) - self.minimums
         self.ranges = ranges
         self._fitted = True

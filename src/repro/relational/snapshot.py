@@ -5,14 +5,13 @@ The paper (§2) assumes the source dataset ``D_s`` and the target dataset
 insertions or deletions) and differ only in the values of non-key attributes.
 :class:`SnapshotPair` validates that contract, aligns the two versions row by
 row via the primary key (or row order when no key exists), and exposes the
-aligned views that the diff-discovery engine, the scoring functions, and the
-baselines all consume.
+aligned tables and per-attribute change masks that the diff-discovery engine,
+the scoring functions, and the baselines all consume.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
 from typing import Any, Sequence
 
 import numpy as np
@@ -31,12 +30,14 @@ class SnapshotPair:
     Construct with :meth:`align`, which validates the ChARLES input contract
     and reorders the target so that row *i* of ``source`` and row *i* of
     ``target`` describe the same entity.  Both tables are immutable, so
-    :meth:`changed_mask` computes each mask once per pair.
+    :meth:`changed_mask` computes each mask once per pair.  The engine reads
+    a subset of the rows through a boolean mask over this one pair, never
+    through a copy of it.
 
     A keyed pair's entity identifiers are its source key column, decoded
-    only when :attr:`key_values` asks for them; a pair without a key keeps
-    the row positions it was aligned at.  Either way they follow from the
-    tables and the pair's provenance, so equality ignores them.
+    only when :attr:`key_values` asks for them; a pair without a key is
+    identified by its row positions.  Either way they follow from the
+    tables, so equality ignores them.
     """
 
     source: Table
@@ -86,7 +87,7 @@ class SnapshotPair:
                     "no key column available and row counts differ "
                     f"({source.num_rows} vs {target.num_rows})"
                 )
-            return cls(source, target, None, tuple(range(source.num_rows)))
+            return cls(source, target, None)
 
         source.schema.column(key)
         source_keys = source.column(key)
@@ -200,33 +201,3 @@ class SnapshotPair:
                 f"{column.dtype.value}"
             )
         return self.target.numeric_column(attribute) - self.source.numeric_column(attribute)
-
-    # -- derived views --------------------------------------------------------
-
-    def restricted(self, mask: np.ndarray | Sequence[bool]) -> "SnapshotPair":
-        """The pair restricted to the rows where ``mask`` is true."""
-        mask_array = np.asarray(mask, dtype=bool)
-        source = self.source.mask(mask_array)
-        target = self.target.mask(mask_array)
-        keys = None
-        if self.key is None:
-            keys = tuple(compress(self.key_values, mask_array.tolist()))
-        return SnapshotPair(source, target, self.key, keys)
-
-    def combined(self, target_attribute: str, suffix_old: str = "_old",
-                 suffix_new: str = "_new") -> Table:
-        """A single table with the source columns plus old/new target columns.
-
-        This is the feature view that regression and clustering operate on:
-        every source attribute, the source value of the target attribute under
-        ``<attr><suffix_old>`` and the target value under ``<attr><suffix_new>``.
-        """
-        self.schema.column(target_attribute)
-        table = self.source
-        table = table.with_column(
-            target_attribute + suffix_old, self.source.column(target_attribute)
-        )
-        table = table.with_column(
-            target_attribute + suffix_new, self.target.column(target_attribute)
-        )
-        return table

@@ -485,9 +485,15 @@ class Table:
             return list(range(self.num_rows))
         return self.column(self.primary_key)
 
-    def unique(self, name: str) -> list[Any]:
-        """Distinct non-missing values of column ``name`` in first-seen order."""
+    def unique(self, name: str, rows: np.ndarray | None = None) -> list[Any]:
+        """Distinct non-missing values of column ``name`` in first-seen order.
+
+        ``rows`` (a boolean mask or an index array), when given, selects the
+        rows to read, as in :meth:`numeric_matrix`.
+        """
         data = self._columns[self.schema.column(name).name]
+        if rows is not None:
+            data = data.take(rows)
         if isinstance(data, _CategoricalData):
             distinct, first = np.unique(data.codes, return_index=True)
             return [data.levels[code] for code in distinct[np.argsort(first)].tolist() if code >= 0]

@@ -3,8 +3,8 @@
 The search evaluates many :class:`~repro.search.planner.CandidateSpec`\\ s that
 overlap heavily: different partition counts and residual weights frequently
 collapse to the same partition masks, merging re-fits union masks that later
-specs rediscover, and hierarchical refinement re-runs partition discovery on
-the same sub-table for every spec that produced the same parent partition.
+specs rediscover, and hierarchical refinement re-runs partition discovery in
+the same scope for every spec that produced the same parent partition.
 :class:`SearchCaches` memoises that work so no regression fit or partition
 discovery is computed twice for one pair (per worker process, in parallel
 runs).

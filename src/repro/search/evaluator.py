@@ -12,7 +12,7 @@ work that recurs across specs is done once:
   masks re-fitted during merging and partitions that recur across specs fit
   once, and refinement reads a partition's error instead of scoring it again;
 * *partition discoveries*: identical partition masks at different
-  ``k``/residual weights, and refinement re-clustering the same sub-table;
+  ``k``/residual weights, and refinement re-clustering the same scope;
 * the *clustering input*, in two blocks keyed by the changed rows it reads:
   the residual features per (T, changed rows) and the encoded conditions per
   (C, changed rows), so every C, k and w of those rows shares one global
@@ -27,9 +27,10 @@ work that recurs across specs is done once:
 
 Keys identify rows by :func:`~repro.search.cache.mask_digest`, which is only
 meaningful within one pair, so an evaluator scopes the caches it is handed
-to its pair before it reads them.  Per-spec steps read partition rows
-through their masks from the pair's full-table arrays
-(``Table.numeric_matrix(names, rows)``), never through a table copy.
+to its pair before it reads them.  Every step, discovery inside a
+refinement scope included, reads rows through a mask from the pair's
+full-table arrays (``Table.numeric_matrix(names, rows)``), never through a
+table copy.
 
 One kind of pruning happens here, and it is exact: if a spec's discovered
 partitions (conditions + masks) are identical to those of a spec evaluated
@@ -341,23 +342,21 @@ class CandidateEvaluator:
     ) -> tuple[tuple[Partition, ...], bool, bool]:
         """Full partition discovery: cluster the changed rows, induce conditions.
 
-        Returns the partitions, whether clustering ran and whether induction
-        ran (each ``False`` when its result was reused).  Clustering reads
-        only the scope's changed rows, so its labelling is memoised by their
-        digest: a refinement scope that holds every changed row reuses the
-        top-level labels.  Clustering runs under a ``core.cluster`` span and
-        induction under a ``core.induce`` span, the layer names perfbench
-        uses.  Induction reads the scope's source values of C, its changed
-        rows and the labels; the scope mask digest stands for the first two
-        within this evaluator's pair, and k enters only as ``k > 1`` (whether
-        a trivial condition may be dropped).  The restricted pair of a
-        refinement scope is built only if a stage has to run.
+        Both stages read the evaluator's pair through ``scope_mask``, and the
+        partition masks they return are over the full pair.  Returns the
+        partitions, whether clustering ran and whether induction ran (each
+        ``False`` when its result was reused).  Clustering reads only the
+        scope's changed rows, so its labelling is memoised by their digest: a
+        refinement scope that holds every changed row reuses the top-level
+        labels.  Clustering runs under a ``core.cluster`` span and induction
+        under a ``core.induce`` span, the layer names perfbench uses.
+        Induction reads the scope's source values of C, its changed rows and
+        the labels; the scope mask digest stands for the first two within this
+        evaluator's pair, and k enters only as ``k > 1`` (whether a trivial
+        condition may be dropped).
         """
-        pair = self._pair
-        changed = pair.changed_mask(self._target)
-        if scope_mask is not self._full_mask:
-            changed = changed & scope_mask
-            pair = None
+        changed = self._pair.changed_mask(self._target) & scope_mask
+        changed_rows = np.flatnonzero(changed)
         changed_digest = mask_digest(changed)
         key = (
             self._target,
@@ -370,24 +369,20 @@ class CandidateEvaluator:
         labels = self.caches.labellings.get(key, MISSING)
         clustered = labels is MISSING
         if clustered:
-            if pair is None:
-                pair = self._pair.restricted(scope_mask)
-            changed_rows = np.flatnonzero(changed)
             # `k` is the cluster count k-means ran with, 1 when nothing was clustered
             with self._tracer.span(
                 "core.cluster", k=1, weight=residual_weight, rows=0, width=0
             ) as span:
 
                 def clustering_input(changed_indices: np.ndarray) -> np.ndarray:
-                    # the scope's changed rows are `changed_rows` of the full pair
                     matrix = self._clustering_input(
-                        condition_subset, transformation_subset, changed_rows, changed_digest
+                        condition_subset, transformation_subset, changed_indices, changed_digest
                     )
                     span.set(k=min(n_partitions, changed_indices.size), width=matrix.shape[1])
                     return matrix
 
                 result = cluster_changed_rows(
-                    pair,
+                    self._pair,
                     self._target,
                     condition_subset,
                     transformation_subset,
@@ -395,6 +390,7 @@ class CandidateEvaluator:
                     self._config,
                     residual_weight=residual_weight,
                     clustering_input=clustering_input,
+                    scope=scope_mask,
                 )
                 labels = None
                 if result is not None:
@@ -408,19 +404,16 @@ class CandidateEvaluator:
         partitions = self.caches.inductions.get(key)
         if partitions is not None:
             return partitions, clustered, False
-        if pair is None:
-            pair = self._pair.restricted(scope_mask)
-        changed_indices = np.flatnonzero(pair.changed_mask(self._target))
-        with self._tracer.span("core.induce", rows=changed_indices.size) as span:
+        with self._tracer.span("core.induce", rows=changed_rows.size) as span:
             partitions = tuple(
                 partitions_from_labels(
-                    pair,
-                    self._target,
+                    self._pair,
                     condition_subset,
-                    changed_indices,
+                    changed_rows,
                     labels,
                     n_partitions,
                     self._config,
+                    scope=scope_mask,
                 )
             )
             span.set(partitions=len(partitions))
@@ -582,8 +575,8 @@ class CandidateEvaluator:
         When one discovered partition actually contains several sub-policies
         (e.g. the MS group hiding an experience threshold), its single linear
         model leaves a visible share of the change unexplained.  Refinement
-        restricts the pair to that partition, runs partition discovery again
-        inside it, and replaces the partition with the sub-partitions — whose
+        runs partition discovery again with that partition's mask as the
+        scope, and replaces the partition with the sub-partitions — whose
         conditions are the parent condition conjoined with the sub-conditions,
         exactly the nested structure of the paper's Fig. 2 tree.  A partition's
         unexplained change, and each sub-partition's, is the error its fit
@@ -613,18 +606,15 @@ class CandidateEvaluator:
                 continue
             replacement: list[tuple[Partition, _Fit]] = []
             replacement_error = 0.0
-            parent_indices = np.nonzero(partition.mask)[0]
             for sub in sub_partitions:
-                sub_mask_full = np.zeros(pair.num_rows, dtype=bool)
-                sub_mask_full[parent_indices[np.nonzero(sub.mask)[0]]] = True
                 combined = self._conjoin(partition.condition, sub.condition)
-                sub_fit = self._cached_fit(transformation_subset, sub_mask_full)
+                sub_fit = self._cached_fit(transformation_subset, sub.mask)
                 if sub_fit is None:
                     continue
                 replacement_error += sub_fit.error
-                coverage = float(sub_mask_full.mean())
+                coverage = float(sub.mask.mean())
                 replacement.append(
-                    (Partition(combined, sub_mask_full, sub.fidelity, coverage), sub_fit)
+                    (Partition(combined, sub.mask, sub.fidelity, coverage), sub_fit)
                 )
             if len(replacement) >= 2 and replacement_error < unexplained:
                 refined.extend(replacement)

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import Charles, CharlesConfig
+from repro.core.partitioning import Partition, discover_partitions
 from repro.relational import SnapshotPair, Table
 from repro.workloads import (
     billionaires_pair,
@@ -83,3 +85,29 @@ def small_table() -> Table:
         ],
         primary_key="id",
     )
+
+
+@pytest.fixture(scope="session")
+def restricted_discovery():
+    """Partition discovery on a copy of a pair cut down to a scope: the oracle.
+
+    ``restricted_discovery(pair, scope, *args, **kwargs)`` builds the pair's
+    rows under the boolean ``scope`` with ``Table.mask``, runs
+    ``discover_partitions(restricted_pair, *args, **kwargs)`` and embeds each
+    partition mask back into the full pair.  Scoped discovery on the full
+    pair must return exactly these partitions.
+    """
+
+    def discover(pair, scope, *args, **kwargs):
+        restricted = SnapshotPair(pair.source.mask(scope), pair.target.mask(scope), pair.key)
+        rows = np.flatnonzero(scope)
+        embedded = []
+        for partition in discover_partitions(restricted, *args, **kwargs):
+            mask = np.zeros(pair.num_rows, dtype=bool)
+            mask[rows[partition.mask]] = True
+            embedded.append(
+                Partition(partition.condition, mask, partition.fidelity, partition.coverage)
+            )
+        return embedded
+
+    return discover

@@ -2,12 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.condition import DescriptorKind
 from repro.core.config import CharlesConfig
-from repro.core.partitioning import discover_partitions, induce_condition, partitions_from_labels
+from repro.core.partitioning import (
+    _nice_threshold,
+    discover_partitions,
+    induce_condition,
+    partitions_from_labels,
+)
 from repro.relational.snapshot import SnapshotPair
 from repro.relational.table import Table
+from repro.workloads import employee_pair
 
 
 class TestInduceCondition:
@@ -71,6 +79,12 @@ class TestInduceCondition:
         phd_indices = np.nonzero(edu == "PhD")[0]
         condition = induce_condition(source, phd_indices, ["gen"])
         assert condition.is_trivial
+
+    def test_threshold_between_adjacent_floats_is_found(self):
+        # a gap of one ulp: every candidate step is below the values' precision
+        low = 999.0
+        high = float(np.nextafter(low, 2000.0))
+        assert low <= _nice_threshold(low, high) <= high
 
     def test_thresholds_are_round(self, montgomery_400):
         source = montgomery_400.source
@@ -139,7 +153,7 @@ class TestDiscoverPartitions:
         bonus = [200.0] * 4 + [100.0] * (len(xs) - 4)
         pair = SnapshotPair.align(source, source.with_column("bonus", bonus), key="id")
         partitions = partitions_from_labels(
-            pair, "bonus", ["x"], np.arange(4), np.array([0, 0, 1, 1]), 2, CharlesConfig()
+            pair, ["x"], np.arange(4), np.array([0, 0, 1, 1]), 2, CharlesConfig()
         )
         conditions = [partition.condition for partition in partitions]
         assert [str(condition) for condition in conditions] == ["x in [1, 2]"] * 2
@@ -180,7 +194,7 @@ class TestPassTwoReusesPassOne:
         changed = np.flatnonzero(fig1_pair.changed_mask("bonus"))
         labels = np.array([("MS", "PhD").index(edu[i]) for i in changed])
         partitions = partitions_from_labels(
-            fig1_pair, "bonus", ["edu"], changed, labels, 2, CharlesConfig()
+            fig1_pair, ["edu"], changed, labels, 2, CharlesConfig()
         )
         assert [str(partition.condition) for partition in partitions] == [
             "edu = 'MS'", "edu = 'PhD'"
@@ -208,3 +222,91 @@ class TestPassTwoReusesPassOne:
             assert induce_condition(
                 source, members, attributes, ignore_mask=nothing
             ) == induce_condition(source, members, attributes)
+
+
+_EMPLOYEE_PAIRS = {seed: employee_pair(120, seed=seed, noise_fraction=0.05) for seed in (3, 8)}
+_finite = st.floats(-1e3, 1e3, allow_nan=False)
+_cell = st.one_of(_finite, _finite, st.none(), st.sampled_from([float("inf"), float("-inf")]))
+
+
+@st.composite
+def _small_pairs(draw):
+    """A small pair with missing, infinite and repeated values in every role."""
+    n = draw(st.integers(2, 30))
+    levels = st.sampled_from(draw(st.sampled_from([("a",), ("a", "b"), ("a", "b", "c", "d")])))
+    # a first non-missing cell gives each column its type
+    category = ["a"] + draw(st.lists(st.one_of(levels, st.none()), min_size=n - 1, max_size=n - 1))
+    number = [draw(_finite)] + draw(st.lists(_cell, min_size=n - 1, max_size=n - 1))
+    old = draw(st.lists(_finite, min_size=n, max_size=n))
+    shifts = draw(st.lists(st.sampled_from([0.0, 0.0, 5.0, -2.5, 100.0]), min_size=n, max_size=n))
+    new = [value + shift for value, shift in zip(old, shifts)]
+    source = Table.from_columns({"cat": category, "num": number, "y": old})
+    pair = SnapshotPair.align(source, source.with_column("y", new))
+    return pair, "y", ("cat", "num", "y"), ("num", "y")
+
+
+@st.composite
+def _scoped_cases(draw):
+    if draw(st.booleans()):
+        pair, target = _EMPLOYEE_PAIRS[draw(st.sampled_from(sorted(_EMPLOYEE_PAIRS)))], "bonus"
+        attributes, numeric = ("edu", "exp", "gen", "salary", "bonus"), ("exp", "salary", "bonus")
+    else:
+        pair, target, attributes, numeric = draw(_small_pairs())
+    n = pair.num_rows
+    if draw(st.booleans()):
+        # a refinement scope is the mask of a condition
+        attribute = draw(st.sampled_from(attributes))
+        column = pair.source.column(attribute)
+        value = column[draw(st.integers(0, n - 1))]
+        scope = np.array([cell == value for cell in column])
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        scope = rng.random(n) < draw(st.sampled_from([0.1, 0.5, 0.9, 1.0]))
+    conditions = draw(st.lists(st.sampled_from(attributes), min_size=1, max_size=3, unique=True))
+    transformations = draw(st.lists(st.sampled_from(numeric), min_size=1, max_size=2, unique=True))
+    k = draw(st.integers(1, 4))
+    weight = draw(st.sampled_from([1.0, 4.0]))
+    return pair, target, scope, tuple(conditions), tuple(transformations), k, weight
+
+
+class TestScopedDiscovery:
+    """Discovery under a scope mask is discovery on the pair cut down to the scope.
+
+    Induction ignores the rows outside the scope as it ignores claimed rows,
+    masks are limited to the scope and coverage is a share of its rows, so
+    conditions, masks, fidelity and coverage must equal those of discovery
+    on a copy of the scope's rows (the oracle), masks embedded back.
+    """
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=_scoped_cases())
+    def test_equals_discovery_on_the_restricted_pair(self, case, restricted_discovery):
+        pair, target, scope, conditions, transformations, k, weight = case
+        config = CharlesConfig()
+        got = discover_partitions(
+            pair, target, conditions, transformations, k, config,
+            residual_weight=weight, scope=scope,
+        )
+        want = restricted_discovery(
+            pair, scope, target, conditions, transformations, k, config, residual_weight=weight
+        )
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.condition == b.condition
+            assert a.mask.tobytes() == b.mask.tobytes()
+            assert np.float64(a.fidelity).tobytes() == np.float64(b.fidelity).tobytes()
+            assert np.float64(a.coverage).tobytes() == np.float64(b.coverage).tobytes()
+
+    def test_an_unchanged_scope_yields_no_partitions(self, employee_200):
+        scope = ~employee_200.changed_mask("bonus")
+        assert discover_partitions(
+            employee_200, "bonus", ["edu"], ["bonus"], 2, scope=scope
+        ) == []
+
+    def test_no_scope_is_the_full_scope(self, employee_200):
+        every_row = np.ones(employee_200.num_rows, dtype=bool)
+        args = (employee_200, "bonus", ["edu", "exp"], ["bonus"], 3, CharlesConfig())
+        got, want = discover_partitions(*args, scope=every_row), discover_partitions(*args)
+        assert [(p.condition, p.mask.tobytes(), p.fidelity, p.coverage) for p in got] == [
+            (p.condition, p.mask.tobytes(), p.fidelity, p.coverage) for p in want
+        ]

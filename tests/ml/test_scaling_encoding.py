@@ -54,6 +54,18 @@ class TestMinMaxScaler:
         scaler = MinMaxScaler()
         assert np.allclose(scaler.inverse_transform(scaler.fit_transform(data)), data)
 
+    def test_signed_zeros_scale_alike_alone_and_inside_a_matrix(self):
+        # nanmin picks -0.0 or +0.0 by the array's layout; the minimum is +0.0
+        column = np.array([-0.0, 0.0, 0.0, -0.0, -0.0, 0.0, 0.0, 1.0, -0.0])
+        matrix = np.column_stack([column, np.arange(9.0)])
+        alone = MinMaxScaler().fit(column.reshape(-1, 1))
+        inside = MinMaxScaler().fit(matrix)
+        assert not np.signbit(alone.minimums).any()
+        assert not np.signbit(inside.minimums).any()
+        assert alone.transform(column.reshape(-1, 1)).tobytes() == (
+            inside.transform(matrix)[:, :1].tobytes()
+        )
+
 
 class TestOneHotEncoder:
     def test_encoding_and_feature_names(self):
@@ -128,6 +140,18 @@ class TestTableEncoder:
     def test_no_columns_and_no_extras_rejected(self, table):
         with pytest.raises(ModelFitError):
             TableEncoder([]).fit_transform(table)
+
+    @pytest.mark.parametrize("rows", [[2, 1], [True, False, True], [False, False, True]])
+    def test_rows_encode_like_the_copied_rows(self, table, rows):
+        rows = np.array(rows)
+        copied = table.mask(rows) if rows.dtype == bool else table.take(rows)
+        encoder = TableEncoder(["edu", "exp", "salary"])
+        reference = TableEncoder(["edu", "exp", "salary"])
+        got = encoder.fit_transform(table, rows=rows)
+        want = reference.fit_transform(copied)
+        assert got.tobytes() == want.tobytes()
+        # one-hot categories in first-seen order among the rows
+        assert encoder.feature_names == reference.feature_names
 
     def test_feature_names_before_fit_rejected(self):
         with pytest.raises(ModelFitError):

@@ -1,6 +1,5 @@
 """Unit tests for snapshot alignment (the ChARLES input contract)."""
 
-import numpy as np
 import pytest
 
 from repro.exceptions import SnapshotAlignmentError
@@ -136,30 +135,21 @@ class TestChangeInspection:
         pair = SnapshotPair.align(source, target)
         assert not pair.changed_mask("v").any()
 
-    def test_restricted(self, pair):
-        sub = pair.restricted(np.array([True, False, True]))
-        assert sub.num_rows == 2
-        assert sub.key_values == ["a", "c"]
-        assert sub.changed_mask("v").tolist() == [True, True]
-
-    def test_restricted_pair_decodes_its_keys_only_when_asked(self, pair, monkeypatch):
+    def test_pair_decodes_its_keys_only_when_asked(self, pair, monkeypatch):
         decoded = _spy_on_column(monkeypatch)
-        mask = np.array([False, True, True])
-        sub = pair.restricted(mask)
+        lazy = SnapshotPair(pair.source, pair.target, pair.key)
         assert "id" not in decoded
-        assert sub.key_values == ["b", "c"] == [pair.key_values[i] for i in (1, 2)]
+        assert lazy.key_values == ["a", "b", "c"]
         assert decoded.count("id") == 1
-        assert sub.key_values == ["b", "c"]
+        assert lazy.key_values == ["a", "b", "c"]
         assert decoded.count("id") == 1  # decoded once, then kept
         # equality reads tables and key, not whether the keys were decoded
-        assert sub == pair.restricted(mask)
+        assert lazy == pair
 
-    def test_restricted_positional_pair_keeps_its_positions(self):
+    def test_positional_pair_is_identified_by_row_positions(self):
         table = Table.from_columns({"v": [1.0, 2.0, 3.0]})
         pair = SnapshotPair.align(table, table.with_column("v", [1.0, 5.0, 6.0]))
-        sub = pair.restricted(np.array([False, True, True]))
-        assert sub.key_values == [1, 2]
-        assert sub.restricted(np.array([False, True])).key_values == [2]
+        assert pair.key_values == [0, 1, 2]
         assert SnapshotPair(table, table, None).key_values == [0, 1, 2]
 
     def test_a_search_decodes_no_key_column_after_alignment(self, monkeypatch):
@@ -171,11 +161,6 @@ class TestChangeInspection:
         result = Charles(CharlesConfig()).summarize_pair(pair, "bonus")
         assert result.summaries
         assert pair.key not in decoded
-
-    def test_combined_view(self, pair):
-        combined = pair.combined("v")
-        assert "v_old" in combined.column_names and "v_new" in combined.column_names
-        assert combined.column("v_new") == [11.0, 20.0, 33.0]
 
     def test_len_and_key_values(self, pair):
         assert len(pair) == 3

@@ -105,6 +105,14 @@ class TestAccess:
     def test_unique_preserves_order_and_skips_missing(self, small_table):
         assert small_table.unique("city") == ["Boston", "Salt Lake", "Amherst"]
 
+    def test_unique_of_rows_equals_unique_of_the_copied_rows(self, small_table):
+        indices = np.array([3, 0, 4, 2])
+        assert small_table.unique("city", indices) == ["Amherst", "Boston", "Salt Lake"]
+        mask = np.array([False, True, False, True, True])
+        for name in small_table.column_names:
+            assert small_table.unique(name, indices) == small_table.take(indices).unique(name)
+            assert small_table.unique(name, mask) == small_table.mask(mask).unique(name)
+
     def test_head(self, small_table):
         assert small_table.head(2).num_rows == 2
         assert small_table.head(100).num_rows == 5

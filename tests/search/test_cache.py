@@ -223,7 +223,9 @@ class TestColumnFingerprintGolden:
         )
 
     def test_restricted_pair_prints_match_the_pinned_value(self):
-        sub = self._pair().restricted(np.array([False, True, True, True, False]))
+        pair = self._pair()
+        rows = np.array([False, True, True, True, False])
+        sub = SnapshotPair(pair.source.mask(rows), pair.target.mask(rows), pair.key)
         token = _token(sub, "bonus", ["edu", "active", "exp"], np.ones(3, dtype=bool))
         assert token.hex() == "390a6bcde44e2d5e0bc5b771c0b174d2"
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import Charles, CharlesConfig
@@ -246,9 +246,23 @@ def _clustering_cases(draw):
     return pair, scope, tuple(conditions), tuple(transformations)
 
 
+def _signed_zero_case():
+    """A condition column of -0.0 and +0.0 values.
+
+    Scaled alone, its minimum used to come out +0.0 and inside the joint
+    matrix -0.0, so the blocks differed from the joint matrix in sign bits.
+    """
+    t = [-0.0, 0.0, 0.0, -0.0, -0.0, 0.0, 0.0, 1.0, -0.0]
+    old = [float(i) for i in range(len(t))]
+    source = Table.from_columns({"cat": ["a"] * len(t), "num": [1.0] * len(t), "t": t, "y": old})
+    pair = SnapshotPair.align(source, source.with_column("y", [value + 1.0 for value in old]))
+    return pair, np.ones(len(t), dtype=bool), ("t",), ("t",)
+
+
 class TestBlockAssembledInput:
     @settings(max_examples=150, deadline=None)
     @given(case=_clustering_cases())
+    @example(case=_signed_zero_case())
     def test_blocks_equal_the_joint_matrix_bit_for_bit(self, case):
         pair, scope, conditions, transformations = case
         config = CharlesConfig()
@@ -261,11 +275,11 @@ class TestBlockAssembledInput:
     @settings(max_examples=100, deadline=None)
     @given(case=_clustering_cases())
     def test_a_scope_reads_only_its_changed_rows(self, case):
-        # the joint matrix of the restricted pair equals the blocks read from
-        # the full pair at the scope's changed rows: the changed-row key
+        # the joint matrix of the pair cut down to the scope equals the blocks
+        # read from the full pair at the scope's changed rows: the changed-row key
         pair, scope, conditions, transformations = case
         config = CharlesConfig()
-        scope_pair = pair.restricted(scope)
+        scope_pair = SnapshotPair(pair.source.mask(scope), pair.target.mask(scope), pair.key)
         want = _joint_clustering_matrix(
             scope_pair, "y", np.nonzero(scope_pair.changed_mask("y"))[0],
             conditions, transformations, config,
@@ -291,7 +305,7 @@ class TestChangedRowLabelling:
         monkeypatch.setattr(KMeans, "fit", spy)
         return calls
 
-    def test_a_scope_holding_every_changed_row_adds_no_kmeans_fit(self, fits):
+    def test_a_scope_holding_every_changed_row_adds_no_kmeans_fit(self, fits, restricted_discovery):
         pair = employee_pair(150, seed=3)
         config = CharlesConfig(refine_partitions=False)
         evaluator = CandidateEvaluator(pair, "bonus", config)
@@ -302,13 +316,11 @@ class TestChangedRowLabelling:
         scope[np.flatnonzero(~pair.changed_mask("bonus"))[:2]] = False
         got = evaluator._cached_partitions(scope, CONDITIONS, TRANSFORMATIONS, 2)
         assert len(fits) == 1
-        want = discover_partitions(
-            pair.restricted(scope), "bonus", CONDITIONS, TRANSFORMATIONS, 2, config
-        )
+        want = restricted_discovery(pair, scope, "bonus", CONDITIONS, TRANSFORMATIONS, 2, config)
         assert _same_partitions(got, want)
         assert len(evaluator.caches.labellings) == 1
 
-    def test_a_scope_missing_a_changed_row_clusters_again(self, fits):
+    def test_a_scope_missing_a_changed_row_clusters_again(self, fits, restricted_discovery):
         pair = employee_pair(150, seed=3)
         config = CharlesConfig(refine_partitions=False)
         evaluator = CandidateEvaluator(pair, "bonus", config)
@@ -317,9 +329,7 @@ class TestChangedRowLabelling:
         scope[np.flatnonzero(pair.changed_mask("bonus"))[0]] = False
         got = evaluator._cached_partitions(scope, CONDITIONS, TRANSFORMATIONS, 2)
         assert len(fits) == 2
-        want = discover_partitions(
-            pair.restricted(scope), "bonus", CONDITIONS, TRANSFORMATIONS, 2, config
-        )
+        want = restricted_discovery(pair, scope, "bonus", CONDITIONS, TRANSFORMATIONS, 2, config)
         assert _same_partitions(got, want)
 
     def test_a_refined_run_reuses_top_level_labels(self, fits):

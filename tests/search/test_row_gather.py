@@ -1,7 +1,8 @@
 """Per-spec steps read partition rows through their masks, not table copies.
 
 Fitting a partition, measuring its error, refining it and applying a summary
-read a few numeric columns of the rows a mask selects.  They gather those
+read a few numeric columns of the rows a mask selects, and refinement's
+partition discovery reads the parent partition's rows through its mask.  They gather those
 columns from the pair's full-table arrays (``Table.numeric_matrix(names,
 rows)``) instead of copying the table with ``Table.mask``.  The gathered
 matrix holds the same values in the same layout, so every result must equal
@@ -15,12 +16,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CharlesConfig
+from repro.core import Charles, CharlesConfig
 from repro.core.condition import Condition, Descriptor
 from repro.core.summary import ChangeSummary, ConditionalTransformation
 from repro.core.transformation import LinearTransformation
 from repro.exceptions import ModelFitError
 from repro.ml.linreg import LinearRegression
+from repro.obs.trace import BufferSink, disable_tracing, get_tracer
 from repro.relational import table as table_module
 from repro.search.evaluator import CandidateEvaluator
 from repro.workloads import employee_pair
@@ -125,3 +127,30 @@ class TestGatheredRows:
         got = summary.apply(PAIR.source)
         assert copies == []
         assert got.tobytes() == want.tobytes()
+
+    def test_a_refined_search_copies_no_table_after_alignment(self, monkeypatch):
+        pair = employee_pair(150, seed=11, noise_fraction=0.05)
+        copies = []
+        for name in ("take", "mask"):
+            original = getattr(table_module.Table, name)
+
+            def spy(self, rows, _name=name, _original=original):
+                copies.append(_name)
+                return _original(self, rows)
+
+            monkeypatch.setattr(table_module.Table, name, spy)
+        sink = BufferSink()
+        get_tracer().configure(sink)
+        try:
+            result = Charles(CharlesConfig()).summarize_pair(pair, "bonus")
+        finally:
+            disable_tracing()
+        assert result.summaries
+        # refinement discovered partitions inside a partition's rows
+        sub_scopes = [
+            record for record in sink.records
+            if record["name"] == "partitions.resolve" and not record["attributes"]["top_level"]
+        ]
+        assert any(record["attributes"]["clustered"] for record in sub_scopes)
+        assert any(record["attributes"]["induced"] for record in sub_scopes)
+        assert copies == []

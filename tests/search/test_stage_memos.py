@@ -38,9 +38,9 @@ def inductions(monkeypatch):
     calls = []
     original = evaluator_module.partitions_from_labels
 
-    def spy(scope_pair, *args, **kwargs):
-        calls.append(scope_pair.num_rows)
-        return original(scope_pair, *args, **kwargs)
+    def spy(pair, *args, **kwargs):
+        calls.append(int(np.count_nonzero(kwargs["scope"])))
+        return original(pair, *args, **kwargs)
 
     monkeypatch.setattr(evaluator_module, "partitions_from_labels", spy)
     return calls
@@ -157,7 +157,7 @@ class TestInductionMemo:
             want = _from_scratch(pair, spec, config)
             assert _same_partitions(_partitions(evaluator, spec), want), spec.describe()
 
-    def test_scopes_with_equal_labellings_induce_apart(self):
+    def test_scopes_with_equal_labellings_induce_apart(self, restricted_discovery):
         # two scopes of equal size with equally many changed rows: a k = 1
         # discovery labels both all-zero, so only the scope tells them apart
         pair = employee_pair(150, seed=3)
@@ -169,9 +169,10 @@ class TestInductionMemo:
             scope_mask = np.zeros(pair.num_rows, dtype=bool)
             scope_mask[changed_rows[part]] = True
             scope_mask[unchanged_rows[part]] = True
-            scope_pair = pair.restricted(scope_mask)
             got = evaluator._cached_partitions(scope_mask, CONDITIONS, ("bonus",), 1)
-            want = discover_partitions(scope_pair, "bonus", CONDITIONS, ("bonus",), 1, config)
+            want = restricted_discovery(
+                pair, scope_mask, "bonus", CONDITIONS, ("bonus",), 1, config
+            )
             assert _same_partitions(got, want)
 
     @pytest.mark.parametrize("order", [(1, 2), (2, 1)])
