@@ -12,16 +12,16 @@ one server.  A request any engine already answered then costs one lookup.
 The per-spec memo stays in each engine's process: it belongs to one snapshot
 pair, and shipping it across processes was measured to be write-only
 traffic.  Each
-job has one mechanism: one server transport, one remote client, one server
-eviction order.
+job has one mechanism: one server transport, one remote client, one
+eviction order (the oldest write goes first, as in every results store).
 
 * :mod:`~repro.cacheserver.protocol` — the wire format: length-prefixed
-  binary frames carrying a request id, digested keys, opaque pickled values
-  and a per-PUT recomputation-cost hint; stdlib ``struct``/``json`` only.
+  binary frames carrying a request id, digested keys and opaque pickled
+  values; stdlib ``struct``/``json`` only.
 * :mod:`~repro.cacheserver.server` — :class:`~repro.cacheserver.server.
   CacheServerCore` (the region, verbs, metrics, span buffer), hosting the
   ``results`` region on an :class:`~repro.cachestore.memory.InProcessBackend`
-  with cost-aware eviction, plus ``PING``/``STATS``/``METRICS``/``TRACE``
+  that evicts its oldest write first, plus ``PING``/``STATS``/``METRICS``/``TRACE``
   admin verbs.
 * :mod:`~repro.cacheserver.aserver` — :class:`~repro.cacheserver.aserver.
   AsyncCacheServer`, the core on the wire: every connection multiplexed on

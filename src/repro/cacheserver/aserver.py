@@ -49,7 +49,7 @@ class AsyncCacheServer(CacheServerCore):
 
     ``port=0`` binds an ephemeral port (read it back from :attr:`address` /
     :attr:`url`); ``capacity`` bounds the region's entry count, evicting
-    the cheapest recomputation per byte first.
+    the oldest write first.
     """
 
     def __init__(

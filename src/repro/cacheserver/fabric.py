@@ -73,14 +73,11 @@ class ShardedRemoteBackend(CacheBackend):
     def __init__(
         self,
         cache_url: str,
-        capacity: int | None = None,
         namespace: bytes = b"",
         timeout: float = DEFAULT_TIMEOUT,
         replication: int = 1,
     ) -> None:
         super().__init__()
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"cache capacity must be >= 1 or None, got {capacity}")
         if replication < 1:
             raise ValueError(f"cache replication must be >= 1, got {replication}")
         endpoints = parse_endpoints(cache_url)
@@ -88,7 +85,6 @@ class ShardedRemoteBackend(CacheBackend):
         self._ring = HashRing(endpoints)
         self._clients = [ShardClient(endpoint, timeout) for endpoint in endpoints]
         self._replication = min(replication, len(endpoints))
-        self._capacity = capacity
         self._namespace = namespace
         self.failovers = 0
 
@@ -136,7 +132,7 @@ class ShardedRemoteBackend(CacheBackend):
             self.hits += 1
         return value
 
-    def put(self, key: Hashable, value: Any, cost_hint: float | None = None) -> None:
+    def put(self, key: Hashable, value: Any) -> None:
         """Store ``value`` on every replica and wait for their acknowledgements.
 
         The request goes to all R replicas before any answer is collected, so
@@ -152,7 +148,6 @@ class ShardedRemoteBackend(CacheBackend):
             protocol.PUT,
             protocol.REGION_RESULTS,
             digest=digest,
-            cost=cost_hint or 0.0,
             payload=payload,
             trace=wire_context(),
         )
@@ -219,10 +214,6 @@ class ShardedRemoteBackend(CacheBackend):
                     round_trips=client.round_trips
                 )
         return layers
-
-    @property
-    def capacity(self) -> int | None:
-        return self._capacity
 
     @property
     def namespace(self) -> bytes:

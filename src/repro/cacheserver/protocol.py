@@ -22,13 +22,20 @@ verb      message after the (verb, region) header
 ========  =======================================================
 ``PING``  empty — liveness probe, answered with ``OK`` + ``pong``
 ``GET``   16-byte key digest
-``PUT``   16-byte key digest, 8-byte float64 cost hint, value bytes
+``PUT``   16-byte key digest, 8 reserved bytes, value bytes
 ``LEN``   empty — entry count of the region (or all regions)
 ``CLEAR`` empty — drop the region's entries (or all regions')
 ``STATS`` empty — per-region counters as UTF-8 JSON
 ``TRACE`` optional 16-byte trace id — drain buffered server spans
 ``METRICS`` empty — Prometheus text exposition of the server
 ========  =======================================================
+
+The 8 reserved bytes of ``PUT`` once carried a float64 recomputation-cost
+hint for cost-aware eviction.  Eviction is now oldest-write-first and needs
+no cost, so :func:`encode_request` always packs ``0.0`` there and
+:func:`decode_request` requires the bytes but skips them: the frame layout
+is unchanged, and a ``PUT`` from an older client that still sends a cost
+is stored the same way, its cost ignored.
 
 Any request may additionally carry a **trace-context header**: setting the
 high bit (:data:`TRACE_FLAG`) on the verb byte inserts
@@ -159,7 +166,8 @@ ERROR = 3
 _STATUSES = frozenset({OK, HIT, MISS, ERROR})
 
 _LENGTH = struct.Struct(">I")
-_COST = struct.Struct(">d")
+#: the PUT field of the retired cost hint: a float64 0.0, i.e. 8 zero bytes
+_RESERVED = bytes(8)
 _COUNT = struct.Struct(">Q")
 _REQUEST_ID = struct.Struct(">I")
 
@@ -175,7 +183,6 @@ class Request:
     verb: int
     region: int
     digest: bytes = b""
-    cost: float = 0.0
     payload: bytes = b""
     trace: bytes = b""
 
@@ -184,7 +191,6 @@ def encode_request(
     verb: int,
     region: int,
     digest: bytes = b"",
-    cost: float = 0.0,
     payload: bytes = b"",
     trace: bytes = b"",
 ) -> bytes:
@@ -204,7 +210,7 @@ def encode_request(
     if verb == GET:
         return head + digest
     if verb == PUT:
-        return head + digest + _COST.pack(cost) + payload
+        return head + digest + _RESERVED + payload
     if verb == TRACE:
         if payload and len(payload) != DIGEST_SIZE:
             raise ProtocolError(
@@ -244,12 +250,11 @@ def decode_request(body: bytes) -> Request:
             raise ProtocolError(f"GET digest must be {DIGEST_SIZE} bytes, got {len(digest)}")
         return Request(verb, region, digest=digest, trace=trace)
     if verb == PUT:
-        fixed = 2 + DIGEST_SIZE + _COST.size
+        fixed = 2 + DIGEST_SIZE + len(_RESERVED)
         if len(body) < fixed:
             raise ProtocolError(f"PUT frame too short ({len(body)} bytes)")
         digest = body[2 : 2 + DIGEST_SIZE]
-        (cost,) = _COST.unpack_from(body, 2 + DIGEST_SIZE)
-        return Request(verb, region, digest=digest, cost=cost, payload=body[fixed:], trace=trace)
+        return Request(verb, region, digest=digest, payload=body[fixed:], trace=trace)
     return Request(verb, region, trace=trace)
 
 

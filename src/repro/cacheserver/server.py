@@ -12,11 +12,9 @@ through :mod:`repro.cacheserver.protocol` frames instead of a function call.
 Entries are opaque ``digest → bytes`` pairs: clients digest and pickle on
 their side, so the server never deserialises anything it is sent.
 
-The server is also where eviction earns its keep: the region is bounded
-with a :class:`~repro.cachestore.policy.CostAwarePolicy`, ranking entries by the
-recomputation seconds the clients observed (shipped per ``PUT`` as the
-protocol's cost hint) per byte held — a small server retains the work that
-is most expensive for the fleet to redo.
+A bounded region evicts by the rule every results store follows: the
+oldest write goes first, and an overwrite counts as a new write.  The
+``PUT`` frame's reserved 8 bytes, once a cost hint, are read and ignored.
 
 Operational surface:
 
@@ -51,7 +49,6 @@ from collections import deque
 
 from repro.cachestore.base import MISSING
 from repro.cachestore.memory import InProcessBackend
-from repro.cachestore.policy import CostAwarePolicy
 from repro.cacheserver import protocol
 from repro.exceptions import ConfigurationError
 from repro.obs.metrics import MetricsRegistry
@@ -85,7 +82,7 @@ class CacheServerCore:
     :class:`~repro.cacheserver.aserver.AsyncCacheServer` provides the wire:
     accepting connections, draining frames, calling :meth:`dispatch` per
     message and writing coalesced response bursts.  ``capacity`` bounds the
-    region's entry count (cost-aware eviction beyond it).
+    region's entry count (oldest write evicted first beyond it).
     """
 
     def __init__(self, capacity: int | None = None) -> None:
@@ -96,7 +93,7 @@ class CacheServerCore:
                 f"cache-server capacity must be >= 1 or unbounded, got {capacity}"
             )
         self._regions = {
-            protocol.REGION_RESULTS: InProcessBackend(capacity, policy=CostAwarePolicy()),
+            protocol.REGION_RESULTS: InProcessBackend(capacity),
         }
         self._locks = {region: threading.Lock() for region in self._regions}
         self._capacity = capacity
@@ -238,9 +235,9 @@ class CacheServerCore:
             if value is MISSING:
                 return protocol.encode_response(protocol.MISS)
             return protocol.encode_response(protocol.HIT, value)
-        # PUT: the payload is opaque bytes; the cost hint feeds the policy
+        # PUT: the payload is opaque bytes
         with lock:
-            region.put(request.digest, request.payload, cost_hint=request.cost)
+            region.put(request.digest, request.payload)
         return protocol.encode_response(protocol.OK)
 
     # -- span buffering ----------------------------------------------------------

@@ -24,7 +24,7 @@ The hierarchy behind one ABC:
 
 * :class:`~repro.cachestore.base.CacheBackend` — the contract
   (``get``/``put``/``__len__``/``clear`` plus per-layer counter snapshots).
-* :class:`~repro.cachestore.memory.InProcessBackend` — a process-local LRU
+* :class:`~repro.cachestore.memory.InProcessBackend` — a process-local
   dict: the ``memory`` kind's results, and each cache-server region.
 * :class:`~repro.cachestore.disk.DiskBackend` — a content-keyed SQLite store
   with transactional writes: the ``disk`` kind's results, which survive
@@ -34,11 +34,11 @@ The hierarchy behind one ABC:
   cache *service*, so engines on different machines serve each other's
   repeated requests.
 
-Eviction order (:mod:`repro.cachestore.policy`): the engine's in-process
-results store evicts least-recently-used first; cache-server regions and the disk
-store evict cost-aware, ranking entries by the observed recomputation
-seconds each ``put`` ships as its ``cost_hint`` per byte held (a result
-entry's cost is its search's wall time).
+Eviction follows one rule in every bounded store — the in-process dict,
+each cache-server region and the disk store: the oldest write goes first,
+and overwriting a key counts as a new write.  A lookup never reorders
+anything.  Eviction only turns a later hit into a recomputation, so it can
+never change a ranking.
 
 Selection is configuration-driven (``CharlesConfig.cache_backend`` /
 ``cache_dir`` / ``cache_url``, CLI ``--cache-backend`` / ``--cache-dir`` /
@@ -53,7 +53,8 @@ Adding a new cache backend
 
 Subclass :class:`~repro.cachestore.base.CacheBackend` and implement
 ``get``/``put``/``__len__``/``clear``.  Return :data:`MISSING` (never
-``None`` — that is a legitimate cached value) for absent keys, count
+``None`` — that is a legitimate cached value) for absent keys, evict the
+oldest write first if the store is bounded, count
 ``hits``/``misses``/``evictions`` locally, and key out-of-process storage by
 :func:`~repro.cachestore.base.key_digest` so keys are stable across
 interpreters.  Wire the kind into
@@ -75,7 +76,6 @@ _EXPORTS, __getattr__, __dir__ = _lazy_exports(__name__, {
         "CacheBackend",
         "key_digest",
     ),
-    "repro.cachestore.policy": ("EvictionPolicy", "LRUPolicy", "CostAwarePolicy"),
     "repro.cachestore.memory": ("InProcessBackend",),
     "repro.cachestore.disk": ("DiskBackend",),
     "repro.cachestore.factory": ("BACKEND_CHOICES", "build_results_backend"),

@@ -13,13 +13,9 @@ The contract is deliberately small:
 * :meth:`~CacheBackend.get` returns the stored value or the :data:`MISSING`
   sentinel (``None`` is a legitimate cached value, so absence needs its own
   token);
-* :meth:`~CacheBackend.put` stores a value, possibly evicting under a
-  capacity bound (the eviction order is a pluggable
-  :class:`~repro.cachestore.policy.EvictionPolicy` where the backend supports
-  one — LRU in process by default, cost-aware on disk).  The
-  optional ``cost_hint`` is the observed seconds the value took to compute;
-  cost-aware policies use it to retain expensive work under pressure, every
-  other backend is free to ignore it;
+* :meth:`~CacheBackend.put` stores a value; a store bounded by a capacity
+  then evicts its oldest write first (an overwrite counts as a new write,
+  a lookup reorders nothing);
 * ``__len__`` / :meth:`~CacheBackend.clear` expose and drop the stored
   entries (clearing preserves counters);
 * :meth:`~CacheBackend.counters` / :meth:`~CacheBackend.breakdown` snapshot
@@ -173,14 +169,8 @@ class CacheBackend(ABC):
         """The stored value for ``key``, or :data:`MISSING` (counts hit/miss)."""
 
     @abstractmethod
-    def put(self, key: Hashable, value: Any, cost_hint: float | None = None) -> None:
-        """Store ``value`` under ``key``, evicting if a capacity bound demands it.
-
-        ``cost_hint`` is the observed seconds the value took to compute (a
-        result entry's is its search's wall time).  Backends with a
-        cost-aware eviction policy use it to rank entries; all others may
-        ignore it — it is advisory and never changes what ``get`` returns.
-        """
+    def put(self, key: Hashable, value: Any) -> None:
+        """Store ``value`` under ``key``; past a capacity bound, evict the oldest write."""
 
     @abstractmethod
     def __len__(self) -> int:

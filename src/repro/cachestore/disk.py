@@ -27,16 +27,14 @@ Storage details:
 * connections are opened lazily *per process*: a backend that crosses a
   ``fork``/``spawn`` boundary re-opens its own connection on first use
   rather than sharing one unsafely;
-* an optional ``capacity`` bounds the entry count; since format v2 every
-  entry persists the ``cost_hint`` recomputation-seconds its writer observed,
-  and eviction drops the cheapest value per stored byte first (ties, such as
-  the all-zero costs of a freshly migrated v1 store, in insertion order) —
-  recency tracking on disk would cost a write per read, cost tracking costs
-  nothing a ``put`` wasn't already writing;
+* an optional ``capacity`` bounds the entry count, and eviction drops the
+  oldest write first, in ``rowid`` order — ``INSERT OR REPLACE`` gives a
+  rewritten row a new ``rowid``, so an overwrite counts as a new write, as
+  in memory, and a read writes nothing;
 * a persistent cache must *degrade, never abort*: the store carries a format
-  stamp in ``PRAGMA user_version`` — known older versions migrate in place
-  (v1 stores gain the cost column, entries intact), unknown ones are dropped
-  wholesale — and a blob that no longer unpickles, or a
+  stamp in ``PRAGMA user_version`` — known older versions open in place
+  and are restamped, entries intact, unknown ones are dropped wholesale —
+  and a blob that no longer unpickles, or a
   corrupt/locked database all surface as misses — the work is recomputed and
   the bad entry discarded; ``__len__`` and :meth:`~DiskBackend.clear` degrade
   the same way (0 entries / no-op).  Only an unusable location at
@@ -69,15 +67,12 @@ __all__ = ["DiskBackend"]
 
 # bump when the on-disk layout or the pickled value types change shape; a
 # store stamped with a *newer or unknown* version is dropped wholesale at
-# open time, while known older versions migrate in place (v1 → v2 adds the
-# cost column, defaulting every surviving entry to cost 0.0)
-_FORMAT_VERSION = 2
+# open time.  v3 reads the (key, value) columns of v1 and v2 stores as they
+# are: a v2 file keeps its unused cost column, whose default fills it on
+# insert, so both open in place and are restamped
+_FORMAT_VERSION = 3
+_READABLE_VERSIONS = (0, 1, 2, _FORMAT_VERSION)  # 0: a fresh file
 
-#: eviction victims, cheapest first: persisted recomputation seconds per
-#: stored byte — the density :class:`~repro.cachestore.policy.CostAwarePolicy`
-#: ranks by in memory — with ``rowid`` breaking ties, so a store of all-zero
-#: costs (e.g. freshly migrated from v1) evicts oldest-insert-first
-_EVICTION_ORDER = "cost / (length(value) + 1) ASC, rowid ASC"
 
 class DiskBackend(CacheBackend):
     """A content-keyed persistent store in a single SQLite file."""
@@ -115,25 +110,11 @@ class DiskBackend(CacheBackend):
                 # (and silently refused) on filesystems that cannot support it
                 conn.execute("PRAGMA journal_mode=WAL")
                 (stamp,) = conn.execute("PRAGMA user_version").fetchone()
-                if stamp == 1:
-                    # v1 → v2 migrates in place: entries survive, their cost
-                    # defaults to 0.0 (all ties → rowid order, i.e. the old
-                    # FIFO) until new writes record real recomputation costs
-                    has_entries = conn.execute(
-                        "SELECT name FROM sqlite_master"
-                        " WHERE type = 'table' AND name = 'entries'"
-                    ).fetchone()
-                    if has_entries is not None:
-                        conn.execute(
-                            "ALTER TABLE entries"
-                            " ADD COLUMN cost REAL NOT NULL DEFAULT 0.0"
-                        )
-                elif stamp not in (0, _FORMAT_VERSION):
+                if stamp not in _READABLE_VERSIONS:
                     conn.execute("DROP TABLE IF EXISTS entries")
                 conn.execute(
                     "CREATE TABLE IF NOT EXISTS entries ("
-                    "key BLOB PRIMARY KEY, value BLOB NOT NULL,"
-                    " cost REAL NOT NULL DEFAULT 0.0)"
+                    "key BLOB PRIMARY KEY, value BLOB NOT NULL)"
                 )
                 conn.execute(f"PRAGMA user_version = {_FORMAT_VERSION}")
                 conn.commit()
@@ -194,18 +175,15 @@ class DiskBackend(CacheBackend):
         except (sqlite3.Error, CacheStoreError):
             STORE_ERRORS.inc(backend=self.kind, op="discard")
 
-    def put(self, key: Hashable, value: Any, cost_hint: float | None = None) -> None:
-        # the v2 format persists cost_hint (observed recomputation seconds),
-        # so eviction under pressure can keep the entries most expensive for
-        # a future session to redo instead of blindly dropping the oldest
+    def put(self, key: Hashable, value: Any) -> None:
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         try:
             conn = self._connection()
             with conn:
+                # REPLACE gives a rewritten row a new rowid: it is now the youngest
                 conn.execute(
-                    "INSERT OR REPLACE INTO entries (key, value, cost)"
-                    " VALUES (?, ?, ?)",
-                    (self._digest(key), payload, float(cost_hint or 0.0)),
+                    "INSERT OR REPLACE INTO entries (key, value) VALUES (?, ?)",
+                    (self._digest(key), payload),
                 )
                 if self._capacity is not None:
                     (count,) = conn.execute("SELECT COUNT(*) FROM entries").fetchone()
@@ -213,8 +191,7 @@ class DiskBackend(CacheBackend):
                     if excess > 0:
                         conn.execute(
                             "DELETE FROM entries WHERE rowid IN ("
-                            f"SELECT rowid FROM entries ORDER BY {_EVICTION_ORDER}"
-                            " LIMIT ?)",
+                            "SELECT rowid FROM entries ORDER BY rowid LIMIT ?)",
                             (excess,),
                         )
                         self.evictions += excess

@@ -33,7 +33,7 @@ def build_results_backend(
 ) -> CacheBackend:
     """The results store for one configuration.
 
-    * ``memory`` — a process-local LRU store (the default).
+    * ``memory`` — a process-local store (the default).
     * ``disk`` — ``cache_dir/results.sqlite``, so a repeated request
       survives interpreter restarts.
     * ``remote`` — the ``results`` region of the cache fabric at
@@ -43,8 +43,11 @@ def build_results_backend(
       entry on that many ring-adjacent shards so one shard death costs
       failovers, not reuse.
 
-    ``capacity`` bounds the store; the disk kind requires ``cache_dir``, the
-    remote kind requires ``cache_url``, and both fold ``namespace`` — a
+    ``capacity`` bounds the memory and disk stores, which evict their oldest
+    write first beyond it.  The fabric's bound is each shard's own ``charles
+    cache-server --capacity``, so ``remote`` ignores it.  The disk kind
+    requires ``cache_dir``, the remote kind requires ``cache_url``, and
+    both fold ``namespace`` — a
     fingerprint of the result-affecting configuration fields — into every
     key, so differently configured runs sharing a directory or a server
     never serve each other's entries (an in-process store dies with its
@@ -66,7 +69,7 @@ def build_results_backend(
         # always the fabric, even for one endpoint: a 1-shard ring routes
         # every key to that shard, so there is exactly one remote code path
         return ShardedRemoteBackend(
-            cache_url, capacity, namespace=namespace, replication=cache_replication
+            cache_url, namespace=namespace, replication=cache_replication
         )
     if kind == "disk":
         if cache_dir is None:

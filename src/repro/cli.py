@@ -76,8 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
     summarize.add_argument("--jobs", type=int, default=1,
                            help="worker processes for the candidate search (1 = serial)")
     summarize.add_argument("--cache-capacity", type=int, default=None,
-                           help="max entries of the results store, evicting beyond it "
-                                "(default unbounded)")
+                           help="max entries of the results store, evicting the oldest "
+                                "write beyond it (default unbounded); with --cache-backend "
+                                "remote the bound is each shard's `charles cache-server "
+                                "--capacity`")
     _add_cache_arguments(summarize)
     summarize.add_argument("--condition-attributes", nargs="*", default=None)
     summarize.add_argument("--transformation-attributes", nargs="*", default=None)
@@ -128,7 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="worker processes for the candidate search (1 = serial)")
     timeline.add_argument("--cache-capacity", type=int, default=None,
                           help="max entries of the session's results store, evicting "
-                               "beyond it (default unbounded)")
+                               "the oldest write beyond it (default unbounded); with "
+                               "--cache-backend remote the bound is each shard's "
+                               "`charles cache-server --capacity`")
     _add_cache_arguments(timeline)
     timeline.add_argument("--condition-attributes", nargs="*", default=None)
     timeline.add_argument("--transformation-attributes", nargs="*", default=None)
@@ -164,8 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     server.add_argument("--port", type=int, default=None,
                         help="port to listen on (default 8737; 0 picks a free port)")
     server.add_argument("--capacity", type=int, default=None,
-                        help="max entries per region, evicting the cheapest to recompute "
-                             "per byte beyond it (default unbounded)")
+                        help="max entries per region, evicting the oldest write "
+                             "beyond it (default unbounded)")
     server.add_argument("--ready-file", type=Path, default=None,
                         help="write host:port here once listening (for scripts "
                              "that wait for the server to come up)")
@@ -238,7 +242,7 @@ def _add_observability_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _add_cache_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-backend", choices=BACKEND_CHOICES, default="memory",
-                        help="where whole results live: 'memory' (private LRU), "
+                        help="where whole results live: 'memory' (in this process), "
                              "'disk' (persist under --cache-dir across runs) or "
                              "'remote' (a fleet cache server at --cache-url); memo "
                              "entries always stay in the process, and 'shared' is "
@@ -565,7 +569,7 @@ def _command_cache_server(args: argparse.Namespace) -> int:
         advertised = server.url
     print(
         f"cache server listening on {server.url} "
-        f"(asyncio, cost-aware eviction, capacity={args.capacity or 'unbounded'}); "
+        f"(asyncio, oldest write evicted first, capacity={args.capacity or 'unbounded'}); "
         "point engines at it with --cache-backend remote --cache-url "
         f"{advertised}",
         flush=True,

@@ -358,9 +358,7 @@ class Charles:
             transformation_attributes = tuple(transformation_attributes)
             if caches is not None:
                 caches.results.put(
-                    key,
-                    (top, total, condition_attributes, transformation_attributes),
-                    cost_hint=time.perf_counter() - started,
+                    key, (top, total, condition_attributes, transformation_attributes)
                 )
         if caches is not None:
             stats.backend_counters = {

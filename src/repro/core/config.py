@@ -160,14 +160,18 @@ class CharlesConfig:
         e.g. for exhaustive analyses.
     search_cache_capacity:
         Maximum number of result entries the results store keeps (one per
-        summarize request), evicting beyond it.  ``None`` (the default)
-        leaves it unbounded.  The pair memo needs no bound: it holds one
-        pair's work and is dropped when the pair changes.  Eviction never
-        changes results — an evicted request is simply searched again.
+        summarize request), evicting the oldest write beyond it.  ``None``
+        (the default) leaves it unbounded.  With ``cache_backend="remote"``
+        the value is not enforced: the bound on the fabric is each shard's
+        own ``charles cache-server --capacity``.  It is still accepted, so
+        served tenant configs that carry it keep loading.  The pair memo
+        needs no bound: it holds one pair's work and is dropped when the
+        pair changes.  Eviction never changes results — an evicted request
+        is simply searched again.
     cache_backend:
         Where stored results live (see :mod:`repro.cachestore`).
-        ``"memory"`` (the default) keeps them in a process-local LRU
-        dict.  ``"disk"`` keeps one result entry per summarize request in a
+        ``"memory"`` (the default) keeps them in a process-local dict.
+        ``"disk"`` keeps one result entry per summarize request in a
         SQLite file under ``cache_dir`` that survives interpreter restarts;
         ``"remote"`` keeps them on a fleet of
         :class:`~repro.cacheserver.aserver.AsyncCacheServer` shards at

@@ -539,8 +539,10 @@ def _nice_threshold(low: float, high: float, inclusive_high: bool = True) -> flo
         candidates,
         key=lambda candidate: (value_normality(candidate), -abs(candidate - midpoint)),
     )
-    # strip floating-point crumbs (e.g. 2.000000000000001) from the threshold
-    return float(f"{best:.10g}")
+    # strip floating-point crumbs (e.g. 2.000000000000001) from the threshold,
+    # unless rounding would push it out of (low, high] (a gap of a few ulps)
+    rounded = float(f"{best:.10g}")
+    return rounded if low < rounded <= high else best
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,6 @@ class TestByteIdenticalResponses:
             protocol.PUT,
             protocol.REGION_RESULTS,
             digest=digest,
-            cost=1.25,
             payload=b"stored-bytes",
         )
         get = protocol.encode_request(protocol.GET, protocol.REGION_RESULTS, digest=digest)
@@ -139,7 +138,7 @@ class TestStructuralParity:
     def test_stats_shape_and_counters_match(self, transports):
         served, core = transports
         backend = ShardedRemoteBackend(served.url, namespace=b"parity")
-        backend.put("k", 41, cost_hint=0.5)
+        backend.put("k", 41)
         assert backend.get("k") == 41
         assert backend.get("absent") is MISSING
         digests = [backend._digest("k"), backend._digest("absent")]
@@ -147,7 +146,7 @@ class TestStructuralParity:
         _reference(
             core,
             protocol.encode_request(
-                protocol.PUT, protocol.REGION_RESULTS, digest=digests[0], cost=0.5, payload=b"v"
+                protocol.PUT, protocol.REGION_RESULTS, digest=digests[0], payload=b"v"
             ),
         )
         for digest in digests:

@@ -52,7 +52,7 @@ class TestSharding:
         fabric = _fabric(fleet)
         key = ("fit", "bonus", ("salary",), b"token")
         assert fabric.get(key) is MISSING
-        fabric.put(key, {"value": 42}, cost_hint=0.01)
+        fabric.put(key, {"value": 42})
         assert fabric.get(key) == {"value": 42}
         assert fabric.hits == 1 and fabric.misses == 1
         fabric.close()
@@ -129,7 +129,7 @@ class TestReplicationAndFailover:
     def test_shard_death_costs_zero_reuse_with_replication(self, fleet):
         fabric = _fabric(fleet, replication=2)
         for index in range(40):
-            fabric.put(("k", index), index, cost_hint=0.01)
+            fabric.put(("k", index), index)
         fleet[0].shutdown()  # kill one member mid-conversation
         values = [fabric.get(("k", index)) for index in range(40)]
         assert values == list(range(40))  # every key still served

@@ -77,7 +77,6 @@ class TestProtocolTraceHeader:
                 protocol.PUT,
                 protocol.REGION_RESULTS,
                 digest=os.urandom(protocol.DIGEST_SIZE),
-                cost=0.5,
                 payload=b"value",
                 trace=context,
             )

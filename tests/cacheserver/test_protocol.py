@@ -7,6 +7,7 @@ import threading
 import pytest
 
 from repro.cacheserver import protocol
+from repro.cacheserver.server import CacheServerCore
 from repro.cacheserver.protocol import (
     CLEAR,
     DIGEST_SIZE,
@@ -42,20 +43,17 @@ class TestRequestCodec:
         body = encode_request(GET, REGION_RESULTS, digest=DIGEST)
         assert decode_request(body) == Request(GET, REGION_RESULTS, digest=DIGEST)
 
-    def test_put_round_trip_carries_cost_and_payload(self):
-        body = encode_request(
-            PUT, REGION_RESULTS, digest=DIGEST, cost=0.125, payload=b"pickled"
-        )
+    def test_put_round_trip_carries_payload(self):
+        body = encode_request(PUT, REGION_RESULTS, digest=DIGEST, payload=b"pickled")
         request = decode_request(body)
         assert request.verb == PUT and request.region == REGION_RESULTS
         assert request.digest == DIGEST
-        assert request.cost == 0.125
         assert request.payload == b"pickled"
 
     def test_put_empty_payload_is_legal(self):
         # pickled values are never empty, but the frame format must not care
         request = decode_request(encode_request(PUT, REGION_RESULTS, digest=DIGEST))
-        assert request.payload == b"" and request.cost == 0.0
+        assert request == Request(PUT, REGION_RESULTS, digest=DIGEST)
 
     def test_admin_verbs_round_trip(self):
         for verb in (PING, LEN, CLEAR, STATS):
@@ -74,6 +72,10 @@ class TestRequestCodec:
         with pytest.raises(ProtocolError):
             decode_request(bytes((PUT, REGION_RESULTS)) + DIGEST[:4])
 
+    def test_put_without_all_eight_reserved_bytes_rejected(self):
+        with pytest.raises(ProtocolError):
+            decode_request(bytes((PUT, REGION_RESULTS)) + DIGEST + bytes(7))
+
     def test_unknown_verb_rejected(self):
         with pytest.raises(ProtocolError):
             decode_request(bytes((99, REGION_RESULTS)))
@@ -81,6 +83,30 @@ class TestRequestCodec:
     def test_empty_body_rejected(self):
         with pytest.raises(ProtocolError):
             decode_request(b"")
+
+
+class TestPutReservedBytes:
+    """The 8 bytes after a PUT digest once carried a cost hint; now reserved."""
+
+    def test_put_bytes_are_pinned(self):
+        # verb, region, digest, eight zero bytes (a float64 0.0), value
+        golden = bytes.fromhex(
+            "0302" "000102030405060708090a0b0c0d0e0f" "0000000000000000" "7069636b6c6564"
+        )
+        assert encode_request(PUT, REGION_RESULTS, digest=DIGEST, payload=b"pickled") == golden
+
+    def test_an_old_clients_cost_is_decoded_and_ignored(self):
+        old_client = bytes((PUT, REGION_RESULTS)) + DIGEST + struct.pack(">d", 0.125) + b"v"
+        assert decode_request(old_client) == Request(
+            PUT, REGION_RESULTS, digest=DIGEST, payload=b"v"
+        )
+
+    def test_the_server_stores_an_old_clients_value(self):
+        core = CacheServerCore()
+        old_client = bytes((PUT, REGION_RESULTS)) + DIGEST + struct.pack(">d", 4.5) + b"v"
+        assert decode_response(core.dispatch(old_client)) == (OK, b"")
+        get = encode_request(GET, REGION_RESULTS, digest=DIGEST)
+        assert decode_response(core.dispatch(get)) == (HIT, b"v")
 
 
 class TestResponseCodec:

@@ -1,4 +1,4 @@
-"""The cache service itself: serving, admin verbs, eviction, degrade-to-miss.
+"""The cache service itself: serving, admin verbs, capacity, degrade-to-miss.
 
 Every client here is a one-endpoint :class:`ShardedRemoteBackend` — the one
 remote client production builds — so the degrade and backoff cases reach the
@@ -55,7 +55,7 @@ class TestServing:
     def test_miss_then_put_then_hit(self, backend):
         key = ("fit", "bonus", ("salary",), b"token")
         assert backend.get(key) is MISSING
-        backend.put(key, {"value": 42}, cost_hint=0.01)
+        backend.put(key, {"value": 42})
         assert backend.get(key) == {"value": 42}
         assert backend.hits == 1 and backend.misses == 1
         assert backend.round_trips == 3
@@ -105,7 +105,7 @@ class TestServing:
             try:
                 client = ShardedRemoteBackend(server.url, namespace=namespace)
                 for index in range(40):
-                    client.put(("k", worker, index), index, cost_hint=0.001)
+                    client.put(("k", worker, index), index)
                     assert client.get(("k", worker, index)) == index
                 client.close()
             except Exception as error:  # pragma: no cover - failure reporting
@@ -174,33 +174,13 @@ class TestAdminVerbs:
 
 
 class TestEvictionOnTheServer:
-    def test_cost_aware_region_retains_expensive_entries(self):
-        with AsyncCacheServer(capacity=3) as bounded:
-            client = ShardedRemoteBackend(bounded.url)
-            client.put("expensive", list(range(8)), cost_hint=4.0)
-            for index in range(10):
-                client.put(f"cheap{index}", list(range(8)), cost_hint=0.0001)
-            assert client.get("expensive") == list(range(8))
-            assert server_stats(bounded.url)["regions"]["results"]["evictions"] == 8
-            client.close()
+    # the eviction rule itself is checked on every store, this region
+    # included, in tests/cachestore/test_eviction.py
 
     def test_invalid_capacity_rejected_as_configuration_error(self):
         # ConfigurationError (not ValueError) so the CLI exits 2 cleanly
         with pytest.raises(ConfigurationError):
             AsyncCacheServer(capacity=0)
-
-    def test_heap_eviction_scales_with_removals_and_overwrites(self):
-        # exercise the lazy-deletion heap: overwrites orphan entries, clear
-        # resets, and eviction order still follows density then insertion
-        with AsyncCacheServer(capacity=2) as bounded:
-            client = ShardedRemoteBackend(bounded.url)
-            client.put("a", b"x", cost_hint=0.1)
-            client.put("a", b"x", cost_hint=3.0)  # upgrade orphans the 0.1 entry
-            client.put("b", b"y", cost_hint=1.0)
-            client.put("c", b"z", cost_hint=0.5)  # evicts the cheapest: "c" itself
-            assert client.get("a") == b"x" and client.get("b") == b"y"
-            assert client.get("c") is MISSING
-            client.close()
 
 
 class TestDegradeToMiss:

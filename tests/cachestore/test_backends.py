@@ -74,14 +74,14 @@ class TestBackendConformance:
 
 
 class TestInProcessBackend:
-    def test_lru_eviction_order(self):
+    def test_insertion_order_eviction(self):
         backend = InProcessBackend(capacity=2)
         backend.put("a", 1)
         backend.put("b", 2)
-        backend.get("a")  # refresh: "b" is now least recently used
+        backend.get("a")  # a hit: "a" is still the oldest write
         backend.put("c", 3)
-        assert backend.get("b") is MISSING
-        assert backend.get("a") == 1 and backend.get("c") == 3
+        assert backend.get("a") is MISSING
+        assert backend.get("b") == 2 and backend.get("c") == 3
         assert backend.evictions == 1
 
     def test_invalid_capacity(self):
@@ -257,7 +257,8 @@ class TestFactory:
             "remote", capacity=9, namespace=b"ns", cache_url="127.0.0.1:1"
         )
         assert isinstance(results, ShardedRemoteBackend)
-        assert results.capacity == 9 and results.namespace == b"ns"
+        # the fabric's bound is each shard's --capacity, never the client's
+        assert results.capacity is None and results.namespace == b"ns"
         assert results.kind == "remote"
 
     def test_remote_results_with_sharded_url_and_replication(self):

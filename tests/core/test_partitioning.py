@@ -86,6 +86,17 @@ class TestInduceCondition:
         high = float(np.nextafter(low, 2000.0))
         assert low <= _nice_threshold(low, high) <= high
 
+    @pytest.mark.parametrize(
+        "high",
+        [999.0000000000001, float(np.nextafter(999.0, np.inf))],
+        ids=["literal", "nextafter"],
+    )
+    def test_threshold_stays_inside_a_gap_of_one_ulp(self, high):
+        # rounding away "floating-point crumbs" must not land on low itself:
+        # an `x >= 999.0` cut would then also select the rest rows at 999.0
+        threshold = _nice_threshold(999.0, high)
+        assert 999.0 < threshold <= high
+
     def test_thresholds_are_round(self, montgomery_400):
         source = montgomery_400.source
         grades = source.numeric_column("grade")

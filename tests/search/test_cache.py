@@ -52,21 +52,21 @@ def _get_or_put(backend, key, compute):
     return value
 
 
-class TestResultsStoreLRU:
-    """The capacity bound now applies to the results store alone."""
+class TestResultsStoreBound:
+    """The capacity bound applies to the results store alone."""
 
-    def test_capacity_evicts_least_recently_used(self):
+    def test_capacity_evicts_the_oldest_write(self):
         store = InProcessBackend(capacity=2)
         _get_or_put(store, "a", lambda: 1)
         _get_or_put(store, "b", lambda: 2)
-        _get_or_put(store, "a", lambda: 1)  # refresh "a"; "b" is now LRU
-        _get_or_put(store, "c", lambda: 3)  # evicts "b"
+        _get_or_put(store, "a", lambda: 1)  # a hit: "a" is still the oldest write
+        _get_or_put(store, "c", lambda: 3)  # evicts "a"
         assert len(store) == 2 and store.evictions == 1
         calls = []
-        assert _get_or_put(store, "a", lambda: calls.append(1) or 9) == 1
-        assert calls == []  # "a" survived
-        _get_or_put(store, "b", lambda: calls.append(1) or 9)
-        assert calls == [1]  # "b" was recomputed
+        assert _get_or_put(store, "b", lambda: calls.append(1) or 9) == 2
+        assert calls == []  # "b" survived
+        _get_or_put(store, "a", lambda: calls.append(1) or 9)
+        assert calls == [1]  # "a" was recomputed
 
     def test_unbounded_by_default(self):
         store = InProcessBackend()
@@ -90,24 +90,24 @@ class TestResultsStoreLRU:
         _get_or_put(store, "a", lambda: calls.append(1) or 3)
         assert calls == [1] and store.evictions == 2  # "a" recomputed, "b" evicted
 
-    def test_re_access_resets_eviction_order(self):
+    def test_re_access_leaves_the_eviction_order_alone(self):
         store = InProcessBackend(capacity=3)
         for key in ("a", "b", "c"):
             _get_or_put(store, key, lambda k=key: k)
-        # touch in reverse: eviction order must follow recency, not insertion
+        # touch in reverse: eviction follows the writes, not the reads
         _get_or_put(store, "b", lambda: None)
         _get_or_put(store, "a", lambda: None)
-        _get_or_put(store, "d", lambda: "d")  # evicts "c", the true LRU
+        _get_or_put(store, "d", lambda: "d")  # evicts "a", the oldest write
         _get_or_put(store, "e", lambda: "e")  # then "b"
         assert store.evictions == 2
         # the survivors hit without recomputation (hits do not evict)
         recomputed = []
-        for key in ("a", "d", "e"):
+        for key in ("c", "d", "e"):
             _get_or_put(store, key, lambda k=key: recomputed.append(k) or k)
         assert recomputed == []
         # the evicted keys were really gone
-        _get_or_put(store, "c", lambda: recomputed.append("c") or "c")
-        assert recomputed == ["c"]
+        _get_or_put(store, "a", lambda: recomputed.append("a") or "a")
+        assert recomputed == ["a"]
 
     def test_config_capacity_bounds_the_results_store_only(self, fig1_pair):
         config = CharlesConfig(search_cache_capacity=4)

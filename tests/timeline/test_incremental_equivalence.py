@@ -6,7 +6,7 @@ generates random version chains (random roster, random per-hop update
 policies including no-op hops) and asserts that ``summarize_timeline`` over
 the chain produces byte-identical rankings to independent cold ``Charles``
 runs on every pair, including under a tiny cache capacity that forces
-constant LRU eviction mid-chain.
+constant eviction mid-chain.
 """
 
 from __future__ import annotations
