@@ -92,7 +92,7 @@ _EXPORTS, __getattr__, __dir__ = _lazy_exports(__name__, {
     "repro.core.summary": ("ChangeSummary", "ConditionalTransformation"),
     "repro.core.scoring": ("ScoreBreakdown", "score_summary"),
     "repro.core.setup_assistant": ("SetupAssistant", "SetupSuggestions"),
-    "repro.core.discovery": ("DiffDiscoveryEngine", "ScoredSummary"),
+    "repro.search.evaluator": ("ScoredSummary",),
     "repro.relational.table": ("Table",),
     "repro.relational.schema": ("Schema", "Column", "DType"),
     "repro.relational.snapshot": ("SnapshotPair",),

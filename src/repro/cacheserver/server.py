@@ -47,7 +47,7 @@ import threading
 import time
 from collections import deque
 
-from repro.cachestore.base import MISSING
+from repro.cachestore.base import MISSING, BackendCounters
 from repro.cachestore.memory import InProcessBackend
 from repro.cacheserver import protocol
 from repro.exceptions import ConfigurationError
@@ -77,7 +77,7 @@ def _error_response(error: protocol.ProtocolError) -> bytes:
 class CacheServerCore:
     """Transport-independent cache-server state and request handling.
 
-    Hosts the region, its lock, metrics and span buffer;
+    Hosts the results region, its lock, metrics and span buffer;
     :meth:`dispatch` turns one decoded request body into one response body.
     :class:`~repro.cacheserver.aserver.AsyncCacheServer` provides the wire:
     accepting connections, draining frames, calling :meth:`dispatch` per
@@ -92,10 +92,8 @@ class CacheServerCore:
             raise ConfigurationError(
                 f"cache-server capacity must be >= 1 or unbounded, got {capacity}"
             )
-        self._regions = {
-            protocol.REGION_RESULTS: InProcessBackend(capacity),
-        }
-        self._locks = {region: threading.Lock() for region in self._regions}
+        self._results = InProcessBackend(capacity)
+        self._results_lock = threading.Lock()
         self._capacity = capacity
         self._requests = 0
         self._errors = 0
@@ -218,26 +216,27 @@ class CacheServerCore:
         if request.verb == protocol.STATS:
             payload = json.dumps(self.stats()).encode("utf-8")
             return protocol.encode_response(protocol.OK, payload)
-        if request.verb == protocol.LEN:
-            return protocol.encode_response(
-                protocol.OK, protocol.pack_count(self._length(request.region))
-            )
-        if request.verb == protocol.CLEAR:
-            self._clear(request.region)
-            return protocol.encode_response(protocol.OK)
-        region = self._regions.get(request.region)
-        if region is None:
+        # LEN and CLEAR also accept REGION_ALL, which is the results region
+        if request.region != protocol.REGION_RESULTS and not (
+            request.region == protocol.REGION_ALL
+            and request.verb in (protocol.LEN, protocol.CLEAR)
+        ):
             raise protocol.ProtocolError(f"unknown region {request.region}")
-        lock = self._locks[request.region]
-        if request.verb == protocol.GET:
-            with lock:
-                value = region.get(request.digest)
-            if value is MISSING:
-                return protocol.encode_response(protocol.MISS)
-            return protocol.encode_response(protocol.HIT, value)
-        # PUT: the payload is opaque bytes
-        with lock:
-            region.put(request.digest, request.payload)
+        with self._results_lock:
+            if request.verb == protocol.LEN:
+                return protocol.encode_response(
+                    protocol.OK, protocol.pack_count(len(self._results))
+                )
+            if request.verb == protocol.CLEAR:
+                self._results.clear()
+                return protocol.encode_response(protocol.OK)
+            if request.verb == protocol.GET:
+                value = self._results.get(request.digest)
+                if value is MISSING:
+                    return protocol.encode_response(protocol.MISS)
+                return protocol.encode_response(protocol.HIT, value)
+            # PUT: the payload is opaque bytes
+            self._results.put(request.digest, request.payload)
         return protocol.encode_response(protocol.OK)
 
     # -- span buffering ----------------------------------------------------------
@@ -283,41 +282,11 @@ class CacheServerCore:
             self._spans.extend(kept)
             return drained
 
-    def _selected(self, region: int) -> list[int]:
-        if region == protocol.REGION_ALL:
-            return list(self._regions)
-        if region not in self._regions:
-            raise protocol.ProtocolError(f"unknown region {region}")
-        return [region]
-
-    def _length(self, region: int) -> int:
-        total = 0
-        for selected in self._selected(region):
-            with self._locks[selected]:
-                total += len(self._regions[selected])
-        return total
-
-    def _clear(self, region: int) -> None:
-        for selected in self._selected(region):
-            with self._locks[selected]:
-                self._regions[selected].clear()
-
     # -- introspection ---------------------------------------------------------
 
     def stats(self) -> dict:
         """Per-region counters plus server-level totals (the ``STATS`` payload)."""
-        regions = {}
-        for region, backend in self._regions.items():
-            with self._locks[region]:
-                counters = backend.counters()
-                entries = len(backend)
-            regions[protocol.REGION_NAMES[region]] = {
-                "entries": entries,
-                "hits": counters.hits,
-                "misses": counters.misses,
-                "evictions": counters.evictions,
-                "hit_rate": counters.hit_rate,
-            }
+        counters, entries = self._results_state()
         with self._requests_lock:
             requests, errors = self._requests, self._errors
             connection_errors = self._connection_errors
@@ -330,7 +299,15 @@ class CacheServerCore:
                 "connection_errors": connection_errors,
                 "uptime_seconds": time.time() - self._started,
             },
-            "regions": regions,
+            "regions": {
+                "results": {
+                    "entries": entries,
+                    "hits": counters.hits,
+                    "misses": counters.misses,
+                    "evictions": counters.evictions,
+                    "hit_rate": counters.hit_rate,
+                },
+            },
         }
 
     def metrics_text(self) -> str:
@@ -340,14 +317,15 @@ class CacheServerCore:
         the scrape-time state (region sizes and counters, uptime) is set into
         its gauges here so every exposition is current.
         """
-        for region, backend in self._regions.items():
-            with self._locks[region]:
-                counters = backend.counters()
-                entries = len(backend)
-            name = protocol.REGION_NAMES[region]
-            self._region_entries.set(entries, region=name)
-            self._region_evictions.set(counters.evictions, region=name)
-            self._region_hits.set(counters.hits, region=name)
-            self._region_misses.set(counters.misses, region=name)
+        counters, entries = self._results_state()
+        self._region_entries.set(entries, region="results")
+        self._region_evictions.set(counters.evictions, region="results")
+        self._region_hits.set(counters.hits, region="results")
+        self._region_misses.set(counters.misses, region="results")
         self._uptime.set(time.time() - self._started)
         return self._metrics.render()
+
+    def _results_state(self) -> tuple[BackendCounters, int]:
+        """The results region's counters and entry count, read under its lock."""
+        with self._results_lock:
+            return self._results.counters(), len(self._results)

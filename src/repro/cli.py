@@ -69,10 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     summarize = subparsers.add_parser("summarize", help="rank change summaries for a target attribute")
     _add_pair_arguments(summarize)
     summarize.add_argument("--target", required=True, help="numeric attribute to explain")
-    summarize.add_argument("--alpha", type=float, default=0.5, help="accuracy weight (default 0.5)")
-    summarize.add_argument("--max-condition-attributes", "-c", type=int, default=3)
-    summarize.add_argument("--max-transformation-attributes", "-t", type=int, default=2)
-    summarize.add_argument("--top", type=int, default=10, help="number of summaries to show")
+    _add_search_arguments(summarize, top_help="number of summaries to show")
     summarize.add_argument("--jobs", type=int, default=1,
                            help="worker processes for the candidate search (1 = serial)")
     summarize.add_argument("--cache-capacity", type=int, default=None,
@@ -81,8 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "remote the bound is each shard's `charles cache-server "
                                 "--capacity`")
     _add_cache_arguments(summarize)
-    summarize.add_argument("--condition-attributes", nargs="*", default=None)
-    summarize.add_argument("--transformation-attributes", nargs="*", default=None)
     summarize.add_argument("--details", action="store_true", help="show tree and treemap for the best summary")
     summarize.add_argument("--sql", action="store_true",
                            help="print the best summary as a SQL UPDATE statement")
@@ -100,12 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_pair_arguments(plan)
     plan.add_argument("--target", required=True, help="numeric attribute to explain")
-    plan.add_argument("--alpha", type=float, default=0.5, help="accuracy weight (default 0.5)")
-    plan.add_argument("--max-condition-attributes", "-c", type=int, default=3)
-    plan.add_argument("--max-transformation-attributes", "-t", type=int, default=2)
-    plan.add_argument("--top", type=int, default=10, help="top-k the planned run would keep")
-    plan.add_argument("--condition-attributes", nargs="*", default=None)
-    plan.add_argument("--transformation-attributes", nargs="*", default=None)
+    _add_search_arguments(plan, top_help="top-k the planned run would keep")
 
     diff = subparsers.add_parser("diff", help="syntactic diff: cells, update distance, drift")
     _add_pair_arguments(diff)
@@ -119,10 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="two or more snapshot CSVs, oldest first")
     timeline.add_argument("--target", required=True, help="numeric attribute to explain")
     timeline.add_argument("--key", default=None, help="entity-identifying column")
-    timeline.add_argument("--alpha", type=float, default=0.5, help="accuracy weight (default 0.5)")
-    timeline.add_argument("--max-condition-attributes", "-c", type=int, default=3)
-    timeline.add_argument("--max-transformation-attributes", "-t", type=int, default=2)
-    timeline.add_argument("--top", type=int, default=10, help="ranked summaries kept per hop")
+    _add_search_arguments(timeline, top_help="ranked summaries kept per hop")
     timeline.add_argument("--limit", type=int, default=1, help="summaries shown per hop")
     timeline.add_argument("--window", type=int, default=1,
                           help="compare each version with the one this many steps later")
@@ -134,8 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "--cache-backend remote the bound is each shard's "
                                "`charles cache-server --capacity`")
     _add_cache_arguments(timeline)
-    timeline.add_argument("--condition-attributes", nargs="*", default=None)
-    timeline.add_argument("--transformation-attributes", nargs="*", default=None)
     _add_observability_arguments(timeline)
 
     trace = subparsers.add_parser(
@@ -228,6 +213,16 @@ def _add_pair_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--key", default=None, help="entity-identifying column")
 
 
+def _add_search_arguments(parser: argparse.ArgumentParser, top_help: str) -> None:
+    """The search flags of ``summarize``, ``plan`` and ``timeline``."""
+    parser.add_argument("--alpha", type=float, default=0.5, help="accuracy weight (default 0.5)")
+    parser.add_argument("--max-condition-attributes", "-c", type=int, default=3)
+    parser.add_argument("--max-transformation-attributes", "-t", type=int, default=2)
+    parser.add_argument("--top", type=int, default=10, help=top_help)
+    parser.add_argument("--condition-attributes", nargs="*", default=None)
+    parser.add_argument("--transformation-attributes", nargs="*", default=None)
+
+
 def _add_observability_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trace", type=Path, default=None,
                         help="record a JSONL trace of the run here (spans for "
@@ -312,6 +307,25 @@ def _write_stats_json(
     )
 
 
+def _engine_config(args: argparse.Namespace) -> CharlesConfig:
+    """The engine configuration of ``summarize`` and ``timeline``."""
+    from repro.core.config import CharlesConfig
+
+    return CharlesConfig(
+        alpha=args.alpha,
+        max_condition_attributes=args.max_condition_attributes,
+        max_transformation_attributes=args.max_transformation_attributes,
+        top_k=args.top,
+        n_jobs=args.jobs,
+        search_cache_capacity=args.cache_capacity,
+        cache_backend=args.cache_backend,
+        cache_dir=str(args.cache_dir) if args.cache_dir is not None else None,
+        cache_url=args.cache_url,
+        cache_replication=args.cache_replication,
+        trace_path=str(args.trace) if args.trace is not None else None,
+    )
+
+
 def _load_pair(args: argparse.Namespace) -> SnapshotPair:
     from repro.relational.csv_io import read_csv
     from repro.relational.snapshot import SnapshotPair
@@ -362,25 +376,12 @@ def _command_plan(args: argparse.Namespace) -> int:
 
 def _command_summarize(args: argparse.Namespace) -> int:
     from repro.core.charles import Charles
-    from repro.core.config import CharlesConfig
     from repro.core.sql import summary_to_sql_update
     from repro.viz.report import result_to_markdown
     from repro.viz.tree_render import render_summary_tree
     from repro.viz.treemap import render_partition_treemap
 
-    config = CharlesConfig(
-        alpha=args.alpha,
-        max_condition_attributes=args.max_condition_attributes,
-        max_transformation_attributes=args.max_transformation_attributes,
-        top_k=args.top,
-        n_jobs=args.jobs,
-        search_cache_capacity=args.cache_capacity,
-        cache_backend=args.cache_backend,
-        cache_dir=str(args.cache_dir) if args.cache_dir is not None else None,
-        cache_url=args.cache_url,
-        cache_replication=args.cache_replication,
-        trace_path=str(args.trace) if args.trace is not None else None,
-    )
+    config = _engine_config(args)
     pair = _load_pair(args)
     _begin_tracing(args)
     started = time.perf_counter()
@@ -446,23 +447,10 @@ def _command_timeline(args: argparse.Namespace) -> int:
     if len(args.versions) < 2:
         print("error: a timeline needs at least two snapshot CSVs", file=sys.stderr)
         return 2
-    from repro.core.config import CharlesConfig
     from repro.relational.csv_io import read_csv
     from repro.timeline import EngineSession, TimelineStore
 
-    config = CharlesConfig(
-        alpha=args.alpha,
-        max_condition_attributes=args.max_condition_attributes,
-        max_transformation_attributes=args.max_transformation_attributes,
-        top_k=args.top,
-        n_jobs=args.jobs,
-        search_cache_capacity=args.cache_capacity,
-        cache_backend=args.cache_backend,
-        cache_dir=str(args.cache_dir) if args.cache_dir is not None else None,
-        cache_url=args.cache_url,
-        cache_replication=args.cache_replication,
-        trace_path=str(args.trace) if args.trace is not None else None,
-    )
+    config = _engine_config(args)
     store = TimelineStore(key=args.key)
     for path in args.versions:
         store.append(path.stem, read_csv(path, primary_key=args.key))

@@ -10,8 +10,8 @@ Submodules, in dependency order:
 * :mod:`~repro.core.scoring` — accuracy, interpretability, and the alpha tradeoff.
 * :mod:`~repro.core.setup_assistant` — correlation-based attribute shortlists.
 * :mod:`~repro.core.partitioning` — regression-guided k-means partition discovery.
-* :mod:`~repro.core.discovery` — the diff discovery engine (enumerate, fit, rank).
-* :mod:`~repro.core.charles` — the :class:`Charles` facade tying it all together.
+* :mod:`~repro.core.charles` — the :class:`Charles` facade: validates a request,
+  plans the candidate space and runs it through :mod:`repro.search`.
 """
 
 from repro import _lazy_exports
@@ -29,7 +29,7 @@ _EXPORTS, __getattr__, __dir__ = _lazy_exports(__name__, {
     "repro.core.scoring": ("ScoreBreakdown", "accuracy", "interpretability", "score_summary"),
     "repro.core.setup_assistant": ("SetupAssistant", "SetupSuggestions", "AttributeSuggestion"),
     "repro.core.partitioning": ("Partition", "discover_partitions", "induce_condition"),
-    "repro.core.discovery": ("DiffDiscoveryEngine", "ScoredSummary"),
+    "repro.search.evaluator": ("ScoredSummary",),
     "repro.core.sql": ("condition_to_sql", "transformation_to_sql", "summary_to_sql_update"),
 })
 __all__ = list(_EXPORTS)

@@ -1,10 +1,10 @@
 """The public facade of the reproduction: the :class:`Charles` system.
 
-``Charles`` wires the setup assistant, the diff discovery engine and the
-scoring machinery together behind the workflow of the paper's demonstration
-(Fig. 4): load two snapshots, pick a target attribute, optionally tune the
-parameters and the attribute shortlists, then request a ranked list of change
-summaries.
+``Charles`` wires the setup assistant, the candidate search
+(:mod:`repro.search`: plan, execute, rank) and the scoring machinery together
+behind the workflow of the paper's demonstration (Fig. 4): load two
+snapshots, pick a target attribute, optionally tune the parameters and the
+attribute shortlists, then request a ranked list of change summaries.
 
 Typical use::
 
@@ -25,13 +25,16 @@ from typing import Sequence
 
 from repro.cachestore import MISSING, BackendCounters
 from repro.core.config import CharlesConfig
-from repro.core.discovery import DiffDiscoveryEngine, ScoredSummary
+from repro.core.scoring import score_summary
 from repro.core.setup_assistant import SetupAssistant, SetupSuggestions
+from repro.core.summary import ChangeSummary
 from repro.exceptions import DiscoveryError
 from repro.relational.snapshot import SnapshotPair
 from repro.relational.table import Table
 from repro.search.bounds import ScoreBoundIndex
 from repro.search.cache import SearchCaches, snapshot_digest, work_key
+from repro.search.evaluator import ScoredSummary
+from repro.search.executors import SearchExecutor
 from repro.search.planner import SearchPlan, build_search_plan
 from repro.search.stats import SearchStats
 
@@ -133,7 +136,6 @@ class Charles:
     def __init__(self, config: CharlesConfig | None = None):
         self._config = config or CharlesConfig()
         self._assistant = SetupAssistant(self._config)
-        self._engine = DiffDiscoveryEngine(self._config)
 
     @property
     def config(self) -> CharlesConfig:
@@ -200,7 +202,7 @@ class Charles:
         condition_attributes, transformation_attributes, _ = self._shortlists(
             pair, target, condition_attributes, transformation_attributes
         )
-        plan = build_search_plan(condition_attributes, transformation_attributes, self._config)
+        plan = self._search_plan(pair, condition_attributes, transformation_attributes)
         index = None
         if self._config.prune_search and len(plan):
             index = ScoreBoundIndex(pair, target, self._config)
@@ -286,7 +288,11 @@ class Charles:
         callers leave it at its default; with a ``disk`` or ``remote``
         ``cache_backend`` the call then opens the configured stores itself.
 
-        Before anything is planned, the request is looked up as a *result
+        A pair whose ``target`` never changed is answered at once with the
+        one "no change detected" summary: empty shortlists, one candidate,
+        no setup assistant, no search and no results-store traffic.
+
+        Otherwise, before anything is planned, the request is looked up as a *result
         entry* in ``caches.results`` under :func:`~repro.search.cache.
         work_key`; a hit returns the stored ranking with a
         :class:`~repro.search.stats.SearchStats` that counts one
@@ -316,6 +322,21 @@ class Charles:
         caches: SearchCaches | None,
     ) -> CharlesResult:
         started = time.perf_counter()
+        if not pair.schema.column(target).is_numeric:
+            raise DiscoveryError(f"target attribute {target!r} must be numeric")
+        if not pair.changed_mask(target).any():
+            empty = ChangeSummary(target, (), label="no change detected")
+            scored = ScoredSummary(empty, score_summary(empty, pair, self._config), (), (), 0)
+            return CharlesResult(
+                pair=pair,
+                target=target,
+                summaries=(scored,),
+                config=self._config,
+                condition_attributes=(),
+                transformation_attributes=(),
+                total_candidates=1,
+                search_stats=SearchStats(n_jobs=self._config.n_jobs),
+            )
         entry = MISSING
         if caches is not None:
             source_digest = snapshot_digest(pair.source, pair.key)
@@ -340,13 +361,12 @@ class Charles:
             condition_attributes, transformation_attributes, suggestions = self._shortlists(
                 pair, target, condition_attributes, transformation_attributes
             )
-            ranked, stats = self._engine.discover_with_stats(
-                pair,
-                target,
-                condition_attributes,
-                transformation_attributes,
-                caches=caches,
+            plan = self._search_plan(pair, condition_attributes, transformation_attributes)
+            ranked, stats = SearchExecutor(self._config.n_jobs).execute(
+                pair, target, plan, self._config, caches=caches
             )
+            if not ranked:
+                raise DiscoveryError("no candidate summaries could be generated")
             top = tuple(ranked[: self._config.top_k])
             # duplicate-pruned specs are not counted — they would have merged
             # into an existing candidate anyway — and neither are spec-bound
@@ -378,6 +398,21 @@ class Charles:
             search_stats=stats,
             _suggestions=suggestions,
         )
+
+    def _search_plan(
+        self,
+        pair: SnapshotPair,
+        condition_attributes: Sequence[str],
+        transformation_attributes: Sequence[str],
+    ) -> SearchPlan:
+        """The plan over the shortlists, less the key in C and non-numeric T."""
+        transformations = [
+            name for name in transformation_attributes if pair.schema.column(name).is_numeric
+        ]
+        if not transformations:
+            raise DiscoveryError("no numeric transformation attributes available")
+        conditions = [name for name in condition_attributes if name != pair.key]
+        return build_search_plan(conditions, transformations, self._config)
 
     def _shortlists(
         self,

@@ -146,11 +146,13 @@ class CharlesConfig:
     seed:
         Seed for every stochastic component (k-means restarts).
     n_jobs:
-        Number of worker processes the candidate search uses.  ``1`` (the
-        default) selects the in-process :class:`~repro.search.executors.
-        SerialExecutor`; values above 1 select the process-pool-backed
-        :class:`~repro.search.executors.ParallelExecutor`.  Both executors
-        produce identical rankings; only wall time and cache hit rates differ.
+        Number of worker processes the candidate search uses, passed to
+        :class:`~repro.search.executors.SearchExecutor`.  ``1`` (the
+        default) evaluates every spec in process; values above 1 fan each
+        round out over a process pool of that many workers, and a pool that
+        fails hands the search back to the in-process path (then
+        ``SearchStats.n_jobs`` reports 1).  Rankings are identical for any
+        value; only wall time and cache hit rates differ.
     prune_search:
         Whether the search may skip candidates that provably cannot enter the
         ranked top-k: a spec is skipped *before* partition discovery when its

@@ -436,10 +436,10 @@ def _numeric_descriptor(
     member_low, member_high = float(member_values.min()), float(member_values.max())
     rest_low, rest_high = float(rest_values.min()), float(rest_values.max())
     if member_low > rest_high:
-        threshold = _nice_threshold(rest_high, member_low, inclusive_high=True)
+        threshold = _nice_threshold(rest_high, member_low)
         return Descriptor.at_least(attribute, threshold)
     if member_high < rest_low:
-        threshold = _nice_threshold(member_high, rest_low, inclusive_high=True)
+        threshold = _nice_threshold(member_high, rest_low)
         return Descriptor.less_than(attribute, threshold)
     # no clean one-sided split; look for the best imperfect threshold (a few
     # mislabelled rows — noise, manual corrections — must not hide a real cut)
@@ -501,7 +501,7 @@ def _tolerant_threshold_descriptor(
     below = combined[combined < cut]
     above = combined[combined >= cut]
     if below.size and above.size:
-        threshold = _nice_threshold(float(below.max()), float(above.min()), inclusive_high=True)
+        threshold = _nice_threshold(float(below.max()), float(above.min()))
     else:
         threshold = cut
     return Descriptor.at_least(attribute, threshold) if at_least else Descriptor.less_than(
@@ -509,7 +509,7 @@ def _tolerant_threshold_descriptor(
     )
 
 
-def _nice_threshold(low: float, high: float, inclusive_high: bool = True) -> float:
+def _nice_threshold(low: float, high: float) -> float:
     """A round value in ``(low, high]`` to use as a split threshold.
 
     Candidates are generated at several granularities (powers of ten around the
@@ -520,7 +520,7 @@ def _nice_threshold(low: float, high: float, inclusive_high: bool = True) -> flo
         return high
     midpoint = (low + high) / 2.0
     gap = high - low
-    candidates: list[float] = [high] if inclusive_high else []
+    candidates: list[float] = [high]
     magnitude = 10.0 ** np.floor(np.log10(gap)) if gap > 0 else 1.0
     for scale in (magnitude * 10, magnitude, magnitude / 10):
         if scale <= 0:

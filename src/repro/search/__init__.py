@@ -16,13 +16,13 @@ it is computed, in three layers:
    single-rule specs first, then partitioned specs by ascending partition
    count) that define the synchronisation points of the search.
 
-2. **Executors** (:mod:`repro.search.executors`) — evaluate the plan.
-   :class:`~repro.search.executors.SerialExecutor` runs in process;
-   :class:`~repro.search.executors.ParallelExecutor` fans rounds out over a
-   ``ProcessPoolExecutor`` (``CharlesConfig.n_jobs`` selects between them).
-   Both produce byte-identical rankings because the top-k pruning floor and
-   the duplicate-signature set (the one input to an evaluation besides its
-   spec) are frozen per round, and outcomes are reduced in spec order.  Executors fill in a
+2. **Executor** (:mod:`repro.search.executors`) — evaluates the plan.
+   :class:`~repro.search.executors.SearchExecutor` runs each round in
+   process, or with ``n_jobs > 1`` (``CharlesConfig.n_jobs``) fans it out
+   over a ``ProcessPoolExecutor``.  Both ways produce byte-identical
+   rankings because the top-k pruning floor and the duplicate-signature set
+   (the one input to an evaluation besides its spec) are frozen per round,
+   and outcomes are reduced in spec order.  The executor fills in a
    :class:`~repro.search.stats.SearchStats` record (candidates enumerated /
    evaluated / pruned, cache hits, wall time) that rides along with the
    results.
@@ -45,8 +45,8 @@ it is computed, in three layers:
    pipeline is deterministic, so the summary would be identical).  Every
    summary it builds is scored.
 
-Since the bound-planning layer (:mod:`repro.search.bounds`) the executors
-additionally *filter* each round before paying for it: a once-per-search
+Since the bound-planning layer (:mod:`repro.search.bounds`) the executor
+additionally *filters* each round before paying for it: a once-per-search
 :class:`~repro.search.bounds.ScoreBoundIndex` bounds every spec's achievable
 score from the pair state alone, and specs provably below the top-k floor are
 skipped before partition discovery runs (whenever
@@ -56,37 +56,21 @@ each round.  The survivors run in plan order: a pool round is split into at most
 chunks whose outcomes are concatenated in order.  Rankings are byte-identical
 to exhaustive search.
 
-Adding a new backend
---------------------
+Adding a cache backend
+----------------------
 
-*Execution backends.*  Subclass
-:class:`~repro.search.executors.SearchExecutor` and implement ``_setup`` /
-``_run_round`` / ``_teardown``.  The base class owns the round loop, the
-top-k floor, spec-bound pruning and the deterministic reduce; a backend only
-decides how the specs of one round are evaluated (threads, a job queue, a
-remote cluster, ...).  The contract to preserve: evaluate every spec of the
-round with exactly the ``known_signatures`` given, and return outcomes in
-spec order.
-Wire the backend into :func:`~repro.search.executors.select_executor` (or
-construct it directly and call ``execute``).
-
-*Cache backends.*  Where stored results live is equally pluggable: subclass
+Where stored results live is pluggable: subclass
 :class:`~repro.cachestore.base.CacheBackend`
 (``get``/``put``/``__len__``/``clear`` + counter snapshots) and register the kind in
 :func:`~repro.cachestore.factory.build_results_backend` — see the
-:mod:`repro.cachestore` package docstring for the full recipe.  Execution and
-cache backends compose freely: any executor works against any store.
+:mod:`repro.cachestore` package docstring for the full recipe.  Any
+``n_jobs`` works against any store.
 """
 
 from repro.search.bounds import ScoreBoundIndex, SpecBound, bound_histogram
 from repro.search.cache import CacheCounters, MemoTable, SearchCaches, mask_digest
 from repro.search.evaluator import CandidateEvaluator, EvaluationOutcome, ScoredSummary
-from repro.search.executors import (
-    ParallelExecutor,
-    SearchExecutor,
-    SerialExecutor,
-    select_executor,
-)
+from repro.search.executors import SearchExecutor
 from repro.search.planner import (
     GLOBAL,
     PARTITIONED,
@@ -115,8 +99,5 @@ __all__ = [
     "EvaluationOutcome",
     "ScoredSummary",
     "SearchExecutor",
-    "SerialExecutor",
-    "ParallelExecutor",
-    "select_executor",
     "SearchStats",
 ]

@@ -1,9 +1,9 @@
 """Evaluating one candidate spec: partitions, fits, merge, refine, score.
 
-This module holds the model-fitting heart of the diff discovery engine, moved
-out of :class:`~repro.core.discovery.DiffDiscoveryEngine` so that any executor
-— serial or parallel — can evaluate :class:`~repro.search.planner.CandidateSpec`\\ s
-through one shared, cache-aware code path.  A :class:`CandidateEvaluator` is
+This module holds the model-fitting heart of the diff discovery engine: the
+in-process search and every pool worker evaluate
+:class:`~repro.search.planner.CandidateSpec`\\ s through this one
+cache-aware code path.  A :class:`CandidateEvaluator` is
 bound to a single ``(pair, target, config)`` triple, and memoises its work in
 the pair-scoped tables of its :class:`~repro.search.cache.SearchCaches`, so
 work that recurs across specs is done once:
@@ -234,11 +234,6 @@ class CandidateEvaluator:
             n_partitions=spec.n_partitions,
         )
         return EvaluationOutcome(spec, scored, signature)
-
-    def score_empty_summary(self, summary: ChangeSummary) -> ScoredSummary:
-        """Score the degenerate "no change detected" summary."""
-        breakdown = score_summary(summary, self._pair, self._config)
-        return ScoredSummary(summary, breakdown, (), (), 0)
 
     # -- cached building blocks --------------------------------------------------
 

@@ -1,19 +1,17 @@
-"""Executors: how and where the planned candidate space gets evaluated.
+"""The executor: how and where the planned candidate space gets evaluated.
 
-An executor takes a :class:`~repro.search.planner.SearchPlan` and returns the
-deduplicated, ranked candidate list plus a
-:class:`~repro.search.stats.SearchStats` record.  The base class owns the
-round loop, the deterministic reduce (structural-key deduplication in spec
-order, then ranking) and the top-k floor used for pruning; subclasses only
-decide how the specs *within* one round are evaluated:
+:class:`SearchExecutor` takes a :class:`~repro.search.planner.SearchPlan`
+and returns the deduplicated, ranked candidate list plus a
+:class:`~repro.search.stats.SearchStats` record.  It owns the round loop,
+the deterministic reduce (structural-key deduplication in spec order, then
+ranking) and the top-k floor used for pruning.  ``n_jobs`` decides how the
+specs *within* one round are evaluated: with 1 (the default,
+``CharlesConfig.n_jobs == 1``) by one in-process evaluator whose memo spans
+the whole search; above 1 by a ``ProcessPoolExecutor`` of ``n_jobs``
+workers, each holding its own evaluator and caches.  A pool that cannot
+start or breaks mid-round hands the search to the in-process evaluator.
 
-* :class:`SerialExecutor` — one in-process evaluator whose memo spans
-  the whole search.  The default (``CharlesConfig.n_jobs == 1``).
-* :class:`ParallelExecutor` — a ``ProcessPoolExecutor`` of ``n_jobs`` workers,
-  each holding its own evaluator and caches.  Selected with
-  ``CharlesConfig.n_jobs > 1``.
-
-Both executors produce byte-identical rankings.  The top-k floor (which
+Both ways produce byte-identical rankings.  The top-k floor (which
 specs the spec bounds skip) and the duplicate-signature set (the only input
 an evaluation takes besides its spec) are frozen at the start of a round and
 only updated between rounds, so outcomes do not depend on evaluation order
@@ -50,7 +48,7 @@ from repro.search.stats import SearchStats
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
 
-__all__ = ["SearchExecutor", "SerialExecutor", "ParallelExecutor", "select_executor"]
+__all__ = ["SearchExecutor"]
 
 # engine-side metrics, fed from the same hooks as the spans; always cheap
 # (two dict updates per observation) so they are not gated on tracing
@@ -93,19 +91,22 @@ def _top_k_floor(candidates: dict[tuple, ScoredSummary], top_k: int) -> float:
 
 
 class SearchExecutor:
-    """Template for executors: the round loop and the deterministic reduce.
+    """The round loop, the deterministic reduce and the choice of where specs run.
 
-    The base class also owns pre-discovery bound pruning (on whenever
+    The executor also owns pre-discovery bound pruning (on whenever
     ``config.prune_search`` is and the plan is non-empty): a
     :class:`~repro.search.bounds.ScoreBoundIndex` is built once per search,
     and specs whose admissible score bound falls below the round's frozen
-    floor are counted as pruned *here*, so they never reach ``_run_round`` —
-    no partition discovery, no fit, no cache lookup.  The survivors keep
+    floor are counted as pruned *here*, so they are never evaluated — no
+    partition discovery, no fit, no cache lookup.  The survivors keep
     their plan order, so tie-breaking (and therefore the ranking) is
     byte-identical to the unpruned path.
     """
 
-    n_jobs: int = 1
+    def __init__(self, n_jobs: int = 1):
+        if n_jobs < 1:
+            raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
+        self.n_jobs = n_jobs
 
     def execute(
         self,
@@ -119,10 +120,20 @@ class SearchExecutor:
 
         ``caches`` lets a long-lived caller (an
         :class:`~repro.timeline.session.EngineSession`) supply caches that
-        outlive one search; in-process executors use them directly, while the
-        process-pool executor uses them only on its serial fallback path —
-        its workers keep private caches.  The evaluator scopes them to
-        ``pair``: entries of another pair are dropped first.
+        outlive one search.  The in-process evaluator uses them directly;
+        pool workers keep private caches, so with ``n_jobs > 1`` they serve
+        only a fallback.  The evaluator scopes them to ``pair``: entries of
+        another pair are dropped first.
+
+        With ``n_jobs > 1`` each round fans out over a process pool whose
+        workers are initialised once per search with the (pickled) pair,
+        target and configuration.  Pool failures surface either at
+        construction or, since workers spawn lazily, as a broken pool
+        mid-``map`` (a worker killed by the OS, an unpicklable payload).
+        Either way the pool is abandoned, the failure is counted and warned
+        about, and the interrupted round and every later one run in process:
+        evaluation is pure given the round's signature set, so the outcomes
+        equal the workers'.  ``stats.n_jobs`` is then 1.
 
         The top-k floor is local to this loop: it starts at ``-inf`` and,
         after each round, rises to the k-th best score found so far.  Only
@@ -134,32 +145,41 @@ class SearchExecutor:
             # library callers get tracing by setting the config field alone;
             # the CLI configures the same process-wide tracer up front
             configure_tracing(config.trace_path)
-        stats = SearchStats(
-            candidates_enumerated=len(plan),
-            n_jobs=self.n_jobs,
-            rounds=plan.num_rounds,
-        )
+        stats = SearchStats(candidates_enumerated=len(plan), rounds=plan.num_rounds)
         candidates: dict[tuple, ScoredSummary] = {}
         signatures: set = set()
         floor = float("-inf")
+        pool: ProcessPoolExecutor | None = None
+        evaluator: CandidateEvaluator | None = None
         with tracer.span(
             "search",
             target=target,
             specs=len(plan),
             rounds=plan.num_rounds,
-            executor=type(self).__name__,
             n_jobs=self.n_jobs,
         ):
             # bound pruning is a top-k skip, so `prune_search` switches it off;
-            # the index reads only the pair state, so it is identical across
-            # executors (serial/parallel prune the same specs)
+            # the index reads only the pair state, so it is identical for any
+            # n_jobs (serial and pool searches prune the same specs)
             bound_index = (
                 ScoreBoundIndex(pair, target, config)
                 if config.prune_search and len(plan)
                 else None
             )
             stats.bound_pruning = bound_index is not None
-            self._setup(pair, target, config, caches)
+            if self.n_jobs > 1:
+                # imported here: a serial search never loads the pool machinery
+                from concurrent.futures import ProcessPoolExecutor
+                from concurrent.futures.process import BrokenProcessPool
+
+                try:
+                    pool = ProcessPoolExecutor(
+                        max_workers=self.n_jobs,
+                        initializer=_init_worker,
+                        initargs=(pair, target, config),
+                    )
+                except (OSError, PermissionError, RuntimeError) as error:
+                    _fall_back(error)
             # without caller caches a search runs on fresh in-process ones
             stats.cache_backend = "memory" if caches is None else caches.backend_kind
             try:
@@ -184,15 +204,32 @@ class SearchExecutor:
                             if pruned:
                                 stats.candidates_pruned_spec_bounds += pruned
                                 _SPECS_TOTAL.inc(pruned, status="spec-bound")
+                        outcomes: list[EvaluationOutcome] = []
+                        delta = CacheCounters()
                         if run_specs:
+                            known = frozenset(signatures)
                             with tracer.span(
                                 "round.dispatch", specs=len(run_specs)
                             ):
-                                outcomes, delta = self._run_round(
-                                    run_specs, frozenset(signatures)
-                                )
-                        else:
-                            outcomes, delta = [], CacheCounters()
+                                if pool is not None:
+                                    try:
+                                        outcomes, delta = _pool_round(
+                                            pool, run_specs, known, self.n_jobs
+                                        )
+                                    except (
+                                        BrokenProcessPool, OSError, pickle.PicklingError
+                                    ) as error:
+                                        pool.shutdown(wait=False, cancel_futures=True)
+                                        pool = None
+                                        _fall_back(error)
+                                if pool is None:
+                                    if evaluator is None:
+                                        evaluator = CandidateEvaluator(
+                                            pair, target, config, caches
+                                        )
+                                    outcomes, delta = _evaluate_specs(
+                                        evaluator, run_specs, known
+                                    )
                         for outcome in outcomes:
                             if outcome.signature is not None:
                                 signatures.add(outcome.signature)
@@ -212,35 +249,22 @@ class SearchExecutor:
                         )
                     _ROUND_SECONDS.observe(time.perf_counter() - round_started)
             finally:
-                self._teardown()
-        stats.n_jobs = self._effective_n_jobs()
+                if pool is not None:
+                    pool.shutdown(wait=True)
+        # the parallelism the search ran with: a pool that failed left none
+        stats.n_jobs = self.n_jobs if pool is not None else 1
         stats.wall_time_seconds = time.perf_counter() - started
         return rank_candidates(candidates), stats
 
-    def _effective_n_jobs(self) -> int:
-        """The parallelism the search actually ran with (see ParallelExecutor)."""
-        return self.n_jobs
 
-    # -- subclass hooks ----------------------------------------------------------
-
-    def _setup(
-        self,
-        pair: SnapshotPair,
-        target: str,
-        config: CharlesConfig,
-        caches: SearchCaches | None = None,
-    ) -> None:
-        raise NotImplementedError
-
-    def _run_round(
-        self,
-        specs: Sequence[CandidateSpec],
-        known_signatures: frozenset,
-    ) -> tuple[list[EvaluationOutcome], CacheCounters]:
-        raise NotImplementedError
-
-    def _teardown(self) -> None:
-        pass
+def _fall_back(error: BaseException) -> None:
+    """Count and warn about a pool failure that moves the search in process."""
+    _FALLBACKS_TOTAL.inc()
+    warnings.warn(
+        f"process pool unavailable ({error!r}); falling back to serial search",
+        RuntimeWarning,
+        stacklevel=3,
+    )
 
 
 def _evaluate_specs(
@@ -254,29 +278,44 @@ def _evaluate_specs(
     return outcomes, evaluator.caches.counters() - before
 
 
-class SerialExecutor(SearchExecutor):
-    """Evaluates every spec in order, in process, with a search-wide memo."""
+def _chunk_indices(count: int, n_jobs: int) -> list[tuple[int, ...]]:
+    """At most ``2 * n_jobs`` contiguous, ordered index chunks over a round."""
+    n_chunks = min(count, 2 * n_jobs)
+    if n_chunks <= 1:
+        return [tuple(range(count))]
+    size, remainder = divmod(count, n_chunks)
+    chunks = []
+    start = 0
+    for index in range(n_chunks):
+        end = start + size + (1 if index < remainder else 0)
+        chunks.append(tuple(range(start, end)))
+        start = end
+    return chunks
 
-    n_jobs = 1
 
-    def _setup(
-        self,
-        pair: SnapshotPair,
-        target: str,
-        config: CharlesConfig,
-        caches: SearchCaches | None = None,
-    ) -> None:
-        self._evaluator = CandidateEvaluator(pair, target, config, caches)
-
-    def _run_round(
-        self,
-        specs: Sequence[CandidateSpec],
-        known_signatures: frozenset,
-    ) -> tuple[list[EvaluationOutcome], CacheCounters]:
-        return _evaluate_specs(self._evaluator, specs, known_signatures)
-
-    def _teardown(self) -> None:
-        self._evaluator = None
+def _pool_round(
+    pool: ProcessPoolExecutor,
+    specs: Sequence[CandidateSpec],
+    known_signatures: frozenset,
+    n_jobs: int,
+) -> tuple[list[EvaluationOutcome], CacheCounters]:
+    """Evaluate one round over the pool's workers, outcomes in spec order."""
+    tracer = get_tracer()
+    trace_context = tracer.context() if tracer.enabled else None
+    payloads = [
+        (tuple(specs[position] for position in chunk), known_signatures, trace_context)
+        for chunk in _chunk_indices(len(specs), n_jobs)
+    ]
+    outcomes: list[EvaluationOutcome] = []
+    delta = CacheCounters()
+    # map() yields in payload order and the chunks are contiguous, so
+    # concatenation restores spec order — the reduce's tie-breaking must
+    # match the in-process evaluation
+    for chunk_outcomes, chunk_delta, chunk_spans in pool.map(_evaluate_batch, payloads):
+        outcomes.extend(chunk_outcomes)
+        delta = delta + chunk_delta
+        tracer.absorb(chunk_spans)
+    return outcomes, delta
 
 
 # -- process-pool worker plumbing ------------------------------------------------
@@ -307,134 +346,3 @@ def _evaluate_batch(
             outcomes, delta = _evaluate_specs(_WORKER_EVALUATOR, specs, known_signatures)
         records = buffer.drain()
     return outcomes, delta, records
-
-
-class ParallelExecutor(SearchExecutor):
-    """Fans each round out over a process pool; falls back to serial if pools fail.
-
-    Workers are initialised once per search with the (pickled) pair, target
-    and configuration; their evaluators live for the whole search, so
-    cross-round reuse happens within each worker.
-    """
-
-    def __init__(self, n_jobs: int):
-        if n_jobs < 2:
-            raise ValueError(f"ParallelExecutor needs n_jobs >= 2, got {n_jobs}")
-        self.n_jobs = n_jobs
-        self._pool: ProcessPoolExecutor | None = None
-        self._fallback: CandidateEvaluator | None = None
-        self._search_context: tuple[SnapshotPair, str, CharlesConfig] | None = None
-        self._session_caches: SearchCaches | None = None
-
-    def _setup(
-        self,
-        pair: SnapshotPair,
-        target: str,
-        config: CharlesConfig,
-        caches: SearchCaches | None = None,
-    ) -> None:
-        self._fallback = None
-        self._search_context = (pair, target, config)
-        # in-process caches cannot cross the process boundary: they serve
-        # only the serial fallback path
-        self._session_caches = caches
-        # imported here: a serial search never loads the pool machinery
-        from concurrent.futures import ProcessPoolExecutor
-
-        try:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.n_jobs,
-                initializer=_init_worker,
-                initargs=(pair, target, config),
-            )
-        except (OSError, PermissionError, RuntimeError) as error:
-            self._fall_back_to_serial(error)
-
-    def _fall_back_to_serial(self, error: BaseException) -> None:
-        """Abandon the pool and finish the search with an in-process evaluator.
-
-        Pool failures surface either at construction or — more commonly, since
-        workers spawn lazily — as a broken pool mid-``map`` (a worker killed by
-        the OS, an unpicklable payload).  Evaluation is pure given the round's
-        signature set, so re-running the interrupted round serially
-        yields the same outcomes the workers would have produced.
-        """
-        _FALLBACKS_TOTAL.inc()
-        warnings.warn(
-            f"process pool unavailable ({error!r}); falling back to serial search",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-        assert self._search_context is not None
-        pair, target, config = self._search_context
-        self._fallback = CandidateEvaluator(pair, target, config, self._session_caches)
-
-    def _effective_n_jobs(self) -> int:
-        return 1 if self._fallback is not None else self.n_jobs
-
-    def _run_round(
-        self,
-        specs: Sequence[CandidateSpec],
-        known_signatures: frozenset,
-    ) -> tuple[list[EvaluationOutcome], CacheCounters]:
-        if self._pool is not None:
-            from concurrent.futures.process import BrokenProcessPool
-
-            tracer = get_tracer()
-            trace_context = tracer.context() if tracer.enabled else None
-            payloads = [
-                (
-                    tuple(specs[position] for position in chunk),
-                    known_signatures,
-                    trace_context,
-                )
-                for chunk in self._chunk_indices(len(specs))
-            ]
-            outcomes: list[EvaluationOutcome] = []
-            delta = CacheCounters()
-            try:
-                # map() yields in payload order and the chunks are contiguous,
-                # so concatenation restores spec order — the reduce's
-                # tie-breaking must match the serial executor
-                for chunk_outcomes, chunk_delta, chunk_spans in self._pool.map(
-                    _evaluate_batch, payloads
-                ):
-                    outcomes.extend(chunk_outcomes)
-                    delta = delta + chunk_delta
-                    tracer.absorb(chunk_spans)
-                return outcomes, delta
-            except (BrokenProcessPool, OSError, pickle.PicklingError) as error:
-                self._fall_back_to_serial(error)
-        assert self._fallback is not None
-        return _evaluate_specs(self._fallback, specs, known_signatures)
-
-    def _chunk_indices(self, count: int) -> list[tuple[int, ...]]:
-        """At most ``2 * n_jobs`` contiguous, ordered index chunks over a round."""
-        n_chunks = min(count, 2 * self.n_jobs)
-        if n_chunks <= 1:
-            return [tuple(range(count))]
-        size, remainder = divmod(count, n_chunks)
-        chunks = []
-        start = 0
-        for index in range(n_chunks):
-            end = start + size + (1 if index < remainder else 0)
-            chunks.append(tuple(range(start, end)))
-            start = end
-        return chunks
-
-    def _teardown(self) -> None:
-        # _fallback is kept: _effective_n_jobs reads it after the round loop,
-        # and the next _setup overwrites it anyway
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
-def select_executor(config: CharlesConfig) -> SearchExecutor:
-    """The executor implied by ``config.n_jobs`` (1 = serial, >1 = process pool)."""
-    if config.n_jobs == 1:
-        return SerialExecutor()
-    return ParallelExecutor(config.n_jobs)

@@ -23,7 +23,7 @@ class TimelineHop:
 
     @property
     def stats(self) -> SearchStats | None:
-        """The hop's search statistics (``None`` for delta-skipped hops)."""
+        """The hop's search statistics (no search counts when the target never changed)."""
         return self.result.search_stats
 
     def ranking(self) -> list[tuple[str, float]]:

@@ -37,13 +37,10 @@ from typing import Sequence
 
 from repro.core.charles import Charles, CharlesResult
 from repro.core.config import CharlesConfig
-from repro.core.summary import ChangeSummary
-from repro.exceptions import DiscoveryError, SessionClosedError
+from repro.exceptions import SessionClosedError
 from repro.obs.trace import configure_tracing, get_tracer
 from repro.relational.snapshot import SnapshotPair
 from repro.search.cache import CacheCounters, SearchCaches
-from repro.search.evaluator import CandidateEvaluator
-from repro.search.stats import SearchStats
 from repro.timeline.delta import VersionDelta
 from repro.timeline.result import TimelineHop, TimelineResult
 from repro.timeline.store import TimelineStore
@@ -181,12 +178,12 @@ class EngineSession:
     ) -> TimelineResult:
         """Summarise every hop of a version chain with one warm engine.
 
-        Each hop's :class:`~repro.timeline.delta.VersionDelta` is computed
-        first and drives the work: hops that never touch ``target`` are
-        resolved without shortlisting attributes or planning a search, and
-        hops that do are served by :meth:`summarize_pair` with all the
-        session's warmth.  Rankings per hop are byte-identical to independent
-        cold ``Charles`` runs on the same pairs.
+        Every hop is served by :meth:`summarize_pair` with all the session's
+        warmth; a hop that never touches ``target`` gets the engine's "no
+        change detected" answer without a search.  Each hop also carries its
+        :class:`~repro.timeline.delta.VersionDelta`.  Rankings per hop are
+        byte-identical to independent cold ``Charles`` runs on the same
+        pairs.
         """
         self._ensure_open()
         tracer = get_tracer()
@@ -199,41 +196,11 @@ class EngineSession:
                 version=target_version.name,
                 skipped=target not in delta,
             ):
-                if target in delta:
-                    result = self.summarize_pair(
-                        pair,
-                        target,
-                        condition_attributes=condition_attributes,
-                        transformation_attributes=transformation_attributes,
-                    )
-                else:
-                    result = self._unchanged_result(pair, target)
+                result = self.summarize_pair(
+                    pair,
+                    target,
+                    condition_attributes=condition_attributes,
+                    transformation_attributes=transformation_attributes,
+                )
             hops.append(TimelineHop(source.name, target_version.name, delta, result))
         return TimelineResult(target=target, hops=tuple(hops))
-
-    # -- internals -------------------------------------------------------------
-
-    def _unchanged_result(self, pair: SnapshotPair, target: str) -> CharlesResult:
-        """The delta-driven short-circuit for hops that never touch the target.
-
-        Mirrors the engine's degenerate "no change detected" path — same empty
-        summary, same scoring — without rescanning the pair for attribute
-        shortlists or planning a search.  The attribute shortlists are left
-        empty: there is nothing to explain (the result's ``suggestions``
-        still compute on first read).
-        """
-        if not pair.schema.column(target).is_numeric:
-            raise DiscoveryError(f"target attribute {target!r} must be numeric")
-        empty = ChangeSummary(target, (), label="no change detected")
-        evaluator = CandidateEvaluator(pair, target, self._config)
-        scored = evaluator.score_empty_summary(empty)
-        return CharlesResult(
-            pair=pair,
-            target=target,
-            summaries=(scored,),
-            config=self._config,
-            condition_attributes=(),
-            transformation_attributes=(),
-            total_candidates=1,
-            search_stats=SearchStats(n_jobs=self._config.n_jobs),
-        )

@@ -1,15 +1,23 @@
-"""Tests for the diff discovery engine and the Charles facade (integration-leaning)."""
+"""Tests for the candidate search behind the Charles facade (integration-leaning)."""
 
-import numpy as np
 import pytest
 
-from repro.core import Charles, CharlesConfig, DiffDiscoveryEngine
+from repro.core import Charles, CharlesConfig
 from repro.evaluation.metrics import rule_recovery
 from repro.exceptions import DiscoveryError
 from repro.relational.snapshot import SnapshotPair
+from repro.search import SearchExecutor, build_search_plan
 
 
-class TestDiffDiscoveryEngine:
+def _ranked(pair, target, conditions, transformations, config=None):
+    """The full ranked candidate list of one search, not cut to the top-k."""
+    config = config or CharlesConfig()
+    plan = build_search_plan(conditions, transformations, config)
+    ranked, _ = SearchExecutor(config.n_jobs).execute(pair, target, plan, config)
+    return ranked
+
+
+class TestCandidateSearch:
     def test_ranking_is_descending(self, fig1_result):
         scores = [scored.score for scored in fig1_result.summaries]
         assert scores == sorted(scores, reverse=True)
@@ -19,25 +27,52 @@ class TestDiffDiscoveryEngine:
         assert len(described) == len(set(described))
 
     def test_non_numeric_target_rejected(self, fig1_pair):
-        with pytest.raises(DiscoveryError):
-            DiffDiscoveryEngine().discover(fig1_pair, "edu", ["exp"], ["salary"])
+        with pytest.raises(DiscoveryError, match="numeric"):
+            Charles().summarize_pair(fig1_pair, "edu", ["exp"], ["salary"])
 
     def test_no_numeric_transformation_attributes_rejected(self, fig1_pair):
-        with pytest.raises(DiscoveryError):
-            DiffDiscoveryEngine().discover(fig1_pair, "bonus", ["edu"], ["edu"])
+        with pytest.raises(DiscoveryError, match="transformation"):
+            Charles().summarize_pair(fig1_pair, "bonus", ["edu"], ["edu"])
+
+    def test_key_and_non_numeric_attributes_are_dropped_before_planning(self, fig1_pair):
+        charles = Charles()
+        filtered = charles.summarize_pair(
+            fig1_pair, "bonus", [fig1_pair.key, "edu"], ["edu", "bonus"]
+        )
+        clean = charles.summarize_pair(fig1_pair, "bonus", ["edu"], ["bonus"])
+        assert [(s.summary.describe(), s.score) for s in filtered.summaries] == [
+            (s.summary.describe(), s.score) for s in clean.summaries
+        ]
+        # the result reports the shortlists as they were asked for
+        assert filtered.condition_attributes == (fig1_pair.key, "edu")
+        assert filtered.transformation_attributes == ("edu", "bonus")
+
+    def test_plan_drops_what_the_search_drops(self, fig1_pair):
+        charles = Charles()
+        shortlists = ([fig1_pair.key, "edu"], ["edu", "bonus"])
+        plan, _ = charles.plan_pair(fig1_pair, "bonus", *shortlists)
+        result = charles.summarize_pair(fig1_pair, "bonus", *shortlists)
+        assert len(plan) == result.search_stats.candidates_enumerated
+        with pytest.raises(DiscoveryError, match="transformation"):
+            charles.plan_pair(fig1_pair, "bonus", ["edu"], ["edu"])
 
     def test_no_change_returns_single_empty_summary(self, fig1_tables):
         source, _ = fig1_tables
         pair = SnapshotPair.align(source, source)
-        ranked = DiffDiscoveryEngine().discover(pair, "bonus", ["edu"], ["bonus"])
-        assert len(ranked) == 1
-        assert ranked[0].summary.size == 0
-        assert ranked[0].breakdown.accuracy == 1.0
+        result = Charles().summarize_pair(pair, "bonus", ["edu"], ["bonus"])
+        assert len(result.summaries) == 1
+        assert result.total_candidates == 1
+        assert result.summaries[0].summary.size == 0
+        assert result.summaries[0].breakdown.accuracy == 1.0
+
+    def test_no_change_still_validates_the_target(self, fig1_tables):
+        source, _ = fig1_tables
+        pair = SnapshotPair.align(source, source)
+        with pytest.raises(DiscoveryError, match="numeric"):
+            Charles().summarize_pair(pair, "edu")
 
     def test_includes_global_single_rule_candidate(self, fig1_pair):
-        ranked = DiffDiscoveryEngine().discover(
-            fig1_pair, "bonus", ["edu", "exp"], ["bonus"]
-        )
+        ranked = _ranked(fig1_pair, "bonus", ["edu", "exp"], ["bonus"])
         assert any(
             scored.summary.size == 1
             and scored.summary.conditional_transformations[0].condition.is_trivial
@@ -46,33 +81,26 @@ class TestDiffDiscoveryEngine:
 
     def test_respects_max_transformation_attributes(self, fig1_pair):
         config = CharlesConfig(max_transformation_attributes=1)
-        ranked = DiffDiscoveryEngine(config).discover(
-            fig1_pair, "bonus", ["edu"], ["bonus", "salary"]
-        )
+        ranked = _ranked(fig1_pair, "bonus", ["edu"], ["bonus", "salary"], config)
         for scored in ranked:
             for ct in scored.summary:
                 assert len(ct.transformation.feature_names) <= 1
 
     def test_respects_max_condition_attributes(self, fig1_pair):
         config = CharlesConfig(max_condition_attributes=1)
-        ranked = DiffDiscoveryEngine(config).discover(
-            fig1_pair, "bonus", ["edu", "exp", "gen"], ["bonus"]
-        )
+        ranked = _ranked(fig1_pair, "bonus", ["edu", "exp", "gen"], ["bonus"], config)
         for scored in ranked:
             for ct in scored.summary:
                 assert len(ct.condition.attributes()) <= 1
 
     def test_deterministic_given_seed(self, fig1_pair):
-        ranked_a = DiffDiscoveryEngine().discover(fig1_pair, "bonus", ["edu", "exp"], ["bonus"])
-        ranked_b = DiffDiscoveryEngine().discover(fig1_pair, "bonus", ["edu", "exp"], ["bonus"])
+        ranked_a = _ranked(fig1_pair, "bonus", ["edu", "exp"], ["bonus"])
+        ranked_b = _ranked(fig1_pair, "bonus", ["edu", "exp"], ["bonus"])
         assert [s.summary.describe() for s in ranked_a] == [s.summary.describe() for s in ranked_b]
 
     def test_merges_partitions_with_identical_rules(self, employee_200):
         # k = 4 over-partitions the MS group; merging should keep the summary at 3 rules
-        ranked = DiffDiscoveryEngine().discover(
-            employee_200, "bonus", ["edu", "exp"], ["bonus"]
-        )
-        best = ranked[0]
+        best = Charles().summarize_pair(employee_200, "bonus", ["edu", "exp"], ["bonus"]).best
         assert best.summary.size <= 4
         assert best.breakdown.accuracy > 0.95
 

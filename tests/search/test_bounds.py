@@ -25,9 +25,8 @@ from repro.relational.table import Table
 from repro.search import (
     GLOBAL,
     MemoTable,
-    ParallelExecutor,
     SearchCaches,
-    SerialExecutor,
+    SearchExecutor,
     build_search_plan,
 )
 from repro.search import executors
@@ -272,7 +271,7 @@ class TestNoWastedLookups:
             return original(self, spec, known_signatures)
 
         monkeypatch.setattr(CandidateEvaluator, "evaluate", spy)
-        ranked, stats = SerialExecutor().execute(
+        ranked, stats = SearchExecutor().execute(
             pair, "bonus", plan, config, caches=caches
         )
 
@@ -310,7 +309,7 @@ class TestPrunedSpecCounting:
             status: executors._SPECS_TOTAL.value(status=status)
             for status in ("spec-bound", "duplicate", "evaluated")
         }
-        _, stats = SerialExecutor().execute(pair, "bonus", plan, config)
+        _, stats = SearchExecutor().execute(pair, "bonus", plan, config)
         counted = {
             status: executors._SPECS_TOTAL.value(status=status) - value
             for status, value in before.items()
@@ -329,8 +328,8 @@ class TestPrunedSpecCounting:
         pair = _two_slice_pair()
         config = CharlesConfig(alpha=0.8, top_k=5)
         plan = build_search_plan(["dept", "region"], ["bonus", "tenure"], config)
-        serial_ranked, serial = SerialExecutor().execute(pair, "bonus", plan, config)
-        parallel_ranked, parallel = ParallelExecutor(2).execute(
+        serial_ranked, serial = SearchExecutor().execute(pair, "bonus", plan, config)
+        parallel_ranked, parallel = SearchExecutor(2).execute(
             pair, "bonus", plan, config
         )
         assert [(s.summary.describe(), s.score) for s in parallel_ranked] == [
@@ -363,7 +362,7 @@ class TestPlanOrder:
             return original(self, spec, known_signatures)
 
         monkeypatch.setattr(CandidateEvaluator, "evaluate", spy)
-        _, stats = SerialExecutor().execute(pair, "bonus", plan, config)
+        _, stats = SearchExecutor().execute(pair, "bonus", plan, config)
 
         survivors = set(evaluated)
         assert stats.candidates_pruned_spec_bounds > 0

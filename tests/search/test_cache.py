@@ -9,10 +9,9 @@ import pytest
 
 from repro.cachestore import MISSING, InProcessBackend
 from repro.core.config import CharlesConfig
-from repro.core.discovery import DiffDiscoveryEngine
 from repro.relational.snapshot import SnapshotPair
 from repro.relational.table import Table
-from repro.search import MemoTable, SearchCaches, SerialExecutor, build_search_plan, mask_digest
+from repro.search import MemoTable, SearchCaches, SearchExecutor, build_search_plan, mask_digest
 from repro.search.bounds import _column_fingerprint
 from repro.search.cache import CacheCounters, snapshot_digest
 from repro.timeline import EngineSession
@@ -113,14 +112,13 @@ class TestResultsStoreBound:
         config = CharlesConfig(search_cache_capacity=4)
         caches = SearchCaches.from_config(config)
         assert caches.results.capacity == 4
-        bounded, stats = DiffDiscoveryEngine(config).discover_with_stats(
-            fig1_pair, "bonus", ["edu", "exp"], ["bonus", "salary"], caches=caches
+        plan = build_search_plan(["edu", "exp"], ["bonus", "salary"], config)
+        bounded, stats = SearchExecutor().execute(
+            fig1_pair, "bonus", plan, config, caches=caches
         )
         # the memo is not bounded: it holds more entries than the capacity
         assert len(caches.fits) > 4 and stats.fit_cache_hits > 0
-        unbounded, _ = DiffDiscoveryEngine(CharlesConfig()).discover_with_stats(
-            fig1_pair, "bonus", ["edu", "exp"], ["bonus", "salary"]
-        )
+        unbounded, _ = SearchExecutor().execute(fig1_pair, "bonus", plan, CharlesConfig())
         assert [(s.summary.structural_key(), s.score) for s in bounded] == [
             (s.summary.structural_key(), s.score) for s in unbounded
         ]
@@ -379,13 +377,13 @@ class TestPairScope:
         pair_a = employee_pair(120, seed=3)
         pair_b = employee_pair(120, seed=4)  # the same shape, other content
         cold = {
-            name: _ranking(SerialExecutor().execute(pair, "bonus", plan, config)[0])
+            name: _ranking(SearchExecutor().execute(pair, "bonus", plan, config)[0])
             for name, pair in (("a", pair_a), ("b", pair_b))
         }
         assert cold["a"] != cold["b"]
         caches = SearchCaches()
         for name, pair in (("a", pair_a), ("b", pair_b), ("a", pair_a)):
-            ranked, _ = SerialExecutor().execute(pair, "bonus", plan, config, caches=caches)
+            ranked, _ = SearchExecutor().execute(pair, "bonus", plan, config, caches=caches)
             assert _ranking(ranked) == cold[name], name
 
     def test_the_same_pair_keeps_its_memo(self):
@@ -393,26 +391,29 @@ class TestPairScope:
         plan = build_search_plan(["edu", "exp"], ["bonus"], config)
         pair = employee_pair(120, seed=3)
         caches = SearchCaches()
-        SerialExecutor().execute(pair, "bonus", plan, config, caches=caches)
+        SearchExecutor().execute(pair, "bonus", plan, config, caches=caches)
         misses = caches.counters().misses
         # an equal pair built anew digests the same: every lookup hits
-        SerialExecutor().execute(employee_pair(120, seed=3), "bonus", plan, config, caches=caches)
+        SearchExecutor().execute(employee_pair(120, seed=3), "bonus", plan, config, caches=caches)
         assert caches.counters().misses == misses
+
+
+def _search(pair, target, conditions, transformations, config=None):
+    """One search over the full ranked list: ``(ranked, stats)``."""
+    config = config or CharlesConfig()
+    plan = build_search_plan(conditions, transformations, config)
+    return SearchExecutor().execute(pair, target, plan, config)
 
 
 class TestEngineCacheBehaviour:
     def test_search_reuses_fits_across_specs(self, fig1_pair):
-        _, stats = DiffDiscoveryEngine().discover_with_stats(
-            fig1_pair, "bonus", ["edu", "exp"], ["bonus", "salary"]
-        )
+        _, stats = _search(fig1_pair, "bonus", ["edu", "exp"], ["bonus", "salary"])
         assert stats.fit_cache_hits > 0
         assert stats.partition_cache_misses > 0
         assert 0.0 < stats.cache_hit_rate < 1.0
 
     def test_stats_account_for_every_spec(self, fig1_pair):
-        _, stats = DiffDiscoveryEngine().discover_with_stats(
-            fig1_pair, "bonus", ["edu", "exp"], ["bonus"]
-        )
+        _, stats = _search(fig1_pair, "bonus", ["edu", "exp"], ["bonus"])
         assert stats.candidates_enumerated == stats.candidates_evaluated + stats.candidates_pruned
         assert stats.wall_time_seconds > 0.0
         assert stats.rounds >= 2
@@ -427,11 +428,11 @@ class TestPruningSafety:
         self, request, fixture_name, target, conditions, transformations
     ):
         pair = request.getfixturevalue(fixture_name)
-        pruned = DiffDiscoveryEngine(CharlesConfig(prune_search=True)).discover(
-            pair, target, conditions, transformations
+        pruned, _ = _search(
+            pair, target, conditions, transformations, CharlesConfig(prune_search=True)
         )
-        complete = DiffDiscoveryEngine(CharlesConfig(prune_search=False)).discover(
-            pair, target, conditions, transformations
+        complete, _ = _search(
+            pair, target, conditions, transformations, CharlesConfig(prune_search=False)
         )
         top_k = CharlesConfig().top_k
         pruned_top = [(s.summary.structural_key(), s.score) for s in pruned[:top_k]]
@@ -439,7 +440,8 @@ class TestPruningSafety:
         assert pruned_top == complete_top
 
     def test_pruning_reduces_scored_candidates(self, fig1_pair):
-        _, with_pruning = DiffDiscoveryEngine(
-            CharlesConfig(prune_search=True)
-        ).discover_with_stats(fig1_pair, "bonus", ["edu", "exp", "gen"], ["bonus", "salary"])
+        _, with_pruning = _search(
+            fig1_pair, "bonus", ["edu", "exp", "gen"], ["bonus", "salary"],
+            CharlesConfig(prune_search=True),
+        )
         assert with_pruning.candidates_pruned > 0

@@ -1,18 +1,15 @@
 """Executor equivalence: serial and parallel searches must rank identically."""
 
+import concurrent.futures
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Charles, CharlesConfig, DiffDiscoveryEngine
-from repro.search import (
-    ParallelExecutor,
-    SearchCaches,
-    SerialExecutor,
-    build_search_plan,
-    select_executor,
-)
-from repro.search.executors import _FALLBACKS_TOTAL
+from repro.core import Charles, CharlesConfig
+from repro.search import SearchCaches, SearchExecutor, build_search_plan
+from repro.search.executors import _FALLBACKS_TOTAL, _chunk_indices
 from repro.workloads import employee_pair
 
 
@@ -30,25 +27,33 @@ def _ranking(result):
     ]
 
 
-class TestExecutorSelection:
-    def test_serial_for_single_job(self):
-        assert isinstance(select_executor(CharlesConfig(n_jobs=1)), SerialExecutor)
+def _full_ranking(ranked):
+    return [(s.summary.structural_key(), s.score) for s in ranked]
 
-    def test_parallel_for_multiple_jobs(self):
-        executor = select_executor(CharlesConfig(n_jobs=3))
-        assert isinstance(executor, ParallelExecutor)
-        assert executor.n_jobs == 3
 
-    def test_parallel_executor_rejects_single_job(self):
-        with pytest.raises(ValueError):
-            ParallelExecutor(1)
+class TestExecutorJobs:
+    def test_serial_by_default(self):
+        assert SearchExecutor().n_jobs == 1
+
+    def test_keeps_the_requested_jobs(self):
+        assert SearchExecutor(3).n_jobs == 3
+
+    def test_rejects_fewer_than_one_job(self):
+        with pytest.raises(ValueError, match="n_jobs"):
+            SearchExecutor(0)
+
+    def test_serial_search_reports_one_job(self, fig1_pair):
+        config = CharlesConfig()
+        plan = build_search_plan(["edu"], ["bonus"], config)
+        _, stats = SearchExecutor().execute(fig1_pair, "bonus", plan, config)
+        assert stats.n_jobs == 1
 
 
 class TestChunking:
     @pytest.mark.parametrize("n_jobs", [2, 3])
     @pytest.mark.parametrize("count", [1, 2, 5, 17, 40])
     def test_chunks_are_contiguous_and_cover_every_index_in_order(self, n_jobs, count):
-        chunks = ParallelExecutor(n_jobs)._chunk_indices(count)
+        chunks = _chunk_indices(count, n_jobs)
         assert [index for chunk in chunks for index in chunk] == list(range(count))
         assert all(chunk for chunk in chunks)
         assert len(chunks) <= 2 * n_jobs
@@ -60,7 +65,7 @@ class TestChunking:
             for count in range(1, 60):
                 sizes = [
                     len(chunk)
-                    for chunk in ParallelExecutor(n_jobs)._chunk_indices(count)
+                    for chunk in _chunk_indices(count, n_jobs)
                 ]
                 assert len(sizes) == min(count, 2 * n_jobs)
                 assert max(sizes) - min(sizes) <= 1
@@ -85,13 +90,12 @@ class TestSerialParallelEquivalence:
         assert _ranking(serial) == _ranking(parallel)
 
     def test_identical_full_ranked_lists(self, fig1_pair):
-        args = (fig1_pair, "bonus", ["edu", "exp", "gen"], ["bonus", "salary"])
-        serial = DiffDiscoveryEngine(CharlesConfig(n_jobs=1)).discover(*args)
-        parallel = DiffDiscoveryEngine(CharlesConfig(n_jobs=2)).discover(*args)
-        assert [s.summary.structural_key() for s in serial] == [
-            s.summary.structural_key() for s in parallel
-        ]
-        assert [s.score for s in serial] == [s.score for s in parallel]
+        config = CharlesConfig()
+        plan = build_search_plan(["edu", "exp", "gen"], ["bonus", "salary"], config)
+        serial, _ = SearchExecutor(1).execute(fig1_pair, "bonus", plan, config)
+        parallel, stats = SearchExecutor(2).execute(fig1_pair, "bonus", plan, config)
+        assert _full_ranking(serial) == _full_ranking(parallel)
+        assert stats.n_jobs == 2
 
     @settings(max_examples=3, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=1000))
@@ -108,52 +112,47 @@ class TestSerialParallelEquivalence:
         assert _ranking(serial) == _ranking(parallel)
 
 
+class _BrokenMapPool:
+    """A process pool whose workers die on the first round sent to them."""
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def map(self, function, payloads):
+        raise BrokenProcessPool("a worker died")
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+def _unavailable_pool(*args, **kwargs):
+    raise OSError("no semaphores here")
+
+
 class TestParallelFallback:
-    def test_broken_pool_falls_back_to_serial_with_identical_results(self, fig1_pair):
-        config = CharlesConfig(n_jobs=2)
+    """A failing pool hands the search to the in-process evaluator."""
+
+    @pytest.mark.parametrize(
+        "pool", [_unavailable_pool, _BrokenMapPool], ids=["construction", "map"]
+    )
+    def test_pool_failure_falls_back_to_the_serial_ranking(self, monkeypatch, fig1_pair, pool):
+        config = CharlesConfig()
         plan = build_search_plan(["edu", "exp"], ["bonus"], config)
-        executor = ParallelExecutor(2)
-        executor._setup(fig1_pair, "bonus", config)
+        expected, serial = SearchExecutor().execute(fig1_pair, "bonus", plan, config)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
         fallbacks = _FALLBACKS_TOTAL.value()
-        try:
-            with pytest.warns(RuntimeWarning, match="falling back to serial"):
-                executor._fall_back_to_serial(RuntimeError("worker died"))
-            assert _FALLBACKS_TOTAL.value() == fallbacks + 1
-            assert executor._effective_n_jobs() == 1
-            outcomes, _ = executor._run_round(plan.rounds[1], frozenset())
-        finally:
-            executor._teardown()
-        serial = SerialExecutor()
-        serial._setup(fig1_pair, "bonus", config)
-        expected, _ = serial._run_round(plan.rounds[1], frozenset())
-        assert [o.spec for o in outcomes] == [o.spec for o in expected]
-        assert [o.scored.score if o.scored else None for o in outcomes] == [
-            o.scored.score if o.scored else None for o in expected
-        ]
-
-    def test_stats_report_effective_jobs_after_fallback(self, fig1_pair):
-        config = CharlesConfig(n_jobs=2)
-        plan = build_search_plan(["edu"], ["bonus"], config)
-        executor = ParallelExecutor(2)
-        original_setup = executor._setup
-
-        def broken_setup(pair, target, cfg, caches=None):
-            original_setup(pair, target, cfg, caches)
-            with pytest.warns(RuntimeWarning):
-                executor._fall_back_to_serial(RuntimeError("simulated pool loss"))
-
-        executor._setup = broken_setup
-        fallbacks = _FALLBACKS_TOTAL.value()
-        ranked, stats = executor.execute(fig1_pair, "bonus", plan, config)
-        assert ranked
-        assert stats.n_jobs == 1
+        with pytest.warns(RuntimeWarning, match="falling back to serial"):
+            ranked, stats = SearchExecutor(2).execute(fig1_pair, "bonus", plan, config)
         assert _FALLBACKS_TOTAL.value() == fallbacks + 1
+        assert stats.n_jobs == 1
+        assert _full_ranking(ranked) == _full_ranking(expected)
+        assert stats.candidates_evaluated == serial.candidates_evaluated
 
 
 class TestSuppliedCaches:
     def _execute(self, pair, config, caches):
         plan = build_search_plan(["edu", "exp"], ["bonus", "salary"], config)
-        return SerialExecutor().execute(pair, "bonus", plan, config, caches=caches)
+        return SearchExecutor().execute(pair, "bonus", plan, config, caches=caches)
 
     def test_shared_caches_are_used_by_serial_executor(self, fig1_pair):
         config = CharlesConfig()
@@ -198,9 +197,9 @@ class TestSearchStatsThreading:
 
 class TestStructuralDeduplication:
     def test_rankings_contain_no_structural_duplicates(self, fig1_pair):
-        ranked = DiffDiscoveryEngine().discover(
-            fig1_pair, "bonus", ["edu", "exp"], ["bonus", "salary"]
-        )
+        config = CharlesConfig()
+        plan = build_search_plan(["edu", "exp"], ["bonus", "salary"], config)
+        ranked, _ = SearchExecutor().execute(fig1_pair, "bonus", plan, config)
         keys = [scored.summary.structural_key() for scored in ranked]
         assert len(keys) == len(set(keys))
 

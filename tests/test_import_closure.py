@@ -66,3 +66,13 @@ def test_the_cache_server_command_starts_without_numpy():
     # the command runs as __main__; its parser needs the backend choices
     assert "repro.cachestore.factory" in modules
     assert loaded(modules, "numpy") == []
+
+
+def test_a_serial_search_loads_no_process_pool():
+    modules = imported(
+        "-c",
+        "from repro import Charles; from repro.workloads import employee_pair; "
+        "Charles().summarize_pair(employee_pair(60, seed=1), 'bonus')",
+    )
+    assert "repro.search.executors" in modules
+    assert loaded(modules, "concurrent.futures", "multiprocessing") == []

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cachestore import BackendCounters
+from repro.cachestore import MISSING, BackendCounters
+from repro.cachestore.disk import DiskBackend
+from repro.cachestore.memory import InProcessBackend
 from repro.core import Charles, CharlesConfig
+from repro.core.setup_assistant import SetupAssistant
 from repro.exceptions import DiscoveryError
 from repro.ml.kmeans import KMeans
+from repro.relational.snapshot import SnapshotPair
 from repro.timeline import EngineSession, TimelineStore
-from repro.workloads import streaming_employee_timeline
+from repro.workloads import employee_pair, streaming_employee_timeline
 
 
 def _ranking(result):
@@ -212,10 +216,42 @@ class TestDeltaShortCircuit:
         assert skipped.ranking() == _ranking(cold)
 
     def test_short_circuit_validates_target(self, chain):
-        session = EngineSession()
-        pair = chain.consecutive_pairs()[0][2]
+        # edu never changes along the chain, so every hop takes the no-change
+        # path, and the target check still runs first
         with pytest.raises(DiscoveryError, match="numeric"):
-            session._unchanged_result(pair, "edu")
+            EngineSession().summarize_timeline(chain, "edu")
+
+
+class TestNoChangeParity:
+    """One no-change answer, whether asked one-shot or as a timeline hop."""
+
+    def test_one_shot_and_timeline_hop_agree(self, monkeypatch, tmp_path):
+        table = employee_pair(200, seed=3).source
+        store = TimelineStore(key=table.schema.primary_key)
+        store.append("v1", table)
+        store.append("v2", table)
+        suggested, store_calls = [], []
+        monkeypatch.setattr(
+            SetupAssistant, "suggest", lambda *args: suggested.append(args)
+        )
+        for backend in (InProcessBackend, DiskBackend):
+            for verb in ("get", "put"):
+                monkeypatch.setattr(
+                    backend, verb,
+                    lambda self, *args, verb=verb: store_calls.append(verb) or MISSING,
+                )
+        config = CharlesConfig(**_FAST, cache_backend="disk", cache_dir=str(tmp_path))
+        one_shot = Charles(config).summarize_pair(SnapshotPair.align(table, table), "bonus")
+        with EngineSession(config) as session:
+            hop = session.summarize_timeline(store, "bonus").hops[0].result
+        assert suggested == [] and store_calls == []
+        for result in (one_shot, hop):
+            assert result.best.summary.label == "no change detected"
+            assert result.condition_attributes == result.transformation_attributes == ()
+            assert result.total_candidates == 1
+        assert _ranking(one_shot) == _ranking(hop)
+        assert one_shot.search_stats == hop.search_stats
+        assert hop.search_stats.candidates_enumerated == 0
 
 
 class TestFacadeIntegration:
