@@ -20,10 +20,11 @@ Package layout:
 * :mod:`repro.relational`  — typed tables, predicates, CSV I/O, snapshot alignment
 * :mod:`repro.ml`          — regression, k-means, association measures, model trees
 * :mod:`repro.core`        — the ChARLES contribution (conditions, transformations,
-  scoring, setup assistant, partition discovery, diff discovery engine)
+  scoring, setup assistant, partition discovery, the ``Charles`` facade)
 * :mod:`repro.search`      — the candidate search: planner, score bounds, memo
-  caches, evaluator, serial and process-pool executors
+  caches, evaluator, and the one executor (serial or over a process pool)
 * :mod:`repro.diff`        — syntactic baselines: cell diffs, update distance, drift
+  (imported eagerly: it is small and loads no engine module)
 * :mod:`repro.baselines`   — exhaustive / global-regression / greedy-tree baselines
 * :mod:`repro.timeline`    — versioned snapshot chains, deltas, warm engine sessions
 * :mod:`repro.cachestore`  — pluggable cache stores (in-process, disk, remote) behind
@@ -60,9 +61,9 @@ def _lazy_exports(
     ``from package import Name`` or ``from package import *``) imports its
     defining module (PEP 562) and binds the object in the package, so it is
     the object the defining module holds and later lookups are plain
-    attribute reads.  A package with a public name equal to one of its
-    submodules' names must stay eager (``repro.diff``): importing that
-    submodule rebinds the package attribute to the module.
+    attribute reads.  No public name may equal the name of one of the
+    package's submodules: importing that submodule would rebind the package
+    attribute to the module.
     """
     exports = {name: module for module, names in modules.items() for name in names}
 

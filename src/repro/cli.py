@@ -370,6 +370,9 @@ def _command_plan(args: argparse.Namespace) -> int:
         condition_attributes=args.condition_attributes,
         transformation_attributes=args.transformation_attributes,
     )
+    if not len(plan):
+        print(f"no change detected in {args.target!r}: nothing to plan")
+        return 0
     print(_render_plan(plan, index))
     return 0
 
@@ -421,11 +424,10 @@ def _command_summarize(args: argparse.Namespace) -> int:
 
 
 def _command_suggest(args: argparse.Namespace) -> int:
-    from repro.core.charles import Charles
+    from repro.core.setup_assistant import SetupAssistant
 
     pair = _load_pair(args)
-    suggestions = Charles().suggest_attributes(pair.source, pair.target, args.target, key=pair.key)
-    print(suggestions.describe())
+    print(SetupAssistant().suggest(pair, args.target).describe())
     return 0
 
 

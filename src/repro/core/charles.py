@@ -197,8 +197,11 @@ class Charles:
         the pair — ``None`` when ``prune_search`` is off or the plan is
         empty, since no bound pruning would run — so operators can see plan
         size, per-round spec counts and bound histograms before paying for a
-        run (``charles plan``).
+        run (``charles plan``).  A pair whose ``target`` never changed, which
+        :meth:`summarize_pair` answers without a search, plans no spec.
         """
+        if not self._target_changed(pair, target):
+            return SearchPlan((), (), ()), None
         condition_attributes, transformation_attributes, _ = self._shortlists(
             pair, target, condition_attributes, transformation_attributes
         )
@@ -322,9 +325,7 @@ class Charles:
         caches: SearchCaches | None,
     ) -> CharlesResult:
         started = time.perf_counter()
-        if not pair.schema.column(target).is_numeric:
-            raise DiscoveryError(f"target attribute {target!r} must be numeric")
-        if not pair.changed_mask(target).any():
+        if not self._target_changed(pair, target):
             empty = ChangeSummary(target, (), label="no change detected")
             scored = ScoredSummary(empty, score_summary(empty, pair, self._config), (), (), 0)
             return CharlesResult(
@@ -398,6 +399,13 @@ class Charles:
             search_stats=stats,
             _suggestions=suggestions,
         )
+
+    @staticmethod
+    def _target_changed(pair: SnapshotPair, target: str) -> bool:
+        """Whether ``target`` changed anywhere; a non-numeric one is refused."""
+        if not pair.schema.column(target).is_numeric:
+            raise DiscoveryError(f"target attribute {target!r} must be numeric")
+        return bool(pair.changed_mask(target).any())
 
     def _search_plan(
         self,

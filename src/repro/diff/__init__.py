@@ -4,13 +4,22 @@ These are the lenses that *existing* tools offer on database change, which the
 paper argues are either too fine-grained (cell listings, edit scripts) or too
 coarse (distribution summaries) to reveal update semantics.  The reproduction
 implements them both as baselines for the benchmark suite and as general
-utilities for inspecting snapshot pairs.
+utilities for inspecting snapshot pairs and version chains.  Every lens reads
+an aligned :class:`~repro.relational.snapshot.SnapshotPair`, and a cell
+changed where its ``changed_mask`` says so.
 """
 
-from repro.diff.cell_diff import AttributeDiff, CellChange, DiffReport, diff_snapshots
-from repro.diff.drift import AttributeDrift, DriftReport, drift_report
-from repro.diff.timeline_diff import incremental_diff_report, timeline_diff, timeline_drift
-from repro.diff.update_distance import UpdateDistance, batch_update_distance, update_distance
+from repro.diff.cell_diff import (
+    AttributeDiff,
+    CellChange,
+    DiffReport,
+    UpdateDistance,
+    batch_update_distance,
+    diff_snapshots,
+    timeline_diff,
+    update_distance,
+)
+from repro.diff.drift import AttributeDrift, DriftReport, drift_report, timeline_drift
 
 __all__ = [
     "CellChange",
@@ -23,7 +32,6 @@ __all__ = [
     "AttributeDrift",
     "DriftReport",
     "drift_report",
-    "incremental_diff_report",
     "timeline_diff",
     "timeline_drift",
 ]

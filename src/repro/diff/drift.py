@@ -11,13 +11,16 @@ and a histogram distance) and total-variation distance for categorical ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.relational.snapshot import SnapshotPair
 
-__all__ = ["AttributeDrift", "DriftReport", "drift_report"]
+if TYPE_CHECKING:
+    from repro.timeline.store import TimelineStore
+
+__all__ = ["AttributeDrift", "DriftReport", "drift_report", "timeline_drift"]
 
 
 @dataclass(frozen=True)
@@ -85,6 +88,21 @@ def drift_report(
             drifts.append(_categorical_drift(pair, name))
     drifts.sort(key=lambda drift: -drift.drift_score)
     return DriftReport(tuple(drifts))
+
+
+def timeline_drift(
+    timeline: TimelineStore, window: int = 1, bins: int = 10
+) -> list[tuple[str, str, DriftReport]]:
+    """Distribution drift for every hop of a version chain.
+
+    Each hop's drift covers only the attributes that hop changed, so a hop
+    that touched two columns costs two histogram passes, not a schema's
+    worth.  A hop that changed nothing yields an empty report.
+    """
+    return [
+        (source.name, target.name, drift_report(pair, pair.changed_attributes(), bins))
+        for source, target, pair in timeline.windowed_pairs(window)
+    ]
 
 
 def _numeric_drift(pair: SnapshotPair, attribute: str, bins: int) -> AttributeDrift:

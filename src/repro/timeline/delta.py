@@ -3,12 +3,13 @@
 A :class:`VersionDelta` is computed once per hop of a timeline and then drives
 everything downstream instead of repeated full rescans: the engine session
 skips the attribute-shortlisting and search machinery entirely for hops that
-never touch the target attribute, the incremental diff builders in
-:mod:`repro.diff.timeline_diff` materialise cell changes only for attributes
-the delta names, and reports show an auditor where a hop concentrated its
-edits.  Cache invalidation needs no help from the delta: the memo of
-:mod:`repro.search.cache` belongs to one pair and is dropped when the pair
-changes.
+never touch the target attribute, and reports show an auditor where a hop
+concentrated its edits.  Its masks are the pair's own cached
+:meth:`~repro.relational.snapshot.SnapshotPair.changed_mask` arrays, the one
+definition of a changed cell, which :func:`repro.diff.timeline_diff` and
+:func:`repro.diff.timeline_drift` read as well.  Cache invalidation needs no
+help from the delta: the memo of :mod:`repro.search.cache` belongs to one
+pair and is dropped when the pair changes.
 """
 
 from __future__ import annotations
@@ -65,13 +66,10 @@ class VersionDelta:
         tolerance: float = 1e-9,
     ) -> "VersionDelta":
         """Compute the delta of an aligned pair (non-key attributes only)."""
-        masks: dict[str, np.ndarray] = {}
-        for name in pair.schema.names:
-            if name == pair.key:
-                continue
-            mask = pair.changed_mask(name, tolerance)
-            if mask.any():
-                masks[name] = mask
+        masks = {
+            name: pair.changed_mask(name, tolerance)
+            for name in pair.changed_attributes(tolerance)
+        }
         return cls(source_name, target_name, pair.num_rows, masks)
 
     # -- inspection ------------------------------------------------------------

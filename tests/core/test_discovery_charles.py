@@ -27,8 +27,10 @@ class TestCandidateSearch:
         assert len(described) == len(set(described))
 
     def test_non_numeric_target_rejected(self, fig1_pair):
-        with pytest.raises(DiscoveryError, match="numeric"):
-            Charles().summarize_pair(fig1_pair, "edu", ["exp"], ["salary"])
+        # plan and summarize validate the target in one place
+        for run in (Charles().summarize_pair, Charles().plan_pair):
+            with pytest.raises(DiscoveryError, match="^target attribute 'edu' must be numeric$"):
+                run(fig1_pair, "edu", ["exp"], ["salary"])
 
     def test_no_numeric_transformation_attributes_rejected(self, fig1_pair):
         with pytest.raises(DiscoveryError, match="transformation"):
@@ -68,8 +70,9 @@ class TestCandidateSearch:
     def test_no_change_still_validates_the_target(self, fig1_tables):
         source, _ = fig1_tables
         pair = SnapshotPair.align(source, source)
-        with pytest.raises(DiscoveryError, match="numeric"):
-            Charles().summarize_pair(pair, "edu")
+        for run in (Charles().summarize_pair, Charles().plan_pair):
+            with pytest.raises(DiscoveryError, match="^target attribute 'edu' must be numeric$"):
+                run(pair, "edu")
 
     def test_includes_global_single_rule_candidate(self, fig1_pair):
         ranked = _ranked(fig1_pair, "bonus", ["edu", "exp"], ["bonus"])

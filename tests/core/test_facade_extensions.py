@@ -102,3 +102,14 @@ class TestSetupAssistantOnDemand:
         assert second.search_stats.result_hits == 1
         assert second.condition_attributes == first.condition_attributes
         assert suggest_calls == ["bonus"]  # the first run's, none for the hit
+
+    def test_an_unchanged_target_plans_nothing_and_needs_none(self, fig1_tables, suggest_calls):
+        from repro.relational.snapshot import SnapshotPair
+
+        source, _ = fig1_tables
+        pair = SnapshotPair.align(source, source)
+        plan, index = Charles().plan_pair(pair, "bonus")
+        assert len(plan) == 0 and plan.num_rounds == 0
+        assert index is None
+        assert Charles().summarize_pair(pair, "bonus").total_candidates == 1
+        assert suggest_calls == []

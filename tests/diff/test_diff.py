@@ -139,19 +139,25 @@ class TestTimelineDiff:
             store.append(name, table)
         return store
 
-    def test_incremental_report_matches_full_diff_on_changed_attributes(self):
-        from repro.diff import diff_snapshots, incremental_diff_report
-        from repro.timeline import VersionDelta
+    def test_timeline_report_matches_full_diff_on_changed_attributes(self):
+        from repro.diff import diff_snapshots, timeline_diff
 
         store = self._store()
         pair = store.pair("v1", "v2")
-        delta = VersionDelta.from_pair(pair, "v1", "v2")
-        incremental = incremental_diff_report(pair, delta)
+        (_, _, report), _ = timeline_diff(store)
         full = diff_snapshots(pair, attributes=["pay"])
-        assert [str(c) for c in incremental.changes] == [str(c) for c in full.changes]
-        assert incremental.attribute_diffs == full.attribute_diffs
+        assert [str(c) for c in report.changes] == [str(c) for c in full.changes]
+        assert report.attribute_diffs == full.attribute_diffs
         # unchanged attributes are entirely absent, not zero-count rows
-        assert [d.attribute for d in incremental.attribute_diffs] == ["pay"]
+        assert [d.attribute for d in report.attribute_diffs] == ["pay"]
+
+    def test_a_deltas_masks_are_the_pairs_cached_masks(self):
+        from repro.timeline import VersionDelta
+
+        pair = self._store().pair("v1", "v2")
+        delta = VersionDelta.from_pair(pair, "v1", "v2")
+        assert delta.changed_attributes == tuple(pair.changed_attributes())
+        assert delta.changed_mask("pay") is pair.changed_mask("pay")
 
     def test_timeline_diff_covers_every_hop(self):
         from repro.diff import timeline_diff

@@ -231,12 +231,21 @@ class TestCommands:
         assert code == 2
         assert "cache_url" in capsys.readouterr().err
 
-    def test_suggest_lists_candidates(self, example_csvs, capsys):
+    def test_suggest_lists_candidates(self, example_csvs, capsys, monkeypatch):
+        align = SnapshotPair.align.__func__
+        aligned = []
+
+        def counting(cls, *args, **kwargs):
+            aligned.append(args)
+            return align(cls, *args, **kwargs)
+
+        monkeypatch.setattr(SnapshotPair, "align", classmethod(counting))
         source, target = example_csvs
         code = main(["suggest", str(source), str(target), "--key", "name", "--target", "bonus"])
         output = capsys.readouterr().out
         assert code == 0
         assert "condition candidates" in output
+        assert len(aligned) == 1  # the assistant reads the loaded pair
 
     def test_diff_reports_cells_and_distance(self, example_csvs, capsys):
         source, target = example_csvs
@@ -497,6 +506,14 @@ class TestPlanCommand:
         assert "candidate specs" in output
         assert "score-bound histogram" in output
         assert "round 0 (global)" in output
+
+    def test_plan_of_an_unchanged_target_says_so(self, example_csvs, capsys):
+        source, _ = example_csvs
+        code = main([
+            "plan", str(source), str(source), "--key", "name", "--target", "bonus",
+        ])
+        assert code == 0
+        assert capsys.readouterr().out == "no change detected in 'bonus': nothing to plan\n"
 
     def test_plan_without_bound_pruning_skips_histograms(self):
         # exhaustive search computes no score bounds, so the dry run has no

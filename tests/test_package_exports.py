@@ -14,6 +14,7 @@ import importlib.util
 import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -74,24 +75,13 @@ def test_an_unknown_name_is_an_attribute_error(name):
         exec(f"from {name} import no_such_name", {})
 
 
-def test_diff_functions_survive_the_import_of_their_submodules():
-    # repro.diff stays eager: update_distance and timeline_diff are both a
-    # function of the package and a submodule of it, and importing the
-    # submodule after the package would rebind a lazily resolved name
-    kinds = fresh(
-        "import inspect, json\n"
-        "import repro.diff\n"
-        "import repro.diff.update_distance, repro.diff.timeline_diff\n"
-        "from repro.diff import timeline_diff, update_distance\n"
-        "print(json.dumps([inspect.isfunction(f) for f in (\n"
-        "    repro.diff.update_distance, repro.diff.timeline_diff,\n"
-        "    update_distance, timeline_diff)]))\n"
-    )
-    assert kinds == [True, True, True, True]
+def test_no_diff_submodule_is_named_like_an_exported_name():
+    # a submodule named like a public name would rebind that name to the
+    # module once imported; repro.diff's functions live in cell_diff / drift
     import repro.diff
-    import repro.diff.timeline_diff  # noqa: F401
-    import repro.diff.update_distance  # noqa: F401
 
+    submodules = {module.name for module in pkgutil.iter_modules(repro.diff.__path__)}
+    assert submodules & set(repro.diff.__all__) == set()
     assert inspect.isfunction(repro.diff.update_distance)
     assert inspect.isfunction(repro.diff.timeline_diff)
 
